@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -192,8 +191,7 @@ def cmd_parse(args) -> int:
     model = TransducerModel.load(args.model)
     records = _load_records(args.input)
     beam = 1 if args.greedy else args.beam
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        graphs = list(pool.map(lambda r: _parse_one(model, r, beam, args.max_len), records))
+    graphs = [_parse_one(model, r, beam, args.max_len) for r in records]
     with open(args.output, "w", encoding="utf-8") as out:
         for record, graph in zip(records, graphs):
             _write_graph(out, record.id, graph, args.format, record.tokens, record.pos)
@@ -214,8 +212,7 @@ def cmd_eval(args) -> int:
         return labeled_triple_f1(g, p)
 
     ids = sorted(gold)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        reports = list(pool.map(score_one, ids))
+    reports = [score_one(i) for i in ids]
     matched = sum(r.matched for r in reports)
     gold_total = sum(r.gold for r in reports)
     pred_total = sum(r.predicted for r in reports)
@@ -266,6 +263,10 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# numpy holds the interpreter lock at these sizes, so worker threads made
+# parsing slower, not faster
+SERIAL_JOBS_HELP = "accepted for compatibility; records are parsed and scored serially"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="arbor", description=__doc__)
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam", type=int, default=5)
     p.add_argument("--greedy", action="store_true", help="force beam size 1")
     p.add_argument("--max-len", dest="max_len", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=SERIAL_JOBS_HELP)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("eval", help="score predictions against gold graphs")
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="JSON report path")
     p.add_argument("--smatch-mode", dest="smatch_mode", default="hill_climb",
                    choices=["hill_climb", "exact"])
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=SERIAL_JOBS_HELP)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="decoding speed benchmark")

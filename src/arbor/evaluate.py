@@ -374,14 +374,18 @@ def validity_audit(graphs, functional_labels=DEFAULT_FUNCTIONAL_LABELS,
 class SpeedReport:
     greedy_tokens_per_sec: float
     beam_tokens_per_sec: float
-    linear_r2: float
+    linear_r2: float | None  # None when every decode had the same length
     step_counts_exact: bool
     decode_times: list[tuple[int, float]] = field(default_factory=list)
 
 
-def linear_fit_r2(xs, ys) -> float:
+def linear_fit_r2(xs, ys) -> float | None:
+    """R² of a least-squares line through (xs, ys); None when xs has fewer
+    than two distinct values, since no line is then determined."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if np.unique(xs).shape[0] < 2:
+        return None
     if len(xs) < 3 or np.allclose(ys, ys[0]):
         return 1.0
     coeffs = np.polyfit(xs, ys, 1)

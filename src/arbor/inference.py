@@ -8,8 +8,11 @@ runs in one pass over the output relations.
 Beam search expands every hypothesis in the beam each step: the top-K
 target-node candidates are scored, EOS moves a hypothesis to the finished
 pool (with no score contribution, matching greedy termination), and all
-(source, relation type) pairs are enumerated for the rest.  With k = 1 the
-result is identical to greedy search, including tie handling.
+(source, relation type) pairs are scored for the rest, as one array per
+(hypothesis, target) expansion.  The global top-K of those scores, ties
+broken by arrival order, forms the next beam, and only its K members are
+built as objects.  With k = 1 the result is identical to greedy search,
+including tie handling.
 """
 
 from __future__ import annotations
@@ -138,6 +141,7 @@ def beam_decode(model: TransducerModel, enc_input: EncoderInput, beam_size: int 
         raise ValueError("beam size must be at least 1")
     dec = model.decoder
     eos_id = model.vocabs.dec_word.id(EOS_LABEL)
+    n_types = len(model.vocabs.rel)
     enc = model.encoder.encode(enc_input)
     init = Hypothesis((), 0.0, dec.initial_state(enc), BOS_INPUT)
     beam: list[Hypothesis] = [init]
@@ -147,8 +151,10 @@ def beam_decode(model: TransducerModel, enc_input: EncoderInput, beam_size: int 
     for _ in range(max_len):
         if not beam:
             break
-        candidates: list[tuple[float, int, Hypothesis]] = []
-        arrival = 0
+        # one block of scores per (hypothesis, target) expansion, rows
+        # (source) by columns (type), kept in arrival order
+        blocks: list[np.ndarray] = []
+        expansions: list[tuple[Hypothesis, NodeRecord, object, np.ndarray]] = []
         for hyp in beam:
             out, state1 = dec.predict_target(enc, hyp.state, hyp.rel_in)
             total_steps += 1
@@ -165,25 +171,34 @@ def beam_decode(model: TransducerModel, enc_input: EncoderInput, beam_size: int 
                 state2 = dec.feed_target(state1, record)
                 pu = dec.point_source(state2).data
                 pr_all = dec.relation_dist_all(state2)
-                logp_v = float(np.log(p[slot]))
-                for j in range(pu.shape[0]):
-                    if pu[j] == 0.0:  # masked ROOT position
-                        continue
-                    u_label, u_index = _source_of(state2, j)
-                    base = hyp.score + logp_v + float(np.log(pu[j]))
-                    for r_id in range(pr_all.shape[1]):
-                        rel = model.vocabs.rel.token(r_id)
-                        new_score = base + float(np.log(pr_all[j, r_id]))
-                        relation = Relation(u_label, u_index, rel, record.label,
-                                            record.index, record.anchors)
-                        new_hyp = Hypothesis(
-                            hyp.relations + (relation,), new_score, state2,
-                            RelationInput(u_label, u_index, state2.node_pos(j), rel),
-                        )
-                        candidates.append((new_score, arrival, new_hyp))
-                        arrival += 1
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        beam = [c[2] for c in candidates[:beam_size]]
+                rows = np.flatnonzero(pu != 0.0)  # drops the masked ROOT position
+                # keep this addition order: it is that of scoring one relation
+                # at a time, so scores stay bit-identical to that reference
+                base = (hyp.score + float(np.log(p[slot]))) + np.log(pu[rows])
+                with np.errstate(divide="ignore"):  # zero type probability -> -inf
+                    blocks.append((base[:, None] + np.log(pr_all[rows])).ravel())
+                expansions.append((hyp, record, state2, rows))
+        if not blocks:
+            beam = []
+            break
+        flat = np.concatenate(blocks)
+        # a stable sort on -score keeps arrival order among equal scores
+        survivors = np.argsort(-flat, kind="stable")[:beam_size]
+        offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
+        beam = []
+        for i in survivors:
+            e = int(np.searchsorted(offsets, i, side="right")) - 1
+            hyp, record, state2, rows = expansions[e]
+            row, r_id = divmod(int(i - offsets[e]), n_types)
+            j = int(rows[row])
+            rel = model.vocabs.rel.token(r_id)
+            u_label, u_index = _source_of(state2, j)
+            relation = Relation(u_label, u_index, rel, record.label, record.index,
+                                record.anchors)
+            beam.append(Hypothesis(
+                hyp.relations + (relation,), float(flat[i]), state2,
+                RelationInput(u_label, u_index, state2.node_pos(j), rel),
+            ))
 
     for hyp in beam:  # flush hypotheses still open at max length
         finished.append(Hypothesis(hyp.relations, hyp.score, None, hyp.rel_in, truncated=True))

@@ -39,7 +39,6 @@ class TrainConfig:
     coverage_weight: float = 1.0
     label_smoothing: float = 0.1
     batch_size: int = 64
-    beam_size: int = 5
     max_epochs: int = 500
     patience: int = 5
     seed: int = 13
@@ -48,7 +47,7 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label smoothing must lie in [0, 1)")
-        for name in ("learning_rate", "max_grad_norm", "batch_size", "beam_size"):
+        for name in ("learning_rate", "max_grad_norm", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,9 @@ class TestLinearFit:
         xs = np.arange(1, 40)
         ys = xs**3.0
         assert linear_fit_r2(xs, ys) < 0.95
+
+    def test_single_distinct_x_is_undefined(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linear_fit_r2([8, 8, 8], [0.1, 0.3, 0.2]) is None
+            assert linear_fit_r2([4], [0.5]) is None

@@ -88,6 +88,79 @@ def enumerate_best(model, inp, max_len):
     return best["seq"], best["score"]
 
 
+def reference_beam_decode(model, inp, beam_size, max_len):
+    """Beam search that builds an object for every candidate relation.
+
+    The implementation ``beam_decode`` replaced, kept as the reference its
+    array scoring must reproduce exactly: every candidate becomes a
+    ``Hypothesis`` and all of them are sorted by (-score, arrival).
+    """
+    from arbor.inference import DecodeResult, Hypothesis, _slot_info
+
+    dec = model.decoder
+    eos_id = model.vocabs.dec_word.id(EOS_LABEL)
+    enc = model.encoder.encode(inp)
+    beam = [Hypothesis((), 0.0, dec.initial_state(enc), BOS_INPUT)]
+    finished = []
+    total_steps = 0
+    for _ in range(max_len):
+        if not beam:
+            break
+        candidates = []
+        arrival = 0
+        for hyp in beam:
+            out, state1 = dec.predict_target(enc, hyp.state, hyp.rel_in)
+            total_steps += 1
+            p = out.p_target.data
+            top = np.argsort(-p, kind="stable")[: min(beam_size, p.shape[0])]
+            for slot in top:
+                slot = int(slot)
+                if slot == eos_id:
+                    finished.append(Hypothesis(hyp.relations, hyp.score, None, hyp.rel_in))
+                    continue
+                record = _slot_info(model, out, state1, inp.tokens, inp.pos, slot)
+                state2 = dec.feed_target(state1, record)
+                pu = dec.point_source(state2).data
+                pr_all = dec.relation_dist_all(state2)
+                logp_v = float(np.log(p[slot]))
+                for j in range(pu.shape[0]):
+                    if pu[j] == 0.0:
+                        continue
+                    u_label, u_index = _source_of(state2, j)
+                    base = hyp.score + logp_v + float(np.log(pu[j]))
+                    for r_id in range(pr_all.shape[1]):
+                        rel = model.vocabs.rel.token(r_id)
+                        with np.errstate(divide="ignore"):
+                            new_score = base + float(np.log(pr_all[j, r_id]))
+                        relation = Relation(u_label, u_index, rel, record.label,
+                                            record.index, record.anchors)
+                        new_hyp = Hypothesis(
+                            hyp.relations + (relation,), new_score, state2,
+                            RelationInput(u_label, u_index, state2.node_pos(j), rel),
+                        )
+                        candidates.append((new_score, arrival, new_hyp))
+                        arrival += 1
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        beam = [c[2] for c in candidates[:beam_size]]
+    for hyp in beam:
+        finished.append(Hypothesis(hyp.relations, hyp.score, None, hyp.rel_in, truncated=True))
+    if not finished:
+        return DecodeResult(RelationSequence((), eos=True), 0.0, 0, total_steps, False)
+    best = max(enumerate(finished), key=lambda kv: (kv[1].score, -kv[0]))[1]
+    seq = RelationSequence(best.relations, eos=not best.truncated, truncated=best.truncated)
+    pool = [(h.relations, h.score) for h in finished]
+    return DecodeResult(seq, best.score, len(best.relations), total_steps, best.truncated,
+                        pool=pool)
+
+
+def assert_same_decode(new, ref):
+    assert new.sequence.relations == ref.sequence.relations
+    assert new.score == ref.score  # bit-equal, not approximately equal
+    assert new.pool == ref.pool
+    assert (new.steps, new.total_steps, new.truncated) == (
+        ref.steps, ref.total_steps, ref.truncated)
+
+
 class TestGreedy:
     def test_structural_validity_over_random_models(self):
         for seed in range(25):
@@ -177,6 +250,30 @@ class TestBeam:
             if result.sequence.relations:
                 arbor = relations_to_arbor(result.sequence)
                 assert validate_arborescence(arbor).valid
+
+
+    @pytest.mark.parametrize("beam_size", [2, 3, 5, 8])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_object_per_candidate_reference(self, seed, beam_size):
+        model = build_tiny_model(seed=600 + seed)
+        inp = make_inputs(np.random.default_rng(seed), 3)
+        assert_same_decode(beam_decode(model, inp, beam_size=beam_size, max_len=5),
+                           reference_beam_decode(model, inp, beam_size, max_len=5))
+
+    @pytest.mark.parametrize("beam_size", [2, 3, 5, 8])
+    def test_ties_keep_arrival_order(self, beam_size):
+        # zeroed scorers make every source and type equally likely, so the
+        # beam is decided by the tie-break on arrival order alone
+        model = build_tiny_model(seed=620)
+        for module in (model.decoder.ffn_vocab, model.decoder.bilinear,
+                       model.decoder.biaffine):
+            for t in module.parameters().values():
+                t.data[...] = 0.0
+        inp = make_inputs(np.random.default_rng(20), 3)
+        new = beam_decode(model, inp, beam_size=beam_size, max_len=5)
+        ref = reference_beam_decode(model, inp, beam_size, max_len=5)
+        assert len({score for _, score in ref.pool}) < len(ref.pool)
+        assert_same_decode(new, ref)
 
 
 class TestParse:
