@@ -5,6 +5,12 @@ active :class:`Tape`; :func:`backward` replays the tape in reverse and
 accumulates gradients additively.  With no tape active, operations run as
 plain numpy, which is what inference uses.
 
+The fused ops ``affine``, ``lstm_cell`` and ``embed_one`` each take one
+tape record with a hand-written backward.  A fused forward evaluates the
+same numpy expressions in the same order as the composed ops it replaces,
+so its outputs are bit-identical to theirs; only the order in which
+gradients are summed may differ.
+
 Broadcasting is deliberately restricted: elementwise ops require equal
 shapes except that (a) python scalars and 0-d tensors pair with anything
 and (b) ``add`` of a matrix and a vector broadcasts the vector over the
@@ -17,8 +23,6 @@ import threading
 
 import numpy as np
 
-_DTYPE = np.float64
-_DEBUG_NAN = False
 _TLS = threading.local()
 
 
@@ -30,27 +34,11 @@ class TapeError(RuntimeError):
     pass
 
 
-def set_default_dtype(dtype) -> None:
-    global _DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("dtype must be float32 or float64")
-    _DTYPE = dtype
-
-
-def default_dtype():
-    return _DTYPE
-
-
-def set_debug_nan_checks(flag: bool) -> None:
-    global _DEBUG_NAN
-    _DEBUG_NAN = bool(flag)
-
-
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
 
@@ -74,8 +62,10 @@ class Tensor:
 
     def _accum(self, delta: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += delta
+            # a copy: ``delta`` may be another tensor's gradient or a view of it
+            self.grad = np.array(delta, dtype=self.data.dtype)
+        else:
+            self.grad += delta
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -144,18 +134,12 @@ def backward(loss: Tensor) -> None:
     tape.backward(loss)
 
 
-def _check_finite(data: np.ndarray, op: str) -> None:
-    if _DEBUG_NAN and not np.all(np.isfinite(data)):
-        raise FloatingPointError(f"non-finite values produced by {op}")
-
-
 def _apply(out_data: np.ndarray, pairs, op: str) -> Tensor:
     """Build the output tensor and record backward closures.
 
     ``pairs`` is a sequence of ``(input, grad_fn)`` where ``grad_fn`` maps
     the output gradient to the input's gradient contribution.
     """
-    _check_finite(out_data, op)
     tape = _active_tape()
     needs = tape is not None and any(t.requires_grad for t, _ in pairs)
     out = Tensor(out_data, requires_grad=needs)
@@ -273,6 +257,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             "matmul",
         )
     raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``w @ x + b`` for a vector ``x``, ``x @ w.T + b`` for a matrix of rows.
+
+    One op in place of matmul + add (+ transpose).  The rows form multiplies
+    by a C-ordered copy of ``w.T``, as ``matmul(x, transpose(w))`` did: BLAS
+    takes another kernel for a transposed view and rounds differently.
+    """
+    if (w.ndim != 2 or b.shape != (w.shape[0],) or x.ndim not in (1, 2)
+            or x.shape[-1] != w.shape[1]):
+        raise ShapeError(f"affine: x {x.shape}, w {w.shape}, b {b.shape}")
+    if x.ndim == 1:
+        return _apply(
+            w.data @ x.data + b.data,
+            [(x, lambda g: w.data.T @ g), (w, lambda g: np.outer(g, x.data)), (b, lambda g: g)],
+            "affine",
+        )
+    return _apply(
+        x.data @ w.data.T.copy() + b.data,
+        [(x, lambda g: g @ w.data), (w, lambda g: g.T @ x.data), (b, lambda g: g.sum(axis=0))],
+        "affine",
+    )
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -458,7 +465,94 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# Fused layers
+
+
+def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
+              b: Tensor) -> tuple[Tensor, Tensor]:
+    """One LSTM step on vectors (gate order i, f, g, o); returns ``(h, c)``.
+
+    A single tape record with a hand-written backward.  A missing gradient
+    on either output counts as zero.
+    """
+    hid = h.shape[0]
+    if (x.ndim != 1 or h.shape != (hid,) or c.shape != (hid,)
+            or w_ih.shape != (4 * hid, x.shape[0]) or w_hh.shape != (4 * hid, hid)
+            or b.shape != (4 * hid,)):
+        raise ShapeError(
+            f"lstm_cell: x {x.shape}, h {h.shape}, c {c.shape}, "
+            f"w_ih {w_ih.shape}, w_hh {w_hh.shape}, b {b.shape}"
+        )
+    gates = w_ih.data @ x.data + w_hh.data @ h.data + b.data
+    i = 1.0 / (1.0 + np.exp(-gates[0:hid]))
+    f = 1.0 / (1.0 + np.exp(-gates[hid : 2 * hid]))
+    g = np.tanh(gates[2 * hid : 3 * hid])
+    o = 1.0 / (1.0 + np.exp(-gates[3 * hid : 4 * hid]))
+    c_data = f * c.data + i * g
+    tanh_c = np.tanh(c_data)
+
+    tape = _active_tape()
+    needs = tape is not None and any(t.requires_grad for t in (x, h, c, w_ih, w_hh, b))
+    h_out = Tensor(o * tanh_c, requires_grad=needs)
+    c_out = Tensor(c_data, requires_grad=needs)
+    if needs:
+
+        def record():
+            gh, gc = h_out.grad, c_out.grad
+            if gh is None and gc is None:
+                return
+            if gh is None:
+                dc, d_o = gc, np.zeros(hid)
+            else:
+                dc = gh * o * (1.0 - tanh_c * tanh_c)
+                if gc is not None:
+                    dc = gc + dc
+                d_o = gh * tanh_c * o * (1.0 - o)
+            d_gates = np.concatenate([
+                dc * g * i * (1.0 - i),
+                dc * c.data * f * (1.0 - f),
+                dc * i * (1.0 - g * g),
+                d_o,
+            ])
+            if x.requires_grad:
+                x._accum(w_ih.data.T @ d_gates)
+            if h.requires_grad:
+                h._accum(w_hh.data.T @ d_gates)
+            if c.requires_grad:
+                c._accum(dc * f)
+            if w_ih.requires_grad:
+                w_ih._accum(np.outer(d_gates, x.data))
+            if w_hh.requires_grad:
+                w_hh._accum(np.outer(d_gates, h.data))
+            if b.requires_grad:
+                b._accum(d_gates)
+
+        tape.records.append(record)
+    return h_out, c_out
+
+
+# ---------------------------------------------------------------------------
 # Lookup and regularization
+
+
+def _gather(table: Tensor, rows, data: np.ndarray) -> Tensor:
+    """Output ``data`` (table rows) whose backward adds its gradient into
+    ``rows`` of the table gradient, so no full-table array is made per
+    lookup; repeated rows accumulate."""
+    tape = _active_tape()
+    needs = tape is not None and table.requires_grad
+    out = Tensor(data, requires_grad=needs)
+    if needs:
+
+        def record():
+            if out.grad is None:
+                return
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            np.add.at(table.grad, rows, out.grad)
+
+        tape.records.append(record)
+    return out
 
 
 def embedding_gather(table: Tensor, ids) -> Tensor:
@@ -468,17 +562,15 @@ def embedding_gather(table: Tensor, ids) -> Tensor:
         raise ShapeError(f"embedding_gather expects a flat id list, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise IndexError(f"embedding id out of range [0, {table.shape[0]})")
-
-    def fn(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        return full
-
-    return _apply(table.data[idx], [(table, fn)], "embedding_gather")
+    return _gather(table, idx, table.data[idx])
 
 
 def embed_one(table: Tensor, i: int) -> Tensor:
-    return reshape(embedding_gather(table, [int(i)]), (table.shape[1],))
+    """One row of an embedding table as a vector."""
+    i = int(i)
+    if not 0 <= i < table.shape[0]:
+        raise IndexError(f"embedding id {i} out of range [0, {table.shape[0]})")
+    return _gather(table, i, table.data[i].copy())
 
 
 def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:

@@ -503,12 +503,9 @@ def save_checkpoint(path, hyperparameters: dict, vocabularies: dict, tensors: di
     """
     directory = []
     offset = 0
-    payloads = []
     for name, arr in tensors.items():
-        data = np.ascontiguousarray(arr, dtype="<f4")
         directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        payloads.append(data.tobytes())
-        offset += data.nbytes
+        offset += 4 * arr.size
     header = {
         "format_version": CHECKPOINT_VERSION,
         "hyperparameters": hyperparameters,
@@ -518,8 +515,9 @@ def save_checkpoint(path, hyperparameters: dict, vocabularies: dict, tensors: di
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for chunk in payloads:
-            fh.write(chunk)
+        # one tensor converted at a time: no second copy of the whole model
+        for arr in tensors.values():
+            fh.write(np.ascontiguousarray(arr, dtype="<f4").data)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -544,7 +542,9 @@ def load_checkpoint(path) -> Checkpoint:
         expected = max(expected, end)
         if end > len(payload):
             raise CheckpointError(f"payload truncated for tensor {name!r}")
-        tensors[name] = np.frombuffer(payload[offset:end], dtype="<f4").reshape(shape).copy()
+        # a read-only view of ``payload``, not a copy
+        tensors[name] = np.frombuffer(payload, dtype="<f4", count=count,
+                                      offset=offset).reshape(shape)
     if expected != len(payload):
         raise CheckpointError(
             f"payload length {len(payload)} does not match directory total {expected}"

@@ -228,12 +228,12 @@ class TransducerModel(nn.Module):
                 f"extra={sorted(extra)[:3]}"
             )
         for name, t in params.items():
-            stored = ckpt.tensors[name]
+            stored = ckpt.tensors.pop(name)
             if stored.shape != t.data.shape:
                 raise CheckpointError(
                     f"tensor {name!r} shape {stored.shape} != expected {t.data.shape}"
                 )
-            t.data = stored.astype(t.data.dtype)
+            np.copyto(t.data, stored)
         return model
 
 

@@ -67,9 +67,7 @@ class Linear(Module):
         self.b = self.register("b", np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim == 1:
-            return ad.add(ad.matmul(self.w, x), self.b)
-        return ad.add(ad.matmul(x, ad.transpose(self.w)), self.b)
+        return ad.affine(x, self.w, self.b)
 
 
 class Mlp(Module):
@@ -178,15 +176,7 @@ class LstmCell(Module):
 
     def __call__(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
         h_prev, c_prev = state
-        gates = ad.add(ad.add(ad.matmul(self.w_ih, x), ad.matmul(self.w_hh, h_prev)), self.b)
-        hid = self.hidden
-        i = ad.sigmoid(ad.narrow(gates, 0, 0, hid))
-        f = ad.sigmoid(ad.narrow(gates, 0, hid, 2 * hid))
-        g = ad.tanh(ad.narrow(gates, 0, 2 * hid, 3 * hid))
-        o = ad.sigmoid(ad.narrow(gates, 0, 3 * hid, 4 * hid))
-        c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
-        return h, c
+        return ad.lstm_cell(x, h_prev, c_prev, self.w_ih, self.w_hh, self.b)
 
     def zero_state(self) -> tuple[Tensor, Tensor]:
         return ad.constant(np.zeros(self.hidden)), ad.constant(np.zeros(self.hidden))
@@ -278,10 +268,8 @@ class CharCnn(Module):
         ids = [0] * pad + list(char_ids) + [0] * pad
         if len(char_ids) == 0:
             ids = [0] * self.kernel
-        rows = self.emb(ids)  # (L + 2*pad, char_dim)
         n_win = max(len(char_ids), 1)
-        windows = ad.concat(
-            [ad.narrow(rows, 0, k, k + n_win) for k in range(self.kernel)], axis=1
-        )
-        conv = ad.add(ad.matmul(windows, ad.transpose(self.w)), self.b)
-        return ad.amax(conv, axis=0)
+        # row j of ``windows`` is the embeddings of ids[j : j + kernel], end to end
+        window_ids = [ids[j + k] for j in range(n_win) for k in range(self.kernel)]
+        windows = ad.reshape(self.emb(window_ids), (n_win, self.kernel * self.char_dim))
+        return ad.amax(ad.affine(windows, self.w, self.b), axis=0)

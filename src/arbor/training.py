@@ -168,14 +168,22 @@ class AdamState:
         self.v: dict[str, np.ndarray] = {}
 
 
-def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Rescale all gradients when their global L2 norm exceeds the bound;
-    returns the applied scale."""
+def grad_norm(params: dict[str, Tensor]) -> float:
+    """Global L2 norm of all gradients; missing grads count as 0."""
     total = 0.0
     for t in params.values():
         if t.grad is not None:
             total += float((t.grad ** 2).sum())
-    norm = float(np.sqrt(total))
+    return float(np.sqrt(total))
+
+
+def clip_global_norm(params: dict[str, Tensor], max_norm: float,
+                     norm: float | None = None) -> float:
+    """Rescale all gradients when their global L2 norm exceeds the bound;
+    returns the applied scale.  ``norm`` passes in an already computed
+    ``grad_norm(params)``."""
+    if norm is None:
+        norm = grad_norm(params)
     if norm <= max_norm or norm == 0.0:
         return 1.0
     scale = max_norm / norm
@@ -274,6 +282,12 @@ def train(
     Stops when the count of evaluations since the best dev score reaches
     ``patience`` (so patience 0 runs exactly one epoch), when ``target_f1``
     is reached, or after ``max_epochs``.
+
+    Each history entry (one JSONL line at ``log_path``) also holds the
+    epoch's mean loss components per example (``nll_u``, ``nll_r``,
+    ``nll_v``, unweighted ``coverage``), the mean and maximum pre-clip
+    gradient norm, the number of clipped batches and the mean tape records
+    per batch.
     """
     if not train_pairs:
         raise ValueError("empty training corpus")
@@ -292,6 +306,8 @@ def train(
         for epoch in range(1, cfg.max_epochs + 1):
             started = time.perf_counter()
             epoch_loss, n_examples = 0.0, 0
+            components = np.zeros(4)  # nll_u, nll_r, nll_v, coverage, summed over examples
+            norms, clipped, records = [], 0, 0
             for chunk in _batches(train_pairs, cfg.batch_size, random.Random(cfg.seed + epoch)):
                 model.zero_grads()
                 with ad.Tape() as tape:
@@ -305,11 +321,16 @@ def train(
                             train=True, rng=drop_rng,
                         )
                         total = ad.add(total, loss.total)
+                        components += [loss.nll_source.item(), loss.nll_relation.item(),
+                                       loss.nll_target.item(), loss.coverage_penalty.item()]
                     total = ad.mul(total, 1.0 / len(chunk))
+                    records += len(tape.records)
                     tape.backward(total)
                 epoch_loss += float(total.data) * len(chunk)
                 n_examples += len(chunk)
-                clip_global_norm(params, cfg.max_grad_norm)
+                norms.append(grad_norm(params))
+                if clip_global_norm(params, cfg.max_grad_norm, norms[-1]) < 1.0:
+                    clipped += 1
                 adam_step(params, opt, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
 
             dev_f1 = float("nan")
@@ -326,6 +347,12 @@ def train(
                 "dev_f1": dev_f1,
                 "lr": cfg.learning_rate,
                 "seconds": round(time.perf_counter() - started, 4),
+                **dict(zip(("nll_u", "nll_r", "nll_v", "coverage"),
+                           (components / n_examples).tolist())),
+                "grad_norm_mean": float(np.mean(norms)),
+                "grad_norm_max": max(norms),
+                "clipped_batches": clipped,
+                "tape_records_per_batch": records / len(norms),
             }
             history.append(entry)
             if log_fh:

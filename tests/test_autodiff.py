@@ -249,3 +249,95 @@ class TestGradCheckReport:
         report = ad.grad_check(build, [("x", x)], total_coords=3, tol=1e-4)
         assert not report.passed
         assert report.failures
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("reach", ["h", "c", "both"])
+    def test_lstm_cell_gradients(self, reach):
+        rng = np.random.default_rng({"h": 1, "c": 2, "both": 3}[reach])
+        for trial, (n_in, hid) in enumerate([(3, 2), (4, 5), (1, 3)]):
+            x, h, c = t(rng.standard_normal(n_in)), t(rng.standard_normal(hid)), \
+                t(rng.standard_normal(hid))
+            # small weights keep the gates off saturation, where central
+            # differences lose their digits
+            w_ih = t(0.5 * rng.standard_normal((4 * hid, n_in)))
+            w_hh = t(0.5 * rng.standard_normal((4 * hid, hid)))
+            b = t(rng.standard_normal(4 * hid))
+            wh = ad.constant(rng.standard_normal(hid))
+            wc = ad.constant(rng.standard_normal(hid))
+
+            def build():
+                h_new, c_new = ad.lstm_cell(x, h, c, w_ih, w_hh, b)
+                if reach == "h":
+                    return ad.matmul(h_new, wh)
+                if reach == "c":
+                    return ad.matmul(c_new, wc)
+                return ad.add(ad.matmul(h_new, wh), ad.matmul(c_new, wc))
+
+            params = [("x", x), ("h", h), ("c", c), ("w_ih", w_ih), ("w_hh", w_hh), ("b", b)]
+            check_op(build, params, coords=60, seed=trial)
+
+    def test_lstm_cell_rejects_mismatched_shapes(self):
+        x, h, c = t(np.ones(3)), t(np.ones(2)), t(np.ones(2))
+        with pytest.raises(ShapeError, match="lstm_cell"):
+            ad.lstm_cell(x, h, c, t(np.ones((8, 2))), t(np.ones((8, 2))), t(np.ones(8)))
+
+    @pytest.mark.parametrize("x_shape", [(4,), (1, 4), (5, 4)])
+    def test_affine_gradients(self, x_shape):
+        rng = np.random.default_rng(len(x_shape) + x_shape[0])
+        x, w, b = t(rng.standard_normal(x_shape)), t(rng.standard_normal((3, 4))), \
+            t(rng.standard_normal(3))
+        weights = ad.constant(rng.standard_normal(x_shape[:-1] + (3,)))
+        check_op(lambda: ad.sum_all(ad.mul(ad.affine(x, w, b), weights)),
+                 [("x", x), ("w", w), ("b", b)], coords=30)
+
+    def test_affine_rejects_mismatched_shapes(self):
+        with pytest.raises(ShapeError, match="affine"):
+            ad.affine(t(np.ones(3)), t(np.ones((2, 4))), t(np.ones(2)))
+        with pytest.raises(ShapeError, match="affine"):
+            ad.affine(t(np.ones(4)), t(np.ones((2, 4))), t(np.ones(3)))
+
+    def test_embed_one_gradients(self):
+        rng = np.random.default_rng(5)
+        table = t(rng.standard_normal((6, 3)))
+        weights = ad.constant(rng.standard_normal(3))
+        check_op(lambda: ad.matmul(ad.tanh(ad.embed_one(table, 4)), weights),
+                 [("table", table)], coords=18)
+
+    def test_lookups_accumulate_repeated_rows(self):
+        table = t(np.random.default_rng(6).standard_normal((5, 2)))
+        with Tape() as tape:
+            loss = ad.add(ad.sum_all(ad.embed_one(table, 3)),
+                          ad.sum_all(ad.mul(ad.embed_one(table, 3), 2.0)))
+            loss = ad.add(loss, ad.sum_all(ad.embed_one(table, 0)))
+            loss = ad.add(loss, ad.sum_all(ad.embedding_gather(table, [3, 4, 3])))
+        tape.backward(loss)
+        expected = np.zeros((5, 2))
+        expected[3] = 5.0
+        expected[0] = 1.0
+        expected[4] = 1.0
+        assert np.array_equal(table.grad, expected)
+
+    @pytest.mark.parametrize("bad", [4, 100, -1, -4])
+    def test_embed_one_rejects_out_of_range_ids(self, bad):
+        table = t(np.arange(12.0).reshape(4, 3))
+        with pytest.raises(IndexError):
+            ad.embed_one(table, bad)
+
+    def test_embed_one_returns_a_copy_of_the_row(self):
+        table = t(np.arange(12.0).reshape(4, 3))
+        row = ad.embed_one(table, 2)
+        table.data[2] = 0.0
+        assert row.data.tolist() == [6.0, 7.0, 8.0]
+
+    def test_first_gradient_is_stored_as_a_copy(self):
+        x = t([1.0, 2.0])
+        with Tape() as tape:
+            # replayed in reverse: x's first gradient is y's own array, and
+            # sum_all(x) adds to x's gradient afterwards
+            sum_x = ad.sum_all(x)
+            y = ad.add(x, 0.0)
+            loss = ad.add(sum_x, ad.sum_all(y))
+        tape.backward(loss)
+        assert np.array_equal(x.grad, [2.0, 2.0])
+        assert np.array_equal(y.grad, [1.0, 1.0])

@@ -199,3 +199,156 @@ class TestModuleRegistry:
         bound = np.sqrt(6.0 / 80)
         assert np.abs(w).max() <= bound
         assert w.std() > 0
+
+
+# Test-local copies of the composed bodies that the fused ops replaced.
+
+
+def old_embedding_gather(table, ids):
+    """The gather whose backward built a full-table gradient per lookup."""
+    idx = np.asarray(ids, dtype=np.intp)
+
+    def fn(g):
+        full = np.zeros_like(table.data)
+        np.add.at(full, idx, g)
+        return full
+
+    return ad._apply(table.data[idx], [(table, fn)], "embedding_gather")
+
+
+def composed_lstm_cell(cell, x, state):
+    h_prev, c_prev = state
+    gates = ad.add(ad.add(ad.matmul(cell.w_ih, x), ad.matmul(cell.w_hh, h_prev)), cell.b)
+    hid = cell.hidden
+    i = ad.sigmoid(ad.narrow(gates, 0, 0, hid))
+    f = ad.sigmoid(ad.narrow(gates, 0, hid, 2 * hid))
+    g = ad.tanh(ad.narrow(gates, 0, 2 * hid, 3 * hid))
+    o = ad.sigmoid(ad.narrow(gates, 0, 3 * hid, 4 * hid))
+    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
+    h = ad.mul(o, ad.tanh(c))
+    return h, c
+
+
+def composed_linear(lin, x):
+    if x.ndim == 1:
+        return ad.add(ad.matmul(lin.w, x), lin.b)
+    return ad.add(ad.matmul(x, ad.transpose(lin.w)), lin.b)
+
+
+def composed_char_cnn(cnn, char_ids):
+    pad = cnn.kernel // 2
+    ids = [0] * pad + list(char_ids) + [0] * pad
+    if len(char_ids) == 0:
+        ids = [0] * cnn.kernel
+    rows = old_embedding_gather(cnn.emb.table, ids)
+    n_win = max(len(char_ids), 1)
+    windows = ad.concat([ad.narrow(rows, 0, k, k + n_win) for k in range(cnn.kernel)], axis=1)
+    conv = ad.add(ad.matmul(windows, ad.transpose(cnn.w)), cnn.b)
+    return ad.amax(conv, axis=0)
+
+
+def composed_embed_one(table, i):
+    return ad.reshape(old_embedding_gather(table, [int(i)]), (table.shape[1],))
+
+
+def var(rng, shape):
+    return ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+
+
+def gradients(tensors, loss_fn):
+    for x in tensors:
+        x.zero_grad()
+    with ad.Tape() as tape:
+        loss = loss_fn()
+    tape.backward(loss)
+    grads = [None if x.grad is None else x.grad.copy() for x in tensors]
+    for x in tensors:
+        x.zero_grad()
+    return grads
+
+
+def assert_grads_close(fused, composed):
+    for a, b in zip(fused, composed):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1e-300)
+
+
+class TestFusedMatchesComposed:
+    """Fused forwards are bit-identical to the composed ops they replace;
+    gradients agree to rounding."""
+
+    @pytest.mark.parametrize("reach", ["h", "c", "both"])
+    def test_lstm_cell(self, reach):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            n_in, hid = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            cell = nn.LstmCell(rng, n_in, hid)
+            x, h, c = var(rng, n_in), var(rng, hid), var(rng, hid)
+            wh, wc = const(rng.standard_normal(hid)), const(rng.standard_normal(hid))
+            fused = cell(x, (h, c))
+            composed = composed_lstm_cell(cell, x, (h, c))
+            assert np.array_equal(fused[0].data, composed[0].data)
+            assert np.array_equal(fused[1].data, composed[1].data)
+
+            def loss(step):
+                h_new, c_new = step(cell, x, (h, c))
+                if reach == "h":
+                    return ad.matmul(h_new, wh)
+                if reach == "c":
+                    return ad.matmul(c_new, wc)
+                return ad.add(ad.matmul(h_new, wh), ad.matmul(c_new, wc))
+
+            tensors = [x, h, c] + list(cell.parameters().values())
+            assert_grads_close(
+                gradients(tensors, lambda: loss(nn.LstmCell.__call__)),
+                gradients(tensors, lambda: loss(composed_lstm_cell)),
+            )
+
+    @pytest.mark.parametrize("rows", [None, 1, 2, 7])
+    def test_linear(self, rows):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            n_in, n_out = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            lin = nn.Linear(rng, n_in, n_out)
+            lin.b.data = rng.standard_normal(n_out)
+            x = var(rng, n_in if rows is None else (rows, n_in))
+            assert np.array_equal(lin(x).data, composed_linear(lin, x).data)
+            weights = const(rng.standard_normal(lin(x).shape))
+            tensors = [x, lin.w, lin.b]
+            assert_grads_close(
+                gradients(tensors, lambda: ad.sum_all(ad.mul(lin(x), weights))),
+                gradients(tensors, lambda: ad.sum_all(ad.mul(composed_linear(lin, x), weights))),
+            )
+
+    def test_char_cnn(self):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            cnn = nn.CharCnn(rng, 12, int(rng.integers(1, 6)), int(rng.integers(1, 8)),
+                             kernel=int(rng.choice([1, 3, 5])))
+            cnn.b.data = rng.standard_normal(cnn.channels)
+            for length in range(7):
+                ids = [int(v) for v in rng.integers(0, 12, size=length)]
+                assert np.array_equal(cnn(ids).data, composed_char_cnn(cnn, ids).data)
+                weights = const(rng.standard_normal(cnn.channels))
+                tensors = list(cnn.parameters().values())
+                assert_grads_close(
+                    gradients(tensors, lambda: ad.matmul(cnn(ids), weights)),
+                    gradients(tensors, lambda: ad.matmul(composed_char_cnn(cnn, ids), weights)),
+                )
+
+    def test_embed_one(self):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            emb = nn.Embedding(rng, int(rng.integers(1, 10)), int(rng.integers(1, 6)))
+            ids = [int(v) for v in rng.integers(0, emb.rows, size=4)]
+            for i in ids:
+                assert np.array_equal(emb.one(i).data, composed_embed_one(emb.table, i).data)
+            weights = const(rng.standard_normal(emb.dim))
+
+            def loss(lookup):
+                rows = ad.stack_rows([lookup(emb.table, i) for i in ids])
+                return ad.sum_all(ad.tanh(ad.matmul(rows, weights)))
+
+            assert_grads_close(gradients([emb.table], lambda: loss(ad.embed_one)),
+                               gradients([emb.table], lambda: loss(composed_embed_one)))

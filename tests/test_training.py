@@ -266,7 +266,31 @@ class TestTrainLoop:
         train(model, pairs, pairs, cfg, log_path=log)
         entries = [json.loads(l) for l in open(log)]
         assert len(entries) == 2
-        assert set(entries[0]) == {"epoch", "train_loss", "dev_f1", "lr", "seconds"}
+        assert set(entries[0]) == {
+            "epoch", "train_loss", "dev_f1", "lr", "seconds",
+            "nll_u", "nll_r", "nll_v", "coverage",
+            "grad_norm_mean", "grad_norm_max", "clipped_batches", "tape_records_per_batch",
+        }
+
+    @pytest.mark.parametrize("max_grad_norm,clipped", [(1e-3, 2), (1e9, 0)])
+    def test_epoch_telemetry(self, tmp_path, max_grad_norm, clipped):
+        model = build_tiny_model(seed=13)
+        pairs = self._pairs(model)
+        cfg = TrainConfig(batch_size=2, max_epochs=2, patience=10, seed=4,
+                          coverage_weight=0.5, max_grad_norm=max_grad_norm)
+        log = tmp_path / "metrics.jsonl"
+        result = train(model, pairs, pairs, cfg, log_path=log)
+        logged = [json.loads(l) for l in open(log)]
+        assert [e["nll_v"] for e in logged] == [e["nll_v"] for e in result.history]
+        for e in result.history:
+            for key in ("nll_u", "nll_r", "nll_v", "coverage", "grad_norm_mean",
+                        "grad_norm_max", "tape_records_per_batch"):
+                assert np.isfinite(e[key]), key
+            recombined = e["nll_u"] + e["nll_r"] + e["nll_v"] + 0.5 * e["coverage"]
+            assert abs(recombined - e["train_loss"]) <= 1e-9
+            assert e["grad_norm_max"] >= e["grad_norm_mean"] > 0.0
+            assert e["clipped_batches"] == clipped  # 4 examples in batches of 2
+            assert e["tape_records_per_batch"] > 0
 
     def test_empty_corpus_rejected(self):
         model = build_tiny_model(seed=11)
