@@ -157,10 +157,6 @@ def _apply(out_data: np.ndarray, pairs, op: str) -> Tensor:
     return out
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def constant(x) -> Tensor:
     return Tensor(x, requires_grad=False)
 

@@ -19,13 +19,12 @@ import numpy as np
 
 from . import convert as conv
 from . import formats
-from .encoder import EncoderInput
-from .evaluate import labeled_triple_f1, smatch_score, speed_bench, validity_audit
+from .evaluate import F1Report, labeled_triple_f1, smatch_score, speed_bench, validity_audit
 from .graph import Framework, GraphError
 from .inference import parse as parse_graph
-from .linearize import OrderingPolicy, arbor_to_relations, policy_for
-from .model import ModelConfig, TransducerModel, build_vocabularies
-from .training import TrainConfig, prepare_corpus, relation_f1, train as run_training
+from .linearize import OrderingPolicy, arbor_to_relations
+from .model import ModelConfig, TransducerModel, build_vocabularies, encoder_input_from_record
+from .training import TrainConfig, prepare_corpus, train as run_training
 
 log = logging.getLogger("arbor")
 
@@ -48,15 +47,17 @@ def _setup_logging() -> None:
 # Graph file I/O by format
 
 
-def _read_graphs(path: str, fmt: str, framework: Framework):
+def _read_graphs(path: str, fmt: str):
     """Yield (record_id, graph, tokens, pos) items."""
     if fmt == "penman":
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
         blocks = [b.strip() for b in text.split("\n\n") if b.strip()]
         for i, block in enumerate(blocks):
             yield str(i), formats.read_penman(block), None, None
     elif fmt == "sdp":
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
         for i, block in enumerate(formats.iter_sdp_blocks(text)):
             tokens, graph = formats.read_sdp(block)
             yield str(i), graph, [t.form for t in tokens], [t.pos for t in tokens]
@@ -82,10 +83,6 @@ def _write_graph(fh, record_id: str, graph, fmt: str, tokens=None, pos=None):
         fh.write(formats.write_canonical(record) + "\n")
 
 
-def _load_records(path: str):
-    return formats.read_canonical_file(path)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -94,7 +91,7 @@ def cmd_convert(args) -> int:
     framework = Framework(args.framework)
     with open(args.output, "w", encoding="utf-8") as out:
         if args.direction == "to-arbor":
-            for record_id, graph, tokens, pos in _read_graphs(args.input, args.format, framework):
+            for record_id, graph, tokens, pos in _read_graphs(args.input, args.format):
                 if graph.framework != framework:
                     raise CliError(
                         f"record {record_id}: framework {graph.framework.value} != {args.framework}"
@@ -146,8 +143,8 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    records = _load_records(args.train)
-    dev_records = _load_records(args.dev) if args.dev else records
+    records = formats.read_canonical_file(args.train)
+    dev_records = formats.read_canonical_file(args.dev) if args.dev else records
     train_pairs, sense_counts = prepare_corpus(records)
     dev_pairs, _ = prepare_corpus(dev_records)
     cfg = _train_config(args)
@@ -181,15 +178,16 @@ def cmd_train(args) -> int:
 
 
 def _parse_one(model, record, beam, max_len):
-    inp = EncoderInput(tokens=list(record.tokens), pos=list(record.pos),
-                       features={k: list(v) for k, v in record.features.items()})
+    inp = encoder_input_from_record(record)
     limit = max_len if max_len else 2 * len(record.tokens) + 10
     return parse_graph(model, inp, beam_size=beam, max_len=limit)
 
 
 def cmd_parse(args) -> int:
+    if args.beam < 1:
+        raise CliError(f"--beam must be at least 1, got {args.beam}")
     model = TransducerModel.load(args.model)
-    records = _load_records(args.input)
+    records = formats.read_canonical_file(args.input)
     beam = 1 if args.greedy else args.beam
     graphs = [_parse_one(model, r, beam, args.max_len) for r in records]
     with open(args.output, "w", encoding="utf-8") as out:
@@ -199,8 +197,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    gold = {r.id: r for r in _load_records(args.gold)}
-    pred = {r.id: r for r in _load_records(args.pred)}
+    gold = {r.id: r for r in formats.read_canonical_file(args.gold)}
+    pred = {r.id: r for r in formats.read_canonical_file(args.pred)}
     missing = sorted(set(gold) - set(pred))
     if missing:
         raise CliError(f"predictions missing for ids: {missing[:5]}")
@@ -213,20 +211,17 @@ def cmd_eval(args) -> int:
 
     ids = sorted(gold)
     reports = [score_one(i) for i in ids]
-    matched = sum(r.matched for r in reports)
-    gold_total = sum(r.gold for r in reports)
-    pred_total = sum(r.predicted for r in reports)
-    precision = matched / pred_total if pred_total else 0.0
-    recall = matched / gold_total if gold_total else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    total = F1Report.from_counts(sum(r.matched for r in reports),
+                                 sum(r.gold for r in reports),
+                                 sum(r.predicted for r in reports))
     audit = validity_audit([pred[i].graph() for i in ids])
     report = {
-        "precision": precision,
-        "recall": recall,
-        "f1": f1,
-        "matched": matched,
-        "gold_triples": gold_total,
-        "predicted_triples": pred_total,
+        "precision": total.precision,
+        "recall": total.recall,
+        "f1": total.f1,
+        "matched": total.matched,
+        "gold_triples": total.gold,
+        "predicted_triples": total.predicted,
         "graphs": len(ids),
         "invalid_graphs": audit.invalid,
         "invalid_rate": audit.rate,
@@ -240,12 +235,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     model = TransducerModel.load(args.model)
-    records = _load_records(args.input)
-    inputs = [
-        EncoderInput(tokens=list(r.tokens), pos=list(r.pos),
-                     features={k: list(v) for k, v in r.features.items()})
-        for r in records
-    ]
+    inputs = [encoder_input_from_record(r) for r in formats.read_canonical_file(args.input)]
     report = speed_bench(model, inputs, beam_size=args.beam,
                          max_len=args.max_len or 100)
     payload = {

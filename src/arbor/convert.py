@@ -44,6 +44,7 @@ from .graph import (
     ROOT_LABEL,
     SemanticGraph,
     TERMINAL_EDGE,
+    weak_components,
 )
 
 
@@ -137,16 +138,18 @@ def amr_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arbo
 
 def arbor_to_amr(a: Arborescence) -> SemanticGraph:
     """Merge identically indexed nodes back into a graph."""
-    merged, edges, root_id = _merge_by_index(a.root)
+    merged, edges, (root_id,) = _merge_by_index([a.root])
     nodes = tuple(GraphNode(id=nid, label=lbl) for nid, (lbl, _) in merged.items())
     return SemanticGraph(Framework.AMR, nodes, tuple(edges), tops=(root_id,))
 
 
-def _merge_by_index(root: ArborNode):
-    """Collapse an arborescence on node indices.
+def _merge_by_index(roots: list[ArborNode]):
+    """Collapse one or more arborescences on node indices.
 
-    Returns ``(merged, edges, root_id)`` where ``merged`` maps node id to
-    ``(label, anchors)``.  Raises on index/label incoherence.
+    Returns ``(merged, edges, root_ids)`` where ``merged`` maps node id to
+    ``(label, anchors)`` in first-visit order across ``roots``; a copy
+    without anchors takes them from a later anchored copy.  Raises on
+    index/label incoherence.
     """
     merged: dict[str, tuple[str, tuple[int, ...] | None]] = {}
     edges: list[GraphEdge] = []
@@ -169,21 +172,20 @@ def _merge_by_index(root: ArborNode):
             edges.append(GraphEdge(nid, node_id(child), rel))
             walk(child)
 
-    walk(root)
-    return merged, edges, f"n{root.index}"
+    for root in roots:
+        walk(root)
+    return merged, edges, [f"n{root.index}" for root in roots]
 
 
 # ---------------------------------------------------------------------------
 # DM
 
 
-def dm_to_arbor(
-    g: SemanticGraph, tokens: list[str] | None = None, trace: ConversionTrace | None = None
-) -> Arborescence:
+def dm_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arborescence:
     """Convert a bi-lexical dependency graph; any DM graph is convertible.
 
-    ``tokens`` is accepted for interface symmetry; ordering decisions use
-    node anchors.  Children are attached in surface order.
+    Ordering decisions use node anchors: children are attached in surface
+    order.
     """
     if g.framework != Framework.DM:
         raise GraphError(f"dm_to_arbor requires a DM graph, got {g.framework.value}")
@@ -265,7 +267,7 @@ def dm_to_arbor(
         for _, child in node.children:
             sort_children(child)
 
-    components = _weak_components(g)
+    components = weak_components(g)
     components.sort(key=lambda mem: min(_anchor_key(node_map[m]) for m in mem))
     if not components:
         return Arborescence(ArborNode(ROOT_LABEL, 1))
@@ -311,29 +313,6 @@ def _bfs_first_with_uncovered(root: ArborNode, uncovered, index_by_id, node_map)
     return None
 
 
-def _weak_components(g: SemanticGraph) -> list[list[str]]:
-    adj: dict[str, set[str]] = {n.id: set() for n in g.nodes}
-    for e in g.edges:
-        adj[e.source].add(e.target)
-        adj[e.target].add(e.source)
-    seen: set[str] = set()
-    components = []
-    for n in g.nodes:
-        if n.id in seen:
-            continue
-        stack, members = [n.id], []
-        seen.add(n.id)
-        while stack:
-            cur = stack.pop()
-            members.append(cur)
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        components.append(members)
-    return components
-
-
 def arbor_to_dm(a: Arborescence) -> SemanticGraph:
     """Remove null edges, merge equal indices, reverse ``-of`` edges."""
     roots: list[ArborNode] = []
@@ -352,22 +331,7 @@ def arbor_to_dm(a: Arborescence) -> SemanticGraph:
     trimmed = cut_nulls(a.root)
     comp_roots = roots if synthetic else [trimmed] + roots
 
-    merged: dict[str, tuple[str, tuple[int, ...] | None]] = {}
-    edges: list[GraphEdge] = []
-    root_ids = []
-    for r in comp_roots:
-        m, es, rid = _merge_by_index(r)
-        for nid, (lbl, anch) in m.items():
-            if nid in merged:
-                prev_lbl, prev_anch = merged[nid]
-                if prev_lbl != lbl:
-                    raise GraphError(f"index {nid[1:]} carries labels {prev_lbl!r} and {lbl!r}")
-                if prev_anch is None and anch is not None:
-                    merged[nid] = (lbl, anch)
-            else:
-                merged[nid] = (lbl, anch)
-        edges.extend(es)
-        root_ids.append(rid)
+    merged, edges, root_ids = _merge_by_index(comp_roots)
 
     final_edges = []
     for e in edges:
@@ -388,9 +352,7 @@ def arbor_to_dm(a: Arborescence) -> SemanticGraph:
 # UCCA
 
 
-def ucca_to_arbor(
-    g: SemanticGraph, tokens: list[str] | None = None, trace: ConversionTrace | None = None
-) -> Arborescence:
+def ucca_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arborescence:
     """Collapse pre-terminals, label non-terminals from incoming edges.
 
     A node with anchors is a terminal; terminals must be leaves and must be
@@ -465,7 +427,7 @@ def ucca_to_arbor(
 
 def arbor_to_ucca(a: Arborescence) -> SemanticGraph:
     """Expand pre-terminal subgraphs and strip non-terminal labels."""
-    merged, edges, root_id = _merge_by_index(a.root)
+    merged, edges, (root_id,) = _merge_by_index([a.root])
 
     children: dict[str, list[GraphEdge]] = {nid: [] for nid in merged}
     parents: dict[str, list[GraphEdge]] = {nid: [] for nid in merged}

@@ -298,11 +298,7 @@ class Decoder(nn.Module):
         """P(r) rows for every candidate source position; inference only."""
         srcs = self.mlp_rel_src(ad.stack_rows(state.h_hist[:-1]))
         tgt = self.mlp_rel_tgt(state.h_hist[-1])
-        k = self.bilinear.classes
-        flat = ad.reshape(self.bilinear.u, (k * self.bilinear.dim1, self.bilinear.dim2))
-        t = ad.reshape(ad.matmul(flat, tgt), (k, self.bilinear.dim1))
-        scores = ad.add(ad.matmul(srcs, ad.transpose(t)), self.bilinear.b)  # (m, k)
-        return ad.softmax(scores, axis=-1).data
+        return ad.softmax(self.bilinear(srcs, tgt), axis=-1).data
 
     # -- bookkeeping --------------------------------------------------------
 

@@ -31,6 +31,7 @@ from .graph import (
     GraphError,
     GraphNode,
     SemanticGraph,
+    weak_components,
 )
 
 
@@ -160,7 +161,7 @@ def write_penman(g: SemanticGraph) -> str:
         raise GraphError(f"write_penman requires an AMR graph, got {g.framework.value}")
     if len(g.tops) != 1:
         raise GraphError(f"write_penman requires exactly one top, got {len(g.tops)}")
-    if not _weakly_connected(g):
+    if len(weak_components(g)) > 1:
         raise GraphError("write_penman requires a weakly connected graph")
 
     out = g.outgoing()
@@ -189,23 +190,6 @@ def write_penman(g: SemanticGraph) -> str:
     if len(visited) != len(g.nodes):
         raise GraphError("graph has nodes unreachable from the top")
     return text
-
-
-def _weakly_connected(g: SemanticGraph) -> bool:
-    if not g.nodes:
-        return True
-    adj: dict[str, set[str]] = {n.id: set() for n in g.nodes}
-    for e in g.edges:
-        adj[e.source].add(e.target)
-        adj[e.target].add(e.source)
-    stack = [g.nodes[0].id]
-    seen = {g.nodes[0].id}
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(g.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -77,12 +77,6 @@ class SemanticGraph:
             if t not in known:
                 raise GraphError(f"top {t!r} references unknown node")
 
-    def node(self, node_id: str) -> GraphNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
     def node_map(self) -> dict[str, GraphNode]:
         return {n.id: n for n in self.nodes}
 
@@ -202,6 +196,30 @@ def validate_arborescence(arbor: Arborescence) -> ValidationReport:
             )
         stack.extend(child for _, child in node.children)
     return report
+
+
+def weak_components(g: SemanticGraph) -> list[list[str]]:
+    """Node ids of each weakly connected component, in node order."""
+    adj: dict[str, set[str]] = {n.id: set() for n in g.nodes}
+    for e in g.edges:
+        adj[e.source].add(e.target)
+        adj[e.target].add(e.source)
+    seen: set[str] = set()
+    components = []
+    for n in g.nodes:
+        if n.id in seen:
+            continue
+        stack, members = [n.id], []
+        seen.add(n.id)
+        while stack:
+            cur = stack.pop()
+            members.append(cur)
+            for nxt in adj[cur]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        components.append(members)
+    return components
 
 
 def _node_signature(g: SemanticGraph, node: GraphNode, out: dict, inc: dict) -> tuple:

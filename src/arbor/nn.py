@@ -1,5 +1,5 @@
-"""Network building blocks: ffn/mlp/biaffine/bilinear scorers, LSTMs and
-a character CNN.
+"""Network building blocks: ffn/mlp/biaffine/bilinear scorers, an LSTM
+cell, a BiLSTM and a character CNN.
 
 Scoring functions follow the definitions used throughout the decoder:
 
@@ -121,13 +121,15 @@ class Biaffine(Module):
         lin = ad.add(ad.matmul(x2_rows, w2), ad.matmul(w1, x1))
         return ad.add(lin, ad.add(bil, self.b))
 
-    def pairwise(self, x1: Tensor, x2: Tensor) -> Tensor:
-        """Single-pair score; the batched form must match this exactly."""
-        return self(x1, ad.reshape(x2, (1, self.dim2)))
-
 
 class Bilinear(Module):
-    """x1' U_k x2 + b_k for each of k classes."""
+    """x1' U_k x2 + b_k for each of k classes.
+
+    ``x1`` is a vector, giving ``(k,)`` scores, or a matrix of rows scored
+    against the one ``x2``, giving ``(m, k)``.  The two forms multiply in
+    different orders (gemv and gemm), so a row of the matrix form can
+    differ from the vector form in the last bits.
+    """
 
     def __init__(self, rng, dim1: int, dim2: int, classes: int):
         super().__init__()
@@ -136,13 +138,15 @@ class Bilinear(Module):
         self.b = self.register("b", np.zeros(classes))
 
     def __call__(self, x1: Tensor, x2: Tensor) -> Tensor:
-        if x1.shape != (self.dim1,) or x2.shape != (self.dim2,):
+        if x1.ndim not in (1, 2) or x1.shape[-1] != self.dim1 or x2.shape != (self.dim2,):
             raise ad.ShapeError(
                 f"bilinear: got {x1.shape} and {x2.shape}, "
-                f"expected ({self.dim1},) and ({self.dim2},)"
+                f"expected ({self.dim1},) or (m, {self.dim1}) and ({self.dim2},)"
             )
         flat = ad.reshape(self.u, (self.classes * self.dim1, self.dim2))
         t = ad.reshape(ad.matmul(flat, x2), (self.classes, self.dim1))
+        if x1.ndim == 2:
+            return ad.add(ad.matmul(x1, ad.transpose(t)), self.b)
         return ad.add(ad.matmul(t, x1), self.b)
 
 
@@ -180,32 +184,6 @@ class LstmCell(Module):
 
     def zero_state(self) -> tuple[Tensor, Tensor]:
         return ad.constant(np.zeros(self.hidden)), ad.constant(np.zeros(self.hidden))
-
-
-class Lstm(Module):
-    """Unidirectional multi-layer LSTM over a sequence of row vectors."""
-
-    def __init__(self, rng, in_dim: int, hidden: int, layers: int):
-        super().__init__()
-        if layers < 1:
-            raise ValueError("LSTM needs at least one layer")
-        self.layers = layers
-        self.cells = [
-            self.add_child(f"l{k}", LstmCell(rng, in_dim if k == 0 else hidden, hidden))
-            for k in range(layers)
-        ]
-
-    def run(self, inputs: list[Tensor]) -> list[list[Tensor]]:
-        """Returns per-layer lists of hidden states, one per time step."""
-        states = [cell.zero_state() for cell in self.cells]
-        outputs: list[list[Tensor]] = [[] for _ in self.cells]
-        for x in inputs:
-            for k, cell in enumerate(self.cells):
-                h, c = cell(x, states[k])
-                states[k] = (h, c)
-                outputs[k].append(h)
-                x = h
-        return outputs
 
 
 class BiLstm(Module):

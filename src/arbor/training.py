@@ -24,9 +24,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .decoder import BOS_INPUT, RelationInput
 from .encoder import EncoderInput
+from .evaluate import F1Report
 from .graph import EOS_LABEL, RelationSequence
 from .linearize import OrderingPolicy, arbor_to_relations, resolve_source
-from .model import TransducerModel
+from .model import TransducerModel, encoder_input_from_record
 
 
 @dataclass
@@ -224,17 +225,7 @@ def adam_step(
 # Metrics
 
 
-@dataclass
-class RelationF1:
-    precision: float
-    recall: float
-    f1: float
-    matched: int
-    gold: int
-    predicted: int
-
-
-def relation_f1(gold_seqs, pred_seqs) -> RelationF1:
+def relation_f1(gold_seqs, pred_seqs) -> F1Report:
     """Micro-averaged F1 over exact relation tuples."""
     matched = gold_total = pred_total = 0
     for gold, pred in zip(gold_seqs, pred_seqs):
@@ -243,10 +234,7 @@ def relation_f1(gold_seqs, pred_seqs) -> RelationF1:
         matched += sum((g & p).values())
         gold_total += sum(g.values())
         pred_total += sum(p.values())
-    precision = matched / pred_total if pred_total else 0.0
-    recall = matched / gold_total if gold_total else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return RelationF1(precision, recall, f1, matched, gold_total, pred_total)
+    return F1Report.from_counts(matched, gold_total, pred_total)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +383,6 @@ def prepare_corpus(records, strip_senses: bool = True):
     from .convert import amr_strip_senses, to_arbor
     from .graph import Framework
     from .linearize import policy_for
-    from .model import encoder_input_from_record
 
     pairs = []
     sense_counts: dict[str, Counter] = {}

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +60,19 @@ class TestConvert:
         _, arbor = arbor_from_json(out.read_text().strip())
         assert arbor.root.label == "a"
 
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    @pytest.mark.parametrize("framework, fmt, text", [
+        ("amr", "penman", VINKEN + "\n"),
+        ("dm", "sdp", "1\ta\ta\tDT\t+\t+\t_\n2\tb\tb\tNN\t-\t-\tARG1\n"),
+    ], ids=["penman", "sdp"])
+    def test_input_file_is_closed(self, tmp_path, framework, fmt, text):
+        src = tmp_path / f"in.{fmt}"
+        src.write_text(text)
+        assert main(["convert", "--framework", framework, "--direction", "to-arbor",
+                     "--format", fmt, "--input", str(src),
+                     "--output", str(tmp_path / "arbors.jsonl")]) == 0
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["convert", "--framework", "amr", "--direction", "to-arbor",
                      "--format", "penman", "--input", str(tmp_path / "nope"),
@@ -105,7 +119,7 @@ def trained(tmp_path_factory, corpus_files):
 class TestTrainParseEvalBench:
     def test_metrics_log_written(self, trained):
         _, metrics, _ = trained
-        entries = [json.loads(l) for l in open(metrics)]
+        entries = [json.loads(l) for l in Path(metrics).read_text().splitlines()]
         assert len(entries) == 2
         assert {"epoch", "train_loss", "dev_f1", "lr", "seconds"} <= set(entries[0])
 
@@ -120,6 +134,16 @@ class TestTrainParseEvalBench:
         assert main(["parse", "--model", str(ckpt), "--input", str(sentences),
                      "--output", str(out_beam1), "--beam", "1"]) == 0
         assert out_greedy.read_text() == out_beam1.read_text()
+
+    @pytest.mark.parametrize("beam", ["0", "-2"])
+    def test_parse_rejects_beam_below_one(self, trained, tmp_path, beam):
+        ckpt, _, records = trained
+        sentences = tmp_path / "sents.jsonl"
+        write_corpus(sentences, records[:1])
+        out = tmp_path / "parsed.jsonl"
+        assert main(["parse", "--model", str(ckpt), "--input", str(sentences),
+                     "--output", str(out), "--beam", beam]) == 1
+        assert not out.exists()
 
     def test_parse_then_eval(self, trained, tmp_path):
         ckpt, _, records = trained
@@ -169,7 +193,8 @@ class TestTrainParseEvalBench:
                          "--output", str(ckpt), "--metrics", str(metrics),
                          "--hidden", "8", "--max-epochs", "2", "--patience", "5",
                          "--batch-size", "16", "--seed", "9"]) == 0
-            logs.append([json.loads(l)["train_loss"] for l in open(metrics)])
+            logs.append([json.loads(l)["train_loss"]
+                         for l in Path(metrics).read_text().splitlines()])
         assert logs[0] == logs[1]
 
 

@@ -16,6 +16,8 @@ from arbor.convert import (
 )
 from arbor.formats import read_penman
 from arbor.graph import (
+    Arborescence,
+    ArborNode,
     Framework,
     GraphEdge,
     GraphError,
@@ -175,8 +177,6 @@ class TestDm:
         assert len(back.nodes) == 0 and len(back.edges) == 0
 
     def test_empty_of_base_rejected(self):
-        from arbor.graph import Arborescence, ArborNode
-
         root = ArborNode("x", 1, anchors=(0,))
         root.add(OF_SUFFIX, ArborNode("y", 2, anchors=(1,)))
         with pytest.raises(GraphError, match="empty base"):
@@ -188,6 +188,43 @@ class TestDm:
         arbor = dm_to_arbor(g)
         assert validate_arborescence(arbor).valid
         assert graph_isomorphic(g, arbor_to_dm(arbor))
+
+
+class TestIndexMerge:
+    @staticmethod
+    def _two_labels_at_one_index():
+        root = ArborNode("x", 1, anchors=(0,))
+        root.add("a", ArborNode("y", 2, anchors=(1,)))
+        root.add("b", ArborNode("z", 2, anchors=(1,)))
+        return Arborescence(root)
+
+    @pytest.mark.parametrize("inverse", [arbor_to_amr, arbor_to_dm])
+    def test_label_conflict_in_one_tree(self, inverse):
+        with pytest.raises(GraphError, match="index 2 carries labels 'y' and 'z'"):
+            inverse(self._two_labels_at_one_index())
+
+    def test_dm_label_conflict_across_null_component(self):
+        root = ArborNode("x", 1, anchors=(0,))
+        root.add("arg", ArborNode("y", 2, anchors=(1,)))
+        other = root.add(NULL_EDGE, ArborNode("w", 3, anchors=(2,)))
+        other.add("arg", ArborNode("q", 2, anchors=(1,)))
+        with pytest.raises(GraphError, match="index 2 carries labels 'y' and 'q'"):
+            arbor_to_dm(Arborescence(root))
+
+    @pytest.mark.parametrize("via", ["b", NULL_EDGE])
+    def test_dm_later_anchored_copy_fills_anchors(self, via):
+        root = ArborNode("x", 1, anchors=(0,))
+        root.add("a", ArborNode("y", 2))
+        z = root.add(via, ArborNode("z", 3, anchors=(2,)))
+        z.add("c", ArborNode("y", 2, anchors=(1,)))
+        back = arbor_to_dm(Arborescence(root))
+        assert back.nodes == (GraphNode("n1", "x", (0,)), GraphNode("n2", "y", (1,)),
+                              GraphNode("n3", "z", (2,)))
+        expected = [("n1", "n2", "a"), ("n3", "n2", "c")]
+        if via != NULL_EDGE:
+            expected.insert(1, ("n1", "n3", "b"))
+        assert [(e.source, e.target, e.label) for e in back.edges] == expected
+        assert back.tops == ("n1",)
 
 
 class TestUcca:
@@ -244,8 +281,6 @@ class TestUcca:
             ucca_to_arbor(g)
 
     def test_phrase_under_unanchored_rejected(self):
-        from arbor.graph import Arborescence, ArborNode
-
         root = ArborNode(ROOT_LABEL, 1)
         root.add("phrase", ArborNode("x", 2, anchors=(0,)))
         with pytest.raises(GraphError, match="phrase"):

@@ -160,6 +160,22 @@ class TestDecoderStep:
         assert pr.shape == (len(model.vocabs.rel),)
         assert abs(pr.data.sum() - 1.0) < 1e-9
 
+    def test_relation_dist_all_rows_match_relation_dist(self, model):
+        inp = make_inputs(np.random.default_rng(11), 4)
+        dec = model.decoder
+        enc = model.encoder.encode(inp)
+        state = dec.initial_state(enc)
+        rel_in = BOS_INPUT
+        for i, label in enumerate(["person", "city", "person", "thing"]):
+            _, state = dec.predict_target(enc, state, rel_in)
+            state = dec.feed_target(state, dec.reference_record(state, label, i + 1,
+                                                                inp.tokens, inp.pos))
+            rows = dec.relation_dist_all(state)
+            assert rows.shape == (len(state.h_hist) - 1, len(model.vocabs.rel))
+            for j in range(rows.shape[0]):
+                assert np.abs(rows[j] - dec.relation_dist(state, j).data).max() <= 1e-12
+            rel_in = RelationInput(label, i + 1, UNK_LABEL, "root")
+
 
 class TestIndexAndPos:
     def test_index_rule_fresh_and_copy(self, model):

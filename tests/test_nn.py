@@ -58,7 +58,7 @@ class TestScorers:
         x1 = const(rng.standard_normal(6))
         rows = rng.standard_normal((8, 6))
         batch = bi(x1, const(rows)).data
-        loop = [bi.pairwise(x1, const(r)).data[0] for r in rows]
+        loop = [bi(x1, const(r[None, :])).data[0] for r in rows]
         assert np.max(np.abs(batch - loop)) < 1e-10
 
     def test_bilinear_slices(self):
@@ -78,10 +78,59 @@ class TestScorers:
         assert np.allclose(bl(const(x1), const(x2)).data, expected)
 
 
+def old_bilinear_scores(bl, x1, x2):
+    """The vector form of the old ``Bilinear`` and, for rows, the batched
+    form that ``Decoder.relation_dist_all`` once spelled out."""
+    flat = ad.reshape(bl.u, (bl.classes * bl.dim1, bl.dim2))
+    t = ad.reshape(ad.matmul(flat, x2), (bl.classes, bl.dim1))
+    if x1.ndim == 2:
+        return ad.add(ad.matmul(x1, ad.transpose(t)), bl.b)
+    return ad.add(ad.matmul(t, x1), bl.b)
+
+
+class TestBilinearRows:
+    def test_forms_equal_old_expressions(self):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            d1, d2, k = (int(v) for v in rng.integers(1, 40, size=3))
+            bl = nn.Bilinear(rng, d1, d2, k)
+            bl.b.data = rng.standard_normal(k)
+            tgt = const(rng.standard_normal(d2))
+            for m in (None, 1, 2, int(rng.integers(3, 20))):
+                x1 = const(rng.standard_normal(d1 if m is None else (m, d1)))
+                scores = bl(x1, tgt)
+                assert scores.shape == ((k,) if m is None else (m, k))
+                assert np.array_equal(scores.data, old_bilinear_scores(bl, x1, tgt).data)
+
+    def test_each_row_matches_vector_form(self):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            d1, d2, k = (int(v) for v in rng.integers(1, 12, size=3))
+            bl = nn.Bilinear(rng, d1, d2, k)
+            bl.b.data = rng.standard_normal(k)
+            tgt = const(rng.standard_normal(d2))
+            rows = rng.standard_normal((int(rng.integers(1, 9)), d1))
+            batched = bl(const(rows), tgt).data
+            for i, row in enumerate(rows):
+                assert np.abs(batched[i] - bl(const(row), tgt).data).max() <= 1e-12
+
+    @pytest.mark.parametrize("x1_shape, x2_shape", [
+        ((2, 3, 4), (5,)),  # 3-D x1
+        ((6,), (5,)),  # wrong dim1, vector
+        ((3, 6), (5,)),  # wrong dim1, rows
+        ((4,), (6,)),  # wrong x2
+        ((3, 4), (3, 5)),  # x2 given as rows
+    ])
+    def test_shape_errors(self, x1_shape, x2_shape):
+        bl = nn.Bilinear(np.random.default_rng(0), 4, 5, 3)
+        with pytest.raises(ad.ShapeError):
+            bl(const(np.ones(x1_shape)), const(np.ones(x2_shape)))
+
+
 class TestLstm:
     def test_zero_params_zero_states(self):
         rng = np.random.default_rng(8)
-        lstm = nn.Lstm(rng, 3, 4, 1)
+        lstm = nn.BiLstm(rng, 3, 4, 1)
         for p in lstm.parameters().values():
             p.data[:] = 0
         outs = lstm.run([const(np.ones(3))] * 3)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,7 +255,7 @@ class TestTrainLoop:
             cfg = TrainConfig(batch_size=2, max_epochs=3, patience=10, seed=5)
             log = tmp_path / f"m{_}.jsonl"
             train(model, pairs, pairs, cfg, log_path=log)
-            entries = [json.loads(l) for l in open(log)]
+            entries = [json.loads(l) for l in Path(log).read_text().splitlines()]
             losses.append([e["train_loss"] for e in entries])
         assert losses[0] == losses[1]  # bitwise identical
 
@@ -264,7 +265,7 @@ class TestTrainLoop:
         cfg = TrainConfig(batch_size=4, max_epochs=2, patience=10, seed=2)
         log = tmp_path / "metrics.jsonl"
         train(model, pairs, pairs, cfg, log_path=log)
-        entries = [json.loads(l) for l in open(log)]
+        entries = [json.loads(l) for l in Path(log).read_text().splitlines()]
         assert len(entries) == 2
         assert set(entries[0]) == {
             "epoch", "train_loss", "dev_f1", "lr", "seconds",
@@ -280,7 +281,7 @@ class TestTrainLoop:
                           coverage_weight=0.5, max_grad_norm=max_grad_norm)
         log = tmp_path / "metrics.jsonl"
         result = train(model, pairs, pairs, cfg, log_path=log)
-        logged = [json.loads(l) for l in open(log)]
+        logged = [json.loads(l) for l in Path(log).read_text().splitlines()]
         assert [e["nll_v"] for e in logged] == [e["nll_v"] for e in result.history]
         for e in result.history:
             for key in ("nll_u", "nll_r", "nll_v", "coverage", "grad_norm_mean",
