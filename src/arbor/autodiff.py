@@ -19,11 +19,7 @@ leading axis (bias add).  Everything else is a shape error.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
-
-_TLS = threading.local()
 
 
 class ShapeError(ValueError):
@@ -100,14 +96,11 @@ class Tape:
         self.consumed = False
 
     def __enter__(self):
-        stack = getattr(_TLS, "stack", None)
-        if stack is None:
-            stack = _TLS.stack = []
-        stack.append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc):
-        _TLS.stack.pop()
+        _TAPES.pop()
         return False
 
     def backward(self, loss: Tensor) -> None:
@@ -121,9 +114,12 @@ class Tape:
             record()
 
 
+# tapes entered and not yet exited, innermost last
+_TAPES: list[Tape] = []
+
+
 def _active_tape() -> Tape | None:
-    stack = getattr(_TLS, "stack", None)
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 def backward(loss: Tensor) -> None:

@@ -179,7 +179,7 @@ def cmd_train(args) -> int:
 
 def _parse_one(model, record, beam, max_len):
     inp = encoder_input_from_record(record)
-    limit = max_len if max_len else 2 * len(record.tokens) + 10
+    limit = 2 * len(record.tokens) + 10 if max_len is None else max_len
     return parse_graph(model, inp, beam_size=beam, max_len=limit)
 
 
@@ -237,7 +237,7 @@ def cmd_bench(args) -> int:
     model = TransducerModel.load(args.model)
     inputs = [encoder_input_from_record(r) for r in formats.read_canonical_file(args.input)]
     report = speed_bench(model, inputs, beam_size=args.beam,
-                         max_len=args.max_len or 100)
+                         max_len=100 if args.max_len is None else args.max_len)
     payload = {
         "greedy_tokens_per_sec": report.greedy_tokens_per_sec,
         "beam_tokens_per_sec": report.beam_tokens_per_sec,
@@ -252,11 +252,6 @@ def cmd_bench(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-
-# numpy holds the interpreter lock at these sizes, so worker threads made
-# parsing slower, not faster
-SERIAL_JOBS_HELP = "accepted for compatibility; records are parsed and scored serially"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="arbor", description=__doc__)
@@ -301,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam", type=int, default=5)
     p.add_argument("--greedy", action="store_true", help="force beam size 1")
     p.add_argument("--max-len", dest="max_len", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help=SERIAL_JOBS_HELP)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("eval", help="score predictions against gold graphs")
@@ -310,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="JSON report path")
     p.add_argument("--smatch-mode", dest="smatch_mode", default="hill_climb",
                    choices=["hill_climb", "exact"])
-    p.add_argument("--jobs", type=int, default=1, help=SERIAL_JOBS_HELP)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="decoding speed benchmark")

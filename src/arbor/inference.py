@@ -1,18 +1,18 @@
-"""Greedy and beam-search decoding over semantic relations.
+"""Beam-search decoding over semantic relations.
 
 Every decoded sequence reconstructs to a valid arborescence by
 construction: the source pointer can only address previously emitted
 nodes (or ROOT), so no spanning-tree repair is ever needed and decoding
 runs in one pass over the output relations.
 
-Beam search expands every hypothesis in the beam each step: the top-K
-target-node candidates are scored, EOS moves a hypothesis to the finished
-pool (with no score contribution, matching greedy termination), and all
+There is one decode loop.  Beam search expands every hypothesis in the
+beam each step: the top-K target-node candidates are scored, EOS moves a
+hypothesis to the finished pool (with no score contribution), and all
 (source, relation type) pairs are scored for the rest, as one array per
 (hypothesis, target) expansion.  The global top-K of those scores, ties
 broken by arrival order, forms the next beam, and only its K members are
-built as objects.  With k = 1 the result is identical to greedy search,
-including tie handling.
+built as objects.  Greedy search is this loop at width 1: argmax target,
+then argmax (source, type), with ties going to the lowest index.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class DecodeResult:
     steps: int  # relation-producing iterations == emitted relation count
     total_steps: int  # including the terminating EOS probe
     truncated: bool
-    # beam search exposes its finished pool for instrumentation
+    # the finished pool of every decode, greedy included, for instrumentation
     pool: list[tuple[tuple[Relation, ...], float]] | None = None
 
 
@@ -80,51 +80,6 @@ def _source_of(state, position: int) -> tuple[str, int]:
     return rec.label, rec.index
 
 
-def greedy_decode(model: TransducerModel, enc_input: EncoderInput,
-                  max_len: int = 100) -> DecodeResult:
-    """Argmax target, then argmax source, then argmax relation type."""
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    dec = model.decoder
-    eos_id = model.vocabs.dec_word.id(EOS_LABEL)
-    enc = model.encoder.encode(enc_input)
-    state = dec.initial_state(enc)
-    rel_in = BOS_INPUT
-    relations: list[Relation] = []
-    score = 0.0
-    total_steps = 0
-    saw_eos = False
-
-    for _ in range(max_len):
-        out, state = dec.predict_target(enc, state, rel_in)
-        total_steps += 1
-        p = out.p_target.data
-        slot = int(np.argmax(p))
-        if slot == eos_id:
-            saw_eos = True
-            break
-        record = _slot_info(model, out, state, enc_input.tokens, enc_input.pos, slot)
-        state = dec.feed_target(state, record)
-        pu = dec.point_source(state).data
-        pr_all = dec.relation_dist_all(state)
-        # relation typing is conditioned on the pointed source, so the
-        # source choice maximizes the joint source+type probability; this
-        # is exactly what a width-1 relation beam keeps
-        with np.errstate(divide="ignore"):
-            joint = np.log(pu)[:, None] + np.log(pr_all)  # masked ROOT -> -inf
-        j, r_id = np.unravel_index(int(np.argmax(joint)), joint.shape)
-        j, r_id = int(j), int(r_id)
-        rel = model.vocabs.rel.token(r_id)
-        u_label, u_index = _source_of(state, j)
-        score += float(np.log(p[slot]) + joint[j, r_id])
-        relations.append(Relation(u_label, u_index, rel, record.label, record.index,
-                                  record.anchors))
-        rel_in = RelationInput(u_label, u_index, state.node_pos(j), rel)
-
-    seq = RelationSequence(tuple(relations), eos=saw_eos, truncated=not saw_eos)
-    return DecodeResult(seq, score, len(relations), total_steps, truncated=not saw_eos)
-
-
 @dataclass
 class Hypothesis:
     relations: tuple[Relation, ...]
@@ -134,11 +89,28 @@ class Hypothesis:
     truncated: bool = False
 
 
-def beam_decode(model: TransducerModel, enc_input: EncoderInput, beam_size: int = 5,
-                max_len: int = 100) -> DecodeResult:
-    """Beam search over full relations (target, source, type jointly)."""
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest scores, ties in index order.
+
+    Returns ``np.argsort(-scores, kind="stable")[:k]``, but sorts only the
+    entries at or above the k-th largest score, so that a greedy step does
+    not sort every target slot (12k at paper-default dims).
+    """
+    n = scores.shape[0]
+    if k >= n:
+        return np.argsort(-scores, kind="stable")
+    threshold = np.partition(scores, n - k)[n - k]
+    candidates = np.flatnonzero(scores >= threshold)
+    return candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
+
+
+def _search(model: TransducerModel, enc_input: EncoderInput, beam_size: int,
+            max_len: int) -> DecodeResult:
+    """The decode loop behind both ``greedy_decode`` and ``beam_decode``."""
     if beam_size < 1:
         raise ValueError("beam size must be at least 1")
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     dec = model.decoder
     eos_id = model.vocabs.dec_word.id(EOS_LABEL)
     n_types = len(model.vocabs.rel)
@@ -159,8 +131,7 @@ def beam_decode(model: TransducerModel, enc_input: EncoderInput, beam_size: int 
             out, state1 = dec.predict_target(enc, hyp.state, hyp.rel_in)
             total_steps += 1
             p = out.p_target.data
-            top = np.argsort(-p, kind="stable")[: min(beam_size, p.shape[0])]
-            for slot in top:
+            for slot in _top_k(p, beam_size):
                 slot = int(slot)
                 if slot == eos_id:
                     # per the search over relations, EOS closes the
@@ -182,8 +153,7 @@ def beam_decode(model: TransducerModel, enc_input: EncoderInput, beam_size: int 
             beam = []
             break
         flat = np.concatenate(blocks)
-        # a stable sort on -score keeps arrival order among equal scores
-        survivors = np.argsort(-flat, kind="stable")[:beam_size]
+        survivors = _top_k(flat, beam_size)
         offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
         beam = []
         for i in survivors:
@@ -212,6 +182,21 @@ def beam_decode(model: TransducerModel, enc_input: EncoderInput, beam_size: int 
                         pool=pool)
 
 
+# Two names for the one search, each calling it directly rather than the
+# other, so that wrapping either name never nests one decode in another.
+
+def greedy_decode(model: TransducerModel, enc_input: EncoderInput,
+                  max_len: int = 100) -> DecodeResult:
+    """Argmax target, then argmax (source, type): beam search of width 1."""
+    return _search(model, enc_input, 1, max_len)
+
+
+def beam_decode(model: TransducerModel, enc_input: EncoderInput, beam_size: int = 5,
+                max_len: int = 100) -> DecodeResult:
+    """Beam search over full relations (target, source, type jointly)."""
+    return _search(model, enc_input, beam_size, max_len)
+
+
 def _empty_graph(framework: Framework) -> SemanticGraph:
     if framework == Framework.DM:
         return SemanticGraph(Framework.DM, (), (), ())
@@ -225,16 +210,14 @@ def _empty_graph(framework: Framework) -> SemanticGraph:
 def parse(model: TransducerModel, enc_input: EncoderInput, *, beam_size: int = 1,
           max_len: int = 100, restore_senses: bool = True,
           framework: Framework | None = None) -> SemanticGraph:
-    """Decode and convert back to a framework graph.
+    """Decode with a beam of ``beam_size`` (1 is greedy) and convert back to
+    a framework graph.
 
     ``framework`` overrides the model's own tag, which matters for models
     trained on mixed-framework corpora.
     """
     target = framework if framework is not None else model.framework
-    if beam_size <= 1:
-        result = greedy_decode(model, enc_input, max_len=max_len)
-    else:
-        result = beam_decode(model, enc_input, beam_size=beam_size, max_len=max_len)
+    result = beam_decode(model, enc_input, beam_size=beam_size, max_len=max_len)
     if not result.sequence.relations:
         return _empty_graph(target)
     arbor = relations_to_arbor(result.sequence)

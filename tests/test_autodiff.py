@@ -117,6 +117,24 @@ class TestBackward:
         y = ad.mul(x, x)
         assert not y.requires_grad
 
+    def test_backward_without_tape_rejected(self):
+        with pytest.raises(TapeError, match="no active tape"):
+            ad.backward(ad.sum_all(t([1.0])))
+
+    def test_nested_tape_records_on_innermost(self):
+        x = t([1.0, 2.0])
+        with Tape() as outer:
+            a = ad.sum_all(ad.mul(x, 3.0))
+            with Tape() as inner:
+                b = ad.sum_all(ad.mul(x, x))
+                ad.backward(b)  # the innermost tape
+            assert inner.consumed and not outer.consumed
+            assert np.allclose(x.grad, [2.0, 4.0])
+            c = ad.mul(a, 1.0)  # the outer tape is active again
+        outer.backward(c)
+        assert np.allclose(x.grad, [5.0, 7.0])
+        assert not ad.mul(x, x).requires_grad  # no tape left active
+
     def test_matmul_grad_outer_structure(self):
         rng = np.random.default_rng(0)
         w = t(rng.standard_normal((3, 4)))

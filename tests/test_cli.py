@@ -145,6 +145,25 @@ class TestTrainParseEvalBench:
                      "--output", str(out), "--beam", beam]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("max_len", ["0", "-1"])
+    def test_parse_rejects_max_len_below_one(self, trained, tmp_path, max_len):
+        ckpt, _, records = trained
+        sentences = tmp_path / "sents.jsonl"
+        write_corpus(sentences, records[:1])
+        out = tmp_path / "parsed.jsonl"
+        assert main(["parse", "--model", str(ckpt), "--input", str(sentences),
+                     "--output", str(out), "--max-len", max_len]) == 1
+        assert not out.exists()
+
+    def test_bench_rejects_max_len_zero(self, trained, tmp_path):
+        ckpt, _, records = trained
+        sentences = tmp_path / "sents.jsonl"
+        write_corpus(sentences, records[:1])
+        out = tmp_path / "speed.json"
+        assert main(["bench", "--model", str(ckpt), "--input", str(sentences),
+                     "--output", str(out), "--max-len", "0"]) == 1
+        assert not out.exists()
+
     def test_parse_then_eval(self, trained, tmp_path):
         ckpt, _, records = trained
         gold = tmp_path / "gold.jsonl"
@@ -152,7 +171,7 @@ class TestTrainParseEvalBench:
         write_corpus(gold, amr_records)
         pred = tmp_path / "pred.jsonl"
         assert main(["parse", "--model", str(ckpt), "--input", str(gold),
-                     "--output", str(pred), "--greedy", "--jobs", "2"]) == 0
+                     "--output", str(pred), "--greedy"]) == 0
         report_path = tmp_path / "report.json"
         assert main(["eval", "--gold", str(gold), "--pred", str(pred),
                      "--output", str(report_path)]) == 0

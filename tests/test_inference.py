@@ -12,7 +12,7 @@ from arbor.graph import (
     RelationSequence,
     validate_arborescence,
 )
-from arbor.inference import beam_decode, greedy_decode, parse, _source_of
+from arbor.inference import beam_decode, greedy_decode, parse, _source_of, _top_k
 from arbor.linearize import relations_to_arbor
 from arbor.model import ModelConfig, TransducerModel, Vocabularies
 from arbor.vocab import NODE_RESERVED, RELATION_RESERVED, Vocab
@@ -153,6 +153,60 @@ def reference_beam_decode(model, inp, beam_size, max_len):
                         pool=pool)
 
 
+def reference_greedy_decode(model, inp, max_len):
+    """Greedy search as a hand-written argmax loop.
+
+    The implementation that beam search of width 1 replaced, kept as the
+    reference it must reproduce: the same relations, steps and truncation,
+    with scores summed in another order.
+    """
+    from arbor.inference import DecodeResult, _slot_info
+
+    dec = model.decoder
+    eos_id = model.vocabs.dec_word.id(EOS_LABEL)
+    enc = model.encoder.encode(inp)
+    state = dec.initial_state(enc)
+    rel_in = BOS_INPUT
+    relations = []
+    score = 0.0
+    total_steps = 0
+    saw_eos = False
+    for _ in range(max_len):
+        out, state = dec.predict_target(enc, state, rel_in)
+        total_steps += 1
+        p = out.p_target.data
+        slot = int(np.argmax(p))
+        if slot == eos_id:
+            saw_eos = True
+            break
+        record = _slot_info(model, out, state, inp.tokens, inp.pos, slot)
+        state = dec.feed_target(state, record)
+        pu = dec.point_source(state).data
+        pr_all = dec.relation_dist_all(state)
+        # the source choice maximizes the joint source+type probability
+        with np.errstate(divide="ignore"):
+            joint = np.log(pu)[:, None] + np.log(pr_all)  # masked ROOT -> -inf
+        j, r_id = np.unravel_index(int(np.argmax(joint)), joint.shape)
+        j, r_id = int(j), int(r_id)
+        rel = model.vocabs.rel.token(r_id)
+        u_label, u_index = _source_of(state, j)
+        score += float(np.log(p[slot]) + joint[j, r_id])
+        relations.append(Relation(u_label, u_index, rel, record.label, record.index,
+                                  record.anchors))
+        rel_in = RelationInput(u_label, u_index, state.node_pos(j), rel)
+    seq = RelationSequence(tuple(relations), eos=saw_eos, truncated=not saw_eos)
+    return DecodeResult(seq, score, len(relations), total_steps, truncated=not saw_eos)
+
+
+def zero_scorers(model):
+    """Zero the vocabulary, source and type scorers: every choice ties."""
+    for module in (model.decoder.ffn_vocab, model.decoder.bilinear,
+                   model.decoder.biaffine):
+        for t in module.parameters().values():
+            t.data[...] = 0.0
+    return model
+
+
 def assert_same_decode(new, ref):
     assert new.sequence.relations == ref.sequence.relations
     assert new.score == ref.score  # bit-equal, not approximately equal
@@ -201,6 +255,29 @@ class TestGreedy:
         result = greedy_decode(model, make_inputs(np.random.default_rng(3), 3), max_len=4)
         assert result.truncated
         assert len(result.sequence.relations) == 4
+
+    # 30 random models, and one whose zeroed scorers make every choice a
+    # tie, so that both must pick the lowest index each time.  Untouched,
+    # the random models never pick EOS; an EOS bias of 2 ends about half of
+    # their decodes early.
+    @pytest.mark.parametrize("case", [*range(30), "ties"])
+    def test_matches_argmax_reference(self, case):
+        if case == "ties":
+            model = zero_scorers(build_tiny_model(seed=620))
+            inp = make_inputs(np.random.default_rng(20), 3)
+        else:
+            model = build_tiny_model(seed=700 + case)
+            inp = make_inputs(np.random.default_rng(case), 2 + case % 4)
+        eos_row = model.vocabs.dec_word.id(EOS_LABEL)
+        for eos_bias in (0.0, 2.0):
+            model.decoder.ffn_vocab.b.data[eos_row] += eos_bias
+            for max_len in (1, 4, 12):
+                new = greedy_decode(model, inp, max_len=max_len)
+                ref = reference_greedy_decode(model, inp, max_len)
+                assert new.sequence.relations == ref.sequence.relations
+                assert (new.steps, new.total_steps, new.truncated) == (
+                    ref.steps, ref.total_steps, ref.truncated)
+                assert abs(new.score - ref.score) <= 1e-12
 
 
 class TestBeam:
@@ -312,3 +389,38 @@ class TestParse:
         model.decoder.ffn_switch.b.data[:] = [100.0, -100.0, -100.0]
         g = parse(model, make_inputs(np.random.default_rng(6), 2), max_len=1)
         assert [n.label for n in g.nodes] == ["want-01"]
+
+
+class TestSearchArguments:
+    @pytest.mark.parametrize("max_len", [0, -1])
+    @pytest.mark.parametrize("decode", [
+        lambda m, i, n: greedy_decode(m, i, max_len=n),
+        lambda m, i, n: beam_decode(m, i, beam_size=5, max_len=n),
+        lambda m, i, n: parse(m, i, beam_size=5, max_len=n),
+    ], ids=["greedy", "beam", "parse"])
+    def test_max_len_below_one_rejected(self, decode, max_len):
+        model = build_tiny_model(seed=49)
+        with pytest.raises(ValueError, match="max_len"):
+            decode(model, make_inputs(np.random.default_rng(7), 3), max_len)
+
+    @pytest.mark.parametrize("beam_size", [0, -3])
+    def test_beam_size_below_one_rejected(self, beam_size):
+        model = build_tiny_model(seed=49)
+        inp = make_inputs(np.random.default_rng(7), 3)
+        with pytest.raises(ValueError, match="beam size"):
+            beam_decode(model, inp, beam_size=beam_size)
+        with pytest.raises(ValueError, match="beam size"):
+            parse(model, inp, beam_size=beam_size)
+
+
+class TestTopK:
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    def test_matches_stable_argsort(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(100):
+            # few distinct values, so most entries tie; -inf as a zero probability
+            p = rng.integers(-1, 4, size=n).astype(float)
+            p[p < 0] = -np.inf
+            expected = np.argsort(-p, kind="stable")
+            for k in sorted({1, max(1, n // 2), max(1, n - 1), n, n + 1, 3 * n}):
+                np.testing.assert_array_equal(_top_k(p, k), expected[:k])
