@@ -13,8 +13,9 @@ gradients are summed may differ.
 
 Broadcasting is deliberately restricted: elementwise ops require equal
 shapes except that (a) python scalars and 0-d tensors pair with anything
-and (b) ``add`` of a matrix and a vector broadcasts the vector over the
-leading axis (bias add).  Everything else is a shape error.
+and (b) ``add`` of a matrix (or a stack of matrices) and a vector
+broadcasts the vector over the leading axes (bias add).  Everything else
+is a shape error.
 """
 
 from __future__ import annotations
@@ -122,6 +123,11 @@ def _active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
 
 
+def recording() -> bool:
+    """Whether a tape is active, so that operations record gradients."""
+    return bool(_TAPES)
+
+
 def backward(loss: Tensor) -> None:
     """Run backward on the innermost active tape."""
     tape = _active_tape()
@@ -131,13 +137,16 @@ def backward(loss: Tensor) -> None:
 
 
 def _apply(out_data: np.ndarray, pairs, op: str) -> Tensor:
-    """Build the output tensor and record backward closures.
+    """Build the output tensor and record backward closures (none when no
+    tape is active).
 
     ``pairs`` is a sequence of ``(input, grad_fn)`` where ``grad_fn`` maps
     the output gradient to the input's gradient contribution.
     """
     tape = _active_tape()
-    needs = tape is not None and any(t.requires_grad for t, _ in pairs)
+    if tape is None:
+        return Tensor(out_data)
+    needs = any(t.requires_grad for t, _ in pairs)
     out = Tensor(out_data, requires_grad=needs)
     if needs:
         inputs = [(t, fn) for t, fn in pairs if t.requires_grad]
@@ -170,9 +179,11 @@ def add(a: Tensor, b) -> Tensor:
         return _apply(a.data + b.data, [(a, lambda g: g.sum()), (b, lambda g: g)], "add")
     if b.ndim == 0:
         return _apply(a.data + b.data, [(a, lambda g: g), (b, lambda g: g.sum())], "add")
-    if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-        # bias add over the leading axis
-        return _apply(a.data + b.data, [(a, lambda g: g), (b, lambda g: g.sum(axis=0))], "add")
+    if a.ndim >= 2 and b.ndim == 1 and a.shape[-1] == b.shape[0]:
+        # bias add over the leading axes
+        return _apply(a.data + b.data,
+                      [(a, lambda g: g), (b, lambda g: g.reshape(-1, b.shape[0]).sum(axis=0))],
+                      "add")
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
@@ -216,6 +227,13 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix and vector products, and stacks of matrix products.
+
+    With a 3-d operand the product is taken for each index of its leading
+    axis, as ``np.matmul`` does; a 2-d operand is shared by every one.
+    Each entry of the stack is computed by the same BLAS call as the 2-d
+    product of that entry alone, so it is bit-equal to it.
+    """
     if a.ndim == 2 and b.ndim == 2:
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
@@ -248,6 +266,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             [(a, lambda g: g * b.data), (b, lambda g: g * a.data)],
             "matmul",
         )
+    if a.ndim in (2, 3) and b.ndim in (2, 3):
+        if a.shape[-1] != b.shape[-2] or (a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]):
+            raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
+
+        def grad_a(g):
+            d = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            return d.sum(axis=0) if a.ndim == 2 else d
+
+        def grad_b(g):
+            d = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            return d.sum(axis=0) if b.ndim == 2 else d
+
+        return _apply(np.matmul(a.data, b.data), [(a, grad_a), (b, grad_b)], "matmul")
     raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
 
 
@@ -296,7 +327,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def stack_rows(tensors) -> Tensor:
-    """Stack 1-d tensors into a matrix, one per row."""
+    """Stack equal-shape tensors along a new leading axis: vectors into a
+    matrix, one per row, or matrices into a 3-d stack."""
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("stack_rows of no tensors")
@@ -340,9 +372,12 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {x.shape}")
-    return _apply(x.data.T.copy(), [(x, lambda g: g.T.copy())], "transpose")
+    """Swap the last two axes of a matrix or of a stack of matrices (a
+    C-ordered copy)."""
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"transpose expects a matrix or a stack of them, got shape {x.shape}")
+    return _apply(np.swapaxes(x.data, -1, -2).copy(),
+                  [(x, lambda g: np.swapaxes(g, -1, -2).copy())], "transpose")
 
 
 def repeat_rows(v: Tensor, n: int) -> Tensor:
@@ -460,41 +495,57 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 # Fused layers
 
 
+def _mv(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w @ x`` for a vector ``x``, or for each row of a matrix ``x``.
+
+    Each row is its own BLAS call, the one the vector product makes, so a
+    row of the result is bit-equal to the product of that row alone; one
+    gemm over all rows would round differently.
+    """
+    return np.matmul(w, x[..., None])[..., 0]
+
+
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
               b: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step on vectors (gate order i, f, g, o); returns ``(h, c)``.
+    """One LSTM step (gate order i, f, g, o); returns ``(h, c)``.
 
-    A single tape record with a hand-written backward.  A missing gradient
-    on either output counts as zero.
+    ``x``, ``h`` and ``c`` are vectors, or matrices whose rows are
+    independent cells; each row of the rows form is bit-equal to the
+    vector form on that row.  A single tape record with a hand-written
+    backward.  A missing gradient on either output counts as zero.
     """
-    hid = h.shape[0]
-    if (x.ndim != 1 or h.shape != (hid,) or c.shape != (hid,)
-            or w_ih.shape != (4 * hid, x.shape[0]) or w_hh.shape != (4 * hid, hid)
+    hid = h.shape[-1]
+    lead = x.shape[:-1]  # () for vectors, (rows,) for matrices
+    if (x.ndim not in (1, 2) or h.shape != lead + (hid,) or c.shape != lead + (hid,)
+            or w_ih.shape != (4 * hid, x.shape[-1]) or w_hh.shape != (4 * hid, hid)
             or b.shape != (4 * hid,)):
         raise ShapeError(
             f"lstm_cell: x {x.shape}, h {h.shape}, c {c.shape}, "
             f"w_ih {w_ih.shape}, w_hh {w_hh.shape}, b {b.shape}"
         )
-    gates = w_ih.data @ x.data + w_hh.data @ h.data + b.data
-    i = 1.0 / (1.0 + np.exp(-gates[0:hid]))
-    f = 1.0 / (1.0 + np.exp(-gates[hid : 2 * hid]))
-    g = np.tanh(gates[2 * hid : 3 * hid])
-    o = 1.0 / (1.0 + np.exp(-gates[3 * hid : 4 * hid]))
+    gates = _mv(w_ih.data, x.data) + _mv(w_hh.data, h.data) + b.data
+    i = 1.0 / (1.0 + np.exp(-gates[..., 0:hid]))
+    f = 1.0 / (1.0 + np.exp(-gates[..., hid : 2 * hid]))
+    g = np.tanh(gates[..., 2 * hid : 3 * hid])
+    o = 1.0 / (1.0 + np.exp(-gates[..., 3 * hid : 4 * hid]))
     c_data = f * c.data + i * g
     tanh_c = np.tanh(c_data)
 
     tape = _active_tape()
-    needs = tape is not None and any(t.requires_grad for t in (x, h, c, w_ih, w_hh, b))
+    if tape is None:
+        return Tensor(o * tanh_c), Tensor(c_data)
+    needs = any(t.requires_grad for t in (x, h, c, w_ih, w_hh, b))
     h_out = Tensor(o * tanh_c, requires_grad=needs)
     c_out = Tensor(c_data, requires_grad=needs)
     if needs:
+        rows = x.ndim == 2
 
         def record():
             gh, gc = h_out.grad, c_out.grad
             if gh is None and gc is None:
                 return
             if gh is None:
-                dc, d_o = gc, np.zeros(hid)
+                dc, d_o = gc, np.zeros_like(c_data)
             else:
                 dc = gh * o * (1.0 - tanh_c * tanh_c)
                 if gc is not None:
@@ -505,19 +556,19 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
                 dc * c.data * f * (1.0 - f),
                 dc * i * (1.0 - g * g),
                 d_o,
-            ])
+            ], axis=-1)
             if x.requires_grad:
-                x._accum(w_ih.data.T @ d_gates)
+                x._accum(d_gates @ w_ih.data if rows else w_ih.data.T @ d_gates)
             if h.requires_grad:
-                h._accum(w_hh.data.T @ d_gates)
+                h._accum(d_gates @ w_hh.data if rows else w_hh.data.T @ d_gates)
             if c.requires_grad:
                 c._accum(dc * f)
             if w_ih.requires_grad:
-                w_ih._accum(np.outer(d_gates, x.data))
+                w_ih._accum(d_gates.T @ x.data if rows else np.outer(d_gates, x.data))
             if w_hh.requires_grad:
-                w_hh._accum(np.outer(d_gates, h.data))
+                w_hh._accum(d_gates.T @ h.data if rows else np.outer(d_gates, h.data))
             if b.requires_grad:
-                b._accum(d_gates)
+                b._accum(d_gates.sum(axis=0) if rows else d_gates)
 
         tape.records.append(record)
     return h_out, c_out
@@ -532,18 +583,18 @@ def _gather(table: Tensor, rows, data: np.ndarray) -> Tensor:
     ``rows`` of the table gradient, so no full-table array is made per
     lookup; repeated rows accumulate."""
     tape = _active_tape()
-    needs = tape is not None and table.requires_grad
-    out = Tensor(data, requires_grad=needs)
-    if needs:
+    if tape is None or not table.requires_grad:
+        return Tensor(data)
+    out = Tensor(data, requires_grad=True)
 
-        def record():
-            if out.grad is None:
-                return
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, rows, out.grad)
+    def record():
+        if out.grad is None:
+            return
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, rows, out.grad)
 
-        tape.records.append(record)
+    tape.records.append(record)
     return out
 
 

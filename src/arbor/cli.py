@@ -183,9 +183,16 @@ def _parse_one(model, record, beam, max_len):
     return parse_graph(model, inp, beam_size=beam, max_len=limit)
 
 
-def cmd_parse(args) -> int:
+def _check_search_args(args) -> None:
+    """Reject a beam or length limit no decode can use, before any work."""
     if args.beam < 1:
         raise CliError(f"--beam must be at least 1, got {args.beam}")
+    if args.max_len is not None and args.max_len < 1:
+        raise CliError(f"--max-len must be at least 1, got {args.max_len}")
+
+
+def cmd_parse(args) -> int:
+    _check_search_args(args)
     model = TransducerModel.load(args.model)
     records = formats.read_canonical_file(args.input)
     beam = 1 if args.greedy else args.beam
@@ -234,6 +241,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_search_args(args)
     model = TransducerModel.load(args.model)
     inputs = [encoder_input_from_record(r) for r in formats.read_canonical_file(args.input)]
     report = speed_bench(model, inputs, beam_size=args.beam,

@@ -14,11 +14,20 @@ node reuses that node's index; any other node gets the next step number.
 POS tags of nodes are inferred at runtime: token copies take the token's
 POS, node copies take the antecedent's POS, generated nodes get the UNK
 tag.
+
+Each node is projected once: when a node's state becomes a pointer
+candidate (in ``predict_target``), its ``mlp_end`` and ``mlp_rel_src`` rows
+are cached on the ``DecoderState``, and the source and relation scorers
+stack those rows, in training as in decoding.  Within one decode, label
+embeddings are memoised by (label, POS) while no tape records.  Beam
+search feeds all of a step's (hypothesis, target) expansions at once
+through ``expand``, whose rows are bit-equal to ``feed_target`` followed
+by ``point_source`` and ``relation_dist_all`` on each expansion alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,6 +75,14 @@ class DecoderState:
     nodes: tuple[NodeRecord, ...]  # emitted target nodes v_1..v_i
     coverage: Tensor  # running sum of encoder attentions
     step: int  # number of relations consumed so far
+    # mlp_end and mlp_rel_src of each pointer candidate h_hist[j], computed
+    # once when h_hist[j] becomes a candidate (in predict_target); after a
+    # feed both hold len(h_hist) - 1 rows
+    end_rows: tuple[Tensor, ...] = ()
+    rel_src_rows: tuple[Tensor, ...] = ()
+    # (label, pos) -> label_vec for one decode, shared by all of its states
+    # and never by the model; read and filled only while no tape records
+    label_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def node_pos(self, position: int) -> str:
         """POS of the node at pointer position (0 = ROOT -> UNK)."""
@@ -81,6 +98,26 @@ class DecoderState:
         first-visit reference indices.
         """
         return max((rec.index for rec in self.nodes), default=0) + 1
+
+
+@dataclass
+class Expansions:
+    """One search step's (hypothesis, target) expansions as matrix rows:
+    row ``e`` feeds ``records[e]`` to ``parents[e]`` (``Decoder.expand``)."""
+
+    parents: list[DecoderState]
+    records: list[NodeRecord]
+    lstm: list[tuple[Tensor, Tensor]]  # per layer (h, c), one row per expansion
+    p_source: np.ndarray  # (rows, i + 1): P(u) over positions 0..i
+    p_relation: np.ndarray  # (rows, i + 1, types): P(r) for each source position
+
+    def state(self, e: int) -> DecoderState:
+        """The state ``feed_target(parents[e], records[e])`` returns."""
+        parent = self.parents[e]
+        lstm = tuple((Tensor(h.data[e].copy()), Tensor(c.data[e].copy()))
+                     for h, c in self.lstm)
+        return replace(parent, lstm=lstm, h_hist=parent.h_hist + (lstm[-1][0],),
+                       nodes=parent.nodes + (self.records[e],))
 
 
 @dataclass
@@ -171,7 +208,18 @@ class Decoder(nn.Module):
     def _index_id(self, index: int) -> int:
         return min(max(index, 0), self.config.index_table_size - 1)  # overflow bucket
 
-    def label_vec(self, label: str, pos: str) -> Tensor:
+    def label_vec(self, label: str, pos: str, memo: dict | None = None) -> Tensor:
+        """Word, character and POS embeddings of a node label.
+
+        ``memo`` is a decode's ``label_memo``.  It is used only while no
+        tape records: a recorded lookup must reach the embedding tables'
+        gradients every time, so under a tape each call is a new lookup.
+        """
+        if memo is not None and not ad.recording():
+            vec = memo.get((label, pos))
+            if vec is None:
+                vec = memo[(label, pos)] = self.label_vec(label, pos)
+            return vec
         word = self.word_emb.one(self.word_vocab.id(label))
         chars = self.char_cnn([self.char_vocab.id(ch) for ch in label])
         pos_v = self.pos_emb.one(self.pos_vocab.id(pos))
@@ -202,7 +250,7 @@ class Decoder(nn.Module):
         a_enc = ad.softmax(self.attn_mlp(attn_in))
         context = ad.matmul(a_enc, enc.states)
 
-        u_vec = self.label_vec(rel_in.u_label, rel_in.u_pos)
+        u_vec = self.label_vec(rel_in.u_label, rel_in.u_pos, state.label_memo)
         du_vec = self.index_emb.one(self._index_id(rel_in.u_index))
         r_vec = self.rel_emb.one(self.rel_vocab.id(rel_in.rel))
         z = self.ffn_relation(ad.concat([h_i, context, r_vec, u_vec, du_vec]))
@@ -234,6 +282,9 @@ class Decoder(nn.Module):
             z_hist=state.z_hist + (z,) if state.step >= 1 else state.z_hist,
             coverage=ad.add(state.coverage, a_enc),
             step=state.step + 1,
+            # h_i is a pointer candidate from the next feed on
+            end_rows=state.end_rows + (self.mlp_end(h_i),),
+            rel_src_rows=state.rel_src_rows + (self.mlp_rel_src(h_i),),
         )
         out = StepOutput(
             z=z, vocab_logits=vocab_logits, p_vocab=p_vocab, a_enc=a_enc, a_dec=a_dec,
@@ -248,7 +299,7 @@ class Decoder(nn.Module):
                     ) -> DecoderState:
         """Run the target LSTM over the new node ``v_{i+1}``."""
         x = ad.concat([
-            self.label_vec(record.label, record.pos),
+            self.label_vec(record.label, record.pos, state.label_memo),
             self.index_emb.one(self._index_id(record.index)),
         ])
         new_lstm = []
@@ -263,40 +314,76 @@ class Decoder(nn.Module):
             nodes=state.nodes + (record,),
         )
 
+    def expand(self, parents: list[DecoderState], records: list[NodeRecord]) -> Expansions:
+        """Feed ``records[e]`` to ``parents[e]`` for every expansion ``e`` at
+        once, and score its sources and relation types; inference only.
+
+        The target LSTM, the source pointer and the relation scorer run
+        once over all expansions as matrix rows, each row by the same
+        products as the expansion alone: row ``e`` is bit-equal to
+        ``feed_target(parents[e], records[e])`` followed by
+        ``point_source`` and ``relation_dist_all``.  The parents must have
+        consumed the same number of relations, as a beam's hypotheses have.
+        """
+        memo = parents[0].label_memo
+        x = ad.stack_rows([
+            ad.concat([self.label_vec(r.label, r.pos, memo),
+                       self.index_emb.one(self._index_id(r.index))])
+            for r in records
+        ])
+        lstm = []
+        for k, cell in enumerate(self.lstm_cells):
+            h, c = cell(x, (ad.stack_rows([s.lstm[k][0] for s in parents]),
+                            ad.stack_rows([s.lstm[k][1] for s in parents])))
+            lstm.append((h, c))
+            x = h
+        # each parent's candidate rows, stacked once however many targets it has
+        cached = {}
+        for s in parents:
+            if id(s) not in cached:
+                cached[id(s)] = (ad.stack_rows(s.end_rows), ad.stack_rows(s.rel_src_rows))
+        ends = ad.stack_rows([cached[id(s)][0] for s in parents])
+        srcs = ad.stack_rows([cached[id(s)][1] for s in parents])
+        p_source = self._source_dist(self.biaffine(self.mlp_start.each(x), ends))
+        p_relation = ad.softmax(self.bilinear(srcs, self.mlp_rel_tgt.each(x)), axis=-1)
+        return Expansions(parents, records, lstm, p_source.data, p_relation.data)
+
     def source_scores(self, state: DecoderState) -> Tensor:
         """Biaffine pointer logits over positions 0..i (0 is ROOT)."""
-        h_new = state.h_hist[-1]
-        candidates = ad.stack_rows(state.h_hist[:-1])
-        start = self.mlp_start(h_new)
-        ends = self.mlp_end(candidates)
-        return self.biaffine(start, ends)
+        start = self.mlp_start(state.h_hist[-1])
+        return self.biaffine(start, ad.stack_rows(state.end_rows))
 
-    def point_source(self, state: DecoderState) -> Tensor:
-        """P(u) over pointer positions 0..i (0 is ROOT).
+    @staticmethod
+    def _source_dist(scores: Tensor) -> Tensor:
+        """P(u) from pointer logits over positions 0..i on the last axis.
 
         ROOT is a candidate only while it is the sole one (the first
         relation); afterwards its probability is exactly zero so every
         later source is a real preceding node and any complete decode
         reconstructs to a single-rooted tree.
         """
-        scores = self.source_scores(state)
-        if not state.nodes[:-1]:
-            return ad.softmax(scores)
-        rest = ad.softmax(ad.narrow(scores, 0, 1, scores.shape[0]))
-        return ad.concat([ad.constant(np.zeros(1)), rest])
+        n = scores.shape[-1]
+        if n == 1:
+            return ad.softmax(scores, axis=-1)
+        rest = ad.softmax(ad.narrow(scores, scores.ndim - 1, 1, n), axis=-1)
+        return ad.concat([ad.constant(np.zeros(scores.shape[:-1] + (1,))), rest], axis=-1)
+
+    def point_source(self, state: DecoderState) -> Tensor:
+        """P(u) over pointer positions 0..i (0 is ROOT, masked after the
+        first relation)."""
+        return self._source_dist(self.source_scores(state))
 
     def relation_scores(self, state: DecoderState, position: int) -> Tensor:
         """Bilinear relation-type logits given the source pointer choice."""
-        src = self.mlp_rel_src(state.h_hist[position])
         tgt = self.mlp_rel_tgt(state.h_hist[-1])
-        return self.bilinear(src, tgt)
+        return self.bilinear(state.rel_src_rows[position], tgt)
 
     def relation_dist(self, state: DecoderState, position: int) -> Tensor:
         return ad.softmax(self.relation_scores(state, position))
 
     def relation_dist_all(self, state: DecoderState) -> np.ndarray:
         """P(r) rows for every candidate source position; inference only."""
-        srcs = self.mlp_rel_src(ad.stack_rows(state.h_hist[:-1]))
+        srcs = ad.stack_rows(state.rel_src_rows)
         tgt = self.mlp_rel_tgt(state.h_hist[-1])
         return ad.softmax(self.bilinear(srcs, tgt), axis=-1).data
 

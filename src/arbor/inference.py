@@ -7,12 +7,15 @@ runs in one pass over the output relations.
 
 There is one decode loop.  Beam search expands every hypothesis in the
 beam each step: the top-K target-node candidates are scored, EOS moves a
-hypothesis to the finished pool (with no score contribution), and all
-(source, relation type) pairs are scored for the rest, as one array per
-(hypothesis, target) expansion.  The global top-K of those scores, ties
+hypothesis to the finished pool (with no score contribution), and the
+rest become (hypothesis, target) expansions.  One ``Decoder.expand`` call
+feeds all of a step's expansions as matrix rows and scores every
+(source, relation type) pair of each, so the step's scores are one
+(expansion, source, type) array.  The global top-K of those scores, ties
 broken by arrival order, forms the next beam, and only its K members are
-built as objects.  Greedy search is this loop at width 1: argmax target,
-then argmax (source, type), with ties going to the lowest index.
+built as decoder states and objects.  Greedy search is this loop at
+width 1: argmax target, then argmax (source, type), with ties going to
+the lowest index.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 from .convert import amr_restore_senses, from_arbor
 from .decoder import (
     BOS_INPUT,
+    DecoderState,
     NodeRecord,
     ORIGIN_DEC,
     ORIGIN_ENC,
@@ -123,10 +127,11 @@ def _search(model: TransducerModel, enc_input: EncoderInput, beam_size: int,
     for _ in range(max_len):
         if not beam:
             break
-        # one block of scores per (hypothesis, target) expansion, rows
-        # (source) by columns (type), kept in arrival order
-        blocks: list[np.ndarray] = []
-        expansions: list[tuple[Hypothesis, NodeRecord, object, np.ndarray]] = []
+        # the (hypothesis, target) expansions of this step, in arrival order
+        owners: list[Hypothesis] = []
+        parents: list[DecoderState] = []
+        records: list[NodeRecord] = []
+        heads: list[float] = []  # hypothesis score + log P(target)
         for hyp in beam:
             out, state1 = dec.predict_target(enc, hyp.state, hyp.rel_in)
             total_steps += 1
@@ -138,35 +143,38 @@ def _search(model: TransducerModel, enc_input: EncoderInput, beam_size: int,
                     # hypothesis without a score update
                     finished.append(Hypothesis(hyp.relations, hyp.score, None, hyp.rel_in))
                     continue
-                record = _slot_info(model, out, state1, enc_input.tokens, enc_input.pos, slot)
-                state2 = dec.feed_target(state1, record)
-                pu = dec.point_source(state2).data
-                pr_all = dec.relation_dist_all(state2)
-                rows = np.flatnonzero(pu != 0.0)  # drops the masked ROOT position
-                # keep this addition order: it is that of scoring one relation
-                # at a time, so scores stay bit-identical to that reference
-                base = (hyp.score + float(np.log(p[slot]))) + np.log(pu[rows])
-                with np.errstate(divide="ignore"):  # zero type probability -> -inf
-                    blocks.append((base[:, None] + np.log(pr_all[rows])).ravel())
-                expansions.append((hyp, record, state2, rows))
-        if not blocks:
+                owners.append(hyp)
+                parents.append(state1)
+                records.append(_slot_info(model, out, state1, enc_input.tokens, enc_input.pos,
+                                          slot))
+                heads.append(hyp.score + float(np.log(p[slot])))
+        if not records:
             beam = []
             break
-        flat = np.concatenate(blocks)
-        survivors = _top_k(flat, beam_size)
-        offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
+        exp = dec.expand(parents, records)
+        # scores by (expansion, source, type).  Keep this addition order: it
+        # is that of scoring one relation at a time, so scores stay
+        # bit-identical to that reference
+        with np.errstate(divide="ignore"):  # zero probability -> -inf
+            scores = ((np.array(heads)[:, None] + np.log(exp.p_source))[:, :, None]
+                      + np.log(exp.p_relation))
+        # candidates in arrival order; drops the masked ROOT position
+        cand_e, cand_j = np.nonzero(exp.p_source)
+        flat = scores[cand_e, cand_j].ravel()
+        states: dict[int, DecoderState] = {}  # built for survivors only
         beam = []
-        for i in survivors:
-            e = int(np.searchsorted(offsets, i, side="right")) - 1
-            hyp, record, state2, rows = expansions[e]
-            row, r_id = divmod(int(i - offsets[e]), n_types)
-            j = int(rows[row])
+        for i in _top_k(flat, beam_size):
+            row, r_id = divmod(int(i), n_types)
+            e, j = int(cand_e[row]), int(cand_j[row])
+            if e not in states:
+                states[e] = exp.state(e)
+            state2, record = states[e], records[e]
             rel = model.vocabs.rel.token(r_id)
             u_label, u_index = _source_of(state2, j)
             relation = Relation(u_label, u_index, rel, record.label, record.index,
                                 record.anchors)
             beam.append(Hypothesis(
-                hyp.relations + (relation,), float(flat[i]), state2,
+                owners[e].relations + (relation,), float(flat[i]), state2,
                 RelationInput(u_label, u_index, state2.node_pos(j), rel),
             ))
 

@@ -69,6 +69,16 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return ad.affine(x, self.w, self.b)
 
+    def each(self, x_rows: Tensor) -> Tensor:
+        """The vector form on each row of ``x_rows``, for a batch of
+        independent queries: row r is bit-equal to ``self(x_rows[r])``,
+        where ``self(x_rows)`` is one gemm that rounds differently."""
+        if x_rows.ndim != 2 or x_rows.shape[1] != self.in_dim:
+            raise ad.ShapeError(f"linear rows: got {x_rows.shape}, expected (m, {self.in_dim})")
+        m = x_rows.shape[0]
+        wx = ad.matmul(self.w, ad.reshape(x_rows, (m, self.in_dim, 1)))
+        return ad.add(ad.reshape(wx, (m, self.out_dim)), self.b)
+
 
 class Mlp(Module):
     """mlp(x) = elu(W x + b)."""
@@ -79,6 +89,10 @@ class Mlp(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.elu(self.lin(x))
+
+    def each(self, x_rows: Tensor) -> Tensor:
+        """The vector form on each row, bit-equal to it (see ``Linear.each``)."""
+        return ad.elu(self.lin.each(x_rows))
 
 
 class AttentionScorer(Module):
@@ -100,7 +114,11 @@ class AttentionScorer(Module):
 
 
 class Biaffine(Module):
-    """Scores one query vector against a matrix of candidate rows."""
+    """Scores a query vector against a matrix of candidate rows, giving
+    ``(n,)``; or query rows, each against its own candidate matrix (a
+    ``(m, n, dim2)`` stack), giving ``(m, n)``.  Each row of the rows form is
+    computed by the same products as the one query alone, so it is
+    bit-equal to it."""
 
     def __init__(self, rng, dim1: int, dim2: int):
         super().__init__()
@@ -109,16 +127,29 @@ class Biaffine(Module):
         self.w = self.register("w", xavier_uniform(rng, (dim1 + dim2,)))
         self.b = self.register("b", np.zeros(()))
 
-    def __call__(self, x1: Tensor, x2_rows: Tensor) -> Tensor:
-        if x1.shape != (self.dim1,) or x2_rows.ndim != 2 or x2_rows.shape[1] != self.dim2:
+    def __call__(self, x1: Tensor, x2: Tensor) -> Tensor:
+        d1, d2 = self.dim1, self.dim2
+        one = x1.shape == (d1,) and x2.ndim == 2 and x2.shape[1] == d2
+        rows = (x1.ndim == 2 and x1.shape[1] == d1 and x2.ndim == 3
+                and x2.shape[0] == x1.shape[0] and x2.shape[2] == d2)
+        if not (one or rows):
             raise ad.ShapeError(
-                f"biaffine: got {x1.shape} and {x2_rows.shape}, "
-                f"expected ({self.dim1},) and (m, {self.dim2})"
+                f"biaffine: got {x1.shape} and {x2.shape}, expected ({d1},) and (n, {d2}), "
+                f"or (m, {d1}) and (m, n, {d2})"
             )
-        bil = ad.matmul(x2_rows, ad.matmul(x1, self.u))  # (m,)
-        w1 = ad.narrow(self.w, 0, 0, self.dim1)
-        w2 = ad.narrow(self.w, 0, self.dim1, self.dim1 + self.dim2)
-        lin = ad.add(ad.matmul(x2_rows, w2), ad.matmul(w1, x1))
+        w1 = ad.narrow(self.w, 0, 0, d1)
+        w2 = ad.narrow(self.w, 0, d1, d1 + d2)
+        if one:
+            bil = ad.matmul(x2, ad.matmul(x1, self.u))  # (n,)
+            lin = ad.add(ad.matmul(x2, w2), ad.matmul(w1, x1))
+        else:
+            m, n = x2.shape[0], x2.shape[1]
+            q = ad.reshape(x1, (m, 1, d1))
+            qu = ad.reshape(ad.matmul(q, self.u), (m, d2, 1))
+            bil = ad.reshape(ad.matmul(x2, qu), (m, n))
+            own = ad.reshape(ad.matmul(q, ad.reshape(w1, (d1, 1))), (m,))  # w1 . x1 per row
+            lin = ad.add(ad.reshape(ad.matmul(x2, ad.reshape(w2, (d2, 1))), (m, n)),
+                         ad.transpose(ad.repeat_rows(own, n)))
         return ad.add(lin, ad.add(bil, self.b))
 
 
@@ -128,7 +159,10 @@ class Bilinear(Module):
     ``x1`` is a vector, giving ``(k,)`` scores, or a matrix of rows scored
     against the one ``x2``, giving ``(m, k)``.  The two forms multiply in
     different orders (gemv and gemm), so a row of the matrix form can
-    differ from the vector form in the last bits.
+    differ from the vector form in the last bits.  With query rows ``x2``
+    of shape ``(q, dim2)``, ``x1`` is a ``(q, m, dim1)`` stack, one matrix
+    per query, giving ``(q, m, k)``; each query's block is bit-equal to the
+    matrix form for that query alone.
     """
 
     def __init__(self, rng, dim1: int, dim2: int, classes: int):
@@ -138,16 +172,24 @@ class Bilinear(Module):
         self.b = self.register("b", np.zeros(classes))
 
     def __call__(self, x1: Tensor, x2: Tensor) -> Tensor:
-        if x1.ndim not in (1, 2) or x1.shape[-1] != self.dim1 or x2.shape != (self.dim2,):
+        k, d1, d2 = self.classes, self.dim1, self.dim2
+        one = x1.ndim in (1, 2) and x2.shape == (d2,)
+        rows = (x1.ndim == 3 and x2.ndim == 2 and x2.shape[1] == d2
+                and x1.shape[0] == x2.shape[0])
+        if not (one or rows) or x1.shape[-1] != d1:
             raise ad.ShapeError(
                 f"bilinear: got {x1.shape} and {x2.shape}, "
-                f"expected ({self.dim1},) or (m, {self.dim1}) and ({self.dim2},)"
+                f"expected ({d1},) or (m, {d1}) and ({d2},), or (q, m, {d1}) and (q, {d2})"
             )
-        flat = ad.reshape(self.u, (self.classes * self.dim1, self.dim2))
-        t = ad.reshape(ad.matmul(flat, x2), (self.classes, self.dim1))
-        if x1.ndim == 2:
-            return ad.add(ad.matmul(x1, ad.transpose(t)), self.b)
-        return ad.add(ad.matmul(t, x1), self.b)
+        flat = ad.reshape(self.u, (k * d1, d2))
+        if rows:
+            q = x2.shape[0]
+            t = ad.reshape(ad.matmul(flat, ad.reshape(x2, (q, d2, 1))), (q, k, d1))
+        else:
+            t = ad.reshape(ad.matmul(flat, x2), (k, d1))
+        if x1.ndim == 1:
+            return ad.add(ad.matmul(t, x1), self.b)
+        return ad.add(ad.matmul(x1, ad.transpose(t)), self.b)
 
 
 class Embedding(Module):
@@ -167,7 +209,8 @@ class Embedding(Module):
 
 
 class LstmCell(Module):
-    """Single LSTM step on vectors; gate order i, f, g, o; forget bias 1."""
+    """Single LSTM step on vectors, or on rows of independent cells; gate
+    order i, f, g, o; forget bias 1."""
 
     def __init__(self, rng, in_dim: int, hidden: int):
         super().__init__()

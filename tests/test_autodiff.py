@@ -231,6 +231,26 @@ class TestPrimitiveGradients:
                  [("x", x)], coords=12)
         check_op(lambda: ad.sum_all(ad.matmul(ad.transpose(x), x)), [("x", x)], coords=12)
 
+    def test_stacked_matmul_transpose_and_bias_add(self):
+        # a 3-d operand is a stack of products, each bit-equal to its 2-d one
+        rng = np.random.default_rng(12)
+        cases = [((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)), ((2, 3, 4), (2, 4, 1)),
+                 ((2, 1, 4), (4, 1))]
+        for sa, sb in cases:
+            a, b = t(rng.standard_normal(sa)), t(rng.standard_normal(sb))
+            out = ad.matmul(a, b)
+            for k in range(out.shape[0]):
+                one = ad.matmul(Tensor(a.data[k] if a.ndim == 3 else a.data),
+                                Tensor(b.data[k] if b.ndim == 3 else b.data))
+                assert np.array_equal(out.data[k], one.data)
+            check_op(lambda: ad.sum_all(ad.matmul(a, b)), [("a", a), ("b", b)], coords=20)
+        x, v = t(rng.standard_normal((2, 3, 4))), t(rng.standard_normal(3))
+        weights = ad.constant(rng.standard_normal((2, 4, 3)))
+        check_op(lambda: ad.sum_all(ad.mul(ad.add(ad.transpose(x), v), weights)),
+                 [("x", x), ("v", v)], coords=20)
+        with pytest.raises(ShapeError, match="matmul"):
+            ad.matmul(t(np.ones((2, 3, 4))), t(np.ones((3, 4, 5))))
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_random_composites_match_finite_differences(self, seed):
@@ -291,6 +311,30 @@ class TestFusedOps:
                 if reach == "c":
                     return ad.matmul(c_new, wc)
                 return ad.add(ad.matmul(h_new, wh), ad.matmul(c_new, wc))
+
+            params = [("x", x), ("h", h), ("c", c), ("w_ih", w_ih), ("w_hh", w_hh), ("b", b)]
+            check_op(build, params, coords=60, seed=trial)
+
+    def test_lstm_cell_rows(self):
+        # each row is bit-equal to the vector form; the rows form's gradients
+        # match finite differences
+        rng = np.random.default_rng(4)
+        for trial, (rows, n_in, hid) in enumerate([(1, 3, 2), (4, 5, 3), (7, 1, 4)]):
+            x, h, c = (t(rng.standard_normal((rows, d))) for d in (n_in, hid, hid))
+            w_ih = t(0.5 * rng.standard_normal((4 * hid, n_in)))
+            w_hh = t(0.5 * rng.standard_normal((4 * hid, hid)))
+            b = t(rng.standard_normal(4 * hid))
+            h_rows, c_rows = ad.lstm_cell(x, h, c, w_ih, w_hh, b)
+            for r in range(rows):
+                h1, c1 = ad.lstm_cell(Tensor(x.data[r]), Tensor(h.data[r]), Tensor(c.data[r]),
+                                      w_ih, w_hh, b)
+                assert np.array_equal(h_rows.data[r], h1.data)
+                assert np.array_equal(c_rows.data[r], c1.data)
+            wh, wc = (ad.constant(rng.standard_normal((rows, hid))) for _ in range(2))
+
+            def build():
+                h_new, c_new = ad.lstm_cell(x, h, c, w_ih, w_hh, b)
+                return ad.sum_all(ad.add(ad.mul(h_new, wh), ad.mul(c_new, wc)))
 
             params = [("x", x), ("h", h), ("c", c), ("w_ih", w_ih), ("w_hh", w_hh), ("b", b)]
             check_op(build, params, coords=60, seed=trial)

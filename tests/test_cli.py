@@ -155,6 +155,17 @@ class TestTrainParseEvalBench:
                      "--output", str(out), "--max-len", max_len]) == 1
         assert not out.exists()
 
+    # with no records no decode runs, so the limit is checked on its own
+    @pytest.mark.parametrize("command", ["parse", "bench"])
+    def test_max_len_below_one_rejected_on_empty_input(self, trained, tmp_path, command):
+        ckpt, _, _ = trained
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "out.json"
+        assert main([command, "--model", str(ckpt), "--input", str(empty),
+                     "--output", str(out), "--max-len", "0"]) == 1
+        assert not out.exists()
+
     def test_bench_rejects_max_len_zero(self, trained, tmp_path):
         ckpt, _, records = trained
         sentences = tmp_path / "sents.jsonl"

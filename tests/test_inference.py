@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from arbor.decoder import BOS_INPUT, RelationInput
+from arbor.decoder import BOS_INPUT, ORIGIN_DEC, RelationInput
 from arbor.encoder import EncoderInput
 from arbor.graph import (
     EOS_LABEL,
@@ -12,7 +12,14 @@ from arbor.graph import (
     RelationSequence,
     validate_arborescence,
 )
-from arbor.inference import beam_decode, greedy_decode, parse, _source_of, _top_k
+from arbor.inference import (
+    beam_decode,
+    greedy_decode,
+    parse,
+    _slot_info,
+    _source_of,
+    _top_k,
+)
 from arbor.linearize import relations_to_arbor
 from arbor.model import ModelConfig, TransducerModel, Vocabularies
 from arbor.vocab import NODE_RESERVED, RELATION_RESERVED, Vocab
@@ -424,3 +431,66 @@ class TestTopK:
             expected = np.argsort(-p, kind="stable")
             for k in sorted({1, max(1, n // 2), max(1, n - 1), n, n + 1, 3 * n}):
                 np.testing.assert_array_equal(_top_k(p, k), expected[:k])
+
+
+def assert_close(a, b, tol=1e-12):
+    assert a.shape == b.shape
+    assert np.abs(a - b).max(initial=0.0) <= tol
+
+
+class TestExpand:
+    """``Decoder.expand`` against feed_target + point_source +
+    relation_dist_all on one expansion at a time."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_rows_match_one_expansion_at_a_time(self, seed):
+        model = build_tiny_model(seed=800 + seed)
+        dec = model.decoder
+        eos_id = model.vocabs.dec_word.id(EOS_LABEL)
+        inp = make_inputs(np.random.default_rng(seed), 2 + seed % 4)
+        enc = model.encoder.encode(inp)
+        copies = 0
+        for k in (1, 5):
+            states, rel_ins = [dec.initial_state(enc)], [BOS_INPUT]
+            for step in range(5):
+                parents, records = [], []
+                for state, rel_in in zip(states, rel_ins):
+                    out, state1 = dec.predict_target(enc, state, rel_in)
+                    slots = [int(s) for s in _top_k(out.p_target.data, k) if s != eos_id]
+                    # every node copy as well, so that copy records are covered
+                    slots += range(out.vocab_size + out.n_enc, out.p_target.shape[0])
+                    for slot in slots:
+                        parents.append(state1)
+                        records.append(_slot_info(model, out, state1, inp.tokens, inp.pos,
+                                                  slot))
+                exp = dec.expand(parents, records)
+                n = step + 1  # ROOT and the nodes fed so far
+                assert exp.p_source.shape == (len(records), n)
+                if step == 0:  # ROOT alone
+                    assert np.all(exp.p_source == 1.0)
+                else:
+                    assert np.all(exp.p_source[:, 0] == 0.0)
+                for e, (parent, record) in enumerate(zip(parents, records)):
+                    one = dec.feed_target(parent, record)
+                    for fed in (one, exp.state(e)):
+                        assert len(fed.end_rows) == len(fed.rel_src_rows) == len(fed.h_hist) - 1
+                    assert exp.state(e).nodes == one.nodes
+                    for (h, c), (h1, c1) in zip(exp.state(e).lstm, one.lstm):
+                        assert_close(h.data, h1.data)
+                        assert_close(c.data, c1.data)
+                    assert_close(exp.p_source[e], dec.point_source(one).data)
+                    assert_close(exp.p_relation[e], dec.relation_dist_all(one))
+                    copies += record.origin == ORIGIN_DEC
+                # the next step expands the first k fed states, each from its
+                # most likely (source, type)
+                states, rel_ins = [], []
+                for e in range(min(k, len(records))):
+                    fed = exp.state(e)
+                    j, r_id = np.unravel_index(
+                        int(np.argmax(exp.p_source[e][:, None] * exp.p_relation[e])),
+                        exp.p_relation[e].shape)
+                    u_label, u_index = _source_of(fed, int(j))
+                    states.append(fed)
+                    rel_ins.append(RelationInput(u_label, u_index, fed.node_pos(int(j)),
+                                                 model.vocabs.rel.token(int(r_id))))
+        assert copies > 0

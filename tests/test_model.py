@@ -177,6 +177,48 @@ class TestDecoderStep:
             rel_in = RelationInput(label, i + 1, UNK_LABEL, "root")
 
 
+class TestLabelMemo:
+    """The (label, POS) memo of one decode never serves a stale row and is
+    never read under a tape."""
+
+    def test_decode_after_a_weight_change_equals_a_fresh_model(self):
+        from arbor.inference import beam_decode
+
+        model = build_tiny_model(seed=61)
+        inp = make_inputs(np.random.default_rng(61), 4)
+        before = beam_decode(model, inp, beam_size=3, max_len=6)
+        rng = np.random.default_rng(62)
+        for module in (model.decoder.word_emb, model.decoder.char_cnn):
+            for t in module.parameters().values():
+                t.data = t.data + rng.standard_normal(t.shape)
+        after = beam_decode(model, inp, beam_size=3, max_len=6)
+        fresh = build_tiny_model(seed=61)
+        weights = model.parameters()
+        for name, t in fresh.parameters().items():
+            t.data = weights[name].data.copy()
+        expected = beam_decode(fresh, inp, beam_size=3, max_len=6)
+        assert after.score != before.score
+        assert after.sequence.relations == expected.sequence.relations
+        assert after.score == expected.score
+        assert after.pool == expected.pool
+
+    def test_every_lookup_under_a_tape_is_new_and_recorded(self, model):
+        dec = model.decoder
+        enc = model.encoder.encode(make_inputs(np.random.default_rng(63), 3))
+        memo = dec.initial_state(enc).label_memo
+        cached = dec.label_vec("person", "NN", memo)
+        assert dec.label_vec("person", "NN", memo) is cached
+        with ad.Tape() as tape:
+            first = dec.label_vec("person", "NN", memo)
+            per_lookup = len(tape.records)
+            second = dec.label_vec("person", "NN", memo)
+            assert per_lookup > 0 and len(tape.records) == 2 * per_lookup
+        assert first is not cached and second is not first
+        assert first.requires_grad and second.requires_grad
+        assert np.array_equal(first.data, cached.data) and np.array_equal(second.data, cached.data)
+        assert list(memo) == [("person", "NN")]
+
+
 class TestIndexAndPos:
     def test_index_rule_fresh_and_copy(self, model):
         dec = model.decoder

@@ -127,6 +127,64 @@ class TestBilinearRows:
             bl(const(np.ones(x1_shape)), const(np.ones(x2_shape)))
 
 
+class TestQueryRows:
+    """Rows forms for a batch of independent queries: each row is bit-equal
+    to the one query alone, and gradients match finite differences."""
+
+    def test_linear_and_mlp_each(self):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            d_in, d_out, m = (int(v) for v in rng.integers(1, 40, size=3))
+            mlp = nn.Mlp(rng, d_in, d_out)
+            mlp.lin.b.data = rng.standard_normal(d_out)
+            rows = rng.standard_normal((m, d_in))
+            lin_rows, mlp_rows = mlp.lin.each(const(rows)).data, mlp.each(const(rows)).data
+            for i, row in enumerate(rows):
+                assert np.array_equal(lin_rows[i], mlp.lin(const(row)).data)
+                assert np.array_equal(mlp_rows[i], mlp(const(row)).data)
+        with pytest.raises(ad.ShapeError):
+            mlp.each(const(np.ones((2, d_in + 1))))
+
+    def test_biaffine_and_bilinear_query_rows(self):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            d1, d2, k, m, n = (int(v) for v in rng.integers(1, 12, size=5))
+            bi = nn.Biaffine(rng, d1, d2)
+            bl = nn.Bilinear(rng, d2, d1, k)
+            bi.b.data, bl.b.data = np.asarray(rng.standard_normal()), rng.standard_normal(k)
+            queries = rng.standard_normal((m, d1))
+            cands = rng.standard_normal((m, n, d2))
+            points = bi(const(queries), const(cands)).data
+            types = bl(const(cands), const(queries)).data
+            assert points.shape == (m, n) and types.shape == (m, n, k)
+            for i in range(m):
+                q, c = const(queries[i]), const(cands[i])
+                assert np.array_equal(points[i], bi(q, c).data)
+                assert np.array_equal(types[i], bl(c, q).data)
+
+    def test_query_rows_gradients(self):
+        rng = np.random.default_rng(9)
+        bi, bl = nn.Biaffine(rng, 3, 4), nn.Bilinear(rng, 4, 3, 2)
+        queries = ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        cands = ad.Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
+        w1, w2 = const(rng.standard_normal((2, 5))), const(rng.standard_normal((2, 5, 2)))
+
+        def loss():
+            return ad.add(ad.sum_all(ad.mul(bi(queries, cands), w1)),
+                          ad.sum_all(ad.mul(bl(cands, queries), w2)))
+
+        params = [("queries", queries), ("cands", cands),
+                  *bi.parameters("bi.").items(), *bl.parameters("bl.").items()]
+        report = ad.grad_check(loss, params, rng=np.random.default_rng(0), total_coords=60,
+                               tol=1e-6)
+        assert report.passed, report.worst
+
+    def test_biaffine_rejects_mismatched_rows(self):
+        bi = nn.Biaffine(np.random.default_rng(0), 3, 4)
+        with pytest.raises(ad.ShapeError, match="biaffine"):
+            bi(const(np.ones((2, 3))), const(np.ones((3, 5, 4))))
+
+
 class TestLstm:
     def test_zero_params_zero_states(self):
         rng = np.random.default_rng(8)
