@@ -506,29 +506,37 @@ def _mv(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
-              b: Tensor) -> tuple[Tensor, Tensor]:
+              b: Tensor, state_rows=None) -> tuple[Tensor, Tensor]:
     """One LSTM step (gate order i, f, g, o); returns ``(h, c)``.
 
     ``x``, ``h`` and ``c`` are vectors, or matrices whose rows are
     independent cells; each row of the rows form is bit-equal to the
-    vector form on that row.  A single tape record with a hand-written
-    backward.  A missing gradient on either output counts as zero.
+    vector form on that row.  With ``state_rows`` (rows form only), input
+    row ``e`` continues state row ``state_rows[e]`` of ``h`` and ``c``, so
+    several steps can continue one state whose ``w_hh @ h`` is computed
+    once.  A single tape record with a hand-written backward.  A missing
+    gradient on either output counts as zero.
     """
     hid = h.shape[-1]
-    lead = x.shape[:-1]  # () for vectors, (rows,) for matrices
+    lead = x.shape[:-1] if state_rows is None else h.shape[:1]
     if (x.ndim not in (1, 2) or h.shape != lead + (hid,) or c.shape != lead + (hid,)
             or w_ih.shape != (4 * hid, x.shape[-1]) or w_hh.shape != (4 * hid, hid)
-            or b.shape != (4 * hid,)):
+            or b.shape != (4 * hid,)
+            or (state_rows is not None and (x.ndim != 2 or len(state_rows) != x.shape[0]))):
         raise ShapeError(
             f"lstm_cell: x {x.shape}, h {h.shape}, c {c.shape}, "
             f"w_ih {w_ih.shape}, w_hh {w_hh.shape}, b {b.shape}"
         )
-    gates = _mv(w_ih.data, x.data) + _mv(w_hh.data, h.data) + b.data
+    rows = x.ndim == 2
+    hh, c_prev = _mv(w_hh.data, h.data), c.data
+    if state_rows is not None:
+        hh, c_prev = hh[state_rows], c_prev[state_rows]
+    gates = _mv(w_ih.data, x.data) + hh + b.data
     i = 1.0 / (1.0 + np.exp(-gates[..., 0:hid]))
     f = 1.0 / (1.0 + np.exp(-gates[..., hid : 2 * hid]))
     g = np.tanh(gates[..., 2 * hid : 3 * hid])
     o = 1.0 / (1.0 + np.exp(-gates[..., 3 * hid : 4 * hid]))
-    c_data = f * c.data + i * g
+    c_data = f * c_prev + i * g
     tanh_c = np.tanh(c_data)
 
     tape = _active_tape()
@@ -538,7 +546,14 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
     h_out = Tensor(o * tanh_c, requires_grad=needs)
     c_out = Tensor(c_data, requires_grad=needs)
     if needs:
-        rows = x.ndim == 2
+
+        def to_states(g_rows):
+            """Sum the rows' gradients into the state rows they continue."""
+            if state_rows is None:
+                return g_rows
+            out = np.zeros((h.shape[0], g_rows.shape[1]))
+            np.add.at(out, state_rows, g_rows)
+            return out
 
         def record():
             gh, gc = h_out.grad, c_out.grad
@@ -553,20 +568,21 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
                 d_o = gh * tanh_c * o * (1.0 - o)
             d_gates = np.concatenate([
                 dc * g * i * (1.0 - i),
-                dc * c.data * f * (1.0 - f),
+                dc * c_prev * f * (1.0 - f),
                 dc * i * (1.0 - g * g),
                 d_o,
             ], axis=-1)
             if x.requires_grad:
                 x._accum(d_gates @ w_ih.data if rows else w_ih.data.T @ d_gates)
             if h.requires_grad:
-                h._accum(d_gates @ w_hh.data if rows else w_hh.data.T @ d_gates)
+                h._accum(to_states(d_gates @ w_hh.data) if rows else w_hh.data.T @ d_gates)
             if c.requires_grad:
-                c._accum(dc * f)
+                c._accum(to_states(dc * f))
             if w_ih.requires_grad:
                 w_ih._accum(d_gates.T @ x.data if rows else np.outer(d_gates, x.data))
             if w_hh.requires_grad:
-                w_hh._accum(d_gates.T @ h.data if rows else np.outer(d_gates, h.data))
+                w_hh._accum(to_states(d_gates).T @ h.data if rows
+                            else np.outer(d_gates, h.data))
             if b.requires_grad:
                 b._accum(d_gates.sum(axis=0) if rows else d_gates)
 

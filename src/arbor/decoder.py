@@ -21,8 +21,10 @@ are cached on the ``DecoderState``, and the source and relation scorers
 stack those rows, in training as in decoding.  Within one decode, label
 embeddings are memoised by (label, POS) while no tape records.  Beam
 search feeds all of a step's (hypothesis, target) expansions at once
-through ``expand``, whose rows are bit-equal to ``feed_target`` followed
-by ``point_source`` and ``relation_dist_all`` on each expansion alone.
+through ``expand``, whose rows agree to rounding with ``feed_target``
+followed by ``point_source`` and ``relation_dist_all`` on each expansion
+alone; those two are the one-expansion reference that ``expand`` is
+tested against, not a second decode path.
 """
 
 from __future__ import annotations
@@ -316,14 +318,18 @@ class Decoder(nn.Module):
 
     def expand(self, parents: list[DecoderState], records: list[NodeRecord]) -> Expansions:
         """Feed ``records[e]`` to ``parents[e]`` for every expansion ``e`` at
-        once, and score its sources and relation types; inference only.
+        once, and score its sources and relation types.
 
         The target LSTM, the source pointer and the relation scorer run
-        once over all expansions as matrix rows, each row by the same
-        products as the expansion alone: row ``e`` is bit-equal to
-        ``feed_target(parents[e], records[e])`` followed by
-        ``point_source`` and ``relation_dist_all``.  The parents must have
-        consumed the same number of relations, as a beam's hypotheses have.
+        once over all expansions as matrix rows, and each distinct parent's
+        recurrent product and candidate rows are computed once however many
+        expansions share it.  The LSTM rows are bit-equal to
+        ``feed_target(parents[e], records[e])``; the pointer and type
+        projections are gemms over the rows, so ``p_source`` and
+        ``p_relation`` agree with ``point_source`` and
+        ``relation_dist_all`` on the fed state to rounding.  The parents
+        must have consumed the same number of relations, as a beam's
+        hypotheses have.
         """
         memo = parents[0].label_memo
         x = ad.stack_rows([
@@ -331,21 +337,24 @@ class Decoder(nn.Module):
                        self.index_emb.one(self._index_id(r.index))])
             for r in records
         ])
+        distinct: list[DecoderState] = []
+        row_of: dict[int, int] = {}  # id(parent) -> its row in ``distinct``
+        for s in parents:
+            if id(s) not in row_of:
+                row_of[id(s)] = len(distinct)
+                distinct.append(s)
+        state_rows = np.array([row_of[id(s)] for s in parents])
         lstm = []
         for k, cell in enumerate(self.lstm_cells):
-            h, c = cell(x, (ad.stack_rows([s.lstm[k][0] for s in parents]),
-                            ad.stack_rows([s.lstm[k][1] for s in parents])))
+            h, c = cell(x, (ad.stack_rows([s.lstm[k][0] for s in distinct]),
+                            ad.stack_rows([s.lstm[k][1] for s in distinct])), state_rows)
             lstm.append((h, c))
             x = h
-        # each parent's candidate rows, stacked once however many targets it has
-        cached = {}
-        for s in parents:
-            if id(s) not in cached:
-                cached[id(s)] = (ad.stack_rows(s.end_rows), ad.stack_rows(s.rel_src_rows))
-        ends = ad.stack_rows([cached[id(s)][0] for s in parents])
-        srcs = ad.stack_rows([cached[id(s)][1] for s in parents])
-        p_source = self._source_dist(self.biaffine(self.mlp_start.each(x), ends))
-        p_relation = ad.softmax(self.bilinear(srcs, self.mlp_rel_tgt.each(x)), axis=-1)
+        cached = [(ad.stack_rows(s.end_rows), ad.stack_rows(s.rel_src_rows)) for s in distinct]
+        ends = ad.stack_rows([cached[r][0] for r in state_rows])
+        srcs = ad.stack_rows([cached[r][1] for r in state_rows])
+        p_source = self._source_dist(self.biaffine(self.mlp_start(x), ends))
+        p_relation = ad.softmax(self.bilinear(srcs, self.mlp_rel_tgt(x)), axis=-1)
         return Expansions(parents, records, lstm, p_source.data, p_relation.data)
 
     def source_scores(self, state: DecoderState) -> Tensor:
@@ -370,7 +379,8 @@ class Decoder(nn.Module):
 
     def point_source(self, state: DecoderState) -> Tensor:
         """P(u) over pointer positions 0..i (0 is ROOT, masked after the
-        first relation)."""
+        first relation) for one fed state: the one-expansion reference that
+        ``expand`` is tested against; decoding calls ``expand``."""
         return self._source_dist(self.source_scores(state))
 
     def relation_scores(self, state: DecoderState, position: int) -> Tensor:
@@ -382,7 +392,9 @@ class Decoder(nn.Module):
         return ad.softmax(self.relation_scores(state, position))
 
     def relation_dist_all(self, state: DecoderState) -> np.ndarray:
-        """P(r) rows for every candidate source position; inference only."""
+        """P(r) rows for every candidate source position of one fed state:
+        the one-expansion reference that ``expand`` is tested against;
+        decoding calls ``expand``."""
         srcs = ad.stack_rows(state.rel_src_rows)
         tgt = self.mlp_rel_tgt(state.h_hist[-1])
         return ad.softmax(self.bilinear(srcs, tgt), axis=-1).data

@@ -153,8 +153,8 @@ def _search(model: TransducerModel, enc_input: EncoderInput, beam_size: int,
             break
         exp = dec.expand(parents, records)
         # scores by (expansion, source, type).  Keep this addition order: it
-        # is that of scoring one relation at a time, so scores stay
-        # bit-identical to that reference
+        # is that of scoring one relation at a time, so the sum adds no
+        # rounding difference against that reference
         with np.errstate(divide="ignore"):  # zero probability -> -inf
             scores = ((np.array(heads)[:, None] + np.log(exp.p_source))[:, :, None]
                       + np.log(exp.p_relation))

@@ -69,16 +69,6 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return ad.affine(x, self.w, self.b)
 
-    def each(self, x_rows: Tensor) -> Tensor:
-        """The vector form on each row of ``x_rows``, for a batch of
-        independent queries: row r is bit-equal to ``self(x_rows[r])``,
-        where ``self(x_rows)`` is one gemm that rounds differently."""
-        if x_rows.ndim != 2 or x_rows.shape[1] != self.in_dim:
-            raise ad.ShapeError(f"linear rows: got {x_rows.shape}, expected (m, {self.in_dim})")
-        m = x_rows.shape[0]
-        wx = ad.matmul(self.w, ad.reshape(x_rows, (m, self.in_dim, 1)))
-        return ad.add(ad.reshape(wx, (m, self.out_dim)), self.b)
-
 
 class Mlp(Module):
     """mlp(x) = elu(W x + b)."""
@@ -89,10 +79,6 @@ class Mlp(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.elu(self.lin(x))
-
-    def each(self, x_rows: Tensor) -> Tensor:
-        """The vector form on each row, bit-equal to it (see ``Linear.each``)."""
-        return ad.elu(self.lin.each(x_rows))
 
 
 class AttentionScorer(Module):
@@ -116,9 +102,9 @@ class AttentionScorer(Module):
 class Biaffine(Module):
     """Scores a query vector against a matrix of candidate rows, giving
     ``(n,)``; or query rows, each against its own candidate matrix (a
-    ``(m, n, dim2)`` stack), giving ``(m, n)``.  Each row of the rows form is
-    computed by the same products as the one query alone, so it is
-    bit-equal to it."""
+    ``(m, n, dim2)`` stack), giving ``(m, n)``.  The rows form projects all
+    queries by one gemm, so a row agrees with the one query alone to
+    rounding, not bit for bit."""
 
     def __init__(self, rng, dim1: int, dim2: int):
         super().__init__()
@@ -144,12 +130,10 @@ class Biaffine(Module):
             lin = ad.add(ad.matmul(x2, w2), ad.matmul(w1, x1))
         else:
             m, n = x2.shape[0], x2.shape[1]
-            q = ad.reshape(x1, (m, 1, d1))
-            qu = ad.reshape(ad.matmul(q, self.u), (m, d2, 1))
+            qu = ad.reshape(ad.matmul(x1, self.u), (m, d2, 1))
             bil = ad.reshape(ad.matmul(x2, qu), (m, n))
-            own = ad.reshape(ad.matmul(q, ad.reshape(w1, (d1, 1))), (m,))  # w1 . x1 per row
             lin = ad.add(ad.reshape(ad.matmul(x2, ad.reshape(w2, (d2, 1))), (m, n)),
-                         ad.transpose(ad.repeat_rows(own, n)))
+                         ad.transpose(ad.repeat_rows(ad.matmul(x1, w1), n)))
         return ad.add(lin, ad.add(bil, self.b))
 
 
@@ -161,8 +145,9 @@ class Bilinear(Module):
     different orders (gemv and gemm), so a row of the matrix form can
     differ from the vector form in the last bits.  With query rows ``x2``
     of shape ``(q, dim2)``, ``x1`` is a ``(q, m, dim1)`` stack, one matrix
-    per query, giving ``(q, m, k)``; each query's block is bit-equal to the
-    matrix form for that query alone.
+    per query, giving ``(q, m, k)``; the queries are projected by one gemm,
+    so each query's block agrees with the matrix form for that query alone
+    to rounding.
     """
 
     def __init__(self, rng, dim1: int, dim2: int, classes: int):
@@ -184,7 +169,7 @@ class Bilinear(Module):
         flat = ad.reshape(self.u, (k * d1, d2))
         if rows:
             q = x2.shape[0]
-            t = ad.reshape(ad.matmul(flat, ad.reshape(x2, (q, d2, 1))), (q, k, d1))
+            t = ad.reshape(ad.transpose(ad.matmul(flat, ad.transpose(x2))), (q, k, d1))
         else:
             t = ad.reshape(ad.matmul(flat, x2), (k, d1))
         if x1.ndim == 1:
@@ -209,8 +194,9 @@ class Embedding(Module):
 
 
 class LstmCell(Module):
-    """Single LSTM step on vectors, or on rows of independent cells; gate
-    order i, f, g, o; forget bias 1."""
+    """Single LSTM step on vectors, or on rows of independent cells (see
+    ``autodiff.lstm_cell`` for ``state_rows``); gate order i, f, g, o;
+    forget bias 1."""
 
     def __init__(self, rng, in_dim: int, hidden: int):
         super().__init__()
@@ -221,9 +207,10 @@ class LstmCell(Module):
         bias[hidden : 2 * hidden] = 1.0
         self.b = self.register("b", bias)
 
-    def __call__(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
+    def __call__(self, x: Tensor, state: tuple[Tensor, Tensor],
+                 state_rows=None) -> tuple[Tensor, Tensor]:
         h_prev, c_prev = state
-        return ad.lstm_cell(x, h_prev, c_prev, self.w_ih, self.w_hh, self.b)
+        return ad.lstm_cell(x, h_prev, c_prev, self.w_ih, self.w_hh, self.b, state_rows)
 
     def zero_state(self) -> tuple[Tensor, Tensor]:
         return ad.constant(np.zeros(self.hidden)), ad.constant(np.zeros(self.hidden))

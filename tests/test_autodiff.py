@@ -339,6 +339,32 @@ class TestFusedOps:
             params = [("x", x), ("h", h), ("c", c), ("w_ih", w_ih), ("w_hh", w_hh), ("b", b)]
             check_op(build, params, coords=60, seed=trial)
 
+    def test_lstm_cell_state_rows(self):
+        # rows continuing shared states equal the rows form on the states
+        # repeated per row; gradients sum into the shared states
+        rng = np.random.default_rng(5)
+        n_in, hid, state_rows = 3, 4, np.array([0, 0, 2, 1, 2, 2])
+        x = t(rng.standard_normal((len(state_rows), n_in)))
+        h, c = (t(rng.standard_normal((3, hid))) for _ in range(2))
+        w_ih = t(0.5 * rng.standard_normal((4 * hid, n_in)))
+        w_hh = t(0.5 * rng.standard_normal((4 * hid, hid)))
+        b = t(rng.standard_normal(4 * hid))
+        shared = ad.lstm_cell(x, h, c, w_ih, w_hh, b, state_rows)
+        repeated = ad.lstm_cell(x, Tensor(h.data[state_rows]), Tensor(c.data[state_rows]),
+                                w_ih, w_hh, b)
+        for got, want in zip(shared, repeated):
+            assert np.array_equal(got.data, want.data)
+        wh, wc = (ad.constant(rng.standard_normal((len(state_rows), hid))) for _ in range(2))
+
+        def build():
+            h_new, c_new = ad.lstm_cell(x, h, c, w_ih, w_hh, b, state_rows)
+            return ad.sum_all(ad.add(ad.mul(h_new, wh), ad.mul(c_new, wc)))
+
+        params = [("x", x), ("h", h), ("c", c), ("w_ih", w_ih), ("w_hh", w_hh), ("b", b)]
+        check_op(build, params, coords=60, seed=5)
+        with pytest.raises(ShapeError, match="lstm_cell"):  # one state row per input row
+            ad.lstm_cell(x, h, c, w_ih, w_hh, b, state_rows[:-1])
+
     def test_lstm_cell_rejects_mismatched_shapes(self):
         x, h, c = t(np.ones(3)), t(np.ones(2)), t(np.ones(2))
         with pytest.raises(ShapeError, match="lstm_cell"):

@@ -128,22 +128,9 @@ class TestBilinearRows:
 
 
 class TestQueryRows:
-    """Rows forms for a batch of independent queries: each row is bit-equal
-    to the one query alone, and gradients match finite differences."""
-
-    def test_linear_and_mlp_each(self):
-        for seed in range(6):
-            rng = np.random.default_rng(seed)
-            d_in, d_out, m = (int(v) for v in rng.integers(1, 40, size=3))
-            mlp = nn.Mlp(rng, d_in, d_out)
-            mlp.lin.b.data = rng.standard_normal(d_out)
-            rows = rng.standard_normal((m, d_in))
-            lin_rows, mlp_rows = mlp.lin.each(const(rows)).data, mlp.each(const(rows)).data
-            for i, row in enumerate(rows):
-                assert np.array_equal(lin_rows[i], mlp.lin(const(row)).data)
-                assert np.array_equal(mlp_rows[i], mlp(const(row)).data)
-        with pytest.raises(ad.ShapeError):
-            mlp.each(const(np.ones((2, d_in + 1))))
+    """Query-rows forms for a batch of independent queries: each row agrees
+    with the one query alone to rounding, and gradients match finite
+    differences."""
 
     def test_biaffine_and_bilinear_query_rows(self):
         for seed in range(6):
@@ -159,8 +146,8 @@ class TestQueryRows:
             assert points.shape == (m, n) and types.shape == (m, n, k)
             for i in range(m):
                 q, c = const(queries[i]), const(cands[i])
-                assert np.array_equal(points[i], bi(q, c).data)
-                assert np.array_equal(types[i], bl(c, q).data)
+                assert np.abs(points[i] - bi(q, c).data).max() <= 1e-12
+                assert np.abs(types[i] - bl(c, q).data).max() <= 1e-12
 
     def test_query_rows_gradients(self):
         rng = np.random.default_rng(9)
