@@ -5,20 +5,30 @@ active :class:`Tape`; :func:`backward` replays the tape in reverse and
 accumulates gradients additively.  With no tape active, operations run as
 plain numpy, which is what inference uses.
 
-The fused ops ``affine``, ``lstm_cell`` and ``embed_one`` each take one
-tape record with a hand-written backward.  A fused forward evaluates the
-same numpy expressions in the same order as the composed ops it replaces,
-so its outputs are bit-identical to theirs; only the order in which
-gradients are summed may differ.
+Each op has one forward and one backward path, with no branch per rank.
+``matmul`` takes a 1-d left operand as a one-row matrix and a 1-d right
+operand as a one-column matrix, as ``np.matmul`` does.  Broadcasting is
+deliberately restricted: ``add``, ``sub`` and ``mul`` take equal shapes or
+a python scalar or 0-d tensor on either side, and ``add`` a bias vector
+over the last axis of a matrix or a stack of matrices; everything else is
+a shape error.  One rule sums a broadcast operand's gradient back to its
+shape: a 0-d operand sums every entry, a bias vector the leading axes.
 
-Broadcasting is deliberately restricted: elementwise ops require equal
-shapes except that (a) python scalars and 0-d tensors pair with anything
-and (b) ``add`` of a matrix (or a stack of matrices) and a vector
-broadcasts the vector over the leading axes (bias add).  Everything else
-is a shape error.
+The fused ops ``affine``, ``lstm_cell`` and ``embed_one`` each take one
+tape record with a hand-written backward, which for ``affine`` and
+``lstm_cell`` works on rows, a vector being one row.  A fused forward
+evaluates the same numpy expressions in the same order as the composed ops
+it replaces, so its outputs are bit-identical to theirs; only the order in
+which gradients are summed may differ.  Backward passes compute a product
+whose inner axis has length 1 (an outer product) as a broadcast multiply:
+numpy runs such a product in its own loop, several times slower, to the
+same values (only the sign of a zero can differ).
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -67,26 +77,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -143,13 +135,11 @@ def _apply(out_data: np.ndarray, pairs, op: str) -> Tensor:
     ``pairs`` is a sequence of ``(input, grad_fn)`` where ``grad_fn`` maps
     the output gradient to the input's gradient contribution.
     """
-    tape = _active_tape()
-    if tape is None:
+    if not _TAPES:
         return Tensor(out_data)
-    needs = any(t.requires_grad for t, _ in pairs)
-    out = Tensor(out_data, requires_grad=needs)
-    if needs:
-        inputs = [(t, fn) for t, fn in pairs if t.requires_grad]
+    inputs = [(t, fn) for t, fn in pairs if t.requires_grad]
+    out = Tensor(out_data, requires_grad=bool(inputs))
+    if inputs:
 
         def record():
             g = out.grad
@@ -158,7 +148,7 @@ def _apply(out_data: np.ndarray, pairs, op: str) -> Tensor:
             for t, fn in inputs:
                 t._accum(fn(g))
 
-        tape.records.append(record)
+        _TAPES[-1].records.append(record)
     return out
 
 
@@ -170,116 +160,97 @@ def constant(x) -> Tensor:
 # Elementwise and shape ops
 
 
-def add(a: Tensor, b) -> Tensor:
+def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a broadcast gradient back to its operand's ``shape``: a 0-d
+    operand sums every entry, a bias vector sums over the leading axes."""
+    if g.shape == shape:
+        return g
+    return g.reshape(-1, shape[0]).sum(axis=0) if shape else g.sum()
+
+
+def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y``; with an inner axis of length 1, a broadcast multiply."""
+    return x * y if x.shape[-1] == 1 else np.matmul(x, y)
+
+
+def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``g.T @ x`` over rows, a vector being one row: the gradient of ``w``
+    in ``x @ w.T``."""
+    return _mm(g.reshape(-1, g.shape[-1]).T, x.reshape(-1, x.shape[-1]))
+
+
+def _identity(g):
+    return g
+
+
+def _elementwise(op: str, fwd, a: Tensor, b, grad_a, grad_b, bias: bool = False) -> Tensor:
+    """``fwd(a, b)`` entrywise for a tensor ``a`` and a tensor or python
+    scalar ``b``, under the restricted broadcasting.  ``grad_a`` and
+    ``grad_b`` map the output gradient to one of the output's shape, which
+    ``_sum_to`` reduces for a broadcast operand."""
     if not isinstance(b, Tensor):
-        return _apply(a.data + b, [(a, lambda g: g)], "add")
-    if a.shape == b.shape:
-        return _apply(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)], "add")
-    if a.ndim == 0:
-        return _apply(a.data + b.data, [(a, lambda g: g.sum()), (b, lambda g: g)], "add")
-    if b.ndim == 0:
-        return _apply(a.data + b.data, [(a, lambda g: g), (b, lambda g: g.sum())], "add")
-    if a.ndim >= 2 and b.ndim == 1 and a.shape[-1] == b.shape[0]:
-        # bias add over the leading axes
-        return _apply(a.data + b.data,
-                      [(a, lambda g: g), (b, lambda g: g.reshape(-1, b.shape[0]).sum(axis=0))],
-                      "add")
-    raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+        out, pairs = fwd(a.data, b), [(a, grad_a)]
+    elif (a.shape == b.shape or not a.ndim or not b.ndim
+          or bias and a.ndim >= 2 and b.ndim == 1 and a.shape[-1] == b.shape[0]):
+        out, pairs = fwd(a.data, b.data), [(a, grad_a), (b, grad_b)]
+    else:
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+    if not _TAPES:
+        return Tensor(out)
+    return _apply(out, [
+        (t, fn if t.shape == out.shape else lambda g, fn=fn, s=t.shape: _sum_to(fn(g), s))
+        for t, fn in pairs
+    ], op)
+
+
+def add(a: Tensor, b) -> Tensor:
+    return _elementwise("add", np.add, a, b, _identity, _identity, bias=True)
 
 
 def sub(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        return _apply(a.data - b, [(a, lambda g: g)], "sub")
-    if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-    return _apply(
-        a.data - b.data,
-        [
-            (a, (lambda g: g.sum()) if a.ndim == 0 and b.ndim != 0 else (lambda g: g)),
-            (b, (lambda g: -g.sum()) if b.ndim == 0 and a.ndim != 0 else (lambda g: -g)),
-        ],
-        "sub",
-    )
+    return _elementwise("sub", np.subtract, a, b, _identity, np.negative)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        return _apply(a.data * b, [(a, lambda g: g * b)], "mul")
-    if a.shape == b.shape:
-        return _apply(
-            a.data * b.data,
-            [(a, lambda g: g * b.data), (b, lambda g: g * a.data)],
-            "mul",
-        )
-    if a.ndim == 0:
-        return _apply(
-            a.data * b.data,
-            [(a, lambda g: (g * b.data).sum()), (b, lambda g: g * a.data)],
-            "mul",
-        )
-    if b.ndim == 0:
-        return _apply(
-            a.data * b.data,
-            [(a, lambda g: g * b.data), (b, lambda g: (g * a.data).sum())],
-            "mul",
-        )
-    raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+    return _elementwise("mul", np.multiply, a, b,
+                        lambda g: g * (b.data if isinstance(b, Tensor) else b),
+                        lambda g: g * a.data)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix and vector products, and stacks of matrix products.
+    """Matrix products, and stacks of them.
 
-    With a 3-d operand the product is taken for each index of its leading
-    axis, as ``np.matmul`` does; a 2-d operand is shared by every one.
-    Each entry of the stack is computed by the same BLAS call as the 2-d
-    product of that entry alone, so it is bit-equal to it.
+    A 1-d left operand is a one-row matrix and a 1-d right operand a
+    one-column matrix, and the product drops that axis, as ``np.matmul``
+    does.  With a 3-d operand the product is taken for each index of its
+    leading axis; a 2-d operand is shared by every one.  Each entry of the
+    stack is computed by the same BLAS call as the 2-d product of that
+    entry alone, so it is bit-equal to it.
     """
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-        return _apply(
-            a.data @ b.data,
-            [(a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)],
-            "matmul",
-        )
-    if a.ndim == 2 and b.ndim == 1:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-        return _apply(
-            a.data @ b.data,
-            [(a, lambda g: np.outer(g, b.data)), (b, lambda g: a.data.T @ g)],
-            "matmul",
-        )
-    if a.ndim == 1 and b.ndim == 2:
-        if a.shape[0] != b.shape[0]:
-            raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-        return _apply(
-            a.data @ b.data,
-            [(a, lambda g: b.data @ g), (b, lambda g: np.outer(a.data, g))],
-            "matmul",
-        )
-    if a.ndim == 1 and b.ndim == 1:
-        if a.shape[0] != b.shape[0]:
-            raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-        return _apply(
-            a.data @ b.data,
-            [(a, lambda g: g * b.data), (b, lambda g: g * a.data)],
-            "matmul",
-        )
-    if a.ndim in (2, 3) and b.ndim in (2, 3):
-        if a.shape[-1] != b.shape[-2] or (a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]):
-            raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
+    sa, sb = a.shape, b.shape
+    na, nb = len(sa), len(sb)
+    if not (0 < na < 4 and 0 < nb < 4 and abs(na - nb) < 2):
+        raise ShapeError(f"matmul: unsupported ranks {sa} @ {sb}")
+    if sa[-1] != sb[-min(nb, 2)] or na == nb == 3 and sa[0] != sb[0]:
+        raise ShapeError(f"matmul: {sa} @ {sb}")
+    am = sa if na > 1 else (1,) + sa
+    bm = sb if nb > 1 else sb + (1,)
+    gm = (am[:-2] or bm[:-2]) + (am[-2], bm[-1])
+    out = np.matmul(a.data, b.data)
+    if not _TAPES:
+        return Tensor(out)
 
-        def grad_a(g):
-            d = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            return d.sum(axis=0) if a.ndim == 2 else d
+    # a shared 2-d operand sums its gradient over the stack; a 1-d one
+    # drops its unit axis
+    def grad_a(g):
+        d = _mm(g.reshape(gm), b.data.reshape(bm).swapaxes(-1, -2))
+        return d.sum(axis=0) if d.ndim > na > 1 else d.reshape(sa)
 
-        def grad_b(g):
-            d = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            return d.sum(axis=0) if b.ndim == 2 else d
+    def grad_b(g):
+        d = _mm(a.data.reshape(am).swapaxes(-1, -2), g.reshape(gm))
+        return d.sum(axis=0) if d.ndim > nb > 1 else d.reshape(sb)
 
-        return _apply(np.matmul(a.data, b.data), [(a, grad_a), (b, grad_b)], "matmul")
-    raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
+    return _apply(out, [(a, grad_a), (b, grad_b)], "matmul")
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -287,22 +258,18 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     One op in place of matmul + add (+ transpose).  The rows form multiplies
     by a C-ordered copy of ``w.T``, as ``matmul(x, transpose(w))`` did: BLAS
-    takes another kernel for a transposed view and rounds differently.
+    takes another kernel for a transposed view and rounds differently.  The
+    backward works on rows, a vector being one row.
     """
     if (w.ndim != 2 or b.shape != (w.shape[0],) or x.ndim not in (1, 2)
             or x.shape[-1] != w.shape[1]):
         raise ShapeError(f"affine: x {x.shape}, w {w.shape}, b {b.shape}")
-    if x.ndim == 1:
-        return _apply(
-            w.data @ x.data + b.data,
-            [(x, lambda g: w.data.T @ g), (w, lambda g: np.outer(g, x.data)), (b, lambda g: g)],
-            "affine",
-        )
-    return _apply(
-        x.data @ w.data.T.copy() + b.data,
-        [(x, lambda g: g @ w.data), (w, lambda g: g.T @ x.data), (b, lambda g: g.sum(axis=0))],
-        "affine",
-    )
+    out = w.data @ x.data + b.data if x.ndim == 1 else x.data @ w.data.T.copy() + b.data
+    return _apply(out, [
+        (x, lambda g: g @ w.data),
+        (w, lambda g: _weight_grad(g, x.data)),
+        (b, lambda g: _sum_to(g, b.shape)),
+    ], "affine")
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -310,20 +277,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat of no tensors")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def slicer(k):
-        lo, hi = offsets[k], offsets[k + 1]
-
-        def fn(g):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            return g[tuple(index)]
-
-        return fn
-
-    return _apply(out_data, [(t, slicer(k)) for k, t in enumerate(tensors)], "concat")
+    offsets = list(accumulate((t.shape[axis] for t in tensors), initial=0))
+    lead = (slice(None),) * (axis % out_data.ndim)
+    return _apply(out_data, [(t, itemgetter(lead + (slice(lo, hi),)))
+                             for t, lo, hi in zip(tensors, offsets, offsets[1:])], "concat")
 
 
 def stack_rows(tensors) -> Tensor:
@@ -333,37 +290,30 @@ def stack_rows(tensors) -> Tensor:
     if not tensors:
         raise ShapeError("stack_rows of no tensors")
     out_data = np.stack([t.data for t in tensors], axis=0)
-
-    def slicer(k):
-        return lambda g: g[k]
-
-    return _apply(out_data, [(t, slicer(k)) for k, t in enumerate(tensors)], "stack_rows")
+    return _apply(out_data, [(t, itemgetter(k)) for k, t in enumerate(tensors)], "stack_rows")
 
 
-def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    index = [slice(None)] * x.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
+def _index(x: Tensor, index, op: str) -> Tensor:
+    """``x.data[index]``, whose gradient is scattered back into a zero
+    tensor of ``x``'s shape."""
 
     def fn(g):
         full = np.zeros_like(x.data)
         full[index] = g
         return full
 
-    return _apply(x.data[index], [(x, fn)], "narrow")
+    return _apply(x.data[index], [(x, fn)], op)
+
+
+def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    return _index(x, (slice(None),) * (axis % x.ndim) + (slice(start, stop),), "narrow")
 
 
 def element(x: Tensor, i: int) -> Tensor:
     """Pick one entry of a 1-d tensor as a scalar."""
     if x.ndim != 1:
         raise ShapeError(f"element expects a vector, got shape {x.shape}")
-
-    def fn(g):
-        full = np.zeros_like(x.data)
-        full[i] = g
-        return full
-
-    return _apply(x.data[i], [(x, fn)], "element")
+    return _index(x, i, "element")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -376,8 +326,8 @@ def transpose(x: Tensor) -> Tensor:
     C-ordered copy)."""
     if x.ndim not in (2, 3):
         raise ShapeError(f"transpose expects a matrix or a stack of them, got shape {x.shape}")
-    return _apply(np.swapaxes(x.data, -1, -2).copy(),
-                  [(x, lambda g: np.swapaxes(g, -1, -2).copy())], "transpose")
+    return _apply(x.data.swapaxes(-1, -2).copy(),
+                  [(x, lambda g: g.swapaxes(-1, -2).copy())], "transpose")
 
 
 def repeat_rows(v: Tensor, n: int) -> Tensor:
@@ -401,8 +351,8 @@ def sum_axis(x: Tensor, axis: int) -> Tensor:
 
 def amax(x: Tensor, axis: int = 0) -> Tensor:
     """Max-reduce along an axis; gradient flows to the first maximum."""
-    idx = np.argmax(x.data, axis=axis)
-    out = np.max(x.data, axis=axis)
+    idx = x.data.argmax(axis=axis)
+    out = x.data.max(axis=axis)
 
     def fn(g):
         full = np.zeros_like(x.data)
@@ -417,26 +367,23 @@ def amax(x: Tensor, axis: int = 0) -> Tensor:
     return _apply(out, [(x, fn)], "amax")
 
 
-def maximum(a: Tensor, b: Tensor) -> Tensor:
+def _select(op: str, pick, take_first, a: Tensor, b: Tensor) -> Tensor:
+    """``pick(a, b)`` entrywise; the gradient goes to ``a`` where
+    ``take_first(a, b)`` holds and to ``b`` elsewhere."""
     if a.shape != b.shape:
-        raise ShapeError(f"maximum: incompatible shapes {a.shape} and {b.shape}")
-    take_a = a.data >= b.data  # ties go to the first argument
-    return _apply(
-        np.maximum(a.data, b.data),
-        [(a, lambda g: g * take_a), (b, lambda g: g * ~take_a)],
-        "maximum",
-    )
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+    take_a = take_first(a.data, b.data)
+    return _apply(pick(a.data, b.data),
+                  [(a, lambda g: g * take_a), (b, lambda g: g * ~take_a)], op)
+
+
+def maximum(a: Tensor, b: Tensor) -> Tensor:
+    # ties go to the first argument
+    return _select("maximum", np.maximum, np.greater_equal, a, b)
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"minimum: incompatible shapes {a.shape} and {b.shape}")
-    take_a = a.data <= b.data
-    return _apply(
-        np.minimum(a.data, b.data),
-        [(a, lambda g: g * take_a), (b, lambda g: g * ~take_a)],
-        "minimum",
-    )
+    return _select("minimum", np.minimum, np.less_equal, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +416,7 @@ def elu(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
 
@@ -480,7 +427,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - lse
     soft = np.exp(out)
@@ -514,8 +461,9 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
     vector form on that row.  With ``state_rows`` (rows form only), input
     row ``e`` continues state row ``state_rows[e]`` of ``h`` and ``c``, so
     several steps can continue one state whose ``w_hh @ h`` is computed
-    once.  A single tape record with a hand-written backward.  A missing
-    gradient on either output counts as zero.
+    once.  A single tape record with a hand-written backward, which works
+    on rows, a vector being one row.  A missing gradient on either output
+    counts as zero.
     """
     hid = h.shape[-1]
     lead = x.shape[:-1] if state_rows is None else h.shape[:1]
@@ -527,7 +475,6 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
             f"lstm_cell: x {x.shape}, h {h.shape}, c {c.shape}, "
             f"w_ih {w_ih.shape}, w_hh {w_hh.shape}, b {b.shape}"
         )
-    rows = x.ndim == 2
     hh, c_prev = _mv(w_hh.data, h.data), c.data
     if state_rows is not None:
         hh, c_prev = hh[state_rows], c_prev[state_rows]
@@ -573,18 +520,17 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
                 d_o,
             ], axis=-1)
             if x.requires_grad:
-                x._accum(d_gates @ w_ih.data if rows else w_ih.data.T @ d_gates)
+                x._accum(d_gates @ w_ih.data)
             if h.requires_grad:
-                h._accum(to_states(d_gates @ w_hh.data) if rows else w_hh.data.T @ d_gates)
+                h._accum(to_states(d_gates @ w_hh.data))
             if c.requires_grad:
                 c._accum(to_states(dc * f))
             if w_ih.requires_grad:
-                w_ih._accum(d_gates.T @ x.data if rows else np.outer(d_gates, x.data))
+                w_ih._accum(_weight_grad(d_gates, x.data))
             if w_hh.requires_grad:
-                w_hh._accum(to_states(d_gates).T @ h.data if rows
-                            else np.outer(d_gates, h.data))
+                w_hh._accum(_weight_grad(to_states(d_gates), h.data))
             if b.requires_grad:
-                b._accum(d_gates.sum(axis=0) if rows else d_gates)
+                b._accum(_sum_to(d_gates, b.shape))
 
         tape.records.append(record)
     return h_out, c_out

@@ -336,6 +336,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("I/O error: %s", exc)
         return 2
+    except RecursionError:
+        # the tree walks recurse once per nesting level
+        log.error("input nested too deeply")
+        return 1
 
 
 if __name__ == "__main__":

@@ -109,7 +109,7 @@ class Expansions:
 
     parents: list[DecoderState]
     records: list[NodeRecord]
-    lstm: list[tuple[Tensor, Tensor]]  # per layer (h, c), one row per expansion
+    lstm: tuple[tuple[Tensor, Tensor], ...]  # per layer (h, c), one row per expansion
     p_source: np.ndarray  # (rows, i + 1): P(u) over positions 0..i
     p_relation: np.ndarray  # (rows, i + 1, types): P(r) for each source position
 
@@ -296,25 +296,30 @@ class Decoder(nn.Module):
         )
         return out, new_state
 
+    def _node_input(self, record: NodeRecord, memo: dict) -> Tensor:
+        """The target LSTM's input for a node: label and index embeddings."""
+        return ad.concat([self.label_vec(record.label, record.pos, memo),
+                          self.index_emb.one(self._index_id(record.index))])
+
+    def _run_lstm(self, x: Tensor, states, state_rows=None, train: bool = False,
+                  rng: np.random.Generator | None = None):
+        """Run the target LSTM layers on ``x``; returns the per-layer
+        ``(h, c)`` and the last layer's output after dropout."""
+        lstm = []
+        for cell, state in zip(self.lstm_cells, states):
+            h, c = cell(x, state, state_rows)
+            lstm.append((h, c))
+            x = ad.dropout(h, self.config.dropout, train, rng)
+        return tuple(lstm), x
+
     def feed_target(self, state: DecoderState, record: NodeRecord,
                     train: bool = False, rng: np.random.Generator | None = None
                     ) -> DecoderState:
         """Run the target LSTM over the new node ``v_{i+1}``."""
-        x = ad.concat([
-            self.label_vec(record.label, record.pos, state.label_memo),
-            self.index_emb.one(self._index_id(record.index)),
-        ])
-        new_lstm = []
-        for k, cell in enumerate(self.lstm_cells):
-            h, cc = cell(x, state.lstm[k])
-            new_lstm.append((h, cc))
-            x = ad.dropout(h, self.config.dropout, train, rng)
-        return replace(
-            state,
-            lstm=tuple(new_lstm),
-            h_hist=state.h_hist + (x,),
-            nodes=state.nodes + (record,),
-        )
+        lstm, h = self._run_lstm(self._node_input(record, state.label_memo), state.lstm,
+                                 train=train, rng=rng)
+        return replace(state, lstm=lstm, h_hist=state.h_hist + (h,),
+                       nodes=state.nodes + (record,))
 
     def expand(self, parents: list[DecoderState], records: list[NodeRecord]) -> Expansions:
         """Feed ``records[e]`` to ``parents[e]`` for every expansion ``e`` at
@@ -332,11 +337,7 @@ class Decoder(nn.Module):
         hypotheses have.
         """
         memo = parents[0].label_memo
-        x = ad.stack_rows([
-            ad.concat([self.label_vec(r.label, r.pos, memo),
-                       self.index_emb.one(self._index_id(r.index))])
-            for r in records
-        ])
+        x = ad.stack_rows([self._node_input(r, memo) for r in records])
         distinct: list[DecoderState] = []
         row_of: dict[int, int] = {}  # id(parent) -> its row in ``distinct``
         for s in parents:
@@ -344,12 +345,10 @@ class Decoder(nn.Module):
                 row_of[id(s)] = len(distinct)
                 distinct.append(s)
         state_rows = np.array([row_of[id(s)] for s in parents])
-        lstm = []
-        for k, cell in enumerate(self.lstm_cells):
-            h, c = cell(x, (ad.stack_rows([s.lstm[k][0] for s in distinct]),
-                            ad.stack_rows([s.lstm[k][1] for s in distinct])), state_rows)
-            lstm.append((h, c))
-            x = h
+        states = [(ad.stack_rows([s.lstm[k][0] for s in distinct]),
+                   ad.stack_rows([s.lstm[k][1] for s in distinct]))
+                  for k in range(len(self.lstm_cells))]
+        lstm, x = self._run_lstm(x, states, state_rows)
         cached = [(ad.stack_rows(s.end_rows), ad.stack_rows(s.rel_src_rows)) for s in distinct]
         ends = ad.stack_rows([cached[r][0] for r in state_rows])
         srcs = ad.stack_rows([cached[r][1] for r in state_rows])

@@ -170,6 +170,12 @@ def smatch_score(
       variable to a free compatible image) and swaps (two gold variables
       exchange images) until none gains, and the best end point is the
       score.
+
+    ``restarts`` stays at 4, as in reference Smatch.  On 400 random pairs
+    of up to 8 variables the search then misses the exact optimum on 5
+    (by one or two matched triples), and on none with 16 restarts, which
+    take 3.4 times as long on the benchmark's pairs of 8 to 14 variables.
+    ``mode='exact'`` gives the optimum up to 10 variables.
     """
     parts_g = _smatch_parts(gold)
     parts_p = _smatch_parts(pred)

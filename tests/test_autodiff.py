@@ -429,3 +429,245 @@ class TestFusedOps:
         tape.backward(loss)
         assert np.array_equal(x.grad, [2.0, 2.0])
         assert np.array_equal(y.grad, [1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# Bit-equality with the per-rank and per-broadcast branch forms that the one
+# path per op replaced.  Each reference below is that branch's expression:
+# the forward value and every gradient, given the output gradient ``g``.
+
+
+def ref_matmul(a, b, g):
+    if a.ndim == 2 and b.ndim == 2:
+        return a @ b, g @ b.T, a.T @ g
+    if a.ndim == 2 and b.ndim == 1:
+        return a @ b, np.outer(g, b), a.T @ g
+    if a.ndim == 1 and b.ndim == 2:
+        return a @ b, b @ g, np.outer(a, g)
+    if a.ndim == 1 and b.ndim == 1:
+        return a @ b, g * b, g * a
+    da = np.matmul(g, np.swapaxes(b, -1, -2))
+    db = np.matmul(np.swapaxes(a, -1, -2), g)
+    return (np.matmul(a, b), da.sum(axis=0) if a.ndim == 2 else da,
+            db.sum(axis=0) if b.ndim == 2 else db)
+
+
+def ref_add(a, b, g):
+    if not isinstance(b, np.ndarray):
+        return a + b, g, None
+    if a.shape == b.shape:
+        return a + b, g, g
+    if a.ndim == 0:
+        return a + b, g.sum(), g
+    if b.ndim == 0:
+        return a + b, g, g.sum()
+    return a + b, g, g.reshape(-1, b.shape[0]).sum(axis=0)
+
+
+def ref_sub(a, b, g):
+    if not isinstance(b, np.ndarray):
+        return a - b, g, None
+    return (a - b, g.sum() if a.ndim == 0 and b.ndim != 0 else g,
+            -g.sum() if b.ndim == 0 and a.ndim != 0 else -g)
+
+
+def ref_mul(a, b, g):
+    if not isinstance(b, np.ndarray):
+        return a * b, g * b, None
+    if a.shape == b.shape:
+        return a * b, g * b, g * a
+    if a.ndim == 0:
+        return a * b, (g * b).sum(), g * a
+    return a * b, g * b, (g * a).sum()
+
+
+def ref_affine(x, w, b, g):
+    if x.ndim == 1:
+        return w @ x + b, w.T @ g, np.outer(g, x), g
+    return x @ w.T.copy() + b, g @ w, g.T @ x, g.sum(axis=0)
+
+
+def ref_lstm_cell(x, h, c, w_ih, w_hh, b, gh, gc, state_rows=None):
+    """Forward ``(h, c)`` and the gradients of x, h, c, w_ih, w_hh, b."""
+    hid = h.shape[-1]
+    rows = x.ndim == 2
+    hh, c_prev = np.matmul(w_hh, h[..., None])[..., 0], c
+    if state_rows is not None:
+        hh, c_prev = hh[state_rows], c_prev[state_rows]
+    gates = np.matmul(w_ih, x[..., None])[..., 0] + hh + b
+    i = 1.0 / (1.0 + np.exp(-gates[..., 0:hid]))
+    f = 1.0 / (1.0 + np.exp(-gates[..., hid:2 * hid]))
+    gg = np.tanh(gates[..., 2 * hid:3 * hid])
+    o = 1.0 / (1.0 + np.exp(-gates[..., 3 * hid:4 * hid]))
+    c_data = f * c_prev + i * gg
+    tanh_c = np.tanh(c_data)
+
+    def to_states(g_rows):
+        if state_rows is None:
+            return g_rows
+        out = np.zeros((h.shape[0], g_rows.shape[1]))
+        np.add.at(out, state_rows, g_rows)
+        return out
+
+    if gh is None:
+        dc, d_o = gc, np.zeros_like(c_data)
+    else:
+        dc = gh * o * (1.0 - tanh_c * tanh_c)
+        if gc is not None:
+            dc = gc + dc
+        d_o = gh * tanh_c * o * (1.0 - o)
+    d_gates = np.concatenate([dc * gg * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                              dc * i * (1.0 - gg * gg), d_o], axis=-1)
+    grads = [
+        d_gates @ w_ih if rows else w_ih.T @ d_gates,
+        to_states(d_gates @ w_hh) if rows else w_hh.T @ d_gates,
+        to_states(dc * f),
+        d_gates.T @ x if rows else np.outer(d_gates, x),
+        to_states(d_gates).T @ h if rows else np.outer(d_gates, h),
+        d_gates.sum(axis=0) if rows else d_gates,
+    ]
+    return (o * tanh_c, c_data), grads
+
+
+def run_op(build, inputs, upstream):
+    """The output of ``build()`` and each input's gradient, with
+    ``upstream`` (one array per output) as the output gradients."""
+    for x in inputs:
+        x.zero_grad()
+    with Tape() as tape:
+        outs = build()
+        outs = outs if isinstance(outs, tuple) else (outs,)
+        loss = None
+        for out, up in zip(outs, upstream):
+            if up is None:
+                continue
+            term = ad.mul(out, ad.constant(up))
+            term = ad.sum_all(term) if term.ndim else term
+            loss = term if loss is None else ad.add(loss, term)
+    tape.backward(loss)
+    return [o.data for o in outs], [x.grad for x in inputs]
+
+
+def assert_bits(got, want):
+    assert len(got) == len(want)
+    for gv, wv in zip(got, want):
+        assert gv is not None and np.shape(gv) == np.shape(wv)
+        assert np.array_equal(gv, wv)
+
+
+class TestBitEquality:
+    """Each op's one path computes the forward value and every gradient of
+    the branch forms it replaced, bit for bit."""
+
+    MATMUL_SHAPES = [
+        ((5,), (5,)), ((1,), (1,)),
+        ((5,), (5, 3)), ((5,), (5, 1)), ((1,), (1, 4)),
+        ((3, 5), (5,)), ((1, 5), (5,)), ((3, 1), (1,)),
+        ((3, 5), (5, 4)), ((1, 5), (5, 4)), ((3, 1), (1, 4)), ((3, 5), (5, 1)),
+        ((2, 3, 5), (5, 4)), ((2, 3, 5), (5, 1)), ((2, 3, 1), (1, 4)),
+        ((3, 5), (2, 5, 4)), ((1, 5), (2, 5, 4)), ((3, 5), (2, 5, 1)),
+        ((2, 3, 5), (2, 5, 4)), ((4, 1, 5), (4, 5, 1)), ((2, 3, 1), (2, 1, 4)),
+        ((8, 16, 32), (32, 7)), ((16, 32), (8, 32, 1)),
+    ]
+
+    @pytest.mark.parametrize("sa, sb", MATMUL_SHAPES)
+    def test_matmul(self, sa, sb):
+        rng = np.random.default_rng(len(sa) * 10 + len(sb))
+        for _ in range(5):
+            a, b = t(rng.standard_normal(sa)), t(rng.standard_normal(sb))
+            up = rng.standard_normal(np.matmul(a.data, b.data).shape)
+            out, ga, gb = ref_matmul(a.data, b.data, up)
+            got_out, got_grads = run_op(lambda: ad.matmul(a, b), [a, b], [up])
+            assert_bits(got_out + got_grads, [out, ga, gb])
+
+    ELEMENTWISE_SHAPES = [
+        ((), ()), ((4,), (4,)), ((3, 4), (3, 4)), ((2, 3, 4), (2, 3, 4)),
+        ((), (4,)), ((), (3, 4)), ((), (9, 17)), ((4,), ()), ((3, 4), ()), ((9, 17), ()),
+        ((2, 3, 4), ()), ((), (2, 3, 4)),
+    ]
+    BIAS_SHAPES = [((3, 4), (4,)), ((17, 9), (9,)), ((2, 3, 4), (4,)), ((6, 11, 5), (5,))]
+
+    @pytest.mark.parametrize("name", ["add", "sub", "mul"])
+    def test_add_sub_mul(self, name):
+        op, ref = getattr(ad, name), {"add": ref_add, "sub": ref_sub, "mul": ref_mul}[name]
+        rng = np.random.default_rng(sum(map(ord, name)))
+        shapes = self.ELEMENTWISE_SHAPES + (self.BIAS_SHAPES if name == "add" else [])
+        for sa, sb in shapes:
+            for _ in range(3):
+                a, b = t(rng.standard_normal(sa)), t(rng.standard_normal(sb))
+                up = rng.standard_normal(np.broadcast_shapes(sa, sb))
+                out, ga, gb = ref(a.data, b.data, up)
+                got_out, got_grads = run_op(lambda: op(a, b), [a, b], [up])
+                assert_bits(got_out + got_grads, [out, ga, gb])
+        for sa in [(), (4,), (3, 4), (2, 3, 4)]:
+            a, scalar = t(rng.standard_normal(sa)), float(rng.standard_normal())
+            up = rng.standard_normal(sa)
+            out, ga, _ = ref(a.data, scalar, up)
+            got_out, got_grads = run_op(lambda: op(a, scalar), [a], [up])
+            assert_bits(got_out + got_grads, [out, ga])
+
+    @pytest.mark.parametrize("reach", ["h", "c", "both"])
+    @pytest.mark.parametrize("form", ["vector", "one_row", "rows", "state_rows"])
+    def test_lstm_cell(self, form, reach):
+        rng = np.random.default_rng(7)
+        for n_in, hid in [(5, 3), (1, 4), (12, 8)]:
+            n_rows = {"vector": None, "one_row": 1, "rows": 6, "state_rows": 7}[form]
+            state_rows = np.array([0, 2, 2, 1, 0, 2, 2]) if form == "state_rows" else None
+            lead = () if n_rows is None else (n_rows,)
+            state_lead = (3,) if form == "state_rows" else lead
+            x = t(rng.standard_normal(lead + (n_in,)))
+            h, c = (t(rng.standard_normal(state_lead + (hid,))) for _ in range(2))
+            w_ih = t(0.5 * rng.standard_normal((4 * hid, n_in)))
+            w_hh = t(0.5 * rng.standard_normal((4 * hid, hid)))
+            b = t(rng.standard_normal(4 * hid))
+            gh = rng.standard_normal(lead + (hid,)) if reach in ("h", "both") else None
+            gc = rng.standard_normal(lead + (hid,)) if reach in ("c", "both") else None
+            inputs = [x, h, c, w_ih, w_hh, b]
+            outs, grads = ref_lstm_cell(*(v.data for v in inputs), gh, gc, state_rows)
+            got_outs, got_grads = run_op(lambda: ad.lstm_cell(*inputs, state_rows),
+                                         inputs, [gh, gc])
+            assert_bits(got_outs + got_grads, list(outs) + grads)
+
+    @pytest.mark.parametrize("x_shape", [(6,), (1, 6), (5, 6), (9, 1), (1,)])
+    def test_affine(self, x_shape):
+        rng = np.random.default_rng(x_shape[0])
+        for m in (1, 4, 13):
+            x, w, b = (t(rng.standard_normal(s)) for s in (x_shape, (m, x_shape[-1]), (m,)))
+            up = rng.standard_normal(x_shape[:-1] + (m,))
+            out, gx, gw, gb = ref_affine(x.data, w.data, b.data, up)
+            got_out, got_grads = run_op(lambda: ad.affine(x, w, b), [x, w, b], [up])
+            assert_bits(got_out + got_grads, [out, gx, gw, gb])
+
+    def test_narrow_and_element(self):
+        rng = np.random.default_rng(3)
+        for shape, axis, start, stop in [((7,), 0, 2, 5), ((4, 6), 0, 1, 3), ((4, 6), 1, 2, 6),
+                                         ((4, 6), -1, 0, 1), ((2, 3, 5), 2, 1, 4)]:
+            x = t(rng.standard_normal(shape))
+            index = [slice(None)] * x.ndim
+            index[axis] = slice(start, stop)
+            up = rng.standard_normal(x.data[tuple(index)].shape)
+            want = np.zeros(shape)
+            want[tuple(index)] = up
+            got_out, got_grads = run_op(lambda: ad.narrow(x, axis, start, stop), [x], [up])
+            assert_bits(got_out + got_grads, [x.data[tuple(index)], want])
+        v = t(rng.standard_normal(6))
+        for i in (0, 4, -1):
+            up = rng.standard_normal(())
+            want = np.zeros(6)
+            want[i] = up
+            got_out, got_grads = run_op(lambda: ad.element(v, i), [v], [up])
+            assert_bits(got_out + got_grads, [v.data[i], want])
+
+    @pytest.mark.parametrize("name", ["maximum", "minimum"])
+    def test_maximum_minimum_with_ties(self, name):
+        rng = np.random.default_rng(11)
+        pick, take = {"maximum": (np.maximum, np.greater_equal),
+                      "minimum": (np.minimum, np.less_equal)}[name]
+        for shape in [(), (9,), (4, 5)]:
+            a = t(rng.integers(-2, 3, size=shape).astype(float))
+            b = t(rng.integers(-2, 3, size=shape).astype(float))  # many ties
+            up = rng.standard_normal(shape)
+            take_a = take(a.data, b.data)
+            got_out, got_grads = run_op(lambda: getattr(ad, name)(a, b), [a, b], [up])
+            assert_bits(got_out + got_grads,
+                        [pick(a.data, b.data), up * take_a, up * ~take_a])

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import arbor
 from arbor.cli import main
 from arbor.formats import (
     arbor_from_json,
@@ -84,6 +88,22 @@ class TestConvert:
         assert main(["convert", "--framework", "amr", "--direction", "to-arbor",
                      "--format", "penman", "--input", str(src),
                      "--output", str(tmp_path / "out")]) == 1
+
+    def test_deeply_nested_input_is_reported_without_traceback(self, tmp_path):
+        depth = 2000
+        src = tmp_path / "deep.penman"
+        src.write_text("".join(f"(n{i} / x :ARG0 " for i in range(depth)) + "(z / y)"
+                       + ")" * depth + "\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(arbor.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "arbor.cli", "convert", "--framework", "amr",
+             "--direction", "to-arbor", "--format", "penman", "--input", str(src),
+             "--output", str(tmp_path / "out.jsonl")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "input nested too deeply" in proc.stderr
 
 
 class TestLinearize:
