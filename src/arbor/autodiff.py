@@ -13,6 +13,8 @@ a python scalar or 0-d tensor on either side, and ``add`` a bias vector
 over the last axis of a matrix or a stack of matrices; everything else is
 a shape error.  One rule sums a broadcast operand's gradient back to its
 shape: a 0-d operand sums every entry, a bias vector the leading axes.
+The one pairwise broadcast is its own op, ``pairwise_add`` (every row of
+one matrix plus every row of another).
 
 The fused ops ``affine``, ``lstm_cell`` and ``embed_one`` each take one
 tape record with a hand-written backward, which for ``affine`` and
@@ -351,20 +353,52 @@ def sum_axis(x: Tensor, axis: int) -> Tensor:
 
 def amax(x: Tensor, axis: int = 0) -> Tensor:
     """Max-reduce along an axis; gradient flows to the first maximum."""
-    idx = x.data.argmax(axis=axis)
+    idx = np.expand_dims(x.data.argmax(axis=axis), axis)
     out = x.data.max(axis=axis)
 
     def fn(g):
         full = np.zeros_like(x.data)
-        if x.ndim == 1:
-            full[idx] = g
-        elif axis == 0:
-            full[idx, np.arange(x.shape[1])] = g
-        else:
-            full[np.arange(x.shape[0]), idx] = g
+        np.put_along_axis(full, idx, np.expand_dims(g, axis), axis)
         return full
 
     return _apply(out, [(x, fn)], "amax")
+
+
+def pick(x: Tensor, cols) -> Tensor:
+    """Entry ``cols[r]`` of each row ``r`` of a matrix, as a vector."""
+    if x.ndim != 2 or len(cols) != x.shape[0]:
+        raise ShapeError(f"pick: {len(cols)} columns for a matrix of shape {x.shape}")
+    return _index(x, (np.arange(x.shape[0]), np.asarray(cols, dtype=np.intp)), "pick")
+
+
+def pairwise_add(a: Tensor, b: Tensor) -> Tensor:
+    """``out[i, j] = a[i] + b[j]`` for rows ``a`` (m, d) and ``b`` (n, d),
+    giving (m, n, d)."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeError(f"pairwise_add: incompatible shapes {a.shape} and {b.shape}")
+    out = a.data[:, None, :] + b.data[None, :, :]
+    return _apply(out, [(a, lambda g: g.sum(axis=1)), (b, lambda g: g.sum(axis=0))],
+                  "pairwise_add")
+
+
+def unstack_rows(x: Tensor) -> list[Tensor]:
+    """The rows of a matrix as vectors, under one tape record (the inverse
+    of ``stack_rows``); a row that gets no gradient counts as zero."""
+    if x.ndim != 2:
+        raise ShapeError(f"unstack_rows expects a matrix, got shape {x.shape}")
+    tape = _active_tape()
+    if tape is None or not x.requires_grad:
+        return [Tensor(row) for row in x.data]
+    rows = [Tensor(row, requires_grad=True) for row in x.data]
+
+    def record():
+        if all(r.grad is None for r in rows):
+            return
+        x._accum(np.stack([np.zeros(x.shape[1]) if r.grad is None else r.grad
+                           for r in rows]))
+
+    tape.records.append(record)
+    return rows
 
 
 def _select(op: str, pick, take_first, a: Tensor, b: Tensor) -> Tensor:
@@ -561,7 +595,8 @@ def _gather(table: Tensor, rows, data: np.ndarray) -> Tensor:
 
 
 def embedding_gather(table: Tensor, ids) -> Tensor:
-    """Select rows of an embedding table; gradients scatter-add back."""
+    """Select rows of an embedding table, or of any matrix; gradients
+    scatter-add back, so a repeated id accumulates."""
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError(f"embedding_gather expects a flat id list, got shape {idx.shape}")

@@ -192,15 +192,26 @@ def _check_search_args(args) -> None:
 
 
 def cmd_parse(args) -> int:
+    """Parse every record; a record that fails is reported on stderr by its
+    id and skipped, the others are written in input order, and the exit
+    code is 1 if any failed."""
     _check_search_args(args)
     model = TransducerModel.load(args.model)
     records = formats.read_canonical_file(args.input)
     beam = 1 if args.greedy else args.beam
-    graphs = [_parse_one(model, r, beam, args.max_len) for r in records]
+    failed = 0
     with open(args.output, "w", encoding="utf-8") as out:
-        for record, graph in zip(records, graphs):
+        for record in records:
+            try:
+                graph = _parse_one(model, record, beam, args.max_len)
+            except (GraphError, ValueError) as exc:
+                log.error("record %s: %s", record.id, exc)
+                failed += 1
+                continue
             _write_graph(out, record.id, graph, args.format, record.tokens, record.pos)
-    return 0
+    if failed:
+        log.error("%d of %d records failed", failed, len(records))
+    return 1 if failed else 0
 
 
 def cmd_eval(args) -> int:

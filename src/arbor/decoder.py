@@ -18,13 +18,21 @@ tag.
 Each node is projected once: when a node's state becomes a pointer
 candidate (in ``predict_target``), its ``mlp_end`` and ``mlp_rel_src`` rows
 are cached on the ``DecoderState``, and the source and relation scorers
-stack those rows, in training as in decoding.  Within one decode, label
-embeddings are memoised by (label, POS) while no tape records.  Beam
-search feeds all of a step's (hypothesis, target) expansions at once
-through ``expand``, whose rows agree to rounding with ``feed_target``
-followed by ``point_source`` and ``relation_dist_all`` on each expansion
-alone; those two are the one-expansion reference that ``expand`` is
-tested against, not a second decode path.
+stack those rows.  Within one decode, label embeddings are memoised by
+(label, POS) while no tape records.  Beam search feeds all of a step's
+(hypothesis, target) expansions at once through ``expand``, whose rows
+agree to rounding with ``feed_target`` followed by ``point_source`` and
+``relation_dist_all`` on each expansion alone; those two are the
+one-expansion reference that ``expand`` is tested against, not a second
+decode path.
+
+Training does not step through this module's decode forms: under teacher
+forcing ``training.sequence_loss`` runs the target LSTM cells step by step
+and every head once per sentence as matrix rows (``label_rows``,
+``index_rows``, the attention scorers' ``pairs`` form, the biaffine's
+shared-candidates form), and builds its inputs with ``reference_node`` and
+``gold_blocks``.  The stepwise ``predict_target``/``feed_target`` loss
+equals it to rounding.
 """
 
 from __future__ import annotations
@@ -209,6 +217,19 @@ class Decoder(nn.Module):
 
     def _index_id(self, index: int) -> int:
         return min(max(index, 0), self.config.index_table_size - 1)  # overflow bucket
+
+    def label_rows(self, pairs: list[tuple[str, str]]) -> Tensor:
+        """``label_vec`` of each ``(label, pos)`` pair as matrix rows, by
+        one lookup per table (teacher forcing)."""
+        word = self.word_emb([self.word_vocab.id(label) for label, _ in pairs])
+        chars = self.char_cnn.rows([[self.char_vocab.id(ch) for ch in label]
+                                    for label, _ in pairs])
+        pos = self.pos_emb([self.pos_vocab.id(p) for _, p in pairs])
+        return ad.concat([word, chars, pos], axis=1)
+
+    def index_rows(self, indices: list[int]) -> Tensor:
+        """Index embeddings of node indices as matrix rows, by one lookup."""
+        return self.index_emb([self._index_id(i) for i in indices])
 
     def label_vec(self, label: str, pos: str, memo: dict | None = None) -> Tensor:
         """Word, character and POS embeddings of a node label.
@@ -408,45 +429,58 @@ class Decoder(nn.Module):
     def reference_record(self, state: DecoderState, label: str, index: int,
                          tokens: list[str], pos_tags: list[str],
                          anchors: tuple[int, ...] | None = None) -> NodeRecord:
-        """Build the node record for a teacher-forced reference target.
-
-        Origins are not annotated in references, so POS is inferred by
-        rule: an index matching an earlier node means a node copy; else a
-        token with the same surface form supplies its POS; else UNK.
-        """
-        for prev in state.nodes:
-            if prev.index == index:
-                return NodeRecord(label, index, prev.pos, ORIGIN_DEC, None, anchors)
-        for t, tok in enumerate(tokens):
-            if tok == label:
-                return NodeRecord(label, index, pos_tags[t], ORIGIN_ENC, t,
-                                  anchors if anchors is not None else (t,))
-        return NodeRecord(label, index, UNK_LABEL, ORIGIN_VOCAB, None, anchors)
+        """Build the node record for a teacher-forced reference target
+        (``reference_node`` on the state's nodes)."""
+        return reference_node(state.nodes, label, index, tokens, pos_tags, anchors)
 
     def gold_support(self, out: StepOutput, label: str, tokens: list[str],
                      index: int | None = None) -> list[int]:
-        """Positions of the mixed distribution that produce the gold node.
+        """Positions of the mixed distribution that produce the gold node
+        (``gold_blocks`` as offsets into ``out.p_target``)."""
+        generate, token_copies, node_copies = gold_blocks(
+            label, tokens, out.dec_records, out.fresh_index, index)
+        return ([self.word_vocab.id(label)] * generate
+                + [out.vocab_size + t for t in token_copies]
+                + [out.vocab_size + out.n_enc + k for k in node_copies])
 
-        With an ``index``, only productions that also yield that node index
-        count: generation and token copies assign the next fresh index,
-        while a node copy reuses its antecedent's.  Without an index (or
-        when nothing matches, as with hand-built references that skip
-        indices) any production of the label counts.
-        """
-        by_label: list[int] = [self.word_vocab.id(label)]
-        for t, tok in enumerate(tokens):
-            if tok == label:
-                by_label.append(out.vocab_size + t)
-        dec_by_label: list[int] = []
-        for k, record in enumerate(out.dec_records):
-            if record.label == label:
-                dec_by_label.append(out.vocab_size + out.n_enc + k)
-        if index is None:
-            return by_label + dec_by_label
-        support: list[int] = []
-        if index == out.fresh_index:
-            support.extend(by_label)
-        for k, record in enumerate(out.dec_records):
-            if record.label == label and record.index == index:
-                support.append(out.vocab_size + out.n_enc + k)
-        return support if support else by_label + dec_by_label
+
+def reference_node(nodes, label: str, index: int, tokens: list[str], pos_tags: list[str],
+                   anchors: tuple[int, ...] | None = None) -> NodeRecord:
+    """The node record of a teacher-forced reference target after ``nodes``.
+
+    Origins are not annotated in references, so POS is inferred by rule:
+    an index matching an earlier node means a node copy; else a token with
+    the same surface form supplies its POS; else UNK.
+    """
+    for prev in nodes:
+        if prev.index == index:
+            return NodeRecord(label, index, prev.pos, ORIGIN_DEC, None, anchors)
+    for t, tok in enumerate(tokens):
+        if tok == label:
+            return NodeRecord(label, index, pos_tags[t], ORIGIN_ENC, t,
+                              anchors if anchors is not None else (t,))
+    return NodeRecord(label, index, UNK_LABEL, ORIGIN_VOCAB, None, anchors)
+
+
+def gold_blocks(label: str, tokens: list[str], dec_records, fresh_index: int,
+                index: int | None = None) -> tuple[bool, list[int], list[int]]:
+    """The productions of the gold node, per block of the mixed
+    distribution: whether generating the label's vocabulary entry counts,
+    the input tokens whose copy counts, and the copyable nodes
+    (``dec_records``) whose copy counts.
+
+    With an ``index``, only productions that also yield that node index
+    count: generation and token copies assign ``fresh_index``, while a
+    node copy reuses its antecedent's.  Without an index (or when nothing
+    matches, as with hand-built references that skip indices) any
+    production of the label counts.
+    """
+    token_copies = [t for t, tok in enumerate(tokens) if tok == label]
+    by_label = [k for k, record in enumerate(dec_records) if record.label == label]
+    if index is None:
+        return True, token_copies, by_label
+    fresh = index == fresh_index
+    by_index = [k for k in by_label if dec_records[k].index == index]
+    if not (fresh or by_index):
+        return True, token_copies, by_label
+    return fresh, token_copies if fresh else [], by_index

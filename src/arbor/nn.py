@@ -98,13 +98,30 @@ class AttentionScorer(Module):
         n = rows.shape[0]
         return ad.reshape(self.out(self.mlp(rows)), (n,))
 
+    def pairs(self, queries: Tensor, keys: Tensor) -> Tensor:
+        """Scores of every query row against every key row, ``(m, n)``.
+
+        The first layer is split as ``W [q; k] = W_q q + W_k k``, both
+        halves sliced from the one weight, so the ``m * n`` concatenated
+        rows that ``__call__`` scores are never built; a score agrees with
+        ``__call__`` on the concatenated row to rounding.
+        """
+        lin = self.mlp.lin
+        m, n, d = queries.shape[0], keys.shape[0], queries.shape[1]
+        q = ad.affine(queries, ad.narrow(lin.w, 1, 0, d), lin.b)
+        k = ad.affine(keys, ad.narrow(lin.w, 1, d, lin.in_dim),
+                      ad.constant(np.zeros(lin.out_dim)))
+        hidden = ad.reshape(ad.elu(ad.pairwise_add(q, k)), (m * n, lin.out_dim))
+        return ad.reshape(self.out(hidden), (m, n))
+
 
 class Biaffine(Module):
     """Scores a query vector against a matrix of candidate rows, giving
-    ``(n,)``; or query rows, each against its own candidate matrix (a
-    ``(m, n, dim2)`` stack), giving ``(m, n)``.  The rows form projects all
-    queries by one gemm, so a row agrees with the one query alone to
-    rounding, not bit for bit."""
+    ``(n,)``; query rows, each against its own candidate matrix (a
+    ``(m, n, dim2)`` stack), giving ``(m, n)``; or query rows against one
+    shared candidate matrix ``(n, dim2)``, giving ``(m, n)``.  The two
+    matrix forms project all queries by one gemm, so a row agrees with the
+    one query alone to rounding, not bit for bit."""
 
     def __init__(self, rng, dim1: int, dim2: int):
         super().__init__()
@@ -115,19 +132,25 @@ class Biaffine(Module):
 
     def __call__(self, x1: Tensor, x2: Tensor) -> Tensor:
         d1, d2 = self.dim1, self.dim2
-        one = x1.shape == (d1,) and x2.ndim == 2 and x2.shape[1] == d2
+        candidates = x2.ndim == 2 and x2.shape[1] == d2
+        one = x1.shape == (d1,) and candidates
+        shared = x1.ndim == 2 and x1.shape[1] == d1 and candidates
         rows = (x1.ndim == 2 and x1.shape[1] == d1 and x2.ndim == 3
                 and x2.shape[0] == x1.shape[0] and x2.shape[2] == d2)
-        if not (one or rows):
+        if not (one or shared or rows):
             raise ad.ShapeError(
-                f"biaffine: got {x1.shape} and {x2.shape}, expected ({d1},) and (n, {d2}), "
-                f"or (m, {d1}) and (m, n, {d2})"
+                f"biaffine: got {x1.shape} and {x2.shape}, expected ({d1},) or (m, {d1}) "
+                f"and (n, {d2}), or (m, {d1}) and (m, n, {d2})"
             )
         w1 = ad.narrow(self.w, 0, 0, d1)
         w2 = ad.narrow(self.w, 0, d1, d1 + d2)
         if one:
             bil = ad.matmul(x2, ad.matmul(x1, self.u))  # (n,)
             lin = ad.add(ad.matmul(x2, w2), ad.matmul(w1, x1))
+        elif shared:
+            n = x2.shape[0]
+            bil = ad.matmul(ad.matmul(x1, self.u), ad.transpose(x2))  # (m, n)
+            lin = ad.add(ad.transpose(ad.repeat_rows(ad.matmul(x1, w1), n)), ad.matmul(x2, w2))
         else:
             m, n = x2.shape[0], x2.shape[1]
             qu = ad.reshape(ad.matmul(x1, self.u), (m, d2, 1))
@@ -271,13 +294,30 @@ class CharCnn(Module):
         self.w = self.register("w", xavier_uniform(rng, (channels, kernel * char_dim)))
         self.b = self.register("b", np.zeros(channels))
 
-    def __call__(self, char_ids: list[int]) -> Tensor:
+    def _window_ids(self, char_ids: list[int], n_win: int) -> list[int]:
+        """Character ids of the word's windows, end to end (window ``j`` is
+        ``ids[j : j + kernel]`` of the padded word), repeated from the first
+        window up to ``n_win`` windows: a repeat leaves the max unchanged,
+        and the gradient goes to the first maximum."""
         pad = self.kernel // 2
         ids = [0] * pad + list(char_ids) + [0] * pad
         if len(char_ids) == 0:
             ids = [0] * self.kernel
+        own = max(len(char_ids), 1)
+        windows = [ids[j + k] for j in range(own) for k in range(self.kernel)]
+        return windows + windows[: self.kernel] * (n_win - own)
+
+    def __call__(self, char_ids: list[int]) -> Tensor:
         n_win = max(len(char_ids), 1)
-        # row j of ``windows`` is the embeddings of ids[j : j + kernel], end to end
-        window_ids = [ids[j + k] for j in range(n_win) for k in range(self.kernel)]
-        windows = ad.reshape(self.emb(window_ids), (n_win, self.kernel * self.char_dim))
+        windows = ad.reshape(self.emb(self._window_ids(char_ids, n_win)),
+                             (n_win, self.kernel * self.char_dim))
         return ad.amax(ad.affine(windows, self.w, self.b), axis=0)
+
+    def rows(self, words: list[list[int]]) -> Tensor:
+        """The pooled features of several words, ``(len(words), channels)``,
+        by one lookup and one affine over all of their windows."""
+        n_win = max(max(len(w) for w in words), 1)
+        ids = [i for w in words for i in self._window_ids(w, n_win)]
+        windows = ad.reshape(self.emb(ids), (len(words) * n_win, self.kernel * self.char_dim))
+        conv = ad.reshape(ad.affine(windows, self.w, self.b), (len(words), n_win, self.channels))
+        return ad.amax(conv, axis=1)

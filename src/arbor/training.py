@@ -8,6 +8,22 @@ generate/copy distribution, counting *every* production of the gold label
 correct.  Label smoothing applies to the vocabulary-generation and
 relation-type distributions only; smoothing over the dynamic pointer
 supports would be ill-defined.
+
+Under teacher forcing every decoder input is known before the first
+step, so ``sequence_loss`` runs only the target LSTM recurrence step by
+step (one ``lstm_cell`` per step and layer, then one dropout over the
+layer's rows).  Every head runs once per sentence over its T prediction
+steps as matrix rows: encoder attention for all T queries, the
+``ffn_relation``/``ffn_vocab``/``ffn_switch`` affines, decoder-copy
+attention over the relation states under a causal mask, the biaffine
+pointer as one T x T product under a lower-triangular mask (ROOT only
+while it is the gold source), the bilinear scorer at the gold source rows
+only, and coverage as an exclusive cumulative sum of the attention rows.
+Dropout masks are drawn in the order the stepwise decoder draws them
+(each step's relation-state mask, then its LSTM layer masks; the EOS step
+only the former), so the loss equals the stepwise loss of the decoder's
+``predict_target``/``feed_target`` to rounding, dropout included.
+Inference keeps those stepwise vector forms and ``Decoder.expand``.
 """
 
 from __future__ import annotations
@@ -22,10 +38,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .decoder import BOS_INPUT, RelationInput
+from .decoder import BOS_INPUT, NodeRecord, RelationInput, gold_blocks, reference_node
 from .encoder import EncoderInput
 from .evaluate import F1Report
-from .graph import EOS_LABEL, RelationSequence
+from .graph import EOS_LABEL, UNK_LABEL, RelationSequence
 from .linearize import OrderingPolicy, arbor_to_relations, resolve_source
 from .model import TransducerModel, encoder_input_from_record
 
@@ -60,6 +76,8 @@ class LossBreakdown:
     nll_target: Tensor
     coverage_penalty: Tensor
     total: Tensor
+    # (T, 3) switch probabilities (generate, token copy, node copy) per step
+    switch: np.ndarray | None = None
 
     def values(self) -> dict[str, float]:
         return {
@@ -85,12 +103,59 @@ def smoothed_targets(n_classes: int, gold: int, eps: float) -> np.ndarray:
     return q
 
 
-def _smoothed_ce(logits: Tensor, gold: int, eps: float) -> Tensor:
-    logp = ad.log_softmax(logits)
-    if eps == 0.0:
-        return -ad.element(logp, gold)
-    q = ad.constant(smoothed_targets(logits.shape[0], gold, eps))
-    return -ad.matmul(q, logp)
+def _masked(scores: Tensor, allowed: np.ndarray) -> Tensor:
+    """``scores`` with the entries that ``allowed`` rules out set to -inf, so
+    a softmax over each row gives them exactly zero mass."""
+    return ad.add(scores, ad.constant(np.where(allowed, 0.0, -np.inf)))
+
+
+def _block_mass(p: Tensor, support: np.ndarray) -> Tensor:
+    """Per row, the mass of ``p`` on the 0/1 ``support`` entries."""
+    return ad.sum_axis(ad.mul(p, ad.constant(support)), 1)
+
+
+@dataclass
+class _TeacherForcing:
+    """The plain-Python inputs of one reference, for all T prediction steps
+    (the relations, then the EOS step if any)."""
+
+    nodes: list[NodeRecord]  # targets v_1..v_N, the LSTM's inputs
+    inputs: list[RelationInput]  # relation consumed before each step
+    gold_pos: list[int]  # source pointer position of each relation
+    vocab: np.ndarray  # (T, V) support of the generate block
+    tokens: np.ndarray  # (T, n) support of the token-copy block
+    copies: np.ndarray  # (T, T) support of the node-copy block, node k in column k
+
+
+def _teacher_forcing(dec, enc_input: EncoderInput, reference: RelationSequence
+                     ) -> _TeacherForcing:
+    rels, tokens = reference.relations, enc_input.tokens
+    n_steps = len(rels) + bool(reference.eos)
+    plan = _TeacherForcing([], [BOS_INPUT], [], np.zeros((n_steps, len(dec.word_vocab))),
+                           np.zeros((n_steps, len(tokens))), np.zeros((n_steps, n_steps)))
+    nodes, fresh = plan.nodes, 1
+    for i in range(n_steps):
+        label, index = (EOS_LABEL, None) if i == len(rels) else (rels[i].target,
+                                                                  rels[i].target_index)
+        # step i may copy the nodes whose relation state is in the history:
+        # v_1..v_{i-1}
+        generate, token_copies, node_copies = gold_blocks(
+            label, tokens, nodes[: max(i - 1, 0)], fresh, index)
+        plan.vocab[i, dec.word_vocab.id(label)] = generate
+        plan.tokens[i, token_copies] = 1.0
+        plan.copies[i, node_copies] = 1.0
+        if i == len(rels):
+            break
+        rel = rels[i]
+        nodes.append(reference_node(nodes, rel.target, rel.target_index, tokens,
+                                    enc_input.pos, rel.target_anchors))
+        fresh = max(fresh, rel.target_index + 1)
+        pos = resolve_source(rels[:i], rel.source, rel.source_index)
+        plan.gold_pos.append(pos)
+        plan.inputs.append(RelationInput(rel.source, rel.source_index,
+                                         UNK_LABEL if pos == 0 else nodes[pos - 1].pos,
+                                         rel.rel))
+    return plan
 
 
 def sequence_loss(
@@ -103,59 +168,115 @@ def sequence_loss(
     train: bool = True,
     rng: np.random.Generator | None = None,
 ) -> LossBreakdown:
-    """Teacher-forced loss over one reference sequence."""
-    dec = model.decoder
-    enc = model.encoder.encode(enc_input, train, rng)
-    state = dec.initial_state(enc)
-    rel_in = BOS_INPUT
+    """Teacher-forced loss over one reference sequence.
 
+    Only the target LSTM runs step by step; every head runs once over the
+    T prediction steps as matrix rows (see the module docstring).  The
+    dropout masks are the ones the stepwise decoder draws, in its order.
+    """
+    dec, cfg = model.decoder, model.config
+    enc = model.encoder.encode(enc_input, train, rng)
     zero = ad.constant(np.zeros(()))
-    nll_u, nll_r, nll_v, cov = zero, zero, zero, zero
+    plan = _teacher_forcing(dec, enc_input, reference)
+    n_rel, n_steps = len(plan.nodes), len(plan.vocab)
+    if n_steps == 0:
+        return LossBreakdown(zero, zero, zero, zero, zero, np.zeros((0, 3)))
     eps = label_smoothing
 
-    def target_nll(out, gold_label: str, gold_index: int | None = None) -> Tensor:
-        support = dec.gold_support(out, gold_label, enc_input.tokens, gold_index)
-        mass = ad.element(out.p_target, support[0])
-        for slot in support[1:]:
-            mass = ad.add(mass, ad.element(out.p_target, slot))
-        nll = -ad.log(mass)
-        if eps > 0.0:
-            uniform = -ad.sum_all(ad.log_softmax(out.vocab_logits))
-            nll = ad.add(ad.mul(nll, 1.0 - eps), ad.mul(uniform, eps / out.vocab_size))
-        return nll
+    # Stepwise, each step draws its z mask and then one mask per LSTM layer;
+    # the EOS step draws only its z mask.  Generator.random fills in C order,
+    # so one block split by columns draws the same masks.
+    rh, dh, layers = cfg.relation_hidden, cfg.decoder_hidden, len(dec.lstm_cells)
+    z_mask = lstm_masks = None
+    if train and cfg.dropout > 0.0:
+        if rng is None:
+            raise ValueError("dropout in train mode needs an explicit rng")
+        keep = 1.0 - cfg.dropout
+        block = (rng.random((n_rel, rh + layers * dh)) < keep) / keep
+        z_mask = block[:, :rh]
+        if reference.eos:
+            z_mask = np.vstack([z_mask, (rng.random(rh) < keep) / keep])
+        lstm_masks = [block[:, rh + k * dh : rh + (k + 1) * dh] for k in range(layers)]
 
-    for i, rel in enumerate(reference.relations):
-        out, state = dec.predict_target(enc, state, rel_in, train, rng)
-        cov = ad.add(cov, out.covloss)
-        nll_v = ad.add(nll_v, target_nll(out, rel.target, rel.target_index))
+    def drop(x: Tensor, mask) -> Tensor:
+        return x if mask is None else ad.mul(x, ad.constant(mask))
 
-        record = dec.reference_record(
-            state, rel.target, rel.target_index, enc_input.tokens, enc_input.pos,
-            rel.target_anchors,
-        )
-        state = dec.feed_target(state, record, train, rng)
+    # label and index embeddings of the N fed nodes, then of the T consumed
+    # sources
+    inputs = plan.inputs[:n_steps]
+    embedded = ad.concat([
+        dec.label_rows([(r.label, r.pos) for r in plan.nodes]
+                       + [(u.u_label, u.u_pos) for u in inputs]),
+        dec.index_rows([r.index for r in plan.nodes] + [u.u_index for u in inputs]),
+    ], axis=1)
 
-        gold_pos = resolve_source(reference.relations[:i], rel.source, rel.source_index)
-        scores = dec.source_scores(state)
-        if gold_pos == 0:  # first relation: ROOT is the sole candidate
-            nll_u = ad.add(nll_u, -ad.element(ad.log_softmax(scores), 0))
-        else:
-            # ROOT is masked out of the pointer support after step one
-            masked = ad.narrow(scores, 0, 1, scores.shape[0])
-            nll_u = ad.add(nll_u, -ad.element(ad.log_softmax(masked), gold_pos - 1))
-        nll_r = ad.add(
-            nll_r, _smoothed_ce(dec.relation_scores(state, gold_pos),
-                                dec.rel_vocab.id(rel.rel), eps)
-        )
-        rel_in = RelationInput(rel.source, rel.source_index, state.node_pos(gold_pos), rel.rel)
+    # the target LSTM, layer by layer; h[0] is the ROOT state
+    h = ad.reshape(enc.init[-1], (1, dh))
+    if n_rel:
+        x = ad.narrow(embedded, 0, 0, n_rel)
+        for k, cell in enumerate(dec.lstm_cells):
+            state, outs = (enc.init[k], ad.constant(np.zeros(dh))), []
+            for row in ad.unstack_rows(x):
+                state = cell(row, state)
+                outs.append(state[0])
+            x = drop(ad.stack_rows(outs), None if lstm_masks is None else lstm_masks[k])
+        h = ad.concat([h, x], axis=0)
+    h_query = h if n_steps == n_rel + 1 else ad.narrow(h, 0, 0, n_steps)
 
-    if reference.eos:
-        out, state = dec.predict_target(enc, state, rel_in, train, rng)
-        cov = ad.add(cov, out.covloss)
-        nll_v = ad.add(nll_v, target_nll(out, EOS_LABEL))
+    # target node: attention, relation state z, generate / copy mixture
+    a_enc = ad.softmax(dec.attn_mlp.pairs(h_query, enc.states), axis=-1)
+    context = ad.matmul(a_enc, enc.states)
+    rel_rows = dec.rel_emb([dec.rel_vocab.id(u.rel) for u in inputs])
+    z = dec.ffn_relation(ad.concat(
+        [h_query, context, rel_rows, ad.narrow(embedded, 0, n_rel, n_rel + n_steps)], axis=1))
+    z = drop(z, z_mask)
+    vocab_logits = dec.ffn_vocab(z)
+    # node copy has no candidates before step 2
+    no_copy = np.ones((n_steps, 3), dtype=bool)
+    no_copy[:2, 2] = False
+    switch = ad.softmax(_masked(dec.ffn_switch(z), no_copy), axis=-1)
+    node_mass = ad.constant(np.zeros(n_steps))
+    if n_steps > 2:
+        # step i (>= 2) attends over z_1..z_{i-1}: queries z_2.., keys z_1..
+        m = n_steps - 2
+        scores = dec.dec_attn_mlp.pairs(ad.narrow(z, 0, 2, n_steps), ad.narrow(z, 0, 1, m + 1))
+        a_dec = ad.softmax(_masked(scores, np.tri(m, dtype=bool)), axis=-1)
+        node_mass = ad.concat([ad.constant(np.zeros(2)),
+                               _block_mass(a_dec, plan.copies[2:, :m])])
+    masses = ad.transpose(ad.stack_rows([
+        _block_mass(ad.softmax(vocab_logits, axis=-1), plan.vocab),
+        _block_mass(a_enc, plan.tokens),
+        node_mass,
+    ]))
+    nll_v = -ad.sum_all(ad.log(ad.sum_axis(ad.mul(switch, masses), 1)))
+    if eps > 0.0:
+        uniform = -ad.sum_all(ad.log_softmax(vocab_logits, axis=-1))
+        nll_v = ad.add(ad.mul(nll_v, 1.0 - eps), ad.mul(uniform, eps / vocab_logits.shape[1]))
+
+    # coverage: step i's coverage is the sum of the attentions before it
+    coverage = ad.matmul(ad.constant(np.tri(n_steps, k=-1)), a_enc)
+    cov = ad.sum_all(ad.minimum(a_enc, coverage))
+
+    nll_u = nll_r = zero
+    if n_rel:
+        # source pointer: after feeding v_{i+1}, positions 0..i, ROOT only
+        # while it is the gold source (the first relation)
+        fed = ad.narrow(h, 0, 1, n_rel + 1)
+        gold = np.array(plan.gold_pos)
+        allowed = np.tri(n_rel, dtype=bool)
+        allowed[:, 0] &= gold == 0
+        scores = dec.biaffine(dec.mlp_start(fed), dec.mlp_end(ad.narrow(h, 0, 0, n_rel)))
+        nll_u = -ad.sum_all(ad.pick(ad.log_softmax(_masked(scores, allowed), axis=-1), gold))
+        # relation type, at the gold source only
+        src = dec.mlp_rel_src(ad.embedding_gather(h, gold))
+        logits = dec.bilinear(ad.reshape(src, (n_rel, 1, src.shape[1])), dec.mlp_rel_tgt(fed))
+        logp = ad.log_softmax(ad.reshape(logits, (n_rel, logits.shape[2])), axis=-1)
+        targets = np.stack([smoothed_targets(logp.shape[1], dec.rel_vocab.id(rel.rel), eps)
+                            for rel in reference.relations])
+        nll_r = -ad.sum_all(ad.mul(logp, ad.constant(targets)))
 
     total = ad.add(ad.add(nll_u, nll_r), ad.add(nll_v, ad.mul(cov, coverage_weight)))
-    return LossBreakdown(nll_u, nll_r, nll_v, cov, total)
+    return LossBreakdown(nll_u, nll_r, nll_v, cov, total, switch.data)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +370,21 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
 
 
+def _check_pairs(pairs, which: str, references: bool) -> None:
+    """Raise ``ValueError`` naming the first pair that cannot be encoded or,
+    with ``references``, whose reference has a source with no preceding
+    target."""
+    for k, (inp, ref) in enumerate(pairs):
+        if not inp.tokens:
+            raise ValueError(f"{which} pair {k}: cannot encode an empty sentence")
+        if references:
+            try:
+                for i, rel in enumerate(ref.relations):
+                    resolve_source(ref.relations[:i], rel.source, rel.source_index)
+            except ValueError as exc:
+                raise ValueError(f"{which} pair {k}: {exc}") from None
+
+
 def _batches(pairs, batch_size: int, shuffle_rng: random.Random):
     """Length-bucketed batches in shuffled order."""
     order = sorted(range(len(pairs)), key=lambda i: (len(pairs[i][0].tokens), i))
@@ -274,11 +410,21 @@ def train(
     Each history entry (one JSONL line at ``log_path``) also holds the
     epoch's mean loss components per example (``nll_u``, ``nll_r``,
     ``nll_v``, unweighted ``coverage``), the mean and maximum pre-clip
-    gradient norm, the number of clipped batches and the mean tape records
-    per batch.
+    gradient norm, the number of clipped batches, the mean tape records
+    per batch, the mean switch probability of generating, copying a token
+    and copying a node over all prediction steps (``switch_generate``,
+    ``switch_token_copy``, ``switch_node_copy``), and ``relations_per_s``,
+    the prediction steps (relations and EOS steps) trained per second of
+    the epoch's batches, the dev decode excluded.
+
+    Every pair is checked before the first batch: a sentence with no
+    tokens, or a training reference whose source does not resolve, raises
+    ``ValueError`` naming the pair.
     """
     if not train_pairs:
         raise ValueError("empty training corpus")
+    _check_pairs(train_pairs, "training", references=True)
+    _check_pairs(dev_pairs, "dev", references=False)
     from .inference import greedy_decode  # local import; inference is decode-only
 
     params = model.parameters()
@@ -295,7 +441,8 @@ def train(
             started = time.perf_counter()
             epoch_loss, n_examples = 0.0, 0
             components = np.zeros(4)  # nll_u, nll_r, nll_v, coverage, summed over examples
-            norms, clipped, records = [], 0, 0
+            switch = np.zeros(3)  # generate, token copy, node copy, summed over steps
+            norms, clipped, records, steps = [], 0, 0, 0
             for chunk in _batches(train_pairs, cfg.batch_size, random.Random(cfg.seed + epoch)):
                 model.zero_grads()
                 with ad.Tape() as tape:
@@ -311,6 +458,8 @@ def train(
                         total = ad.add(total, loss.total)
                         components += [loss.nll_source.item(), loss.nll_relation.item(),
                                        loss.nll_target.item(), loss.coverage_penalty.item()]
+                        switch += loss.switch.sum(axis=0)
+                        steps += len(loss.switch)
                     total = ad.mul(total, 1.0 / len(chunk))
                     records += len(tape.records)
                     tape.backward(total)
@@ -320,6 +469,7 @@ def train(
                 if clip_global_norm(params, cfg.max_grad_norm, norms[-1]) < 1.0:
                     clipped += 1
                 adam_step(params, opt, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            train_seconds = time.perf_counter() - started
 
             dev_f1 = float("nan")
             if epoch % cfg.eval_every == 0:
@@ -341,6 +491,9 @@ def train(
                 "grad_norm_max": max(norms),
                 "clipped_batches": clipped,
                 "tape_records_per_batch": records / len(norms),
+                **dict(zip(("switch_generate", "switch_token_copy", "switch_node_copy"),
+                           (switch / max(steps, 1)).tolist())),
+                "relations_per_s": steps / train_seconds,
             }
             history.append(entry)
             if log_fh:

@@ -213,6 +213,35 @@ class TestPrimitiveGradients:
 
         check_op(build, [("x", x), ("v", v)], coords=27)
 
+    def test_amax_over_a_middle_axis(self):
+        x = t(np.random.default_rng(12).standard_normal((2, 4, 3)))
+        assert np.array_equal(ad.amax(x, axis=1).data, x.data.max(axis=1))
+        check_op(lambda: ad.sum_all(ad.tanh(ad.amax(x, axis=1))), [("x", x)], coords=24)
+
+    def test_pick_pairwise_add_and_unstack_rows(self):
+        rng = np.random.default_rng(13)
+        x, a, b = t(rng.standard_normal((3, 4))), t(rng.standard_normal((2, 5))), \
+            t(rng.standard_normal((3, 5)))
+        picked = ad.pick(x, [3, 0, 3])
+        assert picked.data.tolist() == [x.data[0, 3], x.data[1, 0], x.data[2, 3]]
+        pairs = ad.pairwise_add(a, b)
+        assert pairs.shape == (2, 3, 5)
+        assert np.array_equal(pairs.data[1, 2], a.data[1] + b.data[2])
+        rows = ad.unstack_rows(x)
+        assert [r.data.tolist() for r in rows] == x.data.tolist()
+
+        def build():
+            first, _, last = ad.unstack_rows(x)  # the middle row gets no gradient
+            return ad.add(ad.add(ad.sum_all(ad.tanh(ad.pick(x, [1, 2, 0]))),
+                                 ad.sum_all(ad.tanh(ad.pairwise_add(a, b)))),
+                          ad.sum_all(ad.mul(first, last)))
+
+        check_op(build, [("x", x), ("a", a), ("b", b)], coords=40)
+        with pytest.raises(ShapeError):
+            ad.pick(x, [0, 1])
+        with pytest.raises(ShapeError):
+            ad.pairwise_add(a, t(np.ones((3, 4))))
+
     def test_embedding_gather_scatter_adds(self):
         table = t(np.random.default_rng(3).standard_normal((5, 2)))
         with Tape() as tape:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -20,6 +21,14 @@ from arbor.graph import Framework, graph_isomorphic
 from conftest import synthetic_corpus
 
 VINKEN = "(e / express-01 :ARG0 (p / person) :ARG1 (c / concern :poss p))"
+
+
+def run_cli(*args):
+    """``arbor`` in a child process, so that its real stderr is seen."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(arbor.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "arbor.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
 
 
 def write_corpus(path, records):
@@ -232,6 +241,31 @@ class TestTrainParseEvalBench:
         for line in out.read_text().splitlines():
             record = read_canonical(line)
             record.graph()  # structurally valid
+
+    def test_parse_skips_bad_record(self, trained, tmp_path):
+        ckpt, _, records = trained
+        empty = dataclasses.replace(records[1], id="empty-one", tokens=[], pos=[])
+        sentences = tmp_path / "sents.jsonl"
+        write_corpus(sentences, [records[0], empty, records[2]])
+        out = tmp_path / "parsed.jsonl"
+        proc = run_cli("parse", "--model", ckpt, "--input", sentences, "--output", out,
+                       "--greedy")
+        assert proc.returncode == 1
+        written = [read_canonical(line) for line in out.read_text().splitlines()]
+        assert [r.id for r in written] == [records[0].id, records[2].id]
+        assert "record empty-one: cannot encode an empty sentence" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_train_rejects_empty_sentence(self, corpus_files, tmp_path):
+        _, _, records = corpus_files
+        bad = tmp_path / "bad.jsonl"
+        write_corpus(bad, [records[0], dataclasses.replace(records[1], tokens=[], pos=[])])
+        proc = run_cli("train", "--framework", "amr", "--train", bad,
+                       "--output", tmp_path / "m.ckpt", "--hidden", "8", "--max-epochs", "1")
+        assert proc.returncode == 1
+        assert "training pair 1: cannot encode an empty sentence" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_train_determinism(self, corpus_files, tmp_path):
         base, train_file, _ = corpus_files

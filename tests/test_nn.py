@@ -166,6 +166,42 @@ class TestQueryRows:
                                tol=1e-6)
         assert report.passed, report.worst
 
+    def test_shared_candidates_and_attention_pairs(self):
+        # one matrix of queries against one shared matrix of candidates
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            d1, d2, m, n, h = (int(v) for v in rng.integers(1, 12, size=5))
+            bi = nn.Biaffine(rng, d1, d2)
+            bi.b.data = np.asarray(rng.standard_normal())
+            att = nn.AttentionScorer(rng, d1 + d2, h)
+            att.mlp.lin.b.data = rng.standard_normal(h)
+            queries, cands = rng.standard_normal((m, d1)), rng.standard_normal((n, d2))
+            points = bi(const(queries), const(cands)).data
+            scores = att.pairs(const(queries), const(cands)).data
+            assert points.shape == scores.shape == (m, n)
+            for i in range(m):
+                q = const(queries[i])
+                assert np.abs(points[i] - bi(q, const(cands)).data).max() <= 1e-12
+                rows = ad.concat([ad.repeat_rows(q, n), const(cands)], axis=1)
+                assert np.abs(scores[i] - att(rows).data).max() <= 1e-12
+
+    def test_shared_candidates_and_attention_pairs_gradients(self):
+        rng = np.random.default_rng(10)
+        bi, att = nn.Biaffine(rng, 3, 4), nn.AttentionScorer(rng, 7, 5)
+        queries = ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        cands = ad.Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+        w1, w2 = const(rng.standard_normal((2, 5))), const(rng.standard_normal((2, 5)))
+
+        def loss():
+            return ad.add(ad.sum_all(ad.mul(bi(queries, cands), w1)),
+                          ad.sum_all(ad.mul(att.pairs(queries, cands), w2)))
+
+        params = [("queries", queries), ("cands", cands),
+                  *bi.parameters("bi.").items(), *att.parameters("att.").items()]
+        report = ad.grad_check(loss, params, rng=np.random.default_rng(0), total_coords=60,
+                               tol=1e-6)
+        assert report.passed, report.worst
+
     def test_biaffine_rejects_mismatched_rows(self):
         bi = nn.Biaffine(np.random.default_rng(0), 3, 4)
         with pytest.raises(ad.ShapeError, match="biaffine"):
@@ -430,6 +466,24 @@ class TestFusedMatchesComposed:
                     gradients(tensors, lambda: ad.matmul(cnn(ids), weights)),
                     gradients(tensors, lambda: ad.matmul(composed_char_cnn(cnn, ids), weights)),
                 )
+
+    def test_char_cnn_rows(self):
+        # rows of the batched form agree with one word at a time to rounding;
+        # shorter words repeat a window, which moves neither max nor gradient
+        rng = np.random.default_rng(7)
+        cnn = nn.CharCnn(rng, 12, 4, 6, kernel=3)
+        cnn.b.data = rng.standard_normal(cnn.channels)
+        words = [[int(v) for v in rng.integers(0, 12, size=n)] for n in (0, 1, 4, 2, 6)]
+        rows = cnn.rows(words).data
+        for word, row in zip(words, rows):
+            assert np.abs(row - cnn(word).data).max() <= 1e-12
+        weights = const(rng.standard_normal((len(words), cnn.channels)))
+        tensors = list(cnn.parameters().values())
+        assert_grads_close(
+            gradients(tensors, lambda: ad.sum_all(ad.mul(cnn.rows(words), weights))),
+            gradients(tensors, lambda: ad.sum_all(ad.mul(
+                ad.stack_rows([cnn(w) for w in words]), weights))),
+        )
 
     def test_embed_one(self):
         for seed in range(6):

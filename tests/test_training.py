@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,21 +9,84 @@ from arbor import autodiff as ad
 from arbor.autodiff import Tape, Tensor
 from arbor.decoder import BOS_INPUT, RelationInput
 from arbor.encoder import EncoderInput
-from arbor.graph import Relation, RelationSequence
+from arbor.graph import EOS_LABEL, Relation, RelationSequence
 from arbor.linearize import OrderingPolicy, resolve_source
+from arbor.model import ModelConfig, TransducerModel, build_vocabularies
 from arbor.training import (
     AdamState,
+    LossBreakdown,
     TrainConfig,
     adam_step,
     clip_global_norm,
     make_reference,
+    prepare_corpus,
     relation_f1,
     sequence_loss,
     smoothed_targets,
     train,
 )
 
-from conftest import build_tiny_model, make_inputs, random_arborescence
+from conftest import build_tiny_model, make_inputs, random_arborescence, synthetic_corpus
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def reference_sequence_loss(model, enc_input, reference, *, label_smoothing=0.1,
+                            coverage_weight=1.0, train=True, rng=None) -> LossBreakdown:
+    """The stepwise teacher-forced loss: per relation one ``predict_target``,
+    ``feed_target``, source pointer and relation scorer step, as decoding
+    runs them.  ``sequence_loss`` must equal it to rounding."""
+    dec = model.decoder
+    enc = model.encoder.encode(enc_input, train, rng)
+    state = dec.initial_state(enc)
+    rel_in = BOS_INPUT
+
+    zero = ad.constant(np.zeros(()))
+    nll_u, nll_r, nll_v, cov = zero, zero, zero, zero
+    eps = label_smoothing
+
+    def target_nll(out, gold_label, gold_index=None):
+        support = dec.gold_support(out, gold_label, enc_input.tokens, gold_index)
+        mass = ad.element(out.p_target, support[0])
+        for slot in support[1:]:
+            mass = ad.add(mass, ad.element(out.p_target, slot))
+        nll = -ad.log(mass)
+        if eps > 0.0:
+            uniform = -ad.sum_all(ad.log_softmax(out.vocab_logits))
+            nll = ad.add(ad.mul(nll, 1.0 - eps), ad.mul(uniform, eps / out.vocab_size))
+        return nll
+
+    def smoothed_ce(logits, gold):
+        logp = ad.log_softmax(logits)
+        if eps == 0.0:
+            return -ad.element(logp, gold)
+        return -ad.matmul(ad.constant(smoothed_targets(logits.shape[0], gold, eps)), logp)
+
+    for i, rel in enumerate(reference.relations):
+        out, state = dec.predict_target(enc, state, rel_in, train, rng)
+        cov = ad.add(cov, out.covloss)
+        nll_v = ad.add(nll_v, target_nll(out, rel.target, rel.target_index))
+        record = dec.reference_record(state, rel.target, rel.target_index, enc_input.tokens,
+                                      enc_input.pos, rel.target_anchors)
+        state = dec.feed_target(state, record, train, rng)
+        gold_pos = resolve_source(reference.relations[:i], rel.source, rel.source_index)
+        scores = dec.source_scores(state)
+        if gold_pos == 0:  # first relation: ROOT is the sole candidate
+            nll_u = ad.add(nll_u, -ad.element(ad.log_softmax(scores), 0))
+        else:  # ROOT is masked out of the pointer support after step one
+            masked = ad.narrow(scores, 0, 1, scores.shape[0])
+            nll_u = ad.add(nll_u, -ad.element(ad.log_softmax(masked), gold_pos - 1))
+        nll_r = ad.add(nll_r, smoothed_ce(dec.relation_scores(state, gold_pos),
+                                          dec.rel_vocab.id(rel.rel)))
+        rel_in = RelationInput(rel.source, rel.source_index, state.node_pos(gold_pos), rel.rel)
+
+    if reference.eos:
+        out, state = dec.predict_target(enc, state, rel_in, train, rng)
+        cov = ad.add(cov, out.covloss)
+        nll_v = ad.add(nll_v, target_nll(out, EOS_LABEL))
+
+    total = ad.add(ad.add(nll_u, nll_r), ad.add(nll_v, ad.mul(cov, coverage_weight)))
+    return LossBreakdown(nll_u, nll_r, nll_v, cov, total)
 
 
 class TestSmoothing:
@@ -271,7 +335,41 @@ class TestTrainLoop:
             "epoch", "train_loss", "dev_f1", "lr", "seconds",
             "nll_u", "nll_r", "nll_v", "coverage",
             "grad_norm_mean", "grad_norm_max", "clipped_batches", "tape_records_per_batch",
+            "switch_generate", "switch_token_copy", "switch_node_copy", "relations_per_s",
         }
+
+    def test_switch_masses_sum_to_one(self, tmp_path):
+        model = build_tiny_model(seed=14)
+        pairs = self._pairs(model)
+        cfg = TrainConfig(batch_size=2, max_epochs=2, patience=10, seed=6)
+        for e in train(model, pairs, pairs, cfg).history:
+            masses = [e["switch_generate"], e["switch_token_copy"], e["switch_node_copy"]]
+            assert abs(sum(masses) - 1.0) <= 1e-9
+            assert all(0.0 <= m <= 1.0 for m in masses)
+            assert e["relations_per_s"] > 0.0
+
+    @pytest.mark.parametrize("which", ["training", "dev"])
+    def test_empty_sentence_rejected_before_training(self, which):
+        model = build_tiny_model(seed=15)
+        pairs = self._pairs(model)
+        bad = list(pairs)
+        bad[2] = (EncoderInput(tokens=[], pos=[]), pairs[2][1])
+        train_pairs, dev_pairs = (bad, pairs) if which == "training" else (pairs, bad)
+        with pytest.raises(ValueError, match=f"^{which} pair 2: cannot encode an empty sentence"):
+            train(model, train_pairs, dev_pairs, TrainConfig(batch_size=2, max_epochs=1))
+        # nothing was trained: the parameters are the initial ones
+        fresh = build_tiny_model(seed=15)
+        for name, t in model.parameters().items():
+            assert np.array_equal(t.data, fresh.parameters()[name].data), name
+
+    def test_unresolvable_source_rejected_before_training(self):
+        model = build_tiny_model(seed=16)
+        pairs = self._pairs(model)
+        inp, _ = pairs[1]
+        orphan = RelationSequence((Relation("@root@", 0, "root", "say-01", 1),
+                                   Relation("person", 7, "ARG0", "Pierre", 2)), eos=True)
+        with pytest.raises(ValueError, match="^training pair 1: "):
+            train(model, [pairs[0], (inp, orphan)], pairs, TrainConfig(batch_size=2))
 
     @pytest.mark.parametrize("max_grad_norm,clipped", [(1e-3, 2), (1e9, 0)])
     def test_epoch_telemetry(self, tmp_path, max_grad_norm, clipped):
@@ -307,3 +405,153 @@ class TestTrainLoop:
         first = result.history[0]["train_loss"]
         last = result.history[-1]["train_loss"]
         assert last < first * 0.5
+
+
+# ---------------------------------------------------------------------------
+# Whole-sequence loss against the stepwise reference
+
+
+def _loss_and_grads(loss_fn, model, inp, ref, **kwargs):
+    model.zero_grads()
+    with Tape() as tape:
+        loss = loss_fn(model, inp, ref, **kwargs)
+    tape.backward(loss.total)
+    grads = {name: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+             for name, t in model.parameters().items()}
+    model.zero_grads()
+    return loss.values(), grads
+
+
+def _assert_same_loss(model, pairs, seed=None, tol=1e-10, **kwargs):
+    """Loss components and every parameter gradient of ``sequence_loss``
+    equal the stepwise reference within ``tol`` relative, pair by pair.
+    A gradient that is zero in exact arithmetic (the bias of scores under a
+    softmax) is rounding noise on both sides, below 1e-12 of the largest
+    gradient entry; it is checked as that.  With a ``seed``, both sides
+    train with dropout from their own copy of one generator, which stays
+    in step over the whole corpus."""
+    rngs = [None, None] if seed is None else [np.random.default_rng(seed) for _ in range(2)]
+    for k, (inp, ref) in enumerate(pairs):
+        got, got_grads = _loss_and_grads(sequence_loss, model, inp, ref,
+                                         train=seed is not None, rng=rngs[0], **kwargs)
+        want, want_grads = _loss_and_grads(reference_sequence_loss, model, inp, ref,
+                                           train=seed is not None, rng=rngs[1], **kwargs)
+        for key, value in want.items():
+            assert abs(got[key] - value) <= tol * max(abs(value), 1e-300), (k, key, got, want)
+        largest = max(np.abs(g).max(initial=0.0) for g in want_grads.values())
+        for name, g in want_grads.items():
+            size = max(np.abs(g).max(initial=0.0), np.abs(got_grads[name]).max(initial=0.0))
+            if size <= 1e-12 * largest:
+                continue
+            diff = np.abs(got_grads[name] - g).max(initial=0.0)
+            assert diff <= tol * np.abs(g).max(initial=0.0), (k, name, diff)
+    if seed is not None:  # both sides drew the same number of masks
+        assert rngs[0].random() == rngs[1].random()
+
+
+@pytest.fixture(scope="module")
+def train_small():
+    """The benchmark's train-small model and its 64 pairs (seed 1)."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    workload = workloads.make("train-small", "full", 1, None)
+    workload.setup()
+    assert len(workload.pairs) == 64
+    return workload.model, workload.pairs
+
+
+@pytest.fixture(scope="module")
+def overfit_corpus():
+    """The criterion-08 corpus and model."""
+    pairs, senses = prepare_corpus(synthetic_corpus())
+    config = ModelConfig(
+        framework="amr", word_dim=32, char_emb_dim=8, char_channels=16, pos_dim=8,
+        index_dim=8, index_table_size=64, rel_dim=16,
+        encoder_hidden=64, encoder_layers=2, decoder_layers=2,
+        relation_hidden=128, attn_hidden=32, biaffine_size=32, bilinear_size=32,
+        dropout=0.2,
+    )
+    vocabs = build_vocabularies(config, [p[0] for p in pairs], [p[1] for p in pairs])
+    return TransducerModel(config, vocabs, seed=11, sense_counts=senses), pairs
+
+
+SETTINGS = [  # (dropout seed, label smoothing, coverage weight)
+    (None, 0.0, 0.0), (None, 0.1, 1.0), (5, 0.1, 1.0), (6, 0.0, 1.0), (7, 0.1, 0.0),
+]
+
+
+class TestWholeSequenceLoss:
+    @pytest.mark.parametrize("seed,eps,cov", SETTINGS)
+    def test_train_small_corpus(self, train_small, seed, eps, cov):
+        model, pairs = train_small
+        _assert_same_loss(model, pairs, seed, label_smoothing=eps, coverage_weight=cov)
+
+    @pytest.mark.parametrize("seed,eps,cov", SETTINGS)
+    def test_overfit_corpus(self, overfit_corpus, seed, eps, cov):
+        model, pairs = overfit_corpus
+        _assert_same_loss(model, pairs, seed, label_smoothing=eps, coverage_weight=cov)
+
+    EDGE_CASES = {
+        "eos_only": (["Pierre", "expressed"], (), True),
+        "single_relation": (["Pierre", "expressed"], (("@root@", 0, "root", "say-01", 1),), True),
+        "no_eos": (["Pierre", "expressed"], (("@root@", 0, "root", "say-01", 1),
+                                             ("say-01", 1, "ARG0", "person", 2)), False),
+        # person is copied back as node 2 (a node copy) and Pierre is an
+        # input token (a token copy) at the root and again deeper down
+        "node_and_token_copies": (
+            ["Pierre", "Vinken", "Pierre"],
+            (("@root@", 0, "root", "Pierre", 1), ("Pierre", 1, "ARG0", "person", 2),
+             ("person", 2, "ARG1", "say-01", 3), ("say-01", 3, "ARG0", "person", 2),
+             ("person", 2, "mod", "Pierre", 4), ("Pierre", 1, "ARG2", "Vinken", 5)), True),
+        # indices at and above the table size share the overflow bucket
+        "index_overflow": (["Pierre", "expressed"],
+                           (("@root@", 0, "root", "say-01", 1),
+                            ("say-01", 1, "ARG0", "person", 64),
+                            ("person", 64, "ARG1", "thing", 90)), True),
+        "one_token": (["Pierre"], (("@root@", 0, "root", "Pierre", 1),
+                                   ("Pierre", 1, "ARG0", "person", 2)), True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    @pytest.mark.parametrize("seed,eps,cov", SETTINGS)
+    def test_edge_cases(self, case, seed, eps, cov):
+        tokens, relations, eos = self.EDGE_CASES[case]
+        model = build_tiny_model(seed=21, dropout=0.3, index_table_size=64)
+        inp = EncoderInput(tokens=list(tokens), pos=["NNP"] * len(tokens))
+        ref = RelationSequence(tuple(Relation(*r) for r in relations), eos=eos)
+        _assert_same_loss(model, [(inp, ref)], seed, label_smoothing=eps, coverage_weight=cov)
+
+    def test_no_steps_is_zero(self):
+        model = build_tiny_model(seed=21)
+        inp = EncoderInput(tokens=["Pierre"], pos=["NNP"])
+        loss = sequence_loss(model, inp, RelationSequence((), eos=False), train=False)
+        assert loss.values() == dict.fromkeys(loss.values(), 0.0)
+
+    def test_switch_rows_sum_to_one(self, overfit_corpus):
+        model, pairs = overfit_corpus
+        for inp, ref in pairs[:6]:
+            switch = sequence_loss(model, inp, ref, train=False).switch
+            assert switch.shape == (len(ref.relations) + 1, 3)
+            assert np.abs(switch.sum(axis=1) - 1.0).max() <= 1e-12
+            assert not switch[:2, 2].any()  # no node to copy before step 2
+
+
+class TestTapeSize:
+    # tape records of the one batch below under the stepwise loss
+    # (``reference_sequence_loss``), counted before the whole-sequence loss
+    STEPWISE_RECORDS = 7231
+
+    def test_records_per_batch_at_most_a_third_of_stepwise(self):
+        rng = np.random.default_rng(31)
+        pairs = []
+        for _ in range(8):
+            inp = make_inputs(rng, 4)
+            pairs.append((inp, make_reference(inp, random_arborescence(rng),
+                                              OrderingPolicy.SOURCE)))
+        model = build_tiny_model(seed=31, dropout=0.2)
+        cfg = TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=1)
+        records = train(model, pairs, pairs[:1], cfg).history[0]["tape_records_per_batch"]
+        assert records <= self.STEPWISE_RECORDS / 3, records
