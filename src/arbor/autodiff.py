@@ -130,7 +130,7 @@ def backward(loss: Tensor) -> None:
     tape.backward(loss)
 
 
-def _apply(out_data: np.ndarray, pairs, op: str) -> Tensor:
+def _apply(out_data: np.ndarray, pairs) -> Tensor:
     """Build the output tensor and record backward closures (none when no
     tape is active).
 
@@ -202,7 +202,7 @@ def _elementwise(op: str, fwd, a: Tensor, b, grad_a, grad_b, bias: bool = False)
     return _apply(out, [
         (t, fn if t.shape == out.shape else lambda g, fn=fn, s=t.shape: _sum_to(fn(g), s))
         for t, fn in pairs
-    ], op)
+    ])
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -252,7 +252,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         d = _mm(a.data.reshape(am).swapaxes(-1, -2), g.reshape(gm))
         return d.sum(axis=0) if d.ndim > nb > 1 else d.reshape(sb)
 
-    return _apply(out, [(a, grad_a), (b, grad_b)], "matmul")
+    return _apply(out, [(a, grad_a), (b, grad_b)])
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -271,7 +271,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         (x, lambda g: g @ w.data),
         (w, lambda g: _weight_grad(g, x.data)),
         (b, lambda g: _sum_to(g, b.shape)),
-    ], "affine")
+    ])
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -282,7 +282,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
     offsets = list(accumulate((t.shape[axis] for t in tensors), initial=0))
     lead = (slice(None),) * (axis % out_data.ndim)
     return _apply(out_data, [(t, itemgetter(lead + (slice(lo, hi),)))
-                             for t, lo, hi in zip(tensors, offsets, offsets[1:])], "concat")
+                             for t, lo, hi in zip(tensors, offsets, offsets[1:])])
 
 
 def stack_rows(tensors) -> Tensor:
@@ -292,10 +292,10 @@ def stack_rows(tensors) -> Tensor:
     if not tensors:
         raise ShapeError("stack_rows of no tensors")
     out_data = np.stack([t.data for t in tensors], axis=0)
-    return _apply(out_data, [(t, itemgetter(k)) for k, t in enumerate(tensors)], "stack_rows")
+    return _apply(out_data, [(t, itemgetter(k)) for k, t in enumerate(tensors)])
 
 
-def _index(x: Tensor, index, op: str) -> Tensor:
+def _index(x: Tensor, index) -> Tensor:
     """``x.data[index]``, whose gradient is scattered back into a zero
     tensor of ``x``'s shape."""
 
@@ -304,23 +304,23 @@ def _index(x: Tensor, index, op: str) -> Tensor:
         full[index] = g
         return full
 
-    return _apply(x.data[index], [(x, fn)], op)
+    return _apply(x.data[index], [(x, fn)])
 
 
 def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    return _index(x, (slice(None),) * (axis % x.ndim) + (slice(start, stop),), "narrow")
+    return _index(x, (slice(None),) * (axis % x.ndim) + (slice(start, stop),))
 
 
 def element(x: Tensor, i: int) -> Tensor:
     """Pick one entry of a 1-d tensor as a scalar."""
     if x.ndim != 1:
         raise ShapeError(f"element expects a vector, got shape {x.shape}")
-    return _index(x, i, "element")
+    return _index(x, i)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
-    return _apply(x.data.reshape(shape), [(x, lambda g: g.reshape(x.shape))], "reshape")
+    return _apply(x.data.reshape(shape), [(x, lambda g: g.reshape(x.shape))])
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -328,8 +328,7 @@ def transpose(x: Tensor) -> Tensor:
     C-ordered copy)."""
     if x.ndim not in (2, 3):
         raise ShapeError(f"transpose expects a matrix or a stack of them, got shape {x.shape}")
-    return _apply(x.data.swapaxes(-1, -2).copy(),
-                  [(x, lambda g: g.swapaxes(-1, -2).copy())], "transpose")
+    return _apply(x.data.swapaxes(-1, -2).copy(), [(x, lambda g: g.swapaxes(-1, -2).copy())])
 
 
 def repeat_rows(v: Tensor, n: int) -> Tensor:
@@ -337,18 +336,18 @@ def repeat_rows(v: Tensor, n: int) -> Tensor:
     if v.ndim != 1:
         raise ShapeError(f"repeat_rows expects a vector, got shape {v.shape}")
     out = np.broadcast_to(v.data, (n, v.shape[0])).copy()
-    return _apply(out, [(v, lambda g: g.sum(axis=0))], "repeat_rows")
+    return _apply(out, [(v, lambda g: g.sum(axis=0))])
 
 
 def sum_all(x: Tensor) -> Tensor:
-    return _apply(x.data.sum(), [(x, lambda g: np.full_like(x.data, g))], "sum")
+    return _apply(x.data.sum(), [(x, lambda g: np.full_like(x.data, g))])
 
 
 def sum_axis(x: Tensor, axis: int) -> Tensor:
     def fn(g):
         return np.broadcast_to(np.expand_dims(g, axis), x.shape).copy()
 
-    return _apply(x.data.sum(axis=axis), [(x, fn)], "sum")
+    return _apply(x.data.sum(axis=axis), [(x, fn)])
 
 
 def amax(x: Tensor, axis: int = 0) -> Tensor:
@@ -361,14 +360,14 @@ def amax(x: Tensor, axis: int = 0) -> Tensor:
         np.put_along_axis(full, idx, np.expand_dims(g, axis), axis)
         return full
 
-    return _apply(out, [(x, fn)], "amax")
+    return _apply(out, [(x, fn)])
 
 
 def pick(x: Tensor, cols) -> Tensor:
     """Entry ``cols[r]`` of each row ``r`` of a matrix, as a vector."""
     if x.ndim != 2 or len(cols) != x.shape[0]:
         raise ShapeError(f"pick: {len(cols)} columns for a matrix of shape {x.shape}")
-    return _index(x, (np.arange(x.shape[0]), np.asarray(cols, dtype=np.intp)), "pick")
+    return _index(x, (np.arange(x.shape[0]), np.asarray(cols, dtype=np.intp)))
 
 
 def pairwise_add(a: Tensor, b: Tensor) -> Tensor:
@@ -377,8 +376,7 @@ def pairwise_add(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"pairwise_add: incompatible shapes {a.shape} and {b.shape}")
     out = a.data[:, None, :] + b.data[None, :, :]
-    return _apply(out, [(a, lambda g: g.sum(axis=1)), (b, lambda g: g.sum(axis=0))],
-                  "pairwise_add")
+    return _apply(out, [(a, lambda g: g.sum(axis=1)), (b, lambda g: g.sum(axis=0))])
 
 
 def unstack_rows(x: Tensor) -> list[Tensor]:
@@ -408,7 +406,7 @@ def _select(op: str, pick, take_first, a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
     take_a = take_first(a.data, b.data)
     return _apply(pick(a.data, b.data),
-                  [(a, lambda g: g * take_a), (b, lambda g: g * ~take_a)], op)
+                  [(a, lambda g: g * take_a), (b, lambda g: g * ~take_a)])
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
@@ -425,28 +423,28 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
-    return _apply(np.log(x.data), [(x, lambda g: g / x.data)], "log")
+    return _apply(np.log(x.data), [(x, lambda g: g / x.data)])
 
 
 def exp(x: Tensor) -> Tensor:
     out = np.exp(x.data)
-    return _apply(out, [(x, lambda g: g * out)], "exp")
+    return _apply(out, [(x, lambda g: g * out)])
 
 
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
-    return _apply(out, [(x, lambda g: g * (1.0 - out * out))], "tanh")
+    return _apply(out, [(x, lambda g: g * (1.0 - out * out))])
 
 
 def sigmoid(x: Tensor) -> Tensor:
     out = 1.0 / (1.0 + np.exp(-x.data))
-    return _apply(out, [(x, lambda g: g * out * (1.0 - out))], "sigmoid")
+    return _apply(out, [(x, lambda g: g * out * (1.0 - out))])
 
 
 def elu(x: Tensor) -> Tensor:
     """elu(x) = x for x > 0, exp(x) - 1 otherwise."""
     out = np.where(x.data > 0, x.data, np.expm1(x.data))
-    return _apply(out, [(x, lambda g: g * np.where(x.data > 0, 1.0, out + 1.0))], "elu")
+    return _apply(out, [(x, lambda g: g * np.where(x.data > 0, 1.0, out + 1.0))])
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -457,7 +455,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def fn(g):
         return (g - (g * out).sum(axis=axis, keepdims=True)) * out
 
-    return _apply(out, [(x, fn)], "softmax")
+    return _apply(out, [(x, fn)])
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -469,7 +467,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     def fn(g):
         return g - soft * g.sum(axis=axis, keepdims=True)
 
-    return _apply(out, [(x, fn)], "log_softmax")
+    return _apply(out, [(x, fn)])
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +619,7 @@ def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator | None
         raise ValueError("dropout in train mode needs an explicit rng")
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep) / keep
-    return _apply(x.data * mask, [(x, lambda g: g * mask)], "dropout")
+    return _apply(x.data * mask, [(x, lambda g: g * mask)])
 
 
 # ---------------------------------------------------------------------------

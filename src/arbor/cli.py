@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -33,6 +34,29 @@ class CliError(ValueError):
     pass
 
 
+class _Failures:
+    """A record whose graph cannot be built, converted, scored or written is
+    reported on stderr as ``record <id>: <error>`` and skipped."""
+
+    def __init__(self):
+        self.ids: list[str] = []
+        self.seen = 0
+
+    @contextmanager
+    def record(self, record_id: str):
+        self.seen += 1
+        try:
+            yield
+        except ValueError as exc:  # GraphError, FormatError and SmatchError among them
+            log.error("record %s: %s", record_id, exc)
+            self.ids.append(record_id)
+
+    def exit_code(self) -> int:
+        if self.ids:
+            log.error("%d of %d records failed", len(self.ids), self.seen)
+        return 1 if self.ids else 0
+
+
 def _setup_logging() -> None:
     level = os.environ.get("ARBOR_LOG", "info").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
@@ -47,33 +71,24 @@ def _setup_logging() -> None:
 # Graph file I/O by format
 
 
-def _read_graphs(path: str, fmt: str):
-    """Yield (record_id, graph, tokens, pos) items."""
+def _graph_readers(path: str, fmt: str) -> list:
+    """(record id, function that builds its graph) for each record of a
+    graph file; a malformed canonical JSON line stops the whole file."""
+    if fmt == "canonical":
+        return [(record.id, record.graph) for record in formats.read_canonical_file(path)]
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     if fmt == "penman":
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
         blocks = [b.strip() for b in text.split("\n\n") if b.strip()]
-        for i, block in enumerate(blocks):
-            yield str(i), formats.read_penman(block), None, None
-    elif fmt == "sdp":
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        for i, block in enumerate(formats.iter_sdp_blocks(text)):
-            tokens, graph = formats.read_sdp(block)
-            yield str(i), graph, [t.form for t in tokens], [t.pos for t in tokens]
-    elif fmt == "canonical":
-        for record in formats.read_canonical_file(path):
-            yield record.id, record.graph(), record.tokens, record.pos
-    else:
-        raise CliError(f"unknown format {fmt!r}")
+        return [(str(i), lambda b=b: formats.read_penman(b)) for i, b in enumerate(blocks)]
+    return [(str(i), lambda b=b: formats.read_sdp(b)[1])
+            for i, b in enumerate(formats.iter_sdp_blocks(text))]
 
 
 def _write_graph(fh, record_id: str, graph, fmt: str, tokens=None, pos=None):
     if fmt == "penman":
         fh.write(formats.write_penman(graph) + "\n\n")
     elif fmt == "sdp":
-        if tokens is None:
-            raise CliError("sdp output needs token rows; use canonical input")
         rows = [formats.SdpToken(t, t, p) for t, p in zip(tokens, pos or ["_"] * len(tokens))]
         fh.write(formats.write_sdp(rows, graph) + "\n")
     else:
@@ -89,24 +104,26 @@ def _write_graph(fh, record_id: str, graph, fmt: str, tokens=None, pos=None):
 
 def cmd_convert(args) -> int:
     framework = Framework(args.framework)
+    failures = _Failures()
+    if args.direction == "to-arbor":
+        readers = _graph_readers(args.input, args.format)
+        with open(args.output, "w", encoding="utf-8") as out:
+            for record_id, read_graph in readers:
+                with failures.record(record_id):
+                    graph = read_graph()
+                    if graph.framework != framework:
+                        raise CliError(f"framework {graph.framework.value} != {args.framework}")
+                    out.write(formats.arbor_to_json(conv.to_arbor(graph), record_id) + "\n")
+        return failures.exit_code()
+    if args.format == "sdp":
+        raise CliError("sdp output needs token rows; use canonical input")
+    with open(args.input, encoding="utf-8") as fh:
+        arbors = [formats.arbor_from_json(line) for line in fh if line.strip()]
     with open(args.output, "w", encoding="utf-8") as out:
-        if args.direction == "to-arbor":
-            for record_id, graph, tokens, pos in _read_graphs(args.input, args.format):
-                if graph.framework != framework:
-                    raise CliError(
-                        f"record {record_id}: framework {graph.framework.value} != {args.framework}"
-                    )
-                arbor = conv.to_arbor(graph)
-                out.write(formats.arbor_to_json(arbor, record_id) + "\n")
-        else:
-            with open(args.input, encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    record_id, arbor = formats.arbor_from_json(line)
-                    graph = conv.from_arbor(arbor, framework)
-                    _write_graph(out, record_id, graph, args.format)
-    return 0
+        for record_id, arbor in arbors:
+            with failures.record(record_id):
+                _write_graph(out, record_id, conv.from_arbor(arbor, framework), args.format)
+    return failures.exit_code()
 
 
 def cmd_linearize(args) -> int:
@@ -163,8 +180,7 @@ def cmd_train(args) -> int:
         rng = np.random.default_rng(cfg.seed)
         word_init = rng.uniform(-0.1, 0.1, size=(len(vocabs.enc_word), model_config.word_dim))
         for i, token in enumerate(vocabs.enc_word.itos):
-            vec = table.get(token)
-            word_init[i] = vec if vec is not None else table.unk
+            word_init[i] = table.lookup(token)
     model = TransducerModel(model_config, vocabs, seed=cfg.seed,
                             word_init=word_init, sense_counts=sense_counts)
     log.info("training on %d pairs (%d dev), %d parameters",
@@ -192,47 +208,47 @@ def _check_search_args(args) -> None:
 
 
 def cmd_parse(args) -> int:
-    """Parse every record; a record that fails is reported on stderr by its
-    id and skipped, the others are written in input order, and the exit
+    """Parse every record; one that fails is reported and skipped (see
+    ``_Failures``), the others are written in input order, and the exit
     code is 1 if any failed."""
     _check_search_args(args)
     model = TransducerModel.load(args.model)
     records = formats.read_canonical_file(args.input)
     beam = 1 if args.greedy else args.beam
-    failed = 0
+    failures = _Failures()
     with open(args.output, "w", encoding="utf-8") as out:
         for record in records:
-            try:
+            with failures.record(record.id):
                 graph = _parse_one(model, record, beam, args.max_len)
-            except (GraphError, ValueError) as exc:
-                log.error("record %s: %s", record.id, exc)
-                failed += 1
-                continue
-            _write_graph(out, record.id, graph, args.format, record.tokens, record.pos)
-    if failed:
-        log.error("%d of %d records failed", failed, len(records))
-    return 1 if failed else 0
+                _write_graph(out, record.id, graph, args.format, record.tokens, record.pos)
+    return failures.exit_code()
 
 
 def cmd_eval(args) -> int:
+    """Score each prediction against its gold graph; the report counts the
+    pairs scored and lists ``failed_ids``, the pairs ``_Failures`` skipped."""
     gold = {r.id: r for r in formats.read_canonical_file(args.gold)}
     pred = {r.id: r for r in formats.read_canonical_file(args.pred)}
     missing = sorted(set(gold) - set(pred))
     if missing:
         raise CliError(f"predictions missing for ids: {missing[:5]}")
 
-    def score_one(record_id):
-        g, p = gold[record_id].graph(), pred[record_id].graph()
+    def score_one(g, p):
         if g.framework == Framework.AMR:
             return smatch_score(g, p, mode=args.smatch_mode)
         return labeled_triple_f1(g, p)
 
-    ids = sorted(gold)
-    reports = [score_one(i) for i in ids]
+    failures = _Failures()
+    reports, predicted = [], []
+    for record_id in sorted(gold):
+        with failures.record(record_id):
+            g, p = gold[record_id].graph(), pred[record_id].graph()
+            reports.append(score_one(g, p))
+            predicted.append(p)
     total = F1Report.from_counts(sum(r.matched for r in reports),
                                  sum(r.gold for r in reports),
                                  sum(r.predicted for r in reports))
-    audit = validity_audit([pred[i].graph() for i in ids])
+    audit = validity_audit(predicted)
     report = {
         "precision": total.precision,
         "recall": total.recall,
@@ -240,15 +256,16 @@ def cmd_eval(args) -> int:
         "matched": total.matched,
         "gold_triples": total.gold,
         "predicted_triples": total.predicted,
-        "graphs": len(ids),
+        "graphs": len(predicted),
         "invalid_graphs": audit.invalid,
         "invalid_rate": audit.rate,
+        "failed_ids": failures.ids,
     }
     with open(args.output, "w", encoding="utf-8") as out:
         json.dump(report, out, indent=2)
         out.write("\n")
     print(json.dumps(report))
-    return 0
+    return failures.exit_code()
 
 
 def cmd_bench(args) -> int:

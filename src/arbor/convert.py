@@ -54,9 +54,6 @@ class ConversionTrace:
 
     duplicated: dict[str, int] = field(default_factory=dict)  # node id -> copy count
     reversed_edges: list[tuple[str, str, str]] = field(default_factory=list)
-    null_edges: list[str] = field(default_factory=list)  # attached component root labels
-    collapsed_preterminals: dict[str, list[str]] = field(default_factory=dict)
-    added_labels: dict[str, str] = field(default_factory=dict)
 
 
 def _renumber_preorder(root: ArborNode) -> None:
@@ -238,7 +235,7 @@ def dm_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arbor
             uncovered = [(k, e) for k, e in comp_edges if k not in covered]
             if not uncovered:
                 break
-            found = _bfs_first_with_uncovered(root, uncovered, indices.by_id, node_map)
+            found = _bfs_first_with_uncovered(root, uncovered, indices.by_id)
             if found is None:
                 raise GraphError("DM conversion failed to cover all edges")
             arbor_node, found_edges = found
@@ -279,15 +276,12 @@ def dm_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arbor
         root = roots[0]
         for other in roots[1:]:
             root.add(NULL_EDGE, other)
-            trace.null_edges.append(other.label)
     else:
         # No top: a synthetic root marks the distinction for the inverse.
         root = ArborNode(ROOT_LABEL, indices.next)
         indices.next += 1
         for members in components:
-            child = convert_component(members)
-            root.add(NULL_EDGE, child)
-            trace.null_edges.append(child.label)
+            root.add(NULL_EDGE, convert_component(members))
     # final surface ordering so conversion output is already in the child
     # order used for reference linearization; indices then follow emission
     # order
@@ -296,7 +290,7 @@ def dm_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arbor
     return Arborescence(root)
 
 
-def _bfs_first_with_uncovered(root: ArborNode, uncovered, index_by_id, node_map):
+def _bfs_first_with_uncovered(root: ArborNode, uncovered, index_by_id):
     """First arborescence node (BFS, queue order) whose graph node has
     uncovered incoming edges, together with all of those edges."""
     incoming: dict[int, list] = {}
@@ -403,7 +397,6 @@ def ucca_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arb
             arbor = ArborNode(first.label, indices.assign(node_id), anchors=first.anchors)
             placed[node_id] = arbor
             placed.setdefault(first.id, arbor)
-            trace.collapsed_preterminals[node_id] = [t.id for t in terminals]
             for t in rest:
                 phrase = ArborNode(t.label, indices.assign(t.id), anchors=t.anchors)
                 placed.setdefault(t.id, phrase)
@@ -412,7 +405,6 @@ def ucca_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arb
         label = incoming_label if incoming_label is not None else ROOT_LABEL
         arbor = ArborNode(label, indices.assign(node_id))
         placed[node_id] = arbor
-        trace.added_labels[node_id] = label
         for e in out[node_id]:  # stored order
             arbor.add(e.label, visit(e.target, e.label))
         return arbor

@@ -79,15 +79,18 @@ BOS_INPUT = RelationInput(ROOT_LABEL, ROOT_INDEX, UNK_LABEL, ROOT_RELATION)
 
 @dataclass(frozen=True)
 class DecoderState:
+    """A decode after ``step`` relations.  Of the target states only the last
+    one, ``h``, is kept: no scorer reads an earlier one."""
+
     lstm: tuple[tuple[Tensor, Tensor], ...]  # per-layer (h, c)
-    h_hist: tuple[Tensor, ...]  # final-layer target states, position 0 = ROOT
+    h: Tensor  # final-layer state of the last target (ROOT's before the first)
     z_hist: tuple[Tensor, ...]  # relation hidden states available for copying
     nodes: tuple[NodeRecord, ...]  # emitted target nodes v_1..v_i
     coverage: Tensor  # running sum of encoder attentions
     step: int  # number of relations consumed so far
-    # mlp_end and mlp_rel_src of each pointer candidate h_hist[j], computed
-    # once when h_hist[j] becomes a candidate (in predict_target); after a
-    # feed both hold len(h_hist) - 1 rows
+    # mlp_end and mlp_rel_src of each pointer candidate's state (ROOT, then
+    # every target), computed once when it becomes a candidate (in
+    # predict_target); after a feed both hold len(nodes) rows
     end_rows: tuple[Tensor, ...] = ()
     rel_src_rows: tuple[Tensor, ...] = ()
     # (label, pos) -> label_vec for one decode, shared by all of its states
@@ -126,16 +129,13 @@ class Expansions:
         parent = self.parents[e]
         lstm = tuple((Tensor(h.data[e].copy()), Tensor(c.data[e].copy()))
                      for h, c in self.lstm)
-        return replace(parent, lstm=lstm, h_hist=parent.h_hist + (lstm[-1][0],),
-                       nodes=parent.nodes + (self.records[e],))
+        return replace(parent, lstm=lstm, h=lstm[-1][0], nodes=parent.nodes + (self.records[e],))
 
 
 @dataclass
 class StepOutput:
-    z: Tensor
     vocab_logits: Tensor
     p_vocab: Tensor
-    a_enc: Tensor
     a_dec: Tensor | None
     switch: tuple[Tensor, Tensor, Tensor | None]  # (p_gen, p_enc, p_dec)
     p_target: Tensor  # concat of weighted vocab / encoder / decoder blocks
@@ -255,7 +255,7 @@ class Decoder(nn.Module):
                      for init in enc.init)
         return DecoderState(
             lstm=lstm,
-            h_hist=(enc.init[-1],),
+            h=enc.init[-1],
             z_hist=(),
             nodes=(),
             coverage=ad.constant(np.zeros(enc.n)),
@@ -267,7 +267,7 @@ class Decoder(nn.Module):
                        ) -> tuple[StepOutput, DecoderState]:
         """Consume relation ``rel_in`` and produce the next-target mixture."""
         c = self.config
-        h_i = state.h_hist[-1]
+        h_i = state.h
 
         attn_in = ad.concat([ad.repeat_rows(h_i, enc.n), enc.states], axis=1)
         a_enc = ad.softmax(self.attn_mlp(attn_in))
@@ -310,7 +310,7 @@ class Decoder(nn.Module):
             rel_src_rows=state.rel_src_rows + (self.mlp_rel_src(h_i),),
         )
         out = StepOutput(
-            z=z, vocab_logits=vocab_logits, p_vocab=p_vocab, a_enc=a_enc, a_dec=a_dec,
+            vocab_logits=vocab_logits, p_vocab=p_vocab, a_dec=a_dec,
             switch=(p_gen, p_enc, p_dec), p_target=p_target, covloss=covloss,
             vocab_size=len(self.word_vocab), n_enc=enc.n, n_dec=n_dec,
             dec_records=state.nodes[:n_dec], fresh_index=state.next_fresh_index,
@@ -339,8 +339,7 @@ class Decoder(nn.Module):
         """Run the target LSTM over the new node ``v_{i+1}``."""
         lstm, h = self._run_lstm(self._node_input(record, state.label_memo), state.lstm,
                                  train=train, rng=rng)
-        return replace(state, lstm=lstm, h_hist=state.h_hist + (h,),
-                       nodes=state.nodes + (record,))
+        return replace(state, lstm=lstm, h=h, nodes=state.nodes + (record,))
 
     def expand(self, parents: list[DecoderState], records: list[NodeRecord]) -> Expansions:
         """Feed ``records[e]`` to ``parents[e]`` for every expansion ``e`` at
@@ -379,7 +378,7 @@ class Decoder(nn.Module):
 
     def source_scores(self, state: DecoderState) -> Tensor:
         """Biaffine pointer logits over positions 0..i (0 is ROOT)."""
-        start = self.mlp_start(state.h_hist[-1])
+        start = self.mlp_start(state.h)
         return self.biaffine(start, ad.stack_rows(state.end_rows))
 
     @staticmethod
@@ -405,7 +404,7 @@ class Decoder(nn.Module):
 
     def relation_scores(self, state: DecoderState, position: int) -> Tensor:
         """Bilinear relation-type logits given the source pointer choice."""
-        tgt = self.mlp_rel_tgt(state.h_hist[-1])
+        tgt = self.mlp_rel_tgt(state.h)
         return self.bilinear(state.rel_src_rows[position], tgt)
 
     def relation_dist(self, state: DecoderState, position: int) -> Tensor:
@@ -416,7 +415,7 @@ class Decoder(nn.Module):
         the one-expansion reference that ``expand`` is tested against;
         decoding calls ``expand``."""
         srcs = ad.stack_rows(state.rel_src_rows)
-        tgt = self.mlp_rel_tgt(state.h_hist[-1])
+        tgt = self.mlp_rel_tgt(state.h)
         return ad.softmax(self.bilinear(srcs, tgt), axis=-1).data
 
     # -- bookkeeping --------------------------------------------------------
@@ -425,13 +424,6 @@ class Decoder(nn.Module):
         if origin == ORIGIN_DEC:
             return state.nodes[copied_from - 1].index
         return state.next_fresh_index
-
-    def reference_record(self, state: DecoderState, label: str, index: int,
-                         tokens: list[str], pos_tags: list[str],
-                         anchors: tuple[int, ...] | None = None) -> NodeRecord:
-        """Build the node record for a teacher-forced reference target
-        (``reference_node`` on the state's nodes)."""
-        return reference_node(state.nodes, label, index, tokens, pos_tags, anchors)
 
     def gold_support(self, out: StepOutput, label: str, tokens: list[str],
                      index: int | None = None) -> list[int]:

@@ -1,8 +1,8 @@
 """Token embedding and multi-layer BiLSTM encoding.
 
 The embedding module concatenates, in fixed order: pretrained/trained word
-embeddings, the optional frozen external per-token channel, character CNN
-output, POS embeddings and any configured categorical feature columns.
+embeddings, character CNN output, POS embeddings and any configured
+categorical feature columns.
 The encoder output exposes final-layer states plus per-layer decoder
 initialization vectors ``[bwd state at token 1; fwd state at token n]``.
 """
@@ -24,7 +24,6 @@ class EncoderInput:
     tokens: list[str]
     pos: list[str]
     features: dict[str, list[str]] = field(default_factory=dict)
-    external: np.ndarray | None = None  # (n, ext_dim) frozen channel
 
     def __post_init__(self):
         n = len(self.tokens)
@@ -33,8 +32,6 @@ class EncoderInput:
         for name, col in self.features.items():
             if len(col) != n:
                 raise ValueError(f"feature {name!r} length {len(col)} != token count {n}")
-        if self.external is not None and len(self.external) != n:
-            raise ValueError(f"external rows {len(self.external)} != token count {n}")
 
 
 @dataclass
@@ -73,8 +70,6 @@ class Encoder(nn.Module):
 
     def embedded_dim(self) -> int:
         d = self.config.word_dim + self.config.char_channels + self.config.pos_dim
-        if self.config.external_dim:
-            d += self.config.external_dim
         for name in sorted(self.feature_vocabs):
             d += self.config.feature_dims.get(name, self.config.feature_dim)
         return d
@@ -84,22 +79,10 @@ class Encoder(nn.Module):
 
     def embed_tokens(self, inp: EncoderInput, train: bool = False,
                      rng: np.random.Generator | None = None) -> Tensor:
-        if self.config.external_dim and inp.external is None:
-            raise ValueError("encoder configured with an external channel but none provided")
-        rows = []
         word_rows = self.word_emb([self.word_vocab.id(t) for t in inp.tokens])
         pos_rows = self.pos_emb([self.pos_vocab.id(p) for p in inp.pos])
         char_rows = ad.stack_rows([self.char_cnn(self.char_ids(t)) for t in inp.tokens])
-        parts = [word_rows]
-        if self.config.external_dim:
-            ext = np.asarray(inp.external, dtype=float)
-            if ext.shape[1] != self.config.external_dim:
-                raise ValueError(
-                    f"external channel dim {ext.shape[1]} != configured {self.config.external_dim}"
-                )
-            parts.append(ad.constant(ext))
-        parts.append(char_rows)
-        parts.append(pos_rows)
+        parts = [word_rows, char_rows, pos_rows]
         for name in sorted(self.feature_vocabs):
             col = inp.features.get(name)
             if col is None:

@@ -328,15 +328,18 @@ class CanonicalGraphRecord:
                 raise FormatError(f"feature {name!r} length {len(col)} != token count {n}")
 
     def graph(self) -> SemanticGraph:
-        nodes = tuple(
-            GraphNode(
-                id=str(d["id"]),
-                label=d.get("label", "") or "",
-                anchors=tuple(d["anchors"]) if d.get("anchors") is not None else None,
+        try:
+            nodes = tuple(
+                GraphNode(
+                    id=str(d["id"]),
+                    label=d.get("label", "") or "",
+                    anchors=tuple(d["anchors"]) if d.get("anchors") is not None else None,
+                )
+                for d in self.nodes
             )
-            for d in self.nodes
-        )
-        edges = tuple(GraphEdge(str(d["src"]), str(d["tgt"]), d["label"]) for d in self.edges)
+            edges = tuple(GraphEdge(str(d["src"]), str(d["tgt"]), d["label"]) for d in self.edges)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise FormatError(f"bad node or edge: {exc!r}") from exc
         return SemanticGraph(self.framework, nodes, edges, tuple(str(t) for t in self.tops))
 
     @classmethod
@@ -429,14 +432,10 @@ class EmbeddingTableFile:
         else:
             self.unk = np.zeros(dim)
 
-    def get(self, word: str) -> np.ndarray | None:
+    def lookup(self, word: str) -> np.ndarray:
         vec = self.vectors.get(word)
         if vec is None:
             vec = self.vectors.get(word.lower())
-        return vec
-
-    def lookup(self, word: str) -> np.ndarray:
-        vec = self.get(word)
         return vec if vec is not None else self.unk
 
 

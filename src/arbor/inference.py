@@ -62,7 +62,7 @@ class DecodeResult:
     pool: list[tuple[tuple[Relation, ...], float]] | None = None
 
 
-def _slot_info(model: TransducerModel, out, state, tokens: list[str], pos_tags: list[str],
+def _slot_info(model: TransducerModel, out, tokens: list[str], pos_tags: list[str],
                slot: int) -> NodeRecord:
     """Interpret a position of the mixed target distribution."""
     v, n_enc = out.vocab_size, out.n_enc
@@ -145,8 +145,7 @@ def _search(model: TransducerModel, enc_input: EncoderInput, beam_size: int,
                     continue
                 owners.append(hyp)
                 parents.append(state1)
-                records.append(_slot_info(model, out, state1, enc_input.tokens, enc_input.pos,
-                                          slot))
+                records.append(_slot_info(model, out, enc_input.tokens, enc_input.pos, slot))
                 heads.append(hyp.score + float(np.log(p[slot])))
         if not records:
             beam = []
@@ -216,8 +215,7 @@ def _empty_graph(framework: Framework) -> SemanticGraph:
 
 
 def parse(model: TransducerModel, enc_input: EncoderInput, *, beam_size: int = 1,
-          max_len: int = 100, restore_senses: bool = True,
-          framework: Framework | None = None) -> SemanticGraph:
+          max_len: int = 100, framework: Framework | None = None) -> SemanticGraph:
     """Decode with a beam of ``beam_size`` (1 is greedy) and convert back to
     a framework graph.
 
@@ -230,7 +228,7 @@ def parse(model: TransducerModel, enc_input: EncoderInput, *, beam_size: int = 1
         return _empty_graph(target)
     arbor = relations_to_arbor(result.sequence)
     graph = from_arbor(arbor, target)
-    if target == Framework.AMR and restore_senses and model.sense_counts:
+    if target == Framework.AMR and model.sense_counts:
         counts = {k: Counter(v) for k, v in model.sense_counts.items()}
         graph = amr_restore_senses(graph, counts)
     return graph

@@ -34,11 +34,9 @@ class ModelConfig:
     word_dim: int = 300
     char_emb_dim: int = 32
     char_channels: int = 100
-    char_kernel: int = 3
     pos_dim: int = 100
     feature_dim: int = 100
     feature_dims: dict = field(default_factory=dict)  # per-column override (e.g. anon: 50)
-    external_dim: int = 0  # frozen per-token channel; 1024 when enabled
     index_dim: int = 50
     index_table_size: int = 512
     rel_dim: int = 100
@@ -171,9 +169,7 @@ class TransducerModel(nn.Module):
         self.sense_counts = sense_counts or {}
         rng = np.random.default_rng(seed)
 
-        char_cnn = nn.CharCnn(
-            rng, len(vocabs.char), config.char_emb_dim, config.char_channels, config.char_kernel
-        )
+        char_cnn = nn.CharCnn(rng, len(vocabs.char), config.char_emb_dim, config.char_channels)
         pos_table = nn.Embedding(rng, len(vocabs.pos), config.pos_dim)
         self.encoder = self.add_child(
             "encoder",

@@ -59,7 +59,6 @@ class TrainConfig:
     max_epochs: int = 500
     patience: int = 5
     seed: int = 13
-    eval_every: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.label_smoothing < 1.0:
@@ -89,7 +88,7 @@ class LossBreakdown:
         }
 
 
-def make_reference(enc_input: EncoderInput, arbor, policy: OrderingPolicy) -> RelationSequence:
+def make_reference(arbor, policy: OrderingPolicy) -> RelationSequence:
     """Linearize a reference arborescence; the EOS flag marks the extra
     end-of-sequence prediction step."""
     seq = arbor_to_relations(arbor, policy)
@@ -403,9 +402,10 @@ def train(
 ) -> TrainResult:
     """Mini-batched teacher forcing with greedy-decode dev F1 early stopping.
 
-    Stops when the count of evaluations since the best dev score reaches
-    ``patience`` (so patience 0 runs exactly one epoch), when ``target_f1``
-    is reached, or after ``max_epochs``.
+    Dev F1 is taken after every epoch.  Stops when the count of epochs
+    since the best dev score reaches ``patience`` (so patience 0 runs
+    exactly one epoch), when ``target_f1`` is reached, or after
+    ``max_epochs``.
 
     Each history entry (one JSONL line at ``log_path``) also holds the
     epoch's mean loss components per example (``nll_u``, ``nll_r``,
@@ -471,13 +471,11 @@ def train(
                 adam_step(params, opt, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
             train_seconds = time.perf_counter() - started
 
-            dev_f1 = float("nan")
-            if epoch % cfg.eval_every == 0:
-                preds = [
-                    greedy_decode(model, inp, max_len=2 * len(ref.relations) + 8).sequence
-                    for inp, ref in dev_pairs
-                ]
-                dev_f1 = relation_f1([r for _, r in dev_pairs], preds).f1
+            preds = [
+                greedy_decode(model, inp, max_len=2 * len(ref.relations) + 8).sequence
+                for inp, ref in dev_pairs
+            ]
+            dev_f1 = relation_f1([r for _, r in dev_pairs], preds).f1
 
             entry = {
                 "epoch": epoch,
@@ -500,16 +498,15 @@ def train(
                 log_fh.write(json.dumps(entry) + "\n")
                 log_fh.flush()
 
-            if epoch % cfg.eval_every == 0:
-                if dev_f1 > best_f1:
-                    best_f1, best_epoch, stale = dev_f1, epoch, 0
-                    best_params = {k: t.data.copy() for k, t in params.items()}
-                else:
-                    stale += 1
-                if target_f1 is not None and dev_f1 >= target_f1:
-                    break
-                if stale >= cfg.patience:
-                    break
+            if dev_f1 > best_f1:
+                best_f1, best_epoch, stale = dev_f1, epoch, 0
+                best_params = {k: t.data.copy() for k, t in params.items()}
+            else:
+                stale += 1
+            if target_f1 is not None and dev_f1 >= target_f1:
+                break
+            if stale >= cfg.patience:
+                break
     finally:
         if log_fh:
             log_fh.close()
@@ -525,7 +522,7 @@ def train(
 # Corpus preparation
 
 
-def prepare_corpus(records, strip_senses: bool = True):
+def prepare_corpus(records):
     """Turn canonical records into (EncoderInput, RelationSequence) pairs.
 
     AMR graphs have their sense suffixes stripped first; the merged
@@ -541,11 +538,11 @@ def prepare_corpus(records, strip_senses: bool = True):
     sense_counts: dict[str, Counter] = {}
     for record in records:
         graph = record.graph()
-        if strip_senses and graph.framework == Framework.AMR:
+        if graph.framework == Framework.AMR:
             graph, counts = amr_strip_senses(graph)
             for lemma, counter in counts.items():
                 sense_counts.setdefault(lemma, Counter()).update(counter)
         arbor = to_arbor(graph)
         inp = encoder_input_from_record(record)
-        pairs.append((inp, make_reference(inp, arbor, policy_for(record.framework))))
+        pairs.append((inp, make_reference(arbor, policy_for(record.framework))))
     return pairs, {k: dict(v) for k, v in sense_counts.items()}

@@ -14,7 +14,7 @@ import pytest
 
 from arbor import autodiff as ad
 from arbor.convert import from_arbor, to_arbor
-from arbor.decoder import BOS_INPUT, RelationInput
+from arbor.decoder import BOS_INPUT, RelationInput, reference_node
 from arbor.encoder import EncoderInput
 from arbor.evaluate import linear_fit_r2, smatch_score
 from arbor.formats import read_penman
@@ -121,8 +121,9 @@ def test_criterion_04_probability_hygiene():
             out, state = dec.predict_target(enc, state, rel_in)
             assert abs(out.p_target.data.sum() - 1.0) < 1e-6
             assert abs(sum(out.switch_values()) - 1.0) < 1e-9
-            record = dec.reference_record(
-                state, model.vocabs.dec_word.token(int(rng.integers(4, len(model.vocabs.dec_word)))),
+            record = reference_node(
+                state.nodes,
+                model.vocabs.dec_word.token(int(rng.integers(4, len(model.vocabs.dec_word)))),
                 state.next_fresh_index, inp.tokens, inp.pos)
             state = dec.feed_target(state, record)
             pu = dec.point_source(state)
@@ -225,7 +226,7 @@ def test_criterion_08_overfit_oracle():
     )
     vocabs = build_vocabularies(config, [p[0] for p in pairs], [p[1] for p in pairs])
     model = TransducerModel(config, vocabs, seed=11, sense_counts=senses)
-    cfg = TrainConfig(batch_size=8, max_epochs=500, patience=500, seed=11, eval_every=1)
+    cfg = TrainConfig(batch_size=8, max_epochs=500, patience=500, seed=11)
     result = train(model, pairs, pairs, cfg, target_f1=0.95)
     elapsed = time.perf_counter() - started
     assert result.best_dev_f1 >= 0.95, result.best_dev_f1
@@ -274,8 +275,8 @@ def test_criterion_09_loss_identities():
     for i, rel in enumerate(ref.relations):
         out, state = dec.predict_target(enc, state, rel_in)
         logp += np.log(out.p_target.data[dec.word_vocab.id(rel.target)])
-        record = dec.reference_record(state, rel.target, rel.target_index,
-                                      inp.tokens, inp.pos)
+        record = reference_node(state.nodes, rel.target, rel.target_index,
+                                inp.tokens, inp.pos)
         state = dec.feed_target(state, record)
         pos = resolve_source(ref.relations[:i], rel.source, rel.source_index)
         logp += np.log(dec.point_source(state).data[pos])

@@ -115,6 +115,104 @@ class TestConvert:
         assert "input nested too deeply" in proc.stderr
 
 
+def canonical_line(record_id, nodes, edges, tops):
+    return json.dumps({"id": record_id, "framework": "amr", "tokens": ["a"], "pos": ["DT"],
+                       "nodes": nodes, "edges": edges, "tops": tops})
+
+
+GOOD_NODES = [{"id": "x", "label": "want-01"}, {"id": "y", "label": "person"}]
+GOOD_EDGES = [{"src": "x", "tgt": "y", "label": "ARG0"}]
+
+
+class TestBadRecords:
+    """``convert`` and ``eval`` report a record whose graph cannot be built,
+    converted or written as ``record <id>: <error>``, handle every other
+    record and exit 1; a malformed JSON line stops the file."""
+
+    def test_to_arbor_skips_bad_canonical_records(self, tmp_path):
+        src = tmp_path / "in.jsonl"
+        src.write_text("\n".join([
+            canonical_line("g1", GOOD_NODES, GOOD_EDGES, ["x"]),
+            canonical_line("dangling", GOOD_NODES, [{"src": "x", "tgt": "z", "label": "ARG0"}],
+                           ["x"]),
+            canonical_line("no-id", [{"label": "want-01"}], [], []),
+            canonical_line("g2", GOOD_NODES, GOOD_EDGES, ["x"]),
+        ]) + "\n")
+        out = tmp_path / "arbors.jsonl"
+        proc = run_cli("convert", "--framework", "amr", "--direction", "to-arbor",
+                       "--format", "canonical", "--input", src, "--output", out)
+        assert proc.returncode == 1
+        assert [arbor_from_json(line)[0] for line in out.read_text().splitlines()] == ["g1", "g2"]
+        assert "record dangling: edge x->z references unknown node" in proc.stderr
+        assert "record no-id: bad node or edge: KeyError('id')" in proc.stderr
+        assert "2 of 4 records failed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_to_arbor_skips_bad_penman_block(self, tmp_path):
+        src = tmp_path / "in.penman"
+        src.write_text(VINKEN + "\n\n(a / alpha :mod (b / beta)\n\n" + VINKEN + "\n")
+        out = tmp_path / "arbors.jsonl"
+        proc = run_cli("convert", "--framework", "amr", "--direction", "to-arbor",
+                       "--format", "penman", "--input", src, "--output", out)
+        assert proc.returncode == 1
+        assert [arbor_from_json(line)[0] for line in out.read_text().splitlines()] == ["0", "2"]
+        assert "record 1: unbalanced parentheses" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_from_arbor_skips_unconvertible_record(self, tmp_path):
+        good = {"label": "want-01", "index": 1,
+                "children": [["ARG0", {"label": "person", "index": 2}]]}
+        clash = {"label": "want-01", "index": 1,
+                 "children": [["ARG0", {"label": "person", "index": 1}]]}
+        src = tmp_path / "arbors.jsonl"
+        src.write_text("".join(json.dumps({"id": i, "root": r}) + "\n"
+                               for i, r in (("g1", good), ("clash", clash), ("g2", good))))
+        out = tmp_path / "out.penman"
+        proc = run_cli("convert", "--framework", "amr", "--direction", "from-arbor",
+                       "--format", "penman", "--input", src, "--output", out)
+        assert proc.returncode == 1
+        blocks = [b for b in out.read_text().split("\n\n") if b.strip()]
+        assert len(blocks) == 2
+        assert all(read_penman(b).nodes for b in blocks)
+        assert "record clash: index 1 carries labels" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_malformed_json_line_stops_the_file(self, tmp_path):
+        good = {"label": "want-01", "index": 1, "children": []}
+        src = tmp_path / "arbors.jsonl"
+        src.write_text(json.dumps({"id": "g1", "root": good}) + "\n{not json\n")
+        out = tmp_path / "out.jsonl"
+        proc = run_cli("convert", "--framework", "amr", "--direction", "from-arbor",
+                       "--input", src, "--output", out)
+        assert proc.returncode == 1
+        assert "bad arborescence JSON" in proc.stderr
+        assert "record " not in proc.stderr
+        assert not out.exists()
+        assert "Traceback" not in proc.stderr
+
+    def test_eval_scores_the_other_records(self, tmp_path):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("\n".join(canonical_line(i, GOOD_NODES, GOOD_EDGES, ["x"])
+                                  for i in ("a", "b", "c")) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        wrong = [{"id": "x", "label": "want-01"}, {"id": "y", "label": "dog"}]
+        pred.write_text("\n".join([
+            canonical_line("a", GOOD_NODES, GOOD_EDGES, ["x"]),
+            canonical_line("b", GOOD_NODES, [{"src": "x", "tgt": "q", "label": "ARG0"}], ["x"]),
+            canonical_line("c", wrong, GOOD_EDGES, ["x"]),
+        ]) + "\n")
+        out = tmp_path / "report.json"
+        proc = run_cli("eval", "--gold", gold, "--pred", pred, "--output", out)
+        assert proc.returncode == 1
+        report = json.loads(out.read_text())
+        assert report["failed_ids"] == ["b"]
+        assert report["graphs"] == 2
+        # a: 3 of 3 triples, c: 2 of 3 (the concept of y differs)
+        assert (report["matched"], report["gold_triples"], report["predicted_triples"]) == (5, 6, 6)
+        assert "record b: edge x->q references unknown node" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestLinearize:
     def test_tsv_format(self, tmp_path):
         src = tmp_path / "in.penman"
@@ -293,3 +391,15 @@ class TestUsage:
         cfg.write_text('{"no_such_option": 1}')
         assert main(["train", "--framework", "amr", "--train", str(train_file),
                      "--output", str(tmp_path / "m.ckpt"), "--config", str(cfg)]) == 1
+
+    def test_removed_config_key_is_rejected_by_name(self, tmp_path, corpus_files):
+        _, train_file, _ = corpus_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"eval_every": 2}')
+        proc = run_cli("train", "--framework", "amr", "--train", train_file,
+                       "--output", tmp_path / "m.ckpt", "--config", cfg,
+                       "--hidden", "8", "--max-epochs", "1")
+        assert proc.returncode == 1
+        assert "unknown config keys: ['eval_every']" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "m.ckpt").exists()

@@ -72,7 +72,7 @@ def enumerate_best(model, inp, max_len):
                 continue
             from arbor.inference import _slot_info
 
-            record = _slot_info(model, out, state1, inp.tokens, inp.pos, slot)
+            record = _slot_info(model, out, inp.tokens, inp.pos, slot)
             state2 = dec.feed_target(state1, record)
             pu = dec.point_source(state2).data
             pr_all = dec.relation_dist_all(state2)
@@ -125,7 +125,7 @@ def reference_beam_decode(model, inp, beam_size, max_len):
                 if slot == eos_id:
                     finished.append(Hypothesis(hyp.relations, hyp.score, None, hyp.rel_in))
                     continue
-                record = _slot_info(model, out, state1, inp.tokens, inp.pos, slot)
+                record = _slot_info(model, out, inp.tokens, inp.pos, slot)
                 state2 = dec.feed_target(state1, record)
                 pu = dec.point_source(state2).data
                 pr_all = dec.relation_dist_all(state2)
@@ -186,7 +186,7 @@ def reference_greedy_decode(model, inp, max_len):
         if slot == eos_id:
             saw_eos = True
             break
-        record = _slot_info(model, out, state, inp.tokens, inp.pos, slot)
+        record = _slot_info(model, out, inp.tokens, inp.pos, slot)
         state = dec.feed_target(state, record)
         pu = dec.point_source(state).data
         pr_all = dec.relation_dist_all(state)
@@ -461,8 +461,7 @@ class TestExpand:
                     slots += range(out.vocab_size + out.n_enc, out.p_target.shape[0])
                     for slot in slots:
                         parents.append(state1)
-                        records.append(_slot_info(model, out, state1, inp.tokens, inp.pos,
-                                                  slot))
+                        records.append(_slot_info(model, out, inp.tokens, inp.pos, slot))
                 exp = dec.expand(parents, records)
                 n = step + 1  # ROOT and the nodes fed so far
                 assert exp.p_source.shape == (len(records), n)
@@ -473,7 +472,7 @@ class TestExpand:
                 for e, (parent, record) in enumerate(zip(parents, records)):
                     one = dec.feed_target(parent, record)
                     for fed in (one, exp.state(e)):
-                        assert len(fed.end_rows) == len(fed.rel_src_rows) == len(fed.h_hist) - 1
+                        assert len(fed.end_rows) == len(fed.rel_src_rows) == len(fed.nodes)
                     assert exp.state(e).nodes == one.nodes
                     for (h, c), (h1, c1) in zip(exp.state(e).lstm, one.lstm):
                         assert_close(h.data, h1.data)

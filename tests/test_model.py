@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from arbor import autodiff as ad
-from arbor.decoder import BOS_INPUT, NodeRecord, ORIGIN_DEC, ORIGIN_ENC, ORIGIN_VOCAB, RelationInput
+from arbor.decoder import (
+    BOS_INPUT, NodeRecord, ORIGIN_DEC, ORIGIN_ENC, ORIGIN_VOCAB, RelationInput, reference_node,
+)
 from arbor.encoder import EncoderInput
 from arbor.graph import EOS_LABEL, UNK_LABEL
 from arbor.model import ModelConfig, TransducerModel, Vocabularies, build_vocabularies
@@ -25,7 +29,7 @@ def drive_steps(model, inp, labels, rng_seed=0):
     for i, label in enumerate(labels):
         out, state = dec.predict_target(enc, state, rel_in)
         outs.append(out)
-        record = dec.reference_record(state, label, i + 1, inp.tokens, inp.pos)
+        record = reference_node(state.nodes, label, i + 1, inp.tokens, inp.pos)
         state = dec.feed_target(state, record)
         pu = dec.point_source(state)
         pr = dec.relation_dist(state, 0)
@@ -168,10 +172,10 @@ class TestDecoderStep:
         rel_in = BOS_INPUT
         for i, label in enumerate(["person", "city", "person", "thing"]):
             _, state = dec.predict_target(enc, state, rel_in)
-            state = dec.feed_target(state, dec.reference_record(state, label, i + 1,
-                                                                inp.tokens, inp.pos))
+            state = dec.feed_target(state, reference_node(state.nodes, label, i + 1,
+                                                          inp.tokens, inp.pos))
             rows = dec.relation_dist_all(state)
-            assert rows.shape == (len(state.h_hist) - 1, len(model.vocabs.rel))
+            assert rows.shape == (len(state.nodes), len(model.vocabs.rel))
             for j in range(rows.shape[0]):
                 assert np.abs(rows[j] - dec.relation_dist(state, j).data).max() <= 1e-12
             rel_in = RelationInput(label, i + 1, UNK_LABEL, "root")
@@ -243,14 +247,14 @@ class TestIndexAndPos:
         state = dec.initial_state(enc)
         _, state = dec.predict_target(enc, state, BOS_INPUT)
         # token copy: POS of the matching token
-        rec = dec.reference_record(state, "Pierre", 1, inp.tokens, inp.pos)
+        rec = reference_node(state.nodes, "Pierre", 1, inp.tokens, inp.pos)
         assert rec.pos == "NNP" and rec.origin == ORIGIN_ENC
         state = dec.feed_target(state, rec)
         # node copy: same index as an earlier node -> that node's POS
-        rec2 = dec.reference_record(state, "Pierre", 1, inp.tokens, inp.pos)
+        rec2 = reference_node(state.nodes, "Pierre", 1, inp.tokens, inp.pos)
         assert rec2.pos == "NNP" and rec2.origin == ORIGIN_DEC
         # generated: UNK tag
-        rec3 = dec.reference_record(state, "want", 7, inp.tokens, inp.pos)
+        rec3 = reference_node(state.nodes, "want", 7, inp.tokens, inp.pos)
         assert rec3.pos == UNK_LABEL and rec3.origin == ORIGIN_VOCAB
 
     def test_pos_propagates_through_node_copies(self, model):
@@ -263,7 +267,7 @@ class TestIndexAndPos:
             state, NodeRecord("Pierre", 1, "NNP", ORIGIN_ENC, 0, (0,)))
         _, state = dec.predict_target(enc, state, RelationInput("Pierre", 1, "NNP", "root"))
         # copy of the copy still carries NNP
-        rec = dec.reference_record(state, "Pierre", 1, inp.tokens, inp.pos)
+        rec = reference_node(state.nodes, "Pierre", 1, inp.tokens, inp.pos)
         assert rec.pos == "NNP"
 
     def test_index_overflow_clamps_to_bucket(self, model):
@@ -330,6 +334,25 @@ class TestCheckpointRoundTrip:
         for name, p in model.parameters().items():
             assert np.array_equal(p.data.astype(np.float32),
                                   loaded.parameters()[name].data.astype(np.float32))
+
+    def test_loads_checkpoint_with_removed_config_keys(self, model, tmp_path):
+        """A checkpoint whose config still carries ``external_dim`` and
+        ``char_kernel`` (both always 0 and 3) loads and decodes as before."""
+        from arbor.inference import greedy_decode
+
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header["hyperparameters"]["config"].update(external_dim=0, char_kernel=3)
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
+        current, loaded = TransducerModel.load(path), TransducerModel.load(old)
+        assert loaded.config == current.config
+        for k in range(3):
+            inp = make_inputs(np.random.default_rng(40 + k), 4)
+            a, b = greedy_decode(current, inp, max_len=12), greedy_decode(loaded, inp, max_len=12)
+            assert a.sequence == b.sequence and a.score == b.score
 
     def test_shared_tables_deduplicated(self, model):
         names = list(model.parameters())

@@ -343,7 +343,7 @@ def old_embedding_gather(table, ids):
         np.add.at(full, idx, g)
         return full
 
-    return ad._apply(table.data[idx], [(table, fn)], "embedding_gather")
+    return ad._apply(table.data[idx], [(table, fn)])
 
 
 def composed_lstm_cell(cell, x, state):

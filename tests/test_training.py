@@ -7,7 +7,7 @@ import pytest
 
 from arbor import autodiff as ad
 from arbor.autodiff import Tape, Tensor
-from arbor.decoder import BOS_INPUT, RelationInput
+from arbor.decoder import BOS_INPUT, RelationInput, reference_node
 from arbor.encoder import EncoderInput
 from arbor.graph import EOS_LABEL, Relation, RelationSequence
 from arbor.linearize import OrderingPolicy, resolve_source
@@ -66,8 +66,8 @@ def reference_sequence_loss(model, enc_input, reference, *, label_smoothing=0.1,
         out, state = dec.predict_target(enc, state, rel_in, train, rng)
         cov = ad.add(cov, out.covloss)
         nll_v = ad.add(nll_v, target_nll(out, rel.target, rel.target_index))
-        record = dec.reference_record(state, rel.target, rel.target_index, enc_input.tokens,
-                                      enc_input.pos, rel.target_anchors)
+        record = reference_node(state.nodes, rel.target, rel.target_index, enc_input.tokens,
+                                enc_input.pos, rel.target_anchors)
         state = dec.feed_target(state, record, train, rng)
         gold_pos = resolve_source(reference.relations[:i], rel.source, rel.source_index)
         scores = dec.source_scores(state)
@@ -226,8 +226,8 @@ class TestSequenceLoss:
         for i, rel in enumerate(ref.relations):
             out, state = dec.predict_target(enc, state, rel_in)
             logp += np.log(out.p_target.data[dec.word_vocab.id(rel.target)])
-            record = dec.reference_record(state, rel.target, rel.target_index,
-                                          inp.tokens, inp.pos)
+            record = reference_node(state.nodes, rel.target, rel.target_index,
+                                    inp.tokens, inp.pos)
             state = dec.feed_target(state, record)
             pos = resolve_source(ref.relations[:i], rel.source, rel.source_index)
             logp += np.log(dec.point_source(state).data[pos])
@@ -263,8 +263,7 @@ class TestMakeReference:
     def test_delegates_and_flags_eos(self):
         rng = np.random.default_rng(2)
         arbor = random_arborescence(rng)
-        inp = make_inputs(rng, 3)
-        ref = make_reference(inp, arbor, OrderingPolicy.SOURCE)
+        ref = make_reference(arbor, OrderingPolicy.SOURCE)
         assert ref.eos
         assert len(ref.relations) == arbor.size()
         emitted = {("@root@", 0)}
@@ -549,8 +548,7 @@ class TestTapeSize:
         pairs = []
         for _ in range(8):
             inp = make_inputs(rng, 4)
-            pairs.append((inp, make_reference(inp, random_arborescence(rng),
-                                              OrderingPolicy.SOURCE)))
+            pairs.append((inp, make_reference(random_arborescence(rng), OrderingPolicy.SOURCE)))
         model = build_tiny_model(seed=31, dropout=0.2)
         cfg = TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=1)
         records = train(model, pairs, pairs[:1], cfg).history[0]["tape_records_per_batch"]
