@@ -16,15 +16,18 @@ shape: a 0-d operand sums every entry, a bias vector the leading axes.
 The one pairwise broadcast is its own op, ``pairwise_add`` (every row of
 one matrix plus every row of another).
 
-The fused ops ``affine``, ``lstm_cell`` and ``embed_one`` each take one
-tape record with a hand-written backward, which for ``affine`` and
-``lstm_cell`` works on rows, a vector being one row.  A fused forward
-evaluates the same numpy expressions in the same order as the composed ops
-it replaces, so its outputs are bit-identical to theirs; only the order in
-which gradients are summed may differ.  Backward passes compute a product
-whose inner axis has length 1 (an outer product) as a broadcast multiply:
-numpy runs such a product in its own loop, several times slower, to the
-same values (only the sign of a zero can differ).
+The fused ops ``affine``, ``affine_max``, ``lstm_cell``, ``lstm_layer``
+and ``embed_one`` each take one tape record with a hand-written backward,
+which for ``affine`` and ``lstm_cell`` works on rows, a vector being one
+row; ``affine_max`` max-pools ``affine`` over segments of rows, and
+``lstm_layer`` runs a whole recurrence, one ``lstm_cell`` step per input
+row.  A fused forward evaluates the same numpy expressions in the same
+order as the composed ops it replaces, so its outputs are bit-identical to
+theirs; only the order in which gradients are summed may differ.  Backward
+passes compute a product whose inner axis has length 1 (an outer product)
+as a broadcast multiply: numpy runs such a product in its own loop,
+several times slower, to the same values (only the sign of a zero can
+differ).
 """
 
 from __future__ import annotations
@@ -274,6 +277,40 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ])
 
 
+def affine_max(x: Tensor, w: Tensor, b: Tensor, lengths) -> Tensor:
+    """For consecutive segments of ``lengths[k]`` rows of the matrix ``x``,
+    the column-wise max of ``affine`` over each segment, ``(len(lengths),
+    w.shape[0])``.
+
+    Each segment is its own product, so row ``k`` is bit-equal to
+    ``amax(affine(segment k, w, b), axis=0)``: a row of one product over
+    all segments would round differently (a one-row product is a
+    vector-matrix call, and BLAS picks kernels by size).  The gradient goes
+    to the first maximum of each column, as ``amax`` sends it; the backward
+    forms the gradients of ``x``, ``w`` and ``b`` by one product or sum each.
+    """
+    bounds = list(accumulate(lengths, initial=0))
+    if (x.ndim != 2 or w.ndim != 2 or b.shape != (w.shape[0],) or x.shape[1] != w.shape[1]
+            or len(bounds) < 2 or min(lengths) < 1 or bounds[-1] != x.shape[0]):
+        raise ShapeError(f"affine_max: x {x.shape}, w {w.shape}, b {b.shape}, "
+                         f"segment lengths {list(lengths)}")
+    w_t = w.data.T.copy()
+    conv = [x.data[lo:hi] @ w_t + b.data for lo, hi in zip(bounds, bounds[1:])]
+    first = np.array([c.argmax(axis=0) + lo for c, lo in zip(conv, bounds)])
+
+    def grad_conv(g):
+        """The gradient of the stacked segment products."""
+        full = np.zeros((x.shape[0], w.shape[0]))
+        full[first, np.arange(w.shape[0])] = g
+        return full
+
+    return _apply(np.array([c.max(axis=0) for c in conv]), [
+        (x, lambda g: grad_conv(g) @ w.data),
+        (w, lambda g: _weight_grad(grad_conv(g), x.data)),
+        (b, lambda g: _sum_to(g, b.shape)),
+    ])
+
+
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
@@ -379,26 +416,6 @@ def pairwise_add(a: Tensor, b: Tensor) -> Tensor:
     return _apply(out, [(a, lambda g: g.sum(axis=1)), (b, lambda g: g.sum(axis=0))])
 
 
-def unstack_rows(x: Tensor) -> list[Tensor]:
-    """The rows of a matrix as vectors, under one tape record (the inverse
-    of ``stack_rows``); a row that gets no gradient counts as zero."""
-    if x.ndim != 2:
-        raise ShapeError(f"unstack_rows expects a matrix, got shape {x.shape}")
-    tape = _active_tape()
-    if tape is None or not x.requires_grad:
-        return [Tensor(row) for row in x.data]
-    rows = [Tensor(row, requires_grad=True) for row in x.data]
-
-    def record():
-        if all(r.grad is None for r in rows):
-            return
-        x._accum(np.stack([np.zeros(x.shape[1]) if r.grad is None else r.grad
-                           for r in rows]))
-
-    tape.records.append(record)
-    return rows
-
-
 def _select(op: str, pick, take_first, a: Tensor, b: Tensor) -> Tensor:
     """``pick(a, b)`` entrywise; the gradient goes to ``a`` where
     ``take_first(a, b)`` holds and to ``b`` elsewhere."""
@@ -484,6 +501,17 @@ def _mv(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(w, x[..., None])[..., 0]
 
 
+def _lstm_gates(gates: np.ndarray, c_prev: np.ndarray, hid: int):
+    """The gates ``(i, f, g, o)`` of the pre-activations ``gates``, the new
+    cell state and its tanh."""
+    i = 1.0 / (1.0 + np.exp(-gates[..., 0:hid]))
+    f = 1.0 / (1.0 + np.exp(-gates[..., hid : 2 * hid]))
+    g = np.tanh(gates[..., 2 * hid : 3 * hid])
+    o = 1.0 / (1.0 + np.exp(-gates[..., 3 * hid : 4 * hid]))
+    c = f * c_prev + i * g
+    return i, f, g, o, c, np.tanh(c)
+
+
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
               b: Tensor, state_rows=None) -> tuple[Tensor, Tensor]:
     """One LSTM step (gate order i, f, g, o); returns ``(h, c)``.
@@ -510,13 +538,7 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
     hh, c_prev = _mv(w_hh.data, h.data), c.data
     if state_rows is not None:
         hh, c_prev = hh[state_rows], c_prev[state_rows]
-    gates = _mv(w_ih.data, x.data) + hh + b.data
-    i = 1.0 / (1.0 + np.exp(-gates[..., 0:hid]))
-    f = 1.0 / (1.0 + np.exp(-gates[..., hid : 2 * hid]))
-    g = np.tanh(gates[..., 2 * hid : 3 * hid])
-    o = 1.0 / (1.0 + np.exp(-gates[..., 3 * hid : 4 * hid]))
-    c_data = f * c_prev + i * g
-    tanh_c = np.tanh(c_data)
+    i, f, g, o, c_data, tanh_c = _lstm_gates(_mv(w_ih.data, x.data) + hh + b.data, c_prev, hid)
 
     tape = _active_tape()
     if tape is None:
@@ -566,6 +588,81 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
 
         tape.records.append(record)
     return h_out, c_out
+
+
+def lstm_layer(x: Tensor, h0: Tensor, c0: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor,
+               reverse: bool = False) -> Tensor:
+    """An LSTM run over the T rows of ``x`` from the state ``(h0, c0)``;
+    returns the T ``h`` rows in input order.  With ``reverse`` the rows are
+    read last to first, so row ``t`` is the state after reading ``x[t:]``.
+
+    The forward is bit-identical to composed ``lstm_cell`` steps: the input
+    rows are projected by ``_mv``, whose per-row products are the vector
+    form's, and each step evaluates ``lstm_cell``'s expressions in its
+    order.  A single tape record: the backward runs the recurrence over
+    gate-derivative factors precomputed as (T, H) arrays, one
+    ``d_gates @ w_hh`` per step, then forms the gradient of ``x``, ``w_ih``,
+    ``w_hh`` and ``b`` by one product or sum each.
+    """
+    hid = h0.shape[-1]
+    if (x.ndim != 2 or not x.shape[0] or h0.shape != (hid,) or c0.shape != (hid,)
+            or w_ih.shape != (4 * hid, x.shape[1]) or w_hh.shape != (4 * hid, hid)
+            or b.shape != (4 * hid,)):
+        raise ShapeError(
+            f"lstm_layer: x {x.shape}, h0 {h0.shape}, c0 {c0.shape}, "
+            f"w_ih {w_ih.shape}, w_hh {w_hh.shape}, b {b.shape}"
+        )
+    # arrays run in reading order; ``order`` maps them to input order and back
+    order = slice(None, None, -1) if reverse else slice(None)
+    h, c, steps, hs = h0.data, c0.data, [], []
+    for xp in _mv(w_ih.data, x.data)[order]:
+        i, f, g, o, c_new, tanh_c = _lstm_gates(xp + _mv(w_hh.data, h) + b.data, c, hid)
+        steps.append((i, f, g, o, c, tanh_c))
+        h, c = o * tanh_c, c_new
+        hs.append(h)
+    hs = np.array(hs)
+
+    inputs = (x, h0, c0, w_ih, w_hh, b)
+    tape = _active_tape()
+    if tape is None or not any(t.requires_grad for t in inputs):
+        return Tensor(hs[order])
+    out = Tensor(hs[order], requires_grad=True)
+    i, f, g, o, c_prev, tanh_c = map(np.array, zip(*steps))
+    h_prev = np.vstack([h0.data, hs[:-1]])
+
+    def record():
+        if out.grad is None:
+            return
+        gh_rows = out.grad[order]
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        do_dh = tanh_c * o * (1.0 - o)
+        difg_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)],
+                           axis=1)
+        d_gates = np.empty((len(steps), 4, hid))
+        dh = dc = np.zeros(hid)
+        for t in range(len(steps) - 1, -1, -1):
+            gh = gh_rows[t] + dh
+            dc = gh * dc_dh[t] + dc
+            np.multiply(difg_dc[t], dc, out=d_gates[t, :3])
+            np.multiply(gh, do_dh[t], out=d_gates[t, 3])
+            dh = d_gates[t].reshape(-1) @ w_hh.data
+            dc = dc * f[t]
+        d_gates = d_gates.reshape(len(steps), 4 * hid)
+        if x.requires_grad:
+            x._accum((d_gates @ w_ih.data)[order])
+        if h0.requires_grad:
+            h0._accum(dh)
+        if c0.requires_grad:
+            c0._accum(dc)
+        if w_ih.requires_grad:
+            w_ih._accum(_weight_grad(d_gates, x.data[order]))
+        if w_hh.requires_grad:
+            w_hh._accum(_weight_grad(d_gates, h_prev))
+        if b.requires_grad:
+            b._accum(_sum_to(d_gates, b.shape))
+
+    tape.records.append(record)
+    return out
 
 
 # ---------------------------------------------------------------------------

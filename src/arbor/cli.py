@@ -35,8 +35,9 @@ class CliError(ValueError):
 
 
 class _Failures:
-    """A record whose graph cannot be built, converted, scored or written is
-    reported on stderr as ``record <id>: <error>`` and skipped."""
+    """A record whose graph cannot be built, converted, scored or written,
+    or that is nested too deeply for the recursive tree walks, is reported
+    on stderr as ``record <id>: <error>`` and skipped."""
 
     def __init__(self):
         self.ids: list[str] = []
@@ -49,6 +50,9 @@ class _Failures:
             yield
         except ValueError as exc:  # GraphError, FormatError and SmatchError among them
             log.error("record %s: %s", record_id, exc)
+            self.ids.append(record_id)
+        except RecursionError:  # the tree walks recurse once per nesting level
+            log.error("record %s: input nested too deeply", record_id)
             self.ids.append(record_id)
 
     def exit_code(self) -> int:

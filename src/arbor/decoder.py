@@ -27,12 +27,12 @@ one-expansion reference that ``expand`` is tested against, not a second
 decode path.
 
 Training does not step through this module's decode forms: under teacher
-forcing ``training.sequence_loss`` runs the target LSTM cells step by step
-and every head once per sentence as matrix rows (``label_rows``,
-``index_rows``, the attention scorers' ``pairs`` form, the biaffine's
-shared-candidates form), and builds its inputs with ``reference_node`` and
-``gold_blocks``.  The stepwise ``predict_target``/``feed_target`` loss
-equals it to rounding.
+forcing ``training.sequence_loss`` runs each target LSTM layer as one
+``autodiff.lstm_layer`` op and every head once per sentence as matrix
+rows (``label_rows``, ``index_rows``, the attention scorers' ``pairs``
+form, the biaffine's shared-candidates form), and builds its inputs with
+``reference_node`` and ``gold_blocks``.  The stepwise
+``predict_target``/``feed_target`` loss equals it to rounding.
 """
 
 from __future__ import annotations

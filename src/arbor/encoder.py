@@ -2,7 +2,9 @@
 
 The embedding module concatenates, in fixed order: pretrained/trained word
 embeddings, character CNN output, POS embeddings and any configured
-categorical feature columns.
+categorical feature columns; each is one lookup over the sentence's
+tokens.  Each BiLSTM layer and direction is one ``autodiff.lstm_layer``
+op, so the tape records of an encode do not grow with sentence length.
 The encoder output exposes final-layer states plus per-layer decoder
 initialization vectors ``[bwd state at token 1; fwd state at token n]``.
 """
@@ -81,7 +83,7 @@ class Encoder(nn.Module):
                      rng: np.random.Generator | None = None) -> Tensor:
         word_rows = self.word_emb([self.word_vocab.id(t) for t in inp.tokens])
         pos_rows = self.pos_emb([self.pos_vocab.id(p) for p in inp.pos])
-        char_rows = ad.stack_rows([self.char_cnn(self.char_ids(t)) for t in inp.tokens])
+        char_rows = self.char_cnn.rows([self.char_ids(t) for t in inp.tokens])
         parts = [word_rows, char_rows, pos_rows]
         for name in sorted(self.feature_vocabs):
             col = inp.features.get(name)
@@ -96,16 +98,12 @@ class Encoder(nn.Module):
                rng: np.random.Generator | None = None) -> EncoderOutput:
         if not inp.tokens:
             raise ValueError("cannot encode an empty sentence")
-        embedded = self.embed_tokens(inp, train, rng)
-        xs = [ad.reshape(ad.narrow(embedded, 0, t, t + 1), (embedded.shape[1],))
-              for t in range(len(inp.tokens))]
-        per_layer = self.bilstm.run(xs)
-        h = self.config.encoder_hidden
-        init = []
-        for layer_states in per_layer:
-            first_bwd = ad.narrow(layer_states[0], 0, h, 2 * h)
-            last_fwd = ad.narrow(layer_states[-1], 0, 0, h)
-            init.append(ad.concat([first_bwd, last_fwd]))
-        states = ad.stack_rows(per_layer[-1])
-        states = ad.dropout(states, self.config.dropout, train, rng)
-        return EncoderOutput(states=states, init=init, n=len(inp.tokens))
+        per_layer = self.bilstm.run(self.embed_tokens(inp, train, rng))
+        # init[k] = [bwd state at token 1; fwd state at token n]: rows 1 and
+        # 2n - 2 of the layer's states taken as 2n rows of H (fwd, bwd per token)
+        n, h = len(inp.tokens), self.config.encoder_hidden
+        init = [ad.reshape(ad.embedding_gather(ad.reshape(states, (2 * n, h)), [1, 2 * n - 2]),
+                           (2 * h,))
+                for states in per_layer]
+        states = ad.dropout(per_layer[-1], self.config.dropout, train, rng)
+        return EncoderOutput(states=states, init=init, n=n)

@@ -218,8 +218,8 @@ class Embedding(Module):
 
 class LstmCell(Module):
     """Single LSTM step on vectors, or on rows of independent cells (see
-    ``autodiff.lstm_cell`` for ``state_rows``); gate order i, f, g, o;
-    forget bias 1."""
+    ``autodiff.lstm_cell`` for ``state_rows``), or a whole recurrence over
+    the rows of a matrix (``layer``); gate order i, f, g, o; forget bias 1."""
 
     def __init__(self, rng, in_dim: int, hidden: int):
         super().__init__()
@@ -235,12 +235,20 @@ class LstmCell(Module):
         h_prev, c_prev = state
         return ad.lstm_cell(x, h_prev, c_prev, self.w_ih, self.w_hh, self.b, state_rows)
 
+    def layer(self, x: Tensor, state: tuple[Tensor, Tensor] | None = None,
+              reverse: bool = False) -> Tensor:
+        """The ``h`` rows of the recurrence over the rows of ``x`` from
+        ``state`` (zeros by default); see ``autodiff.lstm_layer``."""
+        h0, c0 = state if state is not None else self.zero_state()
+        return ad.lstm_layer(x, h0, c0, self.w_ih, self.w_hh, self.b, reverse)
+
     def zero_state(self) -> tuple[Tensor, Tensor]:
         return ad.constant(np.zeros(self.hidden)), ad.constant(np.zeros(self.hidden))
 
 
 class BiLstm(Module):
-    """Concatenated forward/backward LSTM stack."""
+    """Concatenated forward/backward LSTM stack; each layer and direction
+    runs as one ``autodiff.lstm_layer`` op over the sentence's rows."""
 
     def __init__(self, rng, in_dim: int, hidden: int, layers: int):
         super().__init__()
@@ -254,26 +262,15 @@ class BiLstm(Module):
             self.fwd.append(self.add_child(f"l{k}.fwd", LstmCell(rng, dim, hidden)))
             self.bwd.append(self.add_child(f"l{k}.bwd", LstmCell(rng, dim, hidden)))
 
-    def run(self, inputs: list[Tensor]) -> list[list[Tensor]]:
-        """Per-layer lists of [fwd;bwd] states, index = time step."""
-        if not inputs:
+    def run(self, x: Tensor) -> list[Tensor]:
+        """Per-layer ``(n, 2H)`` matrices of [fwd; bwd] states for the
+        ``(n, d)`` input rows, row = time step."""
+        if not x.shape[0]:
             raise ValueError("empty sequence")
-        per_layer: list[list[Tensor]] = []
-        xs = inputs
-        for k in range(self.layers):
-            f_states, state = [], self.fwd[k].zero_state()
-            for x in xs:
-                h, c = self.fwd[k](x, state)
-                state = (h, c)
-                f_states.append(h)
-            b_states, state = [], self.bwd[k].zero_state()
-            for x in reversed(xs):
-                h, c = self.bwd[k](x, state)
-                state = (h, c)
-                b_states.append(h)
-            b_states.reverse()
-            xs = [ad.concat([f, b]) for f, b in zip(f_states, b_states)]
-            per_layer.append(xs)
+        per_layer = []
+        for fwd, bwd in zip(self.fwd, self.bwd):
+            x = ad.concat([fwd.layer(x), bwd.layer(x, reverse=True)], axis=1)
+            per_layer.append(x)
         return per_layer
 
 
@@ -294,30 +291,22 @@ class CharCnn(Module):
         self.w = self.register("w", xavier_uniform(rng, (channels, kernel * char_dim)))
         self.b = self.register("b", np.zeros(channels))
 
-    def _window_ids(self, char_ids: list[int], n_win: int) -> list[int]:
+    def _window_ids(self, char_ids: list[int]) -> list[int]:
         """Character ids of the word's windows, end to end (window ``j`` is
-        ``ids[j : j + kernel]`` of the padded word), repeated from the first
-        window up to ``n_win`` windows: a repeat leaves the max unchanged,
-        and the gradient goes to the first maximum."""
+        ``ids[j : j + kernel]`` of the padded word)."""
         pad = self.kernel // 2
         ids = [0] * pad + list(char_ids) + [0] * pad
         if len(char_ids) == 0:
             ids = [0] * self.kernel
-        own = max(len(char_ids), 1)
-        windows = [ids[j + k] for j in range(own) for k in range(self.kernel)]
-        return windows + windows[: self.kernel] * (n_win - own)
+        return [ids[j + k] for j in range(max(len(char_ids), 1)) for k in range(self.kernel)]
 
     def __call__(self, char_ids: list[int]) -> Tensor:
-        n_win = max(len(char_ids), 1)
-        windows = ad.reshape(self.emb(self._window_ids(char_ids, n_win)),
-                             (n_win, self.kernel * self.char_dim))
-        return ad.amax(ad.affine(windows, self.w, self.b), axis=0)
+        return ad.reshape(self.rows([char_ids]), (self.channels,))
 
     def rows(self, words: list[list[int]]) -> Tensor:
         """The pooled features of several words, ``(len(words), channels)``,
-        by one lookup and one affine over all of their windows."""
-        n_win = max(max(len(w) for w in words), 1)
-        ids = [i for w in words for i in self._window_ids(w, n_win)]
-        windows = ad.reshape(self.emb(ids), (len(words) * n_win, self.kernel * self.char_dim))
-        conv = ad.reshape(ad.affine(windows, self.w, self.b), (len(words), n_win, self.channels))
-        return ad.amax(conv, axis=1)
+        by one lookup and one ``affine_max`` over all of their windows; each
+        row is bit-equal to the word alone."""
+        ids = [i for w in words for i in self._window_ids(w)]
+        windows = ad.reshape(self.emb(ids), (len(ids) // self.kernel, self.kernel * self.char_dim))
+        return ad.affine_max(windows, self.w, self.b, [max(len(w), 1) for w in words])

@@ -11,9 +11,9 @@ supports would be ill-defined.
 
 Under teacher forcing every decoder input is known before the first
 step, so ``sequence_loss`` runs only the target LSTM recurrence step by
-step (one ``lstm_cell`` per step and layer, then one dropout over the
-layer's rows).  Every head runs once per sentence over its T prediction
-steps as matrix rows: encoder attention for all T queries, the
+step, inside one ``autodiff.lstm_layer`` op per layer (then one dropout
+over the layer's rows).  Every head runs once per sentence over its T
+prediction steps as matrix rows: encoder attention for all T queries, the
 ``ffn_relation``/``ffn_vocab``/``ffn_switch`` affines, decoder-copy
 attention over the relation states under a causal mask, the biaffine
 pointer as one T x T product under a lower-triangular mask (ROOT only
@@ -169,9 +169,10 @@ def sequence_loss(
 ) -> LossBreakdown:
     """Teacher-forced loss over one reference sequence.
 
-    Only the target LSTM runs step by step; every head runs once over the
-    T prediction steps as matrix rows (see the module docstring).  The
-    dropout masks are the ones the stepwise decoder draws, in its order.
+    Only the target LSTM runs step by step, one ``lstm_layer`` per layer;
+    every head runs once over the T prediction steps as matrix rows (see
+    the module docstring).  The dropout masks are the ones the stepwise
+    decoder draws, in its order.
     """
     dec, cfg = model.decoder, model.config
     enc = model.encoder.encode(enc_input, train, rng)
@@ -214,11 +215,8 @@ def sequence_loss(
     if n_rel:
         x = ad.narrow(embedded, 0, 0, n_rel)
         for k, cell in enumerate(dec.lstm_cells):
-            state, outs = (enc.init[k], ad.constant(np.zeros(dh))), []
-            for row in ad.unstack_rows(x):
-                state = cell(row, state)
-                outs.append(state[0])
-            x = drop(ad.stack_rows(outs), None if lstm_masks is None else lstm_masks[k])
+            x = drop(cell.layer(x, (enc.init[k], ad.constant(np.zeros(dh)))),
+                     None if lstm_masks is None else lstm_masks[k])
         h = ad.concat([h, x], axis=0)
     h_query = h if n_steps == n_rel + 1 else ad.narrow(h, 0, 0, n_steps)
 

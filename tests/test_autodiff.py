@@ -218,7 +218,7 @@ class TestPrimitiveGradients:
         assert np.array_equal(ad.amax(x, axis=1).data, x.data.max(axis=1))
         check_op(lambda: ad.sum_all(ad.tanh(ad.amax(x, axis=1))), [("x", x)], coords=24)
 
-    def test_pick_pairwise_add_and_unstack_rows(self):
+    def test_pick_and_pairwise_add(self):
         rng = np.random.default_rng(13)
         x, a, b = t(rng.standard_normal((3, 4))), t(rng.standard_normal((2, 5))), \
             t(rng.standard_normal((3, 5)))
@@ -227,14 +227,10 @@ class TestPrimitiveGradients:
         pairs = ad.pairwise_add(a, b)
         assert pairs.shape == (2, 3, 5)
         assert np.array_equal(pairs.data[1, 2], a.data[1] + b.data[2])
-        rows = ad.unstack_rows(x)
-        assert [r.data.tolist() for r in rows] == x.data.tolist()
 
         def build():
-            first, _, last = ad.unstack_rows(x)  # the middle row gets no gradient
-            return ad.add(ad.add(ad.sum_all(ad.tanh(ad.pick(x, [1, 2, 0]))),
-                                 ad.sum_all(ad.tanh(ad.pairwise_add(a, b)))),
-                          ad.sum_all(ad.mul(first, last)))
+            return ad.add(ad.sum_all(ad.tanh(ad.pick(x, [1, 2, 0]))),
+                          ad.sum_all(ad.tanh(ad.pairwise_add(a, b))))
 
         check_op(build, [("x", x), ("a", a), ("b", b)], coords=40)
         with pytest.raises(ShapeError):
@@ -413,6 +409,41 @@ class TestFusedOps:
             ad.affine(t(np.ones(3)), t(np.ones((2, 4))), t(np.ones(2)))
         with pytest.raises(ShapeError, match="affine"):
             ad.affine(t(np.ones(4)), t(np.ones((2, 4))), t(np.ones(3)))
+
+    SEGMENTS = [[1], [3], [1, 1], [2, 1, 4], [5, 1, 1, 3]]
+
+    @pytest.mark.parametrize("lengths", SEGMENTS)
+    def test_affine_max_is_amax_of_each_segment(self, lengths):
+        # bit-equal forward, gradients to rounding, and finite differences
+        rng = np.random.default_rng(sum(lengths))
+        for n_in, n_out in [(6, 4), (1, 3), (96, 100)]:
+            x, w, b = (t(rng.standard_normal(s)) for s in ((sum(lengths), n_in), (n_out, n_in),
+                                                           (n_out,)))
+            bounds = np.cumsum([0] + lengths)
+
+            def composed():
+                return ad.stack_rows([ad.amax(ad.affine(ad.narrow(x, 0, lo, hi), w, b), axis=0)
+                                      for lo, hi in zip(bounds, bounds[1:])])
+
+            up = rng.standard_normal((len(lengths), n_out))
+            got, got_grads = run_op(lambda: ad.affine_max(x, w, b, lengths), [x, w, b], [up])
+            want, want_grads = run_op(composed, [x, w, b], [up])
+            assert_bits(got, want)
+            for g, wg in zip(got_grads, want_grads):
+                assert np.abs(g - wg).max() <= 1e-12 * np.abs(wg).max()
+            if n_in < 10:
+                for v in (x, w, b):
+                    v.zero_grad()
+                weights = ad.constant(up)
+                check_op(lambda: ad.sum_all(ad.mul(ad.affine_max(x, w, b, lengths), weights)),
+                         [("x", x), ("w", w), ("b", b)], coords=40)
+
+    def test_affine_max_rejects_mismatched_shapes(self):
+        x, w, b = t(np.ones((4, 3))), t(np.ones((2, 3))), t(np.ones(2))
+        for bad in [(x, w, b, [1, 2]), (x, w, b, [4, 0]), (x, w, b, []),
+                    (x, t(np.ones((2, 4))), b, [4]), (x, w, t(np.ones(3)), [4])]:
+            with pytest.raises(ShapeError, match="affine_max"):
+                ad.affine_max(*bad)
 
     def test_embed_one_gradients(self):
         rng = np.random.default_rng(5)
@@ -700,3 +731,72 @@ class TestBitEquality:
             got_out, got_grads = run_op(lambda: getattr(ad, name)(a, b), [a, b], [up])
             assert_bits(got_out + got_grads,
                         [pick(a.data, b.data), up * take_a, up * ~take_a])
+
+
+def composed_lstm_layer(x, h0, c0, w_ih, w_hh, b, reverse=False):
+    """``lstm_layer`` as one ``lstm_cell`` step per row of ``x``, with the
+    rows as vectors; the ``h`` rows in input order."""
+    state, outs = (h0, c0), {}
+    for k in reversed(range(x.shape[0])) if reverse else range(x.shape[0]):
+        row = ad.reshape(ad.narrow(x, 0, k, k + 1), (x.shape[1],))
+        state = ad.lstm_cell(row, *state, w_ih, w_hh, b)
+        outs[k] = state[0]
+    return ad.stack_rows([outs[k] for k in range(x.shape[0])])
+
+
+class TestLstmLayer:
+    """``lstm_layer`` against composed ``lstm_cell`` steps."""
+
+    @staticmethod
+    def inputs(rng, n_rows, n_in, hid):
+        # small weights keep the gates off saturation, where central
+        # differences lose their digits
+        return [t(rng.standard_normal((n_rows, n_in))), t(rng.standard_normal(hid)),
+                t(rng.standard_normal(hid)), t(0.5 * rng.standard_normal((4 * hid, n_in))),
+                t(0.5 * rng.standard_normal((4 * hid, hid))), t(rng.standard_normal(4 * hid))]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n_rows", [1, 6])
+    def test_forward_bit_equal_to_cell_steps(self, n_rows, reverse):
+        rng = np.random.default_rng(n_rows + 10 * reverse)
+        for n_in, hid in [(5, 3), (1, 4), (12, 8)]:
+            inputs = self.inputs(rng, n_rows, n_in, hid)
+            got = ad.lstm_layer(*inputs, reverse=reverse)
+            want = composed_lstm_layer(*inputs, reverse=reverse)
+            assert_bits([got.data], [want.data])
+            with Tape():  # the recording path computes the same forward
+                assert_bits([ad.lstm_layer(*inputs, reverse=reverse).data], [want.data])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients(self, reverse):
+        rng = np.random.default_rng(21 + reverse)
+        for trial, (n_rows, n_in, hid) in enumerate([(1, 3, 2), (6, 4, 5), (4, 1, 3)]):
+            inputs = self.inputs(rng, n_rows, n_in, hid)
+            weights = ad.constant(rng.standard_normal((n_rows, hid)))
+            params = list(zip(["x", "h0", "c0", "w_ih", "w_hh", "b"], inputs))
+            check_op(lambda: ad.sum_all(ad.mul(ad.lstm_layer(*inputs, reverse=reverse), weights)),
+                     params, coords=80, seed=trial)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n_rows", [1, 6])
+    def test_gradients_match_cell_steps(self, n_rows, reverse):
+        rng = np.random.default_rng(31 + n_rows + reverse)
+        for n_in, hid in [(5, 3), (12, 8)]:
+            inputs = self.inputs(rng, n_rows, n_in, hid)
+            up = rng.standard_normal((n_rows, hid))
+            _, got = run_op(lambda: ad.lstm_layer(*inputs, reverse=reverse), inputs, [up])
+            _, want = run_op(lambda: composed_lstm_layer(*inputs, reverse=reverse),
+                             inputs, [up])
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_rejects_mismatched_shapes(self):
+        x, h, c = t(np.ones((4, 3))), t(np.ones(2)), t(np.ones(2))
+        w_ih, w_hh, b = t(np.ones((8, 3))), t(np.ones((8, 2))), t(np.ones(8))
+        for bad in [(t(np.ones(3)), h, c, w_ih, w_hh, b),  # a vector, not rows
+                    (t(np.ones((0, 3))), h, c, w_ih, w_hh, b),  # no rows
+                    (x, h, t(np.ones(3)), w_ih, w_hh, b),
+                    (x, h, c, t(np.ones((8, 2))), w_hh, b),
+                    (x, h, c, w_ih, w_hh, t(np.ones(6)))]:
+            with pytest.raises(ShapeError, match="lstm_layer"):
+                ad.lstm_layer(*bad)

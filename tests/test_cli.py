@@ -114,6 +114,19 @@ class TestConvert:
         assert "Traceback" not in proc.stderr
         assert "input nested too deeply" in proc.stderr
 
+    def test_deeply_nested_record_is_skipped(self, tmp_path):
+        depth = 2000
+        deep = "".join(f"(n{i} / x :ARG0 " for i in range(depth)) + "(z / y)" + ")" * depth
+        src = tmp_path / "mixed.penman"
+        src.write_text(f"{VINKEN}\n\n{deep}\n\n{VINKEN}\n")
+        out = tmp_path / "out.jsonl"
+        proc = run_cli("convert", "--framework", "amr", "--direction", "to-arbor",
+                       "--format", "penman", "--input", src, "--output", out)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "record 1: input nested too deeply" in proc.stderr
+        assert [arbor_from_json(line)[0] for line in out.read_text().splitlines()] == ["0", "2"]
+
 
 def canonical_line(record_id, nodes, edges, tops):
     return json.dumps({"id": record_id, "framework": "amr", "tokens": ["a"], "pos": ["DT"],

@@ -38,6 +38,49 @@ def drive_steps(model, inp, labels, rng_seed=0):
     return outs, state
 
 
+SMALL_DIMS = dict(  # the criterion-08 and benchmark dimensions
+    word_dim=32, char_emb_dim=8, char_channels=16, pos_dim=8, index_dim=8, rel_dim=16,
+    encoder_hidden=64, relation_hidden=128, attn_hidden=32, biaffine_size=32,
+    bilinear_size=32, dropout=0.2,
+)
+
+
+def reference_chars(cnn, char_ids):
+    """One word's character features by its own lookup, affine and max."""
+    windows = ad.reshape(cnn.emb(cnn._window_ids(char_ids)),
+                         (max(len(char_ids), 1), cnn.kernel * cnn.char_dim))
+    return ad.amax(ad.affine(windows, cnn.w, cnn.b), axis=0)
+
+
+def reference_encode(encoder, inp, train=False, rng=None):
+    """``Encoder.encode``'s states and init as computed with per-token
+    character features and one ``lstm_cell`` per token, layer and
+    direction, over the tokens as vectors."""
+    assert not encoder.feature_vocabs
+    embedded = ad.dropout(ad.concat([
+        encoder.word_emb([encoder.word_vocab.id(w) for w in inp.tokens]),
+        ad.stack_rows([reference_chars(encoder.char_cnn, encoder.char_ids(w))
+                       for w in inp.tokens]),
+        encoder.pos_emb([encoder.pos_vocab.id(p) for p in inp.pos]),
+    ], axis=1), encoder.config.dropout, train, rng)
+    xs = [ad.reshape(ad.narrow(embedded, 0, k, k + 1), (embedded.shape[1],))
+          for k in range(len(inp.tokens))]
+    bilstm, h, init = encoder.bilstm, encoder.config.encoder_hidden, []
+    for k in range(bilstm.layers):
+        f_states, state = [], bilstm.fwd[k].zero_state()
+        for x in xs:
+            state = bilstm.fwd[k](x, state)
+            f_states.append(state[0])
+        b_states, state = [], bilstm.bwd[k].zero_state()
+        for x in reversed(xs):
+            state = bilstm.bwd[k](x, state)
+            b_states.append(state[0])
+        b_states.reverse()
+        xs = [ad.concat([f, b]) for f, b in zip(f_states, b_states)]
+        init.append(ad.concat([ad.narrow(xs[0], 0, h, 2 * h), ad.narrow(xs[-1], 0, 0, h)]))
+    return ad.dropout(ad.stack_rows(xs), encoder.config.dropout, train, rng), init
+
+
 class TestEncoder:
     def test_embedded_dim_is_sum_of_channels(self, model):
         cfg = model.config
@@ -73,6 +116,37 @@ class TestEncoder:
         inp = EncoderInput(tokens=["zzzunseen"], pos=["NN"])
         enc = model.encoder.encode(inp)
         assert np.all(np.isfinite(enc.states.data))
+
+    # "paper_chars": the paper-default character dimensions, where one
+    # product over a long sentence's windows rounds unlike a word's own
+    @pytest.mark.parametrize("dims", [{}, SMALL_DIMS, dict(char_emb_dim=32, char_channels=100)],
+                             ids=["tiny", "small", "paper_chars"])
+    def test_encode_bit_equal_to_cell_steps(self, dims):
+        model = build_tiny_model(seed=4, **dims)
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 5, 12, 50):
+            inp = make_inputs(rng, n)
+            # a one-character word is a one-row product, which rounds unlike
+            # a row of a larger one
+            inp.tokens[n // 2] = "."
+            for train in (False, True):
+                seed = int(rng.integers(1 << 30))
+                enc = model.encoder.encode(inp, train, np.random.default_rng(seed))
+                states, init = reference_encode(model.encoder, inp, train,
+                                                np.random.default_rng(seed))
+                assert np.array_equal(enc.states.data, states.data)
+                assert len(enc.init) == len(init)
+                for got, want in zip(enc.init, init):
+                    assert np.array_equal(got.data, want.data)
+
+    def test_tape_records_do_not_grow_with_length(self, model):
+        rng = np.random.default_rng(6)
+        counts = []
+        for n in (3, 12):
+            with ad.Tape() as tape:
+                model.encoder.encode(make_inputs(rng, n))
+            counts.append(len(tape.records))
+        assert counts[0] == counts[1] > 0
 
     def test_empty_sentence_rejected(self, model):
         with pytest.raises(ValueError, match="empty"):
