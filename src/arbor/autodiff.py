@@ -8,11 +8,13 @@ plain numpy, which is what inference uses.
 Each op has one forward and one backward path, with no branch per rank.
 ``matmul`` takes a 1-d left operand as a one-row matrix and a 1-d right
 operand as a one-column matrix, as ``np.matmul`` does.  Broadcasting is
-deliberately restricted: ``add``, ``sub`` and ``mul`` take equal shapes or
-a python scalar or 0-d tensor on either side, and ``add`` a bias vector
-over the last axis of a matrix or a stack of matrices; everything else is
-a shape error.  One rule sums a broadcast operand's gradient back to its
-shape: a 0-d operand sums every entry, a bias vector the leading axes.
+deliberately restricted: ``add``, ``sub`` and ``mul`` take equal shapes, a
+python scalar or 0-d tensor on either side, or a column ``(..., 1)``
+against a tensor of the same leading shape, and ``add`` a bias vector over
+the last axis of a matrix or a stack of matrices; everything else is a
+shape error.  One rule sums a broadcast operand's gradient back to its
+shape: a 0-d operand sums every entry, a column its last axis, a bias
+vector the leading axes.
 The one pairwise broadcast is its own op, ``pairwise_add`` (every row of
 one matrix plus every row of another).
 
@@ -167,10 +169,15 @@ def constant(x) -> Tensor:
 
 def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back to its operand's ``shape``: a 0-d
-    operand sums every entry, a bias vector sums over the leading axes."""
+    operand sums every entry, a column its last axis, a bias vector the
+    leading axes."""
     if g.shape == shape:
         return g
-    return g.reshape(-1, shape[0]).sum(axis=0) if shape else g.sum()
+    if not shape:
+        return g.sum()
+    if len(shape) == g.ndim:
+        return g.sum(axis=-1, keepdims=True)
+    return g.reshape(-1, shape[0]).sum(axis=0)
 
 
 def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -196,6 +203,8 @@ def _elementwise(op: str, fwd, a: Tensor, b, grad_a, grad_b, bias: bool = False)
     if not isinstance(b, Tensor):
         out, pairs = fwd(a.data, b), [(a, grad_a)]
     elif (a.shape == b.shape or not a.ndim or not b.ndim
+          or a.ndim == b.ndim >= 2 and a.shape[:-1] == b.shape[:-1]
+          and 1 in (a.shape[-1], b.shape[-1])
           or bias and a.ndim >= 2 and b.ndim == 1 and a.shape[-1] == b.shape[0]):
         out, pairs = fwd(a.data, b.data), [(a, grad_a), (b, grad_b)]
     else:
@@ -258,18 +267,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _apply(out, [(a, grad_a), (b, grad_b)])
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``w @ x + b`` for a vector ``x``, ``x @ w.T + b`` for a matrix of rows.
+def affine(x: Tensor, w: Tensor, b: Tensor, per_row: bool = False) -> Tensor:
+    """``w @ x + b`` for a vector ``x``, ``x @ w.T + b`` for a matrix of rows
+    or a stack of such matrices.
 
     One op in place of matmul + add (+ transpose).  The rows form multiplies
-    by a C-ordered copy of ``w.T``, as ``matmul(x, transpose(w))`` did: BLAS
-    takes another kernel for a transposed view and rounds differently.  The
-    backward works on rows, a vector being one row.
+    each matrix by a C-ordered copy of ``w.T``, as ``matmul(x, transpose(w))``
+    did: BLAS takes another kernel for a transposed view and rounds
+    differently.  With ``per_row`` every row is instead its own product
+    (``_mv``), bit-equal to the vector form on that row; the one gemm over
+    all rows is not.  The backward works on rows, a vector being one row.
     """
-    if (w.ndim != 2 or b.shape != (w.shape[0],) or x.ndim not in (1, 2)
+    if (w.ndim != 2 or b.shape != (w.shape[0],) or x.ndim not in (1, 2, 3)
             or x.shape[-1] != w.shape[1]):
         raise ShapeError(f"affine: x {x.shape}, w {w.shape}, b {b.shape}")
-    out = w.data @ x.data + b.data if x.ndim == 1 else x.data @ w.data.T.copy() + b.data
+    out = (_mv(w.data, x.data) if x.ndim == 1 or per_row else x.data @ w.data.T.copy()) + b.data
     return _apply(out, [
         (x, lambda g: g @ w.data),
         (w, lambda g: _weight_grad(g, x.data)),
@@ -282,12 +294,12 @@ def affine_max(x: Tensor, w: Tensor, b: Tensor, lengths) -> Tensor:
     the column-wise max of ``affine`` over each segment, ``(len(lengths),
     w.shape[0])``.
 
-    Each segment is its own product, so row ``k`` is bit-equal to
-    ``amax(affine(segment k, w, b), axis=0)``: a row of one product over
-    all segments would round differently (a one-row product is a
+    Each segment is its own product, so row ``k`` is bit-equal to the
+    column-wise max of ``affine(segment k, w, b)``: a row of one product
+    over all segments would round differently (a one-row product is a
     vector-matrix call, and BLAS picks kernels by size).  The gradient goes
-    to the first maximum of each column, as ``amax`` sends it; the backward
-    forms the gradients of ``x``, ``w`` and ``b`` by one product or sum each.
+    to the first maximum of each column; the backward forms the gradients
+    of ``x``, ``w`` and ``b`` by one product or sum each.
     """
     bounds = list(accumulate(lengths, initial=0))
     if (x.ndim != 2 or w.ndim != 2 or b.shape != (w.shape[0],) or x.shape[1] != w.shape[1]
@@ -328,7 +340,7 @@ def stack_rows(tensors) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("stack_rows of no tensors")
-    out_data = np.stack([t.data for t in tensors], axis=0)
+    out_data = np.array([t.data for t in tensors])  # np.stack, at a fraction of its cost
     return _apply(out_data, [(t, itemgetter(k)) for k, t in enumerate(tensors)])
 
 
@@ -349,9 +361,10 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def element(x: Tensor, i: int) -> Tensor:
-    """Pick one entry of a 1-d tensor as a scalar."""
-    if x.ndim != 1:
-        raise ShapeError(f"element expects a vector, got shape {x.shape}")
+    """``x[i]`` along the leading axis: an entry of a vector as a scalar, a
+    row of a matrix, or a matrix of a stack."""
+    if not x.ndim:
+        raise ShapeError("element of a scalar")
     return _index(x, i)
 
 
@@ -369,11 +382,12 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def repeat_rows(v: Tensor, n: int) -> Tensor:
-    """Tile a vector into n identical rows."""
-    if v.ndim != 1:
-        raise ShapeError(f"repeat_rows expects a vector, got shape {v.shape}")
-    out = np.broadcast_to(v.data, (n, v.shape[0])).copy()
-    return _apply(out, [(v, lambda g: g.sum(axis=0))])
+    """Tile a vector into n identical rows, ``(n, d)``, or each row of a
+    matrix into n identical rows, ``(m, n, d)``."""
+    if v.ndim not in (1, 2):
+        raise ShapeError(f"repeat_rows expects a vector or a matrix, got shape {v.shape}")
+    out = np.broadcast_to(v.data[..., None, :], v.shape[:-1] + (n, v.shape[-1])).copy()
+    return _apply(out, [(v, lambda g: g.sum(axis=-2))])
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -385,19 +399,6 @@ def sum_axis(x: Tensor, axis: int) -> Tensor:
         return np.broadcast_to(np.expand_dims(g, axis), x.shape).copy()
 
     return _apply(x.data.sum(axis=axis), [(x, fn)])
-
-
-def amax(x: Tensor, axis: int = 0) -> Tensor:
-    """Max-reduce along an axis; gradient flows to the first maximum."""
-    idx = np.expand_dims(x.data.argmax(axis=axis), axis)
-    out = x.data.max(axis=axis)
-
-    def fn(g):
-        full = np.zeros_like(x.data)
-        np.put_along_axis(full, idx, np.expand_dims(g, axis), axis)
-        return full
-
-    return _apply(out, [(x, fn)])
 
 
 def pick(x: Tensor, cols) -> Tensor:
@@ -769,6 +770,9 @@ def grad_check(
     params = list(params)
     rng = rng if rng is not None else np.random.default_rng(0)
 
+    # a gradient left from an earlier backward would add to the analytic one
+    for _, t in params:
+        t.zero_grad()
     with Tape() as tape:
         loss = f()
     tape.backward(loss)

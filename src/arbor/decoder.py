@@ -15,16 +15,23 @@ POS tags of nodes are inferred at runtime: token copies take the token's
 POS, node copies take the antecedent's POS, generated nodes get the UNK
 tag.
 
+Beam search runs a step as matrix rows.  One ``predict_target`` call
+scores the next target of every hypothesis in the beam, one row each, and
+each row is bit-equal to that hypothesis alone: products of a weight with
+the rows' queries are one gemv per row, and products over a row's keys are
+one matrix of a stacked matmul.  A single state is the one-row case.  Then
+one ``expand`` call feeds all of the step's (hypothesis, target)
+expansions, whose rows agree to rounding with ``feed_target`` followed by
+``point_source`` and ``relation_dist_all`` on each expansion alone; those
+two are the one-expansion reference that ``expand`` is tested against,
+not a second decode path.
+
 Each node is projected once: when a node's state becomes a pointer
 candidate (in ``predict_target``), its ``mlp_end`` and ``mlp_rel_src`` rows
-are cached on the ``DecoderState``, and the source and relation scorers
-stack those rows.  Within one decode, label embeddings are memoised by
-(label, POS) while no tape records.  Beam search feeds all of a step's
-(hypothesis, target) expansions at once through ``expand``, whose rows
-agree to rounding with ``feed_target`` followed by ``point_source`` and
-``relation_dist_all`` on each expansion alone; those two are the
-one-expansion reference that ``expand`` is tested against, not a second
-decode path.
+are appended to the row blocks that the ``DecoderState`` holds, as its z
+is to the z history, and the source and relation scorers read those
+blocks whole.  Within one decode, label embeddings are memoised by (label,
+POS) while no tape records.
 
 Training does not step through this module's decode forms: under teacher
 forcing ``training.sequence_loss`` runs each target LSTM layer as one
@@ -59,7 +66,6 @@ class NodeRecord:
     index: int
     pos: str
     origin: str
-    copied_from: int | None = None  # token position (enc) or node number (dec)
     anchors: tuple[int, ...] | None = None
 
 
@@ -80,19 +86,21 @@ BOS_INPUT = RelationInput(ROOT_LABEL, ROOT_INDEX, UNK_LABEL, ROOT_RELATION)
 @dataclass(frozen=True)
 class DecoderState:
     """A decode after ``step`` relations.  Of the target states only the last
-    one, ``h``, is kept: no scorer reads an earlier one."""
+    one, ``h``, is kept: no scorer reads an earlier one.  The z history and
+    the candidate rows are matrices that ``predict_target`` grows by a row
+    each step."""
 
     lstm: tuple[tuple[Tensor, Tensor], ...]  # per-layer (h, c)
     h: Tensor  # final-layer state of the last target (ROOT's before the first)
-    z_hist: tuple[Tensor, ...]  # relation hidden states available for copying
+    z_hist: Tensor  # (rows, relation_hidden): relation hidden states available for copying
     nodes: tuple[NodeRecord, ...]  # emitted target nodes v_1..v_i
     coverage: Tensor  # running sum of encoder attentions
     step: int  # number of relations consumed so far
     # mlp_end and mlp_rel_src of each pointer candidate's state (ROOT, then
-    # every target), computed once when it becomes a candidate (in
+    # every target) as rows, computed once when it becomes a candidate (in
     # predict_target); after a feed both hold len(nodes) rows
-    end_rows: tuple[Tensor, ...] = ()
-    rel_src_rows: tuple[Tensor, ...] = ()
+    end_rows: Tensor
+    rel_src_rows: Tensor
     # (label, pos) -> label_vec for one decode, shared by all of its states
     # and never by the model; read and filled only while no tape records
     label_memo: dict = field(default_factory=dict, compare=False, repr=False)
@@ -134,21 +142,35 @@ class Expansions:
 
 @dataclass
 class StepOutput:
+    """The target head's output for hypothesis rows: each tensor has a
+    leading row axis, and ``dec_records`` and ``fresh_index`` hold one entry
+    per row.  ``row(b)`` is row ``b`` alone, with the row axis dropped, as
+    ``predict_target`` returns it for a single state."""
+
     vocab_logits: Tensor
     p_vocab: Tensor
     a_dec: Tensor | None
-    switch: tuple[Tensor, Tensor, Tensor | None]  # (p_gen, p_enc, p_dec)
+    switch: Tensor  # (p_gen, p_enc, p_dec); no p_dec before a node can be copied
     p_target: Tensor  # concat of weighted vocab / encoder / decoder blocks
     covloss: Tensor
     vocab_size: int
     n_enc: int
     n_dec: int
-    dec_records: tuple[NodeRecord, ...]  # nodes addressable by decoder copy
-    fresh_index: int  # index a generated or token-copied node would get
+    dec_records: tuple  # nodes addressable by decoder copy
+    fresh_index: int | tuple[int, ...]  # index a generated or token-copied node would get
+
+    def row(self, b: int) -> StepOutput:
+        def pick(t):
+            return None if t is None else ad.element(t, b)
+
+        return StepOutput(
+            pick(self.vocab_logits), pick(self.p_vocab), pick(self.a_dec),
+            pick(self.switch), pick(self.p_target), pick(self.covloss),
+            self.vocab_size, self.n_enc, self.n_dec, self.dec_records[b], self.fresh_index[b],
+        )
 
     def switch_values(self) -> tuple[float, float, float]:
-        g, e, d = self.switch
-        return (float(g.data), float(e.data), float(d.data) if d is not None else 0.0)
+        return tuple(self.switch.data.tolist()) + (0.0,) * (3 - self.switch.shape[-1])
 
 
 class Decoder(nn.Module):
@@ -251,76 +273,101 @@ class Decoder(nn.Module):
     # -- stepping -----------------------------------------------------------
 
     def initial_state(self, enc: EncoderOutput) -> DecoderState:
-        lstm = tuple((init, ad.constant(np.zeros(self.config.decoder_hidden)))
-                     for init in enc.init)
+        c = self.config
+        lstm = tuple((init, ad.constant(np.zeros(c.decoder_hidden))) for init in enc.init)
         return DecoderState(
             lstm=lstm,
             h=enc.init[-1],
-            z_hist=(),
+            z_hist=ad.constant(np.zeros((0, c.relation_hidden))),
             nodes=(),
             coverage=ad.constant(np.zeros(enc.n)),
             step=0,
+            end_rows=ad.constant(np.zeros((0, c.biaffine_size))),
+            rel_src_rows=ad.constant(np.zeros((0, c.bilinear_size))),
         )
 
-    def predict_target(self, enc: EncoderOutput, state: DecoderState, rel_in: RelationInput,
-                       train: bool = False, rng: np.random.Generator | None = None
-                       ) -> tuple[StepOutput, DecoderState]:
-        """Consume relation ``rel_in`` and produce the next-target mixture."""
-        c = self.config
-        h_i = state.h
+    def predict_target(self, enc: EncoderOutput, states: DecoderState | list[DecoderState],
+                       rel_ins: RelationInput | list[RelationInput], train: bool = False,
+                       rng: np.random.Generator | None = None):
+        """Consume relation ``rel_ins[b]`` in ``states[b]`` for each
+        hypothesis row ``b`` and produce the next-target mixtures, as one
+        ``StepOutput`` of rows and the list of new states.  The states must
+        have consumed the same number of relations, as a beam's hypotheses
+        have.  A single state and relation are the one-row case, with the
+        row axis dropped: ``(StepOutput, DecoderState)``.
 
-        attn_in = ad.concat([ad.repeat_rows(h_i, enc.n), enc.states], axis=1)
+        Each row is bit-equal to its state alone.  A weight times the rows'
+        queries (the ``ffn_*`` layers, ``mlp_end`` and ``mlp_rel_src``) is
+        one gemv per row (``per_row``), and a product over a row's keys (the
+        attention scorers, ``a_enc @ enc.states``) is one matrix of a
+        stacked matmul; a gemm over all rows would round differently.
+        """
+        if isinstance(states, DecoderState):
+            out, (state,) = self.predict_target(enc, [states], [rel_ins], train, rng)
+            return out.row(0), state
+        c, rows, n = self.config, len(states), enc.n
+        h = ad.stack_rows([s.h for s in states])
+
+        attn_in = ad.concat([ad.repeat_rows(h, n), ad.stack_rows([enc.states] * rows)], axis=2)
         a_enc = ad.softmax(self.attn_mlp(attn_in))
-        context = ad.matmul(a_enc, enc.states)
+        context = ad.reshape(ad.matmul(ad.reshape(a_enc, (rows, 1, n)), enc.states),
+                             (rows, enc.states.shape[1]))
 
-        u_vec = self.label_vec(rel_in.u_label, rel_in.u_pos, state.label_memo)
-        du_vec = self.index_emb.one(self._index_id(rel_in.u_index))
-        r_vec = self.rel_emb.one(self.rel_vocab.id(rel_in.rel))
-        z = self.ffn_relation(ad.concat([h_i, context, r_vec, u_vec, du_vec]))
+        memo = states[0].label_memo
+        u = ad.stack_rows([self.label_vec(r.u_label, r.u_pos, memo) for r in rel_ins])
+        du = self.index_rows([r.u_index for r in rel_ins])
+        rel = self.rel_emb([self.rel_vocab.id(r.rel) for r in rel_ins])
+        z = self.ffn_relation(ad.concat([h, context, rel, u, du], axis=1), per_row=True)
         z = ad.dropout(z, c.dropout, train, rng)
 
-        vocab_logits = self.ffn_vocab(z)
+        vocab_logits = self.ffn_vocab(z, per_row=True)
         p_vocab = ad.softmax(vocab_logits)
-        switch_logits = self.ffn_switch(z)
+        switch_logits = self.ffn_switch(z, per_row=True)
 
-        n_dec = len(state.z_hist)
+        z_hist = ad.stack_rows([s.z_hist for s in states])
+        n_dec = z_hist.shape[1]
+        blocks = [p_vocab, a_enc]
         if n_dec:
-            z_rows = ad.stack_rows(state.z_hist)
-            pair = ad.concat([ad.repeat_rows(z, n_dec), z_rows], axis=1)
-            a_dec = ad.softmax(self.dec_attn_mlp(pair))
-            sw = ad.softmax(switch_logits)
-            p_gen, p_enc, p_dec = (ad.element(sw, 0), ad.element(sw, 1), ad.element(sw, 2))
-            blocks = [ad.mul(p_gen, p_vocab), ad.mul(p_enc, a_enc), ad.mul(p_dec, a_dec)]
+            a_dec = ad.softmax(self.dec_attn_mlp(
+                ad.concat([ad.repeat_rows(z, n_dec), z_hist], axis=2)))
+            blocks.append(a_dec)
         else:
             # no copyable nodes yet: decoder-copy mass is exactly zero
             a_dec = None
-            sw = ad.softmax(ad.narrow(switch_logits, 0, 0, 2))
-            p_gen, p_enc, p_dec = ad.element(sw, 0), ad.element(sw, 1), None
-            blocks = [ad.mul(p_gen, p_vocab), ad.mul(p_enc, a_enc)]
-        p_target = ad.concat(blocks)
+            switch_logits = ad.narrow(switch_logits, 1, 0, 2)
+        sw = ad.softmax(switch_logits)
+        weights = [ad.narrow(sw, 1, k, k + 1) for k in range(len(blocks))]  # (rows, 1) each
+        p_target = ad.concat([ad.mul(w, block) for w, block in zip(weights, blocks)], axis=1)
 
-        covloss = ad.sum_all(ad.minimum(a_enc, state.coverage))
-        new_state = replace(
-            state,
-            z_hist=state.z_hist + (z,) if state.step >= 1 else state.z_hist,
-            coverage=ad.add(state.coverage, a_enc),
-            step=state.step + 1,
-            # h_i is a pointer candidate from the next feed on
-            end_rows=state.end_rows + (self.mlp_end(h_i),),
-            rel_src_rows=state.rel_src_rows + (self.mlp_rel_src(h_i),),
-        )
+        coverage = ad.stack_rows([s.coverage for s in states])
+        covloss = ad.sum_axis(ad.minimum(a_enc, coverage), 1)
+        coverage = ad.add(coverage, a_enc)
+        if states[0].step >= 1:
+            z_hist = _append_rows(z_hist, z)
+        # h is a pointer candidate from the next feed on
+        ends = _append_rows(ad.stack_rows([s.end_rows for s in states]),
+                            self.mlp_end(h, per_row=True))
+        srcs = _append_rows(ad.stack_rows([s.rel_src_rows for s in states]),
+                            self.mlp_rel_src(h, per_row=True))
+        new_states = [
+            replace(s, z_hist=ad.element(z_hist, b), coverage=ad.element(coverage, b),
+                    step=s.step + 1, end_rows=ad.element(ends, b),
+                    rel_src_rows=ad.element(srcs, b))
+            for b, s in enumerate(states)
+        ]
         out = StepOutput(
-            vocab_logits=vocab_logits, p_vocab=p_vocab, a_dec=a_dec,
-            switch=(p_gen, p_enc, p_dec), p_target=p_target, covloss=covloss,
-            vocab_size=len(self.word_vocab), n_enc=enc.n, n_dec=n_dec,
-            dec_records=state.nodes[:n_dec], fresh_index=state.next_fresh_index,
+            vocab_logits=vocab_logits, p_vocab=p_vocab, a_dec=a_dec, switch=sw,
+            p_target=p_target, covloss=covloss, vocab_size=len(self.word_vocab), n_enc=n,
+            n_dec=n_dec, dec_records=tuple(s.nodes[:n_dec] for s in states),
+            fresh_index=tuple(s.next_fresh_index for s in states),
         )
-        return out, new_state
+        return out, new_states
 
-    def _node_input(self, record: NodeRecord, memo: dict) -> Tensor:
-        """The target LSTM's input for a node: label and index embeddings."""
-        return ad.concat([self.label_vec(record.label, record.pos, memo),
-                          self.index_emb.one(self._index_id(record.index))])
+    def _node_inputs(self, records: list[NodeRecord], memo: dict) -> Tensor:
+        """The target LSTM's input rows for nodes: their memoised label
+        vectors beside their index embeddings, gathered by one lookup."""
+        labels = ad.stack_rows([self.label_vec(r.label, r.pos, memo) for r in records])
+        return ad.concat([labels, self.index_rows([r.index for r in records])], axis=1)
 
     def _run_lstm(self, x: Tensor, states, state_rows=None, train: bool = False,
                   rng: np.random.Generator | None = None):
@@ -337,8 +384,8 @@ class Decoder(nn.Module):
                     train: bool = False, rng: np.random.Generator | None = None
                     ) -> DecoderState:
         """Run the target LSTM over the new node ``v_{i+1}``."""
-        lstm, h = self._run_lstm(self._node_input(record, state.label_memo), state.lstm,
-                                 train=train, rng=rng)
+        x = ad.element(self._node_inputs([record], state.label_memo), 0)
+        lstm, h = self._run_lstm(x, state.lstm, train=train, rng=rng)
         return replace(state, lstm=lstm, h=h, nodes=state.nodes + (record,))
 
     def expand(self, parents: list[DecoderState], records: list[NodeRecord]) -> Expansions:
@@ -347,8 +394,8 @@ class Decoder(nn.Module):
 
         The target LSTM, the source pointer and the relation scorer run
         once over all expansions as matrix rows, and each distinct parent's
-        recurrent product and candidate rows are computed once however many
-        expansions share it.  The LSTM rows are bit-equal to
+        recurrent product is computed once however many expansions share
+        it; the candidate rows are the parents' own blocks.  The LSTM rows are bit-equal to
         ``feed_target(parents[e], records[e])``; the pointer and type
         projections are gemms over the rows, so ``p_source`` and
         ``p_relation`` agree with ``point_source`` and
@@ -356,8 +403,7 @@ class Decoder(nn.Module):
         must have consumed the same number of relations, as a beam's
         hypotheses have.
         """
-        memo = parents[0].label_memo
-        x = ad.stack_rows([self._node_input(r, memo) for r in records])
+        x = self._node_inputs(records, parents[0].label_memo)
         distinct: list[DecoderState] = []
         row_of: dict[int, int] = {}  # id(parent) -> its row in ``distinct``
         for s in parents:
@@ -369,9 +415,8 @@ class Decoder(nn.Module):
                    ad.stack_rows([s.lstm[k][1] for s in distinct]))
                   for k in range(len(self.lstm_cells))]
         lstm, x = self._run_lstm(x, states, state_rows)
-        cached = [(ad.stack_rows(s.end_rows), ad.stack_rows(s.rel_src_rows)) for s in distinct]
-        ends = ad.stack_rows([cached[r][0] for r in state_rows])
-        srcs = ad.stack_rows([cached[r][1] for r in state_rows])
+        ends = ad.stack_rows([s.end_rows for s in parents])
+        srcs = ad.stack_rows([s.rel_src_rows for s in parents])
         p_source = self._source_dist(self.biaffine(self.mlp_start(x), ends))
         p_relation = ad.softmax(self.bilinear(srcs, self.mlp_rel_tgt(x)), axis=-1)
         return Expansions(parents, records, lstm, p_source.data, p_relation.data)
@@ -379,7 +424,7 @@ class Decoder(nn.Module):
     def source_scores(self, state: DecoderState) -> Tensor:
         """Biaffine pointer logits over positions 0..i (0 is ROOT)."""
         start = self.mlp_start(state.h)
-        return self.biaffine(start, ad.stack_rows(state.end_rows))
+        return self.biaffine(start, state.end_rows)
 
     @staticmethod
     def _source_dist(scores: Tensor) -> Tensor:
@@ -405,7 +450,7 @@ class Decoder(nn.Module):
     def relation_scores(self, state: DecoderState, position: int) -> Tensor:
         """Bilinear relation-type logits given the source pointer choice."""
         tgt = self.mlp_rel_tgt(state.h)
-        return self.bilinear(state.rel_src_rows[position], tgt)
+        return self.bilinear(ad.element(state.rel_src_rows, position), tgt)
 
     def relation_dist(self, state: DecoderState, position: int) -> Tensor:
         return ad.softmax(self.relation_scores(state, position))
@@ -414,16 +459,10 @@ class Decoder(nn.Module):
         """P(r) rows for every candidate source position of one fed state:
         the one-expansion reference that ``expand`` is tested against;
         decoding calls ``expand``."""
-        srcs = ad.stack_rows(state.rel_src_rows)
         tgt = self.mlp_rel_tgt(state.h)
-        return ad.softmax(self.bilinear(srcs, tgt), axis=-1).data
+        return ad.softmax(self.bilinear(state.rel_src_rows, tgt), axis=-1).data
 
     # -- bookkeeping --------------------------------------------------------
-
-    def next_index(self, state: DecoderState, origin: str, copied_from: int | None) -> int:
-        if origin == ORIGIN_DEC:
-            return state.nodes[copied_from - 1].index
-        return state.next_fresh_index
 
     def gold_support(self, out: StepOutput, label: str, tokens: list[str],
                      index: int | None = None) -> list[int]:
@@ -436,6 +475,11 @@ class Decoder(nn.Module):
                 + [out.vocab_size + out.n_enc + k for k in node_copies])
 
 
+def _append_rows(blocks: Tensor, rows: Tensor) -> Tensor:
+    """Row ``b`` of ``rows`` appended to matrix ``b`` of the stack ``blocks``."""
+    return ad.concat([blocks, ad.reshape(rows, (rows.shape[0], 1, rows.shape[1]))], axis=1)
+
+
 def reference_node(nodes, label: str, index: int, tokens: list[str], pos_tags: list[str],
                    anchors: tuple[int, ...] | None = None) -> NodeRecord:
     """The node record of a teacher-forced reference target after ``nodes``.
@@ -446,12 +490,12 @@ def reference_node(nodes, label: str, index: int, tokens: list[str], pos_tags: l
     """
     for prev in nodes:
         if prev.index == index:
-            return NodeRecord(label, index, prev.pos, ORIGIN_DEC, None, anchors)
+            return NodeRecord(label, index, prev.pos, ORIGIN_DEC, anchors)
     for t, tok in enumerate(tokens):
         if tok == label:
-            return NodeRecord(label, index, pos_tags[t], ORIGIN_ENC, t,
+            return NodeRecord(label, index, pos_tags[t], ORIGIN_ENC,
                               anchors if anchors is not None else (t,))
-    return NodeRecord(label, index, UNK_LABEL, ORIGIN_VOCAB, None, anchors)
+    return NodeRecord(label, index, UNK_LABEL, ORIGIN_VOCAB, anchors)
 
 
 def gold_blocks(label: str, tokens: list[str], dec_records, fresh_index: int,

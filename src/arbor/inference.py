@@ -6,16 +6,17 @@ nodes (or ROOT), so no spanning-tree repair is ever needed and decoding
 runs in one pass over the output relations.
 
 There is one decode loop.  Beam search expands every hypothesis in the
-beam each step: the top-K target-node candidates are scored, EOS moves a
-hypothesis to the finished pool (with no score contribution), and the
-rest become (hypothesis, target) expansions.  One ``Decoder.expand`` call
-feeds all of a step's expansions as matrix rows and scores every
-(source, relation type) pair of each, so the step's scores are one
-(expansion, source, type) array.  The global top-K of those scores, ties
-broken by arrival order, forms the next beam, and only its K members are
-built as decoder states and objects.  Greedy search is this loop at
-width 1: argmax target, then argmax (source, type), with ties going to
-the lowest index.
+beam each step: one ``Decoder.predict_target`` call scores the next
+target of every hypothesis as matrix rows, the top-K target-node
+candidates of each are taken, EOS moves a hypothesis to the finished pool
+(with no score contribution), and the rest become (hypothesis, target)
+expansions.  One ``Decoder.expand`` call feeds all of a step's expansions
+as matrix rows and scores every (source, relation type) pair of each, so
+the step's scores are one (expansion, source, type) array.  The global
+top-K of those scores, ties broken by arrival order, forms the next beam,
+and only its K members are built as decoder states and objects.  Greedy
+search is this loop at width 1: argmax target, then argmax (source,
+type), with ties going to the lowest index.
 """
 
 from __future__ import annotations
@@ -71,10 +72,9 @@ def _slot_info(model: TransducerModel, out, tokens: list[str], pos_tags: list[st
         return NodeRecord(label, out.fresh_index, UNK_LABEL, ORIGIN_VOCAB)
     if slot < v + n_enc:
         t = slot - v
-        return NodeRecord(tokens[t], out.fresh_index, pos_tags[t], ORIGIN_ENC, t, (t,))
+        return NodeRecord(tokens[t], out.fresh_index, pos_tags[t], ORIGIN_ENC, (t,))
     rec = out.dec_records[slot - v - n_enc]
-    return NodeRecord(rec.label, rec.index, rec.pos, ORIGIN_DEC,
-                      slot - v - n_enc + 1, rec.anchors)
+    return NodeRecord(rec.label, rec.index, rec.pos, ORIGIN_DEC, rec.anchors)
 
 
 def _source_of(state, position: int) -> tuple[str, int]:
@@ -132,9 +132,11 @@ def _search(model: TransducerModel, enc_input: EncoderInput, beam_size: int,
         parents: list[DecoderState] = []
         records: list[NodeRecord] = []
         heads: list[float] = []  # hypothesis score + log P(target)
-        for hyp in beam:
-            out, state1 = dec.predict_target(enc, hyp.state, hyp.rel_in)
-            total_steps += 1
+        outs, fed = dec.predict_target(enc, [hyp.state for hyp in beam],
+                                       [hyp.rel_in for hyp in beam])
+        total_steps += len(beam)
+        for b, hyp in enumerate(beam):
+            out = outs.row(b)
             p = out.p_target.data
             for slot in _top_k(p, beam_size):
                 slot = int(slot)
@@ -144,7 +146,7 @@ def _search(model: TransducerModel, enc_input: EncoderInput, beam_size: int,
                     finished.append(Hypothesis(hyp.relations, hyp.score, None, hyp.rel_in))
                     continue
                 owners.append(hyp)
-                parents.append(state1)
+                parents.append(fed[b])
                 records.append(_slot_info(model, out, enc_input.tokens, enc_input.pos, slot))
                 heads.append(hyp.score + float(np.log(p[slot])))
         if not records:

@@ -58,7 +58,8 @@ class Module:
 
 
 class Linear(Module):
-    """ffn(x) = W x + b; accepts a vector or a matrix of row vectors."""
+    """ffn(x) = W x + b; accepts a vector, a matrix of row vectors or a stack
+    of such matrices (see ``autodiff.affine`` for ``per_row``)."""
 
     def __init__(self, rng, in_dim: int, out_dim: int):
         super().__init__()
@@ -66,8 +67,8 @@ class Linear(Module):
         self.w = self.register("w", xavier_uniform(rng, (out_dim, in_dim)))
         self.b = self.register("b", np.zeros(out_dim))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.affine(x, self.w, self.b)
+    def __call__(self, x: Tensor, per_row: bool = False) -> Tensor:
+        return ad.affine(x, self.w, self.b, per_row)
 
 
 class Mlp(Module):
@@ -77,8 +78,8 @@ class Mlp(Module):
         super().__init__()
         self.lin = self.add_child("lin", Linear(rng, in_dim, out_dim))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.elu(self.lin(x))
+    def __call__(self, x: Tensor, per_row: bool = False) -> Tensor:
+        return ad.elu(self.lin(x, per_row))
 
 
 class AttentionScorer(Module):
@@ -95,8 +96,10 @@ class AttentionScorer(Module):
         self.out = self.add_child("out", Linear(rng, hidden, 1))
 
     def __call__(self, rows: Tensor) -> Tensor:
-        n = rows.shape[0]
-        return ad.reshape(self.out(self.mlp(rows)), (n,))
+        """The score of each row of an ``(n, d)`` matrix, ``(n,)``, or of a
+        ``(b, n, d)`` stack, ``(b, n)``; each matrix of a stack is its own
+        product, so its scores are bit-equal to that matrix alone."""
+        return ad.reshape(self.out(self.mlp(rows)), rows.shape[:-1])
 
     def pairs(self, queries: Tensor, keys: Tensor) -> Tensor:
         """Scores of every query row against every key row, ``(m, n)``.

@@ -34,6 +34,16 @@ UCCA_LABELS = ["A", "P", "C", "D", "E", "F", "L", "H", "R", "S"]
 POS_TAGS = ["NNP", "NN", "VBD", "DT", "JJ", "PRP$", "CD", "IN"]
 
 
+def check_op(build, params, tol=1e-6, seed=0, coords=40):
+    """Gradient-check ``build()`` over the (name, Tensor) ``params``."""
+    from arbor import autodiff as ad
+
+    report = ad.grad_check(build, params, rng=np.random.default_rng(seed),
+                           total_coords=coords, tol=tol)
+    assert report.passed, report.worst
+    return report
+
+
 def random_amr_graph(rng: np.random.Generator, max_nodes: int = 12) -> SemanticGraph:
     """Acyclic, rooted, connected, with reentrancies."""
     n = int(rng.integers(1, max_nodes + 1))

@@ -6,16 +6,12 @@ from hypothesis import strategies as st
 from arbor import autodiff as ad
 from arbor.autodiff import ShapeError, Tape, TapeError, Tensor
 
+from conftest import check_op
+from test_model import amax
+
 
 def t(data, grad=True):
     return Tensor(np.asarray(data, dtype=float), requires_grad=grad)
-
-
-def check_op(build, params, tol=1e-6, seed=0, coords=40):
-    report = ad.grad_check(build, params, rng=np.random.default_rng(seed),
-                           total_coords=coords, tol=tol)
-    assert report.passed, report.worst
-    return report
 
 
 class TestForwardValues:
@@ -201,22 +197,27 @@ class TestPrimitiveGradients:
 
         check_op(build, [("a", a), ("b", b), ("v", v)], coords=24)
 
-    def test_amax_and_repeat_rows(self):
-        rng = np.random.default_rng(9)
-        x = t(rng.standard_normal((4, 3)))
-        v = t(rng.standard_normal(5))
+    def test_repeat_rows_of_a_matrix(self):
+        m = t(np.random.default_rng(10).standard_normal((2, 3)))
+        tiled = ad.repeat_rows(m, 4)
+        assert tiled.shape == (2, 4, 3)
+        assert np.array_equal(tiled.data[1, 2], m.data[1])
+        weights = ad.constant(np.random.default_rng(11).standard_normal((2, 4, 3)))
+        check_op(lambda: ad.sum_all(ad.mul(ad.repeat_rows(m, 4), weights)), [("m", m)],
+                 coords=6)
 
-        def build():
-            pooled = ad.amax(x, axis=0)  # (3,)
-            tiled = ad.repeat_rows(v, 3)  # (3, 5)
-            return ad.add(ad.sum_all(pooled), ad.sum_all(tiled))
-
-        check_op(build, [("x", x), ("v", v)], coords=27)
-
-    def test_amax_over_a_middle_axis(self):
-        x = t(np.random.default_rng(12).standard_normal((2, 4, 3)))
-        assert np.array_equal(ad.amax(x, axis=1).data, x.data.max(axis=1))
-        check_op(lambda: ad.sum_all(ad.tanh(ad.amax(x, axis=1))), [("x", x)], coords=24)
+    @pytest.mark.parametrize("name", ["add", "sub", "mul"])
+    def test_column_broadcast(self, name):
+        rng = np.random.default_rng(sum(map(ord, name)) + 1)
+        op, ref = getattr(ad, name), {"add": np.add, "sub": np.subtract, "mul": np.multiply}[name]
+        for sa, sb in [((3, 1), (3, 4)), ((3, 4), (3, 1)), ((2, 3, 1), (2, 3, 5))]:
+            a, b = t(rng.standard_normal(sa)), t(rng.standard_normal(sb))
+            assert np.array_equal(op(a, b).data, ref(a.data, b.data))
+            weights = ad.constant(rng.standard_normal(np.broadcast_shapes(sa, sb)))
+            check_op(lambda: ad.sum_all(ad.mul(op(a, b), weights)), [("a", a), ("b", b)],
+                     coords=12)
+        with pytest.raises(ShapeError):
+            op(t(np.ones((3, 1))), t(np.ones((2, 4))))
 
     def test_pick_and_pairwise_add(self):
         rng = np.random.default_rng(13)
@@ -313,6 +314,19 @@ class TestGradCheckReport:
         assert not report.passed
         assert report.failures
 
+    def test_ignores_gradients_left_by_an_earlier_backward(self):
+        x, w = t([0.5, -1.0, 2.0]), t([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]])
+
+        def build():
+            return ad.sum_all(ad.tanh(ad.matmul(w, x)))
+
+        with Tape() as tape:
+            loss = build()
+        tape.backward(loss)
+        assert x.grad is not None and w.grad is not None
+        report = ad.grad_check(build, [("x", x), ("w", w)], total_coords=9, tol=1e-6)
+        assert report.passed, report.worst
+
 
 class TestFusedOps:
     @pytest.mark.parametrize("reach", ["h", "c", "both"])
@@ -404,6 +418,26 @@ class TestFusedOps:
         check_op(lambda: ad.sum_all(ad.mul(ad.affine(x, w, b), weights)),
                  [("x", x), ("w", w), ("b", b)], coords=30)
 
+    def test_affine_per_row_and_stacked_forms_equal_their_parts(self):
+        # per_row: each row bit-equal to the vector form; a stack: each
+        # matrix bit-equal to the matrix alone
+        rng = np.random.default_rng(21)
+        for m, k in [(1, 6), (13, 6), (400, 128)]:
+            w, b = t(rng.standard_normal((m, k))), t(rng.standard_normal(m))
+            rows, stack = t(rng.standard_normal((5, k))), t(rng.standard_normal((3, 4, k)))
+            per_row = ad.affine(rows, w, b, per_row=True).data
+            for r in range(5):
+                assert np.array_equal(per_row[r], ad.affine(t(rows.data[r]), w, b).data)
+            stacked = ad.affine(stack, w, b).data
+            for s in range(3):
+                assert np.array_equal(stacked[s], ad.affine(t(stack.data[s]), w, b).data)
+        w, b = t(rng.standard_normal((3, 4))), t(rng.standard_normal(3))
+        x, stack = t(rng.standard_normal((2, 4))), t(rng.standard_normal((2, 3, 4)))
+        for build in (lambda: ad.affine(x, w, b, per_row=True), lambda: ad.affine(stack, w, b)):
+            weights = ad.constant(rng.standard_normal(build().shape))
+            check_op(lambda: ad.sum_all(ad.mul(build(), weights)),
+                     [("x", x), ("stack", stack), ("w", w), ("b", b)], coords=40)
+
     def test_affine_rejects_mismatched_shapes(self):
         with pytest.raises(ShapeError, match="affine"):
             ad.affine(t(np.ones(3)), t(np.ones((2, 4))), t(np.ones(2)))
@@ -422,7 +456,7 @@ class TestFusedOps:
             bounds = np.cumsum([0] + lengths)
 
             def composed():
-                return ad.stack_rows([ad.amax(ad.affine(ad.narrow(x, 0, lo, hi), w, b), axis=0)
+                return ad.stack_rows([amax(ad.affine(ad.narrow(x, 0, lo, hi), w, b), axis=0)
                                       for lo, hi in zip(bounds, bounds[1:])])
 
             up = rng.standard_normal((len(lengths), n_out))

@@ -472,7 +472,8 @@ class TestExpand:
                 for e, (parent, record) in enumerate(zip(parents, records)):
                     one = dec.feed_target(parent, record)
                     for fed in (one, exp.state(e)):
-                        assert len(fed.end_rows) == len(fed.rel_src_rows) == len(fed.nodes)
+                        assert (fed.end_rows.shape[0] == fed.rel_src_rows.shape[0]
+                                == len(fed.nodes))
                     assert exp.state(e).nodes == one.nodes
                     for (h, c), (h1, c1) in zip(exp.state(e).lstm, one.lstm):
                         assert_close(h.data, h1.data)

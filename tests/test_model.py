@@ -8,10 +8,10 @@ from arbor.decoder import (
     BOS_INPUT, NodeRecord, ORIGIN_DEC, ORIGIN_ENC, ORIGIN_VOCAB, RelationInput, reference_node,
 )
 from arbor.encoder import EncoderInput
-from arbor.graph import EOS_LABEL, UNK_LABEL
+from arbor.graph import EOS_LABEL, ROOT_INDEX, ROOT_LABEL, UNK_LABEL
 from arbor.model import ModelConfig, TransducerModel, Vocabularies, build_vocabularies
 
-from conftest import build_tiny_model, make_inputs
+from conftest import build_tiny_model, check_op, make_inputs
 
 
 @pytest.fixture(scope="module")
@@ -45,11 +45,26 @@ SMALL_DIMS = dict(  # the criterion-08 and benchmark dimensions
 )
 
 
+def amax(x, axis=0):
+    """Max-reduce a tensor along an axis; the gradient flows to the first
+    maximum.  The reference for ``autodiff.affine_max`` and the character
+    CNN."""
+    idx = np.expand_dims(x.data.argmax(axis=axis), axis)
+    out = x.data.max(axis=axis)
+
+    def fn(g):
+        full = np.zeros_like(x.data)
+        np.put_along_axis(full, idx, np.expand_dims(g, axis), axis)
+        return full
+
+    return ad._apply(out, [(x, fn)])
+
+
 def reference_chars(cnn, char_ids):
     """One word's character features by its own lookup, affine and max."""
     windows = ad.reshape(cnn.emb(cnn._window_ids(char_ids)),
                          (max(len(char_ids), 1), cnn.kernel * cnn.char_dim))
-    return ad.amax(ad.affine(windows, cnn.w, cnn.b), axis=0)
+    return amax(ad.affine(windows, cnn.w, cnn.b), axis=0)
 
 
 def reference_encode(encoder, inp, train=False, rng=None):
@@ -79,6 +94,29 @@ def reference_encode(encoder, inp, train=False, rng=None):
         xs = [ad.concat([f, b]) for f, b in zip(f_states, b_states)]
         init.append(ad.concat([ad.narrow(xs[0], 0, h, 2 * h), ad.narrow(xs[-1], 0, 0, h)]))
     return ad.dropout(ad.stack_rows(xs), encoder.config.dropout, train, rng), init
+
+
+def t(data):
+    return ad.Tensor(np.asarray(data, dtype=float), requires_grad=True)
+
+
+class TestAmax:
+    def test_amax_and_repeat_rows(self):
+        rng = np.random.default_rng(9)
+        x = t(rng.standard_normal((4, 3)))
+        v = t(rng.standard_normal(5))
+
+        def build():
+            pooled = amax(x, axis=0)  # (3,)
+            tiled = ad.repeat_rows(v, 3)  # (3, 5)
+            return ad.add(ad.sum_all(pooled), ad.sum_all(tiled))
+
+        check_op(build, [("x", x), ("v", v)], coords=27)
+
+    def test_amax_over_a_middle_axis(self):
+        x = t(np.random.default_rng(12).standard_normal((2, 4, 3)))
+        assert np.array_equal(amax(x, axis=1).data, x.data.max(axis=1))
+        check_op(lambda: ad.sum_all(ad.tanh(amax(x, axis=1))), [("x", x)], coords=24)
 
 
 class TestEncoder:
@@ -255,6 +293,118 @@ class TestDecoderStep:
             rel_in = RelationInput(label, i + 1, UNK_LABEL, "root")
 
 
+def today_linear(lin, x):
+    """``Linear`` as the one-gemv vector form and the one-gemm rows form."""
+    if x.ndim == 1:
+        return ad.add(ad.matmul(lin.w, x), lin.b)
+    return ad.add(ad.matmul(x, ad.transpose(lin.w)), lin.b)
+
+
+def today_mlp(mlp, x):
+    return ad.elu(today_linear(mlp.lin, x))
+
+
+def today_scores(scorer, rows):
+    return ad.reshape(today_linear(scorer.out, today_mlp(scorer.mlp, rows)), (rows.shape[0],))
+
+
+def reference_predict_target(dec, enc, state, rel_in):
+    """The target head on one state as it ran before hypotheses became rows:
+    vector forms for the query, each attention over its own ``(n, ·)``
+    pair matrix.  Returns the arrays ``predict_target`` must reproduce."""
+    h_i = state.h
+    attn_in = ad.concat([ad.repeat_rows(h_i, enc.n), enc.states], axis=1)
+    a_enc = ad.softmax(today_scores(dec.attn_mlp, attn_in))
+    context = ad.matmul(a_enc, enc.states)
+    u_vec = dec.label_vec(rel_in.u_label, rel_in.u_pos)
+    du_vec = dec.index_emb.one(dec._index_id(rel_in.u_index))
+    r_vec = dec.rel_emb.one(dec.rel_vocab.id(rel_in.rel))
+    z = today_linear(dec.ffn_relation, ad.concat([h_i, context, r_vec, u_vec, du_vec]))
+    p_vocab = ad.softmax(today_linear(dec.ffn_vocab, z))
+    switch_logits = today_linear(dec.ffn_switch, z)
+    n_dec = state.z_hist.shape[0]
+    if n_dec:
+        pair = ad.concat([ad.repeat_rows(z, n_dec), state.z_hist], axis=1)
+        a_dec = ad.softmax(today_scores(dec.dec_attn_mlp, pair))
+        sw = ad.softmax(switch_logits)
+        blocks = [p_vocab, a_enc, a_dec]
+    else:
+        sw = ad.softmax(ad.narrow(switch_logits, 0, 0, 2))
+        blocks = [p_vocab, a_enc]
+    p_target = ad.concat([ad.mul(ad.element(sw, k), b) for k, b in enumerate(blocks)])
+    covloss = ad.sum_all(ad.minimum(a_enc, state.coverage))
+    z_hist = (np.vstack([state.z_hist.data, z.data]) if state.step >= 1
+              else state.z_hist.data)
+    return dict(
+        p_target=p_target.data, covloss=covloss.data,
+        switch=tuple(sw.data.tolist()) + (0.0,) * (3 - len(blocks)),
+        z_hist=z_hist, coverage=ad.add(state.coverage, a_enc).data,
+        end_rows=np.vstack([state.end_rows.data, today_mlp(dec.mlp_end, h_i).data]),
+        rel_src_rows=np.vstack([state.rel_src_rows.data,
+                                today_mlp(dec.mlp_rel_src, h_i).data]),
+    )
+
+
+class TestPredictRows:
+    """``predict_target`` over B hypothesis rows, and on one state, against
+    a copy of the single-state body, bit for bit."""
+
+    @pytest.mark.parametrize("dims", [{}, SMALL_DIMS], ids=["tiny", "small"])
+    def test_rows_bit_equal_to_single_state_reference(self, dims):
+        model = build_tiny_model(seed=21, **dims)
+        dec, vocabs = model.decoder, model.vocabs
+        rng = np.random.default_rng(22)
+        inp = make_inputs(rng, 5)
+        enc = model.encoder.encode(inp)
+
+        def random_rel_in(state):
+            j = int(rng.integers(len(state.nodes) + 1))
+            u = state.nodes[j - 1] if j else None
+            return RelationInput(u.label if u else ROOT_LABEL, u.index if u else ROOT_INDEX,
+                                 state.node_pos(j),
+                                 vocabs.rel.token(int(rng.integers(len(vocabs.rel)))))
+
+        def walk(steps):
+            """A decode prefix of ``steps`` relations with random choices,
+            node copies among them."""
+            state, rel_in = dec.initial_state(enc), BOS_INPUT
+            for _ in range(steps):
+                _, state = dec.predict_target(enc, state, rel_in)
+                if state.nodes and rng.random() < 0.4:
+                    rec = state.nodes[int(rng.integers(len(state.nodes)))]
+                    record = NodeRecord(rec.label, rec.index, rec.pos, ORIGIN_DEC, rec.anchors)
+                else:
+                    t = int(rng.integers(len(inp.tokens)))
+                    record = (NodeRecord(inp.tokens[t], state.next_fresh_index, inp.pos[t],
+                                         ORIGIN_ENC, (t,)) if rng.random() < 0.5 else
+                              NodeRecord(vocabs.dec_word.token(
+                                  int(rng.integers(2, len(vocabs.dec_word)))),
+                                  state.next_fresh_index, UNK_LABEL, ORIGIN_VOCAB))
+                state = dec.feed_target(state, record)
+                rel_in = random_rel_in(state)
+            return state, rel_in
+
+        for steps, n_dec in ((0, 0), (1, 0), (2, 1), (4, 3)):
+            for rows in (1, 2, 5):
+                states, rel_ins = map(list, zip(*[walk(steps) for _ in range(rows)]))
+                out, fed = dec.predict_target(enc, states, rel_ins)
+                assert out.p_target.ndim == 2 and len(fed) == rows and out.n_dec == n_dec
+                for b, (state, rel_in) in enumerate(zip(states, rel_ins)):
+                    ref = reference_predict_target(dec, enc, state, rel_in)
+                    one = dec.predict_target(enc, state, rel_in)
+                    for got, new in ((out.row(b), fed[b]), one):
+                        assert got.p_target.shape == ref["p_target"].shape
+                        assert np.array_equal(got.p_target.data, ref["p_target"])
+                        assert got.covloss.shape == () and got.covloss.data == ref["covloss"]
+                        assert got.switch_values() == ref["switch"]
+                        assert got.n_dec == n_dec and got.dec_records == state.nodes[:n_dec]
+                        assert got.fresh_index == state.next_fresh_index
+                        for name in ("z_hist", "coverage", "end_rows", "rel_src_rows"):
+                            assert np.array_equal(getattr(new, name).data, ref[name]), name
+                        assert new.step == state.step + 1 and new.nodes == state.nodes
+                        assert new.h is state.h and new.lstm is state.lstm
+
+
 class TestLabelMemo:
     """The (label, POS) memo of one decode never serves a stale row and is
     never read under a tape."""
@@ -304,15 +454,15 @@ class TestIndexAndPos:
         enc = model.encoder.encode(inp)
         state = dec.initial_state(enc)
         out, state = dec.predict_target(enc, state, BOS_INPUT)
-        assert dec.next_index(state, ORIGIN_VOCAB, None) == 1
+        assert state.next_fresh_index == 1
         state = dec.feed_target(state, NodeRecord("person", 1, "NN", ORIGIN_VOCAB))
         out, state = dec.predict_target(
             enc, state, RelationInput("person", 1, "NN", "root"))
-        assert dec.next_index(state, ORIGIN_ENC, 0) == 2
+        assert state.next_fresh_index == 2
         state = dec.feed_target(state, NodeRecord("city", 2, "NN", ORIGIN_VOCAB))
         # copying node 1 reuses its index
-        assert dec.next_index(state, ORIGIN_DEC, 1) == 1
-        assert dec.next_index(state, ORIGIN_VOCAB, None) == 3
+        assert state.nodes[0].index == 1
+        assert state.next_fresh_index == 3
 
     def test_reference_pos_rules(self, model):
         dec = model.decoder
@@ -338,7 +488,7 @@ class TestIndexAndPos:
         state = dec.initial_state(enc)
         _, state = dec.predict_target(enc, state, BOS_INPUT)
         state = dec.feed_target(
-            state, NodeRecord("Pierre", 1, "NNP", ORIGIN_ENC, 0, (0,)))
+            state, NodeRecord("Pierre", 1, "NNP", ORIGIN_ENC, (0,)))
         _, state = dec.predict_target(enc, state, RelationInput("Pierre", 1, "NNP", "root"))
         # copy of the copy still carries NNP
         rec = reference_node(state.nodes, "Pierre", 1, inp.tokens, inp.pos)

@@ -4,6 +4,8 @@ import pytest
 from arbor import autodiff as ad
 from arbor import nn
 
+from test_model import amax
+
 
 def const(x):
     return ad.constant(np.asarray(x, dtype=float))
@@ -374,7 +376,7 @@ def composed_char_cnn(cnn, char_ids):
     n_win = max(len(char_ids), 1)
     windows = ad.concat([ad.narrow(rows, 0, k, k + n_win) for k in range(cnn.kernel)], axis=1)
     conv = ad.add(ad.matmul(windows, ad.transpose(cnn.w)), cnn.b)
-    return ad.amax(conv, axis=0)
+    return amax(conv, axis=0)
 
 
 def composed_embed_one(table, i):
