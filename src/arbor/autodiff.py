@@ -16,16 +16,17 @@ shape error.  One rule sums a broadcast operand's gradient back to its
 shape: a 0-d operand sums every entry, a column its last axis, a bias
 vector the leading axes.
 The one pairwise broadcast is its own op, ``pairwise_add`` (every row of
-one matrix plus every row of another).
+one matrix plus every row of another, for each matrix of a stack).
 
 The fused ops ``affine``, ``affine_max``, ``lstm_cell``, ``lstm_layer``
 and ``embed_one`` each take one tape record with a hand-written backward,
 which for ``affine`` and ``lstm_cell`` works on rows, a vector being one
 row; ``affine_max`` max-pools ``affine`` over segments of rows, and
 ``lstm_layer`` runs a whole recurrence, one ``lstm_cell`` step per input
-row.  A fused forward evaluates the same numpy expressions in the same
-order as the composed ops it replaces, so its outputs are bit-identical to
-theirs; only the order in which gradients are summed may differ.  Backward
+row, for one sequence or for a batch of padded sequences as rows.  A
+fused forward evaluates the same numpy expressions in the same order as
+the composed ops it replaces, so its outputs are bit-identical to theirs;
+only the order in which gradients are summed may differ.  Backward
 passes compute a product whose inner axis has length 1 (an outer product)
 as a broadcast multiply: numpy runs such a product in its own loop,
 several times slower, to the same values (only the sign of a zero can
@@ -67,9 +68,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -402,19 +400,24 @@ def sum_axis(x: Tensor, axis: int) -> Tensor:
 
 
 def pick(x: Tensor, cols) -> Tensor:
-    """Entry ``cols[r]`` of each row ``r`` of a matrix, as a vector."""
-    if x.ndim != 2 or len(cols) != x.shape[0]:
-        raise ShapeError(f"pick: {len(cols)} columns for a matrix of shape {x.shape}")
-    return _index(x, (np.arange(x.shape[0]), np.asarray(cols, dtype=np.intp)))
+    """Entry ``cols[r]`` of each row ``r`` of a matrix, as a vector; for a
+    stack of matrices ``(b, m, k)`` and ``cols`` of shape ``(b, m)``, entry
+    ``cols[s, r]`` of row ``r`` of matrix ``s``, as a ``(b, m)`` matrix."""
+    cols = np.asarray(cols, dtype=np.intp)
+    if x.ndim not in (2, 3) or cols.shape != x.shape[:-1]:
+        raise ShapeError(f"pick: columns of shape {cols.shape} for a tensor of shape {x.shape}")
+    return _index(x, np.indices(cols.shape, sparse=True) + (cols,))
 
 
 def pairwise_add(a: Tensor, b: Tensor) -> Tensor:
     """``out[i, j] = a[i] + b[j]`` for rows ``a`` (m, d) and ``b`` (n, d),
-    giving (m, n, d)."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+    giving (m, n, d); for stacks ``(s, m, d)`` and ``(s, n, d)``, the same
+    for each matrix of the stack, giving (s, m, n, d)."""
+    if (a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-1]):
         raise ShapeError(f"pairwise_add: incompatible shapes {a.shape} and {b.shape}")
-    out = a.data[:, None, :] + b.data[None, :, :]
-    return _apply(out, [(a, lambda g: g.sum(axis=1)), (b, lambda g: g.sum(axis=0))])
+    out = a.data[..., :, None, :] + b.data[..., None, :, :]
+    return _apply(out, [(a, lambda g: g.sum(axis=-2)), (b, lambda g: g.sum(axis=-3))])
 
 
 def _select(op: str, pick, take_first, a: Tensor, b: Tensor) -> Tensor:
@@ -592,71 +595,112 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
 
 
 def lstm_layer(x: Tensor, h0: Tensor, c0: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor,
-               reverse: bool = False) -> Tensor:
+               reverse: bool = False, lengths=None) -> Tensor:
     """An LSTM run over the T rows of ``x`` from the state ``(h0, c0)``;
     returns the T ``h`` rows in input order.  With ``reverse`` the rows are
     read last to first, so row ``t`` is the state after reading ``x[t:]``.
 
-    The forward is bit-identical to composed ``lstm_cell`` steps: the input
-    rows are projected by ``_mv``, whose per-row products are the vector
-    form's, and each step evaluates ``lstm_cell``'s expressions in its
-    order.  A single tape record: the backward runs the recurrence over
-    gate-derivative factors precomputed as (T, H) arrays, one
-    ``d_gates @ w_hh`` per step, then forms the gradient of ``x``, ``w_ih``,
-    ``w_hh`` and ``b`` by one product or sum each.
+    B sequences run as rows: ``x`` is ``(B, T, d)``, ``h0`` and ``c0`` are
+    ``(B, H)``, and sequence ``b`` holds the first ``lengths[b]`` rows of
+    ``x[b]`` (all T by default); the output is ``(B, T, H)``.  A padded
+    step carries its sequence's state unchanged, so a forward run's padded
+    rows repeat the last state, a reverse run starts each sequence at its
+    own last row (its padded rows hold ``h0``), and padded rows of ``x`` get
+    a zero gradient.  A single ``(T, d)`` sequence with state vectors is the
+    one-sequence case, with the sequence axis dropped.
+
+    Each sequence's rows are bit-identical to composed ``lstm_cell`` steps
+    over that sequence alone: the input rows are projected by ``_mv``, whose
+    per-row products are the vector form's, as is ``w_hh @ h`` for each
+    sequence's state, and each step evaluates ``lstm_cell``'s expressions
+    in its order; one sequence runs on exactly the vector form's arrays.  A
+    single tape record: the backward runs the recurrence over
+    gate-derivative factors precomputed as (T, B, H) arrays, one
+    ``d_gates @ w_hh`` over the B sequences per step, then forms the
+    gradient of ``x``, ``w_ih``, ``w_hh`` and ``b`` by one product or sum
+    each.
     """
     hid = h0.shape[-1]
-    if (x.ndim != 2 or not x.shape[0] or h0.shape != (hid,) or c0.shape != (hid,)
-            or w_ih.shape != (4 * hid, x.shape[1]) or w_hh.shape != (4 * hid, hid)
-            or b.shape != (4 * hid,)):
+    lead = x.shape[:-2]
+    n_seq = lead[0] if lead else 1
+    n_steps = x.shape[-2] if x.ndim > 1 else 0
+    lens = [n_steps] * n_seq if lengths is None else list(lengths)
+    if (x.ndim not in (2, 3) or not n_seq or not n_steps or h0.shape != lead + (hid,)
+            or c0.shape != h0.shape or w_ih.shape != (4 * hid, x.shape[-1])
+            or w_hh.shape != (4 * hid, hid) or b.shape != (4 * hid,)
+            or (lengths is not None and not lead) or len(lens) != n_seq
+            or min(lens) < 0 or max(lens) > n_steps):
         raise ShapeError(
             f"lstm_layer: x {x.shape}, h0 {h0.shape}, c0 {c0.shape}, "
-            f"w_ih {w_ih.shape}, w_hh {w_hh.shape}, b {b.shape}"
+            f"w_ih {w_ih.shape}, w_hh {w_hh.shape}, b {b.shape}, lengths {lengths}"
         )
-    # arrays run in reading order; ``order`` maps them to input order and back
+    # arrays run step-major, (T, ..., ·), in reading order; ``order`` maps
+    # them to input order and back.  ``valid[t, s]``: step t is a row of
+    # sequence s
     order = slice(None, None, -1) if reverse else slice(None)
+    valid = None
+    if min(lens) < n_steps:
+        valid = (np.arange(n_steps)[:, None] < np.array(lens))[order]
+    xs = x.data.swapaxes(0, -2)[order]
     h, c, steps, hs = h0.data, c0.data, [], []
-    for xp in _mv(w_ih.data, x.data)[order]:
+    for t, xp in enumerate(_mv(w_ih.data, xs)):
         i, f, g, o, c_new, tanh_c = _lstm_gates(xp + _mv(w_hh.data, h) + b.data, c, hid)
         steps.append((i, f, g, o, c, tanh_c))
-        h, c = o * tanh_c, c_new
+        h_new = o * tanh_c
+        if valid is not None:  # a padded step carries the state
+            keep = valid[t][:, None]
+            h_new, c_new = np.where(keep, h_new, h), np.where(keep, c_new, c)
+        h, c = h_new, c_new
         hs.append(h)
     hs = np.array(hs)
 
     inputs = (x, h0, c0, w_ih, w_hh, b)
     tape = _active_tape()
+    out_data = np.ascontiguousarray(hs[order].swapaxes(0, -2))
     if tape is None or not any(t.requires_grad for t in inputs):
-        return Tensor(hs[order])
-    out = Tensor(hs[order], requires_grad=True)
+        return Tensor(out_data)
+    out = Tensor(out_data, requires_grad=True)
     i, f, g, o, c_prev, tanh_c = map(np.array, zip(*steps))
-    h_prev = np.vstack([h0.data, hs[:-1]])
+    h_prev = np.concatenate([h0.data[None], hs[:-1]])
 
     def record():
         if out.grad is None:
             return
-        gh_rows = out.grad[order]
+        gh_rows = out.grad.swapaxes(0, -2)[order]
         dc_dh = o * (1.0 - tanh_c * tanh_c)
         do_dh = tanh_c * o * (1.0 - o)
         difg_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)],
-                           axis=1)
-        d_gates = np.empty((len(steps), 4, hid))
-        dh = dc = np.zeros(hid)
-        for t in range(len(steps) - 1, -1, -1):
+                           axis=-2)
+        f_back = f
+        if valid is not None:
+            # a padded step passes both gradients through and forms no gate
+            # gradient
+            pad = ~valid[:, :, None]
+            dc_dh, do_dh = np.where(pad, 0.0, dc_dh), np.where(pad, 0.0, do_dh)
+            difg_dc = np.where(pad[:, :, None], 0.0, difg_dc)
+            f_back = np.where(pad, 1.0, f)
+        d_gates = np.empty((n_steps,) + lead + (4, hid))
+        dh = dc = np.zeros(h0.shape)
+        for t in range(n_steps - 1, -1, -1):
             gh = gh_rows[t] + dh
             dc = gh * dc_dh[t] + dc
-            np.multiply(difg_dc[t], dc, out=d_gates[t, :3])
-            np.multiply(gh, do_dh[t], out=d_gates[t, 3])
-            dh = d_gates[t].reshape(-1) @ w_hh.data
-            dc = dc * f[t]
-        d_gates = d_gates.reshape(len(steps), 4 * hid)
+            np.multiply(difg_dc[t], dc[..., None, :], out=d_gates[t, ..., :3, :])
+            np.multiply(gh, do_dh[t], out=d_gates[t, ..., 3, :])
+            dh = d_gates[t].reshape(lead + (4 * hid,)) @ w_hh.data
+            if valid is not None:
+                dh = np.where(valid[t][:, None], dh, gh)
+            dc = dc * f_back[t]
+        d_gates = d_gates.reshape((n_steps,) + lead + (4 * hid,))
         if x.requires_grad:
-            x._accum((d_gates @ w_ih.data)[order])
+            # one product per sequence, over its steps in reading order
+            dx = np.ascontiguousarray(d_gates.swapaxes(0, -2)) @ w_ih.data
+            x._accum(dx[..., order, :])
         if h0.requires_grad:
             h0._accum(dh)
         if c0.requires_grad:
             c0._accum(dc)
         if w_ih.requires_grad:
-            w_ih._accum(_weight_grad(d_gates, x.data[order]))
+            w_ih._accum(_weight_grad(d_gates, xs))
         if w_hh.requires_grad:
             w_hh._accum(_weight_grad(d_gates, h_prev))
         if b.requires_grad:
@@ -709,14 +753,20 @@ def embed_one(table: Tensor, i: int) -> Tensor:
     return _gather(table, i, table.data[i].copy())
 
 
+def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """An inverted-dropout mask: each entry 1/keep with probability keep,
+    else 0, drawn by one ``rng.random(shape)``."""
+    keep = 1.0 - rate
+    return (rng.random(shape) < keep) / keep
+
+
 def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: scales by 1/keep at train time, identity otherwise."""
     if not train or rate <= 0.0:
         return x
     if rng is None:
         raise ValueError("dropout in train mode needs an explicit rng")
-    keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep) / keep
+    mask = dropout_mask(x.shape, rate, rng)
     return _apply(x.data * mask, [(x, lambda g: g * mask)])
 
 

@@ -35,9 +35,9 @@ POS) while no tape records.
 
 Training does not step through this module's decode forms: under teacher
 forcing ``training.sequence_loss`` runs each target LSTM layer as one
-``autodiff.lstm_layer`` op and every head once per sentence as matrix
-rows (``label_rows``, ``index_rows``, the attention scorers' ``pairs``
-form, the biaffine's shared-candidates form), and builds its inputs with
+``autodiff.lstm_layer`` op and every head once per batch as matrix rows
+(``label_rows``, ``index_rows``, the attention scorers' ``pairs`` form,
+the biaffine's shared-candidates form), and builds its inputs with
 ``reference_node`` and ``gold_blocks``.  The stepwise
 ``predict_target``/``feed_target`` loss equals it to rounding.
 """

@@ -7,6 +7,11 @@ tokens.  Each BiLSTM layer and direction is one ``autodiff.lstm_layer``
 op, so the tape records of an encode do not grow with sentence length.
 The encoder output exposes final-layer states plus per-layer decoder
 initialization vectors ``[bwd state at token 1; fwd state at token n]``.
+
+A batch of sentences is encoded as rows: the tokens are padded to the
+longest sentence (padding rows embed id 0), every lookup and LSTM layer
+runs once over the batch, and each sentence's rows equal its own encode
+bit for bit.  One sentence is the one-row case, without the row axis.
 """
 
 from __future__ import annotations
@@ -38,9 +43,10 @@ class EncoderInput:
 
 @dataclass
 class EncoderOutput:
-    states: Tensor  # (n, 2H) final layer
-    init: list[Tensor]  # per layer, (2H,) decoder initialization
-    n: int
+    states: Tensor  # (n, 2H) final layer; (B, n, 2H) for a batch
+    init: list[Tensor]  # per layer, (2H,) decoder initialization; (B, 2H) for a batch
+    n: int  # tokens; the longest sentence's for a batch
+    lengths: tuple[int, ...] | None = None  # each sentence's tokens, for a batch
 
 
 class Encoder(nn.Module):
@@ -79,31 +85,76 @@ class Encoder(nn.Module):
     def char_ids(self, word: str) -> list[int]:
         return [self.char_vocab.id(c) for c in word]
 
-    def embed_tokens(self, inp: EncoderInput, train: bool = False,
-                     rng: np.random.Generator | None = None) -> Tensor:
-        word_rows = self.word_emb([self.word_vocab.id(t) for t in inp.tokens])
-        pos_rows = self.pos_emb([self.pos_vocab.id(p) for p in inp.pos])
-        char_rows = self.char_cnn.rows([self.char_ids(t) for t in inp.tokens])
-        parts = [word_rows, char_rows, pos_rows]
-        for name in sorted(self.feature_vocabs):
-            col = inp.features.get(name)
-            if col is None:
-                raise ValueError(f"missing feature column {name!r}")
-            vocab = self.feature_vocabs[name]
-            parts.append(self.feature_embs[name]([vocab.id(v) for v in col]))
-        out = ad.concat(parts, axis=1)
-        return ad.dropout(out, self.config.dropout, train, rng)
+    def embed_tokens(self, inputs: EncoderInput | list[EncoderInput]) -> Tensor:
+        """The embedded tokens of one sentence, ``(n, d)``, or of a batch,
+        ``(B, n, d)`` with ``n`` the longest sentence and the shorter ones
+        padded by rows of id 0 (``PAD``); one lookup per table."""
+        single = isinstance(inputs, EncoderInput)
+        batch = [inputs] if single else inputs
+        n = max(len(inp.tokens) for inp in batch)
 
-    def encode(self, inp: EncoderInput, train: bool = False,
-               rng: np.random.Generator | None = None) -> EncoderOutput:
-        if not inp.tokens:
+        def ids(column, vocab) -> list[int]:
+            return [i for inp in batch
+                    for i in [vocab.id(v) for v in column(inp)] + [0] * (n - len(inp.tokens))]
+
+        parts = [
+            self.word_emb(ids(lambda inp: inp.tokens, self.word_vocab)),
+            self.char_cnn.rows([self.char_ids(t) for inp in batch
+                                for t in inp.tokens + [""] * (n - len(inp.tokens))]),
+            self.pos_emb(ids(lambda inp: inp.pos, self.pos_vocab)),
+        ]
+        for name in sorted(self.feature_vocabs):
+            if any(name not in inp.features for inp in batch):
+                raise ValueError(f"missing feature column {name!r}")
+            parts.append(self.feature_embs[name](
+                ids(lambda inp: inp.features[name], self.feature_vocabs[name])))
+        out = ad.concat(parts, axis=1)
+        return out if single else ad.reshape(out, (len(batch), n, out.shape[1]))
+
+    def dropout_masks(self, inp: EncoderInput, rng: np.random.Generator
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """The embedding and state dropout masks of one sentence, drawn in
+        that order."""
+        n, rate = len(inp.tokens), self.config.dropout
+        return (ad.dropout_mask((n, self.embedded_dim()), rate, rng),
+                ad.dropout_mask((n, 2 * self.config.encoder_hidden), rate, rng))
+
+    def encode(self, inputs: EncoderInput | list[EncoderInput], train: bool = False,
+               rng: np.random.Generator | None = None, masks=None) -> EncoderOutput:
+        """Encode one sentence, or a batch of them as rows (see the module
+        docstring).
+
+        Dropout applies each sentence's ``dropout_masks``: the given
+        ``masks``, one pair per sentence, or in train mode pairs drawn from
+        ``rng`` sentence by sentence.
+        """
+        single = isinstance(inputs, EncoderInput)
+        batch = [inputs] if single else inputs
+        if any(not inp.tokens for inp in batch):
             raise ValueError("cannot encode an empty sentence")
-        per_layer = self.bilstm.run(self.embed_tokens(inp, train, rng))
-        # init[k] = [bwd state at token 1; fwd state at token n]: rows 1 and
-        # 2n - 2 of the layer's states taken as 2n rows of H (fwd, bwd per token)
-        n, h = len(inp.tokens), self.config.encoder_hidden
-        init = [ad.reshape(ad.embedding_gather(ad.reshape(states, (2 * n, h)), [1, 2 * n - 2]),
-                           (2 * h,))
+        if masks is None and train and self.config.dropout > 0.0:
+            if rng is None:
+                raise ValueError("dropout in train mode needs an explicit rng")
+            masks = [self.dropout_masks(inp, rng) for inp in batch]
+        lengths = tuple(len(inp.tokens) for inp in batch)
+        n, h = max(lengths), self.config.encoder_hidden
+
+        def drop(x: Tensor, k: int) -> Tensor:
+            if masks is None:
+                return x
+            mask = np.zeros(x.shape)
+            rows = mask.reshape(len(batch), n, -1)
+            for b, pair in enumerate(masks):
+                rows[b, : lengths[b]] = pair[k]
+            return ad.mul(x, ad.constant(mask))
+
+        per_layer = self.bilstm.run(drop(self.embed_tokens(inputs), 0),
+                                    None if single else lengths)
+        # init[k][b] = [bwd state at token 1; fwd state at token n_b]: rows
+        # 1 and 2 n_b - 2 of sentence b's states taken as rows of H (fwd, bwd
+        # per token)
+        ends = [i for b, m in enumerate(lengths) for i in (2 * n * b + 1, 2 * n * b + 2 * m - 2)]
+        init = [ad.reshape(ad.embedding_gather(ad.reshape(states, (-1, h)), ends),
+                           states.shape[:-2] + (2 * h,))
                 for states in per_layer]
-        states = ad.dropout(per_layer[-1], self.config.dropout, train, rng)
-        return EncoderOutput(states=states, init=init, n=n)
+        return EncoderOutput(drop(per_layer[-1], 1), init, n, None if single else lengths)

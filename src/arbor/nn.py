@@ -102,7 +102,9 @@ class AttentionScorer(Module):
         return ad.reshape(self.out(self.mlp(rows)), rows.shape[:-1])
 
     def pairs(self, queries: Tensor, keys: Tensor) -> Tensor:
-        """Scores of every query row against every key row, ``(m, n)``.
+        """Scores of every query row against every key row, ``(m, n)``; for
+        stacks ``(s, m, d)`` and ``(s, n, d)``, of each matrix's queries
+        against its own keys, ``(s, m, n)``.
 
         The first layer is split as ``W [q; k] = W_q q + W_k k``, both
         halves sliced from the one weight, so the ``m * n`` concatenated
@@ -110,21 +112,22 @@ class AttentionScorer(Module):
         ``__call__`` on the concatenated row to rounding.
         """
         lin = self.mlp.lin
-        m, n, d = queries.shape[0], keys.shape[0], queries.shape[1]
+        d = queries.shape[-1]
         q = ad.affine(queries, ad.narrow(lin.w, 1, 0, d), lin.b)
         k = ad.affine(keys, ad.narrow(lin.w, 1, d, lin.in_dim),
                       ad.constant(np.zeros(lin.out_dim)))
-        hidden = ad.reshape(ad.elu(ad.pairwise_add(q, k)), (m * n, lin.out_dim))
-        return ad.reshape(self.out(hidden), (m, n))
+        hidden = ad.reshape(ad.elu(ad.pairwise_add(q, k)), (-1, lin.out_dim))
+        return ad.reshape(self.out(hidden), queries.shape[:-1] + keys.shape[-2:-1])
 
 
 class Biaffine(Module):
     """Scores a query vector against a matrix of candidate rows, giving
     ``(n,)``; query rows, each against its own candidate matrix (a
     ``(m, n, dim2)`` stack), giving ``(m, n)``; or query rows against one
-    shared candidate matrix ``(n, dim2)``, giving ``(m, n)``.  The two
-    matrix forms project all queries by one gemm, so a row agrees with the
-    one query alone to rounding, not bit for bit."""
+    shared candidate matrix ``(n, dim2)``, giving ``(m, n)``, and a stack of
+    such pairs ``(s, m, dim1)`` and ``(s, n, dim2)``, giving ``(s, m, n)``.
+    The matrix forms project all queries by one gemm, so a row agrees with
+    the one query alone to rounding, not bit for bit."""
 
     def __init__(self, rng, dim1: int, dim2: int):
         super().__init__()
@@ -135,15 +138,15 @@ class Biaffine(Module):
 
     def __call__(self, x1: Tensor, x2: Tensor) -> Tensor:
         d1, d2 = self.dim1, self.dim2
-        candidates = x2.ndim == 2 and x2.shape[1] == d2
-        one = x1.shape == (d1,) and candidates
-        shared = x1.ndim == 2 and x1.shape[1] == d1 and candidates
+        one = x1.shape == (d1,) and x2.ndim == 2 and x2.shape[1] == d2
+        shared = (x1.ndim == x2.ndim in (2, 3) and x1.shape[:-2] == x2.shape[:-2]
+                  and x1.shape[-1] == d1 and x2.shape[-1] == d2)
         rows = (x1.ndim == 2 and x1.shape[1] == d1 and x2.ndim == 3
                 and x2.shape[0] == x1.shape[0] and x2.shape[2] == d2)
         if not (one or shared or rows):
             raise ad.ShapeError(
                 f"biaffine: got {x1.shape} and {x2.shape}, expected ({d1},) or (m, {d1}) "
-                f"and (n, {d2}), or (m, {d1}) and (m, n, {d2})"
+                f"and (n, {d2}), (m, {d1}) and (m, n, {d2}), or (s, m, {d1}) and (s, n, {d2})"
             )
         w1 = ad.narrow(self.w, 0, 0, d1)
         w2 = ad.narrow(self.w, 0, d1, d1 + d2)
@@ -151,9 +154,11 @@ class Biaffine(Module):
             bil = ad.matmul(x2, ad.matmul(x1, self.u))  # (n,)
             lin = ad.add(ad.matmul(x2, w2), ad.matmul(w1, x1))
         elif shared:
-            n = x2.shape[0]
-            bil = ad.matmul(ad.matmul(x1, self.u), ad.transpose(x2))  # (m, n)
-            lin = ad.add(ad.transpose(ad.repeat_rows(ad.matmul(x1, w1), n)), ad.matmul(x2, w2))
+            lead, m, n = x1.shape[:-2], x1.shape[-2], x2.shape[-2]
+            bil = ad.matmul(ad.matmul(x1, self.u), ad.transpose(x2))  # (..., m, n)
+            q1 = ad.reshape(ad.matmul(x1, ad.reshape(w1, (d1, 1))), lead + (m,))
+            q2 = ad.reshape(ad.matmul(x2, ad.reshape(w2, (d2, 1))), lead + (n,))
+            lin = ad.add(ad.transpose(ad.repeat_rows(q1, n)), ad.repeat_rows(q2, m))
         else:
             m, n = x2.shape[0], x2.shape[1]
             qu = ad.reshape(ad.matmul(x1, self.u), (m, d2, 1))
@@ -222,7 +227,8 @@ class Embedding(Module):
 class LstmCell(Module):
     """Single LSTM step on vectors, or on rows of independent cells (see
     ``autodiff.lstm_cell`` for ``state_rows``), or a whole recurrence over
-    the rows of a matrix (``layer``); gate order i, f, g, o; forget bias 1."""
+    the rows of a matrix, or over B padded sequences (``layer``); gate
+    order i, f, g, o; forget bias 1."""
 
     def __init__(self, rng, in_dim: int, hidden: int):
         super().__init__()
@@ -239,19 +245,23 @@ class LstmCell(Module):
         return ad.lstm_cell(x, h_prev, c_prev, self.w_ih, self.w_hh, self.b, state_rows)
 
     def layer(self, x: Tensor, state: tuple[Tensor, Tensor] | None = None,
-              reverse: bool = False) -> Tensor:
-        """The ``h`` rows of the recurrence over the rows of ``x`` from
-        ``state`` (zeros by default); see ``autodiff.lstm_layer``."""
-        h0, c0 = state if state is not None else self.zero_state()
-        return ad.lstm_layer(x, h0, c0, self.w_ih, self.w_hh, self.b, reverse)
+              reverse: bool = False, lengths=None) -> Tensor:
+        """The ``h`` rows of the recurrence over the rows of ``x``, or over
+        the ``lengths`` of B padded sequences, from ``state`` (zeros by
+        default); see ``autodiff.lstm_layer``."""
+        h0, c0 = state if state is not None else self.zero_state(x.shape[:-2])
+        return ad.lstm_layer(x, h0, c0, self.w_ih, self.w_hh, self.b, reverse, lengths)
 
-    def zero_state(self) -> tuple[Tensor, Tensor]:
-        return ad.constant(np.zeros(self.hidden)), ad.constant(np.zeros(self.hidden))
+    def zero_state(self, lead: tuple = ()) -> tuple[Tensor, Tensor]:
+        """Zero ``(h, c)`` vectors, or ``lead + (hidden,)`` stacks of them."""
+        return (ad.constant(np.zeros(lead + (self.hidden,))),
+                ad.constant(np.zeros(lead + (self.hidden,))))
 
 
 class BiLstm(Module):
     """Concatenated forward/backward LSTM stack; each layer and direction
-    runs as one ``autodiff.lstm_layer`` op over the sentence's rows."""
+    runs as one ``autodiff.lstm_layer`` op over the sentence's rows, or over
+    a batch of padded sentences."""
 
     def __init__(self, rng, in_dim: int, hidden: int, layers: int):
         super().__init__()
@@ -265,14 +275,17 @@ class BiLstm(Module):
             self.fwd.append(self.add_child(f"l{k}.fwd", LstmCell(rng, dim, hidden)))
             self.bwd.append(self.add_child(f"l{k}.bwd", LstmCell(rng, dim, hidden)))
 
-    def run(self, x: Tensor) -> list[Tensor]:
+    def run(self, x: Tensor, lengths=None) -> list[Tensor]:
         """Per-layer ``(n, 2H)`` matrices of [fwd; bwd] states for the
-        ``(n, d)`` input rows, row = time step."""
-        if not x.shape[0]:
+        ``(n, d)`` input rows, row = time step; for B padded sentences
+        ``(B, n, d)`` of ``lengths`` rows each, ``(B, n, 2H)`` stacks (see
+        ``autodiff.lstm_layer`` for the padded rows)."""
+        if not x.shape[-2]:
             raise ValueError("empty sequence")
         per_layer = []
         for fwd, bwd in zip(self.fwd, self.bwd):
-            x = ad.concat([fwd.layer(x), bwd.layer(x, reverse=True)], axis=1)
+            x = ad.concat([fwd.layer(x, lengths=lengths),
+                           bwd.layer(x, reverse=True, lengths=lengths)], axis=-1)
             per_layer.append(x)
         return per_layer
 

@@ -10,20 +10,32 @@ relation-type distributions only; smoothing over the dynamic pointer
 supports would be ill-defined.
 
 Under teacher forcing every decoder input is known before the first
-step, so ``sequence_loss`` runs only the target LSTM recurrence step by
-step, inside one ``autodiff.lstm_layer`` op per layer (then one dropout
-over the layer's rows).  Every head runs once per sentence over its T
-prediction steps as matrix rows: encoder attention for all T queries, the
+step, so ``sequence_loss`` runs only the LSTM recurrences step by step,
+inside one ``autodiff.lstm_layer`` op per layer and direction (then one
+dropout over the layer's rows).  Every head runs once over the prediction
+steps as matrix rows: encoder attention for all T queries, the
 ``ffn_relation``/``ffn_vocab``/``ffn_switch`` affines, decoder-copy
 attention over the relation states under a causal mask, the biaffine
 pointer as one T x T product under a lower-triangular mask (ROOT only
 while it is the gold source), the bilinear scorer at the gold source rows
 only, and coverage as an exclusive cumulative sum of the attention rows.
-Dropout masks are drawn in the order the stepwise decoder draws them
-(each step's relation-state mask, then its LSTM layer masks; the EOS step
-only the former), so the loss equals the stepwise loss of the decoder's
-``predict_target``/``feed_target`` to rounding, dropout included.
-Inference keeps those stepwise vector forms and ``Decoder.expand``.
+
+``train`` makes one ``sequence_loss`` call and one backward pass per
+batch.  The batch's B sentences run as rows: the encoder and target LSTMs
+over B padded sequences, where a padded step carries the state, and every
+head over (B, T) stacks, T the batch's longest, with padding masks on top
+of the causal ones (padded keys get no attention, padded steps add
+exactly 0 to every loss term and pass no gradient).  One sentence is the
+one-row case of the same body.  Dropout follows one rule: before any op
+runs, each sentence in batch order draws what it draws alone, which is
+what the stepwise decoder draws, in its order: its encoder embedding
+mask, its encoder state mask, one block for its relation steps (each
+step's relation-state mask, then its LSTM layer masks), then its EOS
+step's relation-state mask.  So each sentence's loss equals the stepwise
+loss of the decoder's ``predict_target``/``feed_target`` on that sentence
+alone to rounding, dropout included, and the generator ends where running
+the sentences one by one leaves it.  Inference keeps the stepwise vector
+forms and ``Decoder.expand``.
 """
 
 from __future__ import annotations
@@ -38,10 +50,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .decoder import BOS_INPUT, NodeRecord, RelationInput, gold_blocks, reference_node
+from .decoder import (BOS_INPUT, ORIGIN_VOCAB, NodeRecord, RelationInput, gold_blocks,
+                      reference_node)
 from .encoder import EncoderInput
 from .evaluate import F1Report
-from .graph import EOS_LABEL, UNK_LABEL, RelationSequence
+from .graph import EOS_LABEL, PAD_LABEL, UNK_LABEL, RelationSequence
 from .linearize import OrderingPolicy, arbor_to_relations, resolve_source
 from .model import TransducerModel, encoder_input_from_record
 
@@ -70,21 +83,25 @@ class TrainConfig:
 
 @dataclass
 class LossBreakdown:
+    """Loss components: scalars for one sentence, or one entry per sentence
+    of a batch."""
+
     nll_source: Tensor
     nll_relation: Tensor
     nll_target: Tensor
     coverage_penalty: Tensor
     total: Tensor
-    # (T, 3) switch probabilities (generate, token copy, node copy) per step
+    # (T, 3) switch probabilities (generate, token copy, node copy) per step;
+    # a batch stacks its sentences' steps in order
     switch: np.ndarray | None = None
 
-    def values(self) -> dict[str, float]:
+    def values(self) -> dict[str, float | list[float]]:
         return {
-            "nll_source": float(self.nll_source.data),
-            "nll_relation": float(self.nll_relation.data),
-            "nll_target": float(self.nll_target.data),
-            "coverage_penalty": float(self.coverage_penalty.data),
-            "total": float(self.total.data),
+            "nll_source": self.nll_source.data.tolist(),
+            "nll_relation": self.nll_relation.data.tolist(),
+            "nll_target": self.nll_target.data.tolist(),
+            "coverage_penalty": self.coverage_penalty.data.tolist(),
+            "total": self.total.data.tolist(),
         }
 
 
@@ -110,7 +127,29 @@ def _masked(scores: Tensor, allowed: np.ndarray) -> Tensor:
 
 def _block_mass(p: Tensor, support: np.ndarray) -> Tensor:
     """Per row, the mass of ``p`` on the 0/1 ``support`` entries."""
-    return ad.sum_axis(ad.mul(p, ad.constant(support)), 1)
+    return ad.sum_axis(ad.mul(p, ad.constant(support)), -1)
+
+
+def _row_sums(x: Tensor, rows: np.ndarray | None = None) -> Tensor:
+    """Each sentence's sum of a ``(B, ...)`` stack, with ``rows`` (B, T)
+    weighting the rows of the second axis: one pairwise sum over each
+    sentence's entries, so a one-sentence batch sums as ``sum_all`` does."""
+    if rows is not None:
+        x = ad.mul(x, ad.constant(rows.reshape(rows.shape + (1,) * (x.ndim - 2))))
+    return ad.sum_axis(ad.reshape(x, (x.shape[0], -1)), 1)
+
+
+def _padded(blocks, shape) -> np.ndarray:
+    """The arrays ``blocks`` in the leading corners of zero arrays of
+    ``shape``, stacked: ``(len(blocks),) + shape``."""
+    out = np.zeros((len(blocks),) + tuple(shape))
+    for b, block in enumerate(blocks):
+        out[(b,) + tuple(slice(0, k) for k in block.shape)] = block
+    return out
+
+
+# the LSTM input of a padded step
+_PAD_NODE = NodeRecord(PAD_LABEL, 0, PAD_LABEL, ORIGIN_VOCAB)
 
 
 @dataclass
@@ -154,126 +193,171 @@ def _teacher_forcing(dec, enc_input: EncoderInput, reference: RelationSequence
         plan.inputs.append(RelationInput(rel.source, rel.source_index,
                                          UNK_LABEL if pos == 0 else nodes[pos - 1].pos,
                                          rel.rel))
+    del plan.inputs[n_steps:]
     return plan
 
 
 def sequence_loss(
     model: TransducerModel,
-    enc_input: EncoderInput,
-    reference: RelationSequence,
+    enc_inputs: EncoderInput | list[EncoderInput],
+    references: RelationSequence | list[RelationSequence],
     *,
     label_smoothing: float = 0.1,
     coverage_weight: float = 1.0,
     train: bool = True,
     rng: np.random.Generator | None = None,
 ) -> LossBreakdown:
-    """Teacher-forced loss over one reference sequence.
+    """Teacher-forced loss over one reference sequence, or over a batch.
 
-    Only the target LSTM runs step by step, one ``lstm_layer`` per layer;
-    every head runs once over the T prediction steps as matrix rows (see
-    the module docstring).  The dropout masks are the ones the stepwise
-    decoder draws, in its order.
+    For lists of sentences and their references, every component holds one
+    entry per sentence and ``switch`` stacks the sentences' rows in order;
+    one sentence and reference are the one-row case, with scalar
+    components.  Only the LSTMs step through time, one ``lstm_layer`` per
+    layer and direction over the batch; every head runs once over the
+    batch's prediction steps as matrix rows (see the module docstring).
+    Each sentence's loss equals its own to rounding, dropout included.
     """
+    if isinstance(enc_inputs, EncoderInput):
+        loss = sequence_loss(model, [enc_inputs], [references], label_smoothing=label_smoothing,
+                             coverage_weight=coverage_weight, train=train, rng=rng)
+        return LossBreakdown(*(ad.element(t, 0) for t in (
+            loss.nll_source, loss.nll_relation, loss.nll_target, loss.coverage_penalty,
+            loss.total)), loss.switch)
     dec, cfg = model.decoder, model.config
-    enc = model.encoder.encode(enc_input, train, rng)
-    zero = ad.constant(np.zeros(()))
-    plan = _teacher_forcing(dec, enc_input, reference)
-    n_rel, n_steps = len(plan.nodes), len(plan.vocab)
-    if n_steps == 0:
-        return LossBreakdown(zero, zero, zero, zero, zero, np.zeros((0, 3)))
+    plans = [_teacher_forcing(dec, inp, ref) for inp, ref in zip(enc_inputs, references)]
+    n_rels, n_steps = [len(p.nodes) for p in plans], [len(p.vocab) for p in plans]
+    n_seq, n_rel, n_step = len(plans), max(n_rels), max(n_steps)
     eps = label_smoothing
 
-    # Stepwise, each step draws its z mask and then one mask per LSTM layer;
-    # the EOS step draws only its z mask.  Generator.random fills in C order,
-    # so one block split by columns draws the same masks.
+    # Each sentence draws what it draws alone, in batch order, before any op
+    # runs: its encoder embedding and state masks, then one block for its
+    # relation steps (the z mask and one mask per target LSTM layer, split
+    # by columns: Generator.random fills in C order, so this is the stepwise
+    # decoder's per-step draw order), then its EOS step's z mask.
     rh, dh, layers = cfg.relation_hidden, cfg.decoder_hidden, len(dec.lstm_cells)
-    z_mask = lstm_masks = None
+    enc_masks = z_mask = lstm_masks = None
     if train and cfg.dropout > 0.0:
         if rng is None:
             raise ValueError("dropout in train mode needs an explicit rng")
-        keep = 1.0 - cfg.dropout
-        block = (rng.random((n_rel, rh + layers * dh)) < keep) / keep
-        z_mask = block[:, :rh]
-        if reference.eos:
-            z_mask = np.vstack([z_mask, (rng.random(rh) < keep) / keep])
-        lstm_masks = [block[:, rh + k * dh : rh + (k + 1) * dh] for k in range(layers)]
+        enc_masks, blocks, z_rows = [], [], []
+        for inp, ref, k in zip(enc_inputs, references, n_rels):
+            enc_masks.append(model.encoder.dropout_masks(inp, rng))
+            blocks.append(ad.dropout_mask((k, rh + layers * dh), cfg.dropout, rng))
+            z_rows.append(blocks[-1][:, :rh])
+            if ref.eos:
+                z_rows[-1] = np.vstack([z_rows[-1], ad.dropout_mask((1, rh), cfg.dropout, rng)])
+        z_mask = _padded(z_rows, (n_step, rh))
+        lstm_masks = [_padded([m[:, rh + k * dh : rh + (k + 1) * dh] for m in blocks],
+                              (n_rel, dh)) for k in range(layers)]
+    enc = model.encoder.encode(list(enc_inputs), masks=enc_masks)
+    zero = ad.constant(np.zeros(n_seq))
+    if n_step == 0:
+        return LossBreakdown(zero, zero, zero, zero, zero, np.zeros((0, 3)))
 
     def drop(x: Tensor, mask) -> Tensor:
         return x if mask is None else ad.mul(x, ad.constant(mask))
 
-    # label and index embeddings of the N fed nodes, then of the T consumed
-    # sources
-    inputs = plan.inputs[:n_steps]
-    embedded = ad.concat([
-        dec.label_rows([(r.label, r.pos) for r in plan.nodes]
-                       + [(u.u_label, u.u_pos) for u in inputs]),
-        dec.index_rows([r.index for r in plan.nodes] + [u.u_index for u in inputs]),
-    ], axis=1)
+    # (B, T): step t is one of sentence b's; padded steps get zero loss
+    steps = np.arange(n_step) < np.array(n_steps)[:, None]
 
-    # the target LSTM, layer by layer; h[0] is the ROOT state
-    h = ad.reshape(enc.init[-1], (1, dh))
+    # label and index embeddings of the N fed nodes, then of the T consumed
+    # sources, each sentence's padded to the batch's longest
+    fed = [p.nodes + [_PAD_NODE] * (n_rel - len(p.nodes)) for p in plans]
+    consumed = [p.inputs + [BOS_INPUT] * (n_step - len(p.inputs)) for p in plans]
+    embedded = ad.concat([
+        dec.label_rows([(r.label, r.pos) for rows in fed for r in rows]
+                       + [(u.u_label, u.u_pos) for rows in consumed for u in rows]),
+        dec.index_rows([r.index for rows in fed for r in rows]
+                       + [u.u_index for rows in consumed for u in rows]),
+    ], axis=1)
+    width = embedded.shape[1]
+
+    # the target LSTM, layer by layer; h[:, 0] is the ROOT state
+    h = ad.reshape(enc.init[-1], (n_seq, 1, dh))
     if n_rel:
-        x = ad.narrow(embedded, 0, 0, n_rel)
+        x = ad.reshape(ad.narrow(embedded, 0, 0, n_seq * n_rel), (n_seq, n_rel, width))
         for k, cell in enumerate(dec.lstm_cells):
-            x = drop(cell.layer(x, (enc.init[k], ad.constant(np.zeros(dh)))),
+            x = drop(cell.layer(x, (enc.init[k], ad.constant(np.zeros((n_seq, dh)))),
+                                lengths=n_rels),
                      None if lstm_masks is None else lstm_masks[k])
-        h = ad.concat([h, x], axis=0)
-    h_query = h if n_steps == n_rel + 1 else ad.narrow(h, 0, 0, n_steps)
+        h = ad.concat([h, x], axis=1)
+    h_query = h if n_step == n_rel + 1 else ad.narrow(h, 1, 0, n_step)
 
     # target node: attention, relation state z, generate / copy mixture
-    a_enc = ad.softmax(dec.attn_mlp.pairs(h_query, enc.states), axis=-1)
+    keys = np.arange(enc.n) < np.array(enc.lengths)[:, None, None]
+    a_enc = ad.softmax(_masked(dec.attn_mlp.pairs(h_query, enc.states),
+                               np.broadcast_to(keys, (n_seq, n_step, enc.n))), axis=-1)
     context = ad.matmul(a_enc, enc.states)
-    rel_rows = dec.rel_emb([dec.rel_vocab.id(u.rel) for u in inputs])
-    z = dec.ffn_relation(ad.concat(
-        [h_query, context, rel_rows, ad.narrow(embedded, 0, n_rel, n_rel + n_steps)], axis=1))
+    rel_rows = dec.rel_emb([dec.rel_vocab.id(u.rel) for rows in consumed for u in rows])
+    z = dec.ffn_relation(ad.concat([
+        h_query, context, ad.reshape(rel_rows, (n_seq, n_step, rel_rows.shape[1])),
+        ad.reshape(ad.narrow(embedded, 0, n_seq * n_rel, embedded.shape[0]),
+                   (n_seq, n_step, width)),
+    ], axis=2))
     z = drop(z, z_mask)
     vocab_logits = dec.ffn_vocab(z)
     # node copy has no candidates before step 2
-    no_copy = np.ones((n_steps, 3), dtype=bool)
-    no_copy[:2, 2] = False
+    no_copy = np.ones((n_seq, n_step, 3), dtype=bool)
+    no_copy[:, :2, 2] = False
     switch = ad.softmax(_masked(dec.ffn_switch(z), no_copy), axis=-1)
-    node_mass = ad.constant(np.zeros(n_steps))
-    if n_steps > 2:
+    node_mass = ad.constant(np.zeros((n_seq, n_step)))
+    if n_step > 2:
         # step i (>= 2) attends over z_1..z_{i-1}: queries z_2.., keys z_1..
-        m = n_steps - 2
-        scores = dec.dec_attn_mlp.pairs(ad.narrow(z, 0, 2, n_steps), ad.narrow(z, 0, 1, m + 1))
-        a_dec = ad.softmax(_masked(scores, np.tri(m, dtype=bool)), axis=-1)
-        node_mass = ad.concat([ad.constant(np.zeros(2)),
-                               _block_mass(a_dec, plan.copies[2:, :m])])
-    masses = ad.transpose(ad.stack_rows([
-        _block_mass(ad.softmax(vocab_logits, axis=-1), plan.vocab),
-        _block_mass(a_enc, plan.tokens),
+        m = n_step - 2
+        scores = dec.dec_attn_mlp.pairs(ad.narrow(z, 1, 2, n_step), ad.narrow(z, 1, 1, m + 1))
+        a_dec = ad.softmax(_masked(scores, np.broadcast_to(np.tri(m, dtype=bool),
+                                                           (n_seq, m, m))), axis=-1)
+        copies = _padded([p.copies for p in plans], (n_step, n_step))
+        node_mass = ad.concat([ad.constant(np.zeros((n_seq, 2))),
+                               _block_mass(a_dec, copies[:, 2:, :m])], axis=1)
+    masses = ad.concat([ad.reshape(mass, (n_seq, n_step, 1)) for mass in (
+        _block_mass(ad.softmax(vocab_logits, axis=-1),
+                    _padded([p.vocab for p in plans], (n_step, vocab_logits.shape[2]))),
+        _block_mass(a_enc, _padded([p.tokens for p in plans], (n_step, enc.n))),
         node_mass,
-    ]))
-    nll_v = -ad.sum_all(ad.log(ad.sum_axis(ad.mul(switch, masses), 1)))
+    )], axis=2)
+    # a padded step has no mass; it adds log 1 = 0
+    mixed = ad.add(ad.sum_axis(ad.mul(switch, masses), 2), ad.constant(1.0 - steps))
+    nll_v = -_row_sums(ad.log(mixed))
     if eps > 0.0:
-        uniform = -ad.sum_all(ad.log_softmax(vocab_logits, axis=-1))
-        nll_v = ad.add(ad.mul(nll_v, 1.0 - eps), ad.mul(uniform, eps / vocab_logits.shape[1]))
+        uniform = -_row_sums(ad.log_softmax(vocab_logits, axis=-1), steps)
+        nll_v = ad.add(ad.mul(nll_v, 1.0 - eps), ad.mul(uniform, eps / vocab_logits.shape[2]))
 
     # coverage: step i's coverage is the sum of the attentions before it
-    coverage = ad.matmul(ad.constant(np.tri(n_steps, k=-1)), a_enc)
-    cov = ad.sum_all(ad.minimum(a_enc, coverage))
+    coverage = ad.matmul(ad.constant(np.tri(n_step, k=-1)), a_enc)
+    cov = _row_sums(ad.minimum(a_enc, coverage), steps)
 
     nll_u = nll_r = zero
     if n_rel:
         # source pointer: after feeding v_{i+1}, positions 0..i, ROOT only
-        # while it is the gold source (the first relation)
-        fed = ad.narrow(h, 0, 1, n_rel + 1)
-        gold = np.array(plan.gold_pos)
-        allowed = np.tri(n_rel, dtype=bool)
-        allowed[:, 0] &= gold == 0
-        scores = dec.biaffine(dec.mlp_start(fed), dec.mlp_end(ad.narrow(h, 0, 0, n_rel)))
-        nll_u = -ad.sum_all(ad.pick(ad.log_softmax(_masked(scores, allowed), axis=-1), gold))
+        # while it is the gold source (the first relation).  A padded row
+        # allows ROOT alone, whose log-probability is then exactly 0.
+        fed = ad.narrow(h, 1, 1, n_rel + 1)
+        gold = _padded([np.array(p.gold_pos) for p in plans], (n_rel,)).astype(np.intp)
+        rows = np.arange(n_rel) < np.array(n_rels)[:, None]
+        allowed = np.tri(n_rel, dtype=bool) & rows[:, :, None]
+        allowed[:, :, 0] = gold == 0
+        scores = dec.biaffine(dec.mlp_start(fed), dec.mlp_end(ad.narrow(h, 1, 0, n_rel)))
+        nll_u = -_row_sums(ad.pick(ad.log_softmax(_masked(scores, allowed), axis=-1), gold))
         # relation type, at the gold source only
-        src = dec.mlp_rel_src(ad.embedding_gather(h, gold))
-        logits = dec.bilinear(ad.reshape(src, (n_rel, 1, src.shape[1])), dec.mlp_rel_tgt(fed))
-        logp = ad.log_softmax(ad.reshape(logits, (n_rel, logits.shape[2])), axis=-1)
-        targets = np.stack([smoothed_targets(logp.shape[1], dec.rel_vocab.id(rel.rel), eps)
-                            for rel in reference.relations])
-        nll_r = -ad.sum_all(ad.mul(logp, ad.constant(targets)))
+        pairs = n_seq * n_rel
+        src = dec.mlp_rel_src(ad.embedding_gather(
+            ad.reshape(h, (n_seq * (n_rel + 1), dh)),
+            (gold + (n_rel + 1) * np.arange(n_seq)[:, None]).reshape(-1)))
+        tgt = dec.mlp_rel_tgt(fed)
+        logits = dec.bilinear(ad.reshape(src, (pairs, 1, src.shape[1])),
+                              ad.reshape(tgt, (pairs, tgt.shape[2])))
+        n_types = logits.shape[2]
+        logp = ad.log_softmax(ad.reshape(logits, (n_seq, n_rel, n_types)), axis=-1)
+        targets = np.zeros((n_seq, n_rel, n_types))
+        for b, ref in enumerate(references):
+            for i, rel in enumerate(ref.relations):
+                targets[b, i] = smoothed_targets(n_types, dec.rel_vocab.id(rel.rel), eps)
+        nll_r = -_row_sums(ad.mul(logp, ad.constant(targets)))
 
     total = ad.add(ad.add(nll_u, nll_r), ad.add(nll_v, ad.mul(cov, coverage_weight)))
-    return LossBreakdown(nll_u, nll_r, nll_v, cov, total, switch.data)
+    return LossBreakdown(nll_u, nll_r, nll_v, cov, total,
+                         np.concatenate([switch.data[b, :k] for b, k in enumerate(n_steps)]))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +404,15 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Bias-corrected Adam update in place; missing grads are treated as 0."""
+    """Bias-corrected Adam update in place; missing grads are treated as 0.
+
+    Every gradient is checked before any state changes: a non-finite one
+    raises ``FloatingPointError`` and leaves the parameters and ``opt`` as
+    they were.
+    """
+    for name, p in params.items():
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
     opt.t += 1
     bc1 = 1.0 - beta1 ** opt.t
     bc2 = 1.0 - beta2 ** opt.t
@@ -328,10 +420,10 @@ def adam_step(
         g = p.grad
         if g is None:
             continue
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-        m = opt.m.setdefault(name, np.zeros_like(p.data))
-        v = opt.v.setdefault(name, np.zeros_like(p.data))
+        m, v = opt.m.get(name), opt.v.get(name)
+        if m is None:
+            m = opt.m[name] = np.zeros_like(p.data)
+            v = opt.v[name] = np.zeros_like(p.data)
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -400,6 +492,9 @@ def train(
 ) -> TrainResult:
     """Mini-batched teacher forcing with greedy-decode dev F1 early stopping.
 
+    Each batch is one ``sequence_loss`` call over its sentences as rows and
+    one backward pass of their mean loss.
+
     Dev F1 is taken after every epoch.  Stops when the count of epochs
     since the best dev score reaches ``patience`` (so patience 0 runs
     exactly one epoch), when ``target_f1`` is reached, or after
@@ -444,23 +539,20 @@ def train(
             for chunk in _batches(train_pairs, cfg.batch_size, random.Random(cfg.seed + epoch)):
                 model.zero_grads()
                 with ad.Tape() as tape:
-                    total = ad.constant(np.zeros(()))
-                    for idx in chunk:
-                        inp, ref = train_pairs[idx]
-                        loss = sequence_loss(
-                            model, inp, ref,
-                            label_smoothing=cfg.label_smoothing,
-                            coverage_weight=cfg.coverage_weight,
-                            train=True, rng=drop_rng,
-                        )
-                        total = ad.add(total, loss.total)
-                        components += [loss.nll_source.item(), loss.nll_relation.item(),
-                                       loss.nll_target.item(), loss.coverage_penalty.item()]
-                        switch += loss.switch.sum(axis=0)
-                        steps += len(loss.switch)
-                    total = ad.mul(total, 1.0 / len(chunk))
+                    loss = sequence_loss(
+                        model, [train_pairs[i][0] for i in chunk],
+                        [train_pairs[i][1] for i in chunk],
+                        label_smoothing=cfg.label_smoothing,
+                        coverage_weight=cfg.coverage_weight,
+                        train=True, rng=drop_rng,
+                    )
+                    total = ad.mul(ad.sum_all(loss.total), 1.0 / len(chunk))
                     records += len(tape.records)
                     tape.backward(total)
+                components += [t.data.sum() for t in (loss.nll_source, loss.nll_relation,
+                                                      loss.nll_target, loss.coverage_penalty)]
+                switch += loss.switch.sum(axis=0)
+                steps += len(loss.switch)
                 epoch_loss += float(total.data) * len(chunk)
                 n_examples += len(chunk)
                 norms.append(grad_norm(params))

@@ -824,6 +824,59 @@ class TestLstmLayer:
             for g, w in zip(got, want):
                 assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
+    LENGTHS = (1, 3, 6)
+
+    def batch(self, rng, n_in, hid):
+        """Three padded sequences of ``LENGTHS`` rows, each with its own
+        state, and the padded rows of ``x`` filled with noise."""
+        n_seq, n_steps = len(self.LENGTHS), max(self.LENGTHS)
+        x, _, _, w_ih, w_hh, b = self.inputs(rng, n_seq * n_steps, n_in, hid)
+        x = t(x.data.reshape(n_seq, n_steps, n_in))
+        h0, c0 = t(rng.standard_normal((n_seq, hid))), t(rng.standard_normal((n_seq, hid)))
+        return [x, h0, c0, w_ih, w_hh, b]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_batch_rows_bit_equal_to_each_sequence_alone(self, reverse):
+        rng = np.random.default_rng(41 + reverse)
+        for n_in, hid in [(5, 3), (12, 8)]:
+            x, h0, c0, w_ih, w_hh, b = self.batch(rng, n_in, hid)
+            with Tape():
+                got = ad.lstm_layer(x, h0, c0, w_ih, w_hh, b, reverse, self.LENGTHS)
+            for s, n in enumerate(self.LENGTHS):
+                alone = ad.lstm_layer(t(x.data[s, :n]), t(h0.data[s]), t(c0.data[s]),
+                                      w_ih, w_hh, b, reverse)
+                assert_bits([got.data[s, :n]], [alone.data])
+                # a padded step carries the state: forward, the last one;
+                # reversed, the initial one, so each sequence starts at its
+                # own last row
+                carried = h0.data[s] if reverse else alone.data[-1]
+                assert_bits([got.data[s, n:]], [np.broadcast_to(carried, got.data[s, n:].shape)])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_batch_padded_rows_pass_no_gradient(self, reverse):
+        rng = np.random.default_rng(43 + reverse)
+        inputs = self.batch(rng, 4, 5)
+        up = rng.standard_normal(inputs[0].shape[:-1] + (5,))
+        out, grads = run_op(lambda: ad.lstm_layer(*inputs, reverse, self.LENGTHS), inputs, [up])
+        x = inputs[0]
+        for s, n in enumerate(self.LENGTHS):
+            assert not grads[0][s, n:].any()
+        # the padded rows of x do not reach the output or any gradient
+        x.data[0, 1:] = x.data[1, 3:] = 5.0
+        again, grads_again = run_op(lambda: ad.lstm_layer(*inputs, reverse, self.LENGTHS),
+                                    inputs, [up])
+        assert_bits(again + grads_again, out + grads)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_batch_gradients(self, reverse):
+        rng = np.random.default_rng(45 + reverse)
+        inputs = self.batch(rng, 3, 4)
+        weights = ad.constant(rng.standard_normal(inputs[0].shape[:-1] + (4,)))
+        params = list(zip(["x", "h0", "c0", "w_ih", "w_hh", "b"], inputs))
+        check_op(lambda: ad.sum_all(ad.mul(ad.lstm_layer(*inputs, reverse, self.LENGTHS),
+                                           weights)),
+                 params, coords=120, seed=int(reverse))
+
     def test_rejects_mismatched_shapes(self):
         x, h, c = t(np.ones((4, 3))), t(np.ones(2)), t(np.ones(2))
         w_ih, w_hh, b = t(np.ones((8, 3))), t(np.ones((8, 2))), t(np.ones(8))
@@ -834,3 +887,9 @@ class TestLstmLayer:
                     (x, h, c, w_ih, w_hh, t(np.ones(6)))]:
             with pytest.raises(ShapeError, match="lstm_layer"):
                 ad.lstm_layer(*bad)
+        xb, hb = t(np.ones((2, 4, 3))), t(np.ones((2, 2)))
+        for lengths in [(4,), (1, 5), (-1, 2)]:  # one per sequence, within 0..T
+            with pytest.raises(ShapeError, match="lstm_layer"):
+                ad.lstm_layer(xb, hb, hb, w_ih, w_hh, b, lengths=lengths)
+        with pytest.raises(ShapeError, match="lstm_layer"):  # lengths only for a batch
+            ad.lstm_layer(x, h, c, w_ih, w_hh, b, lengths=(4,))

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -14,6 +15,8 @@ from arbor.linearize import OrderingPolicy, resolve_source
 from arbor.model import ModelConfig, TransducerModel, build_vocabularies
 from arbor.training import (
     AdamState,
+    _batches,
+    _teacher_forcing,
     LossBreakdown,
     TrainConfig,
     adam_step,
@@ -142,6 +145,26 @@ class TestAdam:
         p.grad = np.array(np.nan)
         with pytest.raises(FloatingPointError):
             adam_step({"p": p}, AdamState(), lr=0.1)
+
+    def test_nan_gradient_changes_no_state(self):
+        # the non-finite gradient is on the second parameter: the first must
+        # not be stepped, nor the step count and moments advanced
+        first = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        second = Tensor(np.array([3.0]), requires_grad=True)
+        params, state = {"first": first, "second": second}, AdamState()
+        first.grad, second.grad = np.array([0.5, -1.0]), np.array([2.0])
+        adam_step(params, state, lr=0.1)
+        before = (first.data.copy(), second.data.copy(), state.t,
+                  {k: v.copy() for k, v in state.m.items()},
+                  {k: v.copy() for k, v in state.v.items()})
+        first.grad, second.grad = np.array([0.25, 0.5]), np.array([np.nan])
+        with pytest.raises(FloatingPointError, match="'second'"):
+            adam_step(params, state, lr=0.1)
+        assert np.array_equal(first.data, before[0]) and np.array_equal(second.data, before[1])
+        assert state.t == before[2] == 1
+        for got, want in ((state.m, before[3]), (state.v, before[4])):
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[k], want[k]) for k in want)
 
 
 class TestClip:
@@ -538,6 +561,233 @@ class TestWholeSequenceLoss:
             assert not switch[:2, 2].any()  # no node to copy before step 2
 
 
+def one_sentence_loss(model, enc_input, reference, *, label_smoothing=0.1,
+                      coverage_weight=1.0, train=True, rng=None) -> LossBreakdown:
+    """``sequence_loss``'s body for one sentence as it was before a batch
+    ran as rows, with the shared-candidates biaffine of that time inlined.
+    A one-sentence batch must equal it bit for bit."""
+    dec, cfg = model.decoder, model.config
+    enc = model.encoder.encode(enc_input, train, rng)
+    zero = ad.constant(np.zeros(()))
+    plan = _teacher_forcing(dec, enc_input, reference)
+    n_rel, n_steps = len(plan.nodes), len(plan.vocab)
+    if n_steps == 0:
+        return LossBreakdown(zero, zero, zero, zero, zero, np.zeros((0, 3)))
+    eps = label_smoothing
+
+    def masked(scores, allowed):
+        return ad.add(scores, ad.constant(np.where(allowed, 0.0, -np.inf)))
+
+    def block_mass(p, support):
+        return ad.sum_axis(ad.mul(p, ad.constant(support)), 1)
+
+    rh, dh, layers = cfg.relation_hidden, cfg.decoder_hidden, len(dec.lstm_cells)
+    z_mask = lstm_masks = None
+    if train and cfg.dropout > 0.0:
+        keep = 1.0 - cfg.dropout
+        block = (rng.random((n_rel, rh + layers * dh)) < keep) / keep
+        z_mask = block[:, :rh]
+        if reference.eos:
+            z_mask = np.vstack([z_mask, (rng.random(rh) < keep) / keep])
+        lstm_masks = [block[:, rh + k * dh : rh + (k + 1) * dh] for k in range(layers)]
+
+    def drop(x, mask):
+        return x if mask is None else ad.mul(x, ad.constant(mask))
+
+    inputs = plan.inputs[:n_steps]
+    embedded = ad.concat([
+        dec.label_rows([(r.label, r.pos) for r in plan.nodes]
+                       + [(u.u_label, u.u_pos) for u in inputs]),
+        dec.index_rows([r.index for r in plan.nodes] + [u.u_index for u in inputs]),
+    ], axis=1)
+    h = ad.reshape(enc.init[-1], (1, dh))
+    if n_rel:
+        x = ad.narrow(embedded, 0, 0, n_rel)
+        for k, cell in enumerate(dec.lstm_cells):
+            x = drop(cell.layer(x, (enc.init[k], ad.constant(np.zeros(dh)))),
+                     None if lstm_masks is None else lstm_masks[k])
+        h = ad.concat([h, x], axis=0)
+    h_query = h if n_steps == n_rel + 1 else ad.narrow(h, 0, 0, n_steps)
+
+    a_enc = ad.softmax(dec.attn_mlp.pairs(h_query, enc.states), axis=-1)
+    context = ad.matmul(a_enc, enc.states)
+    rel_rows = dec.rel_emb([dec.rel_vocab.id(u.rel) for u in inputs])
+    z = dec.ffn_relation(ad.concat(
+        [h_query, context, rel_rows, ad.narrow(embedded, 0, n_rel, n_rel + n_steps)], axis=1))
+    z = drop(z, z_mask)
+    vocab_logits = dec.ffn_vocab(z)
+    no_copy = np.ones((n_steps, 3), dtype=bool)
+    no_copy[:2, 2] = False
+    switch = ad.softmax(masked(dec.ffn_switch(z), no_copy), axis=-1)
+    node_mass = ad.constant(np.zeros(n_steps))
+    if n_steps > 2:
+        m = n_steps - 2
+        scores = dec.dec_attn_mlp.pairs(ad.narrow(z, 0, 2, n_steps), ad.narrow(z, 0, 1, m + 1))
+        a_dec = ad.softmax(masked(scores, np.tri(m, dtype=bool)), axis=-1)
+        node_mass = ad.concat([ad.constant(np.zeros(2)),
+                               block_mass(a_dec, plan.copies[2:, :m])])
+    masses = ad.transpose(ad.stack_rows([
+        block_mass(ad.softmax(vocab_logits, axis=-1), plan.vocab),
+        block_mass(a_enc, plan.tokens),
+        node_mass,
+    ]))
+    nll_v = -ad.sum_all(ad.log(ad.sum_axis(ad.mul(switch, masses), 1)))
+    if eps > 0.0:
+        uniform = -ad.sum_all(ad.log_softmax(vocab_logits, axis=-1))
+        nll_v = ad.add(ad.mul(nll_v, 1.0 - eps), ad.mul(uniform, eps / vocab_logits.shape[1]))
+
+    coverage = ad.matmul(ad.constant(np.tri(n_steps, k=-1)), a_enc)
+    cov = ad.sum_all(ad.minimum(a_enc, coverage))
+
+    nll_u = nll_r = zero
+    if n_rel:
+        fed = ad.narrow(h, 0, 1, n_rel + 1)
+        gold = np.array(plan.gold_pos)
+        allowed = np.tri(n_rel, dtype=bool)
+        allowed[:, 0] &= gold == 0
+        bi = dec.biaffine
+        x1, x2 = dec.mlp_start(fed), dec.mlp_end(ad.narrow(h, 0, 0, n_rel))
+        w1, w2 = ad.narrow(bi.w, 0, 0, bi.dim1), ad.narrow(bi.w, 0, bi.dim1, bi.dim1 + bi.dim2)
+        bil = ad.matmul(ad.matmul(x1, bi.u), ad.transpose(x2))
+        lin = ad.add(ad.transpose(ad.repeat_rows(ad.matmul(x1, w1), n_rel)), ad.matmul(x2, w2))
+        scores = ad.add(lin, ad.add(bil, bi.b))
+        nll_u = -ad.sum_all(ad.pick(ad.log_softmax(masked(scores, allowed), axis=-1), gold))
+        src = dec.mlp_rel_src(ad.embedding_gather(h, gold))
+        logits = dec.bilinear(ad.reshape(src, (n_rel, 1, src.shape[1])), dec.mlp_rel_tgt(fed))
+        logp = ad.log_softmax(ad.reshape(logits, (n_rel, logits.shape[2])), axis=-1)
+        targets = np.stack([smoothed_targets(logp.shape[1], dec.rel_vocab.id(rel.rel), eps)
+                            for rel in reference.relations])
+        nll_r = -ad.sum_all(ad.mul(logp, ad.constant(targets)))
+
+    total = ad.add(ad.add(nll_u, nll_r), ad.add(nll_v, ad.mul(cov, coverage_weight)))
+    return LossBreakdown(nll_u, nll_r, nll_v, cov, total, switch.data)
+
+
+def _batch_loss_and_grads(model, pairs, **kwargs):
+    """``sequence_loss`` of ``pairs`` as one batch: its components, switch
+    rows and the gradients of the summed total."""
+    model.zero_grads()
+    with Tape() as tape:
+        loss = sequence_loss(model, [inp for inp, _ in pairs], [ref for _, ref in pairs],
+                             **kwargs)
+        total = ad.sum_all(loss.total)
+    tape.backward(total)
+    grads = {name: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+             for name, t in model.parameters().items()}
+    model.zero_grads()
+    return loss, grads
+
+
+class TestBatchLoss:
+    """A batch's sentences run as rows: each sentence's loss equals its own
+    ``sequence_loss`` and the batch gradient the sum of theirs, within 1e-10
+    relative; with dropout, each sentence draws what it draws alone, in
+    batch order."""
+
+    # token lengths 1 to 6: an EOS-only reference, no EOS, node and token
+    # copies, and indices at and past the index table (size 64)
+    HOSTILE = [
+        (["Pierre"], (("@root@", 0, "root", "Pierre", 1), ("Pierre", 1, "ARG0", "person", 2)),
+         True),
+        (["Pierre", "expressed"], (), True),
+        (["Pierre", "Vinken", "Pierre"],
+         (("@root@", 0, "root", "Pierre", 1), ("Pierre", 1, "ARG0", "person", 2),
+          ("person", 2, "ARG1", "say-01", 3), ("say-01", 3, "ARG0", "person", 2),
+          ("person", 2, "mod", "Pierre", 4), ("Pierre", 1, "ARG2", "Vinken", 5)), True),
+        (["Pierre", "expressed", "thing", "say-01"],
+         (("@root@", 0, "root", "say-01", 1), ("say-01", 1, "ARG0", "person", 2)), False),
+        (["Pierre", "expressed", "a", "b", "c"],
+         (("@root@", 0, "root", "say-01", 1), ("say-01", 1, "ARG0", "person", 64),
+          ("person", 64, "ARG1", "thing", 90)), True),
+        (["Pierre", "expressed", "a", "b", "c", "d"], (("@root@", 0, "root", "say-01", 1),),
+         True),
+    ]
+
+    @pytest.fixture(scope="class")
+    def hostile(self):
+        model = build_tiny_model(seed=21, dropout=0.3, index_table_size=64)
+        pairs = [(EncoderInput(tokens=list(tokens), pos=["NNP"] * len(tokens)),
+                  RelationSequence(tuple(Relation(*r) for r in relations), eos=eos))
+                 for tokens, relations, eos in self.HOSTILE]
+        return model, pairs
+
+    @staticmethod
+    def assert_batch_equals_examples(model, pairs, seed, tol=1e-10, **kwargs):
+        rngs = [None, None] if seed is None else [np.random.default_rng(seed) for _ in range(2)]
+        train = seed is not None
+        loss, got_grads = _batch_loss_and_grads(model, pairs, train=train, rng=rngs[0], **kwargs)
+        got = loss.values()
+        want_grads = {name: np.zeros_like(t.data) for name, t in model.parameters().items()}
+        rows = 0
+        for k, (inp, ref) in enumerate(pairs):
+            want, grads = _loss_and_grads(sequence_loss, model, inp, ref, train=train,
+                                          rng=rngs[1], **kwargs)
+            for key, value in want.items():
+                assert abs(got[key][k] - value) <= tol * max(abs(value), 1e-300), (k, key)
+            for name, g in grads.items():
+                want_grads[name] += g
+            steps = len(ref.relations) + ref.eos
+            if not train:
+                alone = sequence_loss(model, inp, ref, train=False, **kwargs).switch
+                assert np.abs(loss.switch[rows : rows + steps] - alone).max(initial=0.0) <= tol
+            rows += steps
+        assert loss.switch.shape == (rows, 3)
+        largest = max(np.abs(g).max(initial=0.0) for g in want_grads.values())
+        for name, g in want_grads.items():
+            size = max(np.abs(g).max(initial=0.0), np.abs(got_grads[name]).max(initial=0.0))
+            if size <= 1e-12 * largest:  # zero in exact arithmetic
+                continue
+            diff = np.abs(got_grads[name] - g).max(initial=0.0)
+            assert diff <= tol * np.abs(g).max(initial=0.0), (name, diff)
+        if seed is not None:  # both generators end in the same state
+            assert rngs[0].random() == rngs[1].random()
+
+    @pytest.mark.parametrize("seed,eps,cov", SETTINGS)
+    def test_train_small_batches(self, train_small, seed, eps, cov):
+        model, pairs = train_small
+        chunks = _batches(pairs, 8, random.Random(0))
+        assert len(chunks) == 8
+        for chunk in chunks:
+            self.assert_batch_equals_examples(model, [pairs[i] for i in chunk], seed,
+                                              label_smoothing=eps, coverage_weight=cov)
+
+    @pytest.mark.parametrize("seed,eps,cov", SETTINGS)
+    def test_hostile_batch(self, hostile, seed, eps, cov):
+        model, pairs = hostile
+        self.assert_batch_equals_examples(model, pairs, seed, label_smoothing=eps,
+                                          coverage_weight=cov)
+
+    @pytest.mark.parametrize("seed,eps,cov", SETTINGS)
+    def test_one_sentence_batch_bit_equal_to_one_sentence_body(self, hostile, train_small,
+                                                              seed, eps, cov):
+        for model, pairs in (hostile, (train_small[0], train_small[1][:8])):
+            for k, (inp, ref) in enumerate(pairs):
+                rngs = [None, None] if seed is None else [np.random.default_rng(seed + k)
+                                                          for _ in range(2)]
+                kwargs = dict(train=seed is not None, label_smoothing=eps, coverage_weight=cov)
+                loss, got_grads = _batch_loss_and_grads(model, [(inp, ref)], rng=rngs[0],
+                                                        **kwargs)
+                model.zero_grads()
+                with Tape() as tape:
+                    want = one_sentence_loss(model, inp, ref, rng=rngs[1], **kwargs)
+                tape.backward(want.total)
+                for key, value in want.values().items():
+                    assert np.array_equal(loss.values()[key], [value]), (k, key)
+                assert np.array_equal(loss.switch, want.switch)
+                for name, t in model.parameters().items():
+                    g = np.zeros_like(t.data) if t.grad is None else t.grad
+                    assert np.array_equal(got_grads[name], g), (k, name)
+                model.zero_grads()
+
+    def test_all_batch_sentences_without_steps(self, hostile):
+        model, pairs = hostile
+        inp = pairs[0][0]
+        loss = sequence_loss(model, [inp, inp], [RelationSequence((), eos=False)] * 2,
+                             train=False)
+        assert loss.values()["total"] == [0.0, 0.0]
+        assert loss.switch.shape == (0, 3)
+
+
 class TestTapeSize:
     # tape records of the one batch below under the stepwise loss
     # (``reference_sequence_loss``), counted before the whole-sequence loss
@@ -553,3 +803,21 @@ class TestTapeSize:
         cfg = TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=1)
         records = train(model, pairs, pairs[:1], cfg).history[0]["tape_records_per_batch"]
         assert records <= self.STEPWISE_RECORDS / 3, records
+
+    def test_batch_records_at_most_twice_the_longest_example(self):
+        # the batch of the test above runs as rows: its tape holds at most
+        # twice the records of its longest example alone
+        rng = np.random.default_rng(31)
+        pairs = []
+        for _ in range(8):
+            inp = make_inputs(rng, 4)
+            pairs.append((inp, make_reference(random_arborescence(rng), OrderingPolicy.SOURCE)))
+        model = build_tiny_model(seed=31, dropout=0.2)
+        drop = np.random.default_rng(1)
+        with Tape() as batch:
+            sequence_loss(model, [p[0] for p in pairs], [p[1] for p in pairs], rng=drop)
+        inp, ref = max(pairs, key=lambda p: len(p[1].relations))
+        with Tape() as longest:
+            sequence_loss(model, inp, ref, rng=drop)
+        assert len(batch.records) <= 2 * len(longest.records), (len(batch.records),
+                                                                len(longest.records))
