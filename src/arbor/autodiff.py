@@ -516,25 +516,38 @@ def _lstm_gates(gates: np.ndarray, c_prev: np.ndarray, hid: int):
     return i, f, g, o, c, np.tanh(c)
 
 
+def _scatter_rows(g_rows: np.ndarray, rows, n: int) -> np.ndarray:
+    """Sum row ``e`` of ``g_rows`` into row ``rows[e]`` of ``n`` zero rows
+    (``g_rows`` itself when ``rows`` is None)."""
+    if rows is None:
+        return g_rows
+    out = np.zeros((n, g_rows.shape[1]))
+    np.add.at(out, rows, g_rows)
+    return out
+
+
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
-              b: Tensor, state_rows=None) -> tuple[Tensor, Tensor]:
+              b: Tensor, state_rows=None, input_rows=None) -> tuple[Tensor, Tensor]:
     """One LSTM step (gate order i, f, g, o); returns ``(h, c)``.
 
     ``x``, ``h`` and ``c`` are vectors, or matrices whose rows are
     independent cells; each row of the rows form is bit-equal to the
-    vector form on that row.  With ``state_rows`` (rows form only), input
-    row ``e`` continues state row ``state_rows[e]`` of ``h`` and ``c``, so
-    several steps can continue one state whose ``w_hh @ h`` is computed
-    once.  A single tape record with a hand-written backward, which works
-    on rows, a vector being one row.  A missing gradient on either output
-    counts as zero.
+    vector form on that row.  In the rows form, output row ``e`` continues
+    state row ``state_rows[e]`` of ``h`` and ``c`` and reads input row
+    ``input_rows[e]`` of ``x`` (row ``e`` of each by default), so several
+    steps can continue one state, or read one input, whose ``w_hh @ h`` or
+    ``w_ih @ x`` is computed once.  A single tape record with a
+    hand-written backward, which works on rows, a vector being one row.  A
+    missing gradient on either output counts as zero.
     """
     hid = h.shape[-1]
-    lead = x.shape[:-1] if state_rows is None else h.shape[:1]
+    n = x.shape[:-1] if input_rows is None else (len(input_rows),)
+    lead = n if state_rows is None else h.shape[:1]
     if (x.ndim not in (1, 2) or h.shape != lead + (hid,) or c.shape != lead + (hid,)
             or w_ih.shape != (4 * hid, x.shape[-1]) or w_hh.shape != (4 * hid, hid)
             or b.shape != (4 * hid,)
-            or (state_rows is not None and (x.ndim != 2 or len(state_rows) != x.shape[0]))):
+            or (state_rows is not None or input_rows is not None) and x.ndim != 2
+            or (state_rows is not None and (len(state_rows),) != n)):
         raise ShapeError(
             f"lstm_cell: x {x.shape}, h {h.shape}, c {c.shape}, "
             f"w_ih {w_ih.shape}, w_hh {w_hh.shape}, b {b.shape}"
@@ -542,7 +555,10 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
     hh, c_prev = _mv(w_hh.data, h.data), c.data
     if state_rows is not None:
         hh, c_prev = hh[state_rows], c_prev[state_rows]
-    i, f, g, o, c_data, tanh_c = _lstm_gates(_mv(w_ih.data, x.data) + hh + b.data, c_prev, hid)
+    xp = _mv(w_ih.data, x.data)
+    if input_rows is not None:
+        xp = xp[input_rows]
+    i, f, g, o, c_data, tanh_c = _lstm_gates(xp + hh + b.data, c_prev, hid)
 
     tape = _active_tape()
     if tape is None:
@@ -554,11 +570,11 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
 
         def to_states(g_rows):
             """Sum the rows' gradients into the state rows they continue."""
-            if state_rows is None:
-                return g_rows
-            out = np.zeros((h.shape[0], g_rows.shape[1]))
-            np.add.at(out, state_rows, g_rows)
-            return out
+            return _scatter_rows(g_rows, state_rows, h.shape[0])
+
+        def to_inputs(g_rows):
+            """Sum the rows' gradients into the input rows they read."""
+            return _scatter_rows(g_rows, input_rows, x.shape[0])
 
         def record():
             gh, gc = h_out.grad, c_out.grad
@@ -578,13 +594,13 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
                 d_o,
             ], axis=-1)
             if x.requires_grad:
-                x._accum(d_gates @ w_ih.data)
+                x._accum(to_inputs(d_gates @ w_ih.data))
             if h.requires_grad:
                 h._accum(to_states(d_gates @ w_hh.data))
             if c.requires_grad:
                 c._accum(to_states(dc * f))
             if w_ih.requires_grad:
-                w_ih._accum(_weight_grad(d_gates, x.data))
+                w_ih._accum(_weight_grad(to_inputs(d_gates), x.data))
             if w_hh.requires_grad:
                 w_hh._accum(_weight_grad(to_states(d_gates), h.data))
             if b.requires_grad:

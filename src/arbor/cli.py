@@ -22,7 +22,7 @@ from . import convert as conv
 from . import formats
 from .evaluate import F1Report, labeled_triple_f1, smatch_score, speed_bench, validity_audit
 from .graph import Framework, GraphError
-from .inference import parse as parse_graph
+from .inference import decode_batch, to_graph
 from .linearize import OrderingPolicy, arbor_to_relations
 from .model import ModelConfig, TransducerModel, build_vocabularies, encoder_input_from_record
 from .training import TrainConfig, prepare_corpus, train as run_training
@@ -44,8 +44,10 @@ class _Failures:
         self.seen = 0
 
     @contextmanager
-    def record(self, record_id: str):
-        self.seen += 1
+    def record(self, record_id: str, counted: bool = False):
+        """Report and skip a failure of the block; ``counted`` marks a later
+        stage of a record that an earlier ``record`` block already counted."""
+        self.seen += not counted
         try:
             yield
         except ValueError as exc:  # GraphError, FormatError and SmatchError among them
@@ -197,12 +199,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_one(model, record, beam, max_len):
-    inp = encoder_input_from_record(record)
-    limit = 2 * len(record.tokens) + 10 if max_len is None else max_len
-    return parse_graph(model, inp, beam_size=beam, max_len=limit)
-
-
 def _check_search_args(args) -> None:
     """Reject a beam or length limit no decode can use, before any work."""
     if args.beam < 1:
@@ -211,20 +207,45 @@ def _check_search_args(args) -> None:
         raise CliError(f"--max-len must be at least 1, got {args.max_len}")
 
 
+# Records one ``decode_batch`` call of ``arbor parse`` decodes: enough for
+# full lockstep groups, while the decode results held at once (each with its
+# finished pool) stay bounded however long the file is.
+PARSE_CHUNK = 1024
+
+
 def cmd_parse(args) -> int:
     """Parse every record; one that fails is reported and skipped (see
     ``_Failures``), the others are written in input order, and the exit
-    code is 1 if any failed."""
+    code is 1 if any failed.
+
+    Each record is checked first.  The good ones are decoded by one
+    ``decode_batch`` call per ``PARSE_CHUNK`` of them (equal-length
+    sentences in lockstep), then converted and written one by one.  The
+    default length limit is ``2n + 10`` steps for a sentence of ``n``
+    tokens.
+    """
     _check_search_args(args)
     model = TransducerModel.load(args.model)
     records = formats.read_canonical_file(args.input)
     beam = 1 if args.greedy else args.beam
     failures = _Failures()
+    checked = []
+    for record in records:
+        with failures.record(record.id):
+            inp = encoder_input_from_record(record)
+            model.encoder.check(inp)
+            checked.append((record, inp))
     with open(args.output, "w", encoding="utf-8") as out:
-        for record in records:
-            with failures.record(record.id):
-                graph = _parse_one(model, record, beam, args.max_len)
-                _write_graph(out, record.id, graph, args.format, record.tokens, record.pos)
+        for lo in range(0, len(checked), PARSE_CHUNK):
+            chunk = checked[lo : lo + PARSE_CHUNK]
+            results = decode_batch(
+                model, [inp for _, inp in chunk], beam,
+                [2 * len(inp.tokens) + 10 if args.max_len is None else args.max_len
+                 for _, inp in chunk])
+            for (record, _), result in zip(chunk, results):
+                with failures.record(record.id, counted=True):
+                    graph = to_graph(model, result.sequence)
+                    _write_graph(out, record.id, graph, args.format, record.tokens, record.pos)
     return failures.exit_code()
 
 

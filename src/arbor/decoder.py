@@ -15,16 +15,20 @@ POS tags of nodes are inferred at runtime: token copies take the token's
 POS, node copies take the antecedent's POS, generated nodes get the UNK
 tag.
 
-Beam search runs a step as matrix rows.  One ``predict_target`` call
-scores the next target of every hypothesis in the beam, one row each, and
-each row is bit-equal to that hypothesis alone: products of a weight with
-the rows' queries are one gemv per row, and products over a row's keys are
-one matrix of a stacked matmul.  A single state is the one-row case.  Then
-one ``expand`` call feeds all of the step's (hypothesis, target)
-expansions, whose rows agree to rounding with ``feed_target`` followed by
-``point_source`` and ``relation_dist_all`` on each expansion alone; those
+Decoding runs a step as matrix rows: the open hypotheses of one beam,
+or of the beams of several sentences of equal length decoded in
+lockstep.  One ``predict_target`` call scores the next target of every
+row, each reading its own sentence's encoder rows, and one ``expand``
+call feeds all of the step's (hypothesis, target) expansions and scores
+their sources and relation types.  Every row of both is bit-equal to
+that row alone: a weight times the rows' queries is one vector product
+per row (``per_row``: one gemv, the one the vector form makes), and a
+product over a row's keys is one matrix of a stacked matmul; a gemm over
+all rows would round each row differently depending on the others.  So
+an ``expand`` row is also bit-equal to ``feed_target`` followed by
+``point_source`` and ``relation_dist_all`` on that expansion alone; those
 two are the one-expansion reference that ``expand`` is tested against,
-not a second decode path.
+not a second decode path.  A single state is the one-row case.
 
 Each node is projected once: when a node's state becomes a pointer
 candidate (in ``predict_target``), its ``mlp_end`` and ``mlp_rel_src`` rows
@@ -101,8 +105,9 @@ class DecoderState:
     # predict_target); after a feed both hold len(nodes) rows
     end_rows: Tensor
     rel_src_rows: Tensor
-    # (label, pos) -> label_vec for one decode, shared by all of its states
-    # and never by the model; read and filled only while no tape records
+    # (label, pos) -> label_vec for one decode (of one sentence or of several
+    # in lockstep), shared by all of its states and never by the model; read
+    # and filled only while no tape records
     label_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def node_pos(self, position: int) -> str:
@@ -272,12 +277,15 @@ class Decoder(nn.Module):
 
     # -- stepping -----------------------------------------------------------
 
-    def initial_state(self, enc: EncoderOutput) -> DecoderState:
+    def initial_state(self, enc: EncoderOutput, row: int | None = None) -> DecoderState:
+        """The state before the first relation of ``enc``'s sentence, or of
+        sentence ``row`` of an encoded batch."""
         c = self.config
-        lstm = tuple((init, ad.constant(np.zeros(c.decoder_hidden))) for init in enc.init)
+        init = enc.init if row is None else [ad.element(i, row) for i in enc.init]
+        lstm = tuple((h, ad.constant(np.zeros(c.decoder_hidden))) for h in init)
         return DecoderState(
             lstm=lstm,
-            h=enc.init[-1],
+            h=init[-1],
             z_hist=ad.constant(np.zeros((0, c.relation_hidden))),
             nodes=(),
             coverage=ad.constant(np.zeros(enc.n)),
@@ -288,13 +296,17 @@ class Decoder(nn.Module):
 
     def predict_target(self, enc: EncoderOutput, states: DecoderState | list[DecoderState],
                        rel_ins: RelationInput | list[RelationInput], train: bool = False,
-                       rng: np.random.Generator | None = None):
+                       rng: np.random.Generator | None = None, enc_rows=None):
         """Consume relation ``rel_ins[b]`` in ``states[b]`` for each
         hypothesis row ``b`` and produce the next-target mixtures, as one
         ``StepOutput`` of rows and the list of new states.  The states must
         have consumed the same number of relations, as a beam's hypotheses
         have.  A single state and relation are the one-row case, with the
         row axis dropped: ``(StepOutput, DecoderState)``.
+
+        ``enc`` is one sentence's encoding, or a batch of sentences of
+        equal length; then row ``b`` reads the encoder rows of sentence
+        ``enc_rows[b]``, as ``lstm_cell``'s ``state_rows`` index state rows.
 
         Each row is bit-equal to its state alone.  A weight times the rows'
         queries (the ``ffn_*`` layers, ``mlp_end`` and ``mlp_rel_src``) is
@@ -306,12 +318,17 @@ class Decoder(nn.Module):
             out, (state,) = self.predict_target(enc, [states], [rel_ins], train, rng)
             return out.row(0), state
         c, rows, n = self.config, len(states), enc.n
+        if enc_rows is None:
+            keys = ad.stack_rows([enc.states] * rows)
+        elif min(enc.lengths) < n:
+            raise ValueError("predict_target: sentences of unequal length need padding masks")
+        else:
+            keys = ad.embedding_gather(enc.states, enc_rows)
         h = ad.stack_rows([s.h for s in states])
 
-        attn_in = ad.concat([ad.repeat_rows(h, n), ad.stack_rows([enc.states] * rows)], axis=2)
-        a_enc = ad.softmax(self.attn_mlp(attn_in))
-        context = ad.reshape(ad.matmul(ad.reshape(a_enc, (rows, 1, n)), enc.states),
-                             (rows, enc.states.shape[1]))
+        a_enc = ad.softmax(self.attn_mlp(ad.concat([ad.repeat_rows(h, n), keys], axis=2)))
+        context = ad.reshape(ad.matmul(ad.reshape(a_enc, (rows, 1, n)), keys),
+                             (rows, keys.shape[2]))
 
         memo = states[0].label_memo
         u = ad.stack_rows([self.label_vec(r.u_label, r.u_pos, memo) for r in rel_ins])
@@ -369,15 +386,17 @@ class Decoder(nn.Module):
         labels = ad.stack_rows([self.label_vec(r.label, r.pos, memo) for r in records])
         return ad.concat([labels, self.index_rows([r.index for r in records])], axis=1)
 
-    def _run_lstm(self, x: Tensor, states, state_rows=None, train: bool = False,
-                  rng: np.random.Generator | None = None):
-        """Run the target LSTM layers on ``x``; returns the per-layer
-        ``(h, c)`` and the last layer's output after dropout."""
+    def _run_lstm(self, x: Tensor, states, state_rows=None, input_rows=None,
+                  train: bool = False, rng: np.random.Generator | None = None):
+        """Run the target LSTM layers on ``x`` (the first layer's rows read
+        ``input_rows`` of it); returns the per-layer ``(h, c)`` and the last
+        layer's output after dropout."""
         lstm = []
         for cell, state in zip(self.lstm_cells, states):
-            h, c = cell(x, state, state_rows)
+            h, c = cell(x, state, state_rows, input_rows)
             lstm.append((h, c))
             x = ad.dropout(h, self.config.dropout, train, rng)
+            input_rows = None
         return tuple(lstm), x
 
     def feed_target(self, state: DecoderState, record: NodeRecord,
@@ -395,30 +414,28 @@ class Decoder(nn.Module):
         The target LSTM, the source pointer and the relation scorer run
         once over all expansions as matrix rows, and each distinct parent's
         recurrent product is computed once however many expansions share
-        it; the candidate rows are the parents' own blocks.  The LSTM rows are bit-equal to
-        ``feed_target(parents[e], records[e])``; the pointer and type
-        projections are gemms over the rows, so ``p_source`` and
-        ``p_relation`` agree with ``point_source`` and
-        ``relation_dist_all`` on the fed state to rounding.  The parents
-        must have consumed the same number of relations, as a beam's
-        hypotheses have.
+        it, as is the input projection of each distinct (label, POS, index)
+        node; the candidate rows are the parents' own blocks.  Each row is
+        bit-equal to the expansion alone: the LSTM rows to
+        ``feed_target(parents[e], records[e])``, and ``p_source`` and
+        ``p_relation`` to ``point_source`` and ``relation_dist_all`` on the
+        fed state, since ``mlp_start``, ``mlp_rel_tgt`` and the biaffine
+        and bilinear query projections are one product per row.  The
+        parents may come from different sentences, but must have consumed
+        the same number of relations.
         """
-        x = self._node_inputs(records, parents[0].label_memo)
-        distinct: list[DecoderState] = []
-        row_of: dict[int, int] = {}  # id(parent) -> its row in ``distinct``
-        for s in parents:
-            if id(s) not in row_of:
-                row_of[id(s)] = len(distinct)
-                distinct.append(s)
-        state_rows = np.array([row_of[id(s)] for s in parents])
+        nodes, input_rows = _distinct(records, lambda r: (r.label, r.pos, r.index))
+        distinct, state_rows = _distinct(parents, id)
         states = [(ad.stack_rows([s.lstm[k][0] for s in distinct]),
                    ad.stack_rows([s.lstm[k][1] for s in distinct]))
                   for k in range(len(self.lstm_cells))]
-        lstm, x = self._run_lstm(x, states, state_rows)
+        lstm, x = self._run_lstm(self._node_inputs(nodes, parents[0].label_memo), states,
+                                 state_rows, input_rows)
         ends = ad.stack_rows([s.end_rows for s in parents])
         srcs = ad.stack_rows([s.rel_src_rows for s in parents])
-        p_source = self._source_dist(self.biaffine(self.mlp_start(x), ends))
-        p_relation = ad.softmax(self.bilinear(srcs, self.mlp_rel_tgt(x)), axis=-1)
+        p_source = self._source_dist(self.biaffine(self.mlp_start(x, per_row=True), ends))
+        p_relation = ad.softmax(self.bilinear(srcs, self.mlp_rel_tgt(x, per_row=True),
+                                              per_row=True), axis=-1)
         return Expansions(parents, records, lstm, p_source.data, p_relation.data)
 
     def source_scores(self, state: DecoderState) -> Tensor:
@@ -473,6 +490,20 @@ class Decoder(nn.Module):
         return ([self.word_vocab.id(label)] * generate
                 + [out.vocab_size + t for t in token_copies]
                 + [out.vocab_size + out.n_enc + k for k in node_copies])
+
+
+def _distinct(items: list, key) -> tuple[list, np.ndarray]:
+    """The items of distinct ``key``, in order of first appearance, and for
+    each item the row of its key among them."""
+    row_of: dict = {}
+    distinct, rows = [], []
+    for item in items:
+        k = key(item)
+        if k not in row_of:
+            row_of[k] = len(distinct)
+            distinct.append(item)
+        rows.append(row_of[k])
+    return distinct, np.array(rows)
 
 
 def _append_rows(blocks: Tensor, rows: Tensor) -> Tensor:

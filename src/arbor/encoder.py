@@ -85,6 +85,15 @@ class Encoder(nn.Module):
     def char_ids(self, word: str) -> list[int]:
         return [self.char_vocab.id(c) for c in word]
 
+    def check(self, inp: EncoderInput) -> None:
+        """Raise ``ValueError`` if ``inp`` cannot be encoded: it has no
+        tokens, or lacks a feature column that the encoder embeds."""
+        if not inp.tokens:
+            raise ValueError("cannot encode an empty sentence")
+        for name in sorted(self.feature_vocabs):
+            if name not in inp.features:
+                raise ValueError(f"missing feature column {name!r}")
+
     def embed_tokens(self, inputs: EncoderInput | list[EncoderInput]) -> Tensor:
         """The embedded tokens of one sentence, ``(n, d)``, or of a batch,
         ``(B, n, d)`` with ``n`` the longest sentence and the shorter ones
@@ -104,8 +113,6 @@ class Encoder(nn.Module):
             self.pos_emb(ids(lambda inp: inp.pos, self.pos_vocab)),
         ]
         for name in sorted(self.feature_vocabs):
-            if any(name not in inp.features for inp in batch):
-                raise ValueError(f"missing feature column {name!r}")
             parts.append(self.feature_embs[name](
                 ids(lambda inp: inp.features[name], self.feature_vocabs[name])))
         out = ad.concat(parts, axis=1)
@@ -130,8 +137,8 @@ class Encoder(nn.Module):
         """
         single = isinstance(inputs, EncoderInput)
         batch = [inputs] if single else inputs
-        if any(not inp.tokens for inp in batch):
-            raise ValueError("cannot encode an empty sentence")
+        for inp in batch:
+            self.check(inp)
         if masks is None and train and self.config.dropout > 0.0:
             if rng is None:
                 raise ValueError("dropout in train mode needs an explicit rng")

@@ -5,24 +5,33 @@ construction: the source pointer can only address previously emitted
 nodes (or ROOT), so no spanning-tree repair is ever needed and decoding
 runs in one pass over the output relations.
 
-There is one decode loop.  Beam search expands every hypothesis in the
-beam each step: one ``Decoder.predict_target`` call scores the next
-target of every hypothesis as matrix rows, the top-K target-node
-candidates of each are taken, EOS moves a hypothesis to the finished pool
-(with no score contribution), and the rest become (hypothesis, target)
-expansions.  One ``Decoder.expand`` call feeds all of a step's expansions
-as matrix rows and scores every (source, relation type) pair of each, so
-the step's scores are one (expansion, source, type) array.  The global
-top-K of those scores, ties broken by arrival order, forms the next beam,
-and only its K members are built as decoder states and objects.  Greedy
-search is this loop at width 1: argmax target, then argmax (source,
-type), with ties going to the lowest index.
+There is one decode loop, over a list of sentences of equal token count
+whose beams run in lockstep; one sentence is the one-entry case.  The
+sentences are encoded by one ``Encoder.encode`` call.  Each step, one
+``Decoder.predict_target`` call scores the next target of every open
+hypothesis of every sentence as matrix rows, each row reading its own
+sentence's encoder rows.  The top-K target-node candidates of each
+hypothesis are taken; EOS moves a hypothesis to its sentence's finished
+pool (with no score contribution), and the rest become (hypothesis,
+target) expansions.  One ``Decoder.expand`` call feeds all of the step's
+expansions as matrix rows and scores every (source, relation type) pair
+of each, so the step's scores are one (expansion, source, type) array.
+Each sentence's top-K of its own block of those scores, ties broken by
+arrival order, forms its next beam, and only the K members are built as
+decoder states and objects.  A sentence retires when its beam empties or
+at its own ``max_len``.  Every row of both decoder calls is bit-equal to
+that row alone, so a sentence decodes bit for bit as it does alone.
+Greedy search is this loop at width 1: argmax target, then argmax
+(source, type), with ties going to the lowest index.
+
+``decode_batch`` groups many sentences by token count and runs each
+group, in pieces of at most ``MAX_LOCKSTEP`` sentences, through the loop.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,16 +73,20 @@ class DecodeResult:
 
 
 def _slot_info(model: TransducerModel, out, tokens: list[str], pos_tags: list[str],
-               slot: int) -> NodeRecord:
-    """Interpret a position of the mixed target distribution."""
+               slot: int, row: int | None = None) -> NodeRecord:
+    """Interpret a position of the mixed target distribution of ``out``, a
+    one-row ``StepOutput``, or of its row ``row`` if it holds rows."""
     v, n_enc = out.vocab_size, out.n_enc
+    fresh, dec_records = out.fresh_index, out.dec_records
+    if row is not None:
+        fresh, dec_records = fresh[row], dec_records[row]
     if slot < v:
         label = model.vocabs.dec_word.token(slot)
-        return NodeRecord(label, out.fresh_index, UNK_LABEL, ORIGIN_VOCAB)
+        return NodeRecord(label, fresh, UNK_LABEL, ORIGIN_VOCAB)
     if slot < v + n_enc:
         t = slot - v
-        return NodeRecord(tokens[t], out.fresh_index, pos_tags[t], ORIGIN_ENC, (t,))
-    rec = out.dec_records[slot - v - n_enc]
+        return NodeRecord(tokens[t], fresh, pos_tags[t], ORIGIN_ENC, (t,))
+    rec = dec_records[slot - v - n_enc]
     return NodeRecord(rec.label, rec.index, rec.pos, ORIGIN_DEC, rec.anchors)
 
 
@@ -108,49 +121,98 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
 
 
-def _search(model: TransducerModel, enc_input: EncoderInput, beam_size: int,
-            max_len: int) -> DecodeResult:
-    """The decode loop behind both ``greedy_decode`` and ``beam_decode``."""
+# The most sentences one decode loop runs in lockstep.  A step's arrays grow
+# with its rows: at beam 5 and paper-default dims each (expansion, source,
+# type) array holds 2.3 MB per sentence by step 110.  What a sentence saves
+# levels off: at criterion-08 dims, 32 five-token sentences decoded for 20
+# steps took 18.3 ms each one at a time, 4.1 ms at 16 and 3.7 ms at 32
+# (greedy), and 44.5, 34.6 and 33.6 ms at beam 5 (one BLAS thread).
+MAX_LOCKSTEP = 16
+
+
+@dataclass
+class _Sentence:
+    """One sentence's search state in the lockstep loop."""
+
+    row: int  # in the encoded batch
+    enc_input: EncoderInput
+    max_len: int
+    beam: list[Hypothesis]
+    finished: list[Hypothesis] = field(default_factory=list)
+    total_steps: int = 0
+
+    def result(self) -> DecodeResult:
+        finished = self.finished + [replace(h, state=None, truncated=True) for h in self.beam]
+        if not finished:
+            return DecodeResult(RelationSequence((), eos=True), 0.0, 0, self.total_steps, False)
+        best = max(enumerate(finished), key=lambda kv: (kv[1].score, -kv[0]))[1]
+        seq = RelationSequence(best.relations, eos=not best.truncated, truncated=best.truncated)
+        pool = [(h.relations, h.score) for h in finished]
+        return DecodeResult(seq, best.score, len(best.relations), self.total_steps,
+                            best.truncated, pool=pool)
+
+
+def _check_search(beam_size: int, max_lens) -> None:
     if beam_size < 1:
         raise ValueError("beam size must be at least 1")
-    if max_len < 1:
+    if any(max_len < 1 for max_len in max_lens):
         raise ValueError("max_len must be at least 1")
+
+
+def _search(model: TransducerModel, enc_inputs: list[EncoderInput], beam_size: int,
+            max_lens: list[int]) -> list[DecodeResult]:
+    """The decode loop behind ``greedy_decode``, ``beam_decode`` and
+    ``decode_batch``: the beams of sentences of equal token count in
+    lockstep (see the module docstring)."""
+    _check_search(beam_size, max_lens)
     dec = model.decoder
     eos_id = model.vocabs.dec_word.id(EOS_LABEL)
     n_types = len(model.vocabs.rel)
-    enc = model.encoder.encode(enc_input)
-    init = Hypothesis((), 0.0, dec.initial_state(enc), BOS_INPUT)
-    beam: list[Hypothesis] = [init]
-    finished: list[Hypothesis] = []
-    total_steps = 0
+    enc = model.encoder.encode(list(enc_inputs))
+    memo: dict = {}  # label vectors, shared by every sentence's states
+    sents = [_Sentence(s, inp, max_len, [Hypothesis(
+        (), 0.0, replace(dec.initial_state(enc, s), label_memo=memo), BOS_INPUT)])
+        for s, (inp, max_len) in enumerate(zip(enc_inputs, max_lens))]
 
-    for _ in range(max_len):
-        if not beam:
+    for step in range(max(max_lens)):
+        live = [s for s in sents if s.beam and step < s.max_len]
+        if not live:
             break
+        hyps = [hyp for s in live for hyp in s.beam]
+        outs, fed = dec.predict_target(enc, [hyp.state for hyp in hyps],
+                                       [hyp.rel_in for hyp in hyps],
+                                       enc_rows=[s.row for s in live for _ in s.beam])
         # the (hypothesis, target) expansions of this step, in arrival order
+        # within each sentence's block of rows
         owners: list[Hypothesis] = []
         parents: list[DecoderState] = []
         records: list[NodeRecord] = []
         heads: list[float] = []  # hypothesis score + log P(target)
-        outs, fed = dec.predict_target(enc, [hyp.state for hyp in beam],
-                                       [hyp.rel_in for hyp in beam])
-        total_steps += len(beam)
-        for b, hyp in enumerate(beam):
-            out = outs.row(b)
-            p = out.p_target.data
-            for slot in _top_k(p, beam_size):
-                slot = int(slot)
-                if slot == eos_id:
-                    # per the search over relations, EOS closes the
-                    # hypothesis without a score update
-                    finished.append(Hypothesis(hyp.relations, hyp.score, None, hyp.rel_in))
-                    continue
-                owners.append(hyp)
-                parents.append(fed[b])
-                records.append(_slot_info(model, out, enc_input.tokens, enc_input.pos, slot))
-                heads.append(hyp.score + float(np.log(p[slot])))
+        blocks: list[tuple[_Sentence, int, int]] = []
+        b = 0
+        for sent in live:
+            sent.total_steps += len(sent.beam)
+            lo = len(records)
+            tokens, pos = sent.enc_input.tokens, sent.enc_input.pos
+            for hyp in sent.beam:
+                p = outs.p_target.data[b]
+                for slot in _top_k(p, beam_size):
+                    slot = int(slot)
+                    if slot == eos_id:
+                        # per the search over relations, EOS closes the
+                        # hypothesis without a score update
+                        sent.finished.append(Hypothesis(hyp.relations, hyp.score, None,
+                                                        hyp.rel_in))
+                        continue
+                    owners.append(hyp)
+                    parents.append(fed[b])
+                    records.append(_slot_info(model, outs, tokens, pos, slot, b))
+                    heads.append(hyp.score + float(np.log(p[slot])))
+                b += 1
+            blocks.append((sent, lo, len(records)))
         if not records:
-            beam = []
+            for sent in live:
+                sent.beam = []
             break
         exp = dec.expand(parents, records)
         # scores by (expansion, source, type).  Keep this addition order: it
@@ -159,36 +221,29 @@ def _search(model: TransducerModel, enc_input: EncoderInput, beam_size: int,
         with np.errstate(divide="ignore"):  # zero probability -> -inf
             scores = ((np.array(heads)[:, None] + np.log(exp.p_source))[:, :, None]
                       + np.log(exp.p_relation))
-        # candidates in arrival order; drops the masked ROOT position
-        cand_e, cand_j = np.nonzero(exp.p_source)
-        flat = scores[cand_e, cand_j].ravel()
-        states: dict[int, DecoderState] = {}  # built for survivors only
-        beam = []
-        for i in _top_k(flat, beam_size):
-            row, r_id = divmod(int(i), n_types)
-            e, j = int(cand_e[row]), int(cand_j[row])
-            if e not in states:
-                states[e] = exp.state(e)
-            state2, record = states[e], records[e]
-            rel = model.vocabs.rel.token(r_id)
-            u_label, u_index = _source_of(state2, j)
-            relation = Relation(u_label, u_index, rel, record.label, record.index,
-                                record.anchors)
-            beam.append(Hypothesis(
-                owners[e].relations + (relation,), float(flat[i]), state2,
-                RelationInput(u_label, u_index, state2.node_pos(j), rel),
-            ))
+        for sent, lo, hi in blocks:
+            # candidates in arrival order; drops the masked ROOT position
+            cand_e, cand_j = np.nonzero(exp.p_source[lo:hi])
+            flat = scores[lo:hi][cand_e, cand_j].ravel()
+            states: dict[int, DecoderState] = {}  # built for survivors only
+            sent.beam = []
+            for i in _top_k(flat, beam_size):
+                row, r_id = divmod(int(i), n_types)
+                e, j = lo + int(cand_e[row]), int(cand_j[row])
+                if e not in states:
+                    states[e] = exp.state(e)
+                state2, record = states[e], records[e]
+                rel = model.vocabs.rel.token(r_id)
+                u_label, u_index = _source_of(state2, j)
+                relation = Relation(u_label, u_index, rel, record.label, record.index,
+                                    record.anchors)
+                sent.beam.append(Hypothesis(
+                    owners[e].relations + (relation,), float(flat[i]), state2,
+                    RelationInput(u_label, u_index, state2.node_pos(j), rel),
+                ))
 
-    for hyp in beam:  # flush hypotheses still open at max length
-        finished.append(Hypothesis(hyp.relations, hyp.score, None, hyp.rel_in, truncated=True))
-
-    if not finished:
-        return DecodeResult(RelationSequence((), eos=True), 0.0, 0, total_steps, False)
-    best = max(enumerate(finished), key=lambda kv: (kv[1].score, -kv[0]))[1]
-    seq = RelationSequence(best.relations, eos=not best.truncated, truncated=best.truncated)
-    pool = [(h.relations, h.score) for h in finished]
-    return DecodeResult(seq, best.score, len(best.relations), total_steps, best.truncated,
-                        pool=pool)
+    # hypotheses still open at max length are flushed as truncated
+    return [sent.result() for sent in sents]
 
 
 # Two names for the one search, each calling it directly rather than the
@@ -197,13 +252,40 @@ def _search(model: TransducerModel, enc_input: EncoderInput, beam_size: int,
 def greedy_decode(model: TransducerModel, enc_input: EncoderInput,
                   max_len: int = 100) -> DecodeResult:
     """Argmax target, then argmax (source, type): beam search of width 1."""
-    return _search(model, enc_input, 1, max_len)
+    return _search(model, [enc_input], 1, [max_len])[0]
 
 
 def beam_decode(model: TransducerModel, enc_input: EncoderInput, beam_size: int = 5,
                 max_len: int = 100) -> DecodeResult:
     """Beam search over full relations (target, source, type jointly)."""
-    return _search(model, enc_input, beam_size, max_len)
+    return _search(model, [enc_input], beam_size, [max_len])[0]
+
+
+def decode_batch(model: TransducerModel, inputs: list[EncoderInput], beam_size: int,
+                 max_lens: list[int]) -> list[DecodeResult]:
+    """Decode ``inputs[i]`` with a beam of ``beam_size`` (1 is greedy) and
+    at most ``max_lens[i]`` steps, for every ``i``; the results come in
+    input order, each bit-identical to decoding that sentence alone.
+
+    Sentences of equal token count are decoded in lockstep, at most
+    ``MAX_LOCKSTEP`` at a time, so attention, coverage and encoder rows need
+    no padding.  Every argument is checked before the first decode.
+    """
+    if len(max_lens) != len(inputs):
+        raise ValueError(f"{len(max_lens)} max_lens for {len(inputs)} inputs")
+    _check_search(beam_size, max_lens)
+    groups: dict[int, list[int]] = {}
+    for i, inp in enumerate(inputs):
+        groups.setdefault(len(inp.tokens), []).append(i)
+    results: list[DecodeResult | None] = [None] * len(inputs)
+    for group in groups.values():
+        for lo in range(0, len(group), MAX_LOCKSTEP):
+            part = group[lo : lo + MAX_LOCKSTEP]
+            decoded = _search(model, [inputs[i] for i in part], beam_size,
+                              [max_lens[i] for i in part])
+            for i, result in zip(part, decoded):
+                results[i] = result
+    return results
 
 
 def _empty_graph(framework: Framework) -> SemanticGraph:
@@ -216,21 +298,27 @@ def _empty_graph(framework: Framework) -> SemanticGraph:
     return SemanticGraph(Framework.UCCA, (node,), (), ("n1",))
 
 
-def parse(model: TransducerModel, enc_input: EncoderInput, *, beam_size: int = 1,
-          max_len: int = 100, framework: Framework | None = None) -> SemanticGraph:
-    """Decode with a beam of ``beam_size`` (1 is greedy) and convert back to
-    a framework graph.
+def to_graph(model: TransducerModel, sequence: RelationSequence,
+             framework: Framework | None = None) -> SemanticGraph:
+    """A decoded relation sequence as a framework graph: the framework's
+    empty graph for no relations, with AMR senses restored.
 
     ``framework`` overrides the model's own tag, which matters for models
     trained on mixed-framework corpora.
     """
     target = framework if framework is not None else model.framework
-    result = beam_decode(model, enc_input, beam_size=beam_size, max_len=max_len)
-    if not result.sequence.relations:
+    if not sequence.relations:
         return _empty_graph(target)
-    arbor = relations_to_arbor(result.sequence)
-    graph = from_arbor(arbor, target)
+    graph = from_arbor(relations_to_arbor(sequence), target)
     if target == Framework.AMR and model.sense_counts:
         counts = {k: Counter(v) for k, v in model.sense_counts.items()}
         graph = amr_restore_senses(graph, counts)
     return graph
+
+
+def parse(model: TransducerModel, enc_input: EncoderInput, *, beam_size: int = 1,
+          max_len: int = 100, framework: Framework | None = None) -> SemanticGraph:
+    """Decode with a beam of ``beam_size`` (1 is greedy) and convert back to
+    a framework graph (``to_graph``)."""
+    result = beam_decode(model, enc_input, beam_size=beam_size, max_len=max_len)
+    return to_graph(model, result.sequence, framework)

@@ -126,8 +126,9 @@ class Biaffine(Module):
     ``(m, n, dim2)`` stack), giving ``(m, n)``; or query rows against one
     shared candidate matrix ``(n, dim2)``, giving ``(m, n)``, and a stack of
     such pairs ``(s, m, dim1)`` and ``(s, n, dim2)``, giving ``(s, m, n)``.
-    The matrix forms project all queries by one gemm, so a row agrees with
-    the one query alone to rounding, not bit for bit."""
+    The rows form projects each query by its own product, so a row is
+    bit-equal to the one query alone; the shared-candidates form projects
+    all queries by one gemm, so a row agrees with it to rounding."""
 
     def __init__(self, rng, dim1: int, dim2: int):
         super().__init__()
@@ -160,11 +161,14 @@ class Biaffine(Module):
             q2 = ad.reshape(ad.matmul(x2, ad.reshape(w2, (d2, 1))), lead + (n,))
             lin = ad.add(ad.transpose(ad.repeat_rows(q1, n)), ad.repeat_rows(q2, m))
         else:
+            # each query row is a one-row matrix of a stack, so it takes the
+            # one form's vector products
             m, n = x2.shape[0], x2.shape[1]
-            qu = ad.reshape(ad.matmul(x1, self.u), (m, d2, 1))
+            q = ad.reshape(x1, (m, 1, d1))
+            qu = ad.reshape(ad.matmul(q, self.u), (m, d2, 1))
             bil = ad.reshape(ad.matmul(x2, qu), (m, n))
             lin = ad.add(ad.reshape(ad.matmul(x2, ad.reshape(w2, (d2, 1))), (m, n)),
-                         ad.transpose(ad.repeat_rows(ad.matmul(x1, w1), n)))
+                         ad.reshape(ad.matmul(q, ad.reshape(w1, (d1, 1))), (m, 1)))
         return ad.add(lin, ad.add(bil, self.b))
 
 
@@ -176,9 +180,10 @@ class Bilinear(Module):
     different orders (gemv and gemm), so a row of the matrix form can
     differ from the vector form in the last bits.  With query rows ``x2``
     of shape ``(q, dim2)``, ``x1`` is a ``(q, m, dim1)`` stack, one matrix
-    per query, giving ``(q, m, k)``; the queries are projected by one gemm,
-    so each query's block agrees with the matrix form for that query alone
-    to rounding.
+    per query, giving ``(q, m, k)``.  The queries are projected by one
+    gemm, so each query's block agrees with the matrix form for that query
+    alone to rounding; with ``per_row`` each query is its own product and
+    its block is bit-equal to it.
     """
 
     def __init__(self, rng, dim1: int, dim2: int, classes: int):
@@ -187,7 +192,7 @@ class Bilinear(Module):
         self.u = self.register("u", xavier_uniform(rng, (classes, dim1, dim2)))
         self.b = self.register("b", np.zeros(classes))
 
-    def __call__(self, x1: Tensor, x2: Tensor) -> Tensor:
+    def __call__(self, x1: Tensor, x2: Tensor, per_row: bool = False) -> Tensor:
         k, d1, d2 = self.classes, self.dim1, self.dim2
         one = x1.ndim in (1, 2) and x2.shape == (d2,)
         rows = (x1.ndim == 3 and x2.ndim == 2 and x2.shape[1] == d2
@@ -198,7 +203,10 @@ class Bilinear(Module):
                 f"expected ({d1},) or (m, {d1}) and ({d2},), or (q, m, {d1}) and (q, {d2})"
             )
         flat = ad.reshape(self.u, (k * d1, d2))
-        if rows:
+        if rows and per_row:
+            q = x2.shape[0]
+            t = ad.reshape(ad.matmul(flat, ad.reshape(x2, (q, d2, 1))), (q, k, d1))
+        elif rows:
             q = x2.shape[0]
             t = ad.reshape(ad.transpose(ad.matmul(flat, ad.transpose(x2))), (q, k, d1))
         else:
@@ -226,7 +234,8 @@ class Embedding(Module):
 
 class LstmCell(Module):
     """Single LSTM step on vectors, or on rows of independent cells (see
-    ``autodiff.lstm_cell`` for ``state_rows``), or a whole recurrence over
+    ``autodiff.lstm_cell`` for ``state_rows`` and ``input_rows``), or a
+    whole recurrence over
     the rows of a matrix, or over B padded sequences (``layer``); gate
     order i, f, g, o; forget bias 1."""
 
@@ -240,9 +249,10 @@ class LstmCell(Module):
         self.b = self.register("b", bias)
 
     def __call__(self, x: Tensor, state: tuple[Tensor, Tensor],
-                 state_rows=None) -> tuple[Tensor, Tensor]:
+                 state_rows=None, input_rows=None) -> tuple[Tensor, Tensor]:
         h_prev, c_prev = state
-        return ad.lstm_cell(x, h_prev, c_prev, self.w_ih, self.w_hh, self.b, state_rows)
+        return ad.lstm_cell(x, h_prev, c_prev, self.w_ih, self.w_hh, self.b, state_rows,
+                            input_rows)
 
     def layer(self, x: Tensor, state: tuple[Tensor, Tensor] | None = None,
               reverse: bool = False, lengths=None) -> Tensor:

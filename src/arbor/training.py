@@ -34,8 +34,8 @@ step's relation-state mask, then its LSTM layer masks), then its EOS
 step's relation-state mask.  So each sentence's loss equals the stepwise
 loss of the decoder's ``predict_target``/``feed_target`` on that sentence
 alone to rounding, dropout included, and the generator ends where running
-the sentences one by one leaves it.  Inference keeps the stepwise vector
-forms and ``Decoder.expand``.
+the sentences one by one leaves it.  Inference keeps the stepwise
+``Decoder.predict_target`` and ``Decoder.expand``.
 """
 
 from __future__ import annotations
@@ -369,6 +369,9 @@ class AdamState:
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        # the update's two temporaries for every parameter, each row as long
+        # as the largest parameter
+        self.scratch = np.empty((2, 0))
 
 
 def grad_norm(params: dict[str, Tensor]) -> float:
@@ -406,6 +409,11 @@ def adam_step(
 ) -> None:
     """Bias-corrected Adam update in place; missing grads are treated as 0.
 
+    The update is ``m = beta1 m + (1 - beta1) g``, ``v = beta2 v + (1 -
+    beta2) g g`` and ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, each
+    evaluated in that order with its temporaries written into
+    ``opt.scratch``, one buffer for all parameters.
+
     Every gradient is checked before any state changes: a non-finite one
     raises ``FloatingPointError`` and leaves the parameters and ``opt`` as
     they were.
@@ -416,6 +424,9 @@ def adam_step(
     opt.t += 1
     bc1 = 1.0 - beta1 ** opt.t
     bc2 = 1.0 - beta2 ** opt.t
+    size = max((p.size for p in params.values() if p.grad is not None), default=0)
+    if opt.scratch.shape[1] < size:
+        opt.scratch = np.empty((2, size))
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -424,11 +435,15 @@ def adam_step(
         if m is None:
             m = opt.m[name] = np.zeros_like(p.data)
             v = opt.v[name] = np.zeros_like(p.data)
+        a, b = (row[: p.size].reshape(p.shape) for row in opt.scratch)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(1.0 - beta1, g, out=a)
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        np.multiply(1.0 - beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), eps, out=b)
+        p.data -= np.divide(a, b, out=a)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +523,9 @@ def train(
     and copying a node over all prediction steps (``switch_generate``,
     ``switch_token_copy``, ``switch_node_copy``), and ``relations_per_s``,
     the prediction steps (relations and EOS steps) trained per second of
-    the epoch's batches, the dev decode excluded.
+    the epoch's batches, the dev decode excluded, and ``dev_decode_s``, the
+    seconds of the epoch's dev decode.  The dev sentences are decoded
+    greedily by ``inference.decode_batch``, equal-length ones in lockstep.
 
     Every pair is checked before the first batch: a sentence with no
     tokens, or a training reference whose source does not resolve, raises
@@ -518,7 +535,7 @@ def train(
         raise ValueError("empty training corpus")
     _check_pairs(train_pairs, "training", references=True)
     _check_pairs(dev_pairs, "dev", references=False)
-    from .inference import greedy_decode  # local import; inference is decode-only
+    from .inference import decode_batch  # local import; inference is decode-only
 
     params = model.parameters()
     opt = AdamState()
@@ -561,10 +578,11 @@ def train(
                 adam_step(params, opt, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
             train_seconds = time.perf_counter() - started
 
-            preds = [
-                greedy_decode(model, inp, max_len=2 * len(ref.relations) + 8).sequence
-                for inp, ref in dev_pairs
-            ]
+            decode_started = time.perf_counter()
+            preds = [result.sequence for result in decode_batch(
+                model, [inp for inp, _ in dev_pairs], 1,
+                [2 * len(ref.relations) + 8 for _, ref in dev_pairs])]
+            dev_decode_s = time.perf_counter() - decode_started
             dev_f1 = relation_f1([r for _, r in dev_pairs], preds).f1
 
             entry = {
@@ -582,6 +600,7 @@ def train(
                 **dict(zip(("switch_generate", "switch_token_copy", "switch_node_copy"),
                            (switch / max(steps, 1)).tolist())),
                 "relations_per_s": steps / train_seconds,
+                "dev_decode_s": dev_decode_s,
             }
             history.append(entry)
             if log_fh:

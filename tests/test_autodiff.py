@@ -404,6 +404,37 @@ class TestFusedOps:
         with pytest.raises(ShapeError, match="lstm_cell"):  # one state row per input row
             ad.lstm_cell(x, h, c, w_ih, w_hh, b, state_rows[:-1])
 
+    def test_lstm_cell_input_rows(self):
+        # rows reading shared inputs (and continuing shared states) equal the
+        # rows form on the inputs repeated per row; gradients sum into the
+        # shared inputs
+        rng = np.random.default_rng(6)
+        n_in, hid = 3, 4
+        input_rows, state_rows = np.array([1, 0, 1, 1, 2, 0]), np.array([0, 1, 1, 0, 1, 1])
+        x = t(rng.standard_normal((3, n_in)))
+        h, c = (t(rng.standard_normal((2, hid))) for _ in range(2))
+        w_ih = t(0.5 * rng.standard_normal((4 * hid, n_in)))
+        w_hh = t(0.5 * rng.standard_normal((4 * hid, hid)))
+        b = t(rng.standard_normal(4 * hid))
+        shared = ad.lstm_cell(x, h, c, w_ih, w_hh, b, state_rows, input_rows)
+        repeated = ad.lstm_cell(Tensor(x.data[input_rows]), Tensor(h.data[state_rows]),
+                                Tensor(c.data[state_rows]), w_ih, w_hh, b)
+        for got, want in zip(shared, repeated):
+            assert np.array_equal(got.data, want.data)
+        wh, wc = (ad.constant(rng.standard_normal((len(input_rows), hid))) for _ in range(2))
+
+        def build():
+            h_new, c_new = ad.lstm_cell(x, h, c, w_ih, w_hh, b, state_rows, input_rows)
+            return ad.sum_all(ad.add(ad.mul(h_new, wh), ad.mul(c_new, wc)))
+
+        params = [("x", x), ("h", h), ("c", c), ("w_ih", w_ih), ("w_hh", w_hh), ("b", b)]
+        check_op(build, params, coords=60, seed=6)
+        with pytest.raises(ShapeError, match="lstm_cell"):  # one state row per output row
+            ad.lstm_cell(x, h, c, w_ih, w_hh, b, state_rows[:-1], input_rows)
+        with pytest.raises(ShapeError, match="lstm_cell"):  # rows form only
+            ad.lstm_cell(t(np.ones(n_in)), t(np.ones(hid)), t(np.ones(hid)), w_ih, w_hh, b,
+                         input_rows=[0])
+
     def test_lstm_cell_rejects_mismatched_shapes(self):
         x, h, c = t(np.ones(3)), t(np.ones(2)), t(np.ones(2))
         with pytest.raises(ShapeError, match="lstm_cell"):

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 import arbor
-from arbor.cli import main
+from arbor import cli
+from arbor.cli import _write_graph, main
 from arbor.formats import (
     arbor_from_json,
     read_canonical,
@@ -17,6 +19,8 @@ from arbor.formats import (
     write_canonical,
 )
 from arbor.graph import Framework, graph_isomorphic
+from arbor.inference import parse
+from arbor.model import TransducerModel, encoder_input_from_record
 
 from conftest import synthetic_corpus
 
@@ -366,6 +370,34 @@ class TestTrainParseEvalBench:
         assert [r.id for r in written] == [records[0].id, records[2].id]
         assert "record empty-one: cannot encode an empty sentence" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("search, chunk", [(["--greedy"], 1024), (["--beam", "3"], 1024),
+                                               (["--greedy"], 4)])
+    def test_parse_batch_equals_per_record_parse(self, trained, tmp_path, monkeypatch,
+                                                 search, chunk):
+        """Records of 3, 4 and 5 tokens, several of each, with a bad one in
+        the middle: the batched decode writes what ``inference.parse`` gives
+        for each good record alone, in input order, also when the records
+        are decoded in several chunks."""
+        monkeypatch.setattr(cli, "PARSE_CHUNK", chunk)
+        ckpt, _, records = trained
+        empty = dataclasses.replace(records[1], id="empty-one", tokens=[], pos=[])
+        chosen = records[9:14] + [empty] + records[22:27]
+        assert len({len(r.tokens) for r in chosen}) == 4
+        sentences = tmp_path / "sents.jsonl"
+        write_corpus(sentences, chosen)
+        out = tmp_path / "parsed.jsonl"
+        assert main(["parse", "--model", str(ckpt), "--input", str(sentences),
+                     "--output", str(out), *search]) == 1
+        model = TransducerModel.load(ckpt)
+        expected = io.StringIO()
+        for r in chosen:
+            if r.tokens:
+                graph = parse(model, encoder_input_from_record(r),
+                              beam_size=1 if search == ["--greedy"] else 3,
+                              max_len=2 * len(r.tokens) + 10)
+                _write_graph(expected, r.id, graph, "canonical", r.tokens, r.pos)
+        assert out.read_text() == expected.getvalue()
 
     def test_train_rejects_empty_sentence(self, corpus_files, tmp_path):
         _, _, records = corpus_files

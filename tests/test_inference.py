@@ -12,8 +12,12 @@ from arbor.graph import (
     RelationSequence,
     validate_arborescence,
 )
+from arbor import inference
+from arbor.decoder import Decoder
+from arbor.encoder import Encoder
 from arbor.inference import (
     beam_decode,
+    decode_batch,
     greedy_decode,
     parse,
     _slot_info,
@@ -25,6 +29,7 @@ from arbor.model import ModelConfig, TransducerModel, Vocabularies
 from arbor.vocab import NODE_RESERVED, RELATION_RESERVED, Vocab
 
 from conftest import build_tiny_model, make_inputs
+from test_model import SMALL_DIMS
 
 
 def micro_model(seed: int) -> TransducerModel:
@@ -494,3 +499,140 @@ class TestExpand:
                     rel_ins.append(RelationInput(u_label, u_index, fed.node_pos(int(j)),
                                                  model.vocabs.rel.token(int(r_id))))
         assert copies > 0
+
+
+def assert_bits(a, b):
+    assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def lockstep_model(dims: str, seed: int):
+    """A tiny or criterion-08 model whose EOS bias ends some decodes early
+    while others run to their limit."""
+    model = build_tiny_model(seed=seed, **(SMALL_DIMS if dims == "criterion-08" else {}))
+    model.decoder.ffn_vocab.b.data[model.vocabs.dec_word.id(EOS_LABEL)] += 2.0
+    return model
+
+
+def decode_alone(model, inp, beam_size, max_len):
+    if beam_size == 1:
+        return greedy_decode(model, inp, max_len=max_len)
+    return beam_decode(model, inp, beam_size=beam_size, max_len=max_len)
+
+
+class TestDecodeBatch:
+    """``decode_batch`` runs the beams of equal-length sentences in
+    lockstep; every sentence must decode bit for bit as it does alone."""
+
+    # token counts in no order, with several sentences of each count
+    LENGTHS = (3, 1, 4, 3, 2, 4, 3, 1, 3, 4, 3)
+
+    @pytest.mark.parametrize("beam_size", [1, 5])
+    @pytest.mark.parametrize("dims", ["tiny", "criterion-08"])
+    def test_each_sentence_equals_its_decode_alone(self, dims, beam_size):
+        model = lockstep_model(dims, seed=919)
+        rng = np.random.default_rng(11)
+        inputs = [make_inputs(rng, n) for n in self.LENGTHS]
+        max_lens = [int(m) for m in rng.integers(2, 10, size=len(inputs))]
+        results = decode_batch(model, inputs, beam_size, max_lens)
+        assert len(results) == len(inputs)
+        for inp, max_len, got in zip(inputs, max_lens, results):
+            assert_same_decode(got, decode_alone(model, inp, beam_size, max_len))
+        # some sentence closed by EOS before a sentence of its length stopped
+        assert any(not a.truncated and a.total_steps < b.total_steps
+                   and len(x.tokens) == len(y.tokens)
+                   for x, a in zip(inputs, results) for y, b in zip(inputs, results))
+
+    @pytest.mark.parametrize("beam_size", [1, 5])
+    def test_tie_model(self, beam_size):
+        model = zero_scorers(build_tiny_model(seed=620))
+        rng = np.random.default_rng(20)
+        inputs = [make_inputs(rng, n) for n in (3, 3, 2, 3)]
+        max_lens = [5, 3, 5, 4]
+        results = decode_batch(model, inputs, beam_size, max_lens)
+        for inp, max_len, got in zip(inputs, max_lens, results):
+            assert_same_decode(got, decode_alone(model, inp, beam_size, max_len))
+
+    def test_groups_cut_at_the_lockstep_limit(self, monkeypatch):
+        model = lockstep_model("tiny", seed=911)
+        rng = np.random.default_rng(12)
+        inputs = [make_inputs(rng, 3) for _ in range(5)]
+        max_lens = [6, 2, 6, 4, 6]
+        whole = decode_batch(model, inputs, 2, max_lens)
+        monkeypatch.setattr(inference, "MAX_LOCKSTEP", 2)
+        for got, want in zip(decode_batch(model, inputs, 2, max_lens), whole):
+            assert_same_decode(got, want)
+
+    def test_one_call_per_group_and_step(self, monkeypatch):
+        model = lockstep_model("tiny", seed=912)
+        calls = {"encode": 0, "predict_target": 0, "expand": 0}
+        for cls, name in ((Encoder, "encode"), (Decoder, "predict_target"),
+                          (Decoder, "expand")):
+            def counted(*args, name=name, fn=getattr(cls, name), **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+        rng = np.random.default_rng(13)
+        inputs = [make_inputs(rng, n) for n in (2, 4, 2, 2, 4)]
+        results = decode_batch(model, inputs, 1, [7, 3, 7, 5, 7])
+        groups = ([results[0], results[2], results[3]], [results[1], results[4]])
+        assert calls["encode"] == len(groups)  # one per token count
+        # greedy: a sentence is live for total_steps steps and expands at
+        # all but an EOS step; each step of a group is one call of each
+        assert calls["predict_target"] == sum(max(r.total_steps for r in g) for g in groups)
+        assert calls["expand"] == sum(max(r.steps for r in g) for g in groups)
+        assert len({r.total_steps for r in results}) > 1
+
+    def test_arguments_checked_before_any_decode(self):
+        model = build_tiny_model(seed=913)
+        rng = np.random.default_rng(14)
+        inputs = [make_inputs(rng, 2), make_inputs(rng, 3)]
+        with pytest.raises(ValueError, match="max_len"):
+            decode_batch(model, inputs, 1, [4, 0])
+        with pytest.raises(ValueError, match="beam size"):
+            decode_batch(model, inputs, 0, [4, 4])
+        with pytest.raises(ValueError, match="max_lens"):
+            decode_batch(model, inputs, 1, [4])
+        assert decode_batch(model, [], 1, []) == []
+
+
+class TestExpandRows:
+    @pytest.mark.parametrize("dims", ["tiny", "criterion-08"])
+    def test_rows_bit_equal_to_each_expansion_alone(self, dims):
+        """Parents of three sentences after two steps, each with several
+        targets: every row of one ``expand`` call equals ``expand`` on that
+        row alone and ``feed_target`` + ``point_source`` +
+        ``relation_dist_all``, bit for bit."""
+        model = build_tiny_model(seed=914, **(SMALL_DIMS if dims == "criterion-08" else {}))
+        dec, eos_id = model.decoder, model.vocabs.dec_word.id(EOS_LABEL)
+        rng = np.random.default_rng(15)
+        inputs = [make_inputs(rng, 4) for _ in range(3)]
+        enc = model.encoder.encode(inputs)
+        states = [dec.initial_state(enc, s) for s in range(3)]
+        rel_ins = [BOS_INPUT] * 3
+        for step in range(3):
+            outs, fed = dec.predict_target(enc, states, rel_ins, enc_rows=[0, 1, 2])
+            parents, records = [], []
+            for b in range(3):
+                out = outs.row(b)
+                for slot in _top_k(out.p_target.data, 4):
+                    if slot != eos_id:
+                        parents.append(fed[b])
+                        records.append(_slot_info(model, out, inputs[b].tokens,
+                                                  inputs[b].pos, int(slot)))
+            exp = dec.expand(parents, records)
+            for e, (parent, record) in enumerate(zip(parents, records)):
+                alone = dec.expand([parent], [record])
+                one = dec.feed_target(parent, record)
+                assert_bits(exp.p_source[e], alone.p_source[0])
+                assert_bits(exp.p_relation[e], alone.p_relation[0])
+                assert_bits(exp.p_source[e], dec.point_source(one).data)
+                assert_bits(exp.p_relation[e], dec.relation_dist_all(one))
+                for (h, c), (h1, c1) in zip(exp.state(e).lstm, one.lstm):
+                    assert_bits(h.data, h1.data)
+                    assert_bits(c.data, c1.data)
+            # each sentence goes on from its first expansion, through ROOT
+            # and then the first node
+            firsts = [next(e for e, p in enumerate(parents) if p is fed[b]) for b in range(3)]
+            states = [exp.state(e) for e in firsts]
+            rel_ins = [RelationInput(*_source_of(s, min(step, 1)), s.node_pos(min(step, 1)),
+                                     model.vocabs.rel.token(0)) for s in states]

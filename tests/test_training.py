@@ -140,6 +140,45 @@ class TestAdam:
             x -= 0.01 * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
         assert p.data == pytest.approx(x, abs=1e-12)
 
+    def test_in_place_update_bit_equal_to_formula(self):
+        def formula_step(params, m, v, t, lr, beta1, beta2, eps):
+            """The allocating update the in-place one replaced."""
+            bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+            for name, p in params.items():
+                g = p.grad
+                if g is None:
+                    continue
+                if name not in m:
+                    m[name], v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+                m[name] *= beta1
+                m[name] += (1.0 - beta1) * g
+                v[name] *= beta2
+                v[name] += (1.0 - beta2) * g * g
+                p.data -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+        rng = np.random.default_rng(3)
+        shapes = {"w": (7, 5), "b": (7,), "s": (), "late": (3, 4), "never": (9,)}
+        ours = {k: Tensor(rng.standard_normal(s), requires_grad=True) for k, s in shapes.items()}
+        ref = {k: Tensor(t.data.copy(), requires_grad=True) for k, t in ours.items()}
+        state, m, v = AdamState(), {}, {}
+        for t in range(1, 7):
+            for name, shape in shapes.items():
+                # "late" gets its first gradient at step 3, "never" none
+                g = None if name == "never" or (name == "late" and t < 3) else \
+                    rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3)
+                ours[name].grad = ref[name].grad = g
+            adam_step(ours, state, lr=0.01, beta1=0.8, beta2=0.95, eps=1e-6)
+            formula_step(ref, m, v, t, 0.01, 0.8, 0.95, 1e-6)
+            assert state.m.keys() == m.keys() == state.v.keys()
+            assert ("late" in m) == (t >= 3) and "never" not in m
+            for name in shapes:
+                assert np.array_equal(ours[name].data, ref[name].data)
+            for name in m:
+                assert np.array_equal(state.m[name], m[name])
+                assert np.array_equal(state.v[name], v[name])
+        # one shared buffer pair, as long as the largest parameter
+        assert state.scratch.shape == (2, 35)
+
     def test_nan_gradient_aborts(self):
         p = Tensor(np.array(1.0), requires_grad=True)
         p.grad = np.array(np.nan)
@@ -358,6 +397,7 @@ class TestTrainLoop:
             "nll_u", "nll_r", "nll_v", "coverage",
             "grad_norm_mean", "grad_norm_max", "clipped_batches", "tape_records_per_batch",
             "switch_generate", "switch_token_copy", "switch_node_copy", "relations_per_s",
+            "dev_decode_s",
         }
 
     def test_switch_masses_sum_to_one(self, tmp_path):
