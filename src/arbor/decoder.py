@@ -174,9 +174,6 @@ class StepOutput:
             self.vocab_size, self.n_enc, self.n_dec, self.dec_records[b], self.fresh_index[b],
         )
 
-    def switch_values(self) -> tuple[float, float, float]:
-        return tuple(self.switch.data.tolist()) + (0.0,) * (3 - self.switch.shape[-1])
-
 
 class Decoder(nn.Module):
     def __init__(self, rng, config, word_vocab: Vocab, rel_vocab: Vocab,
@@ -478,18 +475,6 @@ class Decoder(nn.Module):
         decoding calls ``expand``."""
         tgt = self.mlp_rel_tgt(state.h)
         return ad.softmax(self.bilinear(state.rel_src_rows, tgt), axis=-1).data
-
-    # -- bookkeeping --------------------------------------------------------
-
-    def gold_support(self, out: StepOutput, label: str, tokens: list[str],
-                     index: int | None = None) -> list[int]:
-        """Positions of the mixed distribution that produce the gold node
-        (``gold_blocks`` as offsets into ``out.p_target``)."""
-        generate, token_copies, node_copies = gold_blocks(
-            label, tokens, out.dec_records, out.fresh_index, index)
-        return ([self.word_vocab.id(label)] * generate
-                + [out.vocab_size + t for t in token_copies]
-                + [out.vocab_size + out.n_enc + k for k in node_copies])
 
 
 def _distinct(items: list, key) -> tuple[list, np.ndarray]:

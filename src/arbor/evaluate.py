@@ -6,10 +6,13 @@ from it), so unanchored intermediate nodes are matched structurally.
 ``smatch_score`` compares AMR-style graphs under a variable mapping,
 either exhaustively (small graphs only) or by the hill climbing of
 reference Smatch: only compatible variable pairs (equal concept labels,
-or the same end of an equally labelled relation) are tried, the gain of
-each move or swap is read from a triple-weight table built once per pair
-of graphs, and the search runs from a label-matching start plus seeded
-random restarts at every graph size.
+or the same end of an equally labelled relation) are tried, and the
+search runs from a label-matching start plus seeded random restarts at
+every graph size.  The climb works on integer arrays: a triple-weight
+table built once per pair of graphs (a dense gold-by-pred array of the
+triples each pair matches alone, and sparse COO entries for the triples
+two pairs match together) gives every move and swap gain of a step in a
+few numpy calls.
 """
 
 from __future__ import annotations
@@ -160,8 +163,10 @@ def smatch_score(
       or at the same end of a relation with the same label; any other
       image matches no triple, so the pruning loses nothing;
     - a weight table built once per pair of graphs gives the triples each
-      compatible pair matches alone and with each other compatible pair,
-      so the gain of a move or swap costs O(degree);
+      compatible pair matches alone (a gold-by-pred integer array) and
+      with each other compatible pair (COO entries, one per pair of
+      equally labelled relation triples, so memory grows with the entries
+      and never with the square of the pair count);
     - the first start maps each gold variable to a free pred variable with
       its label, then the rest to any free compatible image; each of the
       ``SMATCH_RESTARTS`` further starts, drawn from ``seed``, maps the
@@ -169,15 +174,20 @@ def smatch_score(
     - from each start the search takes the best of all moves (a gold
       variable to a free compatible image) and swaps (two gold variables
       exchange images) until none gains, and the best end point is the
-      score.
+      score.  Each step sums the COO entries that the current mapping
+      satisfies into the matrix of what every pair would match, and reads
+      all move and swap gains from it at once; ties go to the first move
+      or swap in scan order, so the path is that of a scan over the pairs.
 
     The restart count is the constant ``SMATCH_RESTARTS`` = 4, as in
     reference Smatch.  On 400 random pairs of up to 8 variables the search
     then misses the exact optimum on 5 (by one or two matched triples), and
-    on none with 16 restarts, which take 3.4 times as long on the
+    on none with 16 restarts, which take about 3.4 times as long on the
     benchmark's pairs of 8 to 14 variables.  ``mode='exact'`` gives the
     optimum up to 10 variables.
     """
+    if mode not in ("exact", "hill_climb"):
+        raise ValueError(f"unknown smatch mode {mode!r}")
     parts_g = _smatch_parts(gold)
     parts_p = _smatch_parts(pred)
     gold_vars = sorted(parts_g[0])
@@ -204,134 +214,169 @@ def smatch_score(
                 best = max(best, _match_count(mapping, parts_g, parts_p, include_top))
         return F1Report.from_counts(best, gold_total, pred_total)
 
-    if mode != "hill_climb":
-        raise ValueError(f"unknown smatch mode {mode!r}")
-
     table = _weight_table(parts_g, parts_p, include_top)
-    candidates = {g: sorted(table[g]) for g in gold_vars}
     rng = random.Random(seed)
     best = 0
     for attempt in range(SMATCH_RESTARTS + 1):
-        mapping = _initial_mapping(candidates, parts_g, parts_p, rng, smart=attempt == 0)
-        best = max(best, _hill_climb(mapping, candidates, table))
+        mapping = _initial_mapping(table, rng, smart=attempt == 0)
+        best = max(best, _hill_climb(mapping, table))
         if best == min(gold_total, pred_total):
             break  # no mapping can match more
     return F1Report.from_counts(best, gold_total, pred_total)
 
 
-def _weight_table(parts_g, parts_p, include_top: bool):
+@dataclass
+class _WeightTable:
     """Triples matched by each compatible pair of variables.
 
-    ``table[g][p] = (own, neighbours)``: mapping gold ``g`` to pred ``p``
-    matches ``own`` instance, top and self-loop triples on its own, and
-    ``neighbours[(g2, p2)]`` relation triples more if gold ``g2`` maps to
-    pred ``p2``.  A pair absent from the table matches nothing.
+    Variables are indices in sorted-name order: gold variables are rows,
+    pred variables columns, and the extra last column ``n2`` stands for
+    "unmapped" and matches nothing.  Mapping gold ``g`` to pred ``p``
+    matches ``own[g, p]`` instance, top and self-loop triples on its own;
+    COO entry ``k`` says it matches ``w[k]`` relation triples more if gold
+    ``b[k]`` maps to pred ``d[k]``, where ``g, p = a[k], c[k]``.  Each pair
+    of relation triples is stored from both ends, and no entry joins a
+    variable to itself (``a != b`` and ``c != d``).  ``compatible`` marks
+    the pairs that match anything at all, ``candidates[g]`` and
+    ``labelled[g]`` list gold ``g``'s compatible and equal-concept images.
     """
+
+    own: np.ndarray  # (n1, n2 + 1) int64
+    compatible: np.ndarray  # (n1, n2 + 1) bool
+    a: np.ndarray
+    c: np.ndarray
+    b: np.ndarray
+    d: np.ndarray
+    w: np.ndarray
+    candidates: list[list[int]]
+    labelled: list[list[int]]
+
+
+def _weight_table(parts_g, parts_p, include_top: bool) -> _WeightTable:
     inst_g, rel_g, tops_g = parts_g
     inst_p, rel_p, tops_p = parts_p
-    own: Counter = Counter()
-    neighbours: dict[tuple[str, str], Counter] = {}
+    gold_vars, pred_vars = sorted(inst_g), sorted(inst_p)
+    n1, n2 = len(gold_vars), len(pred_vars)
+    gold_at = {v: k for k, v in enumerate(gold_vars)}
+    pred_at = {v: k for k, v in enumerate(pred_vars)}
 
-    pred_by_label: dict[str, list[str]] = {}
-    for p, label in inst_p.items():
-        pred_by_label.setdefault(label, []).append(p)
-    for g, label in inst_g.items():
-        for p in pred_by_label.get(label, ()):
-            own[g, p] += 1
+    concept: dict[str, int] = {}
+    gold_concepts = np.array([concept.setdefault(inst_g[v], len(concept)) for v in gold_vars])
+    pred_concepts = np.array([concept.setdefault(inst_p[v], len(concept)) for v in pred_vars])
+    same_label = np.zeros((n1, n2 + 1), dtype=bool)
+    same_label[:, :n2] = gold_concepts[:, None] == pred_concepts[None, :]
+    own = same_label.astype(np.int64)
     if include_top:
         for g, n in tops_g.items():
             for p, m in tops_p.items():
-                own[g, p] += min(n, m)
+                own[gold_at[g], pred_at[p]] += min(n, m)
 
-    pred_rels: dict[str, list[tuple[str, str, int]]] = {}
+    pred_rels: dict[str, list[tuple[int, int, int]]] = {}
     for (c, d), labels in rel_p.items():
         for label, m in labels.items():
-            pred_rels.setdefault(label, []).append((c, d, m))
+            pred_rels.setdefault(label, []).append((pred_at[c], pred_at[d], m))
+    entries: list[tuple[int, int, int, int, int]] = []
     for (a, b), labels in rel_g.items():
+        a, b = gold_at[a], gold_at[b]
         for label, n in labels.items():
             for c, d, m in pred_rels.get(label, ()):
                 if a == b and c == d:
                     own[a, c] += min(n, m)
                 elif a != b and c != d:  # an injective mapping never joins the two kinds
-                    neighbours.setdefault((a, c), Counter())[b, d] += min(n, m)
-                    neighbours.setdefault((b, d), Counter())[a, c] += min(n, m)
+                    entries += [(a, c, b, d, min(n, m)), (b, d, a, c, min(n, m))]
 
-    table: dict[str, dict[str, tuple[int, Counter]]] = {g: {} for g in inst_g}
-    for g, p in own.keys() | neighbours.keys():
-        table[g][p] = (own[g, p], neighbours.get((g, p), Counter()))
-    return table
+    a, c, b, d, w = np.array(entries, dtype=np.int64).reshape(-1, 5).T
+    compatible = own > 0
+    compatible[a, c] = True
+    return _WeightTable(own, compatible, a, c, b, d, w,
+                        candidates=[np.flatnonzero(row).tolist() for row in compatible],
+                        labelled=[np.flatnonzero(row).tolist() for row in same_label])
 
 
-def _initial_mapping(candidates, parts_g, parts_p, rng, smart: bool):
-    gold_vars = list(candidates)
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
+def _initial_mapping(table: _WeightTable, rng: random.Random, smart: bool) -> np.ndarray:
+    """A start of the search: ``mapping[g]`` is gold ``g``'s pred image, or
+    ``n2`` for none.  The random starts draw from ``rng`` exactly as a
+    mapping over variable names would, so the starts follow the seed."""
+    n1, unmapped = table.own.shape[0], table.own.shape[1] - 1
+    mapping = [unmapped] * n1
+    used: set[int] = set()
     if smart:
         # equal concepts first, in deterministic order
-        inst_g, inst_p = parts_g[0], parts_p[0]
-        for g in gold_vars:
-            for p in candidates[g]:
-                if p not in used and inst_p[p] == inst_g[g]:
+        for g in range(n1):
+            for p in table.labelled[g]:
+                if p not in used:
                     mapping[g] = p
                     used.add(p)
                     break
-        order = gold_vars
+        order = range(n1)
     else:
-        order = rng.sample(gold_vars, len(gold_vars))
+        order = rng.sample(range(n1), n1)
     for g in order:
-        if g in mapping:
+        if mapping[g] != unmapped:
             continue
-        pool = [p for p in candidates[g] if p not in used]
+        pool = [p for p in table.candidates[g] if p not in used]
         if pool:
             mapping[g] = pool[0] if smart else rng.choice(pool)
             used.add(mapping[g])
-    return mapping
+    return np.array(mapping, dtype=np.int64)
 
 
-def _hill_climb(mapping, candidates, table) -> int:
+def _sum_at(cells: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    # bincount sums in float64, exact for integer counts below 2**53
+    return np.bincount(cells, weights, size).astype(np.int64)
+
+
+def _hill_climb(mapping: np.ndarray, table: _WeightTable) -> int:
     """Improve ``mapping`` in place by the best move or swap until none
-    gains; returns its matched-triple count."""
-    no_entry = (0, Counter())
+    gains; returns its matched-triple count.
 
-    def matched(g, p, skip=None) -> int:
-        """Triples ``g -> p`` matches alone and with the other variables
-        as mapped, leaving out those shared with ``skip``."""
-        own, neighbours = table[g].get(p, no_entry)
-        return own + sum(w for (g2, p2), w in neighbours.items()
-                         if g2 != skip and mapping.get(g2) == p2)
-
-    def joint(g1, p1, g2, p2) -> int:
-        return table[g1].get(p1, no_entry)[1].get((g2, p2), 0)
-
+    Each step reads every gain from ``S``, where ``S[g, p]`` is what mapping
+    gold ``g`` to pred ``p`` matches given the rest of the mapping.  Ties go
+    to the first candidate in the order of a scan over moves (gold, then
+    pred) and then swaps (``itertools.combinations`` of the gold variables),
+    and a swap must beat the best move.
+    """
+    t = table
+    n1, width = t.own.shape
+    rows = np.arange(n1)
+    upper = rows[:, None] < rows  # swaps of g1 < g2, as combinations orders them
+    gold_pred = t.a * width + t.c  # each entry's flat cell in S
+    gold_gold = t.a * n1 + t.b  # and in the (n1, n1) swap matrix
     # each relation triple is counted once from either end
-    alone = sum(table[g][p][0] for g, p in mapping.items())
-    current = alone + (sum(matched(g, p) for g, p in mapping.items()) - alone) // 2
+    joined = (t.c == mapping[t.a]) & (t.d == mapping[t.b])
+    current = int(t.own[rows, mapping].sum()) + int(t.w[joined].sum()) // 2
     while True:
-        best_gain, best_move = 0, None
-        used = set(mapping.values())
-        for g in candidates:
-            here = matched(g, mapping.get(g))
-            for p in candidates[g]:
-                if p not in used:
-                    gain = matched(g, p) - here
-                    if gain > best_gain:
-                        best_gain, best_move = gain, ((g, p),)
-        for g1, g2 in itertools.combinations(candidates, 2):
-            p1, p2 = mapping.get(g1), mapping.get(g2)
-            if p2 not in table[g1] and p1 not in table[g2]:
-                continue  # neither new pair is compatible: nothing to gain
-            gain = (matched(g1, p2, g2) + matched(g2, p1, g1) + joint(g1, p2, g2, p1)
-                    - matched(g1, p1, g2) - matched(g2, p2, g1) - joint(g1, p1, g2, p2))
-            if gain > best_gain:
-                best_gain, best_move = gain, ((g1, p2), (g2, p1))
-        if best_move is None:
+        mine, theirs = mapping[t.a], mapping[t.b]
+        hit = t.d == theirs
+        S = t.own + _sum_at(gold_pred[hit], t.w[hit], n1 * width).reshape(n1, width)
+        here = S[rows, mapping]
+
+        free = t.compatible.copy()
+        free[:, mapping] = False
+        moves = np.where(free, S - here[:, None], 0)
+        move = int(moves.argmax())
+        move_gain = int(moves.flat[move])
+
+        # swapping the images of g1 and g2 gains S[g1, m[g2]] + S[g2, m[g1]]
+        # - S[g1, m[g1]] - S[g2, m[g2]] + J0 + J1, where J0 is the weight
+        # between the two current pairs and J1 between the two swapped ones
+        paired = (hit & (t.c == mine)) | ((t.c == theirs) & (t.d == mine))
+        joint = _sum_at(gold_gold[paired], t.w[paired], n1 * n1).reshape(n1, n1)
+        across = S[:, mapping]
+        swaps = np.where(upper, across + across.T - here[:, None] - here[None, :] + joint, 0)
+        swap = int(swaps.argmax())
+        swap_gain = int(swaps.flat[swap])
+
+        if swap_gain > max(move_gain, 0):
+            g1, g2 = divmod(swap, n1)
+            mapping[g1], mapping[g2] = mapping[g2], mapping[g1]
+            current += swap_gain
+        elif move_gain > 0:
+            g, p = divmod(move, width)
+            mapping[g] = p
+            current += move_gain
+        else:
             return current
-        for g, p in best_move:
-            if p is None:
-                del mapping[g]
-            else:
-                mapping[g] = p
-        current += best_gain
 
 
 # ---------------------------------------------------------------------------

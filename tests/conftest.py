@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from arbor.decoder import gold_blocks
 from arbor.encoder import EncoderInput
 from arbor.graph import (
     Arborescence,
@@ -325,3 +326,20 @@ def synthetic_corpus(n_amr: int = 11, n_dm: int = 11, n_ucca: int = 10, seed: in
     for k in range(n_ucca):
         records.append(_ucca_record(rng, f"ucca{k}"))
     return records
+
+
+def switch_values(out) -> tuple[float, float, float]:
+    """A one-row ``StepOutput``'s (p_gen, p_enc, p_dec), with p_dec 0 before
+    a node can be copied."""
+    return tuple(out.switch.data.tolist()) + (0.0,) * (3 - out.switch.shape[-1])
+
+
+def gold_support(dec, out, label: str, tokens: list[str], index: int | None = None
+                 ) -> list[int]:
+    """Positions of ``out.p_target`` that produce the gold node: the
+    ``gold_blocks`` of ``label`` as offsets into the mixed distribution."""
+    generate, token_copies, node_copies = gold_blocks(
+        label, tokens, out.dec_records, out.fresh_index, index)
+    return ([dec.word_vocab.id(label)] * generate
+            + [out.vocab_size + t for t in token_copies]
+            + [out.vocab_size + out.n_enc + k for k in node_copies])

@@ -47,6 +47,7 @@ from conftest import (
     random_arborescence,
     random_dm_graph,
     random_ucca_graph,
+    switch_values,
     synthetic_corpus,
 )
 from test_inference import enumerate_best, micro_model
@@ -120,7 +121,7 @@ def test_criterion_04_probability_hygiene():
         for _ in range(int(rng.integers(3, 8))):
             out, state = dec.predict_target(enc, state, rel_in)
             assert abs(out.p_target.data.sum() - 1.0) < 1e-6
-            assert abs(sum(out.switch_values()) - 1.0) < 1e-9
+            assert abs(sum(switch_values(out)) - 1.0) < 1e-9
             record = reference_node(
                 state.nodes,
                 model.vocabs.dec_word.token(int(rng.integers(4, len(model.vocabs.dec_word)))),

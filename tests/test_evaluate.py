@@ -1,11 +1,20 @@
+import itertools
+import random
+import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from arbor.evaluate import (
+    SMATCH_RESTARTS,
     F1Report,
     SmatchError,
+    _hill_climb,
+    _initial_mapping,
+    _smatch_parts,
+    _weight_table,
     labeled_triple_f1,
     linear_fit_r2,
     smatch_score,
@@ -157,6 +166,14 @@ class TestSmatch:
         climb = smatch_score(gold, pred, mode="hill_climb")
         assert climb.f1 == pytest.approx(exact.f1, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["bogus", "Exact", ""])
+    def test_unknown_mode_rejected_on_every_graph(self, mode):
+        empty = SemanticGraph(Framework.AMR, (), (), ())
+        g = amr_graph([("x", "alpha")], [], ("x",))
+        for gold, pred in ((empty, g), (g, empty), (empty, empty), (g, g)):
+            with pytest.raises(ValueError, match="unknown smatch mode"):
+                smatch_score(gold, pred, mode=mode)
+
     def test_hill_climb_finds_mapping_without_label_matches(self):
         # No concept label matches, so a label-first start that fills every
         # image leaves the one scoring mapping (gold v0->v1, v1->v2) a
@@ -172,6 +189,270 @@ class TestSmatch:
             climb = smatch_score(gold, pred, mode="hill_climb", include_top=include_top)
             assert exact.matched == climb.matched == 1
             assert climb.f1 == pytest.approx(f1, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Reference hill climbing: the dict weight table and the closure climb that
+# the array search replaced.  The array search must take the same path.
+
+
+def reference_weight_table(parts_g, parts_p, include_top: bool):
+    """Triples matched by each compatible pair of variables.
+
+    ``table[g][p] = (own, neighbours)``: mapping gold ``g`` to pred ``p``
+    matches ``own`` instance, top and self-loop triples on its own, and
+    ``neighbours[(g2, p2)]`` relation triples more if gold ``g2`` maps to
+    pred ``p2``.  A pair absent from the table matches nothing.
+    """
+    inst_g, rel_g, tops_g = parts_g
+    inst_p, rel_p, tops_p = parts_p
+    own: Counter = Counter()
+    neighbours: dict[tuple[str, str], Counter] = {}
+
+    pred_by_label: dict[str, list[str]] = {}
+    for p, label in inst_p.items():
+        pred_by_label.setdefault(label, []).append(p)
+    for g, label in inst_g.items():
+        for p in pred_by_label.get(label, ()):
+            own[g, p] += 1
+    if include_top:
+        for g, n in tops_g.items():
+            for p, m in tops_p.items():
+                own[g, p] += min(n, m)
+
+    pred_rels: dict[str, list[tuple[str, str, int]]] = {}
+    for (c, d), labels in rel_p.items():
+        for label, m in labels.items():
+            pred_rels.setdefault(label, []).append((c, d, m))
+    for (a, b), labels in rel_g.items():
+        for label, n in labels.items():
+            for c, d, m in pred_rels.get(label, ()):
+                if a == b and c == d:
+                    own[a, c] += min(n, m)
+                elif a != b and c != d:  # an injective mapping never joins the two kinds
+                    neighbours.setdefault((a, c), Counter())[b, d] += min(n, m)
+                    neighbours.setdefault((b, d), Counter())[a, c] += min(n, m)
+
+    table: dict[str, dict[str, tuple[int, Counter]]] = {g: {} for g in inst_g}
+    for g, p in own.keys() | neighbours.keys():
+        table[g][p] = (own[g, p], neighbours.get((g, p), Counter()))
+    return table
+
+
+def reference_initial_mapping(candidates, parts_g, parts_p, rng, smart: bool):
+    gold_vars = list(candidates)
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
+    if smart:
+        # equal concepts first, in deterministic order
+        inst_g, inst_p = parts_g[0], parts_p[0]
+        for g in gold_vars:
+            for p in candidates[g]:
+                if p not in used and inst_p[p] == inst_g[g]:
+                    mapping[g] = p
+                    used.add(p)
+                    break
+        order = gold_vars
+    else:
+        order = rng.sample(gold_vars, len(gold_vars))
+    for g in order:
+        if g in mapping:
+            continue
+        pool = [p for p in candidates[g] if p not in used]
+        if pool:
+            mapping[g] = pool[0] if smart else rng.choice(pool)
+            used.add(mapping[g])
+    return mapping
+
+
+def reference_hill_climb(mapping, candidates, table) -> int:
+    """Improve ``mapping`` in place by the best move or swap until none
+    gains; returns its matched-triple count."""
+    no_entry = (0, Counter())
+
+    def matched(g, p, skip=None) -> int:
+        """Triples ``g -> p`` matches alone and with the other variables
+        as mapped, leaving out those shared with ``skip``."""
+        own, neighbours = table[g].get(p, no_entry)
+        return own + sum(w for (g2, p2), w in neighbours.items()
+                         if g2 != skip and mapping.get(g2) == p2)
+
+    def joint(g1, p1, g2, p2) -> int:
+        return table[g1].get(p1, no_entry)[1].get((g2, p2), 0)
+
+    # each relation triple is counted once from either end
+    alone = sum(table[g][p][0] for g, p in mapping.items())
+    current = alone + (sum(matched(g, p) for g, p in mapping.items()) - alone) // 2
+    while True:
+        best_gain, best_move = 0, None
+        used = set(mapping.values())
+        for g in candidates:
+            here = matched(g, mapping.get(g))
+            for p in candidates[g]:
+                if p not in used:
+                    gain = matched(g, p) - here
+                    if gain > best_gain:
+                        best_gain, best_move = gain, ((g, p),)
+        for g1, g2 in itertools.combinations(candidates, 2):
+            p1, p2 = mapping.get(g1), mapping.get(g2)
+            if p2 not in table[g1] and p1 not in table[g2]:
+                continue  # neither new pair is compatible: nothing to gain
+            gain = (matched(g1, p2, g2) + matched(g2, p1, g1) + joint(g1, p2, g2, p1)
+                    - matched(g1, p1, g2) - matched(g2, p2, g1) - joint(g1, p1, g2, p2))
+            if gain > best_gain:
+                best_gain, best_move = gain, ((g1, p2), (g2, p1))
+        if best_move is None:
+            return current
+        for g, p in best_move:
+            if p is None:
+                del mapping[g]
+            else:
+                mapping[g] = p
+        current += best_gain
+
+
+def assert_same_search(gold, pred, include_top: bool, seed: int = 0) -> None:
+    """Every start and every end point of the array search equals the
+    reference's, and ``smatch_score`` equals the reference's best count."""
+    parts_g, parts_p = _smatch_parts(gold), _smatch_parts(pred)
+    gold_vars, pred_vars = sorted(parts_g[0]), sorted(parts_p[0])
+    if not gold_vars or not pred_vars:
+        return
+
+    def names(mapping):
+        return {gold_vars[g]: pred_vars[p] for g, p in enumerate(mapping.tolist())
+                if p < len(pred_vars)}
+
+    ref_table = reference_weight_table(parts_g, parts_p, include_top)
+    candidates = {g: sorted(ref_table[g]) for g in gold_vars}
+    table = _weight_table(parts_g, parts_p, include_top)
+    assert table.candidates == [[pred_vars.index(p) for p in candidates[g]]
+                                for g in gold_vars]
+    ref_rng, rng = random.Random(seed), random.Random(seed)
+    counts = []
+    for attempt in range(SMATCH_RESTARTS + 1):
+        ref_mapping = reference_initial_mapping(candidates, parts_g, parts_p, ref_rng,
+                                                smart=attempt == 0)
+        mapping = _initial_mapping(table, rng, smart=attempt == 0)
+        assert names(mapping) == ref_mapping, attempt
+        counts.append(reference_hill_climb(ref_mapping, candidates, ref_table))
+        assert _hill_climb(mapping, table) == counts[-1], attempt
+        assert names(mapping) == ref_mapping, attempt
+    report = smatch_score(gold, pred, include_top=include_top, seed=seed)
+    assert report.matched == max(counts)
+
+
+def criterion11_pair(rng):
+    """A pair drawn as criterion 11 draws its fixtures."""
+    gold = random_amr_graph(rng, max_nodes=8)
+    if rng.random() < 0.4:
+        return gold, random_amr_graph(rng, max_nodes=8)
+    return gold, perturbed(rng, gold)
+
+
+def hostile_graph(rng, n, concepts, roles, edges=None, loops=0, parallel=0, tops=("v0",)):
+    """``n`` variables with labels from ``concepts``: a random tree plus
+    ``edges`` extra edges (``n // 3`` by default), ``loops`` self-loops and
+    ``parallel`` repeats of existing edges, all labelled from ``roles``."""
+    nodes = tuple(GraphNode(f"v{i}", concepts[rng.integers(len(concepts))]) for i in range(n))
+    out = [GraphEdge(f"v{rng.integers(i)}", f"v{i}", roles[rng.integers(len(roles))])
+           for i in range(1, n)]
+    for _ in range(n // 3 if edges is None else edges):
+        u, v = sorted(rng.integers(n, size=2).tolist())
+        if u != v:
+            out.append(GraphEdge(f"v{u}", f"v{v}", roles[rng.integers(len(roles))]))
+    for _ in range(loops):
+        v = f"v{rng.integers(n)}"
+        out.append(GraphEdge(v, v, roles[rng.integers(len(roles))]))
+    for _ in range(parallel if out else 0):
+        out.append(out[rng.integers(len(out))])
+    return SemanticGraph(Framework.AMR, nodes, tuple(out), tuple(tops))
+
+
+def perturbed(rng, gold, share=0.3):
+    """Gold with some concepts replaced by their successor's."""
+    labels = [n.label for n in gold.nodes]
+    nodes = tuple(GraphNode(n.id, labels[(k + 1) % len(labels)] if rng.random() < share
+                            else n.label)
+                  for k, n in enumerate(gold.nodes))
+    return SemanticGraph(gold.framework, nodes, gold.edges, gold.tops)
+
+
+ROLES = ["ARG0", "ARG1", "ARG2", "mod", "time", "op1"]
+HOSTILE = {
+    # gold variables left unmapped, and pred variables left unused
+    "more_gold": lambda rng: (hostile_graph(rng, 9, ["a", "b", "c"], ROLES),
+                              hostile_graph(rng, 4, ["a", "b", "c"], ROLES)),
+    "more_pred": lambda rng: (hostile_graph(rng, 4, ["a", "b", "c"], ROLES),
+                              hostile_graph(rng, 9, ["a", "b", "c"], ROLES)),
+    "nothing_compatible": lambda rng: (hostile_graph(rng, 6, ["a", "b"], ["ARG0", "ARG1"]),
+                                       hostile_graph(rng, 6, ["x", "y"], ["mod", "op1"])),
+    "single_variable": lambda rng: (hostile_graph(rng, 1, ["a"], ROLES, loops=1),
+                                    hostile_graph(rng, 1, ["a", "b"], ROLES,
+                                                  loops=int(rng.integers(2)))),
+    "single_against_many": lambda rng: (hostile_graph(rng, 1, ["a"], ROLES),
+                                        hostile_graph(rng, 7, ["a", "b"], ROLES)),
+    "one_label_ties": lambda rng: (hostile_graph(rng, 8, ["a"], ["ARG0"], edges=4),
+                                   hostile_graph(rng, 7, ["a"], ["ARG0"], edges=5)),
+    "self_loops": lambda rng: (hostile_graph(rng, 7, ["a", "b"], ROLES[:2], loops=4),
+                               hostile_graph(rng, 7, ["a", "b"], ROLES[:2], loops=4)),
+    "parallel_edges": lambda rng: (hostile_graph(rng, 7, ["a", "b", "c"], ROLES[:2],
+                                                 parallel=5),
+                                   hostile_graph(rng, 7, ["a", "b", "c"], ROLES[:2],
+                                                 parallel=5)),
+    "repeated_tops": lambda rng: (hostile_graph(rng, 6, ["a", "b"], ROLES,
+                                                tops=("v0", "v0", "v3")),
+                                  hostile_graph(rng, 6, ["a", "b"], ROLES,
+                                                tops=("v1", "v0", "v1", "v1"))),
+}
+
+
+class TestArraySearchMatchesReference:
+    @pytest.mark.parametrize("include_top", [False, True])
+    def test_criterion11_pairs_both_directions(self, include_top):
+        for seed in range(400):
+            gold, pred = criterion11_pair(np.random.default_rng(seed))
+            assert_same_search(gold, pred, include_top, seed)
+            assert_same_search(pred, gold, include_top, seed)
+
+    @pytest.mark.parametrize("include_top", [False, True])
+    def test_perfbench_style_pairs(self, include_top):
+        rng = np.random.default_rng(15)
+        concepts = [f"c{k}" for k in range(15)]
+        for v in (8, 10, 12, 14, 17, 20, 24, 30):
+            gold = hostile_graph(rng, v, concepts[: max(4, v // 2)], ROLES, edges=v // 4)
+            assert_same_search(gold, perturbed(rng, gold), include_top, seed=v)
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    @pytest.mark.parametrize("include_top", [False, True])
+    def test_hostile_pairs(self, case, include_top):
+        for seed in range(12):
+            gold, pred = HOSTILE[case](np.random.default_rng(seed))
+            assert_same_search(gold, pred, include_top, seed)
+
+    def test_parallel_edges_and_self_loops_weigh_more_than_one(self):
+        g = amr_graph([("x", "a"), ("y", "b")],
+                      [("x", "y", "ARG0"), ("x", "y", "ARG0"), ("x", "x", "mod"),
+                       ("x", "x", "mod")], ("x",))
+        table = _weight_table(_smatch_parts(g), _smatch_parts(g), include_top=False)
+        assert table.own.tolist() == [[3, 0, 0], [0, 1, 0]]
+        assert table.w.tolist() == [2, 2]
+        assert smatch_score(g, g).matched == 6
+
+    def test_hundred_variables_one_label_stays_sparse(self):
+        # every gold/pred pair is compatible: a dense (n1 n2)^2 table would
+        # need 800 MB at this size
+        rng = np.random.default_rng(100)
+        gold = hostile_graph(rng, 100, ["thing"], ["ARG0"], edges=50)
+        pred = hostile_graph(rng, 100, ["thing"], ["ARG0"], edges=50)
+        tracemalloc.start()
+        try:
+            report = smatch_score(gold, pred)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
+        assert 100 <= report.matched <= min(report.gold, report.predicted)
 
 
 class TestValidityAudit:

@@ -11,7 +11,7 @@ from arbor.encoder import EncoderInput
 from arbor.graph import EOS_LABEL, ROOT_INDEX, ROOT_LABEL, UNK_LABEL
 from arbor.model import ModelConfig, TransducerModel, Vocabularies, build_vocabularies
 
-from conftest import build_tiny_model, check_op, make_inputs
+from conftest import build_tiny_model, check_op, gold_support, make_inputs, switch_values
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +204,7 @@ class TestDecoderStep:
             assert abs(out.p_target.data.sum() - 1.0) < 1e-6
             assert abs(pu.data.sum() - 1.0) < 1e-6
             assert abs(pr.data.sum() - 1.0) < 1e-6
-            assert abs(sum(out.switch_values()) - 1.0) < 1e-9
+            assert abs(sum(switch_values(out)) - 1.0) < 1e-9
 
     def test_first_step_has_no_decoder_copy_mass(self, model):
         inp = make_inputs(np.random.default_rng(4), 3)
@@ -212,7 +212,7 @@ class TestDecoderStep:
         state = model.decoder.initial_state(enc)
         out, state = model.decoder.predict_target(enc, state, BOS_INPUT)
         assert out.n_dec == 0 and out.a_dec is None
-        assert out.switch_values()[2] == 0.0
+        assert switch_values(out)[2] == 0.0
         assert out.p_target.shape == (out.vocab_size + out.n_enc,)
 
     def test_second_step_still_excludes_first_node(self, model):
@@ -396,7 +396,7 @@ class TestPredictRows:
                         assert got.p_target.shape == ref["p_target"].shape
                         assert np.array_equal(got.p_target.data, ref["p_target"])
                         assert got.covloss.shape == () and got.covloss.data == ref["covloss"]
-                        assert got.switch_values() == ref["switch"]
+                        assert switch_values(got) == ref["switch"]
                         assert got.n_dec == n_dec and got.dec_records == state.nodes[:n_dec]
                         assert got.fresh_index == state.next_fresh_index
                         for name in ("z_hist", "coverage", "end_rows", "rel_src_rows"):
@@ -504,7 +504,7 @@ class TestIndexAndPos:
         inp = EncoderInput(tokens=["person", "city", "person"], pos=["NN", "NN", "NN"])
         outs, _ = drive_steps(model, inp, ["person", "city", "thing"])
         out = outs[2][0]  # step with one copyable node ("person")
-        support = dec.gold_support(out, "person", inp.tokens)
+        support = gold_support(dec, out, "person", inp.tokens)
         v = out.vocab_size
         assert support[0] == dec.word_vocab.id("person")
         assert v + 0 in support and v + 2 in support  # both matching tokens

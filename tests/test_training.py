@@ -29,7 +29,8 @@ from arbor.training import (
     train,
 )
 
-from conftest import build_tiny_model, make_inputs, random_arborescence, synthetic_corpus
+from conftest import (build_tiny_model, gold_support, make_inputs, random_arborescence,
+                      synthetic_corpus)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,7 +50,7 @@ def reference_sequence_loss(model, enc_input, reference, *, label_smoothing=0.1,
     eps = label_smoothing
 
     def target_nll(out, gold_label, gold_index=None):
-        support = dec.gold_support(out, gold_label, enc_input.tokens, gold_index)
+        support = gold_support(dec, out, gold_label, enc_input.tokens, gold_index)
         mass = ad.element(out.p_target, support[0])
         for slot in support[1:]:
             mass = ad.add(mass, ad.element(out.p_target, slot))
