@@ -18,8 +18,8 @@ vector the leading axes.
 The one pairwise broadcast is its own op, ``pairwise_add`` (every row of
 one matrix plus every row of another, for each matrix of a stack).
 
-The fused ops ``affine``, ``affine_max``, ``lstm_cell``, ``lstm_layer``
-and ``embed_one`` each take one tape record with a hand-written backward,
+The fused ops ``affine``, ``affine_max``, ``lstm_cell`` and
+``lstm_layer`` each take one tape record with a hand-written backward,
 which for ``affine`` and ``lstm_cell`` works on rows, a vector being one
 row; ``affine_max`` max-pools ``affine`` over segments of rows, and
 ``lstm_layer`` runs a whole recurrence, one ``lstm_cell`` step per input
@@ -430,11 +430,6 @@ def _select(op: str, pick, take_first, a: Tensor, b: Tensor) -> Tensor:
                   [(a, lambda g: g * take_a), (b, lambda g: g * ~take_a)])
 
 
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    # ties go to the first argument
-    return _select("maximum", np.maximum, np.greater_equal, a, b)
-
-
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     return _select("minimum", np.minimum, np.less_equal, a, b)
 
@@ -455,11 +450,6 @@ def exp(x: Tensor) -> Tensor:
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
     return _apply(out, [(x, lambda g: g * (1.0 - out * out))])
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-x.data))
-    return _apply(out, [(x, lambda g: g * out * (1.0 - out))])
 
 
 def elu(x: Tensor) -> Tensor:
@@ -761,14 +751,6 @@ def embedding_gather(table: Tensor, ids) -> Tensor:
     return _gather(table, idx, table.data[idx])
 
 
-def embed_one(table: Tensor, i: int) -> Tensor:
-    """One row of an embedding table as a vector."""
-    i = int(i)
-    if not 0 <= i < table.shape[0]:
-        raise IndexError(f"embedding id {i} out of range [0, {table.shape[0]})")
-    return _gather(table, i, table.data[i].copy())
-
-
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     """An inverted-dropout mask: each entry 1/keep with probability keep,
     else 0, drawn by one ``rng.random(shape)``."""
@@ -784,86 +766,3 @@ def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator | None
         raise ValueError("dropout in train mode needs an explicit rng")
     mask = dropout_mask(x.shape, rate, rng)
     return _apply(x.data * mask, [(x, lambda g: g * mask)])
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-
-
-class GradCheckReport:
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.max_rel_err = 0.0
-        self.worst: tuple[str, tuple, float] | None = None
-        self.checked = 0
-        self.failures: list[tuple[str, tuple, float, float, float]] = []
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_err < self.tol
-
-    def note(self, name: str, coord: tuple, analytic: float, numeric: float) -> None:
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-        self.checked += 1
-        if rel > self.max_rel_err:
-            self.max_rel_err = rel
-            self.worst = (name, coord, rel)
-        if rel >= self.tol:
-            self.failures.append((name, coord, analytic, numeric, rel))
-
-    def __repr__(self):
-        return (
-            f"GradCheckReport(checked={self.checked}, max_rel_err={self.max_rel_err:.3g}, "
-            f"passed={self.passed})"
-        )
-
-
-def grad_check(
-    f,
-    params,
-    h: float = 1e-5,
-    tol: float = 1e-4,
-    rng: np.random.Generator | None = None,
-    total_coords: int = 200,
-) -> GradCheckReport:
-    """Compare analytic gradients of ``f()`` against central differences.
-
-    ``params`` is a list of (name, Tensor) pairs; every tensor gets at
-    least one sampled coordinate and the remaining budget is spread
-    proportionally to tensor size.  ``f`` must be deterministic (dropout
-    disabled).
-    """
-    params = list(params)
-    rng = rng if rng is not None else np.random.default_rng(0)
-
-    # a gradient left from an earlier backward would add to the analytic one
-    for _, t in params:
-        t.zero_grad()
-    with Tape() as tape:
-        loss = f()
-    tape.backward(loss)
-    analytic = {
-        name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-        for name, t in params
-    }
-    for _, t in params:
-        t.zero_grad()
-
-    total_size = sum(t.size for _, t in params)
-    report = GradCheckReport(tol)
-    for name, t in params:
-        budget = max(1, round(total_coords * t.size / max(total_size, 1)))
-        budget = min(budget, t.size)
-        flat_ids = rng.choice(t.size, size=budget, replace=False)
-        flat = t.data.reshape(-1)
-        for fid in flat_ids:
-            orig = flat[fid]
-            flat[fid] = orig + h
-            up = float(f().data)
-            flat[fid] = orig - h
-            down = float(f().data)
-            flat[fid] = orig
-            numeric = (up - down) / (2.0 * h)
-            coord = np.unravel_index(fid, t.shape) if t.ndim else ()
-            report.note(name, coord, float(analytic[name].reshape(-1)[fid]), numeric)
-    return report

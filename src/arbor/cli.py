@@ -37,7 +37,8 @@ class CliError(ValueError):
 class _Failures:
     """A record whose graph cannot be built, converted, scored or written,
     or that is nested too deeply for the recursive tree walks, is reported
-    on stderr as ``record <id>: <error>`` and skipped."""
+    on stderr as ``record <id>: <error>`` and skipped; a JSONL line that
+    does not parse, as ``line <n>: <error>``."""
 
     def __init__(self):
         self.ids: list[str] = []
@@ -56,6 +57,25 @@ class _Failures:
         except RecursionError:  # the tree walks recurse once per nesting level
             log.error("record %s: input nested too deeply", record_id)
             self.ids.append(record_id)
+
+    def lines(self, fh, read):
+        """``read(line)`` of each non-blank line of the open file ``fh``, a
+        line that it rejects reported and skipped."""
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                item = read(line)
+            except ValueError as exc:  # FormatError among them
+                error = exc
+            except RecursionError:
+                error = "input nested too deeply"
+            else:
+                yield item
+                continue
+            self.seen += 1
+            log.error("line %d: %s", number, error)
+            self.ids.append(f"line {number}")
 
     def exit_code(self) -> int:
         if self.ids:
@@ -77,12 +97,13 @@ def _setup_logging() -> None:
 # Graph file I/O by format
 
 
-def _graph_readers(path: str, fmt: str) -> list:
+def _graph_readers(path: str, fmt: str, failures: _Failures) -> list:
     """(record id, function that builds its graph) for each record of a
-    graph file; a malformed canonical JSON line stops the whole file."""
-    if fmt == "canonical":
-        return [(record.id, record.graph) for record in formats.read_canonical_file(path)]
+    graph file; a malformed canonical JSON line is reported and skipped."""
     with open(path, encoding="utf-8") as fh:
+        if fmt == "canonical":
+            return [(record.id, record.graph)
+                    for record in failures.lines(fh, formats.read_canonical)]
         text = fh.read()
     if fmt == "penman":
         blocks = [b.strip() for b in text.split("\n\n") if b.strip()]
@@ -112,7 +133,7 @@ def cmd_convert(args) -> int:
     framework = Framework(args.framework)
     failures = _Failures()
     if args.direction == "to-arbor":
-        readers = _graph_readers(args.input, args.format)
+        readers = _graph_readers(args.input, args.format, failures)
         with open(args.output, "w", encoding="utf-8") as out:
             for record_id, read_graph in readers:
                 with failures.record(record_id):
@@ -124,7 +145,7 @@ def cmd_convert(args) -> int:
     if args.format == "sdp":
         raise CliError("sdp output needs token rows; use canonical input")
     with open(args.input, encoding="utf-8") as fh:
-        arbors = [formats.arbor_from_json(line) for line in fh if line.strip()]
+        arbors = list(failures.lines(fh, formats.arbor_from_json))
     with open(args.output, "w", encoding="utf-8") as out:
         for record_id, arbor in arbors:
             with failures.record(record_id):
@@ -134,19 +155,18 @@ def cmd_convert(args) -> int:
 
 def cmd_linearize(args) -> int:
     policy = OrderingPolicy(args.policy)
+    failures = _Failures()
     with open(args.input, encoding="utf-8") as fh, open(args.output, "w", encoding="utf-8") as out:
-        for line in fh:
-            if not line.strip():
-                continue
-            record_id, arbor = formats.arbor_from_json(line)
-            seq = arbor_to_relations(arbor, policy)
-            for rel in seq.relations:
-                out.write(
-                    f"{rel.source}\t{rel.source_index}\t{rel.rel}\t"
-                    f"{rel.target}\t{rel.target_index}\n"
-                )
-            out.write("\n")
-    return 0
+        for record_id, arbor in failures.lines(fh, formats.arbor_from_json):
+            with failures.record(record_id):
+                seq = arbor_to_relations(arbor, policy)
+                for rel in seq.relations:
+                    out.write(
+                        f"{rel.source}\t{rel.source_index}\t{rel.rel}\t"
+                        f"{rel.target}\t{rel.target_index}\n"
+                    )
+                out.write("\n")
+    return failures.exit_code()
 
 
 def _train_config(args) -> TrainConfig:
@@ -226,15 +246,15 @@ def cmd_parse(args) -> int:
     """
     _check_search_args(args)
     model = TransducerModel.load(args.model)
-    records = formats.read_canonical_file(args.input)
     beam = 1 if args.greedy else args.beam
     failures = _Failures()
     checked = []
-    for record in records:
-        with failures.record(record.id):
-            inp = encoder_input_from_record(record)
-            model.encoder.check(inp)
-            checked.append((record, inp))
+    with open(args.input, encoding="utf-8") as fh:
+        for record in failures.lines(fh, formats.read_canonical):
+            with failures.record(record.id):
+                inp = encoder_input_from_record(record)
+                model.encoder.check(inp)
+                checked.append((record, inp))
     with open(args.output, "w", encoding="utf-8") as out:
         for lo in range(0, len(checked), PARSE_CHUNK):
             chunk = checked[lo : lo + PARSE_CHUNK]

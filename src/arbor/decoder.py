@@ -34,15 +34,18 @@ Each node is projected once: when a node's state becomes a pointer
 candidate (in ``predict_target``), its ``mlp_end`` and ``mlp_rel_src`` rows
 are appended to the row blocks that the ``DecoderState`` holds, as its z
 is to the z history, and the source and relation scorers read those
-blocks whole.  Within one decode, label embeddings are memoised by (label,
-POS) while no tape records.
+blocks whole.  A label embedding is the one row of ``label_rows``, the
+lookup training makes for all of its labels; within one decode it is
+memoised by (label, POS) while no tape records.
 
 Training does not step through this module's decode forms: under teacher
 forcing ``training.sequence_loss`` runs each target LSTM layer as one
 ``autodiff.lstm_layer`` op and every head once per batch as matrix rows
 (``label_rows``, ``index_rows``, the attention scorers' ``pairs`` form,
-the biaffine's shared-candidates form), and builds its inputs with
-``reference_node`` and ``gold_blocks``.  The stepwise
+the biaffine over all of a sentence's targets at once), and builds its
+inputs with ``reference_node`` and ``gold_blocks``.  The source pointer's
+biaffine is the same call in both: decoding gives each expansion's query
+as a one-row matrix against its own candidates.  The stepwise
 ``predict_target``/``feed_target`` loss equals it to rounding.
 """
 
@@ -243,8 +246,8 @@ class Decoder(nn.Module):
         return min(max(index, 0), self.config.index_table_size - 1)  # overflow bucket
 
     def label_rows(self, pairs: list[tuple[str, str]]) -> Tensor:
-        """``label_vec`` of each ``(label, pos)`` pair as matrix rows, by
-        one lookup per table (teacher forcing)."""
+        """Word, character and POS embeddings of each ``(label, pos)`` pair
+        of node labels as matrix rows, by one lookup per table."""
         word = self.word_emb([self.word_vocab.id(label) for label, _ in pairs])
         chars = self.char_cnn.rows([[self.char_vocab.id(ch) for ch in label]
                                     for label, _ in pairs])
@@ -256,7 +259,7 @@ class Decoder(nn.Module):
         return self.index_emb([self._index_id(i) for i in indices])
 
     def label_vec(self, label: str, pos: str, memo: dict | None = None) -> Tensor:
-        """Word, character and POS embeddings of a node label.
+        """The ``label_rows`` row of one node label.
 
         ``memo`` is a decode's ``label_memo``.  It is used only while no
         tape records: a recorded lookup must reach the embedding tables'
@@ -267,10 +270,7 @@ class Decoder(nn.Module):
             if vec is None:
                 vec = memo[(label, pos)] = self.label_vec(label, pos)
             return vec
-        word = self.word_emb.one(self.word_vocab.id(label))
-        chars = self.char_cnn([self.char_vocab.id(ch) for ch in label])
-        pos_v = self.pos_emb.one(self.pos_vocab.id(pos))
-        return ad.concat([word, chars, pos_v])
+        return ad.element(self.label_rows([(label, pos)]), 0)
 
     # -- stepping -----------------------------------------------------------
 
@@ -315,12 +315,12 @@ class Decoder(nn.Module):
             out, (state,) = self.predict_target(enc, [states], [rel_ins], train, rng)
             return out.row(0), state
         c, rows, n = self.config, len(states), enc.n
-        if enc_rows is None:
-            keys = ad.stack_rows([enc.states] * rows)
+        enc_states = enc.states
+        if enc_rows is None:  # one sentence's encoding, gathered as a batch of one
+            enc_states, enc_rows = ad.reshape(enc_states, (1,) + enc_states.shape), [0] * rows
         elif min(enc.lengths) < n:
             raise ValueError("predict_target: sentences of unequal length need padding masks")
-        else:
-            keys = ad.embedding_gather(enc.states, enc_rows)
+        keys = ad.embedding_gather(enc_states, enc_rows)
         h = ad.stack_rows([s.h for s in states])
 
         a_enc = ad.softmax(self.attn_mlp(ad.concat([ad.repeat_rows(h, n), keys], axis=2)))
@@ -465,9 +465,6 @@ class Decoder(nn.Module):
         """Bilinear relation-type logits given the source pointer choice."""
         tgt = self.mlp_rel_tgt(state.h)
         return self.bilinear(ad.element(state.rel_src_rows, position), tgt)
-
-    def relation_dist(self, state: DecoderState, position: int) -> Tensor:
-        return ad.softmax(self.relation_scores(state, position))
 
     def relation_dist_all(self, state: DecoderState) -> np.ndarray:
         """P(r) rows for every candidate source position of one fed state:

@@ -39,6 +39,33 @@ class FormatError(ValueError):
     """Malformed input text for one of the supported formats."""
 
 
+def _typed(value, kind, what: str):
+    """``value`` if it is a ``kind`` (a bool is none), else a TypeError
+    naming ``what``."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{what} must be {_KIND_NAMES[kind]}, got {type(value).__name__}")
+    return value
+
+
+_ID = (str, int)  # ids may be written as numbers; they are read as strings
+_LABEL = (str, type(None))
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               _ID: "a string or an integer", _LABEL: "a string or null"}
+# the exact types that JSON values of each kind decode to
+_JSON_TYPES = {list: {list}, str: {str}, int: {int}, _ID: {str, int},
+               _LABEL: {str, type(None)}}
+
+
+def _items(value, kind, what: str) -> list:
+    """``value`` if it is a list of ``kind``, else a TypeError naming
+    ``what``; a list of decoded JSON values is checked in one pass over
+    their types."""
+    if type(value) is not list or not _JSON_TYPES[kind].issuperset(map(type, value)):
+        for item in _typed(value, list, what):
+            _typed(item, kind, f"each of {what}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # PENMAN
 
@@ -328,19 +355,28 @@ class CanonicalGraphRecord:
                 raise FormatError(f"feature {name!r} length {len(col)} != token count {n}")
 
     def graph(self) -> SemanticGraph:
+        ids, labels = _JSON_TYPES[_ID], _JSON_TYPES[_LABEL]
+        nodes, edges = [], []
         try:
-            nodes = tuple(
-                GraphNode(
-                    id=str(d["id"]),
-                    label=d.get("label", "") or "",
-                    anchors=tuple(d["anchors"]) if d.get("anchors") is not None else None,
-                )
-                for d in self.nodes
-            )
-            edges = tuple(GraphEdge(str(d["src"]), str(d["tgt"]), d["label"]) for d in self.edges)
+            for d in self.nodes:
+                node_id, label, anchors = d["id"], d.get("label"), d.get("anchors")
+                if type(node_id) not in ids or type(label) not in labels:
+                    _typed(node_id, _ID, "a node id")
+                    _typed(label, _LABEL, "a node label")
+                if anchors is not None:
+                    anchors = tuple(_items(anchors, int, "a node's anchors"))
+                nodes.append(GraphNode(str(node_id), label or "", anchors))
+            for d in self.edges:
+                src, tgt, label = d["src"], d["tgt"], d["label"]
+                if type(src) not in ids or type(tgt) not in ids or type(label) is not str:
+                    _typed(src, _ID, "an edge source")
+                    _typed(tgt, _ID, "an edge target")
+                    _typed(label, str, "an edge label")
+                edges.append(GraphEdge(str(src), str(tgt), label))
         except (AttributeError, KeyError, TypeError) as exc:
             raise FormatError(f"bad node or edge: {exc!r}") from exc
-        return SemanticGraph(self.framework, nodes, edges, tuple(str(t) for t in self.tops))
+        return SemanticGraph(self.framework, tuple(nodes), tuple(edges),
+                             tuple(str(t) for t in self.tops))
 
     @classmethod
     def from_graph(
@@ -371,22 +407,28 @@ class CanonicalGraphRecord:
 
 
 def read_canonical(line: str) -> CanonicalGraphRecord:
+    """One canonical JSON line as a record.  A line that is not an object,
+    or whose fields are missing or of the wrong type, raises
+    ``FormatError``; each node and edge is checked when ``graph`` builds
+    it."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad canonical JSON: {exc}") from exc
     try:
+        _typed(obj, dict, "a record")
         return CanonicalGraphRecord(
-            id=str(obj["id"]),
+            id=str(_typed(obj["id"], _ID, "id")),
             framework=Framework(obj["framework"]),
-            tokens=list(obj["tokens"]),
-            pos=list(obj["pos"]),
-            features={k: list(v) for k, v in obj.get("features", {}).items()},
-            nodes=list(obj.get("nodes", [])),
-            edges=list(obj.get("edges", [])),
-            tops=[str(t) for t in obj.get("tops", [])],
+            tokens=_items(obj["tokens"], str, "tokens"),
+            pos=_items(obj["pos"], str, "pos"),
+            features={k: _items(v, str, f"feature {k!r}")
+                      for k, v in _typed(obj.get("features", {}), dict, "features").items()},
+            nodes=_typed(obj.get("nodes", []), list, "nodes"),
+            edges=_typed(obj.get("edges", []), list, "edges"),
+            tops=[str(t) for t in _items(obj.get("tops", []), _ID, "tops")],
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad canonical record: {exc}") from exc
 
 
@@ -405,11 +447,16 @@ def write_canonical(record: CanonicalGraphRecord) -> str:
 
 
 def read_canonical_file(path) -> list[CanonicalGraphRecord]:
+    """The records of a canonical JSONL file; the first malformed line
+    raises ``FormatError`` naming it."""
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if line.strip():
-                records.append(read_canonical(line))
+                try:
+                    records.append(read_canonical(line))
+                except FormatError as exc:
+                    raise FormatError(f"{path}: line {number}: {exc}") from exc
     return records
 
 
@@ -555,6 +602,9 @@ def arbor_to_json(a, record_id: str = "") -> str:
 
 
 def arbor_from_json(line: str):
+    """The record id and arborescence of one JSON line as ``arbor_to_json``
+    writes it.  A line that is not an object, or whose fields are missing
+    or of the wrong type at any depth, raises ``FormatError``."""
     from .graph import Arborescence, ArborNode
 
     try:
@@ -563,18 +613,20 @@ def arbor_from_json(line: str):
         raise FormatError(f"bad arborescence JSON: {exc}") from exc
 
     def build(d) -> ArborNode:
-        try:
-            node = ArborNode(
-                label=d["label"],
-                index=int(d["index"]),
-                anchors=tuple(d["anchors"]) if d.get("anchors") is not None else None,
-            )
-            for rel, child in d.get("children", []):
-                node.add(rel, build(child))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad arborescence node: {exc}") from exc
+        _typed(d, dict, "a node")
+        anchors = d.get("anchors")
+        node = ArborNode(
+            label=_typed(d["label"], str, "a node label"),
+            index=_typed(d["index"], int, "a node index"),
+            anchors=tuple(_items(anchors, int, "a node's anchors")) if anchors is not None else None,
+        )
+        for rel, child in _items(d.get("children", []), list, "a node's children"):
+            node.add(_typed(rel, str, "a relation"), build(child))
         return node
 
-    if "root" not in obj:
-        raise FormatError("arborescence record is missing 'root'")
-    return str(obj.get("id", "")), Arborescence(build(obj["root"]))
+    try:
+        record_id = str(_typed(_typed(obj, dict, "a record").get("id", ""), _ID, "id"))
+        root = build(obj["root"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad arborescence record: {exc}") from exc
+    return record_id, Arborescence(root)

@@ -72,20 +72,6 @@ class ModelConfig:
         cfg.update(overrides)
         return cls(**cfg)
 
-    @classmethod
-    def tiny(cls, framework: str = "amr", **overrides) -> "ModelConfig":
-        """Small dimensions for tests; same architecture."""
-        cfg = dict(
-            framework=framework,
-            word_dim=16, char_emb_dim=6, char_channels=8, pos_dim=6,
-            feature_dim=4, index_dim=6, index_table_size=64, rel_dim=8,
-            encoder_hidden=12, encoder_layers=2, decoder_layers=2,
-            relation_hidden=20, attn_hidden=10, biaffine_size=10, bilinear_size=10,
-            dropout=0.0, encoder_vocab_cap=5000, decoder_vocab_cap=5000,
-        )
-        cfg.update(overrides)
-        return cls(**cfg)
-
     def to_json(self) -> dict:
         return asdict(self)
 

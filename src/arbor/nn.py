@@ -8,6 +8,10 @@ Scoring functions follow the definitions used throughout the decoder:
     biaffine(x1, x2)  = x1' U x2 + W [x1; x2] + b
     bilinear(x1, x2)  = x1' U x2 + b        (one U slice per output class)
 
+The biaffine is one expression over query rows and candidate rows, which
+training and decoding share; a query vector is a one-row matrix.  Word
+features of the character CNN come as rows, one per word.
+
 Parameters are plain Tensors registered under dotted names so checkpoints
 can address every tensor individually.
 """
@@ -121,14 +125,16 @@ class AttentionScorer(Module):
 
 
 class Biaffine(Module):
-    """Scores a query vector against a matrix of candidate rows, giving
-    ``(n,)``; query rows, each against its own candidate matrix (a
-    ``(m, n, dim2)`` stack), giving ``(m, n)``; or query rows against one
-    shared candidate matrix ``(n, dim2)``, giving ``(m, n)``, and a stack of
-    such pairs ``(s, m, dim1)`` and ``(s, n, dim2)``, giving ``(s, m, n)``.
-    The rows form projects each query by its own product, so a row is
-    bit-equal to the one query alone; the shared-candidates form projects
-    all queries by one gemm, so a row agrees with it to rounding."""
+    """Scores query rows ``(..., m, dim1)`` against candidate rows ``(...,
+    n, dim2)``, giving ``(..., m, n)``: one query matrix against one
+    candidate matrix, or each matrix of a stack against its own.  A query
+    vector against a candidate matrix is a one-row query matrix, giving
+    ``(n,)``, and query rows ``(m, dim1)`` each against its own candidate
+    matrix ``(m, n, dim2)`` are a stack of one-row query matrices, giving
+    ``(m, n)``.  A one-row query is projected by a vector product, so each
+    row of the per-query form is bit-equal to that query alone; the
+    projections of a query matrix of several rows are one gemm, so a row
+    agrees with the query alone to rounding."""
 
     def __init__(self, rng, dim1: int, dim2: int):
         super().__init__()
@@ -139,37 +145,20 @@ class Biaffine(Module):
 
     def __call__(self, x1: Tensor, x2: Tensor) -> Tensor:
         d1, d2 = self.dim1, self.dim2
-        one = x1.shape == (d1,) and x2.ndim == 2 and x2.shape[1] == d2
-        shared = (x1.ndim == x2.ndim in (2, 3) and x1.shape[:-2] == x2.shape[:-2]
-                  and x1.shape[-1] == d1 and x2.shape[-1] == d2)
-        rows = (x1.ndim == 2 and x1.shape[1] == d1 and x2.ndim == 3
-                and x2.shape[0] == x1.shape[0] and x2.shape[2] == d2)
-        if not (one or shared or rows):
+        given, shape = (x1.shape, x2.shape), x1.shape[:-1] + x2.shape[-2:-1]
+        if x2.ndim == x1.ndim + 1:  # one-row query matrices
+            x1 = ad.reshape(x1, x1.shape[:-1] + (1,) + x1.shape[-1:])
+        if not (x1.ndim == x2.ndim in (2, 3) and x1.shape[:-2] == x2.shape[:-2]
+                and x1.shape[-1] == d1 and x2.shape[-1] == d2):
             raise ad.ShapeError(
-                f"biaffine: got {x1.shape} and {x2.shape}, expected ({d1},) or (m, {d1}) "
+                f"biaffine: got {given[0]} and {given[1]}, expected ({d1},) or (m, {d1}) "
                 f"and (n, {d2}), (m, {d1}) and (m, n, {d2}), or (s, m, {d1}) and (s, n, {d2})"
             )
-        w1 = ad.narrow(self.w, 0, 0, d1)
-        w2 = ad.narrow(self.w, 0, d1, d1 + d2)
-        if one:
-            bil = ad.matmul(x2, ad.matmul(x1, self.u))  # (n,)
-            lin = ad.add(ad.matmul(x2, w2), ad.matmul(w1, x1))
-        elif shared:
-            lead, m, n = x1.shape[:-2], x1.shape[-2], x2.shape[-2]
-            bil = ad.matmul(ad.matmul(x1, self.u), ad.transpose(x2))  # (..., m, n)
-            q1 = ad.reshape(ad.matmul(x1, ad.reshape(w1, (d1, 1))), lead + (m,))
-            q2 = ad.reshape(ad.matmul(x2, ad.reshape(w2, (d2, 1))), lead + (n,))
-            lin = ad.add(ad.transpose(ad.repeat_rows(q1, n)), ad.repeat_rows(q2, m))
-        else:
-            # each query row is a one-row matrix of a stack, so it takes the
-            # one form's vector products
-            m, n = x2.shape[0], x2.shape[1]
-            q = ad.reshape(x1, (m, 1, d1))
-            qu = ad.reshape(ad.matmul(q, self.u), (m, d2, 1))
-            bil = ad.reshape(ad.matmul(x2, qu), (m, n))
-            lin = ad.add(ad.reshape(ad.matmul(x2, ad.reshape(w2, (d2, 1))), (m, n)),
-                         ad.reshape(ad.matmul(q, ad.reshape(w1, (d1, 1))), (m, 1)))
-        return ad.add(lin, ad.add(bil, self.b))
+        w1 = ad.reshape(ad.narrow(self.w, 0, 0, d1), (d1, 1))
+        w2 = ad.reshape(ad.narrow(self.w, 0, d1, d1 + d2), (d2, 1))
+        bil = ad.transpose(ad.matmul(x2, ad.transpose(ad.matmul(x1, self.u))))
+        lin = ad.reshape(ad.pairwise_add(ad.matmul(x1, w1), ad.matmul(x2, w2)), bil.shape)
+        return ad.reshape(ad.add(lin, ad.add(bil, self.b)), shape)
 
 
 class Bilinear(Module):
@@ -227,9 +216,6 @@ class Embedding(Module):
 
     def __call__(self, ids) -> Tensor:
         return ad.embedding_gather(self.table, ids)
-
-    def one(self, i: int) -> Tensor:
-        return ad.embed_one(self.table, i)
 
 
 class LstmCell(Module):
@@ -325,9 +311,6 @@ class CharCnn(Module):
         if len(char_ids) == 0:
             ids = [0] * self.kernel
         return [ids[j + k] for j in range(max(len(char_ids), 1)) for k in range(self.kernel)]
-
-    def __call__(self, char_ids: list[int]) -> Tensor:
-        return ad.reshape(self.rows([char_ids]), (self.channels,))
 
     def rows(self, words: list[list[int]]) -> Tensor:
         """The pooled features of several words, ``(len(words), channels)``,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from arbor import autodiff as ad
 from arbor.decoder import gold_blocks
 from arbor.encoder import EncoderInput
 from arbor.graph import (
@@ -35,14 +36,105 @@ UCCA_LABELS = ["A", "P", "C", "D", "E", "F", "L", "H", "R", "S"]
 POS_TAGS = ["NNP", "NN", "VBD", "DT", "JJ", "PRP$", "CD", "IN"]
 
 
+# ---------------------------------------------------------------------------
+# Gradient checking and test-only ops
+
+
+class GradCheckReport:
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.max_rel_err = 0.0
+        self.worst: tuple[str, tuple, float] | None = None
+        self.checked = 0
+        self.failures: list[tuple[str, tuple, float, float, float]] = []
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_err < self.tol
+
+    def note(self, name: str, coord: tuple, analytic: float, numeric: float) -> None:
+        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+        self.checked += 1
+        if rel > self.max_rel_err:
+            self.max_rel_err = rel
+            self.worst = (name, coord, rel)
+        if rel >= self.tol:
+            self.failures.append((name, coord, analytic, numeric, rel))
+
+    def __repr__(self):
+        return (
+            f"GradCheckReport(checked={self.checked}, max_rel_err={self.max_rel_err:.3g}, "
+            f"passed={self.passed})"
+        )
+
+
+def grad_check(
+    f,
+    params,
+    h: float = 1e-5,
+    tol: float = 1e-4,
+    rng: np.random.Generator | None = None,
+    total_coords: int = 200,
+) -> GradCheckReport:
+    """Compare analytic gradients of ``f()`` against central differences.
+
+    ``params`` is a list of (name, Tensor) pairs; every tensor gets at
+    least one sampled coordinate and the remaining budget is spread
+    proportionally to tensor size.  ``f`` must be deterministic (dropout
+    disabled).
+    """
+    params = list(params)
+    rng = rng if rng is not None else np.random.default_rng(0)
+
+    # a gradient left from an earlier backward would add to the analytic one
+    for _, t in params:
+        t.zero_grad()
+    with ad.Tape() as tape:
+        loss = f()
+    tape.backward(loss)
+    analytic = {
+        name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
+        for name, t in params
+    }
+    for _, t in params:
+        t.zero_grad()
+
+    total_size = sum(t.size for _, t in params)
+    report = GradCheckReport(tol)
+    for name, t in params:
+        budget = max(1, round(total_coords * t.size / max(total_size, 1)))
+        budget = min(budget, t.size)
+        flat_ids = rng.choice(t.size, size=budget, replace=False)
+        flat = t.data.reshape(-1)
+        for fid in flat_ids:
+            orig = flat[fid]
+            flat[fid] = orig + h
+            up = float(f().data)
+            flat[fid] = orig - h
+            down = float(f().data)
+            flat[fid] = orig
+            numeric = (up - down) / (2.0 * h)
+            coord = np.unravel_index(fid, t.shape) if t.ndim else ()
+            report.note(name, coord, float(analytic[name].reshape(-1)[fid]), numeric)
+    return report
+
+
 def check_op(build, params, tol=1e-6, seed=0, coords=40):
     """Gradient-check ``build()`` over the (name, Tensor) ``params``."""
-    from arbor import autodiff as ad
-
-    report = ad.grad_check(build, params, rng=np.random.default_rng(seed),
-                           total_coords=coords, tol=tol)
+    report = grad_check(build, params, rng=np.random.default_rng(seed),
+                        total_coords=coords, tol=tol)
     assert report.passed, report.worst
     return report
+
+
+def sigmoid(x):
+    out = 1.0 / (1.0 + np.exp(-x.data))
+    return ad._apply(out, [(x, lambda g: g * out * (1.0 - out))])
+
+
+def maximum(a, b):
+    # ties go to the first argument
+    return ad._select("maximum", np.maximum, np.greater_equal, a, b)
 
 
 def random_amr_graph(rng: np.random.Generator, max_nodes: int = 12) -> SemanticGraph:
@@ -195,6 +287,20 @@ def make_inputs(rng: np.random.Generator, n_tokens: int | None = None) -> Encode
     return EncoderInput(tokens=tokens, pos=pos)
 
 
+def tiny_config(framework: str = "amr", **overrides) -> ModelConfig:
+    """Small dimensions for tests; same architecture."""
+    cfg = dict(
+        framework=framework,
+        word_dim=16, char_emb_dim=6, char_channels=8, pos_dim=6,
+        feature_dim=4, index_dim=6, index_table_size=64, rel_dim=8,
+        encoder_hidden=12, encoder_layers=2, decoder_layers=2,
+        relation_hidden=20, attn_hidden=10, biaffine_size=10, bilinear_size=10,
+        dropout=0.0, encoder_vocab_cap=5000, decoder_vocab_cap=5000,
+    )
+    cfg.update(overrides)
+    return ModelConfig(**cfg)
+
+
 def build_tiny_model(seed: int = 0, framework: str = "amr",
                      extra_labels=(), rel_labels=None, **config_overrides) -> TransducerModel:
     """Model over the shared word/concept pools with tiny dimensions."""
@@ -202,7 +308,7 @@ def build_tiny_model(seed: int = 0, framework: str = "amr",
     from arbor.linearize import OrderingPolicy
     from arbor import training
 
-    cfg = ModelConfig.tiny(framework, **config_overrides)
+    cfg = tiny_config(framework, **config_overrides)
     rng = np.random.default_rng(seed)
     inputs = [make_inputs(rng) for _ in range(6)]
     rels = rel_labels if rel_labels is not None else AMR_ROLES
@@ -326,6 +432,11 @@ def synthetic_corpus(n_amr: int = 11, n_dm: int = 11, n_ucca: int = 10, seed: in
     for k in range(n_ucca):
         records.append(_ucca_record(rng, f"ucca{k}"))
     return records
+
+
+def relation_dist(dec, state, position: int):
+    """P(r) for one fed state and one source position."""
+    return ad.softmax(dec.relation_scores(state, position))
 
 
 def switch_values(out) -> tuple[float, float, float]:

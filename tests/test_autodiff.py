@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from arbor import autodiff as ad
 from arbor.autodiff import ShapeError, Tape, TapeError, Tensor
 
-from conftest import check_op
+from conftest import check_op, grad_check, maximum, sigmoid
 from test_model import amax
 
 
@@ -145,7 +145,7 @@ PRIMITIVES = {
     "add": lambda a, b: ad.add(a, b),
     "sub": lambda a, b: ad.sub(a, b),
     "mul": lambda a, b: ad.mul(a, b),
-    "maximum": lambda a, b: ad.maximum(a, b),
+    "maximum": maximum,
     "minimum": lambda a, b: ad.minimum(a, b),
 }
 
@@ -165,7 +165,7 @@ class TestPrimitiveGradients:
                                        "softmax", "log_softmax"])
     def test_unary(self, unary):
         rng = np.random.default_rng(sum(ord(c) for c in unary))
-        op = getattr(ad, unary)
+        op = sigmoid if unary == "sigmoid" else getattr(ad, unary)
         for trial in range(20):
             x = rng.standard_normal(int(rng.integers(1, 7)))
             if unary == "log":
@@ -292,8 +292,8 @@ class TestPrimitiveGradients:
             return ad.add(ad.sum_all(ad.mul(p, ad.tanh(h))),
                           ad.sum_all(ad.minimum(h, ad.exp(h))))
 
-        report = ad.grad_check(build, [("w", w), ("x", x), ("b", b)],
-                               rng=rng, total_coords=12, tol=1e-5)
+        report = grad_check(build, [("w", w), ("x", x), ("b", b)],
+                            rng=rng, total_coords=12, tol=1e-5)
         assert report.passed, report.worst
 
 
@@ -310,7 +310,7 @@ class TestGradCheckReport:
             scale = 1.0 if calls["n"] == 1 else 1.5
             return ad.sum_all(ad.mul(x, scale))
 
-        report = ad.grad_check(build, [("x", x)], total_coords=3, tol=1e-4)
+        report = grad_check(build, [("x", x)], total_coords=3, tol=1e-4)
         assert not report.passed
         assert report.failures
 
@@ -324,7 +324,7 @@ class TestGradCheckReport:
             loss = build()
         tape.backward(loss)
         assert x.grad is not None and w.grad is not None
-        report = ad.grad_check(build, [("x", x), ("w", w)], total_coords=9, tol=1e-6)
+        report = grad_check(build, [("x", x), ("w", w)], total_coords=9, tol=1e-6)
         assert report.passed, report.worst
 
 
@@ -510,19 +510,12 @@ class TestFusedOps:
             with pytest.raises(ShapeError, match="affine_max"):
                 ad.affine_max(*bad)
 
-    def test_embed_one_gradients(self):
-        rng = np.random.default_rng(5)
-        table = t(rng.standard_normal((6, 3)))
-        weights = ad.constant(rng.standard_normal(3))
-        check_op(lambda: ad.matmul(ad.tanh(ad.embed_one(table, 4)), weights),
-                 [("table", table)], coords=18)
-
     def test_lookups_accumulate_repeated_rows(self):
         table = t(np.random.default_rng(6).standard_normal((5, 2)))
         with Tape() as tape:
-            loss = ad.add(ad.sum_all(ad.embed_one(table, 3)),
-                          ad.sum_all(ad.mul(ad.embed_one(table, 3), 2.0)))
-            loss = ad.add(loss, ad.sum_all(ad.embed_one(table, 0)))
+            loss = ad.add(ad.sum_all(ad.embedding_gather(table, [3])),
+                          ad.sum_all(ad.mul(ad.embedding_gather(table, [3]), 2.0)))
+            loss = ad.add(loss, ad.sum_all(ad.embedding_gather(table, [0])))
             loss = ad.add(loss, ad.sum_all(ad.embedding_gather(table, [3, 4, 3])))
         tape.backward(loss)
         expected = np.zeros((5, 2))
@@ -532,16 +525,16 @@ class TestFusedOps:
         assert np.array_equal(table.grad, expected)
 
     @pytest.mark.parametrize("bad", [4, 100, -1, -4])
-    def test_embed_one_rejects_out_of_range_ids(self, bad):
+    def test_one_id_gather_rejects_out_of_range_ids(self, bad):
         table = t(np.arange(12.0).reshape(4, 3))
         with pytest.raises(IndexError):
-            ad.embed_one(table, bad)
+            ad.embedding_gather(table, [bad])
 
-    def test_embed_one_returns_a_copy_of_the_row(self):
+    def test_one_id_gather_returns_a_copy_of_the_row(self):
         table = t(np.arange(12.0).reshape(4, 3))
-        row = ad.embed_one(table, 2)
+        row = ad.embedding_gather(table, [2])
         table.data[2] = 0.0
-        assert row.data.tolist() == [6.0, 7.0, 8.0]
+        assert row.data.tolist() == [[6.0, 7.0, 8.0]]
 
     def test_first_gradient_is_stored_as_a_copy(self):
         x = t([1.0, 2.0])
@@ -786,14 +779,14 @@ class TestBitEquality:
     @pytest.mark.parametrize("name", ["maximum", "minimum"])
     def test_maximum_minimum_with_ties(self, name):
         rng = np.random.default_rng(11)
-        pick, take = {"maximum": (np.maximum, np.greater_equal),
-                      "minimum": (np.minimum, np.less_equal)}[name]
+        op, pick, take = {"maximum": (maximum, np.maximum, np.greater_equal),
+                          "minimum": (ad.minimum, np.minimum, np.less_equal)}[name]
         for shape in [(), (9,), (4, 5)]:
             a = t(rng.integers(-2, 3, size=shape).astype(float))
             b = t(rng.integers(-2, 3, size=shape).astype(float))  # many ties
             up = rng.standard_normal(shape)
             take_a = take(a.data, b.data)
-            got_out, got_grads = run_op(lambda: getattr(ad, name)(a, b), [a, b], [up])
+            got_out, got_grads = run_op(lambda: op(a, b), [a, b], [up])
             assert_bits(got_out + got_grads,
                         [pick(a.data, b.data), up * take_a, up * ~take_a])
 

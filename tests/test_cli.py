@@ -144,7 +144,9 @@ GOOD_EDGES = [{"src": "x", "tgt": "y", "label": "ARG0"}]
 class TestBadRecords:
     """``convert`` and ``eval`` report a record whose graph cannot be built,
     converted or written as ``record <id>: <error>``, handle every other
-    record and exit 1; a malformed JSON line stops the file."""
+    record and exit 1.  ``convert``, ``linearize`` and ``parse`` report a
+    JSON line that does not parse as ``line <n>: <error>`` and skip it;
+    ``eval`` and ``train`` stop at it."""
 
     def test_to_arbor_skips_bad_canonical_records(self, tmp_path):
         src = tmp_path / "in.jsonl"
@@ -194,16 +196,64 @@ class TestBadRecords:
         assert "record clash: index 1 carries labels" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_malformed_json_line_stops_the_file(self, tmp_path):
+    def test_malformed_json_lines_are_reported_and_skipped(self, tmp_path):
         good = {"label": "want-01", "index": 1, "children": []}
         src = tmp_path / "arbors.jsonl"
-        src.write_text(json.dumps({"id": "g1", "root": good}) + "\n{not json\n")
+        src.write_text("".join([json.dumps({"id": "g1", "root": good}) + "\n", "{not json\n",
+                                "5\n", "\n", json.dumps({"id": "g2", "root": good}) + "\n"]))
         out = tmp_path / "out.jsonl"
         proc = run_cli("convert", "--framework", "amr", "--direction", "from-arbor",
                        "--input", src, "--output", out)
         assert proc.returncode == 1
-        assert "bad arborescence JSON" in proc.stderr
-        assert "record " not in proc.stderr
+        assert [r.id for r in map(read_canonical, out.read_text().splitlines())] == ["g1", "g2"]
+        assert "line 2: bad arborescence JSON" in proc.stderr
+        assert "line 3: bad arborescence record: a record must be an object, got int" in proc.stderr
+        assert "2 of 4 records failed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_wrong_shape_canonical_lines_are_reported_and_skipped(self, tmp_path):
+        src = tmp_path / "in.jsonl"
+        tokens_5 = json.loads(canonical_line("t", GOOD_NODES, GOOD_EDGES, ["x"]))
+        tokens_5["tokens"] = 5
+        features = json.loads(canonical_line("f", GOOD_NODES, GOOD_EDGES, ["x"]))
+        features["features"] = [1]
+        src.write_text("\n".join([
+            canonical_line("g1", GOOD_NODES, GOOD_EDGES, ["x"]), "[1, 2]",
+            json.dumps(tokens_5), json.dumps(features),
+            canonical_line("g2", GOOD_NODES, GOOD_EDGES, ["x"]),
+        ]) + "\n")
+        out = tmp_path / "arbors.jsonl"
+        proc = run_cli("convert", "--framework", "amr", "--direction", "to-arbor",
+                       "--format", "canonical", "--input", src, "--output", out)
+        assert proc.returncode == 1
+        assert [arbor_from_json(line)[0] for line in out.read_text().splitlines()] == ["g1", "g2"]
+        assert "line 2: bad canonical record: a record must be an object, got list" in proc.stderr
+        assert "line 3: bad canonical record: tokens must be a list, got int" in proc.stderr
+        assert "line 4: bad canonical record: features must be an object, got list" in proc.stderr
+        assert "3 of 5 records failed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_linearize_skips_bad_lines(self, tmp_path):
+        good = {"label": "want-01", "index": 1,
+                "children": [["ARG0", {"label": "person", "index": 2}]]}
+        src = tmp_path / "arbors.jsonl"
+        src.write_text("".join([json.dumps({"id": "g1", "root": good}) + "\n", "5\n",
+                                json.dumps({"id": "g2", "root": good}) + "\n"]))
+        tsv = tmp_path / "rels.tsv"
+        proc = run_cli("linearize", "--input", src, "--output", tsv)
+        assert proc.returncode == 1
+        assert [b for b in tsv.read_text().split("\n\n") if b.strip()] == [
+            "@root@\t0\troot\twant-01\t1\nwant-01\t1\tARG0\tperson\t2"] * 2
+        assert "line 2: bad arborescence record: a record must be an object, got int" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_eval_stops_at_a_bad_line_and_names_it(self, tmp_path):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(canonical_line("a", GOOD_NODES, GOOD_EDGES, ["x"]) + "\n[1, 2]\n")
+        out = tmp_path / "report.json"
+        proc = run_cli("eval", "--gold", gold, "--pred", gold, "--output", out)
+        assert proc.returncode == 1
+        assert f"{gold}: line 2: bad canonical record" in proc.stderr
         assert not out.exists()
         assert "Traceback" not in proc.stderr
 
@@ -398,6 +448,31 @@ class TestTrainParseEvalBench:
                               max_len=2 * len(r.tokens) + 10)
                 _write_graph(expected, r.id, graph, "canonical", r.tokens, r.pos)
         assert out.read_text() == expected.getvalue()
+
+    def test_parse_skips_bad_line(self, trained, tmp_path):
+        ckpt, _, records = trained
+        sentences = tmp_path / "sents.jsonl"
+        sentences.write_text("".join([write_canonical(records[0]) + "\n", "{not json\n",
+                                      write_canonical(records[2]) + "\n"]))
+        out = tmp_path / "parsed.jsonl"
+        proc = run_cli("parse", "--model", ckpt, "--input", sentences, "--output", out,
+                       "--greedy")
+        assert proc.returncode == 1
+        written = [read_canonical(line) for line in out.read_text().splitlines()]
+        assert [r.id for r in written] == [records[0].id, records[2].id]
+        assert "line 2: bad canonical JSON" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_train_stops_at_a_bad_line_and_names_it(self, corpus_files, tmp_path):
+        _, train_file, _ = corpus_files
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(train_file.read_text() + '{"id": "x", "tokens": 5}\n')
+        proc = run_cli("train", "--framework", "amr", "--train", bad,
+                       "--output", tmp_path / "m.ckpt", "--hidden", "8", "--max-epochs", "1")
+        assert proc.returncode == 1
+        assert f"{bad}: line 33: bad canonical record" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_train_rejects_empty_sentence(self, corpus_files, tmp_path):
         _, _, records = corpus_files

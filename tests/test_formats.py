@@ -159,6 +159,49 @@ class TestCanonical:
         with pytest.raises(FormatError):
             read_canonical("{nope")
 
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "a record must be an object, got list"),
+        ("5", "a record must be an object, got int"),
+        ("null", "a record must be an object, got NoneType"),
+        ({"tokens": 5}, "tokens must be a list, got int"),
+        ({"tokens": "ab"}, "tokens must be a list, got str"),
+        ({"tokens": [1]}, "each of tokens must be a string, got int"),
+        ({"pos": [None]}, "each of pos must be a string, got NoneType"),
+        ({"features": [1]}, "features must be an object, got list"),
+        ({"features": {"caps": 5}}, "feature 'caps' must be a list, got int"),
+        ({"nodes": 5}, "nodes must be a list, got int"),
+        ({"tops": "n0"}, "tops must be a list, got str"),
+        ({"tops": [None]}, "each of tops must be a string or an integer, got NoneType"),
+        ({"id": None}, "id must be a string or an integer, got NoneType"),
+        ({"framework": [1]}, "is not a valid Framework"),
+    ])
+    def test_wrong_shape_rejected(self, line, message):
+        if isinstance(line, dict):
+            line = json.dumps({"id": "x", "framework": "dm", "tokens": ["a"], "pos": ["DT"],
+                               **line})
+        with pytest.raises(FormatError, match=f"^bad canonical record: .*{message}"):
+            read_canonical(line)
+
+    @pytest.mark.parametrize("node, edge, message", [
+        ({"id": "n0", "label": 5}, None, "a node label must be a string or null, got int"),
+        ({"id": "n0", "anchors": 0}, None, "a node's anchors must be a list, got int"),
+        ({"id": "n0", "anchors": ["a"]}, None,
+         "each of a node's anchors must be an integer, got str"),
+        ({"id": "n0"}, {"src": "n0", "tgt": "n0", "label": 5},
+         "an edge label must be a string, got int"),
+        ({"id": ["n0"]}, None, "a node id must be a string or an integer, got list"),
+        (1, None, "TypeError"),
+        ({"id": "n0"}, [], "TypeError"),
+        ({"id": "n0"}, {"src": "n0", "tgt": True, "label": "r"},
+         "an edge target must be a string or an integer, got bool"),
+    ])
+    def test_wrong_typed_node_or_edge_rejected(self, node, edge, message):
+        record = read_canonical(json.dumps({
+            "id": "x", "framework": "dm", "tokens": ["a"], "pos": ["DT"], "nodes": [node],
+            "edges": [] if edge is None else [edge]}))
+        with pytest.raises(FormatError, match=f"bad node or edge: .*{message}"):
+            record.graph()
+
 
 class TestEmbeddings:
     def test_load_and_lookup(self, tmp_path):
@@ -226,6 +269,38 @@ class TestCheckpoint:
 
 
 class TestArborJson:
+    @pytest.mark.parametrize("line, message", [
+        ("5", "bad arborescence record: a record must be an object, got int"),
+        ("[1]", "bad arborescence record: a record must be an object, got list"),
+        ('{"id": "g"}', "bad arborescence record: 'root'"),
+        ('{"id": null, "root": {"label": "a", "index": 1}}', "id must be a string or an integer"),
+        ('{"root": 5}', "bad arborescence record: a node must be an object, got int"),
+        ('{"root": {"label": 5, "index": 1}}', "a node label must be a string, got int"),
+        ('{"root": {"label": "a", "index": "1"}}', "a node index must be an integer, got str"),
+        ('{"root": {"label": "a", "index": true}}', "a node index must be an integer, got bool"),
+        ('{"root": {"label": "a", "index": 1, "anchors": ["q"]}}',
+         "each of a node's anchors must be an integer, got str"),
+        ('{"root": {"label": "a", "index": 1, "children": 5}}',
+         "a node's children must be a list, got int"),
+        ('{"root": {"label": "a", "index": 1, "children": [[5, {"label": "b", "index": 2}]]}}',
+         "a relation must be a string, got int"),
+    ])
+    def test_wrong_shape_rejected(self, line, message):
+        from arbor.formats import arbor_from_json
+
+        with pytest.raises(FormatError, match=message):
+            arbor_from_json(line)
+
+    def test_bad_deep_node_reported_once(self):
+        from arbor.formats import arbor_from_json
+
+        node = {"label": "leaf"}  # no index
+        for depth in range(5):
+            node = {"label": f"n{depth}", "index": depth, "children": [["r", node]]}
+        with pytest.raises(FormatError) as err:
+            arbor_from_json(json.dumps({"id": "g", "root": node}))
+        assert str(err.value) == "bad arborescence record: 'index'"
+
     def test_round_trip(self):
         from arbor.formats import arbor_from_json, arbor_to_json
         from conftest import random_arborescence

@@ -25,19 +25,19 @@ from arbor.inference import (
     _top_k,
 )
 from arbor.linearize import relations_to_arbor
-from arbor.model import ModelConfig, TransducerModel, Vocabularies
+from arbor.model import TransducerModel, Vocabularies
 from arbor.vocab import NODE_RESERVED, RELATION_RESERVED, Vocab
 
-from conftest import build_tiny_model, make_inputs
+from conftest import build_tiny_model, make_inputs, tiny_config
 from test_model import SMALL_DIMS
 
 
 def micro_model(seed: int) -> TransducerModel:
     """Tiny label space for exhaustive enumeration."""
-    cfg = ModelConfig.tiny("amr", word_dim=4, char_emb_dim=3, char_channels=4,
-                           pos_dim=3, index_dim=3, rel_dim=3, encoder_hidden=4,
-                           relation_hidden=6, biaffine_size=4, bilinear_size=4,
-                           index_table_size=16)
+    cfg = tiny_config("amr", word_dim=4, char_emb_dim=3, char_channels=4,
+                      pos_dim=3, index_dim=3, rel_dim=3, encoder_hidden=4,
+                      relation_hidden=6, biaffine_size=4, bilinear_size=4,
+                      index_table_size=16)
     vocabs = Vocabularies(
         enc_word=Vocab(["tok"]),
         dec_word=Vocab(["aa", "bb"], reserved=NODE_RESERVED),

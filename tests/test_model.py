@@ -11,7 +11,8 @@ from arbor.encoder import EncoderInput
 from arbor.graph import EOS_LABEL, ROOT_INDEX, ROOT_LABEL, UNK_LABEL
 from arbor.model import ModelConfig, TransducerModel, Vocabularies, build_vocabularies
 
-from conftest import build_tiny_model, check_op, gold_support, make_inputs, switch_values
+from conftest import (build_tiny_model, check_op, gold_support, make_inputs, relation_dist,
+                      switch_values)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ def drive_steps(model, inp, labels, rng_seed=0):
         record = reference_node(state.nodes, label, i + 1, inp.tokens, inp.pos)
         state = dec.feed_target(state, record)
         pu = dec.point_source(state)
-        pr = dec.relation_dist(state, 0)
+        pr = relation_dist(dec, state, 0)
         outs[-1] = (out, pu, pr)
         rel_in = RelationInput(label, i + 1, UNK_LABEL, "root")
     return outs, state
@@ -272,7 +273,7 @@ class TestDecoderStep:
         # relation vocabulary: pad, unk, root
         inp = make_inputs(np.random.default_rng(10), 2)
         _, state = drive_steps(model, inp, ["person"])
-        pr = model.decoder.relation_dist(state, 0)
+        pr = relation_dist(model.decoder, state, 0)
         assert pr.shape == (len(model.vocabs.rel),)
         assert abs(pr.data.sum() - 1.0) < 1e-9
 
@@ -289,7 +290,7 @@ class TestDecoderStep:
             rows = dec.relation_dist_all(state)
             assert rows.shape == (len(state.nodes), len(model.vocabs.rel))
             for j in range(rows.shape[0]):
-                assert np.abs(rows[j] - dec.relation_dist(state, j).data).max() <= 1e-12
+                assert np.abs(rows[j] - relation_dist(dec, state, j).data).max() <= 1e-12
             rel_in = RelationInput(label, i + 1, UNK_LABEL, "root")
 
 
@@ -317,8 +318,8 @@ def reference_predict_target(dec, enc, state, rel_in):
     a_enc = ad.softmax(today_scores(dec.attn_mlp, attn_in))
     context = ad.matmul(a_enc, enc.states)
     u_vec = dec.label_vec(rel_in.u_label, rel_in.u_pos)
-    du_vec = dec.index_emb.one(dec._index_id(rel_in.u_index))
-    r_vec = dec.rel_emb.one(dec.rel_vocab.id(rel_in.rel))
+    du_vec = ad.element(dec.index_emb([dec._index_id(rel_in.u_index)]), 0)
+    r_vec = ad.element(dec.rel_emb([dec.rel_vocab.id(rel_in.rel)]), 0)
     z = today_linear(dec.ffn_relation, ad.concat([h_i, context, r_vec, u_vec, du_vec]))
     p_vocab = ad.softmax(today_linear(dec.ffn_vocab, z))
     switch_logits = today_linear(dec.ffn_switch, z)
@@ -535,7 +536,7 @@ class TestGradientFlow:
             _, state = dec.predict_target(enc, state,
                                           RelationInput("person", 1, "NN", "root"))
             state = dec.feed_target(state, NodeRecord("city", 2, "NN", ORIGIN_VOCAB))
-            pr = dec.relation_dist(state, 1)
+            pr = relation_dist(dec, state, 1)
             loss = ad.log(ad.element(pr, 2))
             tape.backward(loss)
         assert dec.mlp_rel_src.lin.w.grad is not None

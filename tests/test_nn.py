@@ -4,11 +4,17 @@ import pytest
 from arbor import autodiff as ad
 from arbor import nn
 
+from conftest import grad_check, sigmoid
 from test_model import amax
 
 
 def const(x):
     return ad.constant(np.asarray(x, dtype=float))
+
+
+def word_features(cnn, char_ids):
+    """One word's pooled character features: row 0 of ``cnn.rows``."""
+    return ad.element(cnn.rows([char_ids]), 0)
 
 
 class TestScorers:
@@ -151,6 +157,19 @@ class TestQueryRows:
                 assert np.abs(points[i] - bi(q, c).data).max() <= 1e-12
                 assert np.abs(types[i] - bl(c, q).data).max() <= 1e-12
 
+    def test_biaffine_query_rows_bit_equal_to_one_query(self):
+        # each query against its own candidates takes the one query's products
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            d1, d2, m, n = (int(v) for v in rng.integers(1, 40, size=4))
+            bi = nn.Biaffine(rng, d1, d2)
+            bi.b.data = np.asarray(rng.standard_normal())
+            queries = rng.standard_normal((m, d1))
+            cands = rng.standard_normal((m, n, d2))
+            points = bi(const(queries), const(cands)).data
+            for b in range(m):
+                assert np.array_equal(points[b], bi(const(queries[b]), const(cands[b])).data)
+
     def test_query_rows_gradients(self):
         rng = np.random.default_rng(9)
         bi, bl = nn.Biaffine(rng, 3, 4), nn.Bilinear(rng, 4, 3, 2)
@@ -164,7 +183,7 @@ class TestQueryRows:
 
         params = [("queries", queries), ("cands", cands),
                   *bi.parameters("bi.").items(), *bl.parameters("bl.").items()]
-        report = ad.grad_check(loss, params, rng=np.random.default_rng(0), total_coords=60,
+        report = grad_check(loss, params, rng=np.random.default_rng(0), total_coords=60,
                                tol=1e-6)
         assert report.passed, report.worst
 
@@ -200,7 +219,7 @@ class TestQueryRows:
 
         params = [("queries", queries), ("cands", cands),
                   *bi.parameters("bi.").items(), *att.parameters("att.").items()]
-        report = ad.grad_check(loss, params, rng=np.random.default_rng(0), total_coords=60,
+        report = grad_check(loss, params, rng=np.random.default_rng(0), total_coords=60,
                                tol=1e-6)
         assert report.passed, report.worst
 
@@ -267,7 +286,7 @@ class TestLstm:
         rng = np.random.default_rng(12)
         bil = nn.BiLstm(rng, 3, 3, 2)
         xs = const(rng.standard_normal((3, 3)))
-        report = ad.grad_check(
+        report = grad_check(
             lambda: ad.sum_all(bil.run(xs)[-1]),
             list(bil.parameters().items()), total_coords=80, rng=rng,
         )
@@ -278,13 +297,13 @@ class TestCharCnn:
     def test_output_shape_fixed(self):
         cnn = nn.CharCnn(np.random.default_rng(13), 20, 5, 7)
         for word in ([], [1], [1, 2], list(range(1, 15))):
-            assert cnn(word).shape == (7,)
+            assert word_features(cnn, word).shape == (7,)
 
     def test_zero_kernels_give_bias(self):
         cnn = nn.CharCnn(np.random.default_rng(14), 20, 5, 7)
         cnn.w.data[:] = 0
         cnn.b.data[:] = np.arange(7.0)
-        assert np.allclose(cnn([3]).data, np.arange(7.0))
+        assert np.allclose(word_features(cnn, [3]).data, np.arange(7.0))
 
     def test_hand_convolution_two_chars(self):
         rng = np.random.default_rng(15)
@@ -297,12 +316,12 @@ class TestCharCnn:
             np.concatenate([e[2], e[5], pad]),
         ])
         expected = (windows @ cnn.w.data.T + cnn.b.data).max(axis=0)
-        assert np.allclose(cnn(ids).data, expected)
+        assert np.allclose(word_features(cnn, ids).data, expected)
 
     def test_interior_permutation_changes_output(self):
         cnn = nn.CharCnn(np.random.default_rng(16), 10, 4, 6)
-        a = cnn([1, 2, 3, 4]).data
-        b = cnn([1, 3, 2, 4]).data
+        a = word_features(cnn, [1, 2, 3, 4]).data
+        b = word_features(cnn, [1, 3, 2, 4]).data
         assert not np.allclose(a, b)
 
     def test_even_kernel_rejected(self):
@@ -312,8 +331,8 @@ class TestCharCnn:
     def test_gradients(self):
         rng = np.random.default_rng(17)
         cnn = nn.CharCnn(rng, 12, 3, 4)
-        report = ad.grad_check(
-            lambda: ad.sum_all(ad.mul(cnn([1, 4, 2]), cnn([5]))),
+        report = grad_check(
+            lambda: ad.sum_all(ad.mul(word_features(cnn, [1, 4, 2]), word_features(cnn, [5]))),
             list(cnn.parameters().items()), total_coords=60, rng=rng,
         )
         assert report.passed, report.worst
@@ -352,10 +371,10 @@ def composed_lstm_cell(cell, x, state):
     h_prev, c_prev = state
     gates = ad.add(ad.add(ad.matmul(cell.w_ih, x), ad.matmul(cell.w_hh, h_prev)), cell.b)
     hid = cell.hidden
-    i = ad.sigmoid(ad.narrow(gates, 0, 0, hid))
-    f = ad.sigmoid(ad.narrow(gates, 0, hid, 2 * hid))
+    i = sigmoid(ad.narrow(gates, 0, 0, hid))
+    f = sigmoid(ad.narrow(gates, 0, hid, 2 * hid))
     g = ad.tanh(ad.narrow(gates, 0, 2 * hid, 3 * hid))
-    o = ad.sigmoid(ad.narrow(gates, 0, 3 * hid, 4 * hid))
+    o = sigmoid(ad.narrow(gates, 0, 3 * hid, 4 * hid))
     c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
     h = ad.mul(o, ad.tanh(c))
     return h, c
@@ -377,10 +396,6 @@ def composed_char_cnn(cnn, char_ids):
     windows = ad.concat([ad.narrow(rows, 0, k, k + n_win) for k in range(cnn.kernel)], axis=1)
     conv = ad.add(ad.matmul(windows, ad.transpose(cnn.w)), cnn.b)
     return amax(conv, axis=0)
-
-
-def composed_embed_one(table, i):
-    return ad.reshape(old_embedding_gather(table, [int(i)]), (table.shape[1],))
 
 
 def var(rng, shape):
@@ -461,11 +476,12 @@ class TestFusedMatchesComposed:
             cnn.b.data = rng.standard_normal(cnn.channels)
             for length in range(7):
                 ids = [int(v) for v in rng.integers(0, 12, size=length)]
-                assert np.array_equal(cnn(ids).data, composed_char_cnn(cnn, ids).data)
+                assert np.array_equal(word_features(cnn, ids).data,
+                                      composed_char_cnn(cnn, ids).data)
                 weights = const(rng.standard_normal(cnn.channels))
                 tensors = list(cnn.parameters().values())
                 assert_grads_close(
-                    gradients(tensors, lambda: ad.matmul(cnn(ids), weights)),
+                    gradients(tensors, lambda: ad.matmul(word_features(cnn, ids), weights)),
                     gradients(tensors, lambda: ad.matmul(composed_char_cnn(cnn, ids), weights)),
                 )
 
@@ -477,27 +493,11 @@ class TestFusedMatchesComposed:
         words = [[int(v) for v in rng.integers(0, 12, size=n)] for n in (0, 1, 4, 2, 6)]
         rows = cnn.rows(words).data
         for word, row in zip(words, rows):
-            assert np.array_equal(row, cnn(word).data)
+            assert np.array_equal(row, word_features(cnn, word).data)
         weights = const(rng.standard_normal((len(words), cnn.channels)))
         tensors = list(cnn.parameters().values())
         assert_grads_close(
             gradients(tensors, lambda: ad.sum_all(ad.mul(cnn.rows(words), weights))),
             gradients(tensors, lambda: ad.sum_all(ad.mul(
-                ad.stack_rows([cnn(w) for w in words]), weights))),
+                ad.stack_rows([word_features(cnn, w) for w in words]), weights))),
         )
-
-    def test_embed_one(self):
-        for seed in range(6):
-            rng = np.random.default_rng(seed)
-            emb = nn.Embedding(rng, int(rng.integers(1, 10)), int(rng.integers(1, 6)))
-            ids = [int(v) for v in rng.integers(0, emb.rows, size=4)]
-            for i in ids:
-                assert np.array_equal(emb.one(i).data, composed_embed_one(emb.table, i).data)
-            weights = const(rng.standard_normal(emb.dim))
-
-            def loss(lookup):
-                rows = ad.stack_rows([lookup(emb.table, i) for i in ids])
-                return ad.sum_all(ad.tanh(ad.matmul(rows, weights)))
-
-            assert_grads_close(gradients([emb.table], lambda: loss(ad.embed_one)),
-                               gradients([emb.table], lambda: loss(composed_embed_one)))

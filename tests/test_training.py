@@ -29,8 +29,8 @@ from arbor.training import (
     train,
 )
 
-from conftest import (build_tiny_model, gold_support, make_inputs, random_arborescence,
-                      synthetic_corpus)
+from conftest import (build_tiny_model, gold_support, grad_check, make_inputs,
+                      random_arborescence, relation_dist, synthetic_corpus)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -294,7 +294,7 @@ class TestSequenceLoss:
             state = dec.feed_target(state, record)
             pos = resolve_source(ref.relations[:i], rel.source, rel.source_index)
             logp += np.log(dec.point_source(state).data[pos])
-            logp += np.log(dec.relation_dist(state, pos).data[dec.rel_vocab.id(rel.rel)])
+            logp += np.log(relation_dist(dec, state, pos).data[dec.rel_vocab.id(rel.rel)])
             rel_in = RelationInput(rel.source, rel.source_index,
                                    state.node_pos(pos), rel.rel)
         out, _ = dec.predict_target(enc, state, rel_in)
@@ -316,7 +316,7 @@ class TestSequenceLoss:
 
         # h sits where central differences are no longer dominated by
         # float64 cancellation noise on small-gradient coordinates
-        report = ad.grad_check(build, list(model.parameters().items()),
+        report = grad_check(build, list(model.parameters().items()),
                                rng=np.random.default_rng(0), total_coords=250, h=5e-4)
         assert report.checked >= 200
         assert report.passed, report.worst
