@@ -379,15 +379,6 @@ def transpose(x: Tensor) -> Tensor:
     return _apply(x.data.swapaxes(-1, -2).copy(), [(x, lambda g: g.swapaxes(-1, -2).copy())])
 
 
-def repeat_rows(v: Tensor, n: int) -> Tensor:
-    """Tile a vector into n identical rows, ``(n, d)``, or each row of a
-    matrix into n identical rows, ``(m, n, d)``."""
-    if v.ndim not in (1, 2):
-        raise ShapeError(f"repeat_rows expects a vector or a matrix, got shape {v.shape}")
-    out = np.broadcast_to(v.data[..., None, :], v.shape[:-1] + (n, v.shape[-1])).copy()
-    return _apply(out, [(v, lambda g: g.sum(axis=-2))])
-
-
 def sum_all(x: Tensor) -> Tensor:
     return _apply(x.data.sum(), [(x, lambda g: np.full_like(x.data, g))])
 

@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields
 
@@ -269,11 +270,20 @@ def cmd_parse(args) -> int:
     return failures.exit_code()
 
 
+def _records_by_id(path) -> dict:
+    """The canonical records of ``path`` by id; an id that the file repeats
+    is an error, since only one of its records could be scored."""
+    records = formats.read_canonical_file(path)
+    repeated = sorted(i for i, n in Counter(r.id for r in records).items() if n > 1)
+    if repeated:
+        raise CliError(f"{path}: repeated ids: {repeated[:5]}")
+    return {r.id: r for r in records}
+
+
 def cmd_eval(args) -> int:
     """Score each prediction against its gold graph; the report counts the
     pairs scored and lists ``failed_ids``, the pairs ``_Failures`` skipped."""
-    gold = {r.id: r for r in formats.read_canonical_file(args.gold)}
-    pred = {r.id: r for r in formats.read_canonical_file(args.pred)}
+    gold, pred = _records_by_id(args.gold), _records_by_id(args.pred)
     missing = sorted(set(gold) - set(pred))
     if missing:
         raise CliError(f"predictions missing for ids: {missing[:5]}")

@@ -41,12 +41,14 @@ memoised by (label, POS) while no tape records.
 Training does not step through this module's decode forms: under teacher
 forcing ``training.sequence_loss`` runs each target LSTM layer as one
 ``autodiff.lstm_layer`` op and every head once per batch as matrix rows
-(``label_rows``, ``index_rows``, the attention scorers' ``pairs`` form,
-the biaffine over all of a sentence's targets at once), and builds its
-inputs with ``reference_node`` and ``gold_blocks``.  The source pointer's
-biaffine is the same call in both: decoding gives each expansion's query
-as a one-row matrix against its own candidates.  The stepwise
-``predict_target``/``feed_target`` loss equals it to rounding.
+(``label_rows``, ``index_rows``, the attention scorers' ``pairs``, the
+biaffine over all of a sentence's targets at once), and builds its inputs
+with ``reference_node`` and ``gold_blocks``.  The pairwise scorers are the
+same calls in both: decoding gives each row's query to the two
+attentions' ``pairs`` and to the source pointer's biaffine as a one-row
+matrix against that row's own keys or candidates, and to the relation
+bilinear as a query row against its own source rows.  The stepwise
+``predict_target``/``feed_target`` loss equals training's to rounding.
 """
 
 from __future__ import annotations
@@ -306,10 +308,11 @@ class Decoder(nn.Module):
         ``enc_rows[b]``, as ``lstm_cell``'s ``state_rows`` index state rows.
 
         Each row is bit-equal to its state alone.  A weight times the rows'
-        queries (the ``ffn_*`` layers, ``mlp_end`` and ``mlp_rel_src``) is
-        one gemv per row (``per_row``), and a product over a row's keys (the
-        attention scorers, ``a_enc @ enc.states``) is one matrix of a
-        stacked matmul; a gemm over all rows would round differently.
+        queries (the ``ffn_*`` layers, ``mlp_end``, ``mlp_rel_src``, the
+        attentions' query halves) is one vector product per row, and a
+        product over a row's keys (the attentions' ``pairs``, ``a_enc @
+        enc.states``) is one matrix of a stacked matmul; a gemm over all
+        rows would round differently.
         """
         if isinstance(states, DecoderState):
             out, (state,) = self.predict_target(enc, [states], [rel_ins], train, rng)
@@ -323,7 +326,7 @@ class Decoder(nn.Module):
         keys = ad.embedding_gather(enc_states, enc_rows)
         h = ad.stack_rows([s.h for s in states])
 
-        a_enc = ad.softmax(self.attn_mlp(ad.concat([ad.repeat_rows(h, n), keys], axis=2)))
+        a_enc = ad.softmax(self.attn_mlp.pairs(h, keys))
         context = ad.reshape(ad.matmul(ad.reshape(a_enc, (rows, 1, n)), keys),
                              (rows, keys.shape[2]))
 
@@ -342,8 +345,7 @@ class Decoder(nn.Module):
         n_dec = z_hist.shape[1]
         blocks = [p_vocab, a_enc]
         if n_dec:
-            a_dec = ad.softmax(self.dec_attn_mlp(
-                ad.concat([ad.repeat_rows(z, n_dec), z_hist], axis=2)))
+            a_dec = ad.softmax(self.dec_attn_mlp.pairs(z, z_hist))
             blocks.append(a_dec)
         else:
             # no copyable nodes yet: decoder-copy mass is exactly zero
@@ -463,15 +465,20 @@ class Decoder(nn.Module):
 
     def relation_scores(self, state: DecoderState, position: int) -> Tensor:
         """Bilinear relation-type logits given the source pointer choice."""
-        tgt = self.mlp_rel_tgt(state.h)
-        return self.bilinear(ad.element(state.rel_src_rows, position), tgt)
+        return ad.element(self._relation_logits(state), position)
 
     def relation_dist_all(self, state: DecoderState) -> np.ndarray:
         """P(r) rows for every candidate source position of one fed state:
         the one-expansion reference that ``expand`` is tested against;
         decoding calls ``expand``."""
-        tgt = self.mlp_rel_tgt(state.h)
-        return ad.softmax(self.bilinear(state.rel_src_rows, tgt), axis=-1).data
+        return ad.softmax(self._relation_logits(state), axis=-1).data
+
+    def _relation_logits(self, state: DecoderState) -> Tensor:
+        """The bilinear over every candidate source of one fed state, by the
+        one-query stack of which ``expand`` scores a row."""
+        srcs, tgt = state.rel_src_rows, self.mlp_rel_tgt(state.h)
+        return ad.element(self.bilinear(ad.reshape(srcs, (1,) + srcs.shape),
+                                        ad.reshape(tgt, (1,) + tgt.shape), per_row=True), 0)
 
 
 def _distinct(items: list, key) -> tuple[list, np.ndarray]:

@@ -8,8 +8,10 @@ Scoring functions follow the definitions used throughout the decoder:
     biaffine(x1, x2)  = x1' U x2 + W [x1; x2] + b
     bilinear(x1, x2)  = x1' U x2 + b        (one U slice per output class)
 
-The biaffine is one expression over query rows and candidate rows, which
-training and decoding share; a query vector is a one-row matrix.  Word
+Each pairwise scorer has one call form over query rows and their key or
+candidate rows, which training and decoding share: the attention
+scorers' ``pairs`` and the biaffine take a query vector as a one-row
+matrix, and the bilinear takes one query as a one-row stack.  Word
 features of the character CNN come as rows, one per word.
 
 Parameters are plain Tensors registered under dotted names so checkpoints
@@ -99,29 +101,29 @@ class AttentionScorer(Module):
         self.mlp = self.add_child("mlp", Mlp(rng, in_dim, hidden))
         self.out = self.add_child("out", Linear(rng, hidden, 1))
 
-    def __call__(self, rows: Tensor) -> Tensor:
-        """The score of each row of an ``(n, d)`` matrix, ``(n,)``, or of a
-        ``(b, n, d)`` stack, ``(b, n)``; each matrix of a stack is its own
-        product, so its scores are bit-equal to that matrix alone."""
-        return ad.reshape(self.out(self.mlp(rows)), rows.shape[:-1])
-
     def pairs(self, queries: Tensor, keys: Tensor) -> Tensor:
         """Scores of every query row against every key row, ``(m, n)``; for
         stacks ``(s, m, d)`` and ``(s, n, d)``, of each matrix's queries
-        against its own keys, ``(s, m, n)``.
+        against its own keys, ``(s, m, n)``.  A query vector against a key
+        matrix is a one-row query matrix, giving ``(n,)``, and query rows
+        ``(m, d)`` each against its own key matrix ``(m, n, d)`` are a
+        stack of one-row query matrices, giving ``(m, n)``.
 
         The first layer is split as ``W [q; k] = W_q q + W_k k``, both
-        halves sliced from the one weight, so the ``m * n`` concatenated
-        rows that ``__call__`` scores are never built; a score agrees with
-        ``__call__`` on the concatenated row to rounding.
+        halves sliced from the one weight, so no ``[q; k]`` row is built.
+        The output layer keeps the stack axis: each matrix of a stack is its
+        own product, so its scores are bit-equal to that matrix alone.
         """
         lin = self.mlp.lin
-        d = queries.shape[-1]
+        shape, d = queries.shape[:-1] + keys.shape[-2:-1], queries.shape[-1]
+        if keys.ndim == queries.ndim + 1:  # one-row query matrices
+            queries = ad.reshape(queries, queries.shape[:-1] + (1, d))
         q = ad.affine(queries, ad.narrow(lin.w, 1, 0, d), lin.b)
         k = ad.affine(keys, ad.narrow(lin.w, 1, d, lin.in_dim),
                       ad.constant(np.zeros(lin.out_dim)))
-        hidden = ad.reshape(ad.elu(ad.pairwise_add(q, k)), (-1, lin.out_dim))
-        return ad.reshape(self.out(hidden), queries.shape[:-1] + keys.shape[-2:-1])
+        hidden = ad.elu(ad.pairwise_add(q, k))
+        hidden = ad.reshape(hidden, queries.shape[:-2] + (-1, lin.out_dim))
+        return ad.reshape(self.out(hidden), shape)
 
 
 class Biaffine(Module):
@@ -162,17 +164,12 @@ class Biaffine(Module):
 
 
 class Bilinear(Module):
-    """x1' U_k x2 + b_k for each of k classes.
-
-    ``x1`` is a vector, giving ``(k,)`` scores, or a matrix of rows scored
-    against the one ``x2``, giving ``(m, k)``.  The two forms multiply in
-    different orders (gemv and gemm), so a row of the matrix form can
-    differ from the vector form in the last bits.  With query rows ``x2``
-    of shape ``(q, dim2)``, ``x1`` is a ``(q, m, dim1)`` stack, one matrix
-    per query, giving ``(q, m, k)``.  The queries are projected by one
-    gemm, so each query's block agrees with the matrix form for that query
-    alone to rounding; with ``per_row`` each query is its own product and
-    its block is bit-equal to it.
+    """x1' U_k x2 + b_k for each of k classes, for query rows: ``x2`` holds
+    ``q`` queries ``(q, dim2)`` and ``x1`` one matrix of source rows per
+    query, ``(q, m, dim1)``, giving ``(q, m, k)``.  One query is a one-row
+    stack.  The queries are projected by one gemm, so each query's block
+    agrees with that query alone to rounding; with ``per_row`` each query is
+    its own product and its block is bit-equal to it.
     """
 
     def __init__(self, rng, dim1: int, dim2: int, classes: int):
@@ -183,26 +180,16 @@ class Bilinear(Module):
 
     def __call__(self, x1: Tensor, x2: Tensor, per_row: bool = False) -> Tensor:
         k, d1, d2 = self.classes, self.dim1, self.dim2
-        one = x1.ndim in (1, 2) and x2.shape == (d2,)
-        rows = (x1.ndim == 3 and x2.ndim == 2 and x2.shape[1] == d2
-                and x1.shape[0] == x2.shape[0])
-        if not (one or rows) or x1.shape[-1] != d1:
+        if not (x1.ndim == 3 and x2.ndim == 2 and x1.shape[0] == x2.shape[0]
+                and x1.shape[2] == d1 and x2.shape[1] == d2):
             raise ad.ShapeError(
-                f"bilinear: got {x1.shape} and {x2.shape}, "
-                f"expected ({d1},) or (m, {d1}) and ({d2},), or (q, m, {d1}) and (q, {d2})"
-            )
-        flat = ad.reshape(self.u, (k * d1, d2))
-        if rows and per_row:
-            q = x2.shape[0]
-            t = ad.reshape(ad.matmul(flat, ad.reshape(x2, (q, d2, 1))), (q, k, d1))
-        elif rows:
-            q = x2.shape[0]
-            t = ad.reshape(ad.transpose(ad.matmul(flat, ad.transpose(x2))), (q, k, d1))
+                f"bilinear: got {x1.shape} and {x2.shape}, expected (q, m, {d1}) and (q, {d2})")
+        q, flat = x2.shape[0], ad.reshape(self.u, (k * d1, d2))
+        if per_row:
+            t = ad.matmul(flat, ad.reshape(x2, (q, d2, 1)))
         else:
-            t = ad.reshape(ad.matmul(flat, x2), (k, d1))
-        if x1.ndim == 1:
-            return ad.add(ad.matmul(t, x1), self.b)
-        return ad.add(ad.matmul(x1, ad.transpose(t)), self.b)
+            t = ad.transpose(ad.matmul(flat, ad.transpose(x2)))
+        return ad.add(ad.matmul(x1, ad.transpose(ad.reshape(t, (q, k, d1)))), self.b)
 
 
 class Embedding(Module):

@@ -19,6 +19,8 @@ attention over the relation states under a causal mask, the biaffine
 pointer as one T x T product under a lower-triangular mask (ROOT only
 while it is the gold source), the bilinear scorer at the gold source rows
 only, and coverage as an exclusive cumulative sum of the attention rows.
+The attention scorers' ``pairs``, the biaffine and the bilinear take the
+call form decoding uses, here with all of a sentence's queries as rows.
 
 ``train`` makes one ``sequence_loss`` call and one backward pass per
 batch.  The batch's B sentences run as rows: the encoder and target LSTMs

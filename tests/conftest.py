@@ -137,6 +137,21 @@ def maximum(a, b):
     return ad._select("maximum", np.maximum, np.greater_equal, a, b)
 
 
+def repeat_rows(v, n):
+    """Tile a vector into n identical rows, ``(n, d)``, or each row of a
+    matrix into n identical rows, ``(m, n, d)``."""
+    if v.ndim not in (1, 2):
+        raise ad.ShapeError(f"repeat_rows expects a vector or a matrix, got shape {v.shape}")
+    out = np.broadcast_to(v.data[..., None, :], v.shape[:-1] + (n, v.shape[-1])).copy()
+    return ad._apply(out, [(v, lambda g: g.sum(axis=-2))])
+
+
+def concatenated_scores(scorer, rows):
+    """An ``AttentionScorer``'s score of each concatenated ``[q; k]`` row of
+    an ``(n, d)`` matrix, ``(n,)``: its first layer unsplit, ``W [q; k]``."""
+    return ad.reshape(scorer.out(scorer.mlp(rows)), rows.shape[:-1])
+
+
 def random_amr_graph(rng: np.random.Generator, max_nodes: int = 12) -> SemanticGraph:
     """Acyclic, rooted, connected, with reentrancies."""
     n = int(rng.integers(1, max_nodes + 1))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from arbor import autodiff as ad
 from arbor.autodiff import ShapeError, Tape, TapeError, Tensor
 
-from conftest import check_op, grad_check, maximum, sigmoid
+from conftest import check_op, grad_check, maximum, repeat_rows, sigmoid
 from test_model import amax
 
 
@@ -199,11 +199,11 @@ class TestPrimitiveGradients:
 
     def test_repeat_rows_of_a_matrix(self):
         m = t(np.random.default_rng(10).standard_normal((2, 3)))
-        tiled = ad.repeat_rows(m, 4)
+        tiled = repeat_rows(m, 4)
         assert tiled.shape == (2, 4, 3)
         assert np.array_equal(tiled.data[1, 2], m.data[1])
         weights = ad.constant(np.random.default_rng(11).standard_normal((2, 4, 3)))
-        check_op(lambda: ad.sum_all(ad.mul(ad.repeat_rows(m, 4), weights)), [("m", m)],
+        check_op(lambda: ad.sum_all(ad.mul(repeat_rows(m, 4), weights)), [("m", m)],
                  coords=6)
 
     @pytest.mark.parametrize("name", ["add", "sub", "mul"])

@@ -257,6 +257,23 @@ class TestBadRecords:
         assert not out.exists()
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("repeated", ["gold", "pred"])
+    def test_eval_rejects_a_repeated_id(self, tmp_path, repeated):
+        one = [{"id": "x", "label": "dog"}]
+        files = {}
+        for name in ("gold", "pred"):
+            files[name] = tmp_path / f"{name}.jsonl"
+            ids = ("a", "b", "a") if name == repeated else ("a", "b")
+            files[name].write_text("\n".join(canonical_line(i, one, [], ["x"]) for i in ids)
+                                   + "\n")
+        out = tmp_path / "report.json"
+        proc = run_cli("eval", "--gold", files["gold"], "--pred", files["pred"],
+                       "--output", out)
+        assert proc.returncode == 1
+        assert f"{files[repeated]}: repeated ids: ['a']" in proc.stderr
+        assert not out.exists()
+        assert "Traceback" not in proc.stderr
+
     def test_eval_scores_the_other_records(self, tmp_path):
         gold = tmp_path / "gold.jsonl"
         gold.write_text("\n".join(canonical_line(i, GOOD_NODES, GOOD_EDGES, ["x"])

@@ -12,7 +12,7 @@ from arbor.graph import EOS_LABEL, ROOT_INDEX, ROOT_LABEL, UNK_LABEL
 from arbor.model import ModelConfig, TransducerModel, Vocabularies, build_vocabularies
 
 from conftest import (build_tiny_model, check_op, gold_support, make_inputs, relation_dist,
-                      switch_values)
+                      repeat_rows, switch_values)
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +109,7 @@ class TestAmax:
 
         def build():
             pooled = amax(x, axis=0)  # (3,)
-            tiled = ad.repeat_rows(v, 3)  # (3, 5)
+            tiled = repeat_rows(v, 3)  # (3, 5)
             return ad.add(ad.sum_all(pooled), ad.sum_all(tiled))
 
         check_op(build, [("x", x), ("v", v)], coords=27)
@@ -305,17 +305,12 @@ def today_mlp(mlp, x):
     return ad.elu(today_linear(mlp.lin, x))
 
 
-def today_scores(scorer, rows):
-    return ad.reshape(today_linear(scorer.out, today_mlp(scorer.mlp, rows)), (rows.shape[0],))
-
-
 def reference_predict_target(dec, enc, state, rel_in):
     """The target head on one state as it ran before hypotheses became rows:
-    vector forms for the query, each attention over its own ``(n, ·)``
-    pair matrix.  Returns the arrays ``predict_target`` must reproduce."""
+    vector forms for the query, each attention's query alone against its
+    keys.  Returns the arrays ``predict_target`` must reproduce."""
     h_i = state.h
-    attn_in = ad.concat([ad.repeat_rows(h_i, enc.n), enc.states], axis=1)
-    a_enc = ad.softmax(today_scores(dec.attn_mlp, attn_in))
+    a_enc = ad.softmax(dec.attn_mlp.pairs(h_i, enc.states))
     context = ad.matmul(a_enc, enc.states)
     u_vec = dec.label_vec(rel_in.u_label, rel_in.u_pos)
     du_vec = ad.element(dec.index_emb([dec._index_id(rel_in.u_index)]), 0)
@@ -325,8 +320,7 @@ def reference_predict_target(dec, enc, state, rel_in):
     switch_logits = today_linear(dec.ffn_switch, z)
     n_dec = state.z_hist.shape[0]
     if n_dec:
-        pair = ad.concat([ad.repeat_rows(z, n_dec), state.z_hist], axis=1)
-        a_dec = ad.softmax(today_scores(dec.dec_attn_mlp, pair))
+        a_dec = ad.softmax(dec.dec_attn_mlp.pairs(z, state.z_hist))
         sw = ad.softmax(switch_logits)
         blocks = [p_vocab, a_enc, a_dec]
     else:

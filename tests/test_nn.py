@@ -4,7 +4,7 @@ import pytest
 from arbor import autodiff as ad
 from arbor import nn
 
-from conftest import grad_check, sigmoid
+from conftest import concatenated_scores, grad_check, repeat_rows, sigmoid
 from test_model import amax
 
 
@@ -75,20 +75,21 @@ class TestScorers:
         bl.u.data[0] = np.eye(3)
         bl.u.data[1] = 0
         bl.b.data[:] = 0
-        e1 = const([1.0, 0.0, 0.0])
-        assert np.allclose(bl(e1, e1).data, [1.0, 0.0])
+        e1 = np.array([[1.0, 0.0, 0.0]])
+        assert np.allclose(bl(const([e1]), const(e1)).data, [[[1.0, 0.0]]])
 
     def test_bilinear_formula_by_hand(self):
         rng = np.random.default_rng(7)
         bl = nn.Bilinear(rng, 4, 3, 5)
         x1, x2 = rng.standard_normal(4), rng.standard_normal(3)
         expected = [x1 @ bl.u.data[k] @ x2 + bl.b.data[k] for k in range(5)]
-        assert np.allclose(bl(const(x1), const(x2)).data, expected)
+        assert np.allclose(bl(const([[x1]]), const([x2])).data, [[expected]])
 
 
 def old_bilinear_scores(bl, x1, x2):
     """The vector form of the old ``Bilinear`` and, for rows, the batched
-    form that ``Decoder.relation_dist_all`` once spelled out."""
+    form that ``Decoder.relation_dist_all`` once spelled out, for one query
+    vector ``x2``."""
     flat = ad.reshape(bl.u, (bl.classes * bl.dim1, bl.dim2))
     t = ad.reshape(ad.matmul(flat, x2), (bl.classes, bl.dim1))
     if x1.ndim == 2:
@@ -105,10 +106,11 @@ class TestBilinearRows:
             bl.b.data = rng.standard_normal(k)
             tgt = const(rng.standard_normal(d2))
             for m in (None, 1, 2, int(rng.integers(3, 20))):
-                x1 = const(rng.standard_normal(d1 if m is None else (m, d1)))
-                scores = bl(x1, tgt)
-                assert scores.shape == ((k,) if m is None else (m, k))
-                assert np.array_equal(scores.data, old_bilinear_scores(bl, x1, tgt).data)
+                # a source vector is a one-row matrix of the one-query stack
+                x1 = const(rng.standard_normal(d1 if m is None else (m, d1)).reshape(-1, d1))
+                scores = bl(ad.reshape(x1, (1,) + x1.shape), ad.reshape(tgt, (1, d2)))
+                assert scores.shape == (1, x1.shape[0], k)
+                assert np.array_equal(scores.data[0], old_bilinear_scores(bl, x1, tgt).data)
 
     def test_each_row_matches_vector_form(self):
         for seed in range(6):
@@ -116,11 +118,11 @@ class TestBilinearRows:
             d1, d2, k = (int(v) for v in rng.integers(1, 12, size=3))
             bl = nn.Bilinear(rng, d1, d2, k)
             bl.b.data = rng.standard_normal(k)
-            tgt = const(rng.standard_normal(d2))
+            tgt = const(rng.standard_normal((1, d2)))
             rows = rng.standard_normal((int(rng.integers(1, 9)), d1))
-            batched = bl(const(rows), tgt).data
+            batched = bl(const([rows]), tgt).data[0]
             for i, row in enumerate(rows):
-                assert np.abs(batched[i] - bl(const(row), tgt).data).max() <= 1e-12
+                assert np.abs(batched[i] - bl(const([[row]]), tgt).data[0, 0]).max() <= 1e-12
 
     @pytest.mark.parametrize("x1_shape, x2_shape", [
         ((2, 3, 4), (5,)),  # 3-D x1
@@ -128,6 +130,9 @@ class TestBilinearRows:
         ((3, 6), (5,)),  # wrong dim1, rows
         ((4,), (6,)),  # wrong x2
         ((3, 4), (3, 5)),  # x2 given as rows
+        ((4,), (5,)),  # vectors: one query is a one-row stack
+        ((3, 4), (5,)),  # a matrix against a query vector
+        ((2, 3, 4), (3, 5)),  # 2 source matrices for 3 queries
     ])
     def test_shape_errors(self, x1_shape, x2_shape):
         bl = nn.Bilinear(np.random.default_rng(0), 4, 5, 3)
@@ -155,10 +160,12 @@ class TestQueryRows:
             for i in range(m):
                 q, c = const(queries[i]), const(cands[i])
                 assert np.abs(points[i] - bi(q, c).data).max() <= 1e-12
-                assert np.abs(types[i] - bl(c, q).data).max() <= 1e-12
+                one = bl(const(cands[i : i + 1]), const(queries[i : i + 1])).data[0]
+                assert np.abs(types[i] - one).max() <= 1e-12
 
     def test_biaffine_query_rows_bit_equal_to_one_query(self):
-        # each query against its own candidates takes the one query's products
+        # each query against its own candidates takes the one query's
+        # products: the biaffine, attention pairs, and the bilinear per row
         for seed in range(6):
             rng = np.random.default_rng(seed)
             d1, d2, m, n = (int(v) for v in rng.integers(1, 40, size=4))
@@ -167,8 +174,18 @@ class TestQueryRows:
             queries = rng.standard_normal((m, d1))
             cands = rng.standard_normal((m, n, d2))
             points = bi(const(queries), const(cands)).data
+            h, k = (int(v) for v in rng.integers(1, 40, size=2))
+            att, bl = nn.AttentionScorer(rng, d1 + d2, h), nn.Bilinear(rng, d2, d1, k)
+            att.mlp.lin.b.data, bl.b.data = rng.standard_normal(h), rng.standard_normal(k)
+            scores = att.pairs(const(queries), const(cands)).data
+            types = bl(const(cands), const(queries), per_row=True).data
+            assert scores.shape == (m, n) and types.shape == (m, n, k)
             for b in range(m):
-                assert np.array_equal(points[b], bi(const(queries[b]), const(cands[b])).data)
+                q, c = const(queries[b]), const(cands[b])
+                assert np.array_equal(points[b], bi(q, c).data)
+                assert np.array_equal(scores[b], att.pairs(q, c).data)
+                one = bl(const(cands[b : b + 1]), const(queries[b : b + 1]), per_row=True)
+                assert np.array_equal(types[b], one.data[0])
 
     def test_query_rows_gradients(self):
         rng = np.random.default_rng(9)
@@ -203,8 +220,8 @@ class TestQueryRows:
             for i in range(m):
                 q = const(queries[i])
                 assert np.abs(points[i] - bi(q, const(cands)).data).max() <= 1e-12
-                rows = ad.concat([ad.repeat_rows(q, n), const(cands)], axis=1)
-                assert np.abs(scores[i] - att(rows).data).max() <= 1e-12
+                rows = ad.concat([repeat_rows(q, n), const(cands)], axis=1)
+                assert np.abs(scores[i] - concatenated_scores(att, rows).data).max() <= 1e-12
 
     def test_shared_candidates_and_attention_pairs_gradients(self):
         rng = np.random.default_rng(10)

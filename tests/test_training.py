@@ -30,7 +30,7 @@ from arbor.training import (
 )
 
 from conftest import (build_tiny_model, gold_support, grad_check, make_inputs,
-                      random_arborescence, relation_dist, synthetic_corpus)
+                      random_arborescence, relation_dist, repeat_rows, synthetic_corpus)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -690,7 +690,7 @@ def one_sentence_loss(model, enc_input, reference, *, label_smoothing=0.1,
         x1, x2 = dec.mlp_start(fed), dec.mlp_end(ad.narrow(h, 0, 0, n_rel))
         w1, w2 = ad.narrow(bi.w, 0, 0, bi.dim1), ad.narrow(bi.w, 0, bi.dim1, bi.dim1 + bi.dim2)
         bil = ad.matmul(ad.matmul(x1, bi.u), ad.transpose(x2))
-        lin = ad.add(ad.transpose(ad.repeat_rows(ad.matmul(x1, w1), n_rel)), ad.matmul(x2, w2))
+        lin = ad.add(ad.transpose(repeat_rows(ad.matmul(x1, w1), n_rel)), ad.matmul(x2, w2))
         scores = ad.add(lin, ad.add(bil, bi.b))
         nll_u = -ad.sum_all(ad.pick(ad.log_softmax(masked(scores, allowed), axis=-1), gold))
         src = dec.mlp_rel_src(ad.embedding_gather(h, gold))
