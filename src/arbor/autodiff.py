@@ -1,14 +1,14 @@
 """Reverse-mode automatic differentiation over dense numpy tensors.
 
 Minimal tape-based engine: operations record backward closures onto the
-active :class:`Tape`; :func:`backward` replays the tape in reverse and
+active :class:`Tape`; ``Tape.backward`` replays it in reverse and
 accumulates gradients additively.  With no tape active, operations run as
 plain numpy, which is what inference uses.
 
 Each op has one forward and one backward path, with no branch per rank.
 ``matmul`` takes a 1-d left operand as a one-row matrix and a 1-d right
 operand as a one-column matrix, as ``np.matmul`` does.  Broadcasting is
-deliberately restricted: ``add``, ``sub`` and ``mul`` take equal shapes, a
+deliberately restricted: ``add`` and ``mul`` take equal shapes, a
 python scalar or 0-d tensor on either side, or a column ``(..., 1)``
 against a tensor of the same leading shape, and ``add`` a bias vector over
 the last axis of a matrix or a stack of matrices; everything else is a
@@ -125,14 +125,6 @@ def recording() -> bool:
     return bool(_TAPES)
 
 
-def backward(loss: Tensor) -> None:
-    """Run backward on the innermost active tape."""
-    tape = _active_tape()
-    if tape is None:
-        raise TapeError("no active tape; wrap the forward pass in `with Tape() as t:`")
-    tape.backward(loss)
-
-
 def _apply(out_data: np.ndarray, pairs) -> Tensor:
     """Build the output tensor and record backward closures (none when no
     tape is active).
@@ -217,10 +209,6 @@ def _elementwise(op: str, fwd, a: Tensor, b, grad_a, grad_b, bias: bool = False)
 
 def add(a: Tensor, b) -> Tensor:
     return _elementwise("add", np.add, a, b, _identity, _identity, bias=True)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    return _elementwise("sub", np.subtract, a, b, _identity, np.negative)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -431,16 +419,6 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
 
 def log(x: Tensor) -> Tensor:
     return _apply(np.log(x.data), [(x, lambda g: g / x.data)])
-
-
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-    return _apply(out, [(x, lambda g: g * out)])
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-    return _apply(out, [(x, lambda g: g * (1.0 - out * out))])
 
 
 def elu(x: Tensor) -> Tensor:

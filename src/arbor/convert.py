@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter, deque
-from dataclasses import dataclass, field
 
 from .graph import (
     Arborescence,
@@ -46,14 +45,6 @@ from .graph import (
     TERMINAL_EDGE,
     weak_components,
 )
-
-
-@dataclass
-class ConversionTrace:
-    """Bookkeeping produced while converting a graph to an arborescence."""
-
-    duplicated: dict[str, int] = field(default_factory=dict)  # node id -> copy count
-    reversed_edges: list[tuple[str, str, str]] = field(default_factory=list)
 
 
 def _renumber_preorder(root: ArborNode) -> None:
@@ -96,7 +87,7 @@ class _IndexAllocator:
 # AMR
 
 
-def amr_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arborescence:
+def amr_to_arbor(g: SemanticGraph) -> Arborescence:
     """Duplicate reentrant nodes into indexed leaf copies.
 
     Children are explored in (edge label, child label) order, which is the
@@ -107,7 +98,6 @@ def amr_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arbo
         raise GraphError(f"amr_to_arbor requires an AMR graph, got {g.framework.value}")
     if len(g.tops) != 1:
         raise GraphError(f"AMR graph must have exactly one top, got {len(g.tops)}")
-    trace = trace if trace is not None else ConversionTrace()
 
     node_map = g.node_map()
     out = g.outgoing()
@@ -120,7 +110,6 @@ def amr_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arbo
             if e.target in indices.by_id:
                 copy = ArborNode(node_map[e.target].label, indices.by_id[e.target])
                 arbor.add(e.label, copy)
-                trace.duplicated[e.target] = trace.duplicated.get(e.target, 0) + 1
             else:
                 arbor.add(e.label, expand(e.target))
         return arbor
@@ -178,7 +167,7 @@ def _merge_by_index(roots: list[ArborNode]):
 # DM
 
 
-def dm_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arborescence:
+def dm_to_arbor(g: SemanticGraph) -> Arborescence:
     """Convert a bi-lexical dependency graph; any DM graph is convertible.
 
     Ordering decisions use node anchors: children are attached in surface
@@ -186,7 +175,6 @@ def dm_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arbor
     """
     if g.framework != Framework.DM:
         raise GraphError(f"dm_to_arbor requires a DM graph, got {g.framework.value}")
-    trace = trace if trace is not None else ConversionTrace()
 
     node_map = g.node_map()
     indices = _IndexAllocator()
@@ -202,7 +190,6 @@ def dm_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arbor
 
     def make_copy(node_id: str) -> ArborNode:
         n = node_map[node_id]
-        trace.duplicated[node_id] = trace.duplicated.get(node_id, 0) + 1
         return ArborNode(n.label, indices.by_id[node_id], anchors=n.anchors)
 
     def expand(node_id: str, arbor: ArborNode):
@@ -245,9 +232,7 @@ def dm_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arbor
             # subtree, which makes source resolution in the linearized
             # form ambiguous.
             found_edges.sort(key=lambda ke: (_anchor_key(node_map[ke[1].source]), ke[1].label))
-            for k, e in found_edges:
-                covered.add(k)
-                trace.reversed_edges.append((e.source, e.target, e.label))
+            covered.update(k for k, _ in found_edges)
             for k, e in found_edges:
                 if e.source in indices.by_id:
                     arbor_node.add(e.label + OF_SUFFIX, make_copy(e.source))
@@ -346,7 +331,7 @@ def arbor_to_dm(a: Arborescence) -> SemanticGraph:
 # UCCA
 
 
-def ucca_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arborescence:
+def ucca_to_arbor(g: SemanticGraph) -> Arborescence:
     """Collapse pre-terminals, label non-terminals from incoming edges.
 
     A node with anchors is a terminal; terminals must be leaves and must be
@@ -357,7 +342,6 @@ def ucca_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arb
         raise GraphError(f"ucca_to_arbor requires a UCCA graph, got {g.framework.value}")
     if len(g.tops) != 1:
         raise GraphError(f"UCCA graph must have exactly one top, got {len(g.tops)}")
-    trace = trace if trace is not None else ConversionTrace()
 
     node_map = g.node_map()
     out = g.outgoing()
@@ -384,7 +368,6 @@ def ucca_to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arb
     def visit(node_id: str, incoming_label: str | None) -> ArborNode:
         if node_id in placed:
             original = placed[node_id]
-            trace.duplicated[node_id] = trace.duplicated.get(node_id, 0) + 1
             return ArborNode(original.label, original.index, anchors=original.anchors)
         node = node_map[node_id]
         if node.anchors is not None:  # direct terminal under a mixed node
@@ -527,12 +510,12 @@ def amr_restore_senses(g: SemanticGraph, counts: dict[str, Counter]) -> Semantic
 # Dispatch helpers
 
 
-def to_arbor(g: SemanticGraph, trace: ConversionTrace | None = None) -> Arborescence:
+def to_arbor(g: SemanticGraph) -> Arborescence:
     if g.framework == Framework.AMR:
-        return amr_to_arbor(g, trace=trace)
+        return amr_to_arbor(g)
     if g.framework == Framework.DM:
-        return dm_to_arbor(g, trace=trace)
-    return ucca_to_arbor(g, trace=trace)
+        return dm_to_arbor(g)
+    return ucca_to_arbor(g)
 
 
 def from_arbor(a: Arborescence, framework: Framework) -> SemanticGraph:

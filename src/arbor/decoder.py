@@ -28,7 +28,8 @@ all rows would round each row differently depending on the others.  So
 an ``expand`` row is also bit-equal to ``feed_target`` followed by
 ``point_source`` and ``relation_dist_all`` on that expansion alone; those
 two are the one-expansion reference that ``expand`` is tested against,
-not a second decode path.  A single state is the one-row case.
+not a second decode path.  ``predict_target`` takes lists only: a single
+state is a list of one, and its output keeps the row axis.
 
 Each node is projected once: when a node's state becomes a pointer
 candidate (in ``predict_target``), its ``mlp_end`` and ``mlp_rel_src`` rows
@@ -47,8 +48,9 @@ with ``reference_node`` and ``gold_blocks``.  The pairwise scorers are the
 same calls in both: decoding gives each row's query to the two
 attentions' ``pairs`` and to the source pointer's biaffine as a one-row
 matrix against that row's own keys or candidates, and to the relation
-bilinear as a query row against its own source rows.  The stepwise
-``predict_target``/``feed_target`` loss equals training's to rounding.
+bilinear as a query row against its own source rows.  The stepwise loss,
+one-row ``predict_target`` calls and ``feed_target`` per relation, equals
+training's to rounding.
 """
 
 from __future__ import annotations
@@ -154,8 +156,7 @@ class Expansions:
 class StepOutput:
     """The target head's output for hypothesis rows: each tensor has a
     leading row axis, and ``dec_records`` and ``fresh_index`` hold one entry
-    per row.  ``row(b)`` is row ``b`` alone, with the row axis dropped, as
-    ``predict_target`` returns it for a single state."""
+    per row.  One state is a batch of one row."""
 
     vocab_logits: Tensor
     p_vocab: Tensor
@@ -166,18 +167,8 @@ class StepOutput:
     vocab_size: int
     n_enc: int
     n_dec: int
-    dec_records: tuple  # nodes addressable by decoder copy
-    fresh_index: int | tuple[int, ...]  # index a generated or token-copied node would get
-
-    def row(self, b: int) -> StepOutput:
-        def pick(t):
-            return None if t is None else ad.element(t, b)
-
-        return StepOutput(
-            pick(self.vocab_logits), pick(self.p_vocab), pick(self.a_dec),
-            pick(self.switch), pick(self.p_target), pick(self.covloss),
-            self.vocab_size, self.n_enc, self.n_dec, self.dec_records[b], self.fresh_index[b],
-        )
+    dec_records: tuple  # per row, the nodes addressable by decoder copy
+    fresh_index: tuple[int, ...]  # per row, the index a generated or token-copied node would get
 
 
 class Decoder(nn.Module):
@@ -293,15 +284,15 @@ class Decoder(nn.Module):
             rel_src_rows=ad.constant(np.zeros((0, c.bilinear_size))),
         )
 
-    def predict_target(self, enc: EncoderOutput, states: DecoderState | list[DecoderState],
-                       rel_ins: RelationInput | list[RelationInput], train: bool = False,
-                       rng: np.random.Generator | None = None, enc_rows=None):
+    def predict_target(self, enc: EncoderOutput, states: list[DecoderState],
+                       rel_ins: list[RelationInput], train: bool = False,
+                       rng: np.random.Generator | None = None, enc_rows=None
+                       ) -> tuple[StepOutput, list[DecoderState]]:
         """Consume relation ``rel_ins[b]`` in ``states[b]`` for each
         hypothesis row ``b`` and produce the next-target mixtures, as one
         ``StepOutput`` of rows and the list of new states.  The states must
         have consumed the same number of relations, as a beam's hypotheses
-        have.  A single state and relation are the one-row case, with the
-        row axis dropped: ``(StepOutput, DecoderState)``.
+        have; one state is a list of one.
 
         ``enc`` is one sentence's encoding, or a batch of sentences of
         equal length; then row ``b`` reads the encoder rows of sentence
@@ -314,9 +305,6 @@ class Decoder(nn.Module):
         enc.states``) is one matrix of a stacked matmul; a gemm over all
         rows would round differently.
         """
-        if isinstance(states, DecoderState):
-            out, (state,) = self.predict_target(enc, [states], [rel_ins], train, rng)
-            return out.row(0), state
         c, rows, n = self.config, len(states), enc.n
         enc_states = enc.states
         if enc_rows is None:  # one sentence's encoding, gathered as a batch of one

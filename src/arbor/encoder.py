@@ -126,23 +126,17 @@ class Encoder(nn.Module):
         return (ad.dropout_mask((n, self.embedded_dim()), rate, rng),
                 ad.dropout_mask((n, 2 * self.config.encoder_hidden), rate, rng))
 
-    def encode(self, inputs: EncoderInput | list[EncoderInput], train: bool = False,
-               rng: np.random.Generator | None = None, masks=None) -> EncoderOutput:
+    def encode(self, inputs: EncoderInput | list[EncoderInput], masks=None) -> EncoderOutput:
         """Encode one sentence, or a batch of them as rows (see the module
         docstring).
 
-        Dropout applies each sentence's ``dropout_masks``: the given
-        ``masks``, one pair per sentence, or in train mode pairs drawn from
-        ``rng`` sentence by sentence.
+        Dropout applies ``masks``, one ``dropout_masks`` pair per sentence,
+        when given; without them the encode is deterministic.
         """
         single = isinstance(inputs, EncoderInput)
         batch = [inputs] if single else inputs
         for inp in batch:
             self.check(inp)
-        if masks is None and train and self.config.dropout > 0.0:
-            if rng is None:
-                raise ValueError("dropout in train mode needs an explicit rng")
-            masks = [self.dropout_masks(inp, rng) for inp in batch]
         lengths = tuple(len(inp.tokens) for inp in batch)
         n, h = max(lengths), self.config.encoder_hidden
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Framework, SemanticGraph
+from .graph import Framework, SemanticGraph, check_same_framework
 
 
 @dataclass
@@ -87,9 +87,11 @@ def _anchored_triples(g: SemanticGraph) -> Counter:
 
 def labeled_triple_f1(gold: SemanticGraph, pred: SemanticGraph) -> F1Report:
     """Multiset F1 over (source yield, label, target yield) triples; top
-    designations count as extra triples.  AMR inputs are unanchored and
-    are routed to :func:`smatch_score` instead."""
-    if gold.framework == Framework.AMR or pred.framework == Framework.AMR:
+    designations count as extra triples.  AMR graphs are unanchored and
+    are routed to :func:`smatch_score` instead.  Graphs of different
+    frameworks raise ``FrameworkMismatch``."""
+    check_same_framework(gold, pred)
+    if gold.framework == Framework.AMR:
         return smatch_score(gold, pred)
     g, p = _anchored_triples(gold), _anchored_triples(pred)
     matched = sum((g & p).values())
@@ -184,10 +186,12 @@ def smatch_score(
     then misses the exact optimum on 5 (by one or two matched triples), and
     on none with 16 restarts, which take about 3.4 times as long on the
     benchmark's pairs of 8 to 14 variables.  ``mode='exact'`` gives the
-    optimum up to 10 variables.
+    optimum up to 10 variables.  Graphs of different frameworks raise
+    ``FrameworkMismatch``.
     """
     if mode not in ("exact", "hill_climb"):
         raise ValueError(f"unknown smatch mode {mode!r}")
+    check_same_framework(gold, pred)
     parts_g = _smatch_parts(gold)
     parts_p = _smatch_parts(pred)
     gold_vars = sorted(parts_g[0])
@@ -436,7 +440,9 @@ def linear_fit_r2(xs, ys) -> float | None:
 
 def speed_bench(model, inputs, beam_size: int = 5, max_len: int = 100) -> SpeedReport:
     """Tokens/sec for greedy and beam decoding plus an O(output) check:
-    decode time against emitted relation count must fit a line."""
+    decode time against emitted relation count must fit a line, and each
+    greedy decode must run one step per relation plus an EOS step unless
+    truncated (``step_counts_exact``)."""
     from .inference import beam_decode, greedy_decode
 
     times: list[tuple[int, float]] = []
@@ -448,7 +454,7 @@ def speed_bench(model, inputs, beam_size: int = 5, max_len: int = 100) -> SpeedR
         result = greedy_decode(model, inp, max_len=max_len)
         times.append((result.steps, time.perf_counter() - t0))
         tokens += len(inp.tokens)
-        counters_ok = counters_ok and result.steps == len(result.sequence.relations)
+        counters_ok &= result.total_steps == len(result.sequence.relations) + (not result.truncated)
     greedy_elapsed = time.perf_counter() - started
 
     started = time.perf_counter()

@@ -232,6 +232,12 @@ def _node_signature(g: SemanticGraph, node: GraphNode, out: dict, inc: dict) -> 
     )
 
 
+def check_same_framework(g1: SemanticGraph, g2: SemanticGraph) -> None:
+    """Raise ``FrameworkMismatch`` if the two graphs differ in framework."""
+    if g1.framework != g2.framework:
+        raise FrameworkMismatch(f"{g1.framework.value} vs {g2.framework.value}")
+
+
 def graph_isomorphic(g1: SemanticGraph, g2: SemanticGraph) -> bool:
     """Label-, anchor-, edge- and top-preserving isomorphism test.
 
@@ -239,8 +245,7 @@ def graph_isomorphic(g1: SemanticGraph, g2: SemanticGraph) -> bool:
     for the graph sizes this toolkit works with (well under a hundred
     nodes), not as a general-purpose isomorphism routine.
     """
-    if g1.framework != g2.framework:
-        raise FrameworkMismatch(f"{g1.framework.value} vs {g2.framework.value}")
+    check_same_framework(g1, g2)
     if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
         return False
     if len(g1.tops) != len(g2.tops):

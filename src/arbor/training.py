@@ -22,20 +22,21 @@ only, and coverage as an exclusive cumulative sum of the attention rows.
 The attention scorers' ``pairs``, the biaffine and the bilinear take the
 call form decoding uses, here with all of a sentence's queries as rows.
 
-``train`` makes one ``sequence_loss`` call and one backward pass per
-batch.  The batch's B sentences run as rows: the encoder and target LSTMs
+``sequence_loss`` takes lists of sentences and references and returns
+``(B,)`` loss components; ``train`` makes one call and one backward pass
+per batch.  The batch's B sentences run as rows: the encoder and target LSTMs
 over B padded sequences, where a padded step carries the state, and every
 head over (B, T) stacks, T the batch's longest, with padding masks on top
 of the causal ones (padded keys get no attention, padded steps add
-exactly 0 to every loss term and pass no gradient).  One sentence is the
-one-row case of the same body.  Dropout follows one rule: before any op
+exactly 0 to every loss term and pass no gradient).  One sentence is a
+batch of one.  Dropout follows one rule: before any op
 runs, each sentence in batch order draws what it draws alone, which is
 what the stepwise decoder draws, in its order: its encoder embedding
 mask, its encoder state mask, one block for its relation steps (each
 step's relation-state mask, then its LSTM layer masks), then its EOS
 step's relation-state mask.  So each sentence's loss equals the stepwise
-loss of the decoder's ``predict_target``/``feed_target`` on that sentence
-alone to rounding, dropout included, and the generator ends where running
+loss of the decoder's one-row ``predict_target`` and ``feed_target`` on
+that sentence alone to rounding, dropout included, and the generator ends where running
 the sentences one by one leaves it.  Inference keeps the stepwise
 ``Decoder.predict_target`` and ``Decoder.expand``.
 """
@@ -85,19 +86,18 @@ class TrainConfig:
 
 @dataclass
 class LossBreakdown:
-    """Loss components: scalars for one sentence, or one entry per sentence
-    of a batch."""
+    """Loss components, each ``(B,)``: one entry per sentence of a batch."""
 
     nll_source: Tensor
     nll_relation: Tensor
     nll_target: Tensor
     coverage_penalty: Tensor
     total: Tensor
-    # (T, 3) switch probabilities (generate, token copy, node copy) per step;
-    # a batch stacks its sentences' steps in order
+    # switch probabilities (generate, token copy, node copy) per prediction
+    # step, one row each, the sentences' steps stacked in batch order
     switch: np.ndarray | None = None
 
-    def values(self) -> dict[str, float | list[float]]:
+    def values(self) -> dict[str, list[float]]:
         return {
             "nll_source": self.nll_source.data.tolist(),
             "nll_relation": self.nll_relation.data.tolist(),
@@ -201,30 +201,23 @@ def _teacher_forcing(dec, enc_input: EncoderInput, reference: RelationSequence
 
 def sequence_loss(
     model: TransducerModel,
-    enc_inputs: EncoderInput | list[EncoderInput],
-    references: RelationSequence | list[RelationSequence],
+    enc_inputs: list[EncoderInput],
+    references: list[RelationSequence],
     *,
     label_smoothing: float = 0.1,
     coverage_weight: float = 1.0,
     train: bool = True,
     rng: np.random.Generator | None = None,
 ) -> LossBreakdown:
-    """Teacher-forced loss over one reference sequence, or over a batch.
+    """Teacher-forced loss over a batch of sentences and their references.
 
-    For lists of sentences and their references, every component holds one
-    entry per sentence and ``switch`` stacks the sentences' rows in order;
-    one sentence and reference are the one-row case, with scalar
-    components.  Only the LSTMs step through time, one ``lstm_layer`` per
-    layer and direction over the batch; every head runs once over the
-    batch's prediction steps as matrix rows (see the module docstring).
-    Each sentence's loss equals its own to rounding, dropout included.
+    Every component holds one entry per sentence, ``(B,)``, and ``switch``
+    stacks the sentences' rows in order; one sentence is a batch of one.
+    Only the LSTMs step through time, one ``lstm_layer`` per layer and
+    direction over the batch; every head runs once over the batch's
+    prediction steps as matrix rows (see the module docstring).  Each
+    sentence's loss equals its own to rounding, dropout included.
     """
-    if isinstance(enc_inputs, EncoderInput):
-        loss = sequence_loss(model, [enc_inputs], [references], label_smoothing=label_smoothing,
-                             coverage_weight=coverage_weight, train=train, rng=rng)
-        return LossBreakdown(*(ad.element(t, 0) for t in (
-            loss.nll_source, loss.nll_relation, loss.nll_target, loss.coverage_penalty,
-            loss.total)), loss.switch)
     dec, cfg = model.decoder, model.config
     plans = [_teacher_forcing(dec, inp, ref) for inp, ref in zip(enc_inputs, references)]
     n_rels, n_steps = [len(p.nodes) for p in plans], [len(p.vocab) for p in plans]

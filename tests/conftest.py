@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from arbor import autodiff as ad
-from arbor.decoder import gold_blocks
+from arbor.decoder import StepOutput, gold_blocks
 from arbor.encoder import EncoderInput
 from arbor.graph import (
     Arborescence,
@@ -25,6 +25,7 @@ from arbor.graph import (
     TERMINAL_EDGE,
 )
 from arbor.model import ModelConfig, TransducerModel, build_vocabularies
+from arbor.training import LossBreakdown, sequence_loss
 
 CONCEPTS = ["want-01", "person", "city", "go-02", "thing", "name", "good", "say-01",
             "country", "dog", "run-02", "see-01"]
@@ -135,6 +136,28 @@ def sigmoid(x):
 def maximum(a, b):
     # ties go to the first argument
     return ad._select("maximum", np.maximum, np.greater_equal, a, b)
+
+
+def sub(a, b):
+    return ad._elementwise("sub", np.subtract, a, b, ad._identity, np.negative)
+
+
+def exp(x):
+    out = np.exp(x.data)
+    return ad._apply(out, [(x, lambda g: g * out)])
+
+
+def tanh(x):
+    out = np.tanh(x.data)
+    return ad._apply(out, [(x, lambda g: g * (1.0 - out * out))])
+
+
+def backward(loss):
+    """Run backward on the innermost active tape."""
+    tape = ad._active_tape()
+    if tape is None:
+        raise ad.TapeError("no active tape; wrap the forward pass in `with Tape() as t:`")
+    tape.backward(loss)
 
 
 def repeat_rows(v, n):
@@ -447,6 +470,45 @@ def synthetic_corpus(n_amr: int = 11, n_dm: int = 11, n_ucca: int = 10, seed: in
     for k in range(n_ucca):
         records.append(_ucca_record(rng, f"ucca{k}"))
     return records
+
+
+def encode_one(encoder, inp, train: bool = False, rng=None):
+    """``Encoder.encode`` of one sentence, in train mode under the
+    ``dropout_masks`` drawn from ``rng``, as the stepwise decoder draws
+    them."""
+    masks = None
+    if train and encoder.config.dropout > 0.0:
+        if rng is None:
+            raise ValueError("dropout in train mode needs an explicit rng")
+        masks = [encoder.dropout_masks(inp, rng)]
+    return encoder.encode(inp, masks=masks)
+
+
+def output_row(out: StepOutput, b: int) -> StepOutput:
+    """Row ``b`` of a ``StepOutput`` alone, with the row axis dropped."""
+    def pick(t):
+        return None if t is None else ad.element(t, b)
+
+    return StepOutput(
+        pick(out.vocab_logits), pick(out.p_vocab), pick(out.a_dec), pick(out.switch),
+        pick(out.p_target), pick(out.covloss), out.vocab_size, out.n_enc, out.n_dec,
+        out.dec_records[b], out.fresh_index[b],
+    )
+
+
+def predict_one(dec, enc, state, rel_in, train: bool = False, rng=None):
+    """``predict_target`` on one state and relation: the output row, with
+    the row axis dropped, and the new state."""
+    out, (new,) = dec.predict_target(enc, [state], [rel_in], train, rng)
+    return output_row(out, 0), new
+
+
+def sentence_loss(model, enc_input, reference, **kwargs) -> LossBreakdown:
+    """``sequence_loss`` of one sentence, with scalar components."""
+    loss = sequence_loss(model, [enc_input], [reference], **kwargs)
+    return LossBreakdown(*(ad.element(t, 0) for t in (
+        loss.nll_source, loss.nll_relation, loss.nll_target, loss.coverage_penalty,
+        loss.total)), loss.switch)
 
 
 def relation_dist(dec, state, position: int):

@@ -35,7 +35,6 @@ from arbor.training import (
     TrainConfig,
     prepare_corpus,
     relation_f1,
-    sequence_loss,
     smoothed_targets,
     train,
 )
@@ -44,11 +43,13 @@ from conftest import (
     build_tiny_model,
     grad_check,
     make_inputs,
+    predict_one,
     random_amr_graph,
     random_arborescence,
     random_dm_graph,
     random_ucca_graph,
     relation_dist,
+    sentence_loss,
     switch_values,
     synthetic_corpus,
 )
@@ -121,7 +122,7 @@ def test_criterion_04_probability_hygiene():
         state = dec.initial_state(enc)
         rel_in = BOS_INPUT
         for _ in range(int(rng.integers(3, 8))):
-            out, state = dec.predict_target(enc, state, rel_in)
+            out, state = predict_one(dec, enc, state, rel_in)
             assert abs(out.p_target.data.sum() - 1.0) < 1e-6
             assert abs(sum(switch_values(out)) - 1.0) < 1e-9
             record = reference_node(
@@ -150,7 +151,7 @@ def test_criterion_05_full_model_gradient_check():
     ), eos=True)
 
     def build():
-        return sequence_loss(model, inp, ref, train=False).total
+        return sentence_loss(model, inp, ref, train=False).total
 
     # step size sits above the float64 cancellation floor of the central
     # differences; the analytic/numeric gap is flat in this region
@@ -266,7 +267,7 @@ def test_criterion_09_loss_identities():
         Relation("@root@", 0, "root", "say-01", 1),
         Relation("say-01", 1, "ARG0", "person", 2),
     ), eos=True)
-    loss = sequence_loss(model, inp, ref, label_smoothing=0.0, coverage_weight=0.0,
+    loss = sentence_loss(model, inp, ref, label_smoothing=0.0, coverage_weight=0.0,
                          train=False)
     from arbor.linearize import resolve_source
 
@@ -276,7 +277,7 @@ def test_criterion_09_loss_identities():
     rel_in = BOS_INPUT
     logp = 0.0
     for i, rel in enumerate(ref.relations):
-        out, state = dec.predict_target(enc, state, rel_in)
+        out, state = predict_one(dec, enc, state, rel_in)
         logp += np.log(out.p_target.data[dec.word_vocab.id(rel.target)])
         record = reference_node(state.nodes, rel.target, rel.target_index,
                                 inp.tokens, inp.pos)
@@ -285,13 +286,13 @@ def test_criterion_09_loss_identities():
         logp += np.log(dec.point_source(state).data[pos])
         logp += np.log(relation_dist(dec, state, pos).data[dec.rel_vocab.id(rel.rel)])
         rel_in = RelationInput(rel.source, rel.source_index, state.node_pos(pos), rel.rel)
-    out, _ = dec.predict_target(enc, state, rel_in)
+    out, _ = predict_one(dec, enc, state, rel_in)
     logp += np.log(out.p_target.data[dec.word_vocab.id(EOS_LABEL)])
     assert float(loss.total.data) == pytest.approx(-logp, abs=1e-10)
 
     # (b) the first step's coverage penalty is exactly zero
     enc = model.encoder.encode(inp)
-    first, _ = dec.predict_target(enc, dec.initial_state(enc), BOS_INPUT)
+    first, _ = predict_one(dec, enc, dec.initial_state(enc), BOS_INPUT)
     assert float(first.covloss.data) == 0.0
 
     # (c) the smoothing vector for K=4, eps=0.1

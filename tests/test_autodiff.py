@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from arbor import autodiff as ad
 from arbor.autodiff import ShapeError, Tape, TapeError, Tensor
 
-from conftest import check_op, grad_check, maximum, repeat_rows, sigmoid
+from conftest import (backward, check_op, exp, grad_check, maximum, repeat_rows, sigmoid, sub,
+                      tanh)
 from test_model import amax
 
 
@@ -115,7 +116,7 @@ class TestBackward:
 
     def test_backward_without_tape_rejected(self):
         with pytest.raises(TapeError, match="no active tape"):
-            ad.backward(ad.sum_all(t([1.0])))
+            backward(ad.sum_all(t([1.0])))
 
     def test_nested_tape_records_on_innermost(self):
         x = t([1.0, 2.0])
@@ -123,7 +124,7 @@ class TestBackward:
             a = ad.sum_all(ad.mul(x, 3.0))
             with Tape() as inner:
                 b = ad.sum_all(ad.mul(x, x))
-                ad.backward(b)  # the innermost tape
+                backward(b)  # the innermost tape
             assert inner.consumed and not outer.consumed
             assert np.allclose(x.grad, [2.0, 4.0])
             c = ad.mul(a, 1.0)  # the outer tape is active again
@@ -143,7 +144,7 @@ class TestBackward:
 
 PRIMITIVES = {
     "add": lambda a, b: ad.add(a, b),
-    "sub": lambda a, b: ad.sub(a, b),
+    "sub": sub,
     "mul": lambda a, b: ad.mul(a, b),
     "maximum": maximum,
     "minimum": lambda a, b: ad.minimum(a, b),
@@ -165,7 +166,7 @@ class TestPrimitiveGradients:
                                        "softmax", "log_softmax"])
     def test_unary(self, unary):
         rng = np.random.default_rng(sum(ord(c) for c in unary))
-        op = sigmoid if unary == "sigmoid" else getattr(ad, unary)
+        op = {"exp": exp, "tanh": tanh, "sigmoid": sigmoid}.get(unary) or getattr(ad, unary)
         for trial in range(20):
             x = rng.standard_normal(int(rng.integers(1, 7)))
             if unary == "log":
@@ -209,7 +210,8 @@ class TestPrimitiveGradients:
     @pytest.mark.parametrize("name", ["add", "sub", "mul"])
     def test_column_broadcast(self, name):
         rng = np.random.default_rng(sum(map(ord, name)) + 1)
-        op, ref = getattr(ad, name), {"add": np.add, "sub": np.subtract, "mul": np.multiply}[name]
+        op = {"add": ad.add, "sub": sub, "mul": ad.mul}[name]
+        ref = {"add": np.add, "sub": np.subtract, "mul": np.multiply}[name]
         for sa, sb in [((3, 1), (3, 4)), ((3, 4), (3, 1)), ((2, 3, 1), (2, 3, 5))]:
             a, b = t(rng.standard_normal(sa)), t(rng.standard_normal(sb))
             assert np.array_equal(op(a, b).data, ref(a.data, b.data))
@@ -230,8 +232,8 @@ class TestPrimitiveGradients:
         assert np.array_equal(pairs.data[1, 2], a.data[1] + b.data[2])
 
         def build():
-            return ad.add(ad.sum_all(ad.tanh(ad.pick(x, [1, 2, 0]))),
-                          ad.sum_all(ad.tanh(ad.pairwise_add(a, b))))
+            return ad.add(ad.sum_all(tanh(ad.pick(x, [1, 2, 0]))),
+                          ad.sum_all(tanh(ad.pairwise_add(a, b))))
 
         check_op(build, [("x", x), ("a", a), ("b", b)], coords=40)
         with pytest.raises(ShapeError):
@@ -289,8 +291,8 @@ class TestPrimitiveGradients:
         def build():
             h = ad.elu(ad.add(ad.matmul(w, x), b))
             p = ad.softmax(h)
-            return ad.add(ad.sum_all(ad.mul(p, ad.tanh(h))),
-                          ad.sum_all(ad.minimum(h, ad.exp(h))))
+            return ad.add(ad.sum_all(ad.mul(p, tanh(h))),
+                          ad.sum_all(ad.minimum(h, exp(h))))
 
         report = grad_check(build, [("w", w), ("x", x), ("b", b)],
                             rng=rng, total_coords=12, tol=1e-5)
@@ -318,7 +320,7 @@ class TestGradCheckReport:
         x, w = t([0.5, -1.0, 2.0]), t([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]])
 
         def build():
-            return ad.sum_all(ad.tanh(ad.matmul(w, x)))
+            return ad.sum_all(tanh(ad.matmul(w, x)))
 
         with Tape() as tape:
             loss = build()
@@ -707,7 +709,8 @@ class TestBitEquality:
 
     @pytest.mark.parametrize("name", ["add", "sub", "mul"])
     def test_add_sub_mul(self, name):
-        op, ref = getattr(ad, name), {"add": ref_add, "sub": ref_sub, "mul": ref_mul}[name]
+        op = {"add": ad.add, "sub": sub, "mul": ad.mul}[name]
+        ref = {"add": ref_add, "sub": ref_sub, "mul": ref_mul}[name]
         rng = np.random.default_rng(sum(map(ord, name)))
         shapes = self.ELEMENTWISE_SHAPES + (self.BIAS_SHAPES if name == "add" else [])
         for sa, sb in shapes:

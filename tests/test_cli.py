@@ -297,6 +297,27 @@ class TestBadRecords:
         assert "Traceback" not in proc.stderr
 
 
+    def test_eval_reports_a_pair_of_different_frameworks(self, tmp_path):
+        # a DM gold graph and an AMR prediction under one id: no scorer
+        # compares graphs across frameworks
+        dm = json.loads(canonical_line("a", [{"id": "x", "label": "a", "anchors": [0]}], [],
+                                       ["x"]))
+        dm["framework"] = "dm"
+        gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+        gold.write_text(json.dumps(dm) + "\n"
+                        + canonical_line("b", GOOD_NODES, GOOD_EDGES, ["x"]) + "\n")
+        pred.write_text(canonical_line("a", [{"id": "x", "label": "a"}], [], ["x"]) + "\n"
+                        + canonical_line("b", GOOD_NODES, GOOD_EDGES, ["x"]) + "\n")
+        out = tmp_path / "report.json"
+        proc = run_cli("eval", "--gold", gold, "--pred", pred, "--output", out)
+        assert proc.returncode == 1
+        report = json.loads(out.read_text())
+        assert report["failed_ids"] == ["a"]
+        assert (report["graphs"], report["f1"]) == (1, 1.0)
+        assert "record a: dm vs amr" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestLinearize:
     def test_tsv_format(self, tmp_path):
         src = tmp_path / "in.penman"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from arbor.convert import (
-    ConversionTrace,
     amr_restore_senses,
     amr_strip_senses,
     amr_to_arbor,
@@ -58,9 +57,7 @@ class TestAmr:
         edges = [GraphEdge("r", "a", "x"), GraphEdge("r", "b", "y"),
                  GraphEdge("r", "t", "z"), GraphEdge("a", "t", "w"), GraphEdge("b", "t", "v")]
         g = SemanticGraph(Framework.AMR, tuple(nodes), tuple(edges), tops=("r",))
-        trace = ConversionTrace()
-        arbor = amr_to_arbor(g, trace=trace)
-        assert trace.duplicated == {"t": 2}
+        arbor = amr_to_arbor(g)
         shared = [n for n in arbor.nodes() if n.label == "shared"]
         assert len(shared) == 3 and len({n.index for n in shared}) == 1
 
@@ -110,26 +107,10 @@ class TestDm:
             (GraphEdge("c", "a", "ARG1"),),
             tops=("a",),
         )
-        trace = ConversionTrace()
-        arbor = dm_to_arbor(g, trace=trace)
-        assert len(trace.reversed_edges) == 1
+        arbor = dm_to_arbor(g)
         rels = [rel for rel, _ in arbor.root.children]
         assert rels == ["ARG1" + OF_SUFFIX]
         assert graph_isomorphic(g, arbor_to_dm(arbor))
-
-    def test_of_edge_count_equals_reversals(self):
-        rng = np.random.default_rng(123)
-        for _ in range(40):
-            g = random_dm_graph(rng)
-            trace = ConversionTrace()
-            arbor = dm_to_arbor(g, trace=trace)
-            n_of = sum(
-                1
-                for node in arbor.nodes()
-                for rel, _ in node.children
-                if rel.endswith(OF_SUFFIX)
-            )
-            assert n_of == len(trace.reversed_edges)
 
     def test_components_joined_by_null_edges(self):
         g = SemanticGraph(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -7,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from arbor import inference
 from arbor.evaluate import (
     SMATCH_RESTARTS,
     F1Report,
@@ -18,11 +20,12 @@ from arbor.evaluate import (
     labeled_triple_f1,
     linear_fit_r2,
     smatch_score,
+    speed_bench,
     validity_audit,
 )
-from arbor.graph import Framework, GraphEdge, GraphNode, SemanticGraph
+from arbor.graph import Framework, FrameworkMismatch, GraphEdge, GraphNode, SemanticGraph
 
-from conftest import random_amr_graph, random_dm_graph
+from conftest import build_tiny_model, make_inputs, random_amr_graph, random_dm_graph
 
 
 def dm_graph(nodes, edges, tops=()):
@@ -83,6 +86,14 @@ class TestLabeledTripleF1:
         g = amr_graph([("a", "alpha")], [], tops=("a",))
         rep = labeled_triple_f1(g, g)
         assert rep.f1 == 1.0  # scored by smatch, not anchors
+
+    @pytest.mark.parametrize("gold_fw, pred_fw", [("dm", "amr"), ("amr", "dm"), ("dm", "ucca")])
+    def test_frameworks_must_match(self, gold_fw, pred_fw):
+        graphs = {"amr": amr_graph([("a", "wa")], [], tops=("a",)), "dm": FOUR_EDGE,
+                  "ucca": SemanticGraph(Framework.UCCA, (GraphNode("a", "wa", (0,)),), (),
+                                        ("a",))}
+        with pytest.raises(FrameworkMismatch, match=f"{gold_fw} vs {pred_fw}"):
+            labeled_triple_f1(graphs[gold_fw], graphs[pred_fw])
 
     def test_ucca_unanchored_nodes_matched_by_yield(self):
         g1 = SemanticGraph(
@@ -172,6 +183,13 @@ class TestSmatch:
         g = amr_graph([("x", "alpha")], [], ("x",))
         for gold, pred in ((empty, g), (g, empty), (empty, empty), (g, g)):
             with pytest.raises(ValueError, match="unknown smatch mode"):
+                smatch_score(gold, pred, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "hill_climb"])
+    def test_frameworks_must_match(self, mode):
+        amr = amr_graph([("a", "wa")], [], tops=("a",))
+        for gold, pred in ((FOUR_EDGE, amr), (amr, FOUR_EDGE)):
+            with pytest.raises(FrameworkMismatch):
                 smatch_score(gold, pred, mode=mode)
 
     def test_hill_climb_finds_mapping_without_label_matches(self):
@@ -500,3 +518,25 @@ class TestLinearFit:
             warnings.simplefilter("error")
             assert linear_fit_r2([8, 8, 8], [0.1, 0.3, 0.2]) is None
             assert linear_fit_r2([4], [0.5]) is None
+
+
+class TestSpeedBench:
+    @pytest.mark.parametrize("eos_bias", [None, 50.0], ids=["truncated", "ends_at_eos"])
+    def test_step_counts_exact_counts_the_search_steps(self, monkeypatch, eos_bias):
+        model = build_tiny_model(seed=0)
+        if eos_bias is not None:  # generate EOS at once
+            model.decoder.ffn_vocab.b.data[model.vocabs.dec_word.id("@end@")] = eos_bias
+            model.decoder.ffn_switch.b.data[0] = eos_bias
+        inputs = [make_inputs(np.random.default_rng(k), 3) for k in range(3)]
+        results = [inference.greedy_decode(model, inp, max_len=4) for inp in inputs]
+        assert {r.truncated for r in results} == {eos_bias is None}
+        assert speed_bench(model, inputs, beam_size=1, max_len=4).step_counts_exact
+
+        greedy = inference.greedy_decode
+
+        def one_step_short(*args, **kwargs):
+            result = greedy(*args, **kwargs)
+            return dataclasses.replace(result, total_steps=result.total_steps - 1)
+
+        monkeypatch.setattr(inference, "greedy_decode", one_step_short)
+        assert not speed_bench(model, inputs, beam_size=1, max_len=4).step_counts_exact

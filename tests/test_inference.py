@@ -28,7 +28,7 @@ from arbor.linearize import relations_to_arbor
 from arbor.model import TransducerModel, Vocabularies
 from arbor.vocab import NODE_RESERVED, RELATION_RESERVED, Vocab
 
-from conftest import build_tiny_model, make_inputs, tiny_config
+from conftest import build_tiny_model, make_inputs, output_row, predict_one, tiny_config
 from test_model import SMALL_DIMS
 
 
@@ -69,7 +69,7 @@ def enumerate_best(model, inp, max_len):
         if depth == max_len:
             consider(seq, score)
             return
-        out, state1 = dec.predict_target(enc, state, rel_in)
+        out, state1 = predict_one(dec, enc, state, rel_in)
         p = out.p_target.data
         for slot in range(p.shape[0]):
             if slot == eos_id:
@@ -121,7 +121,7 @@ def reference_beam_decode(model, inp, beam_size, max_len):
         candidates = []
         arrival = 0
         for hyp in beam:
-            out, state1 = dec.predict_target(enc, hyp.state, hyp.rel_in)
+            out, state1 = predict_one(dec, enc, hyp.state, hyp.rel_in)
             total_steps += 1
             p = out.p_target.data
             top = np.argsort(-p, kind="stable")[: min(beam_size, p.shape[0])]
@@ -184,7 +184,7 @@ def reference_greedy_decode(model, inp, max_len):
     total_steps = 0
     saw_eos = False
     for _ in range(max_len):
-        out, state = dec.predict_target(enc, state, rel_in)
+        out, state = predict_one(dec, enc, state, rel_in)
         total_steps += 1
         p = out.p_target.data
         slot = int(np.argmax(p))
@@ -460,7 +460,7 @@ class TestExpand:
             for step in range(5):
                 parents, records = [], []
                 for state, rel_in in zip(states, rel_ins):
-                    out, state1 = dec.predict_target(enc, state, rel_in)
+                    out, state1 = predict_one(dec, enc, state, rel_in)
                     slots = [int(s) for s in _top_k(out.p_target.data, k) if s != eos_id]
                     # every node copy as well, so that copy records are covered
                     slots += range(out.vocab_size + out.n_enc, out.p_target.shape[0])
@@ -613,7 +613,7 @@ class TestExpandRows:
             outs, fed = dec.predict_target(enc, states, rel_ins, enc_rows=[0, 1, 2])
             parents, records = [], []
             for b in range(3):
-                out = outs.row(b)
+                out = output_row(outs, b)
                 for slot in _top_k(out.p_target.data, 4):
                     if slot != eos_id:
                         parents.append(fed[b])

@@ -4,7 +4,7 @@ import pytest
 from arbor import autodiff as ad
 from arbor import nn
 
-from conftest import concatenated_scores, grad_check, repeat_rows, sigmoid
+from conftest import concatenated_scores, grad_check, repeat_rows, sigmoid, tanh
 from test_model import amax
 
 
@@ -390,10 +390,10 @@ def composed_lstm_cell(cell, x, state):
     hid = cell.hidden
     i = sigmoid(ad.narrow(gates, 0, 0, hid))
     f = sigmoid(ad.narrow(gates, 0, hid, 2 * hid))
-    g = ad.tanh(ad.narrow(gates, 0, 2 * hid, 3 * hid))
+    g = tanh(ad.narrow(gates, 0, 2 * hid, 3 * hid))
     o = sigmoid(ad.narrow(gates, 0, 3 * hid, 4 * hid))
     c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
+    h = ad.mul(o, tanh(c))
     return h, c
 
 

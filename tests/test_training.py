@@ -29,8 +29,9 @@ from arbor.training import (
     train,
 )
 
-from conftest import (build_tiny_model, gold_support, grad_check, make_inputs,
-                      random_arborescence, relation_dist, repeat_rows, synthetic_corpus)
+from conftest import (build_tiny_model, encode_one, gold_support, grad_check, make_inputs,
+                      predict_one, random_arborescence, relation_dist, repeat_rows,
+                      sentence_loss, synthetic_corpus)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,7 +42,7 @@ def reference_sequence_loss(model, enc_input, reference, *, label_smoothing=0.1,
     ``feed_target``, source pointer and relation scorer step, as decoding
     runs them.  ``sequence_loss`` must equal it to rounding."""
     dec = model.decoder
-    enc = model.encoder.encode(enc_input, train, rng)
+    enc = encode_one(model.encoder, enc_input, train, rng)
     state = dec.initial_state(enc)
     rel_in = BOS_INPUT
 
@@ -67,7 +68,7 @@ def reference_sequence_loss(model, enc_input, reference, *, label_smoothing=0.1,
         return -ad.matmul(ad.constant(smoothed_targets(logits.shape[0], gold, eps)), logp)
 
     for i, rel in enumerate(reference.relations):
-        out, state = dec.predict_target(enc, state, rel_in, train, rng)
+        out, state = predict_one(dec, enc, state, rel_in, train, rng)
         cov = ad.add(cov, out.covloss)
         nll_v = ad.add(nll_v, target_nll(out, rel.target, rel.target_index))
         record = reference_node(state.nodes, rel.target, rel.target_index, enc_input.tokens,
@@ -85,7 +86,7 @@ def reference_sequence_loss(model, enc_input, reference, *, label_smoothing=0.1,
         rel_in = RelationInput(rel.source, rel.source_index, state.node_pos(gold_pos), rel.rel)
 
     if reference.eos:
-        out, state = dec.predict_target(enc, state, rel_in, train, rng)
+        out, state = predict_one(dec, enc, state, rel_in, train, rng)
         cov = ad.add(cov, out.covloss)
         nll_v = ad.add(nll_v, target_nll(out, EOS_LABEL))
 
@@ -246,7 +247,7 @@ class TestSequenceLoss:
         model = build_tiny_model(seed=3)
         inp = make_inputs(np.random.default_rng(0), 3)
         ref = tiny_reference()
-        loss = sequence_loss(model, inp, ref, train=False)
+        loss = sentence_loss(model, inp, ref, train=False)
         v = loss.values()
         assert v["total"] == pytest.approx(
             v["nll_source"] + v["nll_relation"] + v["nll_target"] + v["coverage_penalty"]
@@ -258,8 +259,8 @@ class TestSequenceLoss:
         model = build_tiny_model(seed=3)
         inp = make_inputs(np.random.default_rng(0), 3)
         ref = tiny_reference()
-        a = sequence_loss(model, inp, ref, coverage_weight=0.0, train=False).values()
-        b = sequence_loss(model, inp, ref, coverage_weight=2.0, train=False).values()
+        a = sentence_loss(model, inp, ref, coverage_weight=0.0, train=False).values()
+        b = sentence_loss(model, inp, ref, coverage_weight=2.0, train=False).values()
         assert b["total"] == pytest.approx(a["total"] + 2.0 * a["coverage_penalty"])
 
     def test_first_step_coverage_is_zero_exactly(self):
@@ -269,7 +270,7 @@ class TestSequenceLoss:
         dec = model.decoder
         enc = model.encoder.encode(inp)
         state = dec.initial_state(enc)
-        out, _ = dec.predict_target(enc, state, BOS_INPUT)
+        out, _ = predict_one(dec, enc, state, BOS_INPUT)
         assert float(out.covloss.data) == 0.0
 
     def test_loss_equals_direct_probability_product(self):
@@ -278,7 +279,7 @@ class TestSequenceLoss:
         model = build_tiny_model(seed=5)
         inp = EncoderInput(tokens=["zq1", "zq2"], pos=["NN", "NN"])  # no label collisions
         ref = tiny_reference()
-        loss = sequence_loss(model, inp, ref, label_smoothing=0.0,
+        loss = sentence_loss(model, inp, ref, label_smoothing=0.0,
                              coverage_weight=0.0, train=False)
 
         dec = model.decoder
@@ -287,7 +288,7 @@ class TestSequenceLoss:
         rel_in = BOS_INPUT
         logp = 0.0
         for i, rel in enumerate(ref.relations):
-            out, state = dec.predict_target(enc, state, rel_in)
+            out, state = predict_one(dec, enc, state, rel_in)
             logp += np.log(out.p_target.data[dec.word_vocab.id(rel.target)])
             record = reference_node(state.nodes, rel.target, rel.target_index,
                                     inp.tokens, inp.pos)
@@ -297,7 +298,7 @@ class TestSequenceLoss:
             logp += np.log(relation_dist(dec, state, pos).data[dec.rel_vocab.id(rel.rel)])
             rel_in = RelationInput(rel.source, rel.source_index,
                                    state.node_pos(pos), rel.rel)
-        out, _ = dec.predict_target(enc, state, rel_in)
+        out, _ = predict_one(dec, enc, state, rel_in)
         logp += np.log(out.p_target.data[dec.word_vocab.id("@end@")])
         assert float(loss.total.data) == pytest.approx(-logp, abs=1e-10)
 
@@ -312,7 +313,7 @@ class TestSequenceLoss:
         ref = RelationSequence(relations, eos=True)
 
         def build():
-            return sequence_loss(model, inp, ref, train=False).total
+            return sentence_loss(model, inp, ref, train=False).total
 
         # h sits where central differences are no longer dominated by
         # float64 cancellation noise on small-gradient coordinates
@@ -495,7 +496,7 @@ def _assert_same_loss(model, pairs, seed=None, tol=1e-10, **kwargs):
     in step over the whole corpus."""
     rngs = [None, None] if seed is None else [np.random.default_rng(seed) for _ in range(2)]
     for k, (inp, ref) in enumerate(pairs):
-        got, got_grads = _loss_and_grads(sequence_loss, model, inp, ref,
+        got, got_grads = _loss_and_grads(sentence_loss, model, inp, ref,
                                          train=seed is not None, rng=rngs[0], **kwargs)
         want, want_grads = _loss_and_grads(reference_sequence_loss, model, inp, ref,
                                            train=seed is not None, rng=rngs[1], **kwargs)
@@ -590,13 +591,13 @@ class TestWholeSequenceLoss:
     def test_no_steps_is_zero(self):
         model = build_tiny_model(seed=21)
         inp = EncoderInput(tokens=["Pierre"], pos=["NNP"])
-        loss = sequence_loss(model, inp, RelationSequence((), eos=False), train=False)
+        loss = sentence_loss(model, inp, RelationSequence((), eos=False), train=False)
         assert loss.values() == dict.fromkeys(loss.values(), 0.0)
 
     def test_switch_rows_sum_to_one(self, overfit_corpus):
         model, pairs = overfit_corpus
         for inp, ref in pairs[:6]:
-            switch = sequence_loss(model, inp, ref, train=False).switch
+            switch = sentence_loss(model, inp, ref, train=False).switch
             assert switch.shape == (len(ref.relations) + 1, 3)
             assert np.abs(switch.sum(axis=1) - 1.0).max() <= 1e-12
             assert not switch[:2, 2].any()  # no node to copy before step 2
@@ -608,7 +609,7 @@ def one_sentence_loss(model, enc_input, reference, *, label_smoothing=0.1,
     ran as rows, with the shared-candidates biaffine of that time inlined.
     A one-sentence batch must equal it bit for bit."""
     dec, cfg = model.decoder, model.config
-    enc = model.encoder.encode(enc_input, train, rng)
+    enc = encode_one(model.encoder, enc_input, train, rng)
     zero = ad.constant(np.zeros(()))
     plan = _teacher_forcing(dec, enc_input, reference)
     n_rel, n_steps = len(plan.nodes), len(plan.vocab)
@@ -761,7 +762,7 @@ class TestBatchLoss:
         want_grads = {name: np.zeros_like(t.data) for name, t in model.parameters().items()}
         rows = 0
         for k, (inp, ref) in enumerate(pairs):
-            want, grads = _loss_and_grads(sequence_loss, model, inp, ref, train=train,
+            want, grads = _loss_and_grads(sentence_loss, model, inp, ref, train=train,
                                           rng=rngs[1], **kwargs)
             for key, value in want.items():
                 assert abs(got[key][k] - value) <= tol * max(abs(value), 1e-300), (k, key)
@@ -769,7 +770,7 @@ class TestBatchLoss:
                 want_grads[name] += g
             steps = len(ref.relations) + ref.eos
             if not train:
-                alone = sequence_loss(model, inp, ref, train=False, **kwargs).switch
+                alone = sentence_loss(model, inp, ref, train=False, **kwargs).switch
                 assert np.abs(loss.switch[rows : rows + steps] - alone).max(initial=0.0) <= tol
             rows += steps
         assert loss.switch.shape == (rows, 3)
@@ -859,6 +860,6 @@ class TestTapeSize:
             sequence_loss(model, [p[0] for p in pairs], [p[1] for p in pairs], rng=drop)
         inp, ref = max(pairs, key=lambda p: len(p[1].relations))
         with Tape() as longest:
-            sequence_loss(model, inp, ref, rng=drop)
+            sentence_loss(model, inp, ref, rng=drop)
         assert len(batch.records) <= 2 * len(longest.records), (len(batch.records),
                                                                 len(longest.records))
