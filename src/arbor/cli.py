@@ -21,7 +21,7 @@ import numpy as np
 
 from . import convert as conv
 from . import formats
-from .evaluate import F1Report, labeled_triple_f1, smatch_score, speed_bench, validity_audit
+from .evaluate import F1Report, labeled_triple_f1, speed_bench, validity_audit
 from .graph import Framework, GraphError
 from .inference import decode_batch, to_graph
 from .linearize import OrderingPolicy, arbor_to_relations
@@ -288,17 +288,12 @@ def cmd_eval(args) -> int:
     if missing:
         raise CliError(f"predictions missing for ids: {missing[:5]}")
 
-    def score_one(g, p):
-        if g.framework == Framework.AMR:
-            return smatch_score(g, p, mode=args.smatch_mode)
-        return labeled_triple_f1(g, p)
-
     failures = _Failures()
     reports, predicted = [], []
     for record_id in sorted(gold):
         with failures.record(record_id):
             g, p = gold[record_id].graph(), pred[record_id].graph()
-            reports.append(score_one(g, p))
+            reports.append(labeled_triple_f1(g, p, smatch_mode=args.smatch_mode))
             predicted.append(p)
     total = F1Report.from_counts(sum(r.matched for r in reports),
                                  sum(r.gold for r in reports),

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter, deque
+from collections.abc import Mapping
 
 from .graph import (
     Arborescence,
@@ -486,7 +487,8 @@ def amr_strip_senses(g: SemanticGraph) -> tuple[SemanticGraph, dict[str, Counter
     return SemanticGraph(g.framework, tuple(new_nodes), g.edges, g.tops), counts
 
 
-def amr_restore_senses(g: SemanticGraph, counts: dict[str, Counter]) -> SemanticGraph:
+def amr_restore_senses(g: SemanticGraph, counts: Mapping[str, Mapping[str, int]]
+                       ) -> SemanticGraph:
     """Attach the most frequent observed form per label.
 
     Labels never observed in training default to ``label-01`` when they

@@ -30,7 +30,6 @@ group, in pieces of at most ``MAX_LOCKSTEP`` sentences, through the loop.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -311,8 +310,7 @@ def to_graph(model: TransducerModel, sequence: RelationSequence,
         return _empty_graph(target)
     graph = from_arbor(relations_to_arbor(sequence), target)
     if target == Framework.AMR and model.sense_counts:
-        counts = {k: Counter(v) for k, v in model.sense_counts.items()}
-        graph = amr_restore_senses(graph, counts)
+        graph = amr_restore_senses(graph, model.sense_counts)
     return graph
 
 

@@ -13,6 +13,7 @@ import arbor
 from arbor import cli
 from arbor.cli import _write_graph, main
 from arbor.formats import (
+    CanonicalGraphRecord,
     arbor_from_json,
     read_canonical,
     read_penman,
@@ -23,6 +24,7 @@ from arbor.inference import parse
 from arbor.model import TransducerModel, encoder_input_from_record
 
 from conftest import synthetic_corpus
+from test_evaluate import CLIMB_MISSES, criterion11_pair
 
 VINKEN = "(e / express-01 :ARG0 (p / person) :ARG1 (c / concern :poss p))"
 
@@ -316,6 +318,21 @@ class TestBadRecords:
         assert (report["graphs"], report["f1"]) == (1, 1.0)
         assert "record a: dm vs amr" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_eval_exact_mode_beats_hill_climbing(tmp_path):
+    # a pair on which hill climbing misses the optimum by a triple or two
+    gold, pred = criterion11_pair(np.random.default_rng(CLIMB_MISSES[0]))
+    gold_path, pred_path = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    write_corpus(gold_path, [CanonicalGraphRecord.from_graph("a", gold, ["a"])])
+    write_corpus(pred_path, [CanonicalGraphRecord.from_graph("a", pred, ["a"])])
+    matched = {}
+    for mode in ("hill_climb", "exact"):
+        out = tmp_path / f"{mode}.json"
+        assert main(["eval", "--gold", str(gold_path), "--pred", str(pred_path),
+                     "--output", str(out), "--smatch-mode", mode]) == 0
+        matched[mode] = json.loads(out.read_text())["matched"]
+    assert matched["exact"] > matched["hill_climb"]
 
 
 class TestLinearize:

@@ -425,6 +425,104 @@ HOSTILE = {
 }
 
 
+# ---------------------------------------------------------------------------
+# Reference exact search: the scan over every injective mapping, with the
+# dict/Counter triple count, that branch and bound replaced.  A gold top
+# repeated n times counts n times, as in the triple totals and the weight
+# table (the scan once counted each top variable once).
+
+
+def reference_match_count(mapping, parts1, parts2) -> tuple[int, int]:
+    """The instance and relation triples, and the top triples, that
+    ``mapping`` (gold name to pred name) matches."""
+    inst1, rel1, tops1 = parts1
+    inst2, rel2, tops2 = parts2
+    count = 0
+    for v, label in inst1.items():
+        m = mapping.get(v)
+        if m is not None and inst2.get(m) == label:
+            count += 1
+    for (a, b), labels in rel1.items():
+        ma, mb = mapping.get(a), mapping.get(b)
+        if ma is None or mb is None:
+            continue
+        other = rel2.get((ma, mb))
+        if other:
+            count += sum((labels & other).values())
+    # the mapping is injective: no two gold tops share an image
+    return count, sum(min(n, tops2[mapping[t]]) for t, n in tops1.items() if t in mapping)
+
+
+def reference_exact(gold, pred) -> dict[bool, int]:
+    """The most triples any injective mapping matches, by ``include_top``,
+    from every permutation of the larger graph's variables."""
+    parts_g, parts_p = _smatch_parts(gold), _smatch_parts(pred)
+    gold_vars, pred_vars = sorted(parts_g[0]), sorted(parts_p[0])
+    if len(gold_vars) <= len(pred_vars):
+        mappings = (dict(zip(gold_vars, images))
+                    for images in itertools.permutations(pred_vars, len(gold_vars)))
+    else:
+        mappings = ({g: p for p, g in zip(pred_vars, images)}
+                    for images in itertools.permutations(gold_vars, len(pred_vars)))
+    best = {False: 0, True: 0}
+    for mapping in mappings:
+        count, tops = reference_match_count(mapping, parts_g, parts_p)
+        best[False] = max(best[False], count)
+        best[True] = max(best[True], count + tops)
+    return best
+
+
+def assert_exact_is_reference(gold, pred) -> None:
+    expected = reference_exact(gold, pred)
+    for include_top in (False, True):
+        report = smatch_score(gold, pred, mode="exact", include_top=include_top)
+        assert report.matched == expected[include_top], include_top
+
+
+# seeds of criterion 11's generator on which hill climbing misses the
+# optimum (without tops)
+CLIMB_MISSES = (183, 224, 229, 341, 369)
+
+
+class TestExactSearchMatchesReference:
+    def test_criterion11_pairs(self):
+        # 40% of the pairs draw pred apart from gold, so sizes differ both
+        # ways: more gold than pred variables, and fewer
+        sizes = Counter()
+        for seed in range(400):
+            gold, pred = criterion11_pair(np.random.default_rng(seed))
+            assert_exact_is_reference(gold, pred)
+            sizes[np.sign(len(gold.nodes) - len(pred.nodes))] += 1
+        assert min(sizes[-1], sizes[1]) >= 50, sizes
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_hostile_pairs(self, case):
+        for seed in range(4):
+            assert_exact_is_reference(*HOSTILE[case](np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("seed", CLIMB_MISSES)
+    def test_beats_hill_climb_where_the_climb_misses(self, seed):
+        gold, pred = criterion11_pair(np.random.default_rng(seed))
+        exact = smatch_score(gold, pred, mode="exact")
+        assert exact.matched == reference_exact(gold, pred)[False]
+        assert exact.matched > smatch_score(gold, pred, mode="hill_climb").matched
+
+    def test_repeated_tops_count_in_a_self_score(self):
+        g = amr_graph([("x", "a"), ("y", "b")], [("x", "y", "ARG0")], ("x", "x", "y"))
+        report = smatch_score(g, g, mode="exact", include_top=True)
+        assert (report.matched, report.gold, report.f1) == (6, 6, 1.0)
+
+    def test_ten_variables_one_label(self):
+        # every gold/pred pair is compatible: 10! = 3.6M mappings to a scan
+        rng = np.random.default_rng(10)
+        gold = hostile_graph(rng, 10, ["thing"], ["ARG0"], edges=15)
+        assert smatch_score(gold, gold, mode="exact").f1 == 1.0
+        pred = hostile_graph(rng, 10, ["thing"], ["ARG0"], edges=15)
+        exact = smatch_score(gold, pred, mode="exact")
+        assert smatch_score(gold, pred).matched <= exact.matched <= min(exact.gold,
+                                                                         exact.predicted)
+
+
 class TestArraySearchMatchesReference:
     @pytest.mark.parametrize("include_top", [False, True])
     def test_criterion11_pairs_both_directions(self, include_top):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -392,15 +394,23 @@ class TestParse:
             g = parse(model, inp, beam_size=2, max_len=6)
             assert g.framework == Framework(fw)
 
-    def test_amr_sense_restoration_applied(self):
-        model = build_tiny_model(seed=48, framework="amr", extra_labels=("want",))
-        model.sense_counts = {"want": {"want-01": 3}}
-        want_row = model.vocabs.dec_word.id("want")
-        eos_row = model.vocabs.dec_word.id(EOS_LABEL)
-        model.decoder.ffn_vocab.b.data[want_row] = 100.0
-        model.decoder.ffn_switch.b.data[:] = [100.0, -100.0, -100.0]
-        g = parse(model, make_inputs(np.random.default_rng(6), 2), max_len=1)
-        assert [n.label for n in g.nodes] == ["want-01"]
+    def test_amr_sense_restoration_applied(self, tmp_path):
+        # the table as plain dicts, as amr_strip_senses' Counters, and as a
+        # checkpoint loads it back
+        senses = {"want": {"want-02": 1, "want-01": 3}}
+        for source in ("dicts", "counters", "checkpoint"):
+            model = build_tiny_model(seed=48, framework="amr", extra_labels=("want",))
+            model.sense_counts = ({k: Counter(v) for k, v in senses.items()}
+                                  if source == "counters" else senses)
+            want_row = model.vocabs.dec_word.id("want")
+            model.decoder.ffn_vocab.b.data[want_row] = 100.0
+            model.decoder.ffn_switch.b.data[:] = [100.0, -100.0, -100.0]
+            if source == "checkpoint":
+                model.save(tmp_path / "model.ckpt")
+                model = TransducerModel.load(tmp_path / "model.ckpt")
+                assert model.sense_counts == senses
+            g = parse(model, make_inputs(np.random.default_rng(6), 2), max_len=1)
+            assert [n.label for n in g.nodes] == ["want-01"], source
 
 
 class TestSearchArguments:
