@@ -14,12 +14,16 @@ Supported graph formats:
 
 Checkpoints store a one-line JSON header (format version, hyperparameters,
 vocabularies, tensor directory) followed by a little-endian float32
+payload, the tensors end to end in directory order.  Save and load convert
+through one fixed-size buffer, so neither holds a second copy of the
 payload.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -511,17 +515,12 @@ def load_embeddings(path, dim: int | None = None) -> EmbeddingTableFile:
 
 
 CHECKPOINT_VERSION = 1
+# float32 values that save and load convert through at a time (1 MiB)
+_BUFFER_VALUES = 1 << 18
 
 
 class CheckpointError(ValueError):
     pass
-
-
-@dataclass
-class Checkpoint:
-    hyperparameters: dict
-    vocabularies: dict
-    tensors: dict[str, np.ndarray]
 
 
 def save_checkpoint(path, hyperparameters: dict, vocabularies: dict, tensors: dict[str, np.ndarray]) -> None:
@@ -529,7 +528,8 @@ def save_checkpoint(path, hyperparameters: dict, vocabularies: dict, tensors: di
 
     Values are stored as float32 regardless of compute precision, so the
     first save of a float64 model rounds; save/load is bit-exact from then
-    on.
+    on.  Each tensor is converted through one buffer of ``_BUFFER_VALUES``
+    values, so no float32 copy of a whole tensor is made.
     """
     directory = []
     offset = 0
@@ -542,44 +542,95 @@ def save_checkpoint(path, hyperparameters: dict, vocabularies: dict, tensors: di
         "vocabularies": vocabularies,
         "tensors": directory,
     }
+    buffer = np.empty(_BUFFER_VALUES, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        # one tensor converted at a time: no second copy of the whole model
         for arr in tensors.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").data)
+            flat = np.ravel(arr)
+            for start in range(0, flat.size, _BUFFER_VALUES):
+                chunk = buffer[: min(_BUFFER_VALUES, flat.size - start)]
+                chunk[...] = flat[start : start + chunk.size]
+                fh.write(chunk.data)
 
 
-def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
+def _checkpoint_header(line: bytes) -> tuple[dict, dict, dict[str, tuple]]:
+    """The hyperparameters, the vocabularies and the ``name -> shape``
+    directory of a header line.  Each entry's payload must start where the
+    previous one's ends, as ``save_checkpoint`` writes it."""
     try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = _typed(json.loads(line.decode("utf-8")), dict, "the header")
+        version = header.get("format_version")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version!r}")
+        hyperparameters = _typed(header["hyperparameters"], dict, "hyperparameters")
+        vocabularies = _typed(header["vocabularies"], dict, "vocabularies")
+        shapes: dict[str, tuple] = {}
+        end = 0
+        for entry in _typed(header["tensors"], list, "tensors"):
+            entry = _typed(entry, dict, "each tensor entry")
+            name = _typed(entry["name"], str, "a tensor name")
+            shape = tuple(_items(entry["shape"], int, f"the shape of {name!r}"))
+            offset = _typed(entry["offset"], int, f"the offset of {name!r}")
+            if name in shapes:
+                raise CheckpointError(f"duplicate tensor {name!r} in checkpoint")
+            if any(n < 0 for n in shape):
+                raise CheckpointError(f"tensor {name!r} has a negative dimension: {list(shape)}")
+            if offset != end:
+                raise CheckpointError(
+                    f"tensor {name!r} at offset {offset}, expected {end} (the end of the "
+                    f"previous tensor)")
+            shapes[name] = shape
+            end += 4 * math.prod(shape)
+    except KeyError as exc:
+        raise CheckpointError(f"bad checkpoint header: missing {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:
         raise CheckpointError(f"bad checkpoint header: {exc}") from exc
-    version = header.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version!r}")
-    tensors: dict[str, np.ndarray] = {}
-    expected = 0
-    for entry in header["tensors"]:
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
-        if name in tensors:
-            raise CheckpointError(f"duplicate tensor {name!r} in checkpoint")
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + count * 4
-        expected = max(expected, end)
-        if end > len(payload):
-            raise CheckpointError(f"payload truncated for tensor {name!r}")
-        # a read-only view of ``payload``, not a copy
-        tensors[name] = np.frombuffer(payload, dtype="<f4", count=count,
-                                      offset=offset).reshape(shape)
-    if expected != len(payload):
-        raise CheckpointError(
-            f"payload length {len(payload)} does not match directory total {expected}"
-        )
-    return Checkpoint(header["hyperparameters"], header["vocabularies"], tensors)
+    return hyperparameters, vocabularies, shapes
+
+
+def read_checkpoint(path, build):
+    """Read the checkpoint at ``path`` into the arrays that ``build`` gives.
+
+    ``build(hyperparameters, vocabularies, shapes)`` is called once the
+    header is checked and the payload's length matches its directory
+    (``shapes`` maps each tensor's name to its shape).  It returns
+    ``(result, tensors)``: any object, and ``name -> array`` of
+    C-contiguous arrays holding each tensor of the directory once, with its
+    shape.  Each tensor is then read through one buffer of
+    ``_BUFFER_VALUES`` float32 values and converted into its array; the
+    file is read once, in order.  Returns ``result``.
+
+    Any mismatch raises ``CheckpointError``, so ``result`` is returned only
+    with every array filled.
+    """
+    with open(path, "rb") as fh:
+        hyperparameters, vocabularies, shapes = _checkpoint_header(fh.readline())
+        expected = 4 * sum(math.prod(shape) for shape in shapes.values())
+        length = os.fstat(fh.fileno()).st_size - fh.tell()
+        if length != expected:
+            raise CheckpointError(
+                f"payload length {length} does not match directory total {expected}")
+        result, tensors = build(hyperparameters, vocabularies, shapes)
+        missing, extra = set(tensors) - set(shapes), set(shapes) - set(tensors)
+        if missing or extra:
+            raise CheckpointError(
+                f"checkpoint/model tensor mismatch: missing={sorted(missing)[:3]} "
+                f"extra={sorted(extra)[:3]}"
+            )
+        for name, shape in shapes.items():
+            if shape != tensors[name].shape:
+                raise CheckpointError(
+                    f"tensor {name!r} shape {shape} != expected {tensors[name].shape}")
+        buffer = np.empty(_BUFFER_VALUES, dtype="<f4")
+        for name in shapes:
+            flat = tensors[name].reshape(-1)  # a view: the array is C-contiguous
+            for start in range(0, flat.size, _BUFFER_VALUES):
+                chunk = buffer[: min(_BUFFER_VALUES, flat.size - start)]
+                if fh.readinto(chunk) != chunk.nbytes:
+                    raise CheckpointError(f"payload truncated in tensor {name!r}")
+                flat[start : start + chunk.size] = chunk
+    return result
 
 
 # ---------------------------------------------------------------------------

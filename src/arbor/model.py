@@ -15,7 +15,7 @@ import numpy as np
 from . import nn
 from .encoder import Encoder, EncoderInput
 from .decoder import Decoder
-from .formats import CheckpointError, load_checkpoint, save_checkpoint
+from .formats import CheckpointError, read_checkpoint, save_checkpoint
 from .graph import Framework
 from .vocab import NODE_RESERVED, RELATION_RESERVED, Vocab
 
@@ -148,12 +148,17 @@ class TransducerModel(nn.Module):
     def __init__(self, config: ModelConfig, vocabs: Vocabularies,
                  seed: int = 0, word_init: np.ndarray | None = None,
                  sense_counts: dict[str, dict[str, int]] | None = None):
+        self._assemble(config, vocabs, seed, sense_counts, np.random.default_rng(seed),
+                       word_init)
+
+    def _assemble(self, config, vocabs, seed, sense_counts, rng, word_init=None) -> None:
+        """Set up the model; with ``rng`` None every weight is allocated
+        without being drawn (``nn.xavier_uniform``), for ``load`` to fill."""
         super().__init__()
         self.config = config
         self.vocabs = vocabs
         self.seed = seed
         self.sense_counts = sense_counts or {}
-        rng = np.random.default_rng(seed)
 
         char_cnn = nn.CharCnn(rng, len(vocabs.char), config.char_emb_dim, config.char_channels)
         pos_table = nn.Embedding(rng, len(vocabs.pos), config.pos_dim)
@@ -196,27 +201,21 @@ class TransducerModel(nn.Module):
 
     @classmethod
     def load(cls, path) -> "TransducerModel":
-        ckpt = load_checkpoint(path)
-        config = ModelConfig.from_json(ckpt.hyperparameters["config"])
-        vocabs = Vocabularies.from_json(ckpt.vocabularies["vocabs"])
-        model = cls(config, vocabs, seed=ckpt.hyperparameters.get("seed", 0),
-                    sense_counts=ckpt.vocabularies.get("sense_counts", {}))
-        params = model.parameters()
-        missing = set(params) - set(ckpt.tensors)
-        extra = set(ckpt.tensors) - set(params)
-        if missing or extra:
-            raise CheckpointError(
-                f"checkpoint/model tensor mismatch: missing={sorted(missing)[:3]} "
-                f"extra={sorted(extra)[:3]}"
-            )
-        for name, t in params.items():
-            stored = ckpt.tensors.pop(name)
-            if stored.shape != t.data.shape:
-                raise CheckpointError(
-                    f"tensor {name!r} shape {stored.shape} != expected {t.data.shape}"
-                )
-            np.copyto(t.data, stored)
-        return model
+        """The model saved at ``path``.  Its weights are allocated without
+        being drawn, and ``read_checkpoint`` fills every one of them or
+        raises ``CheckpointError``."""
+        def build(hyperparameters, vocabularies, _shapes):  # read_checkpoint checks shapes
+            try:
+                config = ModelConfig.from_json(hyperparameters["config"])
+                vocabs = Vocabularies.from_json(vocabularies["vocabs"])
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise CheckpointError(f"bad checkpoint model description: {exc!r}") from exc
+            model = cls.__new__(cls)
+            model._assemble(config, vocabs, hyperparameters.get("seed", 0),
+                            vocabularies.get("sense_counts", {}), None)
+            return model, {name: t.data for name, t in model.parameters().items()}
+
+        return read_checkpoint(path, build)
 
 
 def encoder_input_from_record(record) -> EncoderInput:

@@ -604,7 +604,11 @@ def train(
 
             if dev_f1 > best_f1:
                 best_f1, best_epoch, stale = dev_f1, epoch, 0
-                best_params = {k: t.data.copy() for k, t in params.items()}
+                if best_params is None:
+                    best_params = {k: t.data.copy() for k, t in params.items()}
+                else:  # one snapshot, refilled in place
+                    for k, t in params.items():
+                        np.copyto(best_params[k], t.data)
             else:
                 stale += 1
             if target_f1 is not None and dev_f1 >= target_f1:

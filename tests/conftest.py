@@ -9,10 +9,13 @@ shape the converters themselves produce.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from arbor import autodiff as ad
+from arbor import formats
 from arbor.decoder import StepOutput, gold_blocks
 from arbor.encoder import EncoderInput
 from arbor.graph import (
@@ -470,6 +473,23 @@ def synthetic_corpus(n_amr: int = 11, n_dm: int = 11, n_ucca: int = 10, seed: in
     for k in range(n_ucca):
         records.append(_ucca_record(rng, f"ucca{k}"))
     return records
+
+
+@dataclass
+class Checkpoint:
+    hyperparameters: dict
+    vocabularies: dict
+    tensors: dict[str, np.ndarray]
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at ``path`` as stored: each tensor read by
+    ``formats.read_checkpoint`` into a float32 array of its own."""
+    def build(hyperparameters, vocabularies, shapes):
+        tensors = {name: np.empty(shape, dtype=np.float32) for name, shape in shapes.items()}
+        return Checkpoint(hyperparameters, vocabularies, tensors), tensors
+
+    return formats.read_checkpoint(path, build)
 
 
 def encode_one(encoder, inp, train: bool = False, rng=None):

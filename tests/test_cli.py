@@ -518,6 +518,26 @@ class TestTrainParseEvalBench:
         assert "line 2: bad canonical JSON" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("header, message", [
+        ('{"format_version": 1}', "bad checkpoint header: missing 'hyperparameters'"),
+        ("[1]", "bad checkpoint header: the header must be an object, got list"),
+        ('{"format_version": 1, "hyperparameters": {}, "vocabularies": {}, '
+         '"tensors": [{"name": "x", "shape": [1], "offset": -4}]}',
+         "tensor 'x' at offset -4, expected 0"),
+    ])
+    def test_parse_bad_checkpoint_is_reported(self, trained, tmp_path, header, message):
+        _, _, records = trained
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(header.encode("utf-8") + b"\n" + bytes(4))
+        sentences = tmp_path / "sents.jsonl"
+        write_corpus(sentences, records[:1])
+        out = tmp_path / "parsed.jsonl"
+        proc = run_cli("parse", "--model", bad, "--input", sentences, "--output", out,
+                       "--greedy")
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_train_stops_at_a_bad_line_and_names_it(self, corpus_files, tmp_path):
         _, train_file, _ = corpus_files
         bad = tmp_path / "bad.jsonl"

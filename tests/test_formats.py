@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from arbor.formats import (
     CheckpointError,
     FormatError,
     SdpToken,
-    load_checkpoint,
     load_embeddings,
     read_canonical,
     read_penman,
@@ -21,7 +21,7 @@ from arbor.formats import (
 )
 from arbor.graph import Framework, GraphError, graph_isomorphic
 
-from conftest import random_amr_graph
+from conftest import load_checkpoint, random_amr_graph
 
 
 class TestPenman:
@@ -266,6 +266,82 @@ class TestCheckpoint:
         path.write_bytes(data[:-4])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_trailing_payload_bytes(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {}, {}, {"x": np.zeros(4, dtype=np.float32)})
+        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+        with pytest.raises(CheckpointError, match="payload length 20 does not match"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"{not json", "bad checkpoint header"),
+        (b"\xff", "bad checkpoint header"),
+        ([1], "the header must be an object, got list"),
+        ({"format_version": 1}, "missing 'hyperparameters'"),
+        ({"format_version": 1, "hyperparameters": {}, "vocabularies": {}},
+         "missing 'tensors'"),
+        ({"format_version": 1, "hyperparameters": [], "vocabularies": {}, "tensors": []},
+         "hyperparameters must be an object, got list"),
+        ({"format_version": 1, "hyperparameters": {}, "vocabularies": {}, "tensors": {}},
+         "tensors must be a list, got dict"),
+        ({"format_version": 1, "hyperparameters": {}, "vocabularies": {}, "tensors": [5]},
+         "each tensor entry must be an object, got int"),
+        ({"format_version": 1, "hyperparameters": {}, "vocabularies": {},
+          "tensors": [{"name": "x", "shape": [2]}]}, "missing 'offset'"),
+        ({"format_version": 1, "hyperparameters": {}, "vocabularies": {},
+          "tensors": [{"name": 5, "shape": [2], "offset": 0}]},
+         "a tensor name must be a string, got int"),
+        ({"format_version": 1, "hyperparameters": {}, "vocabularies": {},
+          "tensors": [{"name": "x", "shape": 2, "offset": 0}]},
+         "the shape of 'x' must be a list, got int"),
+        ({"format_version": 1, "hyperparameters": {}, "vocabularies": {},
+          "tensors": [{"name": "x", "shape": [2.0], "offset": 0}]}, "must be an integer"),
+        ({"format_version": 1, "hyperparameters": {}, "vocabularies": {},
+          "tensors": [{"name": "x", "shape": [True], "offset": 0}]}, "must be an integer"),
+        ({"format_version": 1, "hyperparameters": {}, "vocabularies": {},
+          "tensors": [{"name": "x", "shape": [-1, -2], "offset": 0}]},
+         r"tensor 'x' has a negative dimension: \[-1, -2\]"),
+        ({"format_version": 1, "hyperparameters": {}, "vocabularies": {},
+          "tensors": [{"name": "x", "shape": [2], "offset": "0"}]},
+         "the offset of 'x' must be an integer, got str"),
+        ({"format_version": 1, "hyperparameters": {}, "vocabularies": {},
+          "tensors": [{"name": "x", "shape": [2], "offset": -4}]},
+         "tensor 'x' at offset -4, expected 0"),
+        ({"format_version": 1, "hyperparameters": {}, "vocabularies": {},  # overlapping
+          "tensors": [{"name": "x", "shape": [2], "offset": 0},
+                      {"name": "y", "shape": [2], "offset": 4}]},
+         "tensor 'y' at offset 4, expected 8"),
+        ({"format_version": 1, "hyperparameters": {}, "vocabularies": {},  # out of order
+          "tensors": [{"name": "y", "shape": [2], "offset": 8},
+                      {"name": "x", "shape": [2], "offset": 0}]},
+         "tensor 'y' at offset 8, expected 0"),
+        ({"format_version": 1, "hyperparameters": {}, "vocabularies": {},
+          "tensors": [{"name": "x", "shape": [2], "offset": 0},
+                      {"name": "x", "shape": [2], "offset": 8}]},
+         "duplicate tensor 'x'"),
+    ])
+    def test_malformed_header(self, tmp_path, header, message):
+        path = tmp_path / "m.ckpt"
+        line = header if isinstance(header, bytes) else json.dumps(header).encode()
+        path.write_bytes(line + b"\n" + bytes(16))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_file_shrinking_during_the_read(self, tmp_path):
+        """A payload that ends early while it is read, after the length
+        check, is reported by the read itself."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {}, {}, {"x": np.zeros(3), "y": np.ones(20000)})
+        size = path.stat().st_size
+
+        def build(hyperparameters, vocabularies, shapes):
+            os.truncate(path, size - 40000)
+            tensors = {name: np.empty(shape) for name, shape in shapes.items()}
+            return tensors, tensors
+
+        with pytest.raises(CheckpointError, match="payload truncated in tensor 'y'"):
+            formats.read_checkpoint(path, build)
 
 
 class TestArborJson:

@@ -1,13 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from arbor import autodiff as ad
+from arbor import formats
 from arbor.decoder import (
     BOS_INPUT, NodeRecord, ORIGIN_DEC, ORIGIN_ENC, ORIGIN_VOCAB, RelationInput, reference_node,
 )
 from arbor.encoder import EncoderInput
+from arbor.formats import CheckpointError
 from arbor.graph import EOS_LABEL, ROOT_INDEX, ROOT_LABEL, UNK_LABEL
 from arbor.model import ModelConfig, TransducerModel, Vocabularies, build_vocabularies
 
@@ -577,3 +580,106 @@ class TestCheckpointRoundTrip:
         pos_tables = [n for n in names if n.endswith("pos.table")]
         assert len(char_tables) == 1
         assert len(pos_tables) == 1
+
+    def test_load_save_load_same_path_bit_equal(self, model, tmp_path):
+        """A model loaded from a path, saved to that same path and loaded
+        again has bit-equal parameters: the load holds nothing of the file."""
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        first = TransducerModel.load(path)
+        first.save(path)
+        second = TransducerModel.load(path)
+        for name, p in first.parameters().items():
+            assert p.data.dtype == second.parameters()[name].data.dtype == np.float64
+            assert np.array_equal(p.data, second.parameters()[name].data), name
+
+    def test_load_memory_is_bounded(self, tmp_path):
+        """The traced peak of a load, less the parameters it fills, stays
+        below a fixed bound well under the payload: no copy of the payload
+        and no drawn weights beside the model."""
+        model = build_tiny_model(seed=2, encoder_hidden=160, relation_hidden=512, word_dim=64)
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        payload = 4 * sum(p.data.size for p in model.parameters().values())
+        assert payload > 8 * 4 * formats._BUFFER_VALUES
+        del model
+        tracemalloc.start()
+        try:
+            loaded = TransducerModel.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        excess = peak - sum(p.data.nbytes for p in loaded.parameters().values())
+        assert excess < 2 * 2**20, (excess, payload)
+
+
+def rewritten_checkpoint(path, edit):
+    """A copy of the checkpoint at ``path``, written beside it, with
+    ``edit(directory, payload) -> payload`` applied; ``edit`` may change the
+    directory's entries in place."""
+    header, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    payload = edit(header["tensors"], payload)
+    out = path.with_name("edited.ckpt")
+    out.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
+    return out
+
+
+def _drop_last(directory, payload):
+    return payload[: directory.pop()["offset"]]
+
+
+def _add_extra(directory, payload):
+    directory.append({"name": "decoder.extra", "shape": [2], "offset": len(payload)})
+    return payload + bytes(8)
+
+
+def _transpose_first_matrix(directory, payload):
+    entry = next(e for e in directory if len(e["shape"]) == 2 and len(set(e["shape"])) == 2)
+    entry["shape"].reverse()
+    return payload
+
+
+def _duplicate_name(directory, payload):
+    directory[1]["name"] = directory[0]["name"]
+    return payload
+
+
+def _cut_largest_in_half(directory, payload):
+    entry = max(directory, key=lambda e: int(np.prod(e["shape"])))
+    return payload[: entry["offset"] + 2 * int(np.prod(entry["shape"]))]
+
+
+class TestLoadRejects:
+    """``TransducerModel.load`` allocates the weights without drawing them,
+    so each of these must fail before a model is returned."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (_drop_last, "tensor mismatch: missing=\\[.decoder\\.[^]]+\\] extra=\\[\\]"),
+        (_add_extra, "tensor mismatch: missing=\\[\\] extra=\\['decoder.extra'\\]"),
+        (_transpose_first_matrix, "shape"),
+        (_duplicate_name, "duplicate tensor"),
+        (lambda directory, payload: payload + bytes(4), "payload length .* does not match"),
+        (_cut_largest_in_half, "payload length .* does not match"),
+    ])
+    def test_rejected(self, model, tmp_path, edit, message):
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        bad = rewritten_checkpoint(path, edit)
+        with pytest.raises(CheckpointError, match=message):
+            TransducerModel.load(bad)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h, v: h.pop("config"), "KeyError\\('config'\\)"),
+        (lambda h, v: v.pop("vocabs"), "KeyError\\('vocabs'\\)"),
+        (lambda h, v: h.update(config=[1]), "bad checkpoint model description"),
+    ])
+    def test_bad_model_description(self, model, tmp_path, edit, message):
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        edit(header["hyperparameters"], header["vocabularies"])
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+        with pytest.raises(CheckpointError, match=message):
+            TransducerModel.load(path)
