@@ -18,14 +18,12 @@ vector the leading axes.
 The one pairwise broadcast is its own op, ``pairwise_add`` (every row of
 one matrix plus every row of another, for each matrix of a stack).
 
-The fused ops ``affine``, ``affine_max``, ``lstm_cell`` and
-``lstm_layer`` each take one tape record with a hand-written backward,
-which for ``affine`` and ``lstm_cell`` works on rows, a vector being one
-row; ``affine_max`` max-pools ``affine`` over segments of rows, and
-``lstm_layer`` runs a whole recurrence, one ``lstm_cell`` step per input
-row, for one sequence or for a batch of padded sequences as rows.  A
-fused forward evaluates the same numpy expressions in the same order as
-the composed ops it replaces, so its outputs are bit-identical to theirs;
+The fused ops ``affine``, ``affine_max`` and ``lstm_layer`` each take
+one tape record with a hand-written backward; ``affine``'s works on rows,
+a vector being one row.  ``lstm_layer`` is the one LSTM op with a
+backward; the decode step ``lstm_step`` runs forward only.  A fused
+forward evaluates the same numpy expressions in the same order as the
+composed ops it replaces, so its outputs are bit-identical to theirs;
 only the order in which gradients are summed may differ.  Backward
 passes compute a product whose inner axis has length 1 (an outer product)
 as a broadcast multiply: numpy runs such a product in its own loop,
@@ -475,98 +473,28 @@ def _lstm_gates(gates: np.ndarray, c_prev: np.ndarray, hid: int):
     return i, f, g, o, c, np.tanh(c)
 
 
-def _scatter_rows(g_rows: np.ndarray, rows, n: int) -> np.ndarray:
-    """Sum row ``e`` of ``g_rows`` into row ``rows[e]`` of ``n`` zero rows
-    (``g_rows`` itself when ``rows`` is None)."""
-    if rows is None:
-        return g_rows
-    out = np.zeros((n, g_rows.shape[1]))
-    np.add.at(out, rows, g_rows)
-    return out
-
-
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
-              b: Tensor, state_rows=None, input_rows=None) -> tuple[Tensor, Tensor]:
-    """One LSTM step (gate order i, f, g, o); returns ``(h, c)``.
-
-    ``x``, ``h`` and ``c`` are vectors, or matrices whose rows are
-    independent cells; each row of the rows form is bit-equal to the
-    vector form on that row.  In the rows form, output row ``e`` continues
-    state row ``state_rows[e]`` of ``h`` and ``c`` and reads input row
-    ``input_rows[e]`` of ``x`` (row ``e`` of each by default), so several
-    steps can continue one state, or read one input, whose ``w_hh @ h`` or
-    ``w_ih @ x`` is computed once.  A single tape record with a
-    hand-written backward, which works on rows, a vector being one row.  A
-    missing gradient on either output counts as zero.
-    """
-    hid = h.shape[-1]
-    n = x.shape[:-1] if input_rows is None else (len(input_rows),)
-    lead = n if state_rows is None else h.shape[:1]
-    if (x.ndim not in (1, 2) or h.shape != lead + (hid,) or c.shape != lead + (hid,)
-            or w_ih.shape != (4 * hid, x.shape[-1]) or w_hh.shape != (4 * hid, hid)
-            or b.shape != (4 * hid,)
-            or (state_rows is not None or input_rows is not None) and x.ndim != 2
-            or (state_rows is not None and (len(state_rows),) != n)):
-        raise ShapeError(
-            f"lstm_cell: x {x.shape}, h {h.shape}, c {c.shape}, "
-            f"w_ih {w_ih.shape}, w_hh {w_hh.shape}, b {b.shape}"
-        )
-    hh, c_prev = _mv(w_hh.data, h.data), c.data
-    if state_rows is not None:
-        hh, c_prev = hh[state_rows], c_prev[state_rows]
+def lstm_step(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor,
+              state_rows, input_rows=None) -> tuple[Tensor, Tensor]:
+    """One decode step of an LSTM over rows; returns ``(h, c)``.  Row ``e``
+    continues row ``state_rows[e]`` of ``h`` and ``c`` and reads row
+    ``input_rows[e]`` of ``x`` (row ``e`` by default), so rows sharing a
+    state or an input share its product.  Each row is bit-equal to itself
+    alone and to the ``lstm_layer`` step from the same state and input.
+    Forward only: under a tape it raises ``TapeError``."""
+    if _TAPES:
+        raise TapeError("lstm_step records no gradient; run the recurrence with lstm_layer")
+    hid, rows = h.shape[-1], len(state_rows)
+    if (x.ndim != 2 or h.ndim != 2 or c.shape != h.shape or b.shape != (4 * hid,)
+            or w_ih.shape != (4 * hid, x.shape[1]) or w_hh.shape != (4 * hid, hid)
+            or len(x.data if input_rows is None else input_rows) != rows):
+        raise ShapeError(f"lstm_step: x {x.shape}, h {h.shape}, c {c.shape}, w_ih {w_ih.shape}, "
+                         f"w_hh {w_hh.shape}, b {b.shape}, {rows} state rows")
     xp = _mv(w_ih.data, x.data)
     if input_rows is not None:
         xp = xp[input_rows]
-    i, f, g, o, c_data, tanh_c = _lstm_gates(xp + hh + b.data, c_prev, hid)
-
-    tape = _active_tape()
-    if tape is None:
-        return Tensor(o * tanh_c), Tensor(c_data)
-    needs = any(t.requires_grad for t in (x, h, c, w_ih, w_hh, b))
-    h_out = Tensor(o * tanh_c, requires_grad=needs)
-    c_out = Tensor(c_data, requires_grad=needs)
-    if needs:
-
-        def to_states(g_rows):
-            """Sum the rows' gradients into the state rows they continue."""
-            return _scatter_rows(g_rows, state_rows, h.shape[0])
-
-        def to_inputs(g_rows):
-            """Sum the rows' gradients into the input rows they read."""
-            return _scatter_rows(g_rows, input_rows, x.shape[0])
-
-        def record():
-            gh, gc = h_out.grad, c_out.grad
-            if gh is None and gc is None:
-                return
-            if gh is None:
-                dc, d_o = gc, np.zeros_like(c_data)
-            else:
-                dc = gh * o * (1.0 - tanh_c * tanh_c)
-                if gc is not None:
-                    dc = gc + dc
-                d_o = gh * tanh_c * o * (1.0 - o)
-            d_gates = np.concatenate([
-                dc * g * i * (1.0 - i),
-                dc * c_prev * f * (1.0 - f),
-                dc * i * (1.0 - g * g),
-                d_o,
-            ], axis=-1)
-            if x.requires_grad:
-                x._accum(to_inputs(d_gates @ w_ih.data))
-            if h.requires_grad:
-                h._accum(to_states(d_gates @ w_hh.data))
-            if c.requires_grad:
-                c._accum(to_states(dc * f))
-            if w_ih.requires_grad:
-                w_ih._accum(_weight_grad(to_inputs(d_gates), x.data))
-            if w_hh.requires_grad:
-                w_hh._accum(_weight_grad(to_states(d_gates), h.data))
-            if b.requires_grad:
-                b._accum(_sum_to(d_gates, b.shape))
-
-        tape.records.append(record)
-    return h_out, c_out
+    _, _, _, o, c_new, tanh_c = _lstm_gates(xp + _mv(w_hh.data, h.data)[state_rows] + b.data,
+                                            c.data[state_rows], hid)
+    return Tensor(o * tanh_c), Tensor(c_new)
 
 
 def lstm_layer(x: Tensor, h0: Tensor, c0: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor,
@@ -584,16 +512,16 @@ def lstm_layer(x: Tensor, h0: Tensor, c0: Tensor, w_ih: Tensor, w_hh: Tensor, b:
     a zero gradient.  A single ``(T, d)`` sequence with state vectors is the
     one-sequence case, with the sequence axis dropped.
 
-    Each sequence's rows are bit-identical to composed ``lstm_cell`` steps
-    over that sequence alone: the input rows are projected by ``_mv``, whose
-    per-row products are the vector form's, as is ``w_hh @ h`` for each
-    sequence's state, and each step evaluates ``lstm_cell``'s expressions
-    in its order; one sequence runs on exactly the vector form's arrays.  A
-    single tape record: the backward runs the recurrence over
-    gate-derivative factors precomputed as (T, B, H) arrays, one
-    ``d_gates @ w_hh`` over the B sequences per step, then forms the
-    gradient of ``x``, ``w_ih``, ``w_hh`` and ``b`` by one product or sum
-    each.
+    Each sequence's rows are bit-identical to composed LSTM steps over that
+    sequence alone, and to chained ``lstm_step`` calls: the input rows are
+    projected by ``_mv``, whose per-row products are the vector form's, as
+    is ``w_hh @ h`` for each sequence's state, and each step evaluates
+    ``_lstm_gates`` on ``xp + w_hh @ h + b``; one sequence runs on exactly
+    the vector form's arrays.  A single tape record: the backward runs
+    the recurrence over gate-derivative factors precomputed as (T, B, H)
+    arrays, one ``d_gates @ w_hh`` over the B sequences per step, then
+    forms the gradient of ``x``, ``w_ih``, ``w_hh`` and ``b`` by one
+    product or sum each.
     """
     hid = h0.shape[-1]
     lead = x.shape[:-2]

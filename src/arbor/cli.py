@@ -174,7 +174,9 @@ def _train_config(args) -> TrainConfig:
     base = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            base.update(json.load(fh))
+            base = json.load(fh)
+        if not isinstance(base, dict):
+            raise CliError(f"--config must hold a JSON object, got {type(base).__name__}")
     names = {f.name for f in fields(TrainConfig)}
     unknown = set(base) - names
     if unknown:
@@ -194,11 +196,11 @@ def cmd_train(args) -> int:
     cfg = _train_config(args)
 
     overrides = {}
-    if args.hidden:
+    if args.hidden is not None:
         overrides.update(encoder_hidden=args.hidden, relation_hidden=2 * args.hidden)
-    model_config = ModelConfig.defaults(args.framework, **overrides)
     if args.dropout is not None:
-        model_config.dropout = args.dropout
+        overrides.update(dropout=args.dropout)
+    model_config = ModelConfig.defaults(args.framework, **overrides)
     vocabs = build_vocabularies(model_config, [p[0] for p in train_pairs],
                                 [p[1] for p in train_pairs])
     word_init = None

@@ -25,11 +25,11 @@ that row alone: a weight times the rows' queries is one vector product
 per row (``per_row``: one gemv, the one the vector form makes), and a
 product over a row's keys is one matrix of a stacked matmul; a gemm over
 all rows would round each row differently depending on the others.  So
-an ``expand`` row is also bit-equal to ``feed_target`` followed by
-``point_source`` and ``relation_dist_all`` on that expansion alone; those
-two are the one-expansion reference that ``expand`` is tested against,
-not a second decode path.  ``predict_target`` takes lists only: a single
-state is a list of one, and its output keeps the row axis.
+an ``expand`` row is also bit-equal to ``feed_target`` (one expansion)
+followed by ``point_source`` and ``relation_dist_all``, the one-expansion
+reference that ``expand`` is tested against.  Its LSTM step runs forward
+only.  ``predict_target`` takes lists only: a single state is a list of
+one, and its output keeps the row axis.
 
 Each node is projected once: when a node's state becomes a pointer
 candidate (in ``predict_target``), its ``mlp_end`` and ``mlp_rel_src`` rows
@@ -48,9 +48,7 @@ with ``reference_node`` and ``gold_blocks``.  The pairwise scorers are the
 same calls in both: decoding gives each row's query to the two
 attentions' ``pairs`` and to the source pointer's biaffine as a one-row
 matrix against that row's own keys or candidates, and to the relation
-bilinear as a query row against its own source rows.  The stepwise loss,
-one-row ``predict_target`` calls and ``feed_target`` per relation, equals
-training's to rounding.
+bilinear as a query row against its own source rows.
 """
 
 from __future__ import annotations
@@ -145,7 +143,7 @@ class Expansions:
     p_relation: np.ndarray  # (rows, i + 1, types): P(r) for each source position
 
     def state(self, e: int) -> DecoderState:
-        """The state ``feed_target(parents[e], records[e])`` returns."""
+        """The state after feeding ``records[e]`` to ``parents[e]``."""
         parent = self.parents[e]
         lstm = tuple((Tensor(h.data[e].copy()), Tensor(c.data[e].copy()))
                      for h, c in self.lstm)
@@ -296,7 +294,7 @@ class Decoder(nn.Module):
 
         ``enc`` is one sentence's encoding, or a batch of sentences of
         equal length; then row ``b`` reads the encoder rows of sentence
-        ``enc_rows[b]``, as ``lstm_cell``'s ``state_rows`` index state rows.
+        ``enc_rows[b]``, as ``lstm_step``'s ``state_rows`` index state rows.
 
         Each row is bit-equal to its state alone.  A weight times the rows'
         queries (the ``ffn_*`` layers, ``mlp_end``, ``mlp_rel_src``, the
@@ -373,26 +371,9 @@ class Decoder(nn.Module):
         labels = ad.stack_rows([self.label_vec(r.label, r.pos, memo) for r in records])
         return ad.concat([labels, self.index_rows([r.index for r in records])], axis=1)
 
-    def _run_lstm(self, x: Tensor, states, state_rows=None, input_rows=None,
-                  train: bool = False, rng: np.random.Generator | None = None):
-        """Run the target LSTM layers on ``x`` (the first layer's rows read
-        ``input_rows`` of it); returns the per-layer ``(h, c)`` and the last
-        layer's output after dropout."""
-        lstm = []
-        for cell, state in zip(self.lstm_cells, states):
-            h, c = cell(x, state, state_rows, input_rows)
-            lstm.append((h, c))
-            x = ad.dropout(h, self.config.dropout, train, rng)
-            input_rows = None
-        return tuple(lstm), x
-
-    def feed_target(self, state: DecoderState, record: NodeRecord,
-                    train: bool = False, rng: np.random.Generator | None = None
-                    ) -> DecoderState:
-        """Run the target LSTM over the new node ``v_{i+1}``."""
-        x = ad.element(self._node_inputs([record], state.label_memo), 0)
-        lstm, h = self._run_lstm(x, state.lstm, train=train, rng=rng)
-        return replace(state, lstm=lstm, h=h, nodes=state.nodes + (record,))
+    def feed_target(self, state: DecoderState, record: NodeRecord) -> DecoderState:
+        """Run the target LSTM over the new node ``v_{i+1}``: one ``expand``."""
+        return self.expand([state], [record]).state(0)
 
     def expand(self, parents: list[DecoderState], records: list[NodeRecord]) -> Expansions:
         """Feed ``records[e]`` to ``parents[e]`` for every expansion ``e`` at
@@ -403,27 +384,26 @@ class Decoder(nn.Module):
         recurrent product is computed once however many expansions share
         it, as is the input projection of each distinct (label, POS, index)
         node; the candidate rows are the parents' own blocks.  Each row is
-        bit-equal to the expansion alone: the LSTM rows to
-        ``feed_target(parents[e], records[e])``, and ``p_source`` and
+        bit-equal to the expansion alone, and ``p_source`` and
         ``p_relation`` to ``point_source`` and ``relation_dist_all`` on the
-        fed state, since ``mlp_start``, ``mlp_rel_tgt`` and the biaffine
-        and bilinear query projections are one product per row.  The
-        parents may come from different sentences, but must have consumed
-        the same number of relations.
+        fed state, since every query projection is one product per row.
+        The parents may come from different sentences, but must have
+        consumed the same number of relations.
         """
         nodes, input_rows = _distinct(records, lambda r: (r.label, r.pos, r.index))
         distinct, state_rows = _distinct(parents, id)
-        states = [(ad.stack_rows([s.lstm[k][0] for s in distinct]),
-                   ad.stack_rows([s.lstm[k][1] for s in distinct]))
-                  for k in range(len(self.lstm_cells))]
-        lstm, x = self._run_lstm(self._node_inputs(nodes, parents[0].label_memo), states,
-                                 state_rows, input_rows)
+        x, lstm = self._node_inputs(nodes, parents[0].label_memo), []
+        for k, cell in enumerate(self.lstm_cells):  # layer k's rows read layer k-1's
+            x, c = cell(x, (ad.stack_rows([s.lstm[k][0] for s in distinct]),
+                            ad.stack_rows([s.lstm[k][1] for s in distinct])),
+                        state_rows, None if k else input_rows)
+            lstm.append((x, c))
         ends = ad.stack_rows([s.end_rows for s in parents])
         srcs = ad.stack_rows([s.rel_src_rows for s in parents])
         p_source = self._source_dist(self.biaffine(self.mlp_start(x, per_row=True), ends))
         p_relation = ad.softmax(self.bilinear(srcs, self.mlp_rel_tgt(x, per_row=True),
                                               per_row=True), axis=-1)
-        return Expansions(parents, records, lstm, p_source.data, p_relation.data)
+        return Expansions(parents, records, tuple(lstm), p_source.data, p_relation.data)
 
     def source_scores(self, state: DecoderState) -> Tensor:
         """Biaffine pointer logits over positions 0..i (0 is ROOT)."""

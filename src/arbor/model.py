@@ -28,6 +28,26 @@ _FRAMEWORK_DEFAULTS = {
 }
 
 
+# config field ranges: a test of the value, and what passes
+POSITIVE = (lambda v: v > 0, "a positive number")
+NON_NEGATIVE = (lambda v: v >= 0, "a number of at least 0")
+FRACTION = (lambda v: 0 <= v < 1, "a number in [0, 1)")
+_KINDS = {"int": int, "float": (int, float), "str": str, "dict": dict}
+
+
+def check_fields(config, ranges: dict) -> None:
+    """Raise ``ValueError`` naming the first field of the config dataclass
+    ``config`` that is not of its annotated type (an int passes as a float,
+    a bool as neither) or fails its range in ``ranges``."""
+    for f in fields(config):
+        value, (test, allowed) = getattr(config, f.name), ranges.get(f.name, (None, None))
+        if isinstance(value, bool) or not isinstance(value, _KINDS[f.type]):
+            allowed = f"type {f.type}"
+        elif test is None or test(value):
+            continue
+        raise ValueError(f"config field {f.name}: expected {allowed}, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     framework: str = "amr"
@@ -50,6 +70,9 @@ class ModelConfig:
     dropout: float = 0.33
     encoder_vocab_cap: int = 18000
     decoder_vocab_cap: int = 12200
+
+    def __post_init__(self):
+        check_fields(self, _MODEL_RANGES)
 
     @property
     def decoder_hidden(self) -> int:
@@ -79,6 +102,13 @@ class ModelConfig:
     def from_json(cls, obj: dict) -> "ModelConfig":
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in obj.items() if k in known})
+
+
+_MODEL_RANGES = {f.name: POSITIVE for f in fields(ModelConfig) if f.type == "int"} | dict(
+    framework=(lambda v: v in _FRAMEWORK_DEFAULTS, f"one of {sorted(_FRAMEWORK_DEFAULTS)}"),
+    feature_dims=(lambda v: all(type(d) is int and d > 0 for d in v.values()),
+                  "a positive int per feature"),
+    dropout=FRACTION)
 
 
 @dataclass
@@ -208,7 +238,7 @@ class TransducerModel(nn.Module):
             try:
                 config = ModelConfig.from_json(hyperparameters["config"])
                 vocabs = Vocabularies.from_json(vocabularies["vocabs"])
-            except (KeyError, TypeError, AttributeError) as exc:
+            except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 raise CheckpointError(f"bad checkpoint model description: {exc!r}") from exc
             model = cls.__new__(cls)
             model._assemble(config, vocabs, hyperparameters.get("seed", 0),

@@ -211,11 +211,10 @@ class Embedding(Module):
 
 
 class LstmCell(Module):
-    """Single LSTM step on vectors, or on rows of independent cells (see
-    ``autodiff.lstm_cell`` for ``state_rows`` and ``input_rows``), or a
-    whole recurrence over
-    the rows of a matrix, or over B padded sequences (``layer``); gate
-    order i, f, g, o; forget bias 1."""
+    """An LSTM over the rows of a matrix or over B padded sequences
+    (``layer``), or one forward-only decode step over rows of independent
+    cells (``__call__``, see ``autodiff.lstm_step``); gate order i, f, g,
+    o; forget bias 1."""
 
     def __init__(self, rng, in_dim: int, hidden: int):
         super().__init__()
@@ -226,11 +225,9 @@ class LstmCell(Module):
         bias[hidden : 2 * hidden] = 1.0
         self.b = self.register("b", bias)
 
-    def __call__(self, x: Tensor, state: tuple[Tensor, Tensor],
-                 state_rows=None, input_rows=None) -> tuple[Tensor, Tensor]:
-        h_prev, c_prev = state
-        return ad.lstm_cell(x, h_prev, c_prev, self.w_ih, self.w_hh, self.b, state_rows,
-                            input_rows)
+    def __call__(self, x: Tensor, state: tuple[Tensor, Tensor], state_rows,
+                 input_rows=None) -> tuple[Tensor, Tensor]:
+        return ad.lstm_step(x, *state, self.w_ih, self.w_hh, self.b, state_rows, input_rows)
 
     def layer(self, x: Tensor, state: tuple[Tensor, Tensor] | None = None,
               reverse: bool = False, lengths=None) -> Tensor:

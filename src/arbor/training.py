@@ -29,15 +29,15 @@ over B padded sequences, where a padded step carries the state, and every
 head over (B, T) stacks, T the batch's longest, with padding masks on top
 of the causal ones (padded keys get no attention, padded steps add
 exactly 0 to every loss term and pass no gradient).  One sentence is a
-batch of one.  Dropout follows one rule: before any op
-runs, each sentence in batch order draws what it draws alone, which is
-what the stepwise decoder draws, in its order: its encoder embedding
-mask, its encoder state mask, one block for its relation steps (each
-step's relation-state mask, then its LSTM layer masks), then its EOS
-step's relation-state mask.  So each sentence's loss equals the stepwise
-loss of the decoder's one-row ``predict_target`` and ``feed_target`` on
-that sentence alone to rounding, dropout included, and the generator ends where running
-the sentences one by one leaves it.  Inference keeps the stepwise
+batch of one.  Dropout follows one rule: before any op runs, each
+sentence in batch order draws what it draws alone, in the stepwise
+order: its encoder embedding mask, its encoder state mask, one block for
+its relation steps (each step's relation-state mask, then its LSTM layer
+masks), then its EOS step's relation-state mask.  So each sentence's
+loss equals the tests' stepwise loss (one-row ``predict_target`` calls
+and a taped LSTM step per relation) on that sentence alone to rounding,
+dropout included, and the generator ends where running the sentences
+one by one leaves it.  Inference keeps the stepwise
 ``Decoder.predict_target`` and ``Decoder.expand``.
 """
 
@@ -59,7 +59,8 @@ from .encoder import EncoderInput
 from .evaluate import F1Report
 from .graph import EOS_LABEL, PAD_LABEL, UNK_LABEL, RelationSequence
 from .linearize import OrderingPolicy, arbor_to_relations, resolve_source
-from .model import TransducerModel, encoder_input_from_record
+from .model import (FRACTION, NON_NEGATIVE, POSITIVE, TransducerModel, check_fields,
+                    encoder_input_from_record)
 
 
 @dataclass
@@ -77,11 +78,13 @@ class TrainConfig:
     seed: int = 13
 
     def __post_init__(self):
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ValueError("label smoothing must lie in [0, 1)")
-        for name in ("learning_rate", "max_grad_norm", "batch_size"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        check_fields(self, _TRAIN_RANGES)
+
+
+_TRAIN_RANGES = dict(
+    learning_rate=POSITIVE, beta1=FRACTION, beta2=FRACTION, adam_eps=POSITIVE,
+    max_grad_norm=POSITIVE, coverage_weight=NON_NEGATIVE, label_smoothing=FRACTION,
+    batch_size=POSITIVE, max_epochs=NON_NEGATIVE, patience=NON_NEGATIVE, seed=NON_NEGATIVE)
 
 
 @dataclass

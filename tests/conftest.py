@@ -9,7 +9,7 @@ shape the converters themselves produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -153,6 +153,20 @@ def exp(x):
 def tanh(x):
     out = np.tanh(x.data)
     return ad._apply(out, [(x, lambda g: g * (1.0 - out * out))])
+
+
+def composed_lstm_cell(x, h, c, w_ih, w_hh, b):
+    """One LSTM step on vectors as composed ops, which record gradients:
+    the taped reference for ``lstm_step`` and ``lstm_layer``, evaluating
+    their expressions in their order, so its ``(h, c)`` are bit-equal."""
+    gates = ad.add(ad.add(ad.matmul(w_ih, x), ad.matmul(w_hh, h)), b)
+    hid = h.shape[0]
+    i = sigmoid(ad.narrow(gates, 0, 0, hid))
+    f = sigmoid(ad.narrow(gates, 0, hid, 2 * hid))
+    g = tanh(ad.narrow(gates, 0, 2 * hid, 3 * hid))
+    o = sigmoid(ad.narrow(gates, 0, 3 * hid, 4 * hid))
+    c = ad.add(ad.mul(f, c), ad.mul(i, g))
+    return ad.mul(o, tanh(c)), c
 
 
 def backward(loss):
@@ -521,6 +535,19 @@ def predict_one(dec, enc, state, rel_in, train: bool = False, rng=None):
     the row axis dropped, and the new state."""
     out, (new,) = dec.predict_target(enc, [state], [rel_in], train, rng)
     return output_row(out, 0), new
+
+
+def reference_feed(dec, state, record, train: bool = False, rng=None):
+    """``Decoder.feed_target`` as a taped step: the target LSTM layers on
+    the new node by ``composed_lstm_cell``, each layer's output under
+    dropout as training draws it."""
+    x = ad.element(dec._node_inputs([record], state.label_memo), 0)
+    lstm = []
+    for cell, (h, c) in zip(dec.lstm_cells, state.lstm):
+        h, c = composed_lstm_cell(x, h, c, cell.w_ih, cell.w_hh, cell.b)
+        lstm.append((h, c))
+        x = ad.dropout(h, dec.config.dropout, train, rng)
+    return replace(state, lstm=tuple(lstm), h=x, nodes=state.nodes + (record,))
 
 
 def sentence_loss(model, enc_input, reference, **kwargs) -> LossBreakdown:

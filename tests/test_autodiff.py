@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from arbor import autodiff as ad
 from arbor.autodiff import ShapeError, Tape, TapeError, Tensor
 
-from conftest import (backward, check_op, exp, grad_check, maximum, repeat_rows, sigmoid, sub,
-                      tanh)
+from conftest import (backward, check_op, composed_lstm_cell, exp, grad_check, maximum,
+                      repeat_rows, sigmoid, sub, tanh)
 from test_model import amax
 
 
@@ -331,117 +331,6 @@ class TestGradCheckReport:
 
 
 class TestFusedOps:
-    @pytest.mark.parametrize("reach", ["h", "c", "both"])
-    def test_lstm_cell_gradients(self, reach):
-        rng = np.random.default_rng({"h": 1, "c": 2, "both": 3}[reach])
-        for trial, (n_in, hid) in enumerate([(3, 2), (4, 5), (1, 3)]):
-            x, h, c = t(rng.standard_normal(n_in)), t(rng.standard_normal(hid)), \
-                t(rng.standard_normal(hid))
-            # small weights keep the gates off saturation, where central
-            # differences lose their digits
-            w_ih = t(0.5 * rng.standard_normal((4 * hid, n_in)))
-            w_hh = t(0.5 * rng.standard_normal((4 * hid, hid)))
-            b = t(rng.standard_normal(4 * hid))
-            wh = ad.constant(rng.standard_normal(hid))
-            wc = ad.constant(rng.standard_normal(hid))
-
-            def build():
-                h_new, c_new = ad.lstm_cell(x, h, c, w_ih, w_hh, b)
-                if reach == "h":
-                    return ad.matmul(h_new, wh)
-                if reach == "c":
-                    return ad.matmul(c_new, wc)
-                return ad.add(ad.matmul(h_new, wh), ad.matmul(c_new, wc))
-
-            params = [("x", x), ("h", h), ("c", c), ("w_ih", w_ih), ("w_hh", w_hh), ("b", b)]
-            check_op(build, params, coords=60, seed=trial)
-
-    def test_lstm_cell_rows(self):
-        # each row is bit-equal to the vector form; the rows form's gradients
-        # match finite differences
-        rng = np.random.default_rng(4)
-        for trial, (rows, n_in, hid) in enumerate([(1, 3, 2), (4, 5, 3), (7, 1, 4)]):
-            x, h, c = (t(rng.standard_normal((rows, d))) for d in (n_in, hid, hid))
-            w_ih = t(0.5 * rng.standard_normal((4 * hid, n_in)))
-            w_hh = t(0.5 * rng.standard_normal((4 * hid, hid)))
-            b = t(rng.standard_normal(4 * hid))
-            h_rows, c_rows = ad.lstm_cell(x, h, c, w_ih, w_hh, b)
-            for r in range(rows):
-                h1, c1 = ad.lstm_cell(Tensor(x.data[r]), Tensor(h.data[r]), Tensor(c.data[r]),
-                                      w_ih, w_hh, b)
-                assert np.array_equal(h_rows.data[r], h1.data)
-                assert np.array_equal(c_rows.data[r], c1.data)
-            wh, wc = (ad.constant(rng.standard_normal((rows, hid))) for _ in range(2))
-
-            def build():
-                h_new, c_new = ad.lstm_cell(x, h, c, w_ih, w_hh, b)
-                return ad.sum_all(ad.add(ad.mul(h_new, wh), ad.mul(c_new, wc)))
-
-            params = [("x", x), ("h", h), ("c", c), ("w_ih", w_ih), ("w_hh", w_hh), ("b", b)]
-            check_op(build, params, coords=60, seed=trial)
-
-    def test_lstm_cell_state_rows(self):
-        # rows continuing shared states equal the rows form on the states
-        # repeated per row; gradients sum into the shared states
-        rng = np.random.default_rng(5)
-        n_in, hid, state_rows = 3, 4, np.array([0, 0, 2, 1, 2, 2])
-        x = t(rng.standard_normal((len(state_rows), n_in)))
-        h, c = (t(rng.standard_normal((3, hid))) for _ in range(2))
-        w_ih = t(0.5 * rng.standard_normal((4 * hid, n_in)))
-        w_hh = t(0.5 * rng.standard_normal((4 * hid, hid)))
-        b = t(rng.standard_normal(4 * hid))
-        shared = ad.lstm_cell(x, h, c, w_ih, w_hh, b, state_rows)
-        repeated = ad.lstm_cell(x, Tensor(h.data[state_rows]), Tensor(c.data[state_rows]),
-                                w_ih, w_hh, b)
-        for got, want in zip(shared, repeated):
-            assert np.array_equal(got.data, want.data)
-        wh, wc = (ad.constant(rng.standard_normal((len(state_rows), hid))) for _ in range(2))
-
-        def build():
-            h_new, c_new = ad.lstm_cell(x, h, c, w_ih, w_hh, b, state_rows)
-            return ad.sum_all(ad.add(ad.mul(h_new, wh), ad.mul(c_new, wc)))
-
-        params = [("x", x), ("h", h), ("c", c), ("w_ih", w_ih), ("w_hh", w_hh), ("b", b)]
-        check_op(build, params, coords=60, seed=5)
-        with pytest.raises(ShapeError, match="lstm_cell"):  # one state row per input row
-            ad.lstm_cell(x, h, c, w_ih, w_hh, b, state_rows[:-1])
-
-    def test_lstm_cell_input_rows(self):
-        # rows reading shared inputs (and continuing shared states) equal the
-        # rows form on the inputs repeated per row; gradients sum into the
-        # shared inputs
-        rng = np.random.default_rng(6)
-        n_in, hid = 3, 4
-        input_rows, state_rows = np.array([1, 0, 1, 1, 2, 0]), np.array([0, 1, 1, 0, 1, 1])
-        x = t(rng.standard_normal((3, n_in)))
-        h, c = (t(rng.standard_normal((2, hid))) for _ in range(2))
-        w_ih = t(0.5 * rng.standard_normal((4 * hid, n_in)))
-        w_hh = t(0.5 * rng.standard_normal((4 * hid, hid)))
-        b = t(rng.standard_normal(4 * hid))
-        shared = ad.lstm_cell(x, h, c, w_ih, w_hh, b, state_rows, input_rows)
-        repeated = ad.lstm_cell(Tensor(x.data[input_rows]), Tensor(h.data[state_rows]),
-                                Tensor(c.data[state_rows]), w_ih, w_hh, b)
-        for got, want in zip(shared, repeated):
-            assert np.array_equal(got.data, want.data)
-        wh, wc = (ad.constant(rng.standard_normal((len(input_rows), hid))) for _ in range(2))
-
-        def build():
-            h_new, c_new = ad.lstm_cell(x, h, c, w_ih, w_hh, b, state_rows, input_rows)
-            return ad.sum_all(ad.add(ad.mul(h_new, wh), ad.mul(c_new, wc)))
-
-        params = [("x", x), ("h", h), ("c", c), ("w_ih", w_ih), ("w_hh", w_hh), ("b", b)]
-        check_op(build, params, coords=60, seed=6)
-        with pytest.raises(ShapeError, match="lstm_cell"):  # one state row per output row
-            ad.lstm_cell(x, h, c, w_ih, w_hh, b, state_rows[:-1], input_rows)
-        with pytest.raises(ShapeError, match="lstm_cell"):  # rows form only
-            ad.lstm_cell(t(np.ones(n_in)), t(np.ones(hid)), t(np.ones(hid)), w_ih, w_hh, b,
-                         input_rows=[0])
-
-    def test_lstm_cell_rejects_mismatched_shapes(self):
-        x, h, c = t(np.ones(3)), t(np.ones(2)), t(np.ones(2))
-        with pytest.raises(ShapeError, match="lstm_cell"):
-            ad.lstm_cell(x, h, c, t(np.ones((8, 2))), t(np.ones((8, 2))), t(np.ones(8)))
-
     @pytest.mark.parametrize("x_shape", [(4,), (1, 4), (5, 4)])
     def test_affine_gradients(self, x_shape):
         rng = np.random.default_rng(len(x_shape) + x_shape[0])
@@ -607,48 +496,6 @@ def ref_affine(x, w, b, g):
     return x @ w.T.copy() + b, g @ w, g.T @ x, g.sum(axis=0)
 
 
-def ref_lstm_cell(x, h, c, w_ih, w_hh, b, gh, gc, state_rows=None):
-    """Forward ``(h, c)`` and the gradients of x, h, c, w_ih, w_hh, b."""
-    hid = h.shape[-1]
-    rows = x.ndim == 2
-    hh, c_prev = np.matmul(w_hh, h[..., None])[..., 0], c
-    if state_rows is not None:
-        hh, c_prev = hh[state_rows], c_prev[state_rows]
-    gates = np.matmul(w_ih, x[..., None])[..., 0] + hh + b
-    i = 1.0 / (1.0 + np.exp(-gates[..., 0:hid]))
-    f = 1.0 / (1.0 + np.exp(-gates[..., hid:2 * hid]))
-    gg = np.tanh(gates[..., 2 * hid:3 * hid])
-    o = 1.0 / (1.0 + np.exp(-gates[..., 3 * hid:4 * hid]))
-    c_data = f * c_prev + i * gg
-    tanh_c = np.tanh(c_data)
-
-    def to_states(g_rows):
-        if state_rows is None:
-            return g_rows
-        out = np.zeros((h.shape[0], g_rows.shape[1]))
-        np.add.at(out, state_rows, g_rows)
-        return out
-
-    if gh is None:
-        dc, d_o = gc, np.zeros_like(c_data)
-    else:
-        dc = gh * o * (1.0 - tanh_c * tanh_c)
-        if gc is not None:
-            dc = gc + dc
-        d_o = gh * tanh_c * o * (1.0 - o)
-    d_gates = np.concatenate([dc * gg * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
-                              dc * i * (1.0 - gg * gg), d_o], axis=-1)
-    grads = [
-        d_gates @ w_ih if rows else w_ih.T @ d_gates,
-        to_states(d_gates @ w_hh) if rows else w_hh.T @ d_gates,
-        to_states(dc * f),
-        d_gates.T @ x if rows else np.outer(d_gates, x),
-        to_states(d_gates).T @ h if rows else np.outer(d_gates, h),
-        d_gates.sum(axis=0) if rows else d_gates,
-    ]
-    return (o * tanh_c, c_data), grads
-
-
 def run_op(build, inputs, upstream):
     """The output of ``build()`` and each input's gradient, with
     ``upstream`` (one array per output) as the output gradients."""
@@ -727,28 +574,6 @@ class TestBitEquality:
             got_out, got_grads = run_op(lambda: op(a, scalar), [a], [up])
             assert_bits(got_out + got_grads, [out, ga])
 
-    @pytest.mark.parametrize("reach", ["h", "c", "both"])
-    @pytest.mark.parametrize("form", ["vector", "one_row", "rows", "state_rows"])
-    def test_lstm_cell(self, form, reach):
-        rng = np.random.default_rng(7)
-        for n_in, hid in [(5, 3), (1, 4), (12, 8)]:
-            n_rows = {"vector": None, "one_row": 1, "rows": 6, "state_rows": 7}[form]
-            state_rows = np.array([0, 2, 2, 1, 0, 2, 2]) if form == "state_rows" else None
-            lead = () if n_rows is None else (n_rows,)
-            state_lead = (3,) if form == "state_rows" else lead
-            x = t(rng.standard_normal(lead + (n_in,)))
-            h, c = (t(rng.standard_normal(state_lead + (hid,))) for _ in range(2))
-            w_ih = t(0.5 * rng.standard_normal((4 * hid, n_in)))
-            w_hh = t(0.5 * rng.standard_normal((4 * hid, hid)))
-            b = t(rng.standard_normal(4 * hid))
-            gh = rng.standard_normal(lead + (hid,)) if reach in ("h", "both") else None
-            gc = rng.standard_normal(lead + (hid,)) if reach in ("c", "both") else None
-            inputs = [x, h, c, w_ih, w_hh, b]
-            outs, grads = ref_lstm_cell(*(v.data for v in inputs), gh, gc, state_rows)
-            got_outs, got_grads = run_op(lambda: ad.lstm_cell(*inputs, state_rows),
-                                         inputs, [gh, gc])
-            assert_bits(got_outs + got_grads, list(outs) + grads)
-
     @pytest.mark.parametrize("x_shape", [(6,), (1, 6), (5, 6), (9, 1), (1,)])
     def test_affine(self, x_shape):
         rng = np.random.default_rng(x_shape[0])
@@ -795,18 +620,38 @@ class TestBitEquality:
 
 
 def composed_lstm_layer(x, h0, c0, w_ih, w_hh, b, reverse=False):
-    """``lstm_layer`` as one ``lstm_cell`` step per row of ``x``, with the
-    rows as vectors; the ``h`` rows in input order."""
+    """``lstm_layer`` as one ``composed_lstm_cell`` step per row of ``x``,
+    with the rows as vectors; the ``h`` rows in input order."""
     state, outs = (h0, c0), {}
     for k in reversed(range(x.shape[0])) if reverse else range(x.shape[0]):
         row = ad.reshape(ad.narrow(x, 0, k, k + 1), (x.shape[1],))
-        state = ad.lstm_cell(row, *state, w_ih, w_hh, b)
+        state = composed_lstm_cell(row, *state, w_ih, w_hh, b)
         outs[k] = state[0]
     return ad.stack_rows([outs[k] for k in range(x.shape[0])])
 
 
+def chained_steps(x, h0, c0, w_ih, w_hh, b, lengths, reverse=False):
+    """``lstm_layer``'s rows over the padded sequences ``x`` (B, T, d) by
+    one ``lstm_step`` per step, as decoding runs it: each sequence still
+    running continues its own state row and reads its own next input row.
+    Padded rows stay zero."""
+    n_seq, n_steps, _ = x.shape
+    flat = Tensor(x.data.reshape(n_seq * n_steps, -1))
+    h, c = h0.data.copy(), c0.data.copy()
+    out = np.zeros((n_seq, n_steps, h.shape[1]))
+    for k in range(max(lengths)):
+        live = [s for s in range(n_seq) if k < lengths[s]]
+        rows = [lengths[s] - 1 - k if reverse else k for s in live]
+        h_new, c_new = ad.lstm_step(flat, Tensor(h), Tensor(c), w_ih, w_hh, b, live,
+                                    [s * n_steps + r for s, r in zip(live, rows)])
+        h[live], c[live] = h_new.data, c_new.data
+        out[live, rows] = h_new.data
+    return out
+
+
 class TestLstmLayer:
-    """``lstm_layer`` against composed ``lstm_cell`` steps."""
+    """``lstm_layer`` against composed LSTM steps, and against the decode
+    step ``lstm_step``."""
 
     @staticmethod
     def inputs(rng, n_rows, n_in, hid):
@@ -827,6 +672,17 @@ class TestLstmLayer:
             assert_bits([got.data], [want.data])
             with Tape():  # the recording path computes the same forward
                 assert_bits([ad.lstm_layer(*inputs, reverse=reverse).data], [want.data])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n_rows", [1, 6])
+    def test_forward_bit_equal_to_chained_steps(self, n_rows, reverse):
+        # decoding and training run the same LSTM
+        rng = np.random.default_rng(51 + n_rows + reverse)
+        for n_in, hid in [(5, 3), (1, 4), (12, 8)]:
+            x, h0, c0, w_ih, w_hh, b = self.inputs(rng, n_rows, n_in, hid)
+            got = chained_steps(t(x.data[None]), t(h0.data[None]), t(c0.data[None]),
+                                w_ih, w_hh, b, [n_rows], reverse)
+            assert_bits([got[0]], [ad.lstm_layer(x, h0, c0, w_ih, w_hh, b, reverse).data])
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradients(self, reverse):
@@ -880,6 +736,16 @@ class TestLstmLayer:
                 assert_bits([got.data[s, n:]], [np.broadcast_to(carried, got.data[s, n:].shape)])
 
     @pytest.mark.parametrize("reverse", [False, True])
+    def test_batch_rows_bit_equal_to_chained_steps(self, reverse):
+        rng = np.random.default_rng(47 + reverse)
+        for n_in, hid in [(5, 3), (12, 8)]:
+            inputs = self.batch(rng, n_in, hid)
+            got = ad.lstm_layer(*inputs, reverse, self.LENGTHS).data
+            want = chained_steps(*inputs, self.LENGTHS, reverse)
+            for s, n in enumerate(self.LENGTHS):
+                assert_bits([got[s, :n]], [want[s, :n]])
+
+    @pytest.mark.parametrize("reverse", [False, True])
     def test_batch_padded_rows_pass_no_gradient(self, reverse):
         rng = np.random.default_rng(43 + reverse)
         inputs = self.batch(rng, 4, 5)
@@ -920,3 +786,57 @@ class TestLstmLayer:
                 ad.lstm_layer(xb, hb, hb, w_ih, w_hh, b, lengths=lengths)
         with pytest.raises(ShapeError, match="lstm_layer"):  # lengths only for a batch
             ad.lstm_layer(x, h, c, w_ih, w_hh, b, lengths=(4,))
+
+
+class TestLstmStep:
+    """The forward-only decode step over rows."""
+
+    @staticmethod
+    def weights(rng, n_in, hid):
+        return [t(0.5 * rng.standard_normal((4 * hid, n_in))),
+                t(0.5 * rng.standard_normal((4 * hid, hid))), t(rng.standard_normal(4 * hid))]
+
+    def test_rows_bit_equal_to_each_row_alone(self):
+        rng = np.random.default_rng(4)
+        for rows, n_in, hid in [(1, 3, 2), (4, 5, 3), (7, 1, 4)]:
+            x, h, c = (t(rng.standard_normal((rows, d))) for d in (n_in, hid, hid))
+            weights = self.weights(rng, n_in, hid)
+            h_rows, c_rows = ad.lstm_step(x, h, c, *weights, np.arange(rows))
+            for r in range(rows):
+                one = ad.lstm_step(t(x.data[r:r + 1]), t(h.data[r:r + 1]), t(c.data[r:r + 1]),
+                                   *weights, [0])
+                assert_bits([h_rows.data[r], c_rows.data[r]], [one[0].data[0], one[1].data[0]])
+
+    def test_shared_states_and_inputs_equal_them_repeated(self):
+        # several rows continue one state row, or read one input row
+        rng = np.random.default_rng(6)
+        n_in, hid = 3, 4
+        input_rows, state_rows = np.array([1, 0, 1, 1, 2, 0]), np.array([0, 1, 1, 0, 1, 1])
+        x = t(rng.standard_normal((3, n_in)))
+        h, c = (t(rng.standard_normal((2, hid))) for _ in range(2))
+        weights = self.weights(rng, n_in, hid)
+        shared = ad.lstm_step(x, h, c, *weights, state_rows, input_rows)
+        repeated = ad.lstm_step(t(x.data[input_rows]), t(h.data[state_rows]),
+                                t(c.data[state_rows]), *weights, np.arange(len(state_rows)))
+        assert_bits([v.data for v in shared], [v.data for v in repeated])
+        with pytest.raises(ShapeError, match="lstm_step"):  # one state row per output row
+            ad.lstm_step(x, h, c, *weights, state_rows[:-1], input_rows)
+        with pytest.raises(ShapeError, match="lstm_step"):  # one state row per input row
+            ad.lstm_step(x, h, c, *weights, state_rows)
+
+    def test_rejects_mismatched_shapes(self):
+        x, h, c = t(np.ones((1, 3))), t(np.ones((1, 2))), t(np.ones((1, 2)))
+        w_ih, w_hh, b = t(np.ones((8, 3))), t(np.ones((8, 2))), t(np.ones(8))
+        for bad in [(t(np.ones(3)), h, c, w_ih, w_hh, b),  # rows only
+                    (x, t(np.ones(2)), t(np.ones(2)), w_ih, w_hh, b),
+                    (x, h, t(np.ones((1, 3))), w_ih, w_hh, b),
+                    (x, h, c, t(np.ones((8, 2))), w_hh, b),
+                    (x, h, c, w_ih, w_hh, t(np.ones(6)))]:
+            with pytest.raises(ShapeError, match="lstm_step"):
+                ad.lstm_step(*bad, [0])
+
+    def test_refuses_an_active_tape(self):
+        # a recorded step would silently drop its gradient
+        x, h, c = t(np.ones((1, 3))), t(np.ones((1, 2))), t(np.ones((1, 2)))
+        with Tape(), pytest.raises(TapeError, match="lstm_step"):
+            ad.lstm_step(x, h, c, t(np.ones((8, 3))), t(np.ones((8, 2))), t(np.ones(8)), [0])

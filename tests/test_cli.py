@@ -598,3 +598,40 @@ class TestUsage:
         assert "unknown config keys: ['eval_every']" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "m.ckpt").exists()
+
+
+class TestConfigChecks:
+    """A config value of the wrong type or out of range ends the command with
+    exit 1 and a message naming the field, before any training or parsing."""
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--config", '{"batch_size": "8"}', "config field batch_size: expected type int, got '8'"),
+        ("--config", "[1, 2]", "--config must hold a JSON object, got list"),
+        ("--dropout", "2", "config field dropout: expected a number in [0, 1), got 2.0"),
+        ("--hidden", "-4", "config field encoder_hidden: expected a positive number, got -4"),
+    ], ids=["config-str", "config-list", "dropout", "hidden"])
+    def test_train_rejects_a_bad_value(self, corpus_files, tmp_path, caplog, option, value,
+                                       message):
+        _, train_file, _ = corpus_files
+        if option == "--config":
+            (tmp_path / "cfg.json").write_text(value)
+            value = str(tmp_path / "cfg.json")
+        assert main(["train", "--framework", "amr", "--train", str(train_file), "--output",
+                     str(tmp_path / "m.ckpt"), "--max-epochs", "1", option, value]) == 1
+        assert message in caplog.text
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_parse_rejects_a_checkpoint_config_of_the_wrong_type(self, trained, tmp_path,
+                                                                 caplog):
+        ckpt, _, records = trained
+        header, payload = Path(ckpt).read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header["hyperparameters"]["config"]["word_dim"] = "16"
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+        sentences = tmp_path / "sents.jsonl"
+        write_corpus(sentences, records[:1])
+        assert main(["parse", "--model", str(bad), "--input", str(sentences),
+                     "--output", str(tmp_path / "out.jsonl"), "--greedy"]) == 1
+        assert "bad checkpoint model description" in caplog.text
+        assert "config field word_dim: expected type int, got '16'" in caplog.text

@@ -14,9 +14,11 @@ from arbor.graph import (
     RelationSequence,
     validate_arborescence,
 )
-from arbor import inference
+from arbor import autodiff as ad
+from arbor import cli, inference
 from arbor.decoder import Decoder
 from arbor.encoder import Encoder
+from arbor.formats import write_canonical
 from arbor.inference import (
     beam_decode,
     decode_batch,
@@ -30,7 +32,8 @@ from arbor.linearize import relations_to_arbor
 from arbor.model import TransducerModel, Vocabularies
 from arbor.vocab import NODE_RESERVED, RELATION_RESERVED, Vocab
 
-from conftest import build_tiny_model, make_inputs, output_row, predict_one, tiny_config
+from conftest import (build_tiny_model, make_inputs, output_row, predict_one, synthetic_corpus,
+                      tiny_config)
 from test_model import SMALL_DIMS
 
 
@@ -603,6 +606,37 @@ class TestDecodeBatch:
         with pytest.raises(ValueError, match="max_lens"):
             decode_batch(model, inputs, 1, [4])
         assert decode_batch(model, [], 1, []) == []
+
+
+class TestNoTape:
+    """The decode step runs the target LSTM forward only (``lstm_step``):
+    a decode under a tape fails loudly instead of dropping gradients."""
+
+    def test_decode_under_a_tape_raises(self):
+        model = build_tiny_model(seed=3)
+        inp = make_inputs(np.random.default_rng(0), 3)
+        for decode in (lambda: greedy_decode(model, inp, max_len=5),
+                       lambda: decode_batch(model, [inp, inp], 2, [5, 5])):
+            with ad.Tape(), pytest.raises(ad.TapeError, match="lstm_step"):
+                decode()
+
+    def test_arbor_parse_runs_no_tape(self, tmp_path, monkeypatch):
+        model = build_tiny_model(seed=3)
+        model.save(tmp_path / "m.ckpt")
+        with open(tmp_path / "in.jsonl", "w", encoding="utf-8") as fh:
+            for record in synthetic_corpus(2, 2, 2):
+                fh.write(write_canonical(record) + "\n")
+        step, recording = ad.lstm_step, []
+
+        def watched(*args):
+            recording.append(ad.recording())
+            return step(*args)
+
+        monkeypatch.setattr(ad, "lstm_step", watched)
+        assert cli.main(["parse", "--model", str(tmp_path / "m.ckpt"), "--input",
+                         str(tmp_path / "in.jsonl"), "--output", str(tmp_path / "out.jsonl"),
+                         "--beam", "2"]) == 0
+        assert recording and not any(recording)
 
 
 class TestExpandRows:

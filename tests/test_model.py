@@ -14,8 +14,9 @@ from arbor.formats import CheckpointError
 from arbor.graph import EOS_LABEL, ROOT_INDEX, ROOT_LABEL, UNK_LABEL
 from arbor.model import ModelConfig, TransducerModel, Vocabularies, build_vocabularies
 
-from conftest import (build_tiny_model, check_op, encode_one, gold_support, make_inputs,
-                      output_row, predict_one, relation_dist, repeat_rows, switch_values, tanh)
+from conftest import (build_tiny_model, check_op, composed_lstm_cell, encode_one, gold_support,
+                      make_inputs, output_row, predict_one, reference_feed, relation_dist,
+                      repeat_rows, switch_values, tanh)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,7 @@ def reference_chars(cnn, char_ids):
 
 def reference_encode(encoder, inp, train=False, rng=None):
     """``Encoder.encode``'s states and init as computed with per-token
-    character features and one ``lstm_cell`` per token, layer and
+    character features and one ``composed_lstm_cell`` per token, layer and
     direction, over the tokens as vectors."""
     assert not encoder.feature_vocabs
     embedded = ad.dropout(ad.concat([
@@ -86,13 +87,14 @@ def reference_encode(encoder, inp, train=False, rng=None):
           for k in range(len(inp.tokens))]
     bilstm, h, init = encoder.bilstm, encoder.config.encoder_hidden, []
     for k in range(bilstm.layers):
-        f_states, state = [], bilstm.fwd[k].zero_state()
+        fwd, bwd = bilstm.fwd[k], bilstm.bwd[k]
+        f_states, state = [], fwd.zero_state()
         for x in xs:
-            state = bilstm.fwd[k](x, state)
+            state = composed_lstm_cell(x, *state, fwd.w_ih, fwd.w_hh, fwd.b)
             f_states.append(state[0])
-        b_states, state = [], bilstm.bwd[k].zero_state()
+        b_states, state = [], bwd.zero_state()
         for x in reversed(xs):
-            state = bilstm.bwd[k](x, state)
+            state = composed_lstm_cell(x, *state, bwd.w_ih, bwd.w_hh, bwd.b)
             b_states.append(state[0])
         b_states.reverse()
         xs = [ad.concat([f, b]) for f, b in zip(f_states, b_states)]
@@ -528,9 +530,9 @@ class TestGradientFlow:
             enc = model.encoder.encode(inp)
             state = dec.initial_state(enc)
             _, state = predict_one(dec, enc, state, BOS_INPUT)
-            state = dec.feed_target(state, NodeRecord("person", 1, "NN", ORIGIN_VOCAB))
+            state = reference_feed(dec, state, NodeRecord("person", 1, "NN", ORIGIN_VOCAB))
             _, state = predict_one(dec, enc, state, RelationInput("person", 1, "NN", "root"))
-            state = dec.feed_target(state, NodeRecord("city", 2, "NN", ORIGIN_VOCAB))
+            state = reference_feed(dec, state, NodeRecord("city", 2, "NN", ORIGIN_VOCAB))
             pr = relation_dist(dec, state, 1)
             loss = ad.log(ad.element(pr, 2))
             tape.backward(loss)

@@ -4,7 +4,7 @@ import pytest
 from arbor import autodiff as ad
 from arbor import nn
 
-from conftest import concatenated_scores, grad_check, repeat_rows, sigmoid, tanh
+from conftest import concatenated_scores, grad_check, repeat_rows
 from test_model import amax
 
 
@@ -384,19 +384,6 @@ def old_embedding_gather(table, ids):
     return ad._apply(table.data[idx], [(table, fn)])
 
 
-def composed_lstm_cell(cell, x, state):
-    h_prev, c_prev = state
-    gates = ad.add(ad.add(ad.matmul(cell.w_ih, x), ad.matmul(cell.w_hh, h_prev)), cell.b)
-    hid = cell.hidden
-    i = sigmoid(ad.narrow(gates, 0, 0, hid))
-    f = sigmoid(ad.narrow(gates, 0, hid, 2 * hid))
-    g = tanh(ad.narrow(gates, 0, 2 * hid, 3 * hid))
-    o = sigmoid(ad.narrow(gates, 0, 3 * hid, 4 * hid))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h = ad.mul(o, tanh(c))
-    return h, c
-
-
 def composed_linear(lin, x):
     if x.ndim == 1:
         return ad.add(ad.matmul(lin.w, x), lin.b)
@@ -441,33 +428,6 @@ def assert_grads_close(fused, composed):
 class TestFusedMatchesComposed:
     """Fused forwards are bit-identical to the composed ops they replace;
     gradients agree to rounding."""
-
-    @pytest.mark.parametrize("reach", ["h", "c", "both"])
-    def test_lstm_cell(self, reach):
-        for seed in range(6):
-            rng = np.random.default_rng(seed)
-            n_in, hid = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            cell = nn.LstmCell(rng, n_in, hid)
-            x, h, c = var(rng, n_in), var(rng, hid), var(rng, hid)
-            wh, wc = const(rng.standard_normal(hid)), const(rng.standard_normal(hid))
-            fused = cell(x, (h, c))
-            composed = composed_lstm_cell(cell, x, (h, c))
-            assert np.array_equal(fused[0].data, composed[0].data)
-            assert np.array_equal(fused[1].data, composed[1].data)
-
-            def loss(step):
-                h_new, c_new = step(cell, x, (h, c))
-                if reach == "h":
-                    return ad.matmul(h_new, wh)
-                if reach == "c":
-                    return ad.matmul(c_new, wc)
-                return ad.add(ad.matmul(h_new, wh), ad.matmul(c_new, wc))
-
-            tensors = [x, h, c] + list(cell.parameters().values())
-            assert_grads_close(
-                gradients(tensors, lambda: loss(nn.LstmCell.__call__)),
-                gradients(tensors, lambda: loss(composed_lstm_cell)),
-            )
 
     @pytest.mark.parametrize("rows", [None, 1, 2, 7])
     def test_linear(self, rows):

@@ -30,8 +30,8 @@ from arbor.training import (
 )
 
 from conftest import (build_tiny_model, encode_one, gold_support, grad_check, make_inputs,
-                      predict_one, random_arborescence, relation_dist, repeat_rows,
-                      sentence_loss, synthetic_corpus)
+                      predict_one, random_arborescence, reference_feed, relation_dist,
+                      repeat_rows, sentence_loss, synthetic_corpus)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,8 +39,9 @@ ROOT = Path(__file__).resolve().parents[1]
 def reference_sequence_loss(model, enc_input, reference, *, label_smoothing=0.1,
                             coverage_weight=1.0, train=True, rng=None) -> LossBreakdown:
     """The stepwise teacher-forced loss: per relation one ``predict_target``,
-    ``feed_target``, source pointer and relation scorer step, as decoding
-    runs them.  ``sequence_loss`` must equal it to rounding."""
+    a taped target LSTM step (``reference_feed``), source pointer and
+    relation scorer step, as decoding runs them.  ``sequence_loss`` must
+    equal it to rounding."""
     dec = model.decoder
     enc = encode_one(model.encoder, enc_input, train, rng)
     state = dec.initial_state(enc)
@@ -73,7 +74,7 @@ def reference_sequence_loss(model, enc_input, reference, *, label_smoothing=0.1,
         nll_v = ad.add(nll_v, target_nll(out, rel.target, rel.target_index))
         record = reference_node(state.nodes, rel.target, rel.target_index, enc_input.tokens,
                                 enc_input.pos, rel.target_anchors)
-        state = dec.feed_target(state, record, train, rng)
+        state = reference_feed(dec, state, record, train, rng)
         gold_pos = resolve_source(reference.relations[:i], rel.source, rel.source_index)
         scores = dec.source_scores(state)
         if gold_pos == 0:  # first relation: ROOT is the sole candidate
