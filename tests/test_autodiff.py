@@ -807,8 +807,22 @@ class TestLstmStep:
                                    *weights, [0])
                 assert_bits([h_rows.data[r], c_rows.data[r]], [one[0].data[0], one[1].data[0]])
 
-    def test_shared_states_and_inputs_equal_them_repeated(self):
-        # several rows continue one state row, or read one input row
+    def test_shared_state_rows_equal_them_repeated(self):
+        # several rows continue one state row
+        rng = np.random.default_rng(5)
+        n_in, hid, state_rows = 3, 4, np.array([0, 0, 2, 1, 2, 2])
+        x = t(rng.standard_normal((len(state_rows), n_in)))
+        h, c = (t(rng.standard_normal((3, hid))) for _ in range(2))
+        weights = self.weights(rng, n_in, hid)
+        shared = ad.lstm_step(x, h, c, *weights, state_rows)
+        repeated = ad.lstm_step(x, t(h.data[state_rows]), t(c.data[state_rows]), *weights,
+                                np.arange(len(state_rows)))
+        assert_bits([v.data for v in shared], [v.data for v in repeated])
+        with pytest.raises(ShapeError, match="lstm_step"):  # one state row per input row
+            ad.lstm_step(x, h, c, *weights, state_rows[:-1])
+
+    def test_shared_input_rows_equal_them_repeated(self):
+        # several rows read one input row, and continue shared state rows
         rng = np.random.default_rng(6)
         n_in, hid = 3, 4
         input_rows, state_rows = np.array([1, 0, 1, 1, 2, 0]), np.array([0, 1, 1, 0, 1, 1])
