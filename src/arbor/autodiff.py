@@ -653,13 +653,3 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     else 0, drawn by one ``rng.random(shape)``."""
     keep = 1.0 - rate
     return (rng.random(shape) < keep) / keep
-
-
-def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: scales by 1/keep at train time, identity otherwise."""
-    if not train or rate <= 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout in train mode needs an explicit rng")
-    mask = dropout_mask(x.shape, rate, rng)
-    return _apply(x.data * mask, [(x, lambda g: g * mask)])

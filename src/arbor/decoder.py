@@ -18,18 +18,20 @@ tag.
 Decoding runs a step as matrix rows: the open hypotheses of one beam,
 or of the beams of several sentences of equal length decoded in
 lockstep.  One ``predict_target`` call scores the next target of every
-row, each reading its own sentence's encoder rows, and one ``expand``
-call feeds all of the step's (hypothesis, target) expansions and scores
-their sources and relation types.  Every row of both is bit-equal to
-that row alone: a weight times the rows' queries is one vector product
-per row (``per_row``: one gemv, the one the vector form makes), and a
-product over a row's keys is one matrix of a stacked matmul; a gemm over
-all rows would round each row differently depending on the others.  So
-an ``expand`` row is also bit-equal to ``feed_target`` (one expansion)
+row, each reading the encoder rows of its own sentence (the state's
+``row`` in the encoded batch), and one ``expand`` call feeds all of the
+step's (hypothesis, target) expansions and scores their sources and
+relation types.  Every row of both is bit-equal to that row alone: a
+weight times the rows' queries is one vector product per row
+(``per_row``: one gemv, the one the vector form makes), and a product
+over a row's keys is one matrix of a stacked matmul; a gemm over all rows
+would round each row differently depending on the others.  So an
+``expand`` row is also bit-equal to ``feed_target`` (one expansion)
 followed by ``point_source`` and ``relation_dist_all``, the one-expansion
-reference that ``expand`` is tested against.  Its LSTM step runs forward
-only.  ``predict_target`` takes lists only: a single state is a list of
-one, and its output keeps the row axis.
+reference that ``expand`` is tested against.  Decoding has no train
+mode: the LSTM step runs forward only (it refuses a tape), and
+``predict_target`` draws no dropout.  A single state is a list of one,
+and its output keeps the row axis.
 
 Each node is projected once: when a node's state becomes a pointer
 candidate (in ``predict_target``), its ``mlp_end`` and ``mlp_rel_src`` rows
@@ -110,6 +112,7 @@ class DecoderState:
     # predict_target); after a feed both hold len(nodes) rows
     end_rows: Tensor
     rel_src_rows: Tensor
+    row: int  # the sentence's row in the encoded batch
     # (label, pos) -> label_vec for one decode (of one sentence or of several
     # in lockstep), shared by all of its states and never by the model; read
     # and filled only while no tape records
@@ -265,11 +268,11 @@ class Decoder(nn.Module):
 
     # -- stepping -----------------------------------------------------------
 
-    def initial_state(self, enc: EncoderOutput, row: int | None = None) -> DecoderState:
-        """The state before the first relation of ``enc``'s sentence, or of
-        sentence ``row`` of an encoded batch."""
+    def initial_state(self, enc: EncoderOutput, row: int) -> DecoderState:
+        """The state before the first relation of sentence ``row`` of an
+        encoded batch."""
         c = self.config
-        init = enc.init if row is None else [ad.element(i, row) for i in enc.init]
+        init = [ad.element(i, row) for i in enc.init]
         lstm = tuple((h, ad.constant(np.zeros(c.decoder_hidden))) for h in init)
         return DecoderState(
             lstm=lstm,
@@ -280,21 +283,20 @@ class Decoder(nn.Module):
             step=0,
             end_rows=ad.constant(np.zeros((0, c.biaffine_size))),
             rel_src_rows=ad.constant(np.zeros((0, c.bilinear_size))),
+            row=row,
         )
 
     def predict_target(self, enc: EncoderOutput, states: list[DecoderState],
-                       rel_ins: list[RelationInput], train: bool = False,
-                       rng: np.random.Generator | None = None, enc_rows=None
-                       ) -> tuple[StepOutput, list[DecoderState]]:
+                       rel_ins: list[RelationInput]) -> tuple[StepOutput, list[DecoderState]]:
         """Consume relation ``rel_ins[b]`` in ``states[b]`` for each
         hypothesis row ``b`` and produce the next-target mixtures, as one
         ``StepOutput`` of rows and the list of new states.  The states must
         have consumed the same number of relations, as a beam's hypotheses
         have; one state is a list of one.
 
-        ``enc`` is one sentence's encoding, or a batch of sentences of
-        equal length; then row ``b`` reads the encoder rows of sentence
-        ``enc_rows[b]``, as ``lstm_step``'s ``state_rows`` index state rows.
+        ``enc`` encodes sentences of equal length, and row ``b`` reads the
+        encoder rows of its state's sentence, ``states[b].row``.  The states
+        may come in any order, and several may share a sentence.
 
         Each row is bit-equal to its state alone.  A weight times the rows'
         queries (the ``ffn_*`` layers, ``mlp_end``, ``mlp_rel_src``, the
@@ -303,13 +305,10 @@ class Decoder(nn.Module):
         enc.states``) is one matrix of a stacked matmul; a gemm over all
         rows would round differently.
         """
-        c, rows, n = self.config, len(states), enc.n
-        enc_states = enc.states
-        if enc_rows is None:  # one sentence's encoding, gathered as a batch of one
-            enc_states, enc_rows = ad.reshape(enc_states, (1,) + enc_states.shape), [0] * rows
-        elif min(enc.lengths) < n:
+        rows, n = len(states), enc.n
+        if min(enc.lengths) < n:
             raise ValueError("predict_target: sentences of unequal length need padding masks")
-        keys = ad.embedding_gather(enc_states, enc_rows)
+        keys = ad.embedding_gather(enc.states, [s.row for s in states])
         h = ad.stack_rows([s.h for s in states])
 
         a_enc = ad.softmax(self.attn_mlp.pairs(h, keys))
@@ -321,7 +320,6 @@ class Decoder(nn.Module):
         du = self.index_rows([r.u_index for r in rel_ins])
         rel = self.rel_emb([self.rel_vocab.id(r.rel) for r in rel_ins])
         z = self.ffn_relation(ad.concat([h, context, rel, u, du], axis=1), per_row=True)
-        z = ad.dropout(z, c.dropout, train, rng)
 
         vocab_logits = self.ffn_vocab(z, per_row=True)
         p_vocab = ad.softmax(vocab_logits)

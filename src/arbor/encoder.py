@@ -11,7 +11,7 @@ initialization vectors ``[bwd state at token 1; fwd state at token n]``.
 A batch of sentences is encoded as rows: the tokens are padded to the
 longest sentence (padding rows embed id 0), every lookup and LSTM layer
 runs once over the batch, and each sentence's rows equal its own encode
-bit for bit.  One sentence is the one-row case, without the row axis.
+bit for bit.  One sentence is a batch of one.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ class EncoderInput:
 
 @dataclass
 class EncoderOutput:
-    states: Tensor  # (n, 2H) final layer; (B, n, 2H) for a batch
-    init: list[Tensor]  # per layer, (2H,) decoder initialization; (B, 2H) for a batch
-    n: int  # tokens; the longest sentence's for a batch
-    lengths: tuple[int, ...] | None = None  # each sentence's tokens, for a batch
+    states: Tensor  # (B, n, 2H) final layer
+    init: list[Tensor]  # per layer, (B, 2H) decoder initialization
+    n: int  # the longest sentence's tokens
+    lengths: tuple[int, ...]  # each sentence's tokens
 
 
 class Encoder(nn.Module):
@@ -94,12 +94,10 @@ class Encoder(nn.Module):
             if name not in inp.features:
                 raise ValueError(f"missing feature column {name!r}")
 
-    def embed_tokens(self, inputs: EncoderInput | list[EncoderInput]) -> Tensor:
-        """The embedded tokens of one sentence, ``(n, d)``, or of a batch,
-        ``(B, n, d)`` with ``n`` the longest sentence and the shorter ones
-        padded by rows of id 0 (``PAD``); one lookup per table."""
-        single = isinstance(inputs, EncoderInput)
-        batch = [inputs] if single else inputs
+    def embed_tokens(self, batch: list[EncoderInput]) -> Tensor:
+        """The embedded tokens of a batch of sentences, ``(B, n, d)`` with
+        ``n`` the longest sentence and the shorter ones padded by rows of
+        id 0 (``PAD``); one lookup per table."""
         n = max(len(inp.tokens) for inp in batch)
 
         def ids(column, vocab) -> list[int]:
@@ -116,7 +114,7 @@ class Encoder(nn.Module):
             parts.append(self.feature_embs[name](
                 ids(lambda inp: inp.features[name], self.feature_vocabs[name])))
         out = ad.concat(parts, axis=1)
-        return out if single else ad.reshape(out, (len(batch), n, out.shape[1]))
+        return ad.reshape(out, (len(batch), n, out.shape[1]))
 
     def dropout_masks(self, inp: EncoderInput, rng: np.random.Generator
                       ) -> tuple[np.ndarray, np.ndarray]:
@@ -126,15 +124,12 @@ class Encoder(nn.Module):
         return (ad.dropout_mask((n, self.embedded_dim()), rate, rng),
                 ad.dropout_mask((n, 2 * self.config.encoder_hidden), rate, rng))
 
-    def encode(self, inputs: EncoderInput | list[EncoderInput], masks=None) -> EncoderOutput:
-        """Encode one sentence, or a batch of them as rows (see the module
-        docstring).
+    def encode(self, batch: list[EncoderInput], masks=None) -> EncoderOutput:
+        """Encode a batch of sentences as rows (see the module docstring).
 
         Dropout applies ``masks``, one ``dropout_masks`` pair per sentence,
         when given; without them the encode is deterministic.
         """
-        single = isinstance(inputs, EncoderInput)
-        batch = [inputs] if single else inputs
         for inp in batch:
             self.check(inp)
         lengths = tuple(len(inp.tokens) for inp in batch)
@@ -149,13 +144,12 @@ class Encoder(nn.Module):
                 rows[b, : lengths[b]] = pair[k]
             return ad.mul(x, ad.constant(mask))
 
-        per_layer = self.bilstm.run(drop(self.embed_tokens(inputs), 0),
-                                    None if single else lengths)
+        per_layer = self.bilstm.run(drop(self.embed_tokens(batch), 0), lengths)
         # init[k][b] = [bwd state at token 1; fwd state at token n_b]: rows
         # 1 and 2 n_b - 2 of sentence b's states taken as rows of H (fwd, bwd
         # per token)
         ends = [i for b, m in enumerate(lengths) for i in (2 * n * b + 1, 2 * n * b + 2 * m - 2)]
         init = [ad.reshape(ad.embedding_gather(ad.reshape(states, (-1, h)), ends),
-                           states.shape[:-2] + (2 * h,))
+                           (len(batch), 2 * h))
                 for states in per_layer]
-        return EncoderOutput(drop(per_layer[-1], 1), init, n, None if single else lengths)
+        return EncoderOutput(drop(per_layer[-1], 1), init, n, lengths)

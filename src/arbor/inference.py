@@ -9,8 +9,8 @@ There is one decode loop, over a list of sentences of equal token count
 whose beams run in lockstep; one sentence is the one-entry case.  The
 sentences are encoded by one ``Encoder.encode`` call.  Each step, one
 ``Decoder.predict_target`` call scores the next target of every open
-hypothesis of every sentence as matrix rows, each row reading its own
-sentence's encoder rows.  The top-K target-node candidates of each
+hypothesis of every sentence as matrix rows, each row reading the encoder
+rows of its state's sentence.  The top-K target-node candidates of each
 hypothesis are taken; EOS moves a hypothesis to its sentence's finished
 pool (with no score contribution), and the rest become (hypothesis,
 target) expansions.  One ``Decoder.expand`` call feeds all of the step's
@@ -72,13 +72,11 @@ class DecodeResult:
 
 
 def _slot_info(model: TransducerModel, out, tokens: list[str], pos_tags: list[str],
-               slot: int, row: int | None = None) -> NodeRecord:
-    """Interpret a position of the mixed target distribution of ``out``, a
-    one-row ``StepOutput``, or of its row ``row`` if it holds rows."""
+               slot: int, row: int) -> NodeRecord:
+    """Interpret a position of the mixed target distribution of row ``row``
+    of ``out``, a ``StepOutput``."""
     v, n_enc = out.vocab_size, out.n_enc
-    fresh, dec_records = out.fresh_index, out.dec_records
-    if row is not None:
-        fresh, dec_records = fresh[row], dec_records[row]
+    fresh, dec_records = out.fresh_index[row], out.dec_records[row]
     if slot < v:
         label = model.vocabs.dec_word.token(slot)
         return NodeRecord(label, fresh, UNK_LABEL, ORIGIN_VOCAB)
@@ -133,7 +131,6 @@ MAX_LOCKSTEP = 16
 class _Sentence:
     """One sentence's search state in the lockstep loop."""
 
-    row: int  # in the encoded batch
     enc_input: EncoderInput
     max_len: int
     beam: list[Hypothesis]
@@ -167,9 +164,9 @@ def _search(model: TransducerModel, enc_inputs: list[EncoderInput], beam_size: i
     dec = model.decoder
     eos_id = model.vocabs.dec_word.id(EOS_LABEL)
     n_types = len(model.vocabs.rel)
-    enc = model.encoder.encode(list(enc_inputs))
+    enc = model.encoder.encode(enc_inputs)
     memo: dict = {}  # label vectors, shared by every sentence's states
-    sents = [_Sentence(s, inp, max_len, [Hypothesis(
+    sents = [_Sentence(inp, max_len, [Hypothesis(
         (), 0.0, replace(dec.initial_state(enc, s), label_memo=memo), BOS_INPUT)])
         for s, (inp, max_len) in enumerate(zip(enc_inputs, max_lens))]
 
@@ -179,8 +176,7 @@ def _search(model: TransducerModel, enc_inputs: list[EncoderInput], beam_size: i
             break
         hyps = [hyp for s in live for hyp in s.beam]
         outs, fed = dec.predict_target(enc, [hyp.state for hyp in hyps],
-                                       [hyp.rel_in for hyp in hyps],
-                                       enc_rows=[s.row for s in live for _ in s.beam])
+                                       [hyp.rel_in for hyp in hyps])
         # the (hypothesis, target) expansions of this step, in arrival order
         # within each sentence's block of rows
         owners: list[Hypothesis] = []

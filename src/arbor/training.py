@@ -34,8 +34,8 @@ sentence in batch order draws what it draws alone, in the stepwise
 order: its encoder embedding mask, its encoder state mask, one block for
 its relation steps (each step's relation-state mask, then its LSTM layer
 masks), then its EOS step's relation-state mask.  So each sentence's
-loss equals the tests' stepwise loss (one-row ``predict_target`` calls
-and a taped LSTM step per relation) on that sentence alone to rounding,
+loss equals the tests' stepwise loss (a taped single-state target head
+and LSTM step per relation) on that sentence alone to rounding,
 dropout included, and the generator ends where running the sentences
 one by one leaves it.  Inference keeps the stepwise
 ``Decoder.predict_target`` and ``Decoder.expand``.
@@ -84,7 +84,7 @@ class TrainConfig:
 _TRAIN_RANGES = dict(
     learning_rate=POSITIVE, beta1=FRACTION, beta2=FRACTION, adam_eps=POSITIVE,
     max_grad_norm=POSITIVE, coverage_weight=NON_NEGATIVE, label_smoothing=FRACTION,
-    batch_size=POSITIVE, max_epochs=NON_NEGATIVE, patience=NON_NEGATIVE, seed=NON_NEGATIVE)
+    batch_size=POSITIVE, max_epochs=POSITIVE, patience=NON_NEGATIVE, seed=NON_NEGATIVE)
 
 
 @dataclass
@@ -247,7 +247,7 @@ def sequence_loss(
         z_mask = _padded(z_rows, (n_step, rh))
         lstm_masks = [_padded([m[:, rh + k * dh : rh + (k + 1) * dh] for m in blocks],
                               (n_rel, dh)) for k in range(layers)]
-    enc = model.encoder.encode(list(enc_inputs), masks=enc_masks)
+    enc = model.encoder.encode(enc_inputs, masks=enc_masks)
     zero = ad.constant(np.zeros(n_seq))
     if n_step == 0:
         return LossBreakdown(zero, zero, zero, zero, zero, np.zeros((0, 3)))
@@ -544,7 +544,6 @@ def train(
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
 
     try:
-        epoch = 0
         for epoch in range(1, cfg.max_epochs + 1):
             started = time.perf_counter()
             epoch_loss, n_examples = 0.0, 0

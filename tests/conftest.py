@@ -155,6 +155,17 @@ def tanh(x):
     return ad._apply(out, [(x, lambda g: g * (1.0 - out * out))])
 
 
+def dropout(x, rate: float, train: bool, rng=None):
+    """Inverted dropout by one ``dropout_mask``: scales by 1/keep at train
+    time, identity otherwise."""
+    if not train or rate <= 0.0:
+        return x
+    if rng is None:
+        raise ValueError("dropout in train mode needs an explicit rng")
+    mask = ad.dropout_mask(x.shape, rate, rng)
+    return ad._apply(x.data * mask, [(x, lambda g: g * mask)])
+
+
 def composed_lstm_cell(x, h, c, w_ih, w_hh, b):
     """One LSTM step on vectors as composed ops, which record gradients:
     the taped reference for ``lstm_step`` and ``lstm_layer``, evaluating
@@ -507,15 +518,15 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def encode_one(encoder, inp, train: bool = False, rng=None):
-    """``Encoder.encode`` of one sentence, in train mode under the
-    ``dropout_masks`` drawn from ``rng``, as the stepwise decoder draws
-    them."""
+    """``Encoder.encode`` of one sentence as a batch of one, in train mode
+    under the ``dropout_masks`` drawn from ``rng``, as the stepwise decoder
+    draws them."""
     masks = None
     if train and encoder.config.dropout > 0.0:
         if rng is None:
             raise ValueError("dropout in train mode needs an explicit rng")
         masks = [encoder.dropout_masks(inp, rng)]
-    return encoder.encode(inp, masks=masks)
+    return encoder.encode([inp], masks=masks)
 
 
 def output_row(out: StepOutput, b: int) -> StepOutput:
@@ -530,11 +541,63 @@ def output_row(out: StepOutput, b: int) -> StepOutput:
     )
 
 
-def predict_one(dec, enc, state, rel_in, train: bool = False, rng=None):
+def predict_one(dec, enc, state, rel_in):
     """``predict_target`` on one state and relation: the output row, with
     the row axis dropped, and the new state."""
-    out, (new,) = dec.predict_target(enc, [state], [rel_in], train, rng)
+    out, (new,) = dec.predict_target(enc, [state], [rel_in])
     return output_row(out, 0), new
+
+
+def today_linear(lin, x):
+    """``Linear`` of a vector as the one-gemv vector form."""
+    return ad.add(ad.matmul(lin.w, x), lin.b)
+
+
+def today_mlp(mlp, x):
+    return ad.elu(today_linear(mlp.lin, x))
+
+
+def reference_predict_target(dec, enc, state, rel_in, train: bool = False, rng=None):
+    """The target head on one state as it ran before hypotheses became rows,
+    as taped ops: vector forms for the query, each attention's query alone
+    against its keys, and the relation state under dropout as training
+    draws it.  Returns what ``predict_one`` returns, with the same bits
+    when ``train`` is off."""
+    keys = ad.element(enc.states, state.row)
+    h_i = state.h
+    a_enc = ad.softmax(dec.attn_mlp.pairs(h_i, keys))
+    context = ad.matmul(a_enc, keys)
+    u_vec = dec.label_vec(rel_in.u_label, rel_in.u_pos)
+    du_vec = ad.element(dec.index_emb([dec._index_id(rel_in.u_index)]), 0)
+    r_vec = ad.element(dec.rel_emb([dec.rel_vocab.id(rel_in.rel)]), 0)
+    z = today_linear(dec.ffn_relation, ad.concat([h_i, context, r_vec, u_vec, du_vec]))
+    z = dropout(z, dec.config.dropout, train, rng)
+    vocab_logits = today_linear(dec.ffn_vocab, z)
+    p_vocab = ad.softmax(vocab_logits)
+    switch_logits = today_linear(dec.ffn_switch, z)
+    n_dec = state.z_hist.shape[0]
+    if n_dec:
+        a_dec = ad.softmax(dec.dec_attn_mlp.pairs(z, state.z_hist))
+        sw = ad.softmax(switch_logits)
+        blocks = [p_vocab, a_enc, a_dec]
+    else:
+        a_dec = None
+        sw = ad.softmax(ad.narrow(switch_logits, 0, 0, 2))
+        blocks = [p_vocab, a_enc]
+    p_target = ad.concat([ad.mul(ad.element(sw, k), b) for k, b in enumerate(blocks)])
+    covloss = ad.sum_all(ad.minimum(a_enc, state.coverage))
+
+    def appended(block, row):
+        return ad.concat([block, ad.reshape(row, (1, row.shape[0]))], axis=0)
+
+    new = replace(
+        state, z_hist=appended(state.z_hist, z) if state.step >= 1 else state.z_hist,
+        coverage=ad.add(state.coverage, a_enc), step=state.step + 1,
+        end_rows=appended(state.end_rows, today_mlp(dec.mlp_end, h_i)),
+        rel_src_rows=appended(state.rel_src_rows, today_mlp(dec.mlp_rel_src, h_i)))
+    out = StepOutput(vocab_logits, p_vocab, a_dec, sw, p_target, covloss, len(dec.word_vocab),
+                     enc.n, n_dec, state.nodes[:n_dec], state.next_fresh_index)
+    return out, new
 
 
 def reference_feed(dec, state, record, train: bool = False, rng=None):
@@ -546,7 +609,7 @@ def reference_feed(dec, state, record, train: bool = False, rng=None):
     for cell, (h, c) in zip(dec.lstm_cells, state.lstm):
         h, c = composed_lstm_cell(x, h, c, cell.w_ih, cell.w_hh, cell.b)
         lstm.append((h, c))
-        x = ad.dropout(h, dec.config.dropout, train, rng)
+        x = dropout(h, dec.config.dropout, train, rng)
     return replace(state, lstm=tuple(lstm), h=x, nodes=state.nodes + (record,))
 
 

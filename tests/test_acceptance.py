@@ -118,8 +118,8 @@ def test_criterion_04_probability_hygiene():
         model_seed += 1
         dec = model.decoder
         inp = make_inputs(rng, int(rng.integers(1, 6)))
-        enc = model.encoder.encode(inp)
-        state = dec.initial_state(enc)
+        enc = model.encoder.encode([inp])
+        state = dec.initial_state(enc, 0)
         rel_in = BOS_INPUT
         for _ in range(int(rng.integers(3, 8))):
             out, state = predict_one(dec, enc, state, rel_in)
@@ -272,8 +272,8 @@ def test_criterion_09_loss_identities():
     from arbor.linearize import resolve_source
 
     dec = model.decoder
-    enc = model.encoder.encode(inp)
-    state = dec.initial_state(enc)
+    enc = model.encoder.encode([inp])
+    state = dec.initial_state(enc, 0)
     rel_in = BOS_INPUT
     logp = 0.0
     for i, rel in enumerate(ref.relations):
@@ -291,8 +291,8 @@ def test_criterion_09_loss_identities():
     assert float(loss.total.data) == pytest.approx(-logp, abs=1e-10)
 
     # (b) the first step's coverage penalty is exactly zero
-    enc = model.encoder.encode(inp)
-    first, _ = predict_one(dec, enc, dec.initial_state(enc), BOS_INPUT)
+    enc = model.encoder.encode([inp])
+    first, _ = predict_one(dec, enc, dec.initial_state(enc, 0), BOS_INPUT)
     assert float(first.covloss.data) == 0.0
 
     # (c) the smoothing vector for K=4, eps=0.1

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from arbor import autodiff as ad
 from arbor.autodiff import ShapeError, Tape, TapeError, Tensor
 
-from conftest import (backward, check_op, composed_lstm_cell, exp, grad_check, maximum,
-                      repeat_rows, sigmoid, sub, tanh)
+from conftest import (backward, check_op, composed_lstm_cell, dropout, exp, grad_check,
+                      maximum, repeat_rows, sigmoid, sub, tanh)
 from test_model import amax
 
 
@@ -59,12 +59,12 @@ class TestForwardValues:
     def test_dropout_inverted_scaling(self):
         rng = np.random.default_rng(0)
         x = t(np.ones(10000))
-        out = ad.dropout(x, 0.25, train=True, rng=rng)
+        out = dropout(x, 0.25, train=True, rng=rng)
         kept = out.data[out.data > 0]
         assert np.allclose(kept, 1 / 0.75)
         assert abs(len(kept) / 10000 - 0.75) < 0.02
         # eval mode is the identity
-        assert ad.dropout(x, 0.25, train=False) is x
+        assert dropout(x, 0.25, train=False) is x
 
     def test_embedding_gather_bounds(self):
         table = t(np.arange(12.0).reshape(4, 3))

@@ -609,7 +609,8 @@ class TestConfigChecks:
         ("--config", "[1, 2]", "--config must hold a JSON object, got list"),
         ("--dropout", "2", "config field dropout: expected a number in [0, 1), got 2.0"),
         ("--hidden", "-4", "config field encoder_hidden: expected a positive number, got -4"),
-    ], ids=["config-str", "config-list", "dropout", "hidden"])
+        ("--max-epochs", "0", "config field max_epochs: expected a positive number, got 0"),
+    ], ids=["config-str", "config-list", "dropout", "hidden", "max-epochs"])
     def test_train_rejects_a_bad_value(self, corpus_files, tmp_path, caplog, option, value,
                                        message):
         _, train_file, _ = corpus_files
@@ -619,6 +620,7 @@ class TestConfigChecks:
         assert main(["train", "--framework", "amr", "--train", str(train_file), "--output",
                      str(tmp_path / "m.ckpt"), "--max-epochs", "1", option, value]) == 1
         assert message in caplog.text
+        assert "Traceback" not in caplog.text
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_parse_rejects_a_checkpoint_config_of_the_wrong_type(self, trained, tmp_path,

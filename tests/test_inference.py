@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ from arbor.linearize import relations_to_arbor
 from arbor.model import TransducerModel, Vocabularies
 from arbor.vocab import NODE_RESERVED, RELATION_RESERVED, Vocab
 
-from conftest import (build_tiny_model, make_inputs, output_row, predict_one, synthetic_corpus,
-                      tiny_config)
+from conftest import (build_tiny_model, make_inputs, output_row, reference_feed,
+                      synthetic_corpus, tiny_config)
 from test_model import SMALL_DIMS
 
 
@@ -62,7 +63,7 @@ def enumerate_best(model, inp, max_len):
     """
     dec = model.decoder
     eos_id = model.vocabs.dec_word.id(EOS_LABEL)
-    enc = model.encoder.encode(inp)
+    enc = model.encoder.encode([inp])
     best = {"score": -np.inf, "seq": ()}
 
     def consider(seq, score):
@@ -74,16 +75,14 @@ def enumerate_best(model, inp, max_len):
         if depth == max_len:
             consider(seq, score)
             return
-        out, state1 = predict_one(dec, enc, state, rel_in)
-        p = out.p_target.data
+        out, (state1,) = dec.predict_target(enc, [state], [rel_in])
+        p = out.p_target.data[0]
         for slot in range(p.shape[0]):
             if slot == eos_id:
                 consider(seq, score)  # EOS: no score update
                 continue
-            from arbor.inference import _slot_info
-
-            record = _slot_info(model, out, inp.tokens, inp.pos, slot)
-            state2 = dec.feed_target(state1, record)
+            record = _slot_info(model, out, inp.tokens, inp.pos, slot, 0)
+            state2 = reference_feed(dec, state1, record)
             pu = dec.point_source(state2).data
             pr_all = dec.relation_dist_all(state2)
             for j in range(pu.shape[0]):
@@ -101,7 +100,7 @@ def enumerate_best(model, inp, max_len):
                         depth + 1,
                     )
 
-    walk(dec.initial_state(enc), BOS_INPUT, (), 0.0, 0)
+    walk(dec.initial_state(enc, 0), BOS_INPUT, (), 0.0, 0)
     return best["seq"], best["score"]
 
 
@@ -112,12 +111,12 @@ def reference_beam_decode(model, inp, beam_size, max_len):
     array scoring must reproduce exactly: every candidate becomes a
     ``Hypothesis`` and all of them are sorted by (-score, arrival).
     """
-    from arbor.inference import DecodeResult, Hypothesis, _slot_info
+    from arbor.inference import DecodeResult, Hypothesis
 
     dec = model.decoder
     eos_id = model.vocabs.dec_word.id(EOS_LABEL)
-    enc = model.encoder.encode(inp)
-    beam = [Hypothesis((), 0.0, dec.initial_state(enc), BOS_INPUT)]
+    enc = model.encoder.encode([inp])
+    beam = [Hypothesis((), 0.0, dec.initial_state(enc, 0), BOS_INPUT)]
     finished = []
     total_steps = 0
     for _ in range(max_len):
@@ -126,17 +125,17 @@ def reference_beam_decode(model, inp, beam_size, max_len):
         candidates = []
         arrival = 0
         for hyp in beam:
-            out, state1 = predict_one(dec, enc, hyp.state, hyp.rel_in)
+            out, (state1,) = dec.predict_target(enc, [hyp.state], [hyp.rel_in])
             total_steps += 1
-            p = out.p_target.data
+            p = out.p_target.data[0]
             top = np.argsort(-p, kind="stable")[: min(beam_size, p.shape[0])]
             for slot in top:
                 slot = int(slot)
                 if slot == eos_id:
                     finished.append(Hypothesis(hyp.relations, hyp.score, None, hyp.rel_in))
                     continue
-                record = _slot_info(model, out, inp.tokens, inp.pos, slot)
-                state2 = dec.feed_target(state1, record)
+                record = _slot_info(model, out, inp.tokens, inp.pos, slot, 0)
+                state2 = reference_feed(dec, state1, record)
                 pu = dec.point_source(state2).data
                 pr_all = dec.relation_dist_all(state2)
                 logp_v = float(np.log(p[slot]))
@@ -177,27 +176,27 @@ def reference_greedy_decode(model, inp, max_len):
     reference it must reproduce: the same relations, steps and truncation,
     with scores summed in another order.
     """
-    from arbor.inference import DecodeResult, _slot_info
+    from arbor.inference import DecodeResult
 
     dec = model.decoder
     eos_id = model.vocabs.dec_word.id(EOS_LABEL)
-    enc = model.encoder.encode(inp)
-    state = dec.initial_state(enc)
+    enc = model.encoder.encode([inp])
+    state = dec.initial_state(enc, 0)
     rel_in = BOS_INPUT
     relations = []
     score = 0.0
     total_steps = 0
     saw_eos = False
     for _ in range(max_len):
-        out, state = predict_one(dec, enc, state, rel_in)
+        out, (state,) = dec.predict_target(enc, [state], [rel_in])
         total_steps += 1
-        p = out.p_target.data
+        p = out.p_target.data[0]
         slot = int(np.argmax(p))
         if slot == eos_id:
             saw_eos = True
             break
-        record = _slot_info(model, out, inp.tokens, inp.pos, slot)
-        state = dec.feed_target(state, record)
+        record = _slot_info(model, out, inp.tokens, inp.pos, slot, 0)
+        state = reference_feed(dec, state, record)
         pu = dec.point_source(state).data
         pr_all = dec.relation_dist_all(state)
         # the source choice maximizes the joint source+type probability
@@ -466,20 +465,21 @@ class TestExpand:
         dec = model.decoder
         eos_id = model.vocabs.dec_word.id(EOS_LABEL)
         inp = make_inputs(np.random.default_rng(seed), 2 + seed % 4)
-        enc = model.encoder.encode(inp)
+        enc = model.encoder.encode([inp])
         copies = 0
         for k in (1, 5):
-            states, rel_ins = [dec.initial_state(enc)], [BOS_INPUT]
+            states, rel_ins = [dec.initial_state(enc, 0)], [BOS_INPUT]
             for step in range(5):
                 parents, records = [], []
                 for state, rel_in in zip(states, rel_ins):
-                    out, state1 = predict_one(dec, enc, state, rel_in)
+                    outs, (state1,) = dec.predict_target(enc, [state], [rel_in])
+                    out = output_row(outs, 0)
                     slots = [int(s) for s in _top_k(out.p_target.data, k) if s != eos_id]
                     # every node copy as well, so that copy records are covered
                     slots += range(out.vocab_size + out.n_enc, out.p_target.shape[0])
                     for slot in slots:
                         parents.append(state1)
-                        records.append(_slot_info(model, out, inp.tokens, inp.pos, slot))
+                        records.append(_slot_info(model, outs, inp.tokens, inp.pos, slot, 0))
                 exp = dec.expand(parents, records)
                 n = step + 1  # ROOT and the nodes fed so far
                 assert exp.p_source.shape == (len(records), n)
@@ -645,24 +645,42 @@ class TestExpandRows:
         """Parents of three sentences after two steps, each with several
         targets: every row of one ``expand`` call equals ``expand`` on that
         row alone and ``feed_target`` + ``point_source`` +
-        ``relation_dist_all``, bit for bit."""
+        ``relation_dist_all``, bit for bit.  Each step's states, also passed
+        out of order and one of them twice, give ``predict_target`` rows
+        bit-equal to each sentence's state alone against its own encode."""
         model = build_tiny_model(seed=914, **(SMALL_DIMS if dims == "criterion-08" else {}))
         dec, eos_id = model.decoder, model.vocabs.dec_word.id(EOS_LABEL)
         rng = np.random.default_rng(15)
         inputs = [make_inputs(rng, 4) for _ in range(3)]
         enc = model.encoder.encode(inputs)
+        alone_encs = [model.encoder.encode([inp]) for inp in inputs]
         states = [dec.initial_state(enc, s) for s in range(3)]
         rel_ins = [BOS_INPUT] * 3
         for step in range(3):
-            outs, fed = dec.predict_target(enc, states, rel_ins, enc_rows=[0, 1, 2])
+            outs, fed = dec.predict_target(enc, states, rel_ins)
+            order = [2, 0, 2, 1]
+            mixed, mixed_fed = dec.predict_target(enc, [states[s] for s in order],
+                                                  [rel_ins[s] for s in order])
+            for b, s in enumerate(order):
+                alone, (alone_fed,) = dec.predict_target(
+                    alone_encs[s], [replace(states[s], row=0)], [rel_ins[s]])
+                got = output_row(mixed, b)
+                for other in (output_row(alone, 0), output_row(outs, s)):
+                    assert_bits(got.p_target.data, other.p_target.data)
+                    assert_bits(got.switch.data, other.switch.data)
+                    assert got.covloss.data == other.covloss.data
+                for new in (alone_fed, fed[s]):
+                    for name in ("z_hist", "coverage", "end_rows", "rel_src_rows"):
+                        assert_bits(getattr(mixed_fed[b], name).data, getattr(new, name).data)
+                assert mixed_fed[b].row == fed[s].row == s
             parents, records = [], []
             for b in range(3):
                 out = output_row(outs, b)
                 for slot in _top_k(out.p_target.data, 4):
                     if slot != eos_id:
                         parents.append(fed[b])
-                        records.append(_slot_info(model, out, inputs[b].tokens,
-                                                  inputs[b].pos, int(slot)))
+                        records.append(_slot_info(model, outs, inputs[b].tokens,
+                                                  inputs[b].pos, int(slot), b))
             exp = dec.expand(parents, records)
             for e, (parent, record) in enumerate(zip(parents, records)):
                 alone = dec.expand([parent], [record])
@@ -680,3 +698,12 @@ class TestExpandRows:
             states = [exp.state(e) for e in firsts]
             rel_ins = [RelationInput(*_source_of(s, min(step, 1)), s.node_pos(min(step, 1)),
                                      model.vocabs.rel.token(0)) for s in states]
+
+    def test_predict_target_refuses_sentences_of_unequal_length(self):
+        model = build_tiny_model(seed=914)
+        dec = model.decoder
+        rng = np.random.default_rng(16)
+        enc = model.encoder.encode([make_inputs(rng, 3), make_inputs(rng, 4)])
+        states = [dec.initial_state(enc, s) for s in range(2)]
+        with pytest.raises(ValueError, match="unequal length"):
+            dec.predict_target(enc, states, [BOS_INPUT] * 2)

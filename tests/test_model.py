@@ -14,9 +14,10 @@ from arbor.formats import CheckpointError
 from arbor.graph import EOS_LABEL, ROOT_INDEX, ROOT_LABEL, UNK_LABEL
 from arbor.model import ModelConfig, TransducerModel, Vocabularies, build_vocabularies
 
-from conftest import (build_tiny_model, check_op, composed_lstm_cell, encode_one, gold_support,
-                      make_inputs, output_row, predict_one, reference_feed, relation_dist,
-                      repeat_rows, switch_values, tanh)
+from conftest import (build_tiny_model, check_op, composed_lstm_cell, dropout, encode_one,
+                      gold_support, make_inputs, output_row, predict_one, reference_feed,
+                      reference_predict_target, relation_dist, repeat_rows, switch_values,
+                      tanh)
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +28,8 @@ def model():
 def drive_steps(model, inp, labels, rng_seed=0):
     """Feed a fixed label sequence; returns collected step outputs."""
     dec = model.decoder
-    enc = model.encoder.encode(inp)
-    state = dec.initial_state(enc)
+    enc = model.encoder.encode([inp])
+    state = dec.initial_state(enc, 0)
     rel_in = BOS_INPUT
     outs = []
     for i, label in enumerate(labels):
@@ -77,7 +78,7 @@ def reference_encode(encoder, inp, train=False, rng=None):
     character features and one ``composed_lstm_cell`` per token, layer and
     direction, over the tokens as vectors."""
     assert not encoder.feature_vocabs
-    embedded = ad.dropout(ad.concat([
+    embedded = dropout(ad.concat([
         encoder.word_emb([encoder.word_vocab.id(w) for w in inp.tokens]),
         ad.stack_rows([reference_chars(encoder.char_cnn, encoder.char_ids(w))
                        for w in inp.tokens]),
@@ -99,7 +100,7 @@ def reference_encode(encoder, inp, train=False, rng=None):
         b_states.reverse()
         xs = [ad.concat([f, b]) for f, b in zip(f_states, b_states)]
         init.append(ad.concat([ad.narrow(xs[0], 0, h, 2 * h), ad.narrow(xs[-1], 0, 0, h)]))
-    return ad.dropout(ad.stack_rows(xs), encoder.config.dropout, train, rng), init
+    return dropout(ad.stack_rows(xs), encoder.config.dropout, train, rng), init
 
 
 def t(data):
@@ -129,36 +130,36 @@ class TestEncoder:
     def test_embedded_dim_is_sum_of_channels(self, model):
         cfg = model.config
         inp = make_inputs(np.random.default_rng(0), 3)
-        embedded = model.encoder.embed_tokens(inp)
-        assert embedded.shape == (3, cfg.word_dim + cfg.char_channels + cfg.pos_dim)
+        embedded = model.encoder.embed_tokens([inp])
+        assert embedded.shape == (1, 3, cfg.word_dim + cfg.char_channels + cfg.pos_dim)
 
     def test_encode_output_shapes(self, model):
         inp = make_inputs(np.random.default_rng(1), 4)
-        enc = model.encoder.encode(inp)
-        assert enc.states.shape == (4, 2 * model.config.encoder_hidden)
+        enc = model.encoder.encode([inp])
+        assert enc.states.shape == (1, 4, 2 * model.config.encoder_hidden)
         assert len(enc.init) == model.config.encoder_layers
         for vec in enc.init:
-            assert vec.shape == (2 * model.config.encoder_hidden,)
+            assert vec.shape == (1, 2 * model.config.encoder_hidden)
 
     def test_single_token_shape(self, model):
         inp = EncoderInput(tokens=["Pierre"], pos=["NNP"])
-        enc = model.encoder.encode(inp)
-        assert enc.states.shape == (1, 2 * model.config.encoder_hidden)
+        enc = model.encoder.encode([inp])
+        assert enc.states.shape == (1, 1, 2 * model.config.encoder_hidden)
 
     def test_deterministic_without_dropout(self, model):
         inp = make_inputs(np.random.default_rng(2), 5)
-        a = model.encoder.encode(inp).states.data
-        b = model.encoder.encode(inp).states.data
+        a = model.encoder.encode([inp]).states.data
+        b = model.encoder.encode([inp]).states.data
         assert np.array_equal(a, b)
 
     def test_identical_tokens_identical_rows(self, model):
         inp = EncoderInput(tokens=["board", "board"], pos=["NN", "NN"])
-        rows = model.encoder.embed_tokens(inp).data
+        rows = model.encoder.embed_tokens([inp]).data[0]
         assert np.array_equal(rows[0], rows[1])
 
     def test_unseen_token_uses_unk_and_stays_finite(self, model):
         inp = EncoderInput(tokens=["zzzunseen"], pos=["NN"])
-        enc = model.encoder.encode(inp)
+        enc = model.encoder.encode([inp])
         assert np.all(np.isfinite(enc.states.data))
 
     # "paper_chars": the paper-default character dimensions, where one
@@ -178,23 +179,23 @@ class TestEncoder:
                 enc = encode_one(model.encoder, inp, train, np.random.default_rng(seed))
                 states, init = reference_encode(model.encoder, inp, train,
                                                 np.random.default_rng(seed))
-                assert np.array_equal(enc.states.data, states.data)
+                assert np.array_equal(enc.states.data[0], states.data)
                 assert len(enc.init) == len(init)
                 for got, want in zip(enc.init, init):
-                    assert np.array_equal(got.data, want.data)
+                    assert np.array_equal(got.data[0], want.data)
 
     def test_tape_records_do_not_grow_with_length(self, model):
         rng = np.random.default_rng(6)
         counts = []
         for n in (3, 12):
             with ad.Tape() as tape:
-                model.encoder.encode(make_inputs(rng, n))
+                model.encoder.encode([make_inputs(rng, n)])
             counts.append(len(tape.records))
         assert counts[0] == counts[1] > 0
 
     def test_empty_sentence_rejected(self, model):
         with pytest.raises(ValueError, match="empty"):
-            model.encoder.encode(EncoderInput(tokens=[], pos=[]))
+            model.encoder.encode([EncoderInput(tokens=[], pos=[])])
 
     def test_feature_column_length_checked(self):
         with pytest.raises(ValueError, match="length"):
@@ -214,8 +215,8 @@ class TestDecoderStep:
 
     def test_first_step_has_no_decoder_copy_mass(self, model):
         inp = make_inputs(np.random.default_rng(4), 3)
-        enc = model.encoder.encode(inp)
-        state = model.decoder.initial_state(enc)
+        enc = model.encoder.encode([inp])
+        state = model.decoder.initial_state(enc, 0)
         out, state = predict_one(model.decoder, enc, state, BOS_INPUT)
         assert out.n_dec == 0 and out.a_dec is None
         assert switch_values(out)[2] == 0.0
@@ -236,9 +237,9 @@ class TestDecoderStep:
 
     def test_pointer_over_root_only_at_first_step(self, model):
         inp = make_inputs(np.random.default_rng(7), 3)
-        enc = model.encoder.encode(inp)
+        enc = model.encoder.encode([inp])
         dec = model.decoder
-        state = dec.initial_state(enc)
+        state = dec.initial_state(enc, 0)
         out, state = predict_one(dec, enc, state, BOS_INPUT)
         state = dec.feed_target(state, NodeRecord("person", 1, UNK_LABEL, ORIGIN_VOCAB))
         pu = dec.point_source(state)
@@ -266,8 +267,8 @@ class TestDecoderStep:
         saved = dec.ffn_switch.b.data.copy()
         dec.ffn_switch.b.data = np.array([50.0, -50.0, -50.0])
         try:
-            enc = model.encoder.encode(inp)
-            state = dec.initial_state(enc)
+            enc = model.encoder.encode([inp])
+            state = dec.initial_state(enc, 0)
             out, _ = predict_one(dec, enc, state, BOS_INPUT)
             assert int(np.argmax(out.p_target.data)) == int(np.argmax(out.p_vocab.data))
         finally:
@@ -285,8 +286,8 @@ class TestDecoderStep:
     def test_relation_dist_all_rows_match_relation_dist(self, model):
         inp = make_inputs(np.random.default_rng(11), 4)
         dec = model.decoder
-        enc = model.encoder.encode(inp)
-        state = dec.initial_state(enc)
+        enc = model.encoder.encode([inp])
+        state = dec.initial_state(enc, 0)
         rel_in = BOS_INPUT
         for i, label in enumerate(["person", "city", "person", "thing"]):
             _, state = predict_one(dec, enc, state, rel_in)
@@ -299,55 +300,10 @@ class TestDecoderStep:
             rel_in = RelationInput(label, i + 1, UNK_LABEL, "root")
 
 
-def today_linear(lin, x):
-    """``Linear`` as the one-gemv vector form and the one-gemm rows form."""
-    if x.ndim == 1:
-        return ad.add(ad.matmul(lin.w, x), lin.b)
-    return ad.add(ad.matmul(x, ad.transpose(lin.w)), lin.b)
-
-
-def today_mlp(mlp, x):
-    return ad.elu(today_linear(mlp.lin, x))
-
-
-def reference_predict_target(dec, enc, state, rel_in):
-    """The target head on one state as it ran before hypotheses became rows:
-    vector forms for the query, each attention's query alone against its
-    keys.  Returns the arrays ``predict_target`` must reproduce."""
-    h_i = state.h
-    a_enc = ad.softmax(dec.attn_mlp.pairs(h_i, enc.states))
-    context = ad.matmul(a_enc, enc.states)
-    u_vec = dec.label_vec(rel_in.u_label, rel_in.u_pos)
-    du_vec = ad.element(dec.index_emb([dec._index_id(rel_in.u_index)]), 0)
-    r_vec = ad.element(dec.rel_emb([dec.rel_vocab.id(rel_in.rel)]), 0)
-    z = today_linear(dec.ffn_relation, ad.concat([h_i, context, r_vec, u_vec, du_vec]))
-    p_vocab = ad.softmax(today_linear(dec.ffn_vocab, z))
-    switch_logits = today_linear(dec.ffn_switch, z)
-    n_dec = state.z_hist.shape[0]
-    if n_dec:
-        a_dec = ad.softmax(dec.dec_attn_mlp.pairs(z, state.z_hist))
-        sw = ad.softmax(switch_logits)
-        blocks = [p_vocab, a_enc, a_dec]
-    else:
-        sw = ad.softmax(ad.narrow(switch_logits, 0, 0, 2))
-        blocks = [p_vocab, a_enc]
-    p_target = ad.concat([ad.mul(ad.element(sw, k), b) for k, b in enumerate(blocks)])
-    covloss = ad.sum_all(ad.minimum(a_enc, state.coverage))
-    z_hist = (np.vstack([state.z_hist.data, z.data]) if state.step >= 1
-              else state.z_hist.data)
-    return dict(
-        p_target=p_target.data, covloss=covloss.data,
-        switch=tuple(sw.data.tolist()) + (0.0,) * (3 - len(blocks)),
-        z_hist=z_hist, coverage=ad.add(state.coverage, a_enc).data,
-        end_rows=np.vstack([state.end_rows.data, today_mlp(dec.mlp_end, h_i).data]),
-        rel_src_rows=np.vstack([state.rel_src_rows.data,
-                                today_mlp(dec.mlp_rel_src, h_i).data]),
-    )
-
-
 class TestPredictRows:
     """``predict_target`` over B hypothesis rows, and on one state, against
-    a copy of the single-state body, bit for bit."""
+    the taped single-state reference (``reference_predict_target``), bit
+    for bit."""
 
     @pytest.mark.parametrize("dims", [{}, SMALL_DIMS], ids=["tiny", "small"])
     def test_rows_bit_equal_to_single_state_reference(self, dims):
@@ -355,7 +311,7 @@ class TestPredictRows:
         dec, vocabs = model.decoder, model.vocabs
         rng = np.random.default_rng(22)
         inp = make_inputs(rng, 5)
-        enc = model.encoder.encode(inp)
+        enc = model.encoder.encode([inp])
 
         def random_rel_in(state):
             j = int(rng.integers(len(state.nodes) + 1))
@@ -367,7 +323,7 @@ class TestPredictRows:
         def walk(steps):
             """A decode prefix of ``steps`` relations with random choices,
             node copies among them."""
-            state, rel_in = dec.initial_state(enc), BOS_INPUT
+            state, rel_in = dec.initial_state(enc, 0), BOS_INPUT
             for _ in range(steps):
                 _, state = predict_one(dec, enc, state, rel_in)
                 if state.nodes and rng.random() < 0.4:
@@ -390,17 +346,18 @@ class TestPredictRows:
                 out, fed = dec.predict_target(enc, states, rel_ins)
                 assert out.p_target.ndim == 2 and len(fed) == rows and out.n_dec == n_dec
                 for b, (state, rel_in) in enumerate(zip(states, rel_ins)):
-                    ref = reference_predict_target(dec, enc, state, rel_in)
+                    ref, ref_new = reference_predict_target(dec, enc, state, rel_in)
                     one = predict_one(dec, enc, state, rel_in)
                     for got, new in ((output_row(out, b), fed[b]), one):
-                        assert got.p_target.shape == ref["p_target"].shape
-                        assert np.array_equal(got.p_target.data, ref["p_target"])
-                        assert got.covloss.shape == () and got.covloss.data == ref["covloss"]
-                        assert switch_values(got) == ref["switch"]
+                        assert got.p_target.shape == ref.p_target.shape
+                        assert np.array_equal(got.p_target.data, ref.p_target.data)
+                        assert got.covloss.shape == () and got.covloss.data == ref.covloss.data
+                        assert switch_values(got) == switch_values(ref)
                         assert got.n_dec == n_dec and got.dec_records == state.nodes[:n_dec]
                         assert got.fresh_index == state.next_fresh_index
                         for name in ("z_hist", "coverage", "end_rows", "rel_src_rows"):
-                            assert np.array_equal(getattr(new, name).data, ref[name]), name
+                            assert np.array_equal(getattr(new, name).data,
+                                                  getattr(ref_new, name).data), name
                         assert new.step == state.step + 1 and new.nodes == state.nodes
                         assert new.h is state.h and new.lstm is state.lstm
 
@@ -432,8 +389,8 @@ class TestLabelMemo:
 
     def test_every_lookup_under_a_tape_is_new_and_recorded(self, model):
         dec = model.decoder
-        enc = model.encoder.encode(make_inputs(np.random.default_rng(63), 3))
-        memo = dec.initial_state(enc).label_memo
+        enc = model.encoder.encode([make_inputs(np.random.default_rng(63), 3)])
+        memo = dec.initial_state(enc, 0).label_memo
         cached = dec.label_vec("person", "NN", memo)
         assert dec.label_vec("person", "NN", memo) is cached
         with ad.Tape() as tape:
@@ -451,8 +408,8 @@ class TestIndexAndPos:
     def test_index_rule_fresh_and_copy(self, model):
         dec = model.decoder
         inp = make_inputs(np.random.default_rng(11), 3)
-        enc = model.encoder.encode(inp)
-        state = dec.initial_state(enc)
+        enc = model.encoder.encode([inp])
+        state = dec.initial_state(enc, 0)
         out, state = predict_one(dec, enc, state, BOS_INPUT)
         assert state.next_fresh_index == 1
         state = dec.feed_target(state, NodeRecord("person", 1, "NN", ORIGIN_VOCAB))
@@ -466,8 +423,8 @@ class TestIndexAndPos:
     def test_reference_pos_rules(self, model):
         dec = model.decoder
         inp = EncoderInput(tokens=["Pierre", "expressed"], pos=["NNP", "VBD"])
-        enc = model.encoder.encode(inp)
-        state = dec.initial_state(enc)
+        enc = model.encoder.encode([inp])
+        state = dec.initial_state(enc, 0)
         _, state = predict_one(dec, enc, state, BOS_INPUT)
         # token copy: POS of the matching token
         rec = reference_node(state.nodes, "Pierre", 1, inp.tokens, inp.pos)
@@ -483,8 +440,8 @@ class TestIndexAndPos:
     def test_pos_propagates_through_node_copies(self, model):
         dec = model.decoder
         inp = EncoderInput(tokens=["Pierre"], pos=["NNP"])
-        enc = model.encoder.encode(inp)
-        state = dec.initial_state(enc)
+        enc = model.encoder.encode([inp])
+        state = dec.initial_state(enc, 0)
         _, state = predict_one(dec, enc, state, BOS_INPUT)
         state = dec.feed_target(
             state, NodeRecord("Pierre", 1, "NNP", ORIGIN_ENC, (0,)))
@@ -515,8 +472,8 @@ class TestGradientFlow:
         inp = EncoderInput(tokens=["Pierre", "board", "city"], pos=["NNP", "NN", "NN"])
         table = model.encoder.word_emb.table
         with ad.Tape() as tape:
-            enc = model.encoder.encode(inp)
-            loss = ad.sum_all(ad.narrow(enc.states, 0, 2, 3))
+            enc = model.encoder.encode([inp])
+            loss = ad.sum_all(ad.narrow(enc.states, 1, 2, 3))
             tape.backward(loss)
         row = model.vocabs.enc_word.id("city")
         assert table.grad is not None
@@ -527,11 +484,12 @@ class TestGradientFlow:
         inp = make_inputs(np.random.default_rng(13), 3)
         dec = model.decoder
         with ad.Tape() as tape:
-            enc = model.encoder.encode(inp)
-            state = dec.initial_state(enc)
-            _, state = predict_one(dec, enc, state, BOS_INPUT)
+            enc = model.encoder.encode([inp])
+            state = dec.initial_state(enc, 0)
+            _, state = reference_predict_target(dec, enc, state, BOS_INPUT)
             state = reference_feed(dec, state, NodeRecord("person", 1, "NN", ORIGIN_VOCAB))
-            _, state = predict_one(dec, enc, state, RelationInput("person", 1, "NN", "root"))
+            _, state = reference_predict_target(dec, enc, state,
+                                                RelationInput("person", 1, "NN", "root"))
             state = reference_feed(dec, state, NodeRecord("city", 2, "NN", ORIGIN_VOCAB))
             pr = relation_dist(dec, state, 1)
             loss = ad.log(ad.element(pr, 2))
@@ -549,8 +507,8 @@ class TestCheckpointRoundTrip:
         model.save(path)
         loaded = TransducerModel.load(path)
         inp = make_inputs(np.random.default_rng(14), 3)
-        a = model.encoder.encode(inp).states.data.astype(np.float32)
-        b = loaded.encoder.encode(inp).states.data.astype(np.float32)
+        a = model.encoder.encode([inp]).states.data.astype(np.float32)
+        b = loaded.encoder.encode([inp]).states.data.astype(np.float32)
         assert np.allclose(a, b, atol=1e-5)
         # parameters survive bitwise at storage precision
         for name, p in model.parameters().items():

@@ -30,21 +30,21 @@ from arbor.training import (
 )
 
 from conftest import (build_tiny_model, encode_one, gold_support, grad_check, make_inputs,
-                      predict_one, random_arborescence, reference_feed, relation_dist,
-                      repeat_rows, sentence_loss, synthetic_corpus)
+                      predict_one, random_arborescence, reference_feed, reference_predict_target,
+                      relation_dist, repeat_rows, sentence_loss, synthetic_corpus)
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def reference_sequence_loss(model, enc_input, reference, *, label_smoothing=0.1,
                             coverage_weight=1.0, train=True, rng=None) -> LossBreakdown:
-    """The stepwise teacher-forced loss: per relation one ``predict_target``,
-    a taped target LSTM step (``reference_feed``), source pointer and
-    relation scorer step, as decoding runs them.  ``sequence_loss`` must
-    equal it to rounding."""
+    """The stepwise teacher-forced loss: per relation one taped target head
+    (``reference_predict_target``), target LSTM step (``reference_feed``),
+    source pointer and relation scorer step, as decoding runs them.
+    ``sequence_loss`` must equal it to rounding."""
     dec = model.decoder
     enc = encode_one(model.encoder, enc_input, train, rng)
-    state = dec.initial_state(enc)
+    state = dec.initial_state(enc, 0)
     rel_in = BOS_INPUT
 
     zero = ad.constant(np.zeros(()))
@@ -69,7 +69,7 @@ def reference_sequence_loss(model, enc_input, reference, *, label_smoothing=0.1,
         return -ad.matmul(ad.constant(smoothed_targets(logits.shape[0], gold, eps)), logp)
 
     for i, rel in enumerate(reference.relations):
-        out, state = predict_one(dec, enc, state, rel_in, train, rng)
+        out, state = reference_predict_target(dec, enc, state, rel_in, train, rng)
         cov = ad.add(cov, out.covloss)
         nll_v = ad.add(nll_v, target_nll(out, rel.target, rel.target_index))
         record = reference_node(state.nodes, rel.target, rel.target_index, enc_input.tokens,
@@ -87,7 +87,7 @@ def reference_sequence_loss(model, enc_input, reference, *, label_smoothing=0.1,
         rel_in = RelationInput(rel.source, rel.source_index, state.node_pos(gold_pos), rel.rel)
 
     if reference.eos:
-        out, state = predict_one(dec, enc, state, rel_in, train, rng)
+        out, state = reference_predict_target(dec, enc, state, rel_in, train, rng)
         cov = ad.add(cov, out.covloss)
         nll_v = ad.add(nll_v, target_nll(out, EOS_LABEL))
 
@@ -269,8 +269,8 @@ class TestSequenceLoss:
         inp = make_inputs(np.random.default_rng(1), 3)
         ref = RelationSequence((Relation("@root@", 0, "root", "person", 1),), eos=False)
         dec = model.decoder
-        enc = model.encoder.encode(inp)
-        state = dec.initial_state(enc)
+        enc = model.encoder.encode([inp])
+        state = dec.initial_state(enc, 0)
         out, _ = predict_one(dec, enc, state, BOS_INPUT)
         assert float(out.covloss.data) == 0.0
 
@@ -284,8 +284,8 @@ class TestSequenceLoss:
                              coverage_weight=0.0, train=False)
 
         dec = model.decoder
-        enc = model.encoder.encode(inp)
-        state = dec.initial_state(enc)
+        enc = model.encoder.encode([inp])
+        state = dec.initial_state(enc, 0)
         rel_in = BOS_INPUT
         logp = 0.0
         for i, rel in enumerate(ref.relations):
@@ -611,6 +611,7 @@ def one_sentence_loss(model, enc_input, reference, *, label_smoothing=0.1,
     A one-sentence batch must equal it bit for bit."""
     dec, cfg = model.decoder, model.config
     enc = encode_one(model.encoder, enc_input, train, rng)
+    enc_states, enc_init = ad.element(enc.states, 0), [ad.element(i, 0) for i in enc.init]
     zero = ad.constant(np.zeros(()))
     plan = _teacher_forcing(dec, enc_input, reference)
     n_rel, n_steps = len(plan.nodes), len(plan.vocab)
@@ -643,17 +644,17 @@ def one_sentence_loss(model, enc_input, reference, *, label_smoothing=0.1,
                        + [(u.u_label, u.u_pos) for u in inputs]),
         dec.index_rows([r.index for r in plan.nodes] + [u.u_index for u in inputs]),
     ], axis=1)
-    h = ad.reshape(enc.init[-1], (1, dh))
+    h = ad.reshape(enc_init[-1], (1, dh))
     if n_rel:
         x = ad.narrow(embedded, 0, 0, n_rel)
         for k, cell in enumerate(dec.lstm_cells):
-            x = drop(cell.layer(x, (enc.init[k], ad.constant(np.zeros(dh)))),
+            x = drop(cell.layer(x, (enc_init[k], ad.constant(np.zeros(dh)))),
                      None if lstm_masks is None else lstm_masks[k])
         h = ad.concat([h, x], axis=0)
     h_query = h if n_steps == n_rel + 1 else ad.narrow(h, 0, 0, n_steps)
 
-    a_enc = ad.softmax(dec.attn_mlp.pairs(h_query, enc.states), axis=-1)
-    context = ad.matmul(a_enc, enc.states)
+    a_enc = ad.softmax(dec.attn_mlp.pairs(h_query, enc_states), axis=-1)
+    context = ad.matmul(a_enc, enc_states)
     rel_rows = dec.rel_emb([dec.rel_vocab.id(u.rel) for u in inputs])
     z = dec.ffn_relation(ad.concat(
         [h_query, context, rel_rows, ad.narrow(embedded, 0, n_rel, n_rel + n_steps)], axis=1))
