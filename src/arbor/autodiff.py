@@ -638,8 +638,8 @@ def _gather(table: Tensor, rows, data: np.ndarray) -> Tensor:
 
 
 def embedding_gather(table: Tensor, ids) -> Tensor:
-    """Select rows of an embedding table, or of any matrix; gradients
-    scatter-add back, so a repeated id accumulates."""
+    """Select rows of an embedding table, or of any matrix or stack of
+    matrices; gradients scatter-add back, so a repeated id accumulates."""
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError(f"embedding_gather expects a flat id list, got shape {idx.shape}")

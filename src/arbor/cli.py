@@ -267,7 +267,7 @@ def cmd_parse(args) -> int:
                  for _, inp in chunk])
             for (record, _), result in zip(chunk, results):
                 with failures.record(record.id, counted=True):
-                    graph = to_graph(model, result.sequence)
+                    graph = to_graph(model, result.sequence, record.framework)
                     _write_graph(out, record.id, graph, args.format, record.tokens, record.pos)
     return failures.exit_code()
 

@@ -15,23 +15,24 @@ POS tags of nodes are inferred at runtime: token copies take the token's
 POS, node copies take the antecedent's POS, generated nodes get the UNK
 tag.
 
-Decoding runs a step as matrix rows: the open hypotheses of one beam,
-or of the beams of several sentences of equal length decoded in
-lockstep.  One ``predict_target`` call scores the next target of every
-row, each reading the encoder rows of its own sentence (the state's
-``row`` in the encoded batch), and one ``expand`` call feeds all of the
-step's (hypothesis, target) expansions and scores their sources and
-relation types.  Every row of both is bit-equal to that row alone: a
-weight times the rows' queries is one vector product per row
-(``per_row``: one gemv, the one the vector form makes), and a product
-over a row's keys is one matrix of a stacked matmul; a gemm over all rows
-would round each row differently depending on the others.  So an
-``expand`` row is also bit-equal to ``feed_target`` (one expansion)
-followed by ``point_source`` and ``relation_dist_all``, the one-expansion
-reference that ``expand`` is tested against.  Decoding has no train
-mode: the LSTM step runs forward only (it refuses a tape), and
-``predict_target`` draws no dropout.  A single state is a list of one,
-and its output keeps the row axis.
+A ``DecoderState`` holds the hypotheses of one decode step as rows: the
+open hypotheses of one beam, or of the beams of several sentences of
+equal length decoded in lockstep; one hypothesis is a one-row state.  One
+``predict_target`` call scores the next target of every row, each
+reading the encoder rows of its own sentence, and one ``expand`` call
+feeds all of the step's (row, target) expansions and scores their
+sources and relation types; ``Expansions.state`` gathers the chosen
+expansions into the next state.  Every row of both calls is bit-equal to
+that row alone: a weight times the rows' queries is one
+vector product per row (``per_row``: one gemv, the one the vector form
+makes), and a product over a row's keys is one matrix of a stacked
+matmul; a gemm over all rows would round each row differently depending
+on the others.  So an ``expand`` row is also bit-equal to ``feed_target``
+(one expansion) followed by ``point_source`` and ``relation_dist_all``,
+the one-row reference that ``expand`` is tested against.  Decoding has no
+train mode and carries no coverage: the LSTM step runs forward only (it
+refuses a tape), ``predict_target`` draws no dropout, and coverage enters
+only the training loss.
 
 Each node is projected once: when a node's state becomes a pointer
 candidate (in ``predict_target``), its ``mlp_end`` and ``mlp_rel_src`` rows
@@ -56,6 +57,7 @@ bilinear as a query row against its own source rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -96,75 +98,88 @@ BOS_INPUT = RelationInput(ROOT_LABEL, ROOT_INDEX, UNK_LABEL, ROOT_RELATION)
 
 @dataclass(frozen=True)
 class DecoderState:
-    """A decode after ``step`` relations.  Of the target states only the last
-    one, ``h``, is kept: no scorer reads an earlier one.  The z history and
-    the candidate rows are matrices that ``predict_target`` grows by a row
-    each step."""
+    """The hypotheses of a decode after ``step`` relations, as rows: every
+    tensor has a leading row axis, and ``nodes`` and ``rows`` hold one entry
+    per row.  Of the target states only the last one, ``h``, is kept.  The
+    z history and the candidate rows are stacks of matrices that
+    ``predict_target`` grows by a row each step."""
 
-    lstm: tuple[tuple[Tensor, Tensor], ...]  # per-layer (h, c)
-    h: Tensor  # final-layer state of the last target (ROOT's before the first)
-    z_hist: Tensor  # (rows, relation_hidden): relation hidden states available for copying
-    nodes: tuple[NodeRecord, ...]  # emitted target nodes v_1..v_i
-    coverage: Tensor  # running sum of encoder attentions
+    lstm: tuple[tuple[Tensor, Tensor], ...]  # per layer (h, c), (rows, decoder_hidden) each
+    h: Tensor  # final-layer state of each row's last target (ROOT's before the first)
+    z_hist: Tensor  # (rows, i, relation_hidden): relation hidden states available for copying
+    nodes: tuple[tuple[NodeRecord, ...], ...]  # per row, the emitted target nodes v_1..v_i
     step: int  # number of relations consumed so far
     # mlp_end and mlp_rel_src of each pointer candidate's state (ROOT, then
-    # every target) as rows, computed once when it becomes a candidate (in
-    # predict_target); after a feed both hold len(nodes) rows
+    # every target) as rows of each row's matrix, computed once when it
+    # becomes a candidate (in predict_target); after a feed both hold
+    # len(nodes[b]) rows for row b
     end_rows: Tensor
     rel_src_rows: Tensor
-    row: int  # the sentence's row in the encoded batch
+    rows: tuple[int, ...]  # each row's sentence in the encoded batch
     # (label, pos) -> label_vec for one decode (of one sentence or of several
     # in lockstep), shared by all of its states and never by the model; read
     # and filled only while no tape records
     label_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def node_pos(self, position: int) -> str:
-        """POS of the node at pointer position (0 = ROOT -> UNK)."""
-        return UNK_LABEL if position == 0 else self.nodes[position - 1].pos
+    def take(self, idx) -> DecoderState:
+        """Rows ``idx`` of this state, in that order; a row may repeat."""
+        idx = np.asarray(idx, dtype=np.intp)
+        rows = partial(ad.embedding_gather, ids=idx)
+        return replace(
+            self, lstm=tuple((rows(h), rows(c)) for h, c in self.lstm), h=rows(self.h),
+            z_hist=rows(self.z_hist), nodes=tuple(self.nodes[b] for b in idx),
+            end_rows=rows(self.end_rows), rel_src_rows=rows(self.rel_src_rows),
+            rows=tuple(self.rows[b] for b in idx))
 
-    @property
-    def next_fresh_index(self) -> int:
-        """Next unused node index.
+    def node_pos(self, row: int, position: int) -> str:
+        """POS of the node of row ``row`` at pointer position (0 = ROOT -> UNK)."""
+        return UNK_LABEL if position == 0 else self.nodes[row][position - 1].pos
+
+    def next_fresh_index(self, row: int) -> int:
+        """Next unused node index of row ``row``.
 
         Copies reuse their antecedent's index, so the next fresh value is
         one past the count of distinct nodes; it equals the step number on
         copy-free prefixes and keeps decode-time indices aligned with
         first-visit reference indices.
         """
-        return max((rec.index for rec in self.nodes), default=0) + 1
+        return max((rec.index for rec in self.nodes[row]), default=0) + 1
 
 
 @dataclass
 class Expansions:
-    """One search step's (hypothesis, target) expansions as matrix rows:
-    row ``e`` feeds ``records[e]`` to ``parents[e]`` (``Decoder.expand``)."""
+    """One search step's (row, target) expansions as matrix rows:
+    row ``e`` feeds ``records[e]`` to row ``parents[e]`` of ``base``
+    (``Decoder.expand``)."""
 
-    parents: list[DecoderState]
+    base: DecoderState
+    parents: np.ndarray  # the row of base that each expansion feeds
     records: list[NodeRecord]
     lstm: tuple[tuple[Tensor, Tensor], ...]  # per layer (h, c), one row per expansion
     p_source: np.ndarray  # (rows, i + 1): P(u) over positions 0..i
     p_relation: np.ndarray  # (rows, i + 1, types): P(r) for each source position
 
-    def state(self, e: int) -> DecoderState:
-        """The state after feeding ``records[e]`` to ``parents[e]``."""
-        parent = self.parents[e]
-        lstm = tuple((Tensor(h.data[e].copy()), Tensor(c.data[e].copy()))
-                     for h, c in self.lstm)
-        return replace(parent, lstm=lstm, h=lstm[-1][0], nodes=parent.nodes + (self.records[e],))
+    def state(self, sel) -> DecoderState:
+        """The fed state whose row ``k`` is expansion ``sel[k]``; an
+        expansion may repeat."""
+        sel = np.asarray(sel, dtype=np.intp)
+        fed = self.base.take(self.parents[sel])
+        lstm = tuple((Tensor(h.data[sel]), Tensor(c.data[sel])) for h, c in self.lstm)
+        nodes = tuple(prev + (self.records[e],) for prev, e in zip(fed.nodes, sel))
+        return replace(fed, lstm=lstm, h=lstm[-1][0], nodes=nodes)
 
 
 @dataclass
 class StepOutput:
-    """The target head's output for hypothesis rows: each tensor has a
+    """The target head's output for the rows of a state: each tensor has a
     leading row axis, and ``dec_records`` and ``fresh_index`` hold one entry
-    per row.  One state is a batch of one row."""
+    per row."""
 
     vocab_logits: Tensor
     p_vocab: Tensor
     a_dec: Tensor | None
     switch: Tensor  # (p_gen, p_enc, p_dec); no p_dec before a node can be copied
     p_target: Tensor  # concat of weighted vocab / encoder / decoder blocks
-    covloss: Tensor
     vocab_size: int
     n_enc: int
     n_dec: int
@@ -268,55 +283,52 @@ class Decoder(nn.Module):
 
     # -- stepping -----------------------------------------------------------
 
-    def initial_state(self, enc: EncoderOutput, row: int) -> DecoderState:
-        """The state before the first relation of sentence ``row`` of an
+    def initial_state(self, enc: EncoderOutput) -> DecoderState:
+        """The state before the first relation: one row per sentence of an
         encoded batch."""
-        c = self.config
-        init = [ad.element(i, row) for i in enc.init]
-        lstm = tuple((h, ad.constant(np.zeros(c.decoder_hidden))) for h in init)
+        c, rows = self.config, len(enc.lengths)
+        lstm = tuple((h, ad.constant(np.zeros((rows, c.decoder_hidden)))) for h in enc.init)
         return DecoderState(
             lstm=lstm,
-            h=init[-1],
-            z_hist=ad.constant(np.zeros((0, c.relation_hidden))),
-            nodes=(),
-            coverage=ad.constant(np.zeros(enc.n)),
+            h=enc.init[-1],
+            z_hist=ad.constant(np.zeros((rows, 0, c.relation_hidden))),
+            nodes=((),) * rows,
             step=0,
-            end_rows=ad.constant(np.zeros((0, c.biaffine_size))),
-            rel_src_rows=ad.constant(np.zeros((0, c.bilinear_size))),
-            row=row,
+            end_rows=ad.constant(np.zeros((rows, 0, c.biaffine_size))),
+            rel_src_rows=ad.constant(np.zeros((rows, 0, c.bilinear_size))),
+            rows=tuple(range(rows)),
         )
 
-    def predict_target(self, enc: EncoderOutput, states: list[DecoderState],
-                       rel_ins: list[RelationInput]) -> tuple[StepOutput, list[DecoderState]]:
-        """Consume relation ``rel_ins[b]`` in ``states[b]`` for each
-        hypothesis row ``b`` and produce the next-target mixtures, as one
-        ``StepOutput`` of rows and the list of new states.  The states must
-        have consumed the same number of relations, as a beam's hypotheses
-        have; one state is a list of one.
+    def predict_target(self, enc: EncoderOutput, state: DecoderState,
+                       rel_ins: list[RelationInput]) -> tuple[StepOutput, DecoderState]:
+        """Consume relation ``rel_ins[b]`` in row ``b`` of ``state`` for every
+        row and produce the next-target mixtures, as one ``StepOutput`` of
+        rows and the new state.  The rows have consumed the same number of
+        relations, since they are rows of one state.
 
         ``enc`` encodes sentences of equal length, and row ``b`` reads the
-        encoder rows of its state's sentence, ``states[b].row``.  The states
-        may come in any order, and several may share a sentence.
+        encoder rows of its sentence, ``state.rows[b]``.  The rows may come
+        in any order, and several may share a sentence.
 
-        Each row is bit-equal to its state alone.  A weight times the rows'
+        Each row is bit-equal to that row alone.  A weight times the rows'
         queries (the ``ffn_*`` layers, ``mlp_end``, ``mlp_rel_src``, the
         attentions' query halves) is one vector product per row, and a
         product over a row's keys (the attentions' ``pairs``, ``a_enc @
         enc.states``) is one matrix of a stacked matmul; a gemm over all
         rows would round differently.
         """
-        rows, n = len(states), enc.n
+        rows, n = len(state.rows), enc.n
         if min(enc.lengths) < n:
             raise ValueError("predict_target: sentences of unequal length need padding masks")
-        keys = ad.embedding_gather(enc.states, [s.row for s in states])
-        h = ad.stack_rows([s.h for s in states])
+        keys = ad.embedding_gather(enc.states, state.rows)
+        h = state.h
 
         a_enc = ad.softmax(self.attn_mlp.pairs(h, keys))
         context = ad.reshape(ad.matmul(ad.reshape(a_enc, (rows, 1, n)), keys),
                              (rows, keys.shape[2]))
 
-        memo = states[0].label_memo
-        u = ad.stack_rows([self.label_vec(r.u_label, r.u_pos, memo) for r in rel_ins])
+        u = ad.stack_rows([self.label_vec(r.u_label, r.u_pos, state.label_memo)
+                           for r in rel_ins])
         du = self.index_rows([r.u_index for r in rel_ins])
         rel = self.rel_emb([self.rel_vocab.id(r.rel) for r in rel_ins])
         z = self.ffn_relation(ad.concat([h, context, rel, u, du], axis=1), per_row=True)
@@ -325,7 +337,7 @@ class Decoder(nn.Module):
         p_vocab = ad.softmax(vocab_logits)
         switch_logits = self.ffn_switch(z, per_row=True)
 
-        z_hist = ad.stack_rows([s.z_hist for s in states])
+        z_hist = state.z_hist
         n_dec = z_hist.shape[1]
         blocks = [p_vocab, a_enc]
         if n_dec:
@@ -339,29 +351,20 @@ class Decoder(nn.Module):
         weights = [ad.narrow(sw, 1, k, k + 1) for k in range(len(blocks))]  # (rows, 1) each
         p_target = ad.concat([ad.mul(w, block) for w, block in zip(weights, blocks)], axis=1)
 
-        coverage = ad.stack_rows([s.coverage for s in states])
-        covloss = ad.sum_axis(ad.minimum(a_enc, coverage), 1)
-        coverage = ad.add(coverage, a_enc)
-        if states[0].step >= 1:
+        if state.step >= 1:
             z_hist = _append_rows(z_hist, z)
         # h is a pointer candidate from the next feed on
-        ends = _append_rows(ad.stack_rows([s.end_rows for s in states]),
-                            self.mlp_end(h, per_row=True))
-        srcs = _append_rows(ad.stack_rows([s.rel_src_rows for s in states]),
-                            self.mlp_rel_src(h, per_row=True))
-        new_states = [
-            replace(s, z_hist=ad.element(z_hist, b), coverage=ad.element(coverage, b),
-                    step=s.step + 1, end_rows=ad.element(ends, b),
-                    rel_src_rows=ad.element(srcs, b))
-            for b, s in enumerate(states)
-        ]
+        new = replace(state, z_hist=z_hist, step=state.step + 1,
+                      end_rows=_append_rows(state.end_rows, self.mlp_end(h, per_row=True)),
+                      rel_src_rows=_append_rows(state.rel_src_rows,
+                                                self.mlp_rel_src(h, per_row=True)))
         out = StepOutput(
             vocab_logits=vocab_logits, p_vocab=p_vocab, a_dec=a_dec, switch=sw,
-            p_target=p_target, covloss=covloss, vocab_size=len(self.word_vocab), n_enc=n,
-            n_dec=n_dec, dec_records=tuple(s.nodes[:n_dec] for s in states),
-            fresh_index=tuple(s.next_fresh_index for s in states),
+            p_target=p_target, vocab_size=len(self.word_vocab), n_enc=n, n_dec=n_dec,
+            dec_records=tuple(nodes[:n_dec] for nodes in state.nodes),
+            fresh_index=tuple(state.next_fresh_index(b) for b in range(rows)),
         )
-        return out, new_states
+        return out, new
 
     def _node_inputs(self, records: list[NodeRecord], memo: dict) -> Tensor:
         """The target LSTM's input rows for nodes: their memoised label
@@ -370,43 +373,39 @@ class Decoder(nn.Module):
         return ad.concat([labels, self.index_rows([r.index for r in records])], axis=1)
 
     def feed_target(self, state: DecoderState, record: NodeRecord) -> DecoderState:
-        """Run the target LSTM over the new node ``v_{i+1}``: one ``expand``."""
-        return self.expand([state], [record]).state(0)
+        """Run the target LSTM of a one-row state over the new node
+        ``v_{i+1}``: one ``expand``."""
+        return self.expand(state, [0], [record]).state([0])
 
-    def expand(self, parents: list[DecoderState], records: list[NodeRecord]) -> Expansions:
-        """Feed ``records[e]`` to ``parents[e]`` for every expansion ``e`` at
-        once, and score its sources and relation types.
+    def expand(self, state: DecoderState, parents, records: list[NodeRecord]) -> Expansions:
+        """Feed ``records[e]`` to row ``parents[e]`` of ``state`` for every
+        expansion ``e`` at once, and score its sources and relation types.
 
         The target LSTM, the source pointer and the relation scorer run
-        once over all expansions as matrix rows, and each distinct parent's
-        recurrent product is computed once however many expansions share
-        it, as is the input projection of each distinct (label, POS, index)
-        node; the candidate rows are the parents' own blocks.  Each row is
-        bit-equal to the expansion alone, and ``p_source`` and
+        once over all expansions as matrix rows.  The recurrent product of
+        each row of ``state`` is computed once however many expansions
+        share it, as is the input projection of each distinct (label, POS,
+        index) node; the candidate rows are the parent rows' own blocks.
+        Each row is bit-equal to the expansion alone, and ``p_source`` and
         ``p_relation`` to ``point_source`` and ``relation_dist_all`` on the
         fed state, since every query projection is one product per row.
-        The parents may come from different sentences, but must have
-        consumed the same number of relations.
         """
+        parents = np.asarray(parents, dtype=np.intp)
         nodes, input_rows = _distinct(records, lambda r: (r.label, r.pos, r.index))
-        distinct, state_rows = _distinct(parents, id)
-        x, lstm = self._node_inputs(nodes, parents[0].label_memo), []
+        x, lstm = self._node_inputs(nodes, state.label_memo), []
         for k, cell in enumerate(self.lstm_cells):  # layer k's rows read layer k-1's
-            x, c = cell(x, (ad.stack_rows([s.lstm[k][0] for s in distinct]),
-                            ad.stack_rows([s.lstm[k][1] for s in distinct])),
-                        state_rows, None if k else input_rows)
+            x, c = cell(x, state.lstm[k], parents, None if k else input_rows)
             lstm.append((x, c))
-        ends = ad.stack_rows([s.end_rows for s in parents])
-        srcs = ad.stack_rows([s.rel_src_rows for s in parents])
+        ends = ad.embedding_gather(state.end_rows, parents)
+        srcs = ad.embedding_gather(state.rel_src_rows, parents)
         p_source = self._source_dist(self.biaffine(self.mlp_start(x, per_row=True), ends))
-        p_relation = ad.softmax(self.bilinear(srcs, self.mlp_rel_tgt(x, per_row=True),
-                                              per_row=True), axis=-1)
-        return Expansions(parents, records, tuple(lstm), p_source.data, p_relation.data)
+        p_relation = ad.softmax(self._relation_logits(x, srcs), axis=-1)
+        return Expansions(state, parents, records, tuple(lstm), p_source.data, p_relation.data)
 
-    def source_scores(self, state: DecoderState) -> Tensor:
-        """Biaffine pointer logits over positions 0..i (0 is ROOT)."""
-        start = self.mlp_start(state.h)
-        return self.biaffine(start, state.end_rows)
+    def _relation_logits(self, h: Tensor, srcs: Tensor) -> Tensor:
+        """Bilinear relation-type logits of target rows ``h`` over their own
+        candidate source matrices ``srcs``, ``(rows, i + 1, types)``."""
+        return self.bilinear(srcs, self.mlp_rel_tgt(h, per_row=True), per_row=True)
 
     @staticmethod
     def _source_dist(scores: Tensor) -> Tensor:
@@ -423,28 +422,28 @@ class Decoder(nn.Module):
         rest = ad.softmax(ad.narrow(scores, scores.ndim - 1, 1, n), axis=-1)
         return ad.concat([ad.constant(np.zeros(scores.shape[:-1] + (1,))), rest], axis=-1)
 
+    # -- one fed one-row state: the references that expand is tested against;
+    # decoding calls expand
+
+    def source_scores(self, state: DecoderState) -> Tensor:
+        """Biaffine pointer logits over positions 0..i (0 is ROOT)."""
+        return ad.element(self.biaffine(self.mlp_start(state.h, per_row=True),
+                                        state.end_rows), 0)
+
     def point_source(self, state: DecoderState) -> Tensor:
         """P(u) over pointer positions 0..i (0 is ROOT, masked after the
-        first relation) for one fed state: the one-expansion reference that
-        ``expand`` is tested against; decoding calls ``expand``."""
+        first relation)."""
         return self._source_dist(self.source_scores(state))
 
     def relation_scores(self, state: DecoderState, position: int) -> Tensor:
         """Bilinear relation-type logits given the source pointer choice."""
-        return ad.element(self._relation_logits(state), position)
+        return ad.element(ad.element(self._relation_logits(state.h, state.rel_src_rows), 0),
+                          position)
 
     def relation_dist_all(self, state: DecoderState) -> np.ndarray:
-        """P(r) rows for every candidate source position of one fed state:
-        the one-expansion reference that ``expand`` is tested against;
-        decoding calls ``expand``."""
-        return ad.softmax(self._relation_logits(state), axis=-1).data
-
-    def _relation_logits(self, state: DecoderState) -> Tensor:
-        """The bilinear over every candidate source of one fed state, by the
-        one-query stack of which ``expand`` scores a row."""
-        srcs, tgt = state.rel_src_rows, self.mlp_rel_tgt(state.h)
-        return ad.element(self.bilinear(ad.reshape(srcs, (1,) + srcs.shape),
-                                        ad.reshape(tgt, (1,) + tgt.shape), per_row=True), 0)
+        """P(r) rows for every candidate source position."""
+        return ad.softmax(ad.element(self._relation_logits(state.h, state.rel_src_rows), 0),
+                          axis=-1).data
 
 
 def _distinct(items: list, key) -> tuple[list, np.ndarray]:

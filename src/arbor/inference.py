@@ -7,20 +7,23 @@ runs in one pass over the output relations.
 
 There is one decode loop, over a list of sentences of equal token count
 whose beams run in lockstep; one sentence is the one-entry case.  The
-sentences are encoded by one ``Encoder.encode`` call.  Each step, one
-``Decoder.predict_target`` call scores the next target of every open
-hypothesis of every sentence as matrix rows, each row reading the encoder
-rows of its state's sentence.  The top-K target-node candidates of each
-hypothesis are taken; EOS moves a hypothesis to its sentence's finished
-pool (with no score contribution), and the rest become (hypothesis,
-target) expansions.  One ``Decoder.expand`` call feeds all of the step's
-expansions as matrix rows and scores every (source, relation type) pair
-of each, so the step's scores are one (expansion, source, type) array.
-Each sentence's top-K of its own block of those scores, ties broken by
-arrival order, forms its next beam, and only the K members are built as
-decoder states and objects.  A sentence retires when its beam empties or
-at its own ``max_len``.  Every row of both decoder calls is bit-equal to
-that row alone, so a sentence decodes bit for bit as it does alone.
+sentences are encoded by one ``Encoder.encode`` call, and the loop holds
+one ``DecoderState`` per step whose rows are the open hypotheses of all
+live sentences, each sentence's beam a contiguous block of rows.  Each
+step, one ``Decoder.predict_target`` call scores the next target of
+every row, each reading the encoder rows of its own sentence.  The top-K
+target-node candidates of each row are taken; EOS moves a hypothesis to
+its sentence's finished pool (with no score contribution), and the rest
+become (row, target) expansions.  One ``Decoder.expand`` call feeds all
+of the step's expansions as matrix rows and scores every (source,
+relation type) pair of each, so the step's scores are one (expansion,
+source, type) array.  Each sentence's top-K of its own block of those
+scores, ties broken by arrival order, forms its next beam, and one
+``Expansions.state`` call gathers the chosen expansions of every
+sentence into the next state.  A sentence retires when its beam empties
+or at its own ``max_len``, where it adds no rows to the next state.
+Every row of both decoder calls is bit-equal to that row alone, so a
+sentence decodes bit for bit as it does alone.
 Greedy search is this loop at width 1: argmax target, then argmax
 (source, type), with ties going to the lowest index.
 
@@ -37,7 +40,6 @@ import numpy as np
 from .convert import amr_restore_senses, from_arbor
 from .decoder import (
     BOS_INPUT,
-    DecoderState,
     NodeRecord,
     ORIGIN_DEC,
     ORIGIN_ENC,
@@ -87,10 +89,11 @@ def _slot_info(model: TransducerModel, out, tokens: list[str], pos_tags: list[st
     return NodeRecord(rec.label, rec.index, rec.pos, ORIGIN_DEC, rec.anchors)
 
 
-def _source_of(state, position: int) -> tuple[str, int]:
+def _source_of(nodes: tuple[NodeRecord, ...], position: int) -> tuple[str, int]:
+    """Label and index of pointer position ``position`` over ``nodes``."""
     if position == 0:
         return ROOT_LABEL, ROOT_INDEX
-    rec = state.nodes[position - 1]
+    rec = nodes[position - 1]
     return rec.label, rec.index
 
 
@@ -98,7 +101,6 @@ def _source_of(state, position: int) -> tuple[str, int]:
 class Hypothesis:
     relations: tuple[Relation, ...]
     score: float
-    state: object
     rel_in: RelationInput
     truncated: bool = False
 
@@ -138,7 +140,7 @@ class _Sentence:
     total_steps: int = 0
 
     def result(self) -> DecodeResult:
-        finished = self.finished + [replace(h, state=None, truncated=True) for h in self.beam]
+        finished = self.finished + [replace(h, truncated=True) for h in self.beam]
         if not finished:
             return DecodeResult(RelationSequence((), eos=True), 0.0, 0, self.total_steps, False)
         best = max(enumerate(finished), key=lambda kv: (kv[1].score, -kv[0]))[1]
@@ -165,22 +167,20 @@ def _search(model: TransducerModel, enc_inputs: list[EncoderInput], beam_size: i
     eos_id = model.vocabs.dec_word.id(EOS_LABEL)
     n_types = len(model.vocabs.rel)
     enc = model.encoder.encode(enc_inputs)
-    memo: dict = {}  # label vectors, shared by every sentence's states
-    sents = [_Sentence(inp, max_len, [Hypothesis(
-        (), 0.0, replace(dec.initial_state(enc, s), label_memo=memo), BOS_INPUT)])
-        for s, (inp, max_len) in enumerate(zip(enc_inputs, max_lens))]
+    # the state's rows are the beams of the live sentences, in order
+    state = dec.initial_state(enc)
+    sents = [_Sentence(inp, max_len, [Hypothesis((), 0.0, BOS_INPUT)])
+             for inp, max_len in zip(enc_inputs, max_lens)]
 
     for step in range(max(max_lens)):
         live = [s for s in sents if s.beam and step < s.max_len]
         if not live:
             break
         hyps = [hyp for s in live for hyp in s.beam]
-        outs, fed = dec.predict_target(enc, [hyp.state for hyp in hyps],
-                                       [hyp.rel_in for hyp in hyps])
+        outs, state = dec.predict_target(enc, state, [hyp.rel_in for hyp in hyps])
         # the (hypothesis, target) expansions of this step, in arrival order
         # within each sentence's block of rows
-        owners: list[Hypothesis] = []
-        parents: list[DecoderState] = []
+        parents: list[int] = []  # the row of each expansion's hypothesis
         records: list[NodeRecord] = []
         heads: list[float] = []  # hypothesis score + log P(target)
         blocks: list[tuple[_Sentence, int, int]] = []
@@ -196,11 +196,9 @@ def _search(model: TransducerModel, enc_inputs: list[EncoderInput], beam_size: i
                     if slot == eos_id:
                         # per the search over relations, EOS closes the
                         # hypothesis without a score update
-                        sent.finished.append(Hypothesis(hyp.relations, hyp.score, None,
-                                                        hyp.rel_in))
+                        sent.finished.append(hyp)
                         continue
-                    owners.append(hyp)
-                    parents.append(fed[b])
+                    parents.append(b)
                     records.append(_slot_info(model, outs, tokens, pos, slot, b))
                     heads.append(hyp.score + float(np.log(p[slot])))
                 b += 1
@@ -209,33 +207,35 @@ def _search(model: TransducerModel, enc_inputs: list[EncoderInput], beam_size: i
             for sent in live:
                 sent.beam = []
             break
-        exp = dec.expand(parents, records)
+        exp = dec.expand(state, parents, records)
         # scores by (expansion, source, type).  Keep this addition order: it
         # is that of scoring one relation at a time, so the sum adds no
         # rounding difference against that reference
         with np.errstate(divide="ignore"):  # zero probability -> -inf
             scores = ((np.array(heads)[:, None] + np.log(exp.p_source))[:, :, None]
                       + np.log(exp.p_relation))
+        survivors: list[int] = []  # the expansions that the next step goes on from
         for sent, lo, hi in blocks:
             # candidates in arrival order; drops the masked ROOT position
             cand_e, cand_j = np.nonzero(exp.p_source[lo:hi])
             flat = scores[lo:hi][cand_e, cand_j].ravel()
-            states: dict[int, DecoderState] = {}  # built for survivors only
             sent.beam = []
             for i in _top_k(flat, beam_size):
                 row, r_id = divmod(int(i), n_types)
                 e, j = lo + int(cand_e[row]), int(cand_j[row])
-                if e not in states:
-                    states[e] = exp.state(e)
-                state2, record = states[e], records[e]
+                b, record = parents[e], records[e]
                 rel = model.vocabs.rel.token(r_id)
-                u_label, u_index = _source_of(state2, j)
+                u_label, u_index = _source_of(state.nodes[b], j)
                 relation = Relation(u_label, u_index, rel, record.label, record.index,
                                     record.anchors)
                 sent.beam.append(Hypothesis(
-                    owners[e].relations + (relation,), float(flat[i]), state2,
-                    RelationInput(u_label, u_index, state2.node_pos(j), rel),
+                    hyps[b].relations + (relation,), float(flat[i]),
+                    RelationInput(u_label, u_index, state.node_pos(b, j), rel),
                 ))
+                # a sentence at its max_len keeps its beam but drops its rows
+                if step + 1 < sent.max_len:
+                    survivors.append(e)
+        state = exp.state(survivors)
 
     # hypotheses still open at max length are flushed as truncated
     return [sent.result() for sent in sents]

@@ -472,19 +472,18 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
 
 
-def _check_pairs(pairs, which: str, references: bool) -> None:
-    """Raise ``ValueError`` naming the first pair that cannot be encoded or,
-    with ``references``, whose reference has a source with no preceding
-    target."""
+def _check_pairs(pairs, which: str, encoder, references: bool) -> None:
+    """Raise ``ValueError`` naming the first pair that ``encoder`` cannot
+    encode (``Encoder.check``) or, with ``references``, whose reference has
+    a source with no preceding target."""
     for k, (inp, ref) in enumerate(pairs):
-        if not inp.tokens:
-            raise ValueError(f"{which} pair {k}: cannot encode an empty sentence")
-        if references:
-            try:
+        try:
+            encoder.check(inp)
+            if references:
                 for i, rel in enumerate(ref.relations):
                     resolve_source(ref.relations[:i], rel.source, rel.source_index)
-            except ValueError as exc:
-                raise ValueError(f"{which} pair {k}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{which} pair {k}: {exc}") from None
 
 
 def _batches(pairs, batch_size: int, shuffle_rng: random.Random):
@@ -525,14 +524,15 @@ def train(
     seconds of the epoch's dev decode.  The dev sentences are decoded
     greedily by ``inference.decode_batch``, equal-length ones in lockstep.
 
-    Every pair is checked before the first batch: a sentence with no
-    tokens, or a training reference whose source does not resolve, raises
-    ``ValueError`` naming the pair.
+    Every pair is checked before the first batch: a sentence that the
+    encoder cannot encode (``Encoder.check``: no tokens, or a missing
+    feature column), or a training reference whose source does not
+    resolve, raises ``ValueError`` naming the pair.
     """
     if not train_pairs:
         raise ValueError("empty training corpus")
-    _check_pairs(train_pairs, "training", references=True)
-    _check_pairs(dev_pairs, "dev", references=False)
+    _check_pairs(train_pairs, "training", model.encoder, references=True)
+    _check_pairs(dev_pairs, "dev", model.encoder, references=False)
     from .inference import decode_batch  # local import; inference is decode-only
 
     params = model.parameters()

@@ -536,15 +536,15 @@ def output_row(out: StepOutput, b: int) -> StepOutput:
 
     return StepOutput(
         pick(out.vocab_logits), pick(out.p_vocab), pick(out.a_dec), pick(out.switch),
-        pick(out.p_target), pick(out.covloss), out.vocab_size, out.n_enc, out.n_dec,
-        out.dec_records[b], out.fresh_index[b],
+        pick(out.p_target), out.vocab_size, out.n_enc, out.n_dec, out.dec_records[b],
+        out.fresh_index[b],
     )
 
 
 def predict_one(dec, enc, state, rel_in):
-    """``predict_target`` on one state and relation: the output row, with
-    the row axis dropped, and the new state."""
-    out, (new,) = dec.predict_target(enc, [state], [rel_in])
+    """``predict_target`` on a one-row state and one relation: the output
+    row, with the row axis dropped, and the new state."""
+    out, new = dec.predict_target(enc, state, [rel_in])
     return output_row(out, 0), new
 
 
@@ -557,14 +557,23 @@ def today_mlp(mlp, x):
     return ad.elu(today_linear(mlp.lin, x))
 
 
-def reference_predict_target(dec, enc, state, rel_in, train: bool = False, rng=None):
-    """The target head on one state as it ran before hypotheses became rows,
-    as taped ops: vector forms for the query, each attention's query alone
-    against its keys, and the relation state under dropout as training
-    draws it.  Returns what ``predict_one`` returns, with the same bits
-    when ``train`` is off."""
-    keys = ad.element(enc.states, state.row)
-    h_i = state.h
+def one_row(x):
+    """A tensor with a leading row axis of one."""
+    return ad.reshape(x, (1,) + x.shape)
+
+
+def reference_predict_target(dec, enc, state, rel_in, coverage=None, train: bool = False,
+                             rng=None):
+    """The target head on a one-row state as it ran before hypotheses
+    became rows, as taped ops: vector forms for the query, each attention's
+    query alone against its keys, and the relation state under dropout as
+    training draws it.  It also keeps the running sum of the encoder
+    attentions, ``coverage`` (``None`` before the first step), which
+    decoding does not carry.  Returns what ``predict_one`` returns, with
+    the same bits when ``train`` is off, then the step's coverage penalty
+    and the new coverage."""
+    keys = ad.element(enc.states, state.rows[0])
+    h_i, z_hist = ad.element(state.h, 0), ad.element(state.z_hist, 0)
     a_enc = ad.softmax(dec.attn_mlp.pairs(h_i, keys))
     context = ad.matmul(a_enc, keys)
     u_vec = dec.label_vec(rel_in.u_label, rel_in.u_pos)
@@ -575,9 +584,9 @@ def reference_predict_target(dec, enc, state, rel_in, train: bool = False, rng=N
     vocab_logits = today_linear(dec.ffn_vocab, z)
     p_vocab = ad.softmax(vocab_logits)
     switch_logits = today_linear(dec.ffn_switch, z)
-    n_dec = state.z_hist.shape[0]
+    n_dec = z_hist.shape[0]
     if n_dec:
-        a_dec = ad.softmax(dec.dec_attn_mlp.pairs(z, state.z_hist))
+        a_dec = ad.softmax(dec.dec_attn_mlp.pairs(z, z_hist))
         sw = ad.softmax(switch_logits)
         blocks = [p_vocab, a_enc, a_dec]
     else:
@@ -585,32 +594,35 @@ def reference_predict_target(dec, enc, state, rel_in, train: bool = False, rng=N
         sw = ad.softmax(ad.narrow(switch_logits, 0, 0, 2))
         blocks = [p_vocab, a_enc]
     p_target = ad.concat([ad.mul(ad.element(sw, k), b) for k, b in enumerate(blocks)])
-    covloss = ad.sum_all(ad.minimum(a_enc, state.coverage))
+    if coverage is None:
+        coverage = ad.constant(np.zeros(enc.n))
+    covloss = ad.sum_all(ad.minimum(a_enc, coverage))
 
     def appended(block, row):
-        return ad.concat([block, ad.reshape(row, (1, row.shape[0]))], axis=0)
+        return ad.concat([block, ad.reshape(row, (1, 1, row.shape[0]))], axis=1)
 
     new = replace(
         state, z_hist=appended(state.z_hist, z) if state.step >= 1 else state.z_hist,
-        coverage=ad.add(state.coverage, a_enc), step=state.step + 1,
+        step=state.step + 1,
         end_rows=appended(state.end_rows, today_mlp(dec.mlp_end, h_i)),
         rel_src_rows=appended(state.rel_src_rows, today_mlp(dec.mlp_rel_src, h_i)))
-    out = StepOutput(vocab_logits, p_vocab, a_dec, sw, p_target, covloss, len(dec.word_vocab),
-                     enc.n, n_dec, state.nodes[:n_dec], state.next_fresh_index)
-    return out, new
+    out = StepOutput(vocab_logits, p_vocab, a_dec, sw, p_target, len(dec.word_vocab), enc.n,
+                     n_dec, state.nodes[0][:n_dec], state.next_fresh_index(0))
+    return out, new, covloss, ad.add(coverage, a_enc)
 
 
 def reference_feed(dec, state, record, train: bool = False, rng=None):
-    """``Decoder.feed_target`` as a taped step: the target LSTM layers on
-    the new node by ``composed_lstm_cell``, each layer's output under
-    dropout as training draws it."""
+    """``Decoder.feed_target`` as a taped step on a one-row state: the
+    target LSTM layers on the new node by ``composed_lstm_cell``, each
+    layer's output under dropout as training draws it."""
     x = ad.element(dec._node_inputs([record], state.label_memo), 0)
     lstm = []
     for cell, (h, c) in zip(dec.lstm_cells, state.lstm):
-        h, c = composed_lstm_cell(x, h, c, cell.w_ih, cell.w_hh, cell.b)
-        lstm.append((h, c))
+        h, c = composed_lstm_cell(x, ad.element(h, 0), ad.element(c, 0),
+                                  cell.w_ih, cell.w_hh, cell.b)
+        lstm.append((one_row(h), one_row(c)))
         x = dropout(h, dec.config.dropout, train, rng)
-    return replace(state, lstm=tuple(lstm), h=x, nodes=state.nodes + (record,))
+    return replace(state, lstm=tuple(lstm), h=one_row(x), nodes=(state.nodes[0] + (record,),))
 
 
 def sentence_loss(model, enc_input, reference, **kwargs) -> LossBreakdown:

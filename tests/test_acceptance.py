@@ -119,16 +119,16 @@ def test_criterion_04_probability_hygiene():
         dec = model.decoder
         inp = make_inputs(rng, int(rng.integers(1, 6)))
         enc = model.encoder.encode([inp])
-        state = dec.initial_state(enc, 0)
+        state = dec.initial_state(enc)
         rel_in = BOS_INPUT
         for _ in range(int(rng.integers(3, 8))):
             out, state = predict_one(dec, enc, state, rel_in)
             assert abs(out.p_target.data.sum() - 1.0) < 1e-6
             assert abs(sum(switch_values(out)) - 1.0) < 1e-9
             record = reference_node(
-                state.nodes,
+                state.nodes[0],
                 model.vocabs.dec_word.token(int(rng.integers(4, len(model.vocabs.dec_word)))),
-                state.next_fresh_index, inp.tokens, inp.pos)
+                state.next_fresh_index(0), inp.tokens, inp.pos)
             state = dec.feed_target(state, record)
             pu = dec.point_source(state)
             assert abs(pu.data.sum() - 1.0) < 1e-6
@@ -273,27 +273,27 @@ def test_criterion_09_loss_identities():
 
     dec = model.decoder
     enc = model.encoder.encode([inp])
-    state = dec.initial_state(enc, 0)
+    state = dec.initial_state(enc)
     rel_in = BOS_INPUT
     logp = 0.0
     for i, rel in enumerate(ref.relations):
         out, state = predict_one(dec, enc, state, rel_in)
         logp += np.log(out.p_target.data[dec.word_vocab.id(rel.target)])
-        record = reference_node(state.nodes, rel.target, rel.target_index,
+        record = reference_node(state.nodes[0], rel.target, rel.target_index,
                                 inp.tokens, inp.pos)
         state = dec.feed_target(state, record)
         pos = resolve_source(ref.relations[:i], rel.source, rel.source_index)
         logp += np.log(dec.point_source(state).data[pos])
         logp += np.log(relation_dist(dec, state, pos).data[dec.rel_vocab.id(rel.rel)])
-        rel_in = RelationInput(rel.source, rel.source_index, state.node_pos(pos), rel.rel)
+        rel_in = RelationInput(rel.source, rel.source_index, state.node_pos(0, pos), rel.rel)
     out, _ = predict_one(dec, enc, state, rel_in)
     logp += np.log(out.p_target.data[dec.word_vocab.id(EOS_LABEL)])
     assert float(loss.total.data) == pytest.approx(-logp, abs=1e-10)
 
-    # (b) the first step's coverage penalty is exactly zero
-    enc = model.encoder.encode([inp])
-    first, _ = predict_one(dec, enc, dec.initial_state(enc, 0), BOS_INPUT)
-    assert float(first.covloss.data) == 0.0
+    # (b) the first step's coverage penalty is exactly zero: with one
+    # relation and no EOS the reference has one prediction step
+    first = RelationSequence((ref.relations[0],), eos=False)
+    assert float(sentence_loss(model, inp, first, train=False).coverage_penalty.data) == 0.0
 
     # (c) the smoothing vector for K=4, eps=0.1
     assert smoothed_targets(4, 0, 0.1).tolist() == [0.925, 0.025, 0.025, 0.025]

@@ -462,6 +462,22 @@ class TestTrainParseEvalBench:
             record = read_canonical(line)
             record.graph()  # structurally valid
 
+    def test_parse_writes_each_record_in_its_own_framework(self, trained, tmp_path):
+        """A model trained on a mixed corpus parses each record into its
+        record's framework, so eval scores every pair."""
+        ckpt, _, records = trained
+        sentences, pred = tmp_path / "sents.jsonl", tmp_path / "pred.jsonl"
+        write_corpus(sentences, records)
+        assert main(["parse", "--model", str(ckpt), "--input", str(sentences),
+                     "--output", str(pred), "--greedy"]) == 0
+        written = [read_canonical(line) for line in pred.read_text().splitlines()]
+        assert [(r.id, r.framework) for r in written] == [(r.id, r.framework) for r in records]
+        assert {r.framework for r in written} == set(Framework)
+        report_path = tmp_path / "report.json"
+        assert main(["eval", "--gold", str(sentences), "--pred", str(pred),
+                     "--output", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["graphs"] == len(records)
+
     def test_parse_skips_bad_record(self, trained, tmp_path):
         ckpt, _, records = trained
         empty = dataclasses.replace(records[1], id="empty-one", tokens=[], pos=[])
@@ -482,8 +498,8 @@ class TestTrainParseEvalBench:
                                                  search, chunk):
         """Records of 3, 4 and 5 tokens, several of each, with a bad one in
         the middle: the batched decode writes what ``inference.parse`` gives
-        for each good record alone, in input order, also when the records
-        are decoded in several chunks."""
+        for each good record alone in its own framework, in input order,
+        also when the records are decoded in several chunks."""
         monkeypatch.setattr(cli, "PARSE_CHUNK", chunk)
         ckpt, _, records = trained
         empty = dataclasses.replace(records[1], id="empty-one", tokens=[], pos=[])
@@ -500,7 +516,7 @@ class TestTrainParseEvalBench:
             if r.tokens:
                 graph = parse(model, encoder_input_from_record(r),
                               beam_size=1 if search == ["--greedy"] else 3,
-                              max_len=2 * len(r.tokens) + 10)
+                              max_len=2 * len(r.tokens) + 10, framework=r.framework)
                 _write_graph(expected, r.id, graph, "canonical", r.tokens, r.pos)
         assert out.read_text() == expected.getvalue()
 

@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,9 @@ from arbor.graph import (
     OF_SUFFIX,
     Relation,
     RelationSequence,
+    ROOT_INDEX,
+    ROOT_LABEL,
+    UNK_LABEL,
     validate_arborescence,
 )
 from arbor import autodiff as ad
@@ -75,7 +78,7 @@ def enumerate_best(model, inp, max_len):
         if depth == max_len:
             consider(seq, score)
             return
-        out, (state1,) = dec.predict_target(enc, [state], [rel_in])
+        out, state1 = dec.predict_target(enc, state, [rel_in])
         p = out.p_target.data[0]
         for slot in range(p.shape[0]):
             if slot == eos_id:
@@ -88,20 +91,31 @@ def enumerate_best(model, inp, max_len):
             for j in range(pu.shape[0]):
                 if pu[j] == 0.0:
                     continue
-                u_label, u_index = _source_of(state2, j)
+                u_label, u_index = _source_of(state2.nodes[0], j)
                 for r_id in range(pr_all.shape[1]):
                     rel = model.vocabs.rel.token(r_id)
                     relation = Relation(u_label, u_index, rel, record.label, record.index)
                     walk(
                         state2,
-                        RelationInput(u_label, u_index, state2.node_pos(j), rel),
+                        RelationInput(u_label, u_index, state2.node_pos(0, j), rel),
                         seq + (relation,),
                         score + np.log(p[slot]) + np.log(pu[j]) + np.log(pr_all[j, r_id]),
                         depth + 1,
                     )
 
-    walk(dec.initial_state(enc, 0), BOS_INPUT, (), 0.0, 0)
+    walk(dec.initial_state(enc), BOS_INPUT, (), 0.0, 0)
     return best["seq"], best["score"]
+
+
+@dataclass
+class Hypothesis:
+    """A hypothesis of ``reference_beam_decode``, with its own one-row state."""
+
+    relations: tuple[Relation, ...]
+    score: float
+    state: object
+    rel_in: RelationInput
+    truncated: bool = False
 
 
 def reference_beam_decode(model, inp, beam_size, max_len):
@@ -111,12 +125,12 @@ def reference_beam_decode(model, inp, beam_size, max_len):
     array scoring must reproduce exactly: every candidate becomes a
     ``Hypothesis`` and all of them are sorted by (-score, arrival).
     """
-    from arbor.inference import DecodeResult, Hypothesis
+    from arbor.inference import DecodeResult
 
     dec = model.decoder
     eos_id = model.vocabs.dec_word.id(EOS_LABEL)
     enc = model.encoder.encode([inp])
-    beam = [Hypothesis((), 0.0, dec.initial_state(enc, 0), BOS_INPUT)]
+    beam = [Hypothesis((), 0.0, dec.initial_state(enc), BOS_INPUT)]
     finished = []
     total_steps = 0
     for _ in range(max_len):
@@ -125,7 +139,7 @@ def reference_beam_decode(model, inp, beam_size, max_len):
         candidates = []
         arrival = 0
         for hyp in beam:
-            out, (state1,) = dec.predict_target(enc, [hyp.state], [hyp.rel_in])
+            out, state1 = dec.predict_target(enc, hyp.state, [hyp.rel_in])
             total_steps += 1
             p = out.p_target.data[0]
             top = np.argsort(-p, kind="stable")[: min(beam_size, p.shape[0])]
@@ -142,7 +156,7 @@ def reference_beam_decode(model, inp, beam_size, max_len):
                 for j in range(pu.shape[0]):
                     if pu[j] == 0.0:
                         continue
-                    u_label, u_index = _source_of(state2, j)
+                    u_label, u_index = _source_of(state2.nodes[0], j)
                     base = hyp.score + logp_v + float(np.log(pu[j]))
                     for r_id in range(pr_all.shape[1]):
                         rel = model.vocabs.rel.token(r_id)
@@ -152,7 +166,7 @@ def reference_beam_decode(model, inp, beam_size, max_len):
                                             record.index, record.anchors)
                         new_hyp = Hypothesis(
                             hyp.relations + (relation,), new_score, state2,
-                            RelationInput(u_label, u_index, state2.node_pos(j), rel),
+                            RelationInput(u_label, u_index, state2.node_pos(0, j), rel),
                         )
                         candidates.append((new_score, arrival, new_hyp))
                         arrival += 1
@@ -181,14 +195,14 @@ def reference_greedy_decode(model, inp, max_len):
     dec = model.decoder
     eos_id = model.vocabs.dec_word.id(EOS_LABEL)
     enc = model.encoder.encode([inp])
-    state = dec.initial_state(enc, 0)
+    state = dec.initial_state(enc)
     rel_in = BOS_INPUT
     relations = []
     score = 0.0
     total_steps = 0
     saw_eos = False
     for _ in range(max_len):
-        out, (state,) = dec.predict_target(enc, [state], [rel_in])
+        out, state = dec.predict_target(enc, state, [rel_in])
         total_steps += 1
         p = out.p_target.data[0]
         slot = int(np.argmax(p))
@@ -205,11 +219,11 @@ def reference_greedy_decode(model, inp, max_len):
         j, r_id = np.unravel_index(int(np.argmax(joint)), joint.shape)
         j, r_id = int(j), int(r_id)
         rel = model.vocabs.rel.token(r_id)
-        u_label, u_index = _source_of(state, j)
+        u_label, u_index = _source_of(state.nodes[0], j)
         score += float(np.log(p[slot]) + joint[j, r_id])
         relations.append(Relation(u_label, u_index, rel, record.label, record.index,
                                   record.anchors))
-        rel_in = RelationInput(u_label, u_index, state.node_pos(j), rel)
+        rel_in = RelationInput(u_label, u_index, state.node_pos(0, j), rel)
     seq = RelationSequence(tuple(relations), eos=saw_eos, truncated=not saw_eos)
     return DecodeResult(seq, score, len(relations), total_steps, truncated=not saw_eos)
 
@@ -468,32 +482,33 @@ class TestExpand:
         enc = model.encoder.encode([inp])
         copies = 0
         for k in (1, 5):
-            states, rel_ins = [dec.initial_state(enc, 0)], [BOS_INPUT]
+            state, rel_ins = dec.initial_state(enc), [BOS_INPUT]
             for step in range(5):
+                outs, state1 = dec.predict_target(enc, state, rel_ins)
                 parents, records = [], []
-                for state, rel_in in zip(states, rel_ins):
-                    outs, (state1,) = dec.predict_target(enc, [state], [rel_in])
-                    out = output_row(outs, 0)
+                for b in range(len(rel_ins)):
+                    out = output_row(outs, b)
                     slots = [int(s) for s in _top_k(out.p_target.data, k) if s != eos_id]
                     # every node copy as well, so that copy records are covered
                     slots += range(out.vocab_size + out.n_enc, out.p_target.shape[0])
                     for slot in slots:
-                        parents.append(state1)
-                        records.append(_slot_info(model, outs, inp.tokens, inp.pos, slot, 0))
-                exp = dec.expand(parents, records)
+                        parents.append(b)
+                        records.append(_slot_info(model, outs, inp.tokens, inp.pos, slot, b))
+                exp = dec.expand(state1, parents, records)
                 n = step + 1  # ROOT and the nodes fed so far
                 assert exp.p_source.shape == (len(records), n)
                 if step == 0:  # ROOT alone
                     assert np.all(exp.p_source == 1.0)
                 else:
                     assert np.all(exp.p_source[:, 0] == 0.0)
-                for e, (parent, record) in enumerate(zip(parents, records)):
-                    one = dec.feed_target(parent, record)
-                    for fed in (one, exp.state(e)):
-                        assert (fed.end_rows.shape[0] == fed.rel_src_rows.shape[0]
-                                == len(fed.nodes))
-                    assert exp.state(e).nodes == one.nodes
-                    for (h, c), (h1, c1) in zip(exp.state(e).lstm, one.lstm):
+                for e, (b, record) in enumerate(zip(parents, records)):
+                    one = dec.feed_target(state1.take([b]), record)
+                    fed = exp.state([e])
+                    for f in (one, fed):
+                        assert (f.end_rows.shape[1] == f.rel_src_rows.shape[1]
+                                == len(f.nodes[0]))
+                    assert fed.nodes == one.nodes
+                    for (h, c), (h1, c1) in zip(fed.lstm, one.lstm):
                         assert_close(h.data, h1.data)
                         assert_close(c.data, c1.data)
                     assert_close(exp.p_source[e], dec.point_source(one).data)
@@ -501,15 +516,14 @@ class TestExpand:
                     copies += record.origin == ORIGIN_DEC
                 # the next step expands the first k fed states, each from its
                 # most likely (source, type)
-                states, rel_ins = [], []
-                for e in range(min(k, len(records))):
-                    fed = exp.state(e)
+                firsts = range(min(k, len(records)))
+                state, rel_ins = exp.state(firsts), []
+                for e in firsts:
                     j, r_id = np.unravel_index(
                         int(np.argmax(exp.p_source[e][:, None] * exp.p_relation[e])),
                         exp.p_relation[e].shape)
-                    u_label, u_index = _source_of(fed, int(j))
-                    states.append(fed)
-                    rel_ins.append(RelationInput(u_label, u_index, fed.node_pos(int(j)),
+                    u_label, u_index = _source_of(state.nodes[e], int(j))
+                    rel_ins.append(RelationInput(u_label, u_index, state.node_pos(e, int(j)),
                                                  model.vocabs.rel.token(int(r_id))))
         assert copies > 0
 
@@ -642,68 +656,93 @@ class TestNoTape:
 class TestExpandRows:
     @pytest.mark.parametrize("dims", ["tiny", "criterion-08"])
     def test_rows_bit_equal_to_each_expansion_alone(self, dims):
-        """Parents of three sentences after two steps, each with several
+        """Rows of three sentences after two steps, each with several
         targets: every row of one ``expand`` call equals ``expand`` on that
         row alone and ``feed_target`` + ``point_source`` +
-        ``relation_dist_all``, bit for bit.  Each step's states, also passed
-        out of order and one of them twice, give ``predict_target`` rows
-        bit-equal to each sentence's state alone against its own encode."""
+        ``relation_dist_all``, bit for bit.  Each step's state, also taken
+        out of order and with one row twice, gives ``predict_target`` rows
+        bit-equal to each sentence's row alone against its own encode."""
         model = build_tiny_model(seed=914, **(SMALL_DIMS if dims == "criterion-08" else {}))
         dec, eos_id = model.decoder, model.vocabs.dec_word.id(EOS_LABEL)
         rng = np.random.default_rng(15)
         inputs = [make_inputs(rng, 4) for _ in range(3)]
         enc = model.encoder.encode(inputs)
         alone_encs = [model.encoder.encode([inp]) for inp in inputs]
-        states = [dec.initial_state(enc, s) for s in range(3)]
+        state = dec.initial_state(enc)
         rel_ins = [BOS_INPUT] * 3
         for step in range(3):
-            outs, fed = dec.predict_target(enc, states, rel_ins)
+            outs, fed = dec.predict_target(enc, state, rel_ins)
             order = [2, 0, 2, 1]
-            mixed, mixed_fed = dec.predict_target(enc, [states[s] for s in order],
+            mixed, mixed_fed = dec.predict_target(enc, state.take(order),
                                                   [rel_ins[s] for s in order])
             for b, s in enumerate(order):
-                alone, (alone_fed,) = dec.predict_target(
-                    alone_encs[s], [replace(states[s], row=0)], [rel_ins[s]])
+                alone, alone_fed = dec.predict_target(
+                    alone_encs[s], replace(state.take([s]), rows=(0,)), [rel_ins[s]])
                 got = output_row(mixed, b)
                 for other in (output_row(alone, 0), output_row(outs, s)):
                     assert_bits(got.p_target.data, other.p_target.data)
                     assert_bits(got.switch.data, other.switch.data)
-                    assert got.covloss.data == other.covloss.data
-                for new in (alone_fed, fed[s]):
-                    for name in ("z_hist", "coverage", "end_rows", "rel_src_rows"):
-                        assert_bits(getattr(mixed_fed[b], name).data, getattr(new, name).data)
-                assert mixed_fed[b].row == fed[s].row == s
+                for new, r in ((alone_fed, 0), (fed, s)):
+                    for name in ("z_hist", "end_rows", "rel_src_rows"):
+                        assert_bits(getattr(mixed_fed, name).data[b],
+                                    getattr(new, name).data[r])
+                assert mixed_fed.rows[b] == fed.rows[s] == s
             parents, records = [], []
             for b in range(3):
                 out = output_row(outs, b)
                 for slot in _top_k(out.p_target.data, 4):
                     if slot != eos_id:
-                        parents.append(fed[b])
+                        parents.append(b)
                         records.append(_slot_info(model, outs, inputs[b].tokens,
                                                   inputs[b].pos, int(slot), b))
-            exp = dec.expand(parents, records)
-            for e, (parent, record) in enumerate(zip(parents, records)):
-                alone = dec.expand([parent], [record])
-                one = dec.feed_target(parent, record)
+            exp = dec.expand(fed, parents, records)
+            for e, (b, record) in enumerate(zip(parents, records)):
+                alone = dec.expand(fed.take([b]), [0], [record])
+                one = dec.feed_target(fed.take([b]), record)
                 assert_bits(exp.p_source[e], alone.p_source[0])
                 assert_bits(exp.p_relation[e], alone.p_relation[0])
                 assert_bits(exp.p_source[e], dec.point_source(one).data)
                 assert_bits(exp.p_relation[e], dec.relation_dist_all(one))
-                for (h, c), (h1, c1) in zip(exp.state(e).lstm, one.lstm):
+                for (h, c), (h1, c1) in zip(exp.state([e]).lstm, one.lstm):
                     assert_bits(h.data, h1.data)
                     assert_bits(c.data, c1.data)
             # each sentence goes on from its first expansion, through ROOT
             # and then the first node
-            firsts = [next(e for e, p in enumerate(parents) if p is fed[b]) for b in range(3)]
-            states = [exp.state(e) for e in firsts]
-            rel_ins = [RelationInput(*_source_of(s, min(step, 1)), s.node_pos(min(step, 1)),
-                                     model.vocabs.rel.token(0)) for s in states]
+            state = exp.state([parents.index(b) for b in range(3)])
+            rel_ins = [RelationInput(*_source_of(state.nodes[b], min(step, 1)),
+                                     state.node_pos(b, min(step, 1)), model.vocabs.rel.token(0))
+                       for b in range(3)]
+
+    def test_an_expansion_selected_twice_gives_two_rows_equal_to_it_alone(self):
+        """``Expansions.state([e, e])``: both rows are bit-equal to feeding
+        that expansion alone, and so are the next step's rows."""
+        model = build_tiny_model(seed=915)
+        dec, eos_id = model.decoder, model.vocabs.dec_word.id(EOS_LABEL)
+        inp = make_inputs(np.random.default_rng(17), 4)
+        enc = model.encoder.encode([inp])
+        outs, state = dec.predict_target(enc, dec.initial_state(enc), [BOS_INPUT])
+        slots = [int(s) for s in _top_k(outs.p_target.data[0], 4) if s != eos_id]
+        records = [_slot_info(model, outs, inp.tokens, inp.pos, slot, 0) for slot in slots]
+        exp = dec.expand(state, [0] * len(records), records)
+        e = len(records) - 1
+        twice, one = exp.state([e, e]), dec.feed_target(state, records[e])
+        rel_in = RelationInput(ROOT_LABEL, ROOT_INDEX, UNK_LABEL, model.vocabs.rel.token(0))
+        out2, next2 = dec.predict_target(enc, twice, [rel_in] * 2)
+        out1, next1 = dec.predict_target(enc, one, [rel_in])
+        for b in range(2):
+            assert twice.nodes[b] == one.nodes[0] and twice.rows[b] == 0
+            for (h, c), (h1, c1) in zip(twice.lstm, one.lstm):
+                assert_bits(h.data[b], h1.data[0])
+                assert_bits(c.data[b], c1.data[0])
+            assert_bits(twice.h.data[b], one.h.data[0])
+            assert_bits(out2.p_target.data[b], out1.p_target.data[0])
+            for name in ("z_hist", "end_rows", "rel_src_rows"):
+                assert_bits(getattr(next2, name).data[b], getattr(next1, name).data[0])
 
     def test_predict_target_refuses_sentences_of_unequal_length(self):
         model = build_tiny_model(seed=914)
         dec = model.decoder
         rng = np.random.default_rng(16)
         enc = model.encoder.encode([make_inputs(rng, 3), make_inputs(rng, 4)])
-        states = [dec.initial_state(enc, s) for s in range(2)]
         with pytest.raises(ValueError, match="unequal length"):
-            dec.predict_target(enc, states, [BOS_INPUT] * 2)
+            dec.predict_target(enc, dec.initial_state(enc), [BOS_INPUT] * 2)

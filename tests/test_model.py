@@ -29,13 +29,13 @@ def drive_steps(model, inp, labels, rng_seed=0):
     """Feed a fixed label sequence; returns collected step outputs."""
     dec = model.decoder
     enc = model.encoder.encode([inp])
-    state = dec.initial_state(enc, 0)
+    state = dec.initial_state(enc)
     rel_in = BOS_INPUT
     outs = []
     for i, label in enumerate(labels):
         out, state = predict_one(dec, enc, state, rel_in)
         outs.append(out)
-        record = reference_node(state.nodes, label, i + 1, inp.tokens, inp.pos)
+        record = reference_node(state.nodes[0], label, i + 1, inp.tokens, inp.pos)
         state = dec.feed_target(state, record)
         pu = dec.point_source(state)
         pr = relation_dist(dec, state, 0)
@@ -216,7 +216,7 @@ class TestDecoderStep:
     def test_first_step_has_no_decoder_copy_mass(self, model):
         inp = make_inputs(np.random.default_rng(4), 3)
         enc = model.encoder.encode([inp])
-        state = model.decoder.initial_state(enc, 0)
+        state = model.decoder.initial_state(enc)
         out, state = predict_one(model.decoder, enc, state, BOS_INPUT)
         assert out.n_dec == 0 and out.a_dec is None
         assert switch_values(out)[2] == 0.0
@@ -239,7 +239,7 @@ class TestDecoderStep:
         inp = make_inputs(np.random.default_rng(7), 3)
         enc = model.encoder.encode([inp])
         dec = model.decoder
-        state = dec.initial_state(enc, 0)
+        state = dec.initial_state(enc)
         out, state = predict_one(dec, enc, state, BOS_INPUT)
         state = dec.feed_target(state, NodeRecord("person", 1, UNK_LABEL, ORIGIN_VOCAB))
         pu = dec.point_source(state)
@@ -268,7 +268,7 @@ class TestDecoderStep:
         dec.ffn_switch.b.data = np.array([50.0, -50.0, -50.0])
         try:
             enc = model.encoder.encode([inp])
-            state = dec.initial_state(enc, 0)
+            state = dec.initial_state(enc)
             out, _ = predict_one(dec, enc, state, BOS_INPUT)
             assert int(np.argmax(out.p_target.data)) == int(np.argmax(out.p_vocab.data))
         finally:
@@ -287,22 +287,22 @@ class TestDecoderStep:
         inp = make_inputs(np.random.default_rng(11), 4)
         dec = model.decoder
         enc = model.encoder.encode([inp])
-        state = dec.initial_state(enc, 0)
+        state = dec.initial_state(enc)
         rel_in = BOS_INPUT
         for i, label in enumerate(["person", "city", "person", "thing"]):
             _, state = predict_one(dec, enc, state, rel_in)
-            state = dec.feed_target(state, reference_node(state.nodes, label, i + 1,
+            state = dec.feed_target(state, reference_node(state.nodes[0], label, i + 1,
                                                           inp.tokens, inp.pos))
             rows = dec.relation_dist_all(state)
-            assert rows.shape == (len(state.nodes), len(model.vocabs.rel))
+            assert rows.shape == (len(state.nodes[0]), len(model.vocabs.rel))
             for j in range(rows.shape[0]):
                 assert np.abs(rows[j] - relation_dist(dec, state, j).data).max() <= 1e-12
             rel_in = RelationInput(label, i + 1, UNK_LABEL, "root")
 
 
 class TestPredictRows:
-    """``predict_target`` over B hypothesis rows, and on one state, against
-    the taped single-state reference (``reference_predict_target``), bit
+    """``predict_target`` over the rows of a state, and on one row alone,
+    against the taped one-row reference (``reference_predict_target``), bit
     for bit."""
 
     @pytest.mark.parametrize("dims", [{}, SMALL_DIMS], ids=["tiny", "small"])
@@ -313,53 +313,60 @@ class TestPredictRows:
         inp = make_inputs(rng, 5)
         enc = model.encoder.encode([inp])
 
-        def random_rel_in(state):
-            j = int(rng.integers(len(state.nodes) + 1))
-            u = state.nodes[j - 1] if j else None
+        def random_rel_in(state, b):
+            nodes = state.nodes[b]
+            j = int(rng.integers(len(nodes) + 1))
+            u = nodes[j - 1] if j else None
             return RelationInput(u.label if u else ROOT_LABEL, u.index if u else ROOT_INDEX,
-                                 state.node_pos(j),
+                                 state.node_pos(b, j),
                                  vocabs.rel.token(int(rng.integers(len(vocabs.rel)))))
 
-        def walk(steps):
-            """A decode prefix of ``steps`` relations with random choices,
-            node copies among them."""
-            state, rel_in = dec.initial_state(enc, 0), BOS_INPUT
+        def random_record(state, b):
+            nodes = state.nodes[b]
+            if nodes and rng.random() < 0.4:
+                rec = nodes[int(rng.integers(len(nodes)))]
+                return NodeRecord(rec.label, rec.index, rec.pos, ORIGIN_DEC, rec.anchors)
+            t = int(rng.integers(len(inp.tokens)))
+            if rng.random() < 0.5:
+                return NodeRecord(inp.tokens[t], state.next_fresh_index(b), inp.pos[t],
+                                  ORIGIN_ENC, (t,))
+            return NodeRecord(vocabs.dec_word.token(int(rng.integers(2, len(vocabs.dec_word)))),
+                              state.next_fresh_index(b), UNK_LABEL, ORIGIN_VOCAB)
+
+        def walk(steps, rows):
+            """Decode prefixes of ``steps`` relations as the rows of one
+            state, each with its own random choices, node copies among
+            them."""
+            state = dec.initial_state(enc).take([0] * rows)
+            rel_ins = [BOS_INPUT] * rows
             for _ in range(steps):
-                _, state = predict_one(dec, enc, state, rel_in)
-                if state.nodes and rng.random() < 0.4:
-                    rec = state.nodes[int(rng.integers(len(state.nodes)))]
-                    record = NodeRecord(rec.label, rec.index, rec.pos, ORIGIN_DEC, rec.anchors)
-                else:
-                    t = int(rng.integers(len(inp.tokens)))
-                    record = (NodeRecord(inp.tokens[t], state.next_fresh_index, inp.pos[t],
-                                         ORIGIN_ENC, (t,)) if rng.random() < 0.5 else
-                              NodeRecord(vocabs.dec_word.token(
-                                  int(rng.integers(2, len(vocabs.dec_word)))),
-                                  state.next_fresh_index, UNK_LABEL, ORIGIN_VOCAB))
-                state = dec.feed_target(state, record)
-                rel_in = random_rel_in(state)
-            return state, rel_in
+                _, state = dec.predict_target(enc, state, rel_ins)
+                state = dec.expand(state, range(rows), [random_record(state, b)
+                                                        for b in range(rows)]).state(range(rows))
+                rel_ins = [random_rel_in(state, b) for b in range(rows)]
+            return state, rel_ins
 
         for steps, n_dec in ((0, 0), (1, 0), (2, 1), (4, 3)):
             for rows in (1, 2, 5):
-                states, rel_ins = map(list, zip(*[walk(steps) for _ in range(rows)]))
-                out, fed = dec.predict_target(enc, states, rel_ins)
-                assert out.p_target.ndim == 2 and len(fed) == rows and out.n_dec == n_dec
-                for b, (state, rel_in) in enumerate(zip(states, rel_ins)):
-                    ref, ref_new = reference_predict_target(dec, enc, state, rel_in)
-                    one = predict_one(dec, enc, state, rel_in)
-                    for got, new in ((output_row(out, b), fed[b]), one):
+                state, rel_ins = walk(steps, rows)
+                out, fed = dec.predict_target(enc, state, rel_ins)
+                assert out.p_target.ndim == 2 and len(fed.rows) == rows and out.n_dec == n_dec
+                assert fed.h is state.h and fed.lstm is state.lstm and fed.nodes == state.nodes
+                for b, rel_in in enumerate(rel_ins):
+                    alone = state.take([b])
+                    ref, ref_new, _, _ = reference_predict_target(dec, enc, alone, rel_in)
+                    one = predict_one(dec, enc, alone, rel_in)
+                    for got, new in ((output_row(out, b), fed.take([b])), one):
                         assert got.p_target.shape == ref.p_target.shape
                         assert np.array_equal(got.p_target.data, ref.p_target.data)
-                        assert got.covloss.shape == () and got.covloss.data == ref.covloss.data
                         assert switch_values(got) == switch_values(ref)
-                        assert got.n_dec == n_dec and got.dec_records == state.nodes[:n_dec]
-                        assert got.fresh_index == state.next_fresh_index
-                        for name in ("z_hist", "coverage", "end_rows", "rel_src_rows"):
+                        assert got.n_dec == n_dec and got.dec_records == alone.nodes[0][:n_dec]
+                        assert got.fresh_index == alone.next_fresh_index(0)
+                        for name in ("z_hist", "end_rows", "rel_src_rows"):
                             assert np.array_equal(getattr(new, name).data,
                                                   getattr(ref_new, name).data), name
-                        assert new.step == state.step + 1 and new.nodes == state.nodes
-                        assert new.h is state.h and new.lstm is state.lstm
+                        assert new.step == state.step + 1 and new.nodes == alone.nodes
+                    assert one[1].h is alone.h and one[1].lstm is alone.lstm
 
 
 class TestLabelMemo:
@@ -390,7 +397,7 @@ class TestLabelMemo:
     def test_every_lookup_under_a_tape_is_new_and_recorded(self, model):
         dec = model.decoder
         enc = model.encoder.encode([make_inputs(np.random.default_rng(63), 3)])
-        memo = dec.initial_state(enc, 0).label_memo
+        memo = dec.initial_state(enc).label_memo
         cached = dec.label_vec("person", "NN", memo)
         assert dec.label_vec("person", "NN", memo) is cached
         with ad.Tape() as tape:
@@ -409,45 +416,45 @@ class TestIndexAndPos:
         dec = model.decoder
         inp = make_inputs(np.random.default_rng(11), 3)
         enc = model.encoder.encode([inp])
-        state = dec.initial_state(enc, 0)
+        state = dec.initial_state(enc)
         out, state = predict_one(dec, enc, state, BOS_INPUT)
-        assert state.next_fresh_index == 1
+        assert state.next_fresh_index(0) == 1
         state = dec.feed_target(state, NodeRecord("person", 1, "NN", ORIGIN_VOCAB))
         out, state = predict_one(dec, enc, state, RelationInput("person", 1, "NN", "root"))
-        assert state.next_fresh_index == 2
+        assert state.next_fresh_index(0) == 2
         state = dec.feed_target(state, NodeRecord("city", 2, "NN", ORIGIN_VOCAB))
         # copying node 1 reuses its index
-        assert state.nodes[0].index == 1
-        assert state.next_fresh_index == 3
+        assert state.nodes[0][0].index == 1
+        assert state.next_fresh_index(0) == 3
 
     def test_reference_pos_rules(self, model):
         dec = model.decoder
         inp = EncoderInput(tokens=["Pierre", "expressed"], pos=["NNP", "VBD"])
         enc = model.encoder.encode([inp])
-        state = dec.initial_state(enc, 0)
+        state = dec.initial_state(enc)
         _, state = predict_one(dec, enc, state, BOS_INPUT)
         # token copy: POS of the matching token
-        rec = reference_node(state.nodes, "Pierre", 1, inp.tokens, inp.pos)
+        rec = reference_node(state.nodes[0], "Pierre", 1, inp.tokens, inp.pos)
         assert rec.pos == "NNP" and rec.origin == ORIGIN_ENC
         state = dec.feed_target(state, rec)
         # node copy: same index as an earlier node -> that node's POS
-        rec2 = reference_node(state.nodes, "Pierre", 1, inp.tokens, inp.pos)
+        rec2 = reference_node(state.nodes[0], "Pierre", 1, inp.tokens, inp.pos)
         assert rec2.pos == "NNP" and rec2.origin == ORIGIN_DEC
         # generated: UNK tag
-        rec3 = reference_node(state.nodes, "want", 7, inp.tokens, inp.pos)
+        rec3 = reference_node(state.nodes[0], "want", 7, inp.tokens, inp.pos)
         assert rec3.pos == UNK_LABEL and rec3.origin == ORIGIN_VOCAB
 
     def test_pos_propagates_through_node_copies(self, model):
         dec = model.decoder
         inp = EncoderInput(tokens=["Pierre"], pos=["NNP"])
         enc = model.encoder.encode([inp])
-        state = dec.initial_state(enc, 0)
+        state = dec.initial_state(enc)
         _, state = predict_one(dec, enc, state, BOS_INPUT)
         state = dec.feed_target(
             state, NodeRecord("Pierre", 1, "NNP", ORIGIN_ENC, (0,)))
         _, state = predict_one(dec, enc, state, RelationInput("Pierre", 1, "NNP", "root"))
         # copy of the copy still carries NNP
-        rec = reference_node(state.nodes, "Pierre", 1, inp.tokens, inp.pos)
+        rec = reference_node(state.nodes[0], "Pierre", 1, inp.tokens, inp.pos)
         assert rec.pos == "NNP"
 
     def test_index_overflow_clamps_to_bucket(self, model):
@@ -485,11 +492,11 @@ class TestGradientFlow:
         dec = model.decoder
         with ad.Tape() as tape:
             enc = model.encoder.encode([inp])
-            state = dec.initial_state(enc, 0)
-            _, state = reference_predict_target(dec, enc, state, BOS_INPUT)
+            state = dec.initial_state(enc)
+            _, state, _, coverage = reference_predict_target(dec, enc, state, BOS_INPUT)
             state = reference_feed(dec, state, NodeRecord("person", 1, "NN", ORIGIN_VOCAB))
-            _, state = reference_predict_target(dec, enc, state,
-                                                RelationInput("person", 1, "NN", "root"))
+            _, state, _, _ = reference_predict_target(
+                dec, enc, state, RelationInput("person", 1, "NN", "root"), coverage)
             state = reference_feed(dec, state, NodeRecord("city", 2, "NN", ORIGIN_VOCAB))
             pr = relation_dist(dec, state, 1)
             loss = ad.log(ad.element(pr, 2))

@@ -31,7 +31,8 @@ from arbor.training import (
 
 from conftest import (build_tiny_model, encode_one, gold_support, grad_check, make_inputs,
                       predict_one, random_arborescence, reference_feed, reference_predict_target,
-                      relation_dist, repeat_rows, sentence_loss, synthetic_corpus)
+                      relation_dist, repeat_rows, sentence_loss, synthetic_corpus,
+                      tiny_config)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,8 +45,8 @@ def reference_sequence_loss(model, enc_input, reference, *, label_smoothing=0.1,
     ``sequence_loss`` must equal it to rounding."""
     dec = model.decoder
     enc = encode_one(model.encoder, enc_input, train, rng)
-    state = dec.initial_state(enc, 0)
-    rel_in = BOS_INPUT
+    state = dec.initial_state(enc)
+    rel_in, coverage = BOS_INPUT, None
 
     zero = ad.constant(np.zeros(()))
     nll_u, nll_r, nll_v, cov = zero, zero, zero, zero
@@ -69,10 +70,11 @@ def reference_sequence_loss(model, enc_input, reference, *, label_smoothing=0.1,
         return -ad.matmul(ad.constant(smoothed_targets(logits.shape[0], gold, eps)), logp)
 
     for i, rel in enumerate(reference.relations):
-        out, state = reference_predict_target(dec, enc, state, rel_in, train, rng)
-        cov = ad.add(cov, out.covloss)
+        out, state, covloss, coverage = reference_predict_target(dec, enc, state, rel_in,
+                                                                 coverage, train, rng)
+        cov = ad.add(cov, covloss)
         nll_v = ad.add(nll_v, target_nll(out, rel.target, rel.target_index))
-        record = reference_node(state.nodes, rel.target, rel.target_index, enc_input.tokens,
+        record = reference_node(state.nodes[0], rel.target, rel.target_index, enc_input.tokens,
                                 enc_input.pos, rel.target_anchors)
         state = reference_feed(dec, state, record, train, rng)
         gold_pos = resolve_source(reference.relations[:i], rel.source, rel.source_index)
@@ -84,11 +86,13 @@ def reference_sequence_loss(model, enc_input, reference, *, label_smoothing=0.1,
             nll_u = ad.add(nll_u, -ad.element(ad.log_softmax(masked), gold_pos - 1))
         nll_r = ad.add(nll_r, smoothed_ce(dec.relation_scores(state, gold_pos),
                                           dec.rel_vocab.id(rel.rel)))
-        rel_in = RelationInput(rel.source, rel.source_index, state.node_pos(gold_pos), rel.rel)
+        rel_in = RelationInput(rel.source, rel.source_index, state.node_pos(0, gold_pos),
+                               rel.rel)
 
     if reference.eos:
-        out, state = reference_predict_target(dec, enc, state, rel_in, train, rng)
-        cov = ad.add(cov, out.covloss)
+        out, state, covloss, coverage = reference_predict_target(dec, enc, state, rel_in,
+                                                                 coverage, train, rng)
+        cov = ad.add(cov, covloss)
         nll_v = ad.add(nll_v, target_nll(out, EOS_LABEL))
 
     total = ad.add(ad.add(nll_u, nll_r), ad.add(nll_v, ad.mul(cov, coverage_weight)))
@@ -265,14 +269,13 @@ class TestSequenceLoss:
         assert b["total"] == pytest.approx(a["total"] + 2.0 * a["coverage_penalty"])
 
     def test_first_step_coverage_is_zero_exactly(self):
+        # one relation and no EOS: one prediction step, so the penalty is
+        # the first step's alone
         model = build_tiny_model(seed=4)
         inp = make_inputs(np.random.default_rng(1), 3)
         ref = RelationSequence((Relation("@root@", 0, "root", "person", 1),), eos=False)
-        dec = model.decoder
-        enc = model.encoder.encode([inp])
-        state = dec.initial_state(enc, 0)
-        out, _ = predict_one(dec, enc, state, BOS_INPUT)
-        assert float(out.covloss.data) == 0.0
+        loss = sentence_loss(model, inp, ref, train=False)
+        assert float(loss.coverage_penalty.data) == 0.0
 
     def test_loss_equals_direct_probability_product(self):
         # eps = 0, coverage weight 0: loss must be -log of the stepwise
@@ -285,20 +288,20 @@ class TestSequenceLoss:
 
         dec = model.decoder
         enc = model.encoder.encode([inp])
-        state = dec.initial_state(enc, 0)
+        state = dec.initial_state(enc)
         rel_in = BOS_INPUT
         logp = 0.0
         for i, rel in enumerate(ref.relations):
             out, state = predict_one(dec, enc, state, rel_in)
             logp += np.log(out.p_target.data[dec.word_vocab.id(rel.target)])
-            record = reference_node(state.nodes, rel.target, rel.target_index,
+            record = reference_node(state.nodes[0], rel.target, rel.target_index,
                                     inp.tokens, inp.pos)
             state = dec.feed_target(state, record)
             pos = resolve_source(ref.relations[:i], rel.source, rel.source_index)
             logp += np.log(dec.point_source(state).data[pos])
             logp += np.log(relation_dist(dec, state, pos).data[dec.rel_vocab.id(rel.rel)])
             rel_in = RelationInput(rel.source, rel.source_index,
-                                   state.node_pos(pos), rel.rel)
+                                   state.node_pos(0, pos), rel.rel)
         out, _ = predict_one(dec, enc, state, rel_in)
         logp += np.log(out.p_target.data[dec.word_vocab.id("@end@")])
         assert float(loss.total.data) == pytest.approx(-logp, abs=1e-10)
@@ -426,6 +429,22 @@ class TestTrainLoop:
         fresh = build_tiny_model(seed=15)
         for name, t in model.parameters().items():
             assert np.array_equal(t.data, fresh.parameters()[name].data), name
+
+    def test_missing_feature_column_rejected_before_training(self, monkeypatch):
+        from arbor import training
+
+        anon = [(EncoderInput(inp.tokens, inp.pos, features={"anon": ["x"] * len(inp.tokens)}),
+                 ref) for inp, ref in self._pairs(None)]
+        cfg = tiny_config()
+        model = TransducerModel(cfg, build_vocabularies(cfg, [inp for inp, _ in anon],
+                                                        [ref for _, ref in anon]), seed=17)
+        calls = []
+        monkeypatch.setattr(training, "sequence_loss",
+                            lambda *args, **kwargs: calls.append(args))
+        dev = [self._pairs(None)[0]] + anon[1:]  # dev pair 0 lacks the column
+        with pytest.raises(ValueError, match="^dev pair 0: missing feature column 'anon'"):
+            train(model, anon, dev, TrainConfig(batch_size=2, max_epochs=1))
+        assert not calls
 
     def test_unresolvable_source_rejected_before_training(self):
         model = build_tiny_model(seed=16)
