@@ -251,26 +251,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _apply(out, [(a, grad_a), (b, grad_b)])
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor, per_row: bool = False) -> Tensor:
+def affine(x: Tensor, w: Tensor, b: Tensor | None, per_row: bool = False,
+           w_t: np.ndarray | None = None) -> Tensor:
     """``w @ x + b`` for a vector ``x``, ``x @ w.T + b`` for a matrix of rows
-    or a stack of such matrices.
+    or a stack of such matrices; with ``b`` None, no bias is added.
 
     One op in place of matmul + add (+ transpose).  The rows form multiplies
     each matrix by a C-ordered copy of ``w.T``, as ``matmul(x, transpose(w))``
     did: BLAS takes another kernel for a transposed view and rounds
-    differently.  With ``per_row`` every row is instead its own product
-    (``_mv``), bit-equal to the vector form on that row; the one gemm over
-    all rows is not.  The backward works on rows, a vector being one row.
+    differently.  A caller that multiplies by an unchanged weight many
+    times makes that copy once and passes it as ``w_t``; it must hold
+    ``w``'s current values.  With ``per_row`` every row is instead its own
+    product (``_mv``), bit-equal to the vector form on that row; the one
+    gemm over all rows is not.  The backward works on rows, a vector being
+    one row.
     """
-    if (w.ndim != 2 or b.shape != (w.shape[0],) or x.ndim not in (1, 2, 3)
-            or x.shape[-1] != w.shape[1]):
-        raise ShapeError(f"affine: x {x.shape}, w {w.shape}, b {b.shape}")
-    out = (_mv(w.data, x.data) if x.ndim == 1 or per_row else x.data @ w.data.T.copy()) + b.data
-    return _apply(out, [
-        (x, lambda g: g @ w.data),
-        (w, lambda g: _weight_grad(g, x.data)),
-        (b, lambda g: _sum_to(g, b.shape)),
-    ])
+    if (w.ndim != 2 or b is not None and b.shape != (w.shape[0],) or x.ndim not in (1, 2, 3)
+            or x.shape[-1] != w.shape[1] or w_t is not None and w_t.shape != w.shape[::-1]):
+        raise ShapeError(f"affine: x {x.shape}, w {w.shape}, b {None if b is None else b.shape}"
+                         + ("" if w_t is None else f", w_t {w_t.shape}"))
+    if x.ndim == 1 or per_row:
+        out = _mv(w.data, x.data)
+    else:
+        out = x.data @ (w.data.T.copy() if w_t is None else w_t)
+    grads = [(x, lambda g: g @ w.data), (w, lambda g: _weight_grad(g, x.data))]
+    if b is None:
+        return _apply(out, grads)
+    return _apply(out + b.data, grads + [(b, lambda g: _sum_to(g, b.shape))])
 
 
 def affine_max(x: Tensor, w: Tensor, b: Tensor, lengths) -> Tensor:
@@ -452,14 +459,40 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 # Fused layers
 
 
+# _mv streams a weight of at least _BLOCK_MIN entries in blocks of about
+# _BLOCK entries (512 KB, a multiple of 4 rows); a block stays in L2 while
+# every row reads it
+_BLOCK_MIN, _BLOCK = 1 << 20, 1 << 16
+
+
 def _mv(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``w @ x`` for a vector ``x``, or for each row of a matrix ``x``.
+    """``w @ x`` for a vector ``x``, or for each row of a matrix or a stack
+    ``x``.
 
     Each row is its own BLAS call, the one the vector product makes, so a
     row of the result is bit-equal to the product of that row alone; one
-    gemm over all rows would round differently.
+    gemm over all rows would round differently.  One row is always that
+    one call.  With two rows or more, a weight of at least ``_BLOCK_MIN``
+    entries whose row count is a multiple of 4 is read in blocks of rows,
+    each block's product for every row before the next block (cache
+    blocking, Goto & van de Geijn, ACM TOMS 2008), so the weight streams
+    from memory once rather than once per row.
+
+    A block holds a multiple of 4 rows, and OpenBLAS's gemv kernels take
+    rows in groups of 4, so on one BLAS thread every output of a block was
+    bit-equal to the one call's in every probe (a property of the kernels,
+    not a guarantee of BLAS).  With several threads OpenBLAS splits one
+    call's rows between them, and the rows next to a split that is not a
+    multiple of 4 can round differently in the one call than in a block.
     """
-    return np.matmul(w, x[..., None])[..., 0]
+    m, d = w.shape
+    if x.size < 2 * d or w.size < _BLOCK_MIN or m % 4:
+        return np.matmul(w, x[..., None])[..., 0]
+    rows = max(4, _BLOCK // d // 4 * 4)
+    out = np.empty(x.shape[:-1] + (m,))
+    for s in range(0, m, rows):
+        out[..., s:s + rows] = np.matmul(w[s:s + rows], x[..., None])[..., 0]
+    return out
 
 
 def _lstm_gates(gates: np.ndarray, c_prev: np.ndarray, hid: int):

@@ -284,11 +284,16 @@ def _records_by_id(path) -> dict:
 
 def cmd_eval(args) -> int:
     """Score each prediction against its gold graph; the report counts the
-    pairs scored and lists ``failed_ids``, the pairs ``_Failures`` skipped."""
+    pairs scored and lists ``failed_ids``, the pairs ``_Failures`` skipped.
+    A gold record without a prediction, or a prediction without a gold
+    record, is an error."""
     gold, pred = _records_by_id(args.gold), _records_by_id(args.pred)
     missing = sorted(set(gold) - set(pred))
     if missing:
         raise CliError(f"predictions missing for ids: {missing[:5]}")
+    unscored = sorted(set(pred) - set(gold))
+    if unscored:
+        raise CliError(f"gold records missing for predicted ids: {unscored[:5]}")
 
     failures = _Failures()
     reports, predicted = [], []
@@ -324,6 +329,8 @@ def cmd_bench(args) -> int:
     _check_search_args(args)
     model = TransducerModel.load(args.model)
     inputs = [encoder_input_from_record(r) for r in formats.read_canonical_file(args.input)]
+    if not inputs:
+        raise CliError(f"{args.input}: no sentences to benchmark")
     report = speed_bench(model, inputs, beam_size=args.beam,
                          max_len=100 if args.max_len is None else args.max_len)
     payload = {

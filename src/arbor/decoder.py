@@ -25,14 +25,24 @@ sources and relation types; ``Expansions.state`` gathers the chosen
 expansions into the next state.  Every row of both calls is bit-equal to
 that row alone: a weight times the rows' queries is one
 vector product per row (``per_row``: one gemv, the one the vector form
-makes), and a product over a row's keys is one matrix of a stacked
-matmul; a gemm over all rows would round each row differently depending
-on the others.  So an ``expand`` row is also bit-equal to ``feed_target``
+makes, which ``autodiff._mv`` runs over row blocks of a large weight),
+and a product over a row's keys is one matrix of a stacked matmul; a
+gemm over all rows would round each row differently depending on the
+others.  So an ``expand`` row is also bit-equal to ``feed_target``
 (one expansion) followed by ``point_source`` and ``relation_dist_all``,
 the one-row reference that ``expand`` is tested against.  Decoding has no
 train mode and carries no coverage: the LSTM step runs forward only (it
 refuses a tape), ``predict_target`` draws no dropout, and coverage enters
 only the training loss.
+
+What no step changes is made once per decode, by ``initial_state``, as
+the state's ``DecodeConstants``: each sentence's encoder keys through
+the encoder attention's key half (one matrix per sentence, as ``pairs``
+projects them), and the transposed halves of both attention weights.
+The decoder-copy keys, the z history, go through the key half every
+step: a row of a gemm rounds with the number of rows, so a z projected
+once as it joined the history would not give the scores ``pairs``
+gives.
 
 Each node is projected once: when a node's state becomes a pointer
 candidate (in ``predict_target``), its ``mlp_end`` and ``mlp_rel_src`` rows
@@ -97,6 +107,20 @@ BOS_INPUT = RelationInput(ROOT_LABEL, ROOT_INDEX, UNK_LABEL, ROOT_RELATION)
 
 
 @dataclass(frozen=True)
+class DecodeConstants:
+    """What every step of one decode reads and no step changes, made once
+    by ``initial_state``: each sentence's encoder keys through the encoder
+    attention's key half, and the transposes of both attention scorers
+    (``nn.AttentionScorer.transposes``).  They hold the weights of the
+    moment the decode started; the next decode makes its own."""
+
+    enc: EncoderOutput  # the encoding they were made from
+    enc_keys: Tensor  # (sentences, n, attn_hidden): W_k of each encoder state
+    attn: nn.Transposes
+    dec_attn: nn.Transposes
+
+
+@dataclass(frozen=True)
 class DecoderState:
     """The hypotheses of a decode after ``step`` relations, as rows: every
     tensor has a leading row axis, and ``nodes`` and ``rows`` hold one entry
@@ -116,6 +140,8 @@ class DecoderState:
     end_rows: Tensor
     rel_src_rows: Tensor
     rows: tuple[int, ...]  # each row's sentence in the encoded batch
+    # shared by all states of one decode, as label_memo is
+    constants: DecodeConstants = field(compare=False, repr=False)
     # (label, pos) -> label_vec for one decode (of one sentence or of several
     # in lockstep), shared by all of its states and never by the model; read
     # and filled only while no tape records
@@ -289,6 +315,7 @@ class Decoder(nn.Module):
         c, rows = self.config, len(enc.lengths)
         lstm = tuple((h, ad.constant(np.zeros((rows, c.decoder_hidden)))) for h in enc.init)
         return DecoderState(
+            constants=self.decode_constants(enc),
             lstm=lstm,
             h=enc.init[-1],
             z_hist=ad.constant(np.zeros((rows, 0, c.relation_hidden))),
@@ -298,6 +325,14 @@ class Decoder(nn.Module):
             rel_src_rows=ad.constant(np.zeros((rows, 0, c.bilinear_size))),
             rows=tuple(range(rows)),
         )
+
+    def decode_constants(self, enc: EncoderOutput) -> DecodeConstants:
+        """The ``DecodeConstants`` of a decode of ``enc`` with the current
+        weights.  The encoder keys are one stacked matmul, one matrix per
+        sentence, as ``pairs`` projects them."""
+        attn = self.attn_mlp.transposes(self.config.decoder_hidden)
+        return DecodeConstants(enc, self.attn_mlp.project_keys(enc.states, attn), attn,
+                               self.dec_attn_mlp.transposes(self.config.relation_hidden))
 
     def predict_target(self, enc: EncoderOutput, state: DecoderState,
                        rel_ins: list[RelationInput]) -> tuple[StepOutput, DecoderState]:
@@ -313,17 +348,21 @@ class Decoder(nn.Module):
         Each row is bit-equal to that row alone.  A weight times the rows'
         queries (the ``ffn_*`` layers, ``mlp_end``, ``mlp_rel_src``, the
         attentions' query halves) is one vector product per row, and a
-        product over a row's keys (the attentions' ``pairs``, ``a_enc @
-        enc.states``) is one matrix of a stacked matmul; a gemm over all
-        rows would round differently.
+        product over a row's keys (the attentions' key halves and output
+        layers, ``a_enc @ enc.states``) is one matrix of a stacked matmul;
+        a gemm over all rows would round differently.  The encoder keys
+        come projected from ``state.constants``, which are made again for
+        an encoding other than the one the state was started from.
         """
         rows, n = len(state.rows), enc.n
         if min(enc.lengths) < n:
             raise ValueError("predict_target: sentences of unequal length need padding masks")
+        consts = state.constants if state.constants.enc is enc else self.decode_constants(enc)
         keys = ad.embedding_gather(enc.states, state.rows)
         h = state.h
 
-        a_enc = ad.softmax(self.attn_mlp.pairs(h, keys))
+        a_enc = ad.softmax(self.attn_mlp.score(
+            h, ad.embedding_gather(consts.enc_keys, state.rows), consts.attn))
         context = ad.reshape(ad.matmul(ad.reshape(a_enc, (rows, 1, n)), keys),
                              (rows, keys.shape[2]))
 
@@ -341,7 +380,9 @@ class Decoder(nn.Module):
         n_dec = z_hist.shape[1]
         blocks = [p_vocab, a_enc]
         if n_dec:
-            a_dec = ad.softmax(self.dec_attn_mlp.pairs(z, z_hist))
+            dec_attn = self.dec_attn_mlp
+            a_dec = ad.softmax(dec_attn.score(
+                z, dec_attn.project_keys(z_hist, consts.dec_attn), consts.dec_attn))
             blocks.append(a_dec)
         else:
             # no copyable nodes yet: decoder-copy mass is exactly zero

@@ -20,6 +20,8 @@ can address every tensor individually.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import autodiff as ad
@@ -93,6 +95,16 @@ class Mlp(Module):
         return ad.elu(self.lin(x, per_row))
 
 
+class Transposes(NamedTuple):
+    """C-ordered copies of an ``AttentionScorer``'s weights transposed, as
+    ``autodiff.affine``'s rows form multiplies by them: the first layer's
+    query half ``W_q`` and key half ``W_k``, and the output layer."""
+
+    q: np.ndarray
+    k: np.ndarray
+    out: np.ndarray
+
+
 class AttentionScorer(Module):
     """Additive attention scoring: project elu hidden features to a scalar.
 
@@ -115,20 +127,42 @@ class AttentionScorer(Module):
         stack of one-row query matrices, giving ``(m, n)``.
 
         The first layer is split as ``W [q; k] = W_q q + W_k k``, both
-        halves sliced from the one weight, so no ``[q; k]`` row is built.
-        The output layer keeps the stack axis: each matrix of a stack is its
-        own product, so its scores are bit-equal to that matrix alone.
+        halves sliced from the one weight, so no ``[q; k]`` row is built:
+        ``pairs`` is ``score`` of the keys' ``project_keys``.  The output
+        layer keeps the stack axis: each matrix of a stack is its own
+        product, so its scores are bit-equal to that matrix alone.
         """
+        return self.score(queries, self.project_keys(keys))
+
+    def project_keys(self, keys: Tensor, transposes: Transposes | None = None) -> Tensor:
+        """The key half of the first layer, ``W_k k``, of every key row of a
+        matrix or a stack of them, as the one product of each matrix that
+        ``pairs`` makes; ``transposes`` saves copying ``W_k``'s transpose."""
         lin = self.mlp.lin
+        return ad.affine(keys, ad.narrow(lin.w, 1, lin.in_dim - keys.shape[-1], lin.in_dim),
+                         ad.constant(np.zeros(lin.out_dim)), w_t=transposes and transposes.k)
+
+    def score(self, queries: Tensor, keys: Tensor, transposes: Transposes | None = None) -> Tensor:
+        """``pairs`` of ``queries`` against keys already projected by
+        ``project_keys``; ``transposes`` saves copying the query half's and the
+        output layer's transposes."""
+        lin, out = self.mlp.lin, self.out
         shape, d = queries.shape[:-1] + keys.shape[-2:-1], queries.shape[-1]
         if keys.ndim == queries.ndim + 1:  # one-row query matrices
             queries = ad.reshape(queries, queries.shape[:-1] + (1, d))
-        q = ad.affine(queries, ad.narrow(lin.w, 1, 0, d), lin.b)
-        k = ad.affine(keys, ad.narrow(lin.w, 1, d, lin.in_dim),
-                      ad.constant(np.zeros(lin.out_dim)))
-        hidden = ad.elu(ad.pairwise_add(q, k))
+        q = ad.affine(queries, ad.narrow(lin.w, 1, 0, d), lin.b, w_t=transposes and transposes.q)
+        hidden = ad.elu(ad.pairwise_add(q, keys))
         hidden = ad.reshape(hidden, queries.shape[:-2] + (-1, lin.out_dim))
-        return ad.reshape(self.out(hidden), shape)
+        return ad.reshape(ad.affine(hidden, out.w, out.b, w_t=transposes and transposes.out), shape)
+
+    def transposes(self, query_dim: int) -> Transposes:
+        """C-ordered copies of the transposes that the rows form multiplies
+        by, for queries of ``query_dim``, made once for a caller that scores
+        many times with unchanged weights (a decode).  They hold the
+        weights' values of this moment."""
+        w = self.mlp.lin.w.data
+        return Transposes(w[:, :query_dim].T.copy(), w[:, query_dim:].T.copy(),
+                          self.out.w.data.T.copy())
 
 
 class Biaffine(Module):
@@ -174,7 +208,7 @@ class Bilinear(Module):
     query, ``(q, m, dim1)``, giving ``(q, m, k)``.  One query is a one-row
     stack.  The queries are projected by one gemm, so each query's block
     agrees with that query alone to rounding; with ``per_row`` each query is
-    its own product and its block is bit-equal to it.
+    its own product (``autodiff._mv``) and its block is bit-equal to it.
     """
 
     def __init__(self, rng, dim1: int, dim2: int, classes: int):
@@ -191,7 +225,7 @@ class Bilinear(Module):
                 f"bilinear: got {x1.shape} and {x2.shape}, expected (q, m, {d1}) and (q, {d2})")
         q, flat = x2.shape[0], ad.reshape(self.u, (k * d1, d2))
         if per_row:
-            t = ad.matmul(flat, ad.reshape(x2, (q, d2, 1)))
+            t = ad.affine(x2, flat, None, per_row=True)
         else:
             t = ad.transpose(ad.matmul(flat, ad.transpose(x2)))
         return ad.add(ad.matmul(x1, ad.transpose(ad.reshape(t, (q, k, d1)))), self.b)

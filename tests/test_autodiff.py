@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -854,3 +860,75 @@ class TestLstmStep:
         x, h, c = t(np.ones((1, 3))), t(np.ones((1, 2))), t(np.ones((1, 2)))
         with Tape(), pytest.raises(TapeError, match="lstm_step"):
             ad.lstm_step(x, h, c, t(np.ones((8, 3))), t(np.ones((8, 2))), t(np.ones(8)), [0])
+
+
+class TestBlockedMv:
+    """``_mv`` reads a weight of at least ``_BLOCK_MIN`` entries, whose row
+    count is a multiple of 4, in row blocks when it has two rows or more;
+    every row stays bit-equal to that row alone and to the one call."""
+
+    @staticmethod
+    def count_matmuls(monkeypatch) -> list:
+        calls, real = [], np.matmul
+
+        def matmul(a, b, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(ad.np, "matmul", matmul)
+        return calls
+
+    @pytest.mark.parametrize("lead", [(2,), (5,), (16,), (2, 3)])
+    def test_rows_read_the_weight_in_blocks(self, lead, monkeypatch):
+        rng = np.random.default_rng(41)
+        w = rng.standard_normal((1028, 1024))  # 17 blocks of 64 rows, the last of 4
+        x = rng.standard_normal(lead + (1024,))
+        assert w.size >= ad._BLOCK_MIN
+        calls = self.count_matmuls(monkeypatch)
+        got = ad._mv(w, x)
+        assert calls == [(64, 1024)] * 16 + [(4, 1024)]
+        monkeypatch.undo()
+        for r in np.ndindex(lead):  # each row: its own call on each block
+            assert_bits([got[r]], [np.concatenate([np.matmul(w[s:s + 64], x[r])
+                                                   for s in range(0, 1028, 64)])])
+
+    def test_each_row_bit_equal_to_it_alone_on_one_blas_thread(self):
+        # OpenBLAS splits one gemv's rows between its threads, and a row
+        # next to a split that is not a multiple of 4 rows rounds
+        # differently in the one call than in a block; so the rows are
+        # compared in a child process with one BLAS thread, as the
+        # benchmark runs
+        code = textwrap.dedent("""
+            import numpy as np
+            from arbor import autodiff as ad
+            rng = np.random.default_rng(41)
+            w = rng.standard_normal((1028, 1024))
+            for lead in [(2,), (5,), (16,), (2, 3)]:
+                x = rng.standard_normal(lead + (1024,))
+                got = ad._mv(w, x)
+                assert np.array_equal(got, np.matmul(w, x[..., None])[..., 0]), lead
+                for r in np.ndindex(lead):
+                    assert np.array_equal(got[r], ad._mv(w, x[r])), (lead, r)
+                    assert np.array_equal(got[r], np.matmul(w, x[r])), (lead, r)
+            print("rows bit-equal")
+        """)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(Path(ad.__file__).parent.parent),
+                                               os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0 and proc.stdout.strip() == "rows bit-equal", proc.stderr
+
+    @pytest.mark.parametrize("shape, rows", [
+        ((1028, 1024), 1),   # one row
+        ((1027, 1024), 16),  # a row count that is not a multiple of 4
+        ((256, 256), 16),    # the largest criterion-08 weight
+    ])
+    def test_plain_call(self, shape, rows, monkeypatch):
+        rng = np.random.default_rng(42)
+        w, x = rng.standard_normal(shape), rng.standard_normal((rows, shape[1]))
+        calls = self.count_matmuls(monkeypatch)
+        got = ad._mv(w, x)
+        assert calls == [shape]
+        monkeypatch.undo()
+        assert_bits([got], [np.matmul(w, x[..., None])[..., 0]])

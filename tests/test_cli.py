@@ -440,6 +440,30 @@ class TestTrainParseEvalBench:
         assert report["graphs"] == 3
         assert "invalid_rate" in report
 
+    def test_bench_rejects_a_file_with_no_sentences(self, trained, tmp_path, caplog):
+        ckpt, _, _ = trained
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "speed.json"
+        assert main(["bench", "--model", str(ckpt), "--input", str(empty),
+                     "--output", str(out)]) == 1
+        assert f"{empty}: no sentences to benchmark" in caplog.text
+        assert not out.exists()
+
+    def test_eval_rejects_predictions_without_gold(self, tmp_path, caplog):
+        records = synthetic_corpus()
+        gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+        amr = [r for r in records if r.framework == Framework.AMR]
+        write_corpus(gold, amr)
+        write_corpus(pred, records)
+        out = tmp_path / "report.json"
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred),
+                     "--output", str(out)]) == 1
+        unscored = sorted({r.id for r in records} - {r.id for r in amr})
+        assert len(amr) < len(records)
+        assert f"gold records missing for predicted ids: {unscored[:5]}" in caplog.text
+        assert not out.exists()
+
     def test_bench_report(self, trained, tmp_path):
         ckpt, _, records = trained
         sentences = tmp_path / "sents.jsonl"

@@ -746,3 +746,49 @@ class TestExpandRows:
         enc = model.encoder.encode([make_inputs(rng, 3), make_inputs(rng, 4)])
         with pytest.raises(ValueError, match="unequal length"):
             dec.predict_target(enc, dec.initial_state(enc), [BOS_INPUT] * 2)
+
+
+class TestDecodeConstants:
+    def test_encoder_keys_projected_once_per_sentence(self, monkeypatch):
+        """A decode projects its encoder keys once, one matrix per sentence
+        in one stacked product, however many steps it runs."""
+        model = build_tiny_model(seed=916)
+        model.decoder.ffn_vocab.b.data[model.vocabs.dec_word.id(EOS_LABEL)] = -1e9
+        attn, scorer = model.decoder.attn_mlp, type(model.decoder.attn_mlp)
+        projected, real = [], scorer.project_keys
+
+        def counted(self, keys, *args, **kwargs):
+            if self is attn:
+                projected.append(keys.shape[:-2])
+            return real(self, keys, *args, **kwargs)
+
+        monkeypatch.setattr(scorer, "project_keys", counted)
+        rng = np.random.default_rng(18)
+        inputs = [make_inputs(rng, 3) for _ in range(3)]
+        for beam, max_len in ((1, 1), (1, 12), (3, 12)):
+            projected.clear()
+            results = decode_batch(model, inputs, beam, [max_len] * 3)
+            assert [r.steps for r in results] == [max_len] * 3
+            assert projected == [(3,)]
+
+    def test_decode_after_weights_change_equals_a_model_built_with_them(self):
+        """Every weight changed in place, as ``adam_step`` changes it, between
+        two decodes: the second equals, bit for bit, the decode of a model
+        that had those weights before its first decode."""
+        model, fresh = build_tiny_model(seed=917), build_tiny_model(seed=917)
+        rng = np.random.default_rng(19)
+        inputs = [make_inputs(rng, 4), make_inputs(rng, 4)]
+
+        def decodes(m):
+            return [*decode_batch(m, inputs, 3, [8, 8]), greedy_decode(m, inputs[0], max_len=8)]
+
+        before = decodes(model)
+        params = model.parameters()
+        for p in params.values():
+            p.data -= 0.05 * rng.standard_normal(p.shape)
+        for name, p in fresh.parameters().items():
+            p.data = params[name].data.copy()
+        after = decodes(model)
+        for got, want in zip(after, decodes(fresh)):
+            assert_same_decode(got, want)
+        assert [r.score for r in after] != [r.score for r in before]
