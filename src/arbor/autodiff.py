@@ -33,6 +33,8 @@ differ).
 
 from __future__ import annotations
 
+import ctypes
+from functools import cache
 from itertools import accumulate
 from operator import itemgetter
 
@@ -465,6 +467,33 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 _BLOCK_MIN, _BLOCK = 1 << 20, 1 << 16
 
 
+@cache
+def _openblas_threads():
+    """OpenBLAS's ``get_num_threads`` in the library that numpy loaded, or
+    None where it cannot be found (another BLAS, or no ``/proc/self/maps``
+    to find the library by)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+        for path in paths:
+            lib = ctypes.CDLL(path)  # the loaded library, not a second copy
+            for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                         "openblas_get_num_threads64_", "openblas_get_num_threads"):
+                if hasattr(lib, name):
+                    get = getattr(lib, name)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    return get
+    except OSError:
+        pass
+    return None
+
+
+def _one_blas_thread() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS running on one thread now."""
+    get = _openblas_threads()
+    return get is not None and get() == 1
+
+
 def _mv(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``w @ x`` for a vector ``x``, or for each row of a matrix or a stack
     ``x``.
@@ -473,20 +502,24 @@ def _mv(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     row of the result is bit-equal to the product of that row alone; one
     gemm over all rows would round differently.  One row is always that
     one call.  With two rows or more, a weight of at least ``_BLOCK_MIN``
-    entries whose row count is a multiple of 4 is read in blocks of rows,
-    each block's product for every row before the next block (cache
-    blocking, Goto & van de Geijn, ACM TOMS 2008), so the weight streams
-    from memory once rather than once per row.
+    entries whose row count is a multiple of 4 is read in blocks of rows
+    when BLAS is OpenBLAS on one thread, each block's product for every
+    row before the next block (cache blocking, Goto & van de Geijn, ACM
+    TOMS 2008), so the weight streams from memory once rather than once
+    per row.
 
     A block holds a multiple of 4 rows, and OpenBLAS's gemv kernels take
-    rows in groups of 4, so on one BLAS thread every output of a block was
+    rows in groups of 4, so on one thread every output of a block was
     bit-equal to the one call's in every probe (a property of the kernels,
     not a guarantee of BLAS).  With several threads OpenBLAS splits one
     call's rows between them, and the rows next to a split that is not a
-    multiple of 4 can round differently in the one call than in a block.
+    multiple of 4 round differently in the one call than in a block; so
+    there, and with any other BLAS, every row is the one call.  The thread
+    count is read on every blocked-size call, as it can change while the
+    program runs.
     """
     m, d = w.shape
-    if x.size < 2 * d or w.size < _BLOCK_MIN or m % 4:
+    if x.size < 2 * d or w.size < _BLOCK_MIN or m % 4 or not _one_blas_thread():
         return np.matmul(w, x[..., None])[..., 0]
     rows = max(4, _BLOCK // d // 4 * 4)
     out = np.empty(x.shape[:-1] + (m,))

@@ -25,7 +25,8 @@ sources and relation types; ``Expansions.state`` gathers the chosen
 expansions into the next state.  Every row of both calls is bit-equal to
 that row alone: a weight times the rows' queries is one
 vector product per row (``per_row``: one gemv, the one the vector form
-makes, which ``autodiff._mv`` runs over row blocks of a large weight),
+makes, which ``autodiff._mv`` runs over row blocks of a large weight
+when BLAS is OpenBLAS on one thread),
 and a product over a row's keys is one matrix of a stacked matmul; a
 gemm over all rows would round each row differently depending on the
 others.  So an ``expand`` row is also bit-equal to ``feed_target``
@@ -114,7 +115,7 @@ class DecodeConstants:
     (``nn.AttentionScorer.transposes``).  They hold the weights of the
     moment the decode started; the next decode makes its own."""
 
-    enc: EncoderOutput  # the encoding they were made from
+    enc: EncoderOutput  # the encoding they were made from (predict_target checks)
     enc_keys: Tensor  # (sentences, n, attn_hidden): W_k of each encoder state
     attn: nn.Transposes
     dec_attn: nn.Transposes
@@ -311,11 +312,15 @@ class Decoder(nn.Module):
 
     def initial_state(self, enc: EncoderOutput) -> DecoderState:
         """The state before the first relation: one row per sentence of an
-        encoded batch."""
+        encoded batch, with the decode's ``DecodeConstants`` made from the
+        current weights.  The encoder keys are one stacked matmul, one
+        matrix per sentence, as ``pairs`` projects them."""
         c, rows = self.config, len(enc.lengths)
         lstm = tuple((h, ad.constant(np.zeros((rows, c.decoder_hidden)))) for h in enc.init)
+        attn = self.attn_mlp.transposes(c.decoder_hidden)
         return DecoderState(
-            constants=self.decode_constants(enc),
+            constants=DecodeConstants(enc, self.attn_mlp.project_keys(enc.states, attn), attn,
+                                      self.dec_attn_mlp.transposes(c.relation_hidden)),
             lstm=lstm,
             h=enc.init[-1],
             z_hist=ad.constant(np.zeros((rows, 0, c.relation_hidden))),
@@ -325,14 +330,6 @@ class Decoder(nn.Module):
             rel_src_rows=ad.constant(np.zeros((rows, 0, c.bilinear_size))),
             rows=tuple(range(rows)),
         )
-
-    def decode_constants(self, enc: EncoderOutput) -> DecodeConstants:
-        """The ``DecodeConstants`` of a decode of ``enc`` with the current
-        weights.  The encoder keys are one stacked matmul, one matrix per
-        sentence, as ``pairs`` projects them."""
-        attn = self.attn_mlp.transposes(self.config.decoder_hidden)
-        return DecodeConstants(enc, self.attn_mlp.project_keys(enc.states, attn), attn,
-                               self.dec_attn_mlp.transposes(self.config.relation_hidden))
 
     def predict_target(self, enc: EncoderOutput, state: DecoderState,
                        rel_ins: list[RelationInput]) -> tuple[StepOutput, DecoderState]:
@@ -351,18 +348,23 @@ class Decoder(nn.Module):
         product over a row's keys (the attentions' key halves and output
         layers, ``a_enc @ enc.states``) is one matrix of a stacked matmul;
         a gemm over all rows would round differently.  The encoder keys
-        come projected from ``state.constants``, which are made again for
-        an encoding other than the one the state was started from.
+        come projected from ``state.constants``.  A state paired with an
+        encoding other than the one it was started from (a row of a batch
+        against its sentence encoded alone) has its rows' keys projected
+        on every step instead, to the same bits.
         """
         rows, n = len(state.rows), enc.n
         if min(enc.lengths) < n:
             raise ValueError("predict_target: sentences of unequal length need padding masks")
-        consts = state.constants if state.constants.enc is enc else self.decode_constants(enc)
+        consts = state.constants
         keys = ad.embedding_gather(enc.states, state.rows)
+        if consts.enc is enc:
+            enc_keys = ad.embedding_gather(consts.enc_keys, state.rows)
+        else:
+            enc_keys = self.attn_mlp.project_keys(keys, consts.attn)
         h = state.h
 
-        a_enc = ad.softmax(self.attn_mlp.score(
-            h, ad.embedding_gather(consts.enc_keys, state.rows), consts.attn))
+        a_enc = ad.softmax(self.attn_mlp.score(h, enc_keys, consts.attn))
         context = ad.reshape(ad.matmul(ad.reshape(a_enc, (rows, 1, n)), keys),
                              (rows, keys.shape[2]))
 

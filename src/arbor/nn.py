@@ -140,7 +140,7 @@ class AttentionScorer(Module):
         ``pairs`` makes; ``transposes`` saves copying ``W_k``'s transpose."""
         lin = self.mlp.lin
         return ad.affine(keys, ad.narrow(lin.w, 1, lin.in_dim - keys.shape[-1], lin.in_dim),
-                         ad.constant(np.zeros(lin.out_dim)), w_t=transposes and transposes.k)
+                         None, w_t=transposes and transposes.k)
 
     def score(self, queries: Tensor, keys: Tensor, transposes: Transposes | None = None) -> Tensor:
         """``pairs`` of ``queries`` against keys already projected by

@@ -864,8 +864,9 @@ class TestLstmStep:
 
 class TestBlockedMv:
     """``_mv`` reads a weight of at least ``_BLOCK_MIN`` entries, whose row
-    count is a multiple of 4, in row blocks when it has two rows or more;
-    every row stays bit-equal to that row alone and to the one call."""
+    count is a multiple of 4, in row blocks when it has two rows or more
+    and BLAS is OpenBLAS on one thread; every row stays bit-equal to that
+    row alone and to the one call, on any thread count."""
 
     @staticmethod
     def count_matmuls(monkeypatch) -> list:
@@ -884,6 +885,7 @@ class TestBlockedMv:
         w = rng.standard_normal((1028, 1024))  # 17 blocks of 64 rows, the last of 4
         x = rng.standard_normal(lead + (1024,))
         assert w.size >= ad._BLOCK_MIN
+        monkeypatch.setattr(ad, "_one_blas_thread", lambda: True)
         calls = self.count_matmuls(monkeypatch)
         got = ad._mv(w, x)
         assert calls == [(64, 1024)] * 16 + [(4, 1024)]
@@ -892,12 +894,32 @@ class TestBlockedMv:
             assert_bits([got[r]], [np.concatenate([np.matmul(w[s:s + 64], x[r])
                                                    for s in range(0, 1028, 64)])])
 
-    def test_each_row_bit_equal_to_it_alone_on_one_blas_thread(self):
-        # OpenBLAS splits one gemv's rows between its threads, and a row
-        # next to a split that is not a multiple of 4 rows rounds
-        # differently in the one call than in a block; so the rows are
-        # compared in a child process with one BLAS thread, as the
-        # benchmark runs
+    def test_several_blas_threads_take_the_one_call(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        w, x = rng.standard_normal((1028, 1024)), rng.standard_normal((16, 1024))
+        monkeypatch.setattr(ad, "_one_blas_thread", lambda: False)
+        calls = self.count_matmuls(monkeypatch)
+        got = ad._mv(w, x)
+        assert calls == [(1028, 1024)]
+        monkeypatch.undo()
+        assert_bits([got], [np.matmul(w, x[..., None])[..., 0]])
+
+    @pytest.mark.parametrize("lead", [(2,), (5,), (16,)])
+    def test_each_row_bit_equal_to_it_alone(self, lead):
+        # in-process, on whatever thread count BLAS runs here
+        rng = np.random.default_rng(44)
+        w = rng.standard_normal((1028, 1024))
+        x = rng.standard_normal(lead + (1024,))
+        got = ad._mv(w, x)
+        for r in np.ndindex(lead):
+            assert_bits([got[r]], [ad._mv(w, x[r])])
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_each_row_bit_equal_to_it_alone_on_a_set_thread_count(self, threads):
+        # a child process whose OpenBLAS runs on a set number of threads:
+        # with one, the rows are blocked (as the benchmark runs); with two,
+        # OpenBLAS splits the 1028 rows at 514, and a block would round
+        # rows 512 and 513 differently from the one call
         code = textwrap.dedent("""
             import numpy as np
             from arbor import autodiff as ad
@@ -910,14 +932,19 @@ class TestBlockedMv:
                 for r in np.ndindex(lead):
                     assert np.array_equal(got[r], ad._mv(w, x[r])), (lead, r)
                     assert np.array_equal(got[r], np.matmul(w, x[r])), (lead, r)
-            print("rows bit-equal")
+            print("rows bit-equal", ad._one_blas_thread())
         """)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([str(Path(ad.__file__).parent.parent),
                                                os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=300)
-        assert proc.returncode == 0 and proc.stdout.strip() == "rows bit-equal", proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        words = proc.stdout.split()
+        assert words[:2] == ["rows", "bit-equal"], proc.stdout
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if threads == "1" and "openblas" in blas:
+            assert words[2] == "True"  # the blocked path ran
 
     @pytest.mark.parametrize("shape, rows", [
         ((1028, 1024), 1),   # one row
@@ -927,6 +954,7 @@ class TestBlockedMv:
     def test_plain_call(self, shape, rows, monkeypatch):
         rng = np.random.default_rng(42)
         w, x = rng.standard_normal(shape), rng.standard_normal((rows, shape[1]))
+        monkeypatch.setattr(ad, "_one_blas_thread", lambda: True)
         calls = self.count_matmuls(monkeypatch)
         got = ad._mv(w, x)
         assert calls == [shape]
