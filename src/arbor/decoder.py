@@ -17,33 +17,34 @@ tag.
 
 A ``DecoderState`` holds the hypotheses of one decode step as rows: the
 open hypotheses of one beam, or of the beams of several sentences of
-equal length decoded in lockstep; one hypothesis is a one-row state.  One
-``predict_target`` call scores the next target of every row, each
+equal length decoded in lockstep; one hypothesis is a one-row state.  A
+state carries its decode's encoding and label memo, so it steps alone:
+one ``predict_target`` call scores the next target of every row, each
 reading the encoder rows of its own sentence, and one ``expand`` call
 feeds all of the step's (row, target) expansions and scores their
 sources and relation types; ``Expansions.state`` gathers the chosen
 expansions into the next state.  Every row of both calls is bit-equal to
-that row alone: a weight times the rows' queries is one
-vector product per row (``per_row``: one gemv, the one the vector form
-makes, which ``autodiff._mv`` runs over row blocks of a large weight
-when BLAS is OpenBLAS on one thread),
-and a product over a row's keys is one matrix of a stacked matmul; a
-gemm over all rows would round each row differently depending on the
-others.  So an ``expand`` row is also bit-equal to ``feed_target``
-(one expansion) followed by ``point_source`` and ``relation_dist_all``,
-the one-row reference that ``expand`` is tested against.  Decoding has no
-train mode and carries no coverage: the LSTM step runs forward only (it
-refuses a tape), ``predict_target`` draws no dropout, and coverage enters
-only the training loss.
+that row alone: a weight times the rows' queries is one vector product
+per row (``per_row``: one gemv, the one the vector form makes, which
+``autodiff._mv`` runs over row blocks of a large weight when BLAS is
+OpenBLAS on one thread), and a product over a row's keys is one matrix
+of a stacked matmul; a gemm over all rows would round each row
+differently depending on the others.  So an ``expand`` row is also
+bit-equal to ``feed_target`` (one expansion) followed by
+``point_source`` and ``relation_dist_all``, the one-row reference that
+``expand`` is tested against.  Decoding has no train mode and carries no
+coverage: the LSTM step runs forward only (it refuses a tape),
+``predict_target`` draws no dropout, and coverage enters only the
+training loss.
 
 What no step changes is made once per decode, by ``initial_state``, as
-the state's ``DecodeConstants``: each sentence's encoder keys through
-the encoder attention's key half (one matrix per sentence, as ``pairs``
-projects them), and the transposed halves of both attention weights.
-The decoder-copy keys, the z history, go through the key half every
-step: a row of a gemm rounds with the number of rows, so a z projected
-once as it joined the history would not give the scores ``pairs``
-gives.
+the state's ``DecodeConstants``: the encoder states, each sentence's
+encoder keys through the encoder attention's key half (one matrix per
+sentence, as ``pairs`` projects them), the transposed halves of both
+attention weights, and the label memo.  The decoder-copy keys, the z
+history, go through the key half every step: a row of a gemm rounds with
+the number of rows, so a z projected once as it joined the history would
+not give the scores ``pairs`` gives.
 
 Each node is projected once: when a node's state becomes a pointer
 candidate (in ``predict_target``), its ``mlp_end`` and ``mlp_rel_src`` rows
@@ -51,7 +52,7 @@ are appended to the row blocks that the ``DecoderState`` holds, as its z
 is to the z history, and the source and relation scorers read those
 blocks whole.  A label embedding is the one row of ``label_rows``, the
 lookup training makes for all of its labels; within one decode it is
-memoised by (label, POS) while no tape records.
+memoised by (label, POS) in ``label_memo`` while no tape records.
 
 Training does not step through this module's decode forms: under teacher
 forcing ``training.sequence_loss`` runs each target LSTM layer as one
@@ -110,15 +111,19 @@ BOS_INPUT = RelationInput(ROOT_LABEL, ROOT_INDEX, UNK_LABEL, ROOT_RELATION)
 @dataclass(frozen=True)
 class DecodeConstants:
     """What every step of one decode reads and no step changes, made once
-    by ``initial_state``: each sentence's encoder keys through the encoder
-    attention's key half, and the transposes of both attention scorers
-    (``nn.AttentionScorer.transposes``).  They hold the weights of the
-    moment the decode started; the next decode makes its own."""
+    by ``initial_state``: the encoded sentences' states, each sentence's
+    encoder keys through the encoder attention's key half, the transposes
+    of both attention scorers (``nn.AttentionScorer.transposes``), and the
+    label memo.  They hold the weights of the moment the decode started;
+    the next decode makes its own."""
 
-    enc: EncoderOutput  # the encoding they were made from (predict_target checks)
+    states: Tensor  # (sentences, n, 2 * encoder_hidden): the encoder states
     enc_keys: Tensor  # (sentences, n, attn_hidden): W_k of each encoder state
     attn: nn.Transposes
     dec_attn: nn.Transposes
+    # (label, pos) -> label_vec, filled as the decode meets labels, never
+    # shared with the model and read and filled only while no tape records
+    label_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -141,12 +146,8 @@ class DecoderState:
     end_rows: Tensor
     rel_src_rows: Tensor
     rows: tuple[int, ...]  # each row's sentence in the encoded batch
-    # shared by all states of one decode, as label_memo is
+    # shared by all states of one decode
     constants: DecodeConstants = field(compare=False, repr=False)
-    # (label, pos) -> label_vec for one decode (of one sentence or of several
-    # in lockstep), shared by all of its states and never by the model; read
-    # and filled only while no tape records
-    label_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def take(self, idx) -> DecoderState:
         """Rows ``idx`` of this state, in that order; a row may repeat."""
@@ -297,9 +298,10 @@ class Decoder(nn.Module):
     def label_vec(self, label: str, pos: str, memo: dict | None = None) -> Tensor:
         """The ``label_rows`` row of one node label.
 
-        ``memo`` is a decode's ``label_memo``.  It is used only while no
-        tape records: a recorded lookup must reach the embedding tables'
-        gradients every time, so under a tape each call is a new lookup.
+        ``memo`` is a decode's ``DecodeConstants.label_memo``.  It is used
+        only while no tape records: a recorded lookup must reach the
+        embedding tables' gradients every time, so under a tape each call is
+        a new lookup.
         """
         if memo is not None and not ad.recording():
             vec = memo.get((label, pos))
@@ -312,15 +314,18 @@ class Decoder(nn.Module):
 
     def initial_state(self, enc: EncoderOutput) -> DecoderState:
         """The state before the first relation: one row per sentence of an
-        encoded batch, with the decode's ``DecodeConstants`` made from the
-        current weights.  The encoder keys are one stacked matmul, one
-        matrix per sentence, as ``pairs`` projects them."""
+        encoded batch of equal-length sentences, with the decode's
+        ``DecodeConstants`` made from the current weights.  The encoder
+        keys are one stacked matmul, one matrix per sentence, as ``pairs``
+        projects them."""
+        if min(enc.lengths) < enc.n:
+            raise ValueError("initial_state: sentences of unequal length need padding masks")
         c, rows = self.config, len(enc.lengths)
         lstm = tuple((h, ad.constant(np.zeros((rows, c.decoder_hidden)))) for h in enc.init)
         attn = self.attn_mlp.transposes(c.decoder_hidden)
         return DecoderState(
-            constants=DecodeConstants(enc, self.attn_mlp.project_keys(enc.states, attn), attn,
-                                      self.dec_attn_mlp.transposes(c.relation_hidden)),
+            constants=DecodeConstants(enc.states, self.attn_mlp.project_keys(enc.states, attn),
+                                      attn, self.dec_attn_mlp.transposes(c.relation_hidden)),
             lstm=lstm,
             h=enc.init[-1],
             z_hist=ad.constant(np.zeros((rows, 0, c.relation_hidden))),
@@ -331,44 +336,34 @@ class Decoder(nn.Module):
             rows=tuple(range(rows)),
         )
 
-    def predict_target(self, enc: EncoderOutput, state: DecoderState,
+    def predict_target(self, state: DecoderState,
                        rel_ins: list[RelationInput]) -> tuple[StepOutput, DecoderState]:
         """Consume relation ``rel_ins[b]`` in row ``b`` of ``state`` for every
         row and produce the next-target mixtures, as one ``StepOutput`` of
         rows and the new state.  The rows have consumed the same number of
         relations, since they are rows of one state.
 
-        ``enc`` encodes sentences of equal length, and row ``b`` reads the
-        encoder rows of its sentence, ``state.rows[b]``.  The rows may come
-        in any order, and several may share a sentence.
+        Row ``b`` reads the encoder states and keys of its sentence,
+        ``state.rows[b]``, from the state's ``DecodeConstants``.  The rows
+        may come in any order, and several may share a sentence.
 
         Each row is bit-equal to that row alone.  A weight times the rows'
         queries (the ``ffn_*`` layers, ``mlp_end``, ``mlp_rel_src``, the
         attentions' query halves) is one vector product per row, and a
         product over a row's keys (the attentions' key halves and output
-        layers, ``a_enc @ enc.states``) is one matrix of a stacked matmul;
-        a gemm over all rows would round differently.  The encoder keys
-        come projected from ``state.constants``.  A state paired with an
-        encoding other than the one it was started from (a row of a batch
-        against its sentence encoded alone) has its rows' keys projected
-        on every step instead, to the same bits.
+        layers, ``a_enc @ states``) is one matrix of a stacked matmul; a
+        gemm over all rows would round differently.
         """
-        rows, n = len(state.rows), enc.n
-        if min(enc.lengths) < n:
-            raise ValueError("predict_target: sentences of unequal length need padding masks")
-        consts = state.constants
-        keys = ad.embedding_gather(enc.states, state.rows)
-        if consts.enc is enc:
-            enc_keys = ad.embedding_gather(consts.enc_keys, state.rows)
-        else:
-            enc_keys = self.attn_mlp.project_keys(keys, consts.attn)
-        h = state.h
+        rows, consts, h = len(state.rows), state.constants, state.h
+        keys = ad.embedding_gather(consts.states, state.rows)
+        enc_keys = ad.embedding_gather(consts.enc_keys, state.rows)
+        n = keys.shape[1]
 
         a_enc = ad.softmax(self.attn_mlp.score(h, enc_keys, consts.attn))
         context = ad.reshape(ad.matmul(ad.reshape(a_enc, (rows, 1, n)), keys),
                              (rows, keys.shape[2]))
 
-        u = ad.stack_rows([self.label_vec(r.u_label, r.u_pos, state.label_memo)
+        u = ad.stack_rows([self.label_vec(r.u_label, r.u_pos, consts.label_memo)
                            for r in rel_ins])
         du = self.index_rows([r.u_index for r in rel_ins])
         rel = self.rel_emb([self.rel_vocab.id(r.rel) for r in rel_ins])
@@ -435,7 +430,7 @@ class Decoder(nn.Module):
         """
         parents = np.asarray(parents, dtype=np.intp)
         nodes, input_rows = _distinct(records, lambda r: (r.label, r.pos, r.index))
-        x, lstm = self._node_inputs(nodes, state.label_memo), []
+        x, lstm = self._node_inputs(nodes, state.constants.label_memo), []
         for k, cell in enumerate(self.lstm_cells):  # layer k's rows read layer k-1's
             x, c = cell(x, state.lstm[k], parents, None if k else input_rows)
             lstm.append((x, c))

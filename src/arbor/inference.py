@@ -33,7 +33,7 @@ group, in pieces of at most ``MAX_LOCKSTEP`` sentences, through the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,7 +102,6 @@ class Hypothesis:
     relations: tuple[Relation, ...]
     score: float
     rel_in: RelationInput
-    truncated: bool = False
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -140,14 +139,16 @@ class _Sentence:
     total_steps: int = 0
 
     def result(self) -> DecodeResult:
-        finished = self.finished + [replace(h, truncated=True) for h in self.beam]
-        if not finished:
+        """The best of the finished and then the open hypotheses, by score
+        and then by that order; an open one is truncated."""
+        pool = self.finished + self.beam
+        if not pool:
             return DecodeResult(RelationSequence((), eos=True), 0.0, 0, self.total_steps, False)
-        best = max(enumerate(finished), key=lambda kv: (kv[1].score, -kv[0]))[1]
-        seq = RelationSequence(best.relations, eos=not best.truncated, truncated=best.truncated)
-        pool = [(h.relations, h.score) for h in finished]
-        return DecodeResult(seq, best.score, len(best.relations), self.total_steps,
-                            best.truncated, pool=pool)
+        k, best = max(enumerate(pool), key=lambda kv: (kv[1].score, -kv[0]))
+        truncated = k >= len(self.finished)
+        seq = RelationSequence(best.relations, eos=not truncated, truncated=truncated)
+        return DecodeResult(seq, best.score, len(best.relations), self.total_steps, truncated,
+                            pool=[(h.relations, h.score) for h in pool])
 
 
 def _check_search(beam_size: int, max_lens) -> None:
@@ -166,9 +167,8 @@ def _search(model: TransducerModel, enc_inputs: list[EncoderInput], beam_size: i
     dec = model.decoder
     eos_id = model.vocabs.dec_word.id(EOS_LABEL)
     n_types = len(model.vocabs.rel)
-    enc = model.encoder.encode(enc_inputs)
     # the state's rows are the beams of the live sentences, in order
-    state = dec.initial_state(enc)
+    state = dec.initial_state(model.encoder.encode(enc_inputs))
     sents = [_Sentence(inp, max_len, [Hypothesis((), 0.0, BOS_INPUT)])
              for inp, max_len in zip(enc_inputs, max_lens)]
 
@@ -177,7 +177,7 @@ def _search(model: TransducerModel, enc_inputs: list[EncoderInput], beam_size: i
         if not live:
             break
         hyps = [hyp for s in live for hyp in s.beam]
-        outs, state = dec.predict_target(enc, state, [hyp.rel_in for hyp in hyps])
+        outs, state = dec.predict_target(state, [hyp.rel_in for hyp in hyps])
         # the (hypothesis, target) expansions of this step, in arrival order
         # within each sentence's block of rows
         parents: list[int] = []  # the row of each expansion's hypothesis
@@ -263,7 +263,7 @@ def decode_batch(model: TransducerModel, inputs: list[EncoderInput], beam_size: 
     input order, each bit-identical to decoding that sentence alone.
 
     Sentences of equal token count are decoded in lockstep, at most
-    ``MAX_LOCKSTEP`` at a time, so attention, coverage and encoder rows need
+    ``MAX_LOCKSTEP`` at a time, so encoder attention and encoder rows need
     no padding.  Every argument is checked before the first decode.
     """
     if len(max_lens) != len(inputs):

@@ -28,14 +28,14 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
-def xavier_uniform(rng: np.random.Generator | None, shape) -> np.ndarray:
+def xavier_uniform(rng: np.random.Generator | None, shape: tuple[int, ...]) -> np.ndarray:
     """Glorot-uniform weights of ``shape``; with ``rng`` None, an array
     allocated without drawing, for a caller that fills every value (a
     checkpoint load)."""
     if rng is None:
         return np.empty(shape)
-    fan_out, fan_in = (shape + (1, 1))[:2] if isinstance(shape, tuple) else (shape, 1)
-    if isinstance(shape, tuple) and len(shape) > 2:
+    fan_out, fan_in = (shape + (1,))[:2]
+    if len(shape) > 2:
         fan_in = int(np.prod(shape[1:]))
     a = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=shape)

@@ -541,10 +541,10 @@ def output_row(out: StepOutput, b: int) -> StepOutput:
     )
 
 
-def predict_one(dec, enc, state, rel_in):
+def predict_one(dec, state, rel_in):
     """``predict_target`` on a one-row state and one relation: the output
     row, with the row axis dropped, and the new state."""
-    out, new = dec.predict_target(enc, state, [rel_in])
+    out, new = dec.predict_target(state, [rel_in])
     return output_row(out, 0), new
 
 
@@ -615,7 +615,7 @@ def reference_feed(dec, state, record, train: bool = False, rng=None):
     """``Decoder.feed_target`` as a taped step on a one-row state: the
     target LSTM layers on the new node by ``composed_lstm_cell``, each
     layer's output under dropout as training draws it."""
-    x = ad.element(dec._node_inputs([record], state.label_memo), 0)
+    x = ad.element(dec._node_inputs([record], state.constants.label_memo), 0)
     lstm = []
     for cell, (h, c) in zip(dec.lstm_cells, state.lstm):
         h, c = composed_lstm_cell(x, ad.element(h, 0), ad.element(c, 0),

@@ -122,7 +122,7 @@ def test_criterion_04_probability_hygiene():
         state = dec.initial_state(enc)
         rel_in = BOS_INPUT
         for _ in range(int(rng.integers(3, 8))):
-            out, state = predict_one(dec, enc, state, rel_in)
+            out, state = predict_one(dec, state, rel_in)
             assert abs(out.p_target.data.sum() - 1.0) < 1e-6
             assert abs(sum(switch_values(out)) - 1.0) < 1e-9
             record = reference_node(
@@ -277,7 +277,7 @@ def test_criterion_09_loss_identities():
     rel_in = BOS_INPUT
     logp = 0.0
     for i, rel in enumerate(ref.relations):
-        out, state = predict_one(dec, enc, state, rel_in)
+        out, state = predict_one(dec, state, rel_in)
         logp += np.log(out.p_target.data[dec.word_vocab.id(rel.target)])
         record = reference_node(state.nodes[0], rel.target, rel.target_index,
                                 inp.tokens, inp.pos)
@@ -286,7 +286,7 @@ def test_criterion_09_loss_identities():
         logp += np.log(dec.point_source(state).data[pos])
         logp += np.log(relation_dist(dec, state, pos).data[dec.rel_vocab.id(rel.rel)])
         rel_in = RelationInput(rel.source, rel.source_index, state.node_pos(0, pos), rel.rel)
-    out, _ = predict_one(dec, enc, state, rel_in)
+    out, _ = predict_one(dec, state, rel_in)
     logp += np.log(out.p_target.data[dec.word_vocab.id(EOS_LABEL)])
     assert float(loss.total.data) == pytest.approx(-logp, abs=1e-10)
 

@@ -62,7 +62,10 @@ def enumerate_best(model, inp, max_len):
 
     Mirrors the scoring rules (EOS closes a hypothesis with no score
     contribution; hypotheses still open at max_len are closed as they
-    stand) while sharing nothing with the beam implementation.
+    stand) while sharing nothing with the search loop: it walks every
+    slot, source and type in order and keeps the first best by a strict
+    ``>``.  A node's non-EOS slots are fed by one ``Decoder.expand`` call,
+    whose rows ``TestExpand`` checks against one expansion at a time.
     """
     dec = model.decoder
     eos_id = model.vocabs.dec_word.id(EOS_LABEL)
@@ -78,16 +81,19 @@ def enumerate_best(model, inp, max_len):
         if depth == max_len:
             consider(seq, score)
             return
-        out, state1 = dec.predict_target(enc, state, [rel_in])
+        out, state1 = dec.predict_target(state, [rel_in])
         p = out.p_target.data[0]
+        slots = [slot for slot in range(p.shape[0]) if slot != eos_id]
+        records = [_slot_info(model, out, inp.tokens, inp.pos, slot, 0) for slot in slots]
+        exp = dec.expand(state1, [0] * len(slots), records)
+        e = 0  # the expansion of the next non-EOS slot
         for slot in range(p.shape[0]):
             if slot == eos_id:
                 consider(seq, score)  # EOS: no score update
                 continue
-            record = _slot_info(model, out, inp.tokens, inp.pos, slot, 0)
-            state2 = reference_feed(dec, state1, record)
-            pu = dec.point_source(state2).data
-            pr_all = dec.relation_dist_all(state2)
+            record, pu, pr_all, state2 = (records[e], exp.p_source[e], exp.p_relation[e],
+                                          exp.state([e]))
+            e += 1
             for j in range(pu.shape[0]):
                 if pu[j] == 0.0:
                     continue
@@ -139,7 +145,7 @@ def reference_beam_decode(model, inp, beam_size, max_len):
         candidates = []
         arrival = 0
         for hyp in beam:
-            out, state1 = dec.predict_target(enc, hyp.state, [hyp.rel_in])
+            out, state1 = dec.predict_target(hyp.state, [hyp.rel_in])
             total_steps += 1
             p = out.p_target.data[0]
             top = np.argsort(-p, kind="stable")[: min(beam_size, p.shape[0])]
@@ -202,7 +208,7 @@ def reference_greedy_decode(model, inp, max_len):
     total_steps = 0
     saw_eos = False
     for _ in range(max_len):
-        out, state = dec.predict_target(enc, state, [rel_in])
+        out, state = dec.predict_target(state, [rel_in])
         total_steps += 1
         p = out.p_target.data[0]
         slot = int(np.argmax(p))
@@ -484,7 +490,7 @@ class TestExpand:
         for k in (1, 5):
             state, rel_ins = dec.initial_state(enc), [BOS_INPUT]
             for step in range(5):
-                outs, state1 = dec.predict_target(enc, state, rel_ins)
+                outs, state1 = dec.predict_target(state, rel_ins)
                 parents, records = [], []
                 for b in range(len(rel_ins)):
                     out = output_row(outs, b)
@@ -671,13 +677,15 @@ class TestExpandRows:
         state = dec.initial_state(enc)
         rel_ins = [BOS_INPUT] * 3
         for step in range(3):
-            outs, fed = dec.predict_target(enc, state, rel_ins)
+            outs, fed = dec.predict_target(state, rel_ins)
             order = [2, 0, 2, 1]
-            mixed, mixed_fed = dec.predict_target(enc, state.take(order),
+            mixed, mixed_fed = dec.predict_target(state.take(order),
                                                   [rel_ins[s] for s in order])
             for b, s in enumerate(order):
                 alone, alone_fed = dec.predict_target(
-                    alone_encs[s], replace(state.take([s]), rows=(0,)), [rel_ins[s]])
+                    replace(state.take([s]), rows=(0,),
+                            constants=dec.initial_state(alone_encs[s]).constants),
+                    [rel_ins[s]])
                 got = output_row(mixed, b)
                 for other in (output_row(alone, 0), output_row(outs, s)):
                     assert_bits(got.p_target.data, other.p_target.data)
@@ -720,15 +728,15 @@ class TestExpandRows:
         dec, eos_id = model.decoder, model.vocabs.dec_word.id(EOS_LABEL)
         inp = make_inputs(np.random.default_rng(17), 4)
         enc = model.encoder.encode([inp])
-        outs, state = dec.predict_target(enc, dec.initial_state(enc), [BOS_INPUT])
+        outs, state = dec.predict_target(dec.initial_state(enc), [BOS_INPUT])
         slots = [int(s) for s in _top_k(outs.p_target.data[0], 4) if s != eos_id]
         records = [_slot_info(model, outs, inp.tokens, inp.pos, slot, 0) for slot in slots]
         exp = dec.expand(state, [0] * len(records), records)
         e = len(records) - 1
         twice, one = exp.state([e, e]), dec.feed_target(state, records[e])
         rel_in = RelationInput(ROOT_LABEL, ROOT_INDEX, UNK_LABEL, model.vocabs.rel.token(0))
-        out2, next2 = dec.predict_target(enc, twice, [rel_in] * 2)
-        out1, next1 = dec.predict_target(enc, one, [rel_in])
+        out2, next2 = dec.predict_target(twice, [rel_in] * 2)
+        out1, next1 = dec.predict_target(one, [rel_in])
         for b in range(2):
             assert twice.nodes[b] == one.nodes[0] and twice.rows[b] == 0
             for (h, c), (h1, c1) in zip(twice.lstm, one.lstm):
@@ -739,13 +747,12 @@ class TestExpandRows:
             for name in ("z_hist", "end_rows", "rel_src_rows"):
                 assert_bits(getattr(next2, name).data[b], getattr(next1, name).data[0])
 
-    def test_predict_target_refuses_sentences_of_unequal_length(self):
+    def test_initial_state_refuses_sentences_of_unequal_length(self):
         model = build_tiny_model(seed=914)
-        dec = model.decoder
         rng = np.random.default_rng(16)
         enc = model.encoder.encode([make_inputs(rng, 3), make_inputs(rng, 4)])
         with pytest.raises(ValueError, match="unequal length"):
-            dec.predict_target(enc, dec.initial_state(enc), [BOS_INPUT] * 2)
+            model.decoder.initial_state(enc)
 
 
 class TestDecodeConstants:

@@ -33,7 +33,7 @@ def drive_steps(model, inp, labels, rng_seed=0):
     rel_in = BOS_INPUT
     outs = []
     for i, label in enumerate(labels):
-        out, state = predict_one(dec, enc, state, rel_in)
+        out, state = predict_one(dec, state, rel_in)
         outs.append(out)
         record = reference_node(state.nodes[0], label, i + 1, inp.tokens, inp.pos)
         state = dec.feed_target(state, record)
@@ -217,7 +217,7 @@ class TestDecoderStep:
         inp = make_inputs(np.random.default_rng(4), 3)
         enc = model.encoder.encode([inp])
         state = model.decoder.initial_state(enc)
-        out, state = predict_one(model.decoder, enc, state, BOS_INPUT)
+        out, state = predict_one(model.decoder, state, BOS_INPUT)
         assert out.n_dec == 0 and out.a_dec is None
         assert switch_values(out)[2] == 0.0
         assert out.p_target.shape == (out.vocab_size + out.n_enc,)
@@ -240,7 +240,7 @@ class TestDecoderStep:
         enc = model.encoder.encode([inp])
         dec = model.decoder
         state = dec.initial_state(enc)
-        out, state = predict_one(dec, enc, state, BOS_INPUT)
+        out, state = predict_one(dec, state, BOS_INPUT)
         state = dec.feed_target(state, NodeRecord("person", 1, UNK_LABEL, ORIGIN_VOCAB))
         pu = dec.point_source(state)
         assert pu.shape == (1,)
@@ -269,7 +269,7 @@ class TestDecoderStep:
         try:
             enc = model.encoder.encode([inp])
             state = dec.initial_state(enc)
-            out, _ = predict_one(dec, enc, state, BOS_INPUT)
+            out, _ = predict_one(dec, state, BOS_INPUT)
             assert int(np.argmax(out.p_target.data)) == int(np.argmax(out.p_vocab.data))
         finally:
             dec.ffn_switch.b.data = saved
@@ -290,7 +290,7 @@ class TestDecoderStep:
         state = dec.initial_state(enc)
         rel_in = BOS_INPUT
         for i, label in enumerate(["person", "city", "person", "thing"]):
-            _, state = predict_one(dec, enc, state, rel_in)
+            _, state = predict_one(dec, state, rel_in)
             state = dec.feed_target(state, reference_node(state.nodes[0], label, i + 1,
                                                           inp.tokens, inp.pos))
             rows = dec.relation_dist_all(state)
@@ -340,7 +340,7 @@ class TestPredictRows:
             state = dec.initial_state(enc).take([0] * rows)
             rel_ins = [BOS_INPUT] * rows
             for _ in range(steps):
-                _, state = dec.predict_target(enc, state, rel_ins)
+                _, state = dec.predict_target(state, rel_ins)
                 state = dec.expand(state, range(rows), [random_record(state, b)
                                                         for b in range(rows)]).state(range(rows))
                 rel_ins = [random_rel_in(state, b) for b in range(rows)]
@@ -349,13 +349,13 @@ class TestPredictRows:
         for steps, n_dec in ((0, 0), (1, 0), (2, 1), (4, 3)):
             for rows in (1, 2, 5):
                 state, rel_ins = walk(steps, rows)
-                out, fed = dec.predict_target(enc, state, rel_ins)
+                out, fed = dec.predict_target(state, rel_ins)
                 assert out.p_target.ndim == 2 and len(fed.rows) == rows and out.n_dec == n_dec
                 assert fed.h is state.h and fed.lstm is state.lstm and fed.nodes == state.nodes
                 for b, rel_in in enumerate(rel_ins):
                     alone = state.take([b])
                     ref, ref_new, _, _ = reference_predict_target(dec, enc, alone, rel_in)
-                    one = predict_one(dec, enc, alone, rel_in)
+                    one = predict_one(dec, alone, rel_in)
                     for got, new in ((output_row(out, b), fed.take([b])), one):
                         assert got.p_target.shape == ref.p_target.shape
                         assert np.array_equal(got.p_target.data, ref.p_target.data)
@@ -397,7 +397,7 @@ class TestLabelMemo:
     def test_every_lookup_under_a_tape_is_new_and_recorded(self, model):
         dec = model.decoder
         enc = model.encoder.encode([make_inputs(np.random.default_rng(63), 3)])
-        memo = dec.initial_state(enc).label_memo
+        memo = dec.initial_state(enc).constants.label_memo
         cached = dec.label_vec("person", "NN", memo)
         assert dec.label_vec("person", "NN", memo) is cached
         with ad.Tape() as tape:
@@ -417,10 +417,10 @@ class TestIndexAndPos:
         inp = make_inputs(np.random.default_rng(11), 3)
         enc = model.encoder.encode([inp])
         state = dec.initial_state(enc)
-        out, state = predict_one(dec, enc, state, BOS_INPUT)
+        out, state = predict_one(dec, state, BOS_INPUT)
         assert state.next_fresh_index(0) == 1
         state = dec.feed_target(state, NodeRecord("person", 1, "NN", ORIGIN_VOCAB))
-        out, state = predict_one(dec, enc, state, RelationInput("person", 1, "NN", "root"))
+        out, state = predict_one(dec, state, RelationInput("person", 1, "NN", "root"))
         assert state.next_fresh_index(0) == 2
         state = dec.feed_target(state, NodeRecord("city", 2, "NN", ORIGIN_VOCAB))
         # copying node 1 reuses its index
@@ -432,7 +432,7 @@ class TestIndexAndPos:
         inp = EncoderInput(tokens=["Pierre", "expressed"], pos=["NNP", "VBD"])
         enc = model.encoder.encode([inp])
         state = dec.initial_state(enc)
-        _, state = predict_one(dec, enc, state, BOS_INPUT)
+        _, state = predict_one(dec, state, BOS_INPUT)
         # token copy: POS of the matching token
         rec = reference_node(state.nodes[0], "Pierre", 1, inp.tokens, inp.pos)
         assert rec.pos == "NNP" and rec.origin == ORIGIN_ENC
@@ -449,10 +449,10 @@ class TestIndexAndPos:
         inp = EncoderInput(tokens=["Pierre"], pos=["NNP"])
         enc = model.encoder.encode([inp])
         state = dec.initial_state(enc)
-        _, state = predict_one(dec, enc, state, BOS_INPUT)
+        _, state = predict_one(dec, state, BOS_INPUT)
         state = dec.feed_target(
             state, NodeRecord("Pierre", 1, "NNP", ORIGIN_ENC, (0,)))
-        _, state = predict_one(dec, enc, state, RelationInput("Pierre", 1, "NNP", "root"))
+        _, state = predict_one(dec, state, RelationInput("Pierre", 1, "NNP", "root"))
         # copy of the copy still carries NNP
         rec = reference_node(state.nodes[0], "Pierre", 1, inp.tokens, inp.pos)
         assert rec.pos == "NNP"

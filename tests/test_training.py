@@ -292,7 +292,7 @@ class TestSequenceLoss:
         rel_in = BOS_INPUT
         logp = 0.0
         for i, rel in enumerate(ref.relations):
-            out, state = predict_one(dec, enc, state, rel_in)
+            out, state = predict_one(dec, state, rel_in)
             logp += np.log(out.p_target.data[dec.word_vocab.id(rel.target)])
             record = reference_node(state.nodes[0], rel.target, rel.target_index,
                                     inp.tokens, inp.pos)
@@ -302,7 +302,7 @@ class TestSequenceLoss:
             logp += np.log(relation_dist(dec, state, pos).data[dec.rel_vocab.id(rel.rel)])
             rel_in = RelationInput(rel.source, rel.source_index,
                                    state.node_pos(0, pos), rel.rel)
-        out, _ = predict_one(dec, enc, state, rel_in)
+        out, _ = predict_one(dec, state, rel_in)
         logp += np.log(out.p_target.data[dec.word_vocab.id("@end@")])
         assert float(loss.total.data) == pytest.approx(-logp, abs=1e-10)
 
