@@ -24,11 +24,11 @@ reading the encoder rows of its own sentence, and one ``expand`` call
 feeds all of the step's (row, target) expansions and scores their
 sources and relation types; ``Expansions.state`` gathers the chosen
 expansions into the next state.  Every row of both calls is bit-equal to
-that row alone: a weight times the rows' queries is one vector product
-per row (``per_row``: one gemv, the one the vector form makes, which
-``autodiff._mv`` runs over row blocks of a large weight when BLAS is
-OpenBLAS on one thread), and a product over a row's keys is one matrix
-of a stacked matmul; a gemm over all rows would round each row
+that row alone: a weight times the rows' queries or keys is one vector
+product per row (``per_row``: one gemv, the one the vector form makes,
+which ``autodiff._mv`` runs over row blocks of a large weight when BLAS
+is OpenBLAS on one thread), and a product over a row's keys is one
+matrix of a stacked matmul; a gemm over all rows would round each row
 differently depending on the others.  So an ``expand`` row is also
 bit-equal to ``feed_target`` (one expansion) followed by
 ``point_source`` and ``relation_dist_all``, the one-row reference that
@@ -37,22 +37,20 @@ coverage: the LSTM step runs forward only (it refuses a tape),
 ``predict_target`` draws no dropout, and coverage enters only the
 training loss.
 
+Every attention key is projected once, by its own product
+(``nn.AttentionScorer.project_keys``), with the bits ``pairs`` gives it.
 What no step changes is made once per decode, by ``initial_state``, as
-the state's ``DecodeConstants``: the encoder states, each sentence's
-encoder keys through the encoder attention's key half (one matrix per
-sentence, as ``pairs`` projects them), the transposed halves of both
-attention weights, and the label memo.  The decoder-copy keys, the z
-history, go through the key half every step: a row of a gemm rounds with
-the number of rows, so a z projected once as it joined the history would
-not give the scores ``pairs`` gives.
+the state's ``DecodeConstants``: the encoder states and keys, the
+transposes of both attention weights, and the label memo.
 
-Each node is projected once: when a node's state becomes a pointer
-candidate (in ``predict_target``), its ``mlp_end`` and ``mlp_rel_src`` rows
-are appended to the row blocks that the ``DecoderState`` holds, as its z
-is to the z history, and the source and relation scorers read those
-blocks whole.  A label embedding is the one row of ``label_rows``, the
-lookup training makes for all of its labels; within one decode it is
-memoised by (label, POS) in ``label_memo`` while no tape records.
+Each node is projected once: when a relation state or a node's state
+becomes a candidate (in ``predict_target``), its decoder-copy key, or its
+``mlp_end`` and ``mlp_rel_src`` rows, are appended to the row blocks that
+the ``DecoderState`` holds (``z_keys``, ``end_rows``, ``rel_src_rows``),
+and the scorers read those blocks whole; no step projects a history.
+A label embedding is the one row of ``label_rows``, the lookup training
+makes for all of its labels; within one decode it is memoised by (label,
+POS) in ``label_memo`` while no tape records.
 
 Training does not step through this module's decode forms: under teacher
 forcing ``training.sequence_loss`` runs each target LSTM layer as one
@@ -131,12 +129,12 @@ class DecoderState:
     """The hypotheses of a decode after ``step`` relations, as rows: every
     tensor has a leading row axis, and ``nodes`` and ``rows`` hold one entry
     per row.  Of the target states only the last one, ``h``, is kept.  The
-    z history and the candidate rows are stacks of matrices that
+    decoder-copy keys and the candidate rows are stacks of matrices that
     ``predict_target`` grows by a row each step."""
 
     lstm: tuple[tuple[Tensor, Tensor], ...]  # per layer (h, c), (rows, decoder_hidden) each
     h: Tensor  # final-layer state of each row's last target (ROOT's before the first)
-    z_hist: Tensor  # (rows, i, relation_hidden): relation hidden states available for copying
+    z_keys: Tensor  # (rows, i, attn_hidden): W_k of each relation state available for copying
     nodes: tuple[tuple[NodeRecord, ...], ...]  # per row, the emitted target nodes v_1..v_i
     step: int  # number of relations consumed so far
     # mlp_end and mlp_rel_src of each pointer candidate's state (ROOT, then
@@ -155,7 +153,7 @@ class DecoderState:
         rows = partial(ad.embedding_gather, ids=idx)
         return replace(
             self, lstm=tuple((rows(h), rows(c)) for h, c in self.lstm), h=rows(self.h),
-            z_hist=rows(self.z_hist), nodes=tuple(self.nodes[b] for b in idx),
+            z_keys=rows(self.z_keys), nodes=tuple(self.nodes[b] for b in idx),
             end_rows=rows(self.end_rows), rel_src_rows=rows(self.rel_src_rows),
             rows=tuple(self.rows[b] for b in idx))
 
@@ -315,20 +313,19 @@ class Decoder(nn.Module):
     def initial_state(self, enc: EncoderOutput) -> DecoderState:
         """The state before the first relation: one row per sentence of an
         encoded batch of equal-length sentences, with the decode's
-        ``DecodeConstants`` made from the current weights.  The encoder
-        keys are one stacked matmul, one matrix per sentence, as ``pairs``
-        projects them."""
+        ``DecodeConstants`` made from the current weights, its encoder
+        keys projected as ``pairs`` projects them."""
         if min(enc.lengths) < enc.n:
             raise ValueError("initial_state: sentences of unequal length need padding masks")
         c, rows = self.config, len(enc.lengths)
         lstm = tuple((h, ad.constant(np.zeros((rows, c.decoder_hidden)))) for h in enc.init)
         attn = self.attn_mlp.transposes(c.decoder_hidden)
         return DecoderState(
-            constants=DecodeConstants(enc.states, self.attn_mlp.project_keys(enc.states, attn),
+            constants=DecodeConstants(enc.states, self.attn_mlp.project_keys(enc.states),
                                       attn, self.dec_attn_mlp.transposes(c.relation_hidden)),
             lstm=lstm,
             h=enc.init[-1],
-            z_hist=ad.constant(np.zeros((rows, 0, c.relation_hidden))),
+            z_keys=ad.constant(np.zeros((rows, 0, c.attn_hidden))),
             nodes=((),) * rows,
             step=0,
             end_rows=ad.constant(np.zeros((rows, 0, c.biaffine_size))),
@@ -348,11 +345,14 @@ class Decoder(nn.Module):
         may come in any order, and several may share a sentence.
 
         Each row is bit-equal to that row alone.  A weight times the rows'
-        queries (the ``ffn_*`` layers, ``mlp_end``, ``mlp_rel_src``, the
-        attentions' query halves) is one vector product per row, and a
-        product over a row's keys (the attentions' key halves and output
-        layers, ``a_enc @ states``) is one matrix of a stacked matmul; a
-        gemm over all rows would round differently.
+        queries or keys (the ``ffn_*`` layers, ``mlp_end``, ``mlp_rel_src``,
+        the attentions' query halves, the decoder-copy key half) is one
+        vector product per row, and a product over a row's keys (the
+        attentions' output layers, ``a_enc @ states``) is one matrix of a
+        stacked matmul; a gemm over all rows would round differently.
+
+        The rows score against keys projected once: the constants' encoder
+        keys and ``state.z_keys``, to which ``z``'s own key is appended.
         """
         rows, consts, h = len(state.rows), state.constants, state.h
         keys = ad.embedding_gather(consts.states, state.rows)
@@ -373,13 +373,11 @@ class Decoder(nn.Module):
         p_vocab = ad.softmax(vocab_logits)
         switch_logits = self.ffn_switch(z, per_row=True)
 
-        z_hist = state.z_hist
-        n_dec = z_hist.shape[1]
+        z_keys = state.z_keys
+        n_dec = z_keys.shape[1]
         blocks = [p_vocab, a_enc]
         if n_dec:
-            dec_attn = self.dec_attn_mlp
-            a_dec = ad.softmax(dec_attn.score(
-                z, dec_attn.project_keys(z_hist, consts.dec_attn), consts.dec_attn))
+            a_dec = ad.softmax(self.dec_attn_mlp.score(z, z_keys, consts.dec_attn))
             blocks.append(a_dec)
         else:
             # no copyable nodes yet: decoder-copy mass is exactly zero
@@ -390,9 +388,9 @@ class Decoder(nn.Module):
         p_target = ad.concat([ad.mul(w, block) for w, block in zip(weights, blocks)], axis=1)
 
         if state.step >= 1:
-            z_hist = _append_rows(z_hist, z)
+            z_keys = _append_rows(z_keys, self.dec_attn_mlp.project_keys(z))
         # h is a pointer candidate from the next feed on
-        new = replace(state, z_hist=z_hist, step=state.step + 1,
+        new = replace(state, z_keys=z_keys, step=state.step + 1,
                       end_rows=_append_rows(state.end_rows, self.mlp_end(h, per_row=True)),
                       rel_src_rows=_append_rows(state.rel_src_rows,
                                                 self.mlp_rel_src(h, per_row=True)))

@@ -97,17 +97,19 @@ def relations_to_arbor(rs: RelationSequence) -> Arborescence:
             f"first relation must have the ROOT pseudo-source, got "
             f"({first.source!r}, {first.source_index})"
         )
-    emitted: list[ArborNode] = [
-        ArborNode(first.target, first.target_index, anchors=first.target_anchors)
-    ]
+    root = ArborNode(first.target, first.target_index, anchors=first.target_anchors)
+    latest = {(first.target, first.target_index): root}
     for i, rel in enumerate(rs.relations[1:], start=2):
         if rel.source == ROOT_LABEL and rel.source_index == ROOT_INDEX:
             raise LinearizeError(f"second ROOT relation at position {i}")
-        pos = resolve_source(rs.relations[: i - 1], rel.source, rel.source_index)
+        parent = latest.get((rel.source, rel.source_index))
+        if parent is None:
+            raise LinearizeError(
+                f"no preceding target matches source ({rel.source!r}, {rel.source_index})")
         node = ArborNode(rel.target, rel.target_index, anchors=rel.target_anchors)
-        emitted[pos - 1].add(rel.rel, node)
-        emitted.append(node)
-    return Arborescence(emitted[0])
+        parent.add(rel.rel, node)
+        latest[(rel.target, rel.target_index)] = node
+    return Arborescence(root)
 
 
 def resolve_source(prefix, source: str, source_index: int) -> int:

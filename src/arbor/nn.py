@@ -98,10 +98,10 @@ class Mlp(Module):
 class Transposes(NamedTuple):
     """C-ordered copies of an ``AttentionScorer``'s weights transposed, as
     ``autodiff.affine``'s rows form multiplies by them: the first layer's
-    query half ``W_q`` and key half ``W_k``, and the output layer."""
+    query half ``W_q`` and the output layer.  The key half has none: each
+    key row is its own product (``project_keys``)."""
 
     q: np.ndarray
-    k: np.ndarray
     out: np.ndarray
 
 
@@ -134,13 +134,13 @@ class AttentionScorer(Module):
         """
         return self.score(queries, self.project_keys(keys))
 
-    def project_keys(self, keys: Tensor, transposes: Transposes | None = None) -> Tensor:
+    def project_keys(self, keys: Tensor) -> Tensor:
         """The key half of the first layer, ``W_k k``, of every key row of a
-        matrix or a stack of them, as the one product of each matrix that
-        ``pairs`` makes; ``transposes`` saves copying ``W_k``'s transpose."""
+        matrix or a stack of them, each row its own product (``per_row``):
+        bit-equal to that key alone, so a key may be projected once."""
         lin = self.mlp.lin
         return ad.affine(keys, ad.narrow(lin.w, 1, lin.in_dim - keys.shape[-1], lin.in_dim),
-                         None, w_t=transposes and transposes.k)
+                         None, per_row=True)
 
     def score(self, queries: Tensor, keys: Tensor, transposes: Transposes | None = None) -> Tensor:
         """``pairs`` of ``queries`` against keys already projected by
@@ -161,8 +161,7 @@ class AttentionScorer(Module):
         many times with unchanged weights (a decode).  They hold the
         weights' values of this moment."""
         w = self.mlp.lin.w.data
-        return Transposes(w[:, :query_dim].T.copy(), w[:, query_dim:].T.copy(),
-                          self.out.w.data.T.copy())
+        return Transposes(w[:, :query_dim].T.copy(), self.out.w.data.T.copy())
 
 
 class Biaffine(Module):

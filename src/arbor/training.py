@@ -388,7 +388,7 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float,
     ``grad_norm(params)``."""
     if norm is None:
         norm = grad_norm(params)
-    if norm <= max_norm or norm == 0.0:
+    if not norm > max_norm:  # a NaN norm scales nothing, so adam_step names its parameter
         return 1.0
     scale = max_norm / norm
     for t in params.values():

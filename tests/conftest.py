@@ -566,14 +566,15 @@ def reference_predict_target(dec, enc, state, rel_in, coverage=None, train: bool
                              rng=None):
     """The target head on a one-row state as it ran before hypotheses
     became rows, as taped ops: vector forms for the query, each attention's
-    query alone against its keys, and the relation state under dropout as
-    training draws it.  It also keeps the running sum of the encoder
-    attentions, ``coverage`` (``None`` before the first step), which
+    query alone against its keys (each relation state's decoder-copy key
+    projected once, as it joins the history), and the relation state under
+    dropout as training draws it.  It also keeps the running sum of the
+    encoder attentions, ``coverage`` (``None`` before the first step), which
     decoding does not carry.  Returns what ``predict_one`` returns, with
     the same bits when ``train`` is off, then the step's coverage penalty
     and the new coverage."""
     keys = ad.element(enc.states, state.rows[0])
-    h_i, z_hist = ad.element(state.h, 0), ad.element(state.z_hist, 0)
+    h_i, z_keys = ad.element(state.h, 0), ad.element(state.z_keys, 0)
     a_enc = ad.softmax(dec.attn_mlp.pairs(h_i, keys))
     context = ad.matmul(a_enc, keys)
     u_vec = dec.label_vec(rel_in.u_label, rel_in.u_pos)
@@ -584,9 +585,9 @@ def reference_predict_target(dec, enc, state, rel_in, coverage=None, train: bool
     vocab_logits = today_linear(dec.ffn_vocab, z)
     p_vocab = ad.softmax(vocab_logits)
     switch_logits = today_linear(dec.ffn_switch, z)
-    n_dec = z_hist.shape[0]
+    n_dec = z_keys.shape[0]
     if n_dec:
-        a_dec = ad.softmax(dec.dec_attn_mlp.pairs(z, z_hist))
+        a_dec = ad.softmax(dec.dec_attn_mlp.score(z, z_keys))
         sw = ad.softmax(switch_logits)
         blocks = [p_vocab, a_enc, a_dec]
     else:
@@ -602,7 +603,8 @@ def reference_predict_target(dec, enc, state, rel_in, coverage=None, train: bool
         return ad.concat([block, ad.reshape(row, (1, 1, row.shape[0]))], axis=1)
 
     new = replace(
-        state, z_hist=appended(state.z_hist, z) if state.step >= 1 else state.z_hist,
+        state, z_keys=(appended(state.z_keys, dec.dec_attn_mlp.project_keys(z))
+                       if state.step >= 1 else state.z_keys),
         step=state.step + 1,
         end_rows=appended(state.end_rows, today_mlp(dec.mlp_end, h_i)),
         rel_src_rows=appended(state.rel_src_rows, today_mlp(dec.mlp_rel_src, h_i)))

@@ -691,7 +691,7 @@ class TestExpandRows:
                     assert_bits(got.p_target.data, other.p_target.data)
                     assert_bits(got.switch.data, other.switch.data)
                 for new, r in ((alone_fed, 0), (fed, s)):
-                    for name in ("z_hist", "end_rows", "rel_src_rows"):
+                    for name in ("z_keys", "end_rows", "rel_src_rows"):
                         assert_bits(getattr(mixed_fed, name).data[b],
                                     getattr(new, name).data[r])
                 assert mixed_fed.rows[b] == fed.rows[s] == s
@@ -744,7 +744,7 @@ class TestExpandRows:
                 assert_bits(c.data[b], c1.data[0])
             assert_bits(twice.h.data[b], one.h.data[0])
             assert_bits(out2.p_target.data[b], out1.p_target.data[0])
-            for name in ("z_hist", "end_rows", "rel_src_rows"):
+            for name in ("z_keys", "end_rows", "rel_src_rows"):
                 assert_bits(getattr(next2, name).data[b], getattr(next1, name).data[0])
 
     def test_initial_state_refuses_sentences_of_unequal_length(self):
@@ -777,6 +777,24 @@ class TestDecodeConstants:
             results = decode_batch(model, inputs, beam, [max_len] * 3)
             assert [r.steps for r in results] == [max_len] * 3
             assert projected == [(3,)]
+
+    def test_each_relation_state_key_projected_once(self, monkeypatch):
+        """A decode projects each relation state's decoder-copy key once, as
+        it joins the history, not the whole history every step."""
+        model = build_tiny_model(seed=916)
+        model.decoder.ffn_vocab.b.data[model.vocabs.dec_word.id(EOS_LABEL)] = -1e9
+        dec_attn, scorer = model.decoder.dec_attn_mlp, type(model.decoder.dec_attn_mlp)
+        projected, real = [], scorer.project_keys
+
+        def counted(self, keys, *args, **kwargs):
+            if self is dec_attn:
+                projected.append(int(np.prod(keys.shape[:-1])))
+            return real(self, keys, *args, **kwargs)
+
+        monkeypatch.setattr(scorer, "project_keys", counted)
+        result = greedy_decode(model, make_inputs(np.random.default_rng(18), 3), max_len=12)
+        assert result.steps == 12
+        assert sum(projected) == 11
 
     def test_decode_after_weights_change_equals_a_model_built_with_them(self):
         """Every weight changed in place, as ``adam_step`` changes it, between

@@ -362,7 +362,7 @@ class TestPredictRows:
                         assert switch_values(got) == switch_values(ref)
                         assert got.n_dec == n_dec and got.dec_records == alone.nodes[0][:n_dec]
                         assert got.fresh_index == alone.next_fresh_index(0)
-                        for name in ("z_hist", "end_rows", "rel_src_rows"):
+                        for name in ("z_keys", "end_rows", "rel_src_rows"):
                             assert np.array_equal(getattr(new, name).data,
                                                   getattr(ref_new, name).data), name
                         assert new.step == state.step + 1 and new.nodes == alone.nodes

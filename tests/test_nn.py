@@ -187,6 +187,22 @@ class TestQueryRows:
                 one = bl(const(cands[b : b + 1]), const(queries[b : b + 1]), per_row=True)
                 assert np.array_equal(types[b], one.data[0])
 
+    def test_project_keys_row_invariant(self):
+        # each key row is its own product: a stack projects bit-equal to
+        # every key row alone, so a key may be projected once and kept
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            d, h = (int(v) for v in rng.integers(20, 120, size=2))
+            s, n = (int(v) for v in rng.integers(2, 24, size=2))
+            att = nn.AttentionScorer(rng, d + 7, h)
+            keys = rng.standard_normal((s, n, d))
+            stacked = att.project_keys(const(keys)).data
+            assert stacked.shape == (s, n, h)
+            for a in range(s):
+                for b in range(n):
+                    alone = att.project_keys(const(keys[a, b])).data
+                    assert np.array_equal(stacked[a, b], alone)
+
     def test_query_rows_gradients(self):
         rng = np.random.default_rng(9)
         bi, bl = nn.Biaffine(rng, 3, 4), nn.Bilinear(rng, 4, 3, 2)

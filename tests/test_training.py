@@ -230,6 +230,16 @@ class TestClip:
         assert clip_global_norm({"p": p}, 5.0) == 1.0
         assert np.array_equal(p.grad, [3.0, 0.0])
 
+    def test_nan_norm_scales_nothing_and_adam_names_its_parameter(self):
+        first = Tensor(np.zeros(2), requires_grad=True)
+        second = Tensor(np.zeros(2), requires_grad=True)
+        first.grad, second.grad = np.array([6.0, 0.0]), np.array([0.0, np.nan])
+        params = {"first": first, "second": second}
+        assert clip_global_norm(params, 5.0) == 1.0
+        assert np.array_equal(first.grad, [6.0, 0.0])
+        with pytest.raises(FloatingPointError, match="'second'"):
+            adam_step(params, AdamState(), 0.1)
+
 
 class TestTrainConfig:
     def test_validation(self):
